@@ -178,7 +178,7 @@ func BenchmarkAblationRedundantFrame(b *testing.B) {
 
 // sweepBenchRange is the diffeq cs range both sweep benchmarks cover —
 // critical path through critical path + 12, the same window
-// experiments.MeasurePerf records in BENCH_sweep.json.
+// experiments.MeasurePerfCtx records in BENCH_sweep.json.
 func sweepBenchRange() (*benchmarks.Example, int, int) {
 	ex := benchmarks.Diffeq()
 	cp := ex.Graph.CriticalPathCycles()

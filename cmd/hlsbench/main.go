@@ -1,10 +1,6 @@
 // Command hlsbench regenerates the paper's evaluation: Tables 1 and 2,
 // the comparison and style-overhead studies, CPU times, the textual
-// Figures 1 and 2, and the ablation tables. With -json it instead
-// measures the machine-readable performance baseline (wall time per
-// table, sequential vs parallel sweep throughput) and writes it to
-// BENCH_sweep.json so later changes have a perf trajectory to regress
-// against.
+// Figures 1 and 2, and the ablation tables.
 //
 // Usage:
 //
@@ -16,46 +12,31 @@
 //	hlsbench -table runtime   # CPU times
 //	hlsbench -table ablation  # ablation studies
 //	hlsbench -fig 1|2         # figures
-//	hlsbench -json            # write perf baseline to BENCH_sweep.json
-//	hlsbench -json -out p.json
-//	hlsbench -json -out fresh.json -compare BENCH_sweep.json   # CI guard:
-//	       exit non-zero if any wall time exceeds 3x the committed baseline
 //
-// With -scale it instead runs the large-graph ladder (generated DFGs
-// from 1k to 100k nodes plus the incremental re-synthesis points),
-// prints the per-rung wall time, ns/node, and allocation columns, and
-// writes the snapshot to BENCH_scale.json:
+// Four measuring modes instead write a performance snapshot, so later
+// changes have a trajectory to regress against:
 //
-//	hlsbench -scale                       # full ladder, 100k included
-//	hlsbench -scale -maxnodes 10000       # committed-baseline subset
-//	hlsbench -scale -out fresh.json -compare BENCH_scale.json
+//	hlsbench -json    # wall time per table, sequential vs parallel sweep -> BENCH_sweep.json
+//	hlsbench -scale   # the 1k-100k-node ladder and incremental re-synthesis -> BENCH_scale.json
+//	hlsbench -serve   # in-process hlsd replay load test -> BENCH_serve.json
+//	hlsbench -vet     # hlsvet suite, sequential vs parallel -> BENCH_vet.json
+//
+// -out overrides the output path, and -scale -maxnodes N skips ladder
+// rungs larger than N nodes (the committed baseline uses 10000). Every
+// mode writes the same snapshot format and prints its metric table.
+// With -compare it also prints the delta table against a committed
+// baseline of the same mode, pass or fail, and exits non-zero if any
+// exact metric changed or any wall time exceeds -tolerance (default 3)
+// times its baseline; DESIGN.md §12 states the rule:
+//
+//	hlsbench -scale -maxnodes 10000 -out fresh.json -compare BENCH_scale.json
 //
 // -noindex disables the grid occupancy index for the whole run (every
 // mode), falling back to the per-cell CanPlace walks. It is the A/B
-// control for the word-scan placement walks; -json and -scale snapshots
-// record it in a "noindex" field so the two populations cannot be
-// conflated:
+// control for the word-scan placement walks, and snapshots record it
+// as env.noindex so the two populations cannot be conflated:
 //
 //	hlsbench -scale -maxnodes 1000 -noindex -out noindex.json
-//
-// With -serve it instead load-tests the hlsd daemon in-process: warm
-// every distinct benchmark request, then replay them from a thousand
-// concurrent clients, and write the hit-path latency percentiles, hit
-// rate, and byte-identity verdict to BENCH_serve.json:
-//
-//	hlsbench -serve
-//	hlsbench -serve -out fresh.json -compare BENCH_serve.json
-//
-// With -vet it instead times the full hlsvet analyzer suite over the
-// module — sequential versus parallel, asserting byte-identical output
-// — and writes the snapshot to BENCH_vet.json:
-//
-//	hlsbench -vet
-//	hlsbench -vet -out fresh.json -compare BENCH_vet.json
-//
-// In every mode -compare prints the full per-metric delta table
-// (baseline, fresh, slowdown factor) before the verdict, so a passing
-// run still shows where the time is drifting.
 package main
 
 import (
@@ -65,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
@@ -78,15 +60,15 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("hlsbench", flag.ContinueOnError)
 	table := fs.String("table", "", "which table to print (1, 2, compare, style, runtime, ablation); empty = all")
 	fig := fs.Int("fig", 0, "which figure to print (1 or 2); 0 = per -table selection")
-	jsonOut := fs.Bool("json", false, "measure the perf baseline and write it as JSON to -out")
+	jsonOut := fs.Bool("json", false, "measure the perf snapshot and write it as JSON to -out")
 	scale := fs.Bool("scale", false, "measure the large-graph scale ladder and write it as JSON to -out")
 	serveBench := fs.Bool("serve", false, "load-test the hlsd daemon in-process and write the snapshot as JSON to -out")
 	vetBench := fs.Bool("vet", false, "time the hlsvet analyzer suite over the module and write the snapshot as JSON to -out")
 	maxNodes := fs.Int("maxnodes", 0, "with -scale: skip ladder rungs larger than this many nodes (0 = full ladder)")
-	outPath := fs.String("out", "", "output path for -json, -scale, or -serve (default BENCH_sweep.json, BENCH_scale.json, or BENCH_serve.json)")
-	compare := fs.String("compare", "", "with -json, -scale, or -serve: print the per-metric delta table against this committed baseline and fail if any fresh wall time exceeds it by more than -tolerance")
-	tolerance := fs.Float64("tolerance", 3, "with -compare: allowed slowdown factor per measurement")
-	noIndex := fs.Bool("noindex", false, "disable the grid occupancy index (A/B baseline for the word-scan placement walks); recorded in the -json/-scale snapshot")
+	outPath := fs.String("out", "", "output path for -json, -scale, -serve, or -vet (default BENCH_sweep.json, BENCH_scale.json, BENCH_serve.json, or BENCH_vet.json)")
+	compare := fs.String("compare", "", "with -json, -scale, -serve, or -vet: print the per-metric delta table against this committed snapshot of the same mode, and fail if an exact metric changed or a fresh wall time exceeds it by more than -tolerance")
+	tolerance := fs.Float64("tolerance", 3, "with -compare: allowed slowdown factor per wall time")
+	noIndex := fs.Bool("noindex", false, "disable the grid occupancy index (A/B baseline for the word-scan placement walks); recorded in every snapshot as env.noindex")
 	timeout := cli.Timeout(fs)
 	prof := cli.Profile(fs)
 	if err := fs.Parse(args); err != nil {
@@ -104,42 +86,40 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer func() { grid.DisableIndex = false }()
 	}
 
-	modes := 0
-	for _, on := range []bool{*jsonOut, *scale, *serveBench, *vetBench} {
-		if on {
-			modes++
+	// The measuring modes, each with its default output file.
+	modes := []struct {
+		on      bool
+		out     string
+		measure func(context.Context) (*experiments.Snapshot, error)
+	}{
+		{*jsonOut, "BENCH_sweep.json", experiments.MeasurePerfCtx},
+		{*scale, "BENCH_scale.json", func(ctx context.Context) (*experiments.Snapshot, error) {
+			return experiments.MeasureScaleCtx(ctx, *maxNodes)
+		}},
+		{*serveBench, "BENCH_serve.json", experiments.MeasureServeCtx},
+		{*vetBench, "BENCH_vet.json", func(ctx context.Context) (*experiments.Snapshot, error) {
+			return experiments.MeasureVetCtx(ctx, ".")
+		}},
+	}
+	selected := modes[:0]
+	for _, m := range modes {
+		if m.on {
+			selected = append(selected, m)
 		}
 	}
-	if modes > 1 {
+	if len(selected) > 1 {
 		return fmt.Errorf("-json, -scale, -serve, and -vet are mutually exclusive")
 	}
-	if *vetBench {
+	if len(selected) == 1 {
 		path := *outPath
 		if path == "" {
-			path = "BENCH_vet.json"
+			path = selected[0].out
 		}
-		return writeVetBaseline(ctx, out, path, *compare, *tolerance)
-	}
-	if *serveBench {
-		path := *outPath
-		if path == "" {
-			path = "BENCH_serve.json"
+		s, err := selected[0].measure(ctx)
+		if err != nil {
+			return err
 		}
-		return writeServeBaseline(ctx, out, path, *compare, *tolerance)
-	}
-	if *scale {
-		path := *outPath
-		if path == "" {
-			path = "BENCH_scale.json"
-		}
-		return writeScaleBaseline(ctx, out, path, *compare, *tolerance, *maxNodes)
-	}
-	if *jsonOut {
-		path := *outPath
-		if path == "" {
-			path = "BENCH_sweep.json"
-		}
-		return writeBaseline(ctx, out, path, *compare, *tolerance)
+		return writeSnapshot(out, s, path, *compare, *tolerance)
 	}
 	if *compare != "" {
 		return fmt.Errorf("-compare requires -json, -scale, -serve, or -vet")
@@ -183,151 +163,56 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return printFigure(out, 2)
 }
 
-func writeBaseline(ctx context.Context, out io.Writer, path, compare string, tolerance float64) error {
-	p, err := experiments.MeasurePerfCtx(ctx)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s: sweep %s cs %d..%d, %.1f ms sequential, %.1f ms parallel (%.2fx on %d procs, identical=%v)\n",
-		path, p.Sweep.Graph, p.Sweep.CSLo, p.Sweep.CSHi,
-		p.Sweep.SequentialMs, p.Sweep.ParallelMs, p.Sweep.Speedup,
-		p.GOMAXPROCS, p.Sweep.Identical)
-	if compare == "" {
-		return nil
-	}
-	base, err := experiments.LoadPerfBaseline(compare)
-	if err != nil {
-		return err
-	}
-	printDeltas(out, compare, experiments.PerfDeltas(base, p))
-	return verdict(out, experiments.ComparePerf(base, p, tolerance), tolerance, compare)
-}
-
-func writeScaleBaseline(ctx context.Context, out io.Writer, path, compare string, tolerance float64, maxNodes int) error {
-	b, err := experiments.MeasureScaleCtx(ctx, maxNodes)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
+// writeSnapshot writes s to path and prints its metric table. With a
+// compare path it then prints the delta table against that baseline,
+// pass or fail — a passing run should still show where the time is
+// drifting — and fails on any regression.
+func writeSnapshot(out io.Writer, s *experiments.Snapshot, path, compare string, tolerance float64) error {
+	data, err := json.MarshalIndent(s, "", "  ")
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "scale ladder (%s, %d procs):\n", b.GoVersion, b.GOMAXPROCS)
-	fmt.Fprintf(out, "  %-10s %8s %5s %10s %9s %9s %8s\n",
-		"rung", "nodes", "cs", "wall ms", "ns/node", "alloc MB", "heap MB")
-	for _, r := range b.Rungs {
-		fmt.Fprintf(out, "  %-10s %8d %5d %10.1f %9.0f %9.1f %8.1f\n",
-			r.Name, r.Nodes, r.CS, r.WallMs, r.NsPerNode, r.AllocMB, r.HeapPeakMB)
+	t := report.New(fmt.Sprintf("hlsbench -%s (%s, gomaxprocs %d, num_cpu %d, noindex %v):",
+		s.Mode, s.Env.GoVersion, s.Env.GOMAXPROCS, s.Env.NumCPU, s.Env.NoIndex), "metric", "value", "unit")
+	for _, m := range s.Metrics {
+		t.Add(m.Name, num(m.Value), m.Unit)
 	}
-	if len(b.Incremental) > 0 {
-		fmt.Fprintln(out, "incremental re-synthesis (one-node edit):")
-		fmt.Fprintf(out, "  %-10s %8s %10s %10s %8s %10s\n",
-			"point", "nodes", "fresh ms", "incr ms", "speedup", "identical")
-		for _, p := range b.Incremental {
-			fmt.Fprintf(out, "  %-10s %8d %10.1f %10.1f %7.1fx %10v\n",
-				p.Name, p.Nodes, p.FreshMs, p.IncrementalMs, p.Speedup, p.Identical)
-		}
-	}
+	fmt.Fprint(out, t)
 	fmt.Fprintf(out, "wrote %s\n", path)
 	if compare == "" {
 		return nil
 	}
-	base, err := experiments.LoadScaleBaseline(compare)
+	base, err := experiments.LoadSnapshot(compare, s.Mode)
 	if err != nil {
 		return err
 	}
-	printDeltas(out, compare, experiments.ScaleDeltas(base, b))
-	return verdict(out, experiments.CompareScale(base, b, tolerance), tolerance, compare)
-}
-
-func writeVetBaseline(ctx context.Context, out io.Writer, path, compare string, tolerance float64) error {
-	b, err := experiments.MeasureVetCtx(ctx, ".")
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s: %d analyzers, %d findings, %.1f ms sequential, %.1f ms parallel (%.2fx on %d procs, identical=%v)\n",
-		path, b.Analyzers, b.Findings, b.SequentialMs, b.ParallelMs, b.Speedup, b.GOMAXPROCS, b.Identical)
-	if compare == "" {
-		return nil
-	}
-	base, err := experiments.LoadVetBaseline(compare)
-	if err != nil {
-		return err
-	}
-	printDeltas(out, compare, experiments.VetDeltas(base, b))
-	return verdict(out, experiments.CompareVet(base, b, tolerance), tolerance, compare)
-}
-
-func writeServeBaseline(ctx context.Context, out io.Writer, path, compare string, tolerance float64) error {
-	b, err := experiments.MeasureServeCtx(ctx)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "wrote %s: %d clients x %d requests over %d designs\n",
-		path, b.Clients, b.Requests/b.Clients, b.Designs)
-	fmt.Fprintf(out, "  warm %.1f ms, replay %.1f ms (%.0f req/s), p50 %.2f ms, p99 %.2f ms\n",
-		b.WarmMs, b.ReplayMs, b.ThroughputRPS, b.P50Ms, b.P99Ms)
-	fmt.Fprintf(out, "  hit rate %.4f, byte-identical %v, sweep burst %d reqs in %d batches\n",
-		b.HitRate, b.ByteIdentical, b.SweepBatchedReqs, b.SweepBatches)
-	if compare == "" {
-		return nil
-	}
-	base, err := experiments.LoadServeBaseline(compare)
-	if err != nil {
-		return err
-	}
-	printDeltas(out, compare, experiments.ServeDeltas(base, b))
-	return verdict(out, experiments.CompareServe(base, b, tolerance), tolerance, compare)
-}
-
-// printDeltas renders the full per-metric comparison, pass or fail —
-// a passing run should still show where the time is drifting.
-func printDeltas(out io.Writer, compare string, deltas []experiments.Delta) {
-	fmt.Fprintf(out, "delta vs %s:\n", compare)
-	fmt.Fprintf(out, "  %-24s %12s %12s %8s\n", "metric", "baseline ms", "fresh ms", "factor")
-	for _, d := range deltas {
-		if d.OldMs <= 0 {
-			fmt.Fprintf(out, "  %-24s %12s %12.2f %8s\n", d.Name, "-", d.NewMs, "-")
-			continue
+	t = report.New("delta vs "+compare+":", "metric", "baseline", "fresh", "unit", "factor")
+	for _, d := range experiments.Deltas(base, s) {
+		factor := "-"
+		if d.Base != 0 {
+			factor = fmt.Sprintf("%.2fx", d.Factor())
 		}
-		fmt.Fprintf(out, "  %-24s %12.2f %12.2f %7.2fx\n", d.Name, d.OldMs, d.NewMs, d.Factor())
+		t.Add(d.Name, num(d.Base), num(d.Value), d.Unit, factor)
 	}
-}
-
-func verdict(out io.Writer, regs []experiments.PerfRegression, tolerance float64, compare string) error {
+	fmt.Fprint(out, t)
+	regs, err := experiments.CompareSnapshots(base, s, tolerance)
+	if err != nil {
+		return fmt.Errorf("-compare %s: %w", compare, err)
+	}
 	if len(regs) == 0 {
-		fmt.Fprintf(out, "within %.0fx of %s on every measurement\n", tolerance, compare)
+		fmt.Fprintf(out, "within %gx of %s on every measurement\n", tolerance, compare)
 		return nil
 	}
 	for _, r := range regs {
 		fmt.Fprintln(out, "regression:", r)
 	}
-	return fmt.Errorf("%d measurement(s) regressed past %.0fx of %s", len(regs), tolerance, compare)
+	return fmt.Errorf("%d measurement(s) regressed against %s (tolerance %gx)", len(regs), compare, tolerance)
 }
+
+func num(v float64) string { return strconv.FormatFloat(v, 'g', 6, 64) }
 
 func printTable(ctx context.Context, out io.Writer, fn func(context.Context) (*report.Table, error)) error {
 	t, err := fn(ctx)

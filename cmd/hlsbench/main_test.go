@@ -2,8 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -69,27 +67,30 @@ func TestJSONBaseline(t *testing.T) {
 	if err := run(context.Background(), []string{"-json", "-out", path}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "wrote "+path) {
-		t.Errorf("missing confirmation line: %q", out.String())
+	for _, want := range []string{"hlsbench -json", "table1/wall", "sweep/identical_results", "wrote " + path} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("output missing %q in:\n%s", want, out.String())
+		}
 	}
-	data, err := os.ReadFile(path)
+	s, err := experiments.LoadSnapshot(path, "json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var p experiments.PerfBaseline
-	if err := json.Unmarshal(data, &p); err != nil {
-		t.Fatalf("invalid JSON: %v", err)
+	values := make(map[string]float64)
+	tables := 0
+	for _, m := range s.Metrics {
+		values[m.Name] = m.Value
+		if strings.HasSuffix(m.Name, "/rows") {
+			tables++
+		}
 	}
-	if p.SchemaVersion != 1 {
-		t.Errorf("schema version = %d", p.SchemaVersion)
+	if tables != 10 {
+		t.Errorf("tables = %d, want 10", tables)
 	}
-	if len(p.Tables) != 10 {
-		t.Errorf("tables = %d, want 10", len(p.Tables))
+	if values["sweep/points"] < 2 || values["sweep/sequential"] <= 0 || values["sweep/parallel"] <= 0 {
+		t.Errorf("implausible sweep timing: %v", values)
 	}
-	if p.Sweep.Points < 2 || p.Sweep.SequentialMs <= 0 || p.Sweep.ParallelMs <= 0 {
-		t.Errorf("implausible sweep timing: %+v", p.Sweep)
-	}
-	if !p.Sweep.Identical {
+	if values["sweep/identical_results"] != 1 {
 		t.Error("parallel sweep diverged from sequential")
 	}
 }
@@ -105,33 +106,41 @@ func TestScaleBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"ns/node", "alloc MB", "incremental re-synthesis", "wrote " + path} {
+	for _, want := range []string{"rand1k/ns_per_node", "rand1k/alloc", "inc1k/incremental", "wrote " + path} {
 		if !strings.Contains(got, want) {
 			t.Errorf("scale output missing %q in:\n%s", want, got)
 		}
 	}
-	b, err := experiments.LoadScaleBaseline(path)
-	if err != nil {
+	if strings.Contains(got, "rand5k") {
+		t.Errorf("rung past -maxnodes measured:\n%s", got)
+	}
+	if _, err := experiments.LoadSnapshot(path, "scale"); err != nil {
 		t.Fatal(err)
-	}
-	if len(b.Rungs) != 1 || b.Rungs[0].Name != "rand1k" {
-		t.Fatalf("rungs = %+v, want just rand1k", b.Rungs)
-	}
-	if len(b.Incremental) != 1 || !b.Incremental[0].Identical {
-		t.Fatalf("incremental = %+v", b.Incremental)
 	}
 
 	out.Reset()
-	err = run(context.Background(), []string{"-scale", "-maxnodes", "1000",
+	err := run(context.Background(), []string{"-scale", "-maxnodes", "1000",
 		"-out", filepath.Join(t.TempDir(), "fresh.json"), "-compare", path, "-tolerance", "1000"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got = out.String()
-	for _, want := range []string{"delta vs " + path, "rung/rand1k", "inc1k/fresh", "inc1k/incremental", "within 1000x"} {
+	for _, want := range []string{"delta vs " + path, "rand1k/wall", "inc1k/fresh", "inc1k/incremental", "inc1k/identical_results", "within 1000x"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("compare output missing %q in:\n%s", want, got)
 		}
+	}
+}
+
+// TestCompareAcrossModesFails pins that a baseline written by another
+// mode is refused: the two snapshots share no metric, so the
+// comparison would otherwise check nothing and pass.
+func TestCompareAcrossModesFails(t *testing.T) {
+	var out strings.Builder
+	err := run(context.Background(), []string{"-scale", "-maxnodes", "1000",
+		"-out", filepath.Join(t.TempDir(), "fresh.json"), "-compare", "../../BENCH_vet.json"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "hlsbench -vet") || !strings.Contains(err.Error(), "hlsbench -scale") {
+		t.Fatalf("want an error naming both modes, got %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -13,41 +14,34 @@ import (
 // suite. The nightly CI scale job runs it alongside `hlsbench -scale
 // -compare`.
 func TestFullScaleLadder(t *testing.T) {
-	b, err := MeasureScaleCtx(context.Background(), 0)
+	s, err := MeasureScaleCtx(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.Rungs) != 7 {
-		t.Fatalf("rungs = %d, want the full 7-rung ladder", len(b.Rungs))
-	}
-	for _, r := range b.Rungs {
-		t.Logf("%-10s %8d nodes  cs %4d  %10.1f ms  %8.0f ns/node  %8.1f MB alloc  %7.1f MB heap",
-			r.Name, r.Nodes, r.CS, r.WallMs, r.NsPerNode, r.AllocMB, r.HeapPeakMB)
-		if r.WallMs <= 0 || r.NsPerNode <= 0 {
-			t.Errorf("%s: implausible timing %+v", r.Name, r)
+	rungs := 0
+	for _, m := range s.Metrics {
+		t.Logf("%-28s %14.1f %s", m.Name, m.Value, m.Unit)
+		switch {
+		case strings.HasSuffix(m.Name, "/wall"):
+			rungs++
+			if m.Value <= 0 {
+				t.Errorf("%s: implausible timing %v", m.Name, m.Value)
+			}
+		case strings.HasSuffix(m.Name, "/identical_results") && m.Value != 1:
+			t.Errorf("%s: incremental result diverged from from-scratch", m.Name)
 		}
+	}
+	if rungs != 7 {
+		t.Fatalf("rungs = %d, want the full 7-rung ladder", rungs)
 	}
 	// The issue's acceptance bars: 10k nodes in single-digit seconds,
 	// 100k completes at all. Generous multiples of the measured numbers
 	// (~0.5 s and ~25 s locally) so only an asymptotic regression —
 	// not machine noise — can trip them.
-	for _, r := range b.Rungs {
-		switch r.Name {
-		case "rand10k":
-			if r.WallMs > 10_000 {
-				t.Errorf("rand10k took %.0f ms, want single-digit seconds", r.WallMs)
-			}
-		case "rand100k":
-			if r.WallMs > 300_000 {
-				t.Errorf("rand100k took %.0f ms", r.WallMs)
-			}
-		}
+	if v := metric(t, s, "rand10k/wall").Value; v > 10_000 {
+		t.Errorf("rand10k took %.0f ms, want single-digit seconds", v)
 	}
-	for _, p := range b.Incremental {
-		t.Logf("%-10s %8d nodes  fresh %10.1f ms  incremental %8.1f ms  %5.1fx  identical=%v",
-			p.Name, p.Nodes, p.FreshMs, p.IncrementalMs, p.Speedup, p.Identical)
-		if !p.Identical {
-			t.Errorf("%s: incremental result diverged from from-scratch", p.Name)
-		}
+	if v := metric(t, s, "rand100k/wall").Value; v > 300_000 {
+		t.Errorf("rand100k took %.0f ms", v)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -12,35 +13,37 @@ import (
 // measureSmallScale runs the cheapest possible ladder (the 1k rung and
 // the 1k incremental point) once per test binary; the full ladder lives
 // behind the `scale` build tag.
-func measureSmallScale(t *testing.T) *ScaleBaseline {
+func measureSmallScale(t *testing.T) *Snapshot {
 	t.Helper()
-	b, err := MeasureScaleCtx(context.Background(), 1_000)
+	s, err := MeasureScaleCtx(context.Background(), 1_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return s
 }
 
 func TestMeasureScaleSmallLadder(t *testing.T) {
-	b := measureSmallScale(t)
-	if b.SchemaVersion != 1 || b.MaxNodes != 1_000 {
-		t.Fatalf("header = %+v", b)
+	s := measureSmallScale(t)
+	if s.SchemaVersion != schemaVersion || s.Mode != "scale" || s.Env.GOMAXPROCS <= 0 {
+		t.Fatalf("header = %+v", s)
 	}
-	if len(b.Rungs) != 1 || b.Rungs[0].Name != "rand1k" {
-		t.Fatalf("rungs = %+v, want just rand1k under the 1k cap", b.Rungs)
+	if v := metric(t, s, "ladder/max_nodes").Value; v != 1_000 {
+		t.Errorf("max_nodes = %v", v)
 	}
-	r := b.Rungs[0]
-	if r.Nodes != 1_000 || r.CS <= 0 || r.WallMs <= 0 || r.NsPerNode <= 0 || r.AllocMB <= 0 {
-		t.Errorf("implausible rung: %+v", r)
+	for _, m := range s.Metrics {
+		if strings.HasPrefix(m.Name, "rand5k/") || strings.HasPrefix(m.Name, "inc5k/") {
+			t.Errorf("%s measured under the 1k cap", m.Name)
+		}
 	}
-	if len(b.Incremental) != 1 {
-		t.Fatalf("incremental = %+v, want just inc1k", b.Incremental)
+	if v := metric(t, s, "rand1k/nodes").Value; v != 1_000 {
+		t.Errorf("rand1k nodes = %v", v)
 	}
-	p := b.Incremental[0]
-	if p.Name != "inc1k" || p.FreshMs <= 0 || p.IncrementalMs <= 0 {
-		t.Errorf("implausible incremental point: %+v", p)
+	for _, name := range []string{"rand1k/cs", "rand1k/wall", "rand1k/ns_per_node", "rand1k/alloc", "inc1k/fresh", "inc1k/incremental"} {
+		if v := metric(t, s, name).Value; v <= 0 {
+			t.Errorf("implausible %s = %v", name, v)
+		}
 	}
-	if !p.Identical {
+	if metric(t, s, "inc1k/identical_results").Value != 1 {
 		t.Error("incremental result diverged from the from-scratch run")
 	}
 }
@@ -54,152 +57,20 @@ func TestMeasureScaleCancelled(t *testing.T) {
 }
 
 func TestScaleBaselineRoundTrip(t *testing.T) {
-	b := measureSmallScale(t)
+	s := measureSmallScale(t)
 	path := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	data := mustMarshal(t, b)
+	data, err := json.MarshalIndent(s, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadScaleBaseline(path)
+	got, err := LoadSnapshot(path, "scale")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rungs) != len(b.Rungs) || got.Rungs[0] != b.Rungs[0] {
-		t.Errorf("round trip lost rungs: %+v vs %+v", got.Rungs, b.Rungs)
+	if !reflect.DeepEqual(got, s) {
+		t.Errorf("round trip changed the snapshot:\n got %+v\nwant %+v", got, s)
 	}
-	if len(got.Incremental) != len(b.Incremental) || got.Incremental[0] != b.Incremental[0] {
-		t.Errorf("round trip lost incremental points: %+v vs %+v", got.Incremental, b.Incremental)
-	}
-}
-
-func TestCompareScale(t *testing.T) {
-	base := &ScaleBaseline{
-		Rungs: []ScalePoint{{Name: "rand1k", WallMs: 100}, {Name: "rand5k", WallMs: 500}},
-		Incremental: []IncrementalPoint{
-			{Name: "inc1k", FreshMs: 100, IncrementalMs: 10, Identical: true},
-		},
-	}
-	// Identical snapshot: no regressions at any tolerance.
-	if regs := CompareScale(base, base, 1); len(regs) != 0 {
-		t.Errorf("self-compare regressed: %v", regs)
-	}
-	// One rung 4x slower fails tolerance 3, passes 5; missing rungs are
-	// ignored (a capped ladder compares against the full one).
-	fresh := &ScaleBaseline{
-		Rungs: []ScalePoint{{Name: "rand1k", WallMs: 400}},
-		Incremental: []IncrementalPoint{
-			{Name: "inc1k", FreshMs: 100, IncrementalMs: 10, Identical: true},
-		},
-	}
-	regs := CompareScale(base, fresh, 3)
-	if len(regs) != 1 || regs[0].Name != "rung/rand1k" {
-		t.Fatalf("regs = %v, want rung/rand1k only", regs)
-	}
-	if s := regs[0].String(); !strings.Contains(s, "rand1k") || !strings.Contains(s, "400") {
-		t.Errorf("regression string %q", s)
-	}
-	if regs := CompareScale(base, fresh, 5); len(regs) != 0 {
-		t.Errorf("tolerance 5 still regressed: %v", regs)
-	}
-	// Lost result identity is a regression regardless of timing.
-	fresh.Rungs[0].WallMs = 100
-	fresh.Incremental[0].Identical = false
-	regs = CompareScale(base, fresh, 3)
-	if len(regs) != 1 || regs[0].Name != "inc1k/identical_results" {
-		t.Fatalf("regs = %v, want inc1k/identical_results", regs)
-	}
-	if s := regs[0].String(); !strings.Contains(s, "no longer matches") {
-		t.Errorf("regression string %q", s)
-	}
-}
-
-func TestScaleDeltas(t *testing.T) {
-	base := &ScaleBaseline{
-		Rungs:       []ScalePoint{{Name: "rand1k", WallMs: 100}},
-		Incremental: []IncrementalPoint{{Name: "inc1k", FreshMs: 50, IncrementalMs: 5}},
-	}
-	fresh := &ScaleBaseline{
-		Rungs:       []ScalePoint{{Name: "rand1k", WallMs: 150}, {Name: "rand5k", WallMs: 500}},
-		Incremental: []IncrementalPoint{{Name: "inc1k", FreshMs: 60, IncrementalMs: 6}},
-	}
-	ds := ScaleDeltas(base, fresh)
-	want := map[string][2]float64{
-		"rung/rand1k":       {100, 150},
-		"inc1k/fresh":       {50, 60},
-		"inc1k/incremental": {5, 6},
-	}
-	if len(ds) != len(want) {
-		t.Fatalf("deltas = %+v, want %d entries", ds, len(want))
-	}
-	for _, d := range ds {
-		w, ok := want[d.Name]
-		if !ok || d.OldMs != w[0] || d.NewMs != w[1] {
-			t.Errorf("delta %+v, want %v", d, w)
-		}
-	}
-	if f := (Delta{OldMs: 100, NewMs: 150}).Factor(); f != 1.5 {
-		t.Errorf("factor = %v", f)
-	}
-	if f := (Delta{OldMs: 0, NewMs: 150}).Factor(); f != 0 {
-		t.Errorf("zero-baseline factor = %v", f)
-	}
-}
-
-// TestLoadBaselineDiagnostics pins the failure-mode contract for both
-// loaders: every error names the offending path and tells the reader
-// the exact command that regenerates a good snapshot.
-func TestLoadBaselineDiagnostics(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	oldSchema := filepath.Join(dir, "old.json")
-	if err := os.WriteFile(oldSchema, []byte(`{"schema_version": 99}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	missing := filepath.Join(dir, "missing.json")
-
-	cases := []struct {
-		name string
-		err  error
-		want []string
-	}{
-		{"perf missing", loadPerfErr(missing), []string{missing, "does not exist", "hlsbench -json -out"}},
-		{"perf malformed", loadPerfErr(bad), []string{bad, "not valid JSON", "hlsbench -json -out"}},
-		{"perf schema", loadPerfErr(oldSchema), []string{oldSchema, "schema_version 99", "hlsbench -json -out"}},
-		{"scale missing", loadScaleErr(missing), []string{missing, "does not exist", "hlsbench -scale -out"}},
-		{"scale malformed", loadScaleErr(bad), []string{bad, "not valid JSON", "hlsbench -scale -out"}},
-		{"scale schema", loadScaleErr(oldSchema), []string{oldSchema, "schema_version 99", "hlsbench -scale -out"}},
-	}
-	for _, c := range cases {
-		if c.err == nil {
-			t.Errorf("%s: no error", c.name)
-			continue
-		}
-		for _, want := range c.want {
-			if !strings.Contains(c.err.Error(), want) {
-				t.Errorf("%s: error %q missing %q", c.name, c.err, want)
-			}
-		}
-	}
-}
-
-func mustMarshal(t *testing.T, v any) []byte {
-	t.Helper()
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-func loadPerfErr(path string) error {
-	_, err := LoadPerfBaseline(path)
-	return err
-}
-
-func loadScaleErr(path string) error {
-	_, err := LoadScaleBaseline(path)
-	return err
 }

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -17,58 +15,6 @@ import (
 	"repro/internal/dfgio"
 	"repro/internal/serve"
 )
-
-// ServeBaseline is the machine-readable daemon snapshot `hlsbench
-// -serve` writes to BENCH_serve.json: a replay load test against an
-// in-process hlsd server. The workload warms every distinct request
-// once (all cache misses), then replays the same requests from Clients
-// concurrent clients — the steady state a synthesis service sees, where
-// almost everything is a cache hit. The snapshot pins the hit-path
-// latency percentiles, the hit rate, and the byte-identity guarantee
-// (hit responses must be the exact bytes the miss produced), so a cache
-// regression shows up in the baseline itself, like Identical does for
-// the parallel sweep in BENCH_sweep.json.
-type ServeBaseline struct {
-	SchemaVersion int    `json:"schema_version"`
-	GoVersion     string `json:"go_version"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-
-	// Clients is the number of concurrent replay clients; Requests is
-	// the total request count they issued; Designs is the number of
-	// distinct cache entries the warm phase filled.
-	Clients  int `json:"clients"`
-	Requests int `json:"requests"`
-	Designs  int `json:"designs"`
-
-	// WarmMs is the sequential cold fill (every request a miss, real
-	// synthesis); ReplayMs is the concurrent replay wall time.
-	WarmMs   float64 `json:"warm_ms"`
-	ReplayMs float64 `json:"replay_ms"`
-
-	// P50Ms and P99Ms are client-observed replay latencies; ThroughputRPS
-	// is replay requests per second across the whole fleet.
-	P50Ms         float64 `json:"latency_p50_ms"`
-	P99Ms         float64 `json:"latency_p99_ms"`
-	ThroughputRPS float64 `json:"throughput_rps"`
-
-	// HitRate is the fraction of replay requests answered from the
-	// cache (X-Hlsd-Cache: hit). Every replay request repeats a warmed
-	// one, so anything below 1.0 means the cache dropped entries it had
-	// room for.
-	HitRate float64 `json:"hit_rate"`
-
-	// ByteIdentical records that every replayed response body matched
-	// the warm-phase bytes for the same request — the guarantee that a
-	// hit is served without re-synthesis and without drift.
-	ByteIdentical bool `json:"byte_identical"`
-
-	// SweepBatches and SweepBatchedReqs record the /sweep coalescing a
-	// concurrent burst achieved: BatchedReqs requests were carried by
-	// Batches SweepGraphsCtx fan-outs (fewer batches than requests =
-	// coalescing worked).
-	SweepBatches     uint64 `json:"sweep_batches"`
-	SweepBatchedReqs uint64 `json:"sweep_batched_requests"`
-}
 
 // Replay fleet shape: serveClients concurrent clients each issuing
 // serveRequestsPerClient requests round-robin over the warmed workload,
@@ -145,21 +91,25 @@ func serveSweepWave() ([]serveRequest, error) {
 	return reqs, nil
 }
 
-// MeasureServe runs the replay load test against a fresh in-process
-// daemon and returns the snapshot.
-func MeasureServe() (*ServeBaseline, error) {
-	return MeasureServeCtx(context.Background())
-}
-
-// MeasureServeCtx is MeasureServe with cancellation: every issued
-// request carries ctx, so a cancelled measurement unwinds promptly.
-func MeasureServeCtx(ctx context.Context) (*ServeBaseline, error) {
+// MeasureServeCtx measures the `hlsbench -serve` snapshot: a replay
+// load test against a fresh in-process hlsd server. The workload warms
+// every distinct request once (all cache misses), then replays the same
+// requests from serveClients concurrent clients — the steady state a
+// synthesis service sees, where almost everything is a cache hit. The
+// snapshot pins the client-observed hit-path latency percentiles, the
+// hit rate (every replay request repeats a warmed one, so anything
+// below 1 means the cache dropped entries it had room for), the
+// byte-identity guarantee (a hit must return the exact bytes the miss
+// produced), and whether a concurrent /sweep burst coalesced into fewer
+// engine batches than requests. Every issued request carries ctx, so a
+// cancelled measurement unwinds promptly.
+func MeasureServeCtx(ctx context.Context) (*Snapshot, error) {
 	return measureServe(ctx, serveClients, serveRequestsPerClient)
 }
 
 // measureServe is the harness body with the fleet shape as parameters,
 // so tests can run a small fleet through the identical code path.
-func measureServe(ctx context.Context, clients, perClient int) (*ServeBaseline, error) {
+func measureServe(ctx context.Context, clients, perClient int) (*Snapshot, error) {
 	srv := serve.New(serve.Options{
 		CacheEntries: 4096,
 		CacheBytes:   256 << 20,
@@ -185,15 +135,19 @@ func measureServe(ctx context.Context, clients, perClient int) (*ServeBaseline, 
 	// all real synthesis; the recorded bodies are the byte-identity
 	// reference for the replay.
 	warm := make([][]byte, len(work))
-	warmStart := time.Now()
-	for i, rq := range work {
-		body, _, err := serveDo(ctx, client, ts.URL, rq)
-		if err != nil {
-			return nil, fmt.Errorf("warm %s #%d: %w", rq.path, i, err)
+	warmT, err := bestOf(1, func() error {
+		for i, rq := range work {
+			body, _, err := serveDo(ctx, client, ts.URL, rq)
+			if err != nil {
+				return fmt.Errorf("warm %s #%d: %w", rq.path, i, err)
+			}
+			warm[i] = body
 		}
-		warm[i] = body
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	warmMs := float64(time.Since(warmStart)) / float64(time.Millisecond)
 
 	// Sweep burst: concurrent coalescable /sweep requests, before the
 	// replay so the burst is cold and actually batches.
@@ -215,41 +169,47 @@ func measureServe(ctx context.Context, clients, perClient int) (*ServeBaseline, 
 		err       error
 	}
 	results := make([]clientResult, clients)
-	var wg sync.WaitGroup
-	replayStart := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			res := clientResult{identical: true}
-			for r := 0; r < perClient; r++ {
-				i := (c*perClient + r) % len(work)
-				start := time.Now()
-				body, hit, err := serveDo(ctx, client, ts.URL, work[i])
-				if err != nil {
-					res.err = err
-					break
+	replayT, err := bestOf(1, func() error {
+		var wg sync.WaitGroup
+		for c := 0; c < clients; c++ {
+			wg.Add(1)
+			go func(c int) {
+				defer wg.Done()
+				res := clientResult{identical: true}
+				for r := 0; r < perClient; r++ {
+					i := (c*perClient + r) % len(work)
+					start := time.Now()
+					body, hit, err := serveDo(ctx, client, ts.URL, work[i])
+					if err != nil {
+						res.err = err
+						break
+					}
+					res.lat = append(res.lat, millis(time.Since(start)))
+					if hit {
+						res.hits++
+					}
+					if !bytes.Equal(body, warm[i]) {
+						res.identical = false
+					}
 				}
-				res.lat = append(res.lat, float64(time.Since(start))/float64(time.Millisecond))
-				if hit {
-					res.hits++
-				}
-				if !bytes.Equal(body, warm[i]) {
-					res.identical = false
-				}
+				results[c] = res
+			}(c)
+		}
+		wg.Wait()
+		for _, res := range results {
+			if res.err != nil {
+				return fmt.Errorf("replay: %w", res.err)
 			}
-			results[c] = res
-		}(c)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-	replayMs := float64(time.Since(replayStart)) / float64(time.Millisecond)
 
 	var lat []float64
 	hits, identical := 0, true
 	for _, res := range results {
-		if res.err != nil {
-			return nil, fmt.Errorf("replay: %w", res.err)
-		}
 		lat = append(lat, res.lat...)
 		hits += res.hits
 		identical = identical && res.identical
@@ -258,33 +218,21 @@ func measureServe(ctx context.Context, clients, perClient int) (*ServeBaseline, 
 
 	m := srv.Metrics()
 	total := clients * perClient
-	b := &ServeBaseline{
-		SchemaVersion: 1,
-		GoVersion:     runtime.Version(),
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Clients:       clients,
-		Requests:      total,
-		Designs:       len(work),
-		WarmMs:        warmMs,
-		ReplayMs:      replayMs,
-		HitRate:       float64(hits) / float64(total),
-		ByteIdentical: identical,
-
-		SweepBatches:     m.Batches,
-		SweepBatchedReqs: m.BatchedReqs,
-	}
-	if len(lat) > 0 {
-		b.P50Ms = lat[len(lat)/2]
-		i99 := int(0.99 * float64(len(lat)))
-		if i99 >= len(lat) {
-			i99 = len(lat) - 1
-		}
-		b.P99Ms = lat[i99]
-	}
-	if replayMs > 0 {
-		b.ThroughputRPS = float64(total) / (replayMs / 1000)
-	}
-	return b, nil
+	return newSnapshot("serve", []Metric{
+		info("serve/clients", float64(clients), "clients", ""),
+		info("serve/requests", float64(total), "requests", ""),
+		info("serve/designs", float64(len(work)), "designs", ""),
+		wall("serve/warm", warmT.wall),
+		wall("serve/replay", replayT.wall),
+		{Name: "serve/p50", Value: serve.Percentile(lat, 50), Unit: "ms", Better: "lower"},
+		{Name: "serve/p99", Value: serve.Percentile(lat, 99), Unit: "ms", Better: "lower"},
+		info("serve/throughput", float64(total)/replayT.wall.Seconds(), "1/s", "higher"),
+		{Name: "serve/hit_rate", Value: float64(hits) / float64(total), Unit: "ratio", Better: "higher", Exact: true},
+		verdict("serve/byte_identical", identical),
+		info("serve/sweep_batches", float64(m.Batches), "batches", "lower"),
+		info("serve/sweep_batched_requests", float64(m.BatchedReqs), "requests", ""),
+		verdict("serve/sweep_coalesced", m.Batches < m.BatchedReqs),
+	}), nil
 }
 
 // serveDo issues one request and returns the response body and the
@@ -329,65 +277,4 @@ func serveBurst(ctx context.Context, client *http.Client, base string, reqs []se
 		}
 	}
 	return nil
-}
-
-// LoadServeBaseline reads a committed BENCH_serve.json.
-func LoadServeBaseline(path string) (*ServeBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("no serve baseline at %s: run `hlsbench -serve -out %s` to regenerate", path, path)
-		}
-		return nil, err
-	}
-	var b ServeBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("parse %s: %w", path, err)
-	}
-	if b.SchemaVersion != 1 {
-		return nil, fmt.Errorf("%s: schema version %d, want 1; regenerate with `hlsbench -serve -out %s`",
-			path, b.SchemaVersion, path)
-	}
-	return &b, nil
-}
-
-// ServeDeltas pairs up the comparable wall-time measurements of two
-// serve baselines, in report order.
-func ServeDeltas(baseline, fresh *ServeBaseline) []Delta {
-	return []Delta{
-		{Name: "serve/warm", OldMs: baseline.WarmMs, NewMs: fresh.WarmMs},
-		{Name: "serve/replay", OldMs: baseline.ReplayMs, NewMs: fresh.ReplayMs},
-		{Name: "serve/p50", OldMs: baseline.P50Ms, NewMs: fresh.P50Ms},
-		{Name: "serve/p99", OldMs: baseline.P99Ms, NewMs: fresh.P99Ms},
-	}
-}
-
-// CompareServe checks a fresh load-test run against the committed
-// baseline: every wall time within tolerance, hit rate no worse than
-// the baseline's, replayed responses byte-identical, and the sweep
-// burst still coalescing (fewer batches than batched requests). The
-// non-timing checks are exact — they are correctness guarantees the
-// load test happens to witness, not measurements with noise.
-func CompareServe(baseline, fresh *ServeBaseline, tolerance float64) []PerfRegression {
-	var regs []PerfRegression
-	for _, d := range ServeDeltas(baseline, fresh) {
-		if d.OldMs <= 0 {
-			continue
-		}
-		if limit := d.OldMs * tolerance; d.NewMs > limit {
-			regs = append(regs, PerfRegression{Name: d.Name, OldMs: d.OldMs, NewMs: d.NewMs, LimitMs: limit})
-		}
-	}
-	if fresh.HitRate < baseline.HitRate {
-		regs = append(regs, PerfRegression{Name: "serve/hit_rate",
-			OldMs: baseline.HitRate, NewMs: fresh.HitRate, LimitMs: baseline.HitRate})
-	}
-	if !fresh.ByteIdentical {
-		regs = append(regs, PerfRegression{Name: "serve/byte_identical"})
-	}
-	if fresh.SweepBatchedReqs > 0 && fresh.SweepBatches >= fresh.SweepBatchedReqs {
-		regs = append(regs, PerfRegression{Name: "serve/sweep_batching",
-			OldMs: float64(baseline.SweepBatches), NewMs: float64(fresh.SweepBatches)})
-	}
-	return regs
 }

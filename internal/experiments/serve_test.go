@@ -14,30 +14,33 @@ import (
 // stays fast. The correctness verdicts (hit rate, byte identity,
 // batching) must hold at any fleet size.
 func TestMeasureServeSmallFleet(t *testing.T) {
-	b, err := measureServe(context.Background(), 8, 2)
+	s, err := measureServe(context.Background(), 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.SchemaVersion != 1 {
-		t.Errorf("schema version %d, want 1", b.SchemaVersion)
+	if s.SchemaVersion != schemaVersion || s.Mode != "serve" {
+		t.Errorf("header = %+v", s)
 	}
-	if b.Clients != 8 || b.Requests != 16 {
-		t.Errorf("fleet shape %d x %d, want 8 clients / 16 requests", b.Clients, b.Requests)
+	value := func(name string) float64 { return metric(t, s, name).Value }
+	if value("serve/clients") != 8 || value("serve/requests") != 16 {
+		t.Errorf("fleet shape %v x %v, want 8 clients / 16 requests", value("serve/clients"), value("serve/requests"))
 	}
-	if b.Designs == 0 {
+	if value("serve/designs") == 0 {
 		t.Error("no designs warmed")
 	}
-	if b.HitRate != 1 {
-		t.Errorf("hit rate %v, want 1.0 — replayed requests must all hit", b.HitRate)
+	if v := value("serve/hit_rate"); v != 1 {
+		t.Errorf("hit rate %v, want 1.0 — replayed requests must all hit", v)
 	}
-	if !b.ByteIdentical {
+	if value("serve/byte_identical") != 1 {
 		t.Error("replayed responses not byte-identical to the warm bodies")
 	}
-	if b.SweepBatchedReqs == 0 || b.SweepBatches >= b.SweepBatchedReqs {
-		t.Errorf("sweep burst: %d requests in %d batches, want coalescing", b.SweepBatchedReqs, b.SweepBatches)
+	if value("serve/sweep_coalesced") != 1 {
+		t.Errorf("sweep burst: %v requests in %v batches, want coalescing",
+			value("serve/sweep_batched_requests"), value("serve/sweep_batches"))
 	}
-	if b.WarmMs <= 0 || b.ReplayMs <= 0 || b.P99Ms < b.P50Ms {
-		t.Errorf("implausible timings: warm %v replay %v p50 %v p99 %v", b.WarmMs, b.ReplayMs, b.P50Ms, b.P99Ms)
+	if value("serve/warm") <= 0 || value("serve/replay") <= 0 || value("serve/p99") < value("serve/p50") {
+		t.Errorf("implausible timings: warm %v replay %v p50 %v p99 %v",
+			value("serve/warm"), value("serve/replay"), value("serve/p50"), value("serve/p99"))
 	}
 }
 
@@ -49,86 +52,69 @@ func TestMeasureServeCancelled(t *testing.T) {
 	}
 }
 
+// TestLoadServeBaseline loads serve snapshots: a missing or outdated file
+// is refused with a hint to regenerate it, a written one round-trips,
+// and the committed BENCH_serve.json keeps the values it recorded.
 func TestLoadServeBaseline(t *testing.T) {
 	dir := t.TempDir()
 
-	if _, err := LoadServeBaseline(filepath.Join(dir, "missing.json")); err == nil ||
+	if _, err := LoadSnapshot(filepath.Join(dir, "missing.json"), "serve"); err == nil ||
 		!strings.Contains(err.Error(), "hlsbench -serve") {
 		t.Errorf("missing file: err = %v, want regenerate hint", err)
 	}
 
 	bad := filepath.Join(dir, "bad.json")
-	os.WriteFile(bad, []byte(`{"schema_version": 99}`), 0o644)
-	if _, err := LoadServeBaseline(bad); err == nil ||
-		!strings.Contains(err.Error(), "schema version 99") {
+	if err := os.WriteFile(bad, []byte(`{"schema_version": 99, "mode": "serve"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(bad, "serve"); err == nil ||
+		!strings.Contains(err.Error(), "schema_version 99") {
 		t.Errorf("bad schema: err = %v, want version complaint", err)
 	}
 
 	good := filepath.Join(dir, "good.json")
-	data, _ := json.Marshal(&ServeBaseline{SchemaVersion: 1, Clients: 3, HitRate: 1})
-	os.WriteFile(good, data, 0o644)
-	b, err := LoadServeBaseline(good)
+	data, err := json.Marshal(newSnapshot("serve", []Metric{
+		info("serve/clients", 3, "clients", ""),
+		{Name: "serve/hit_rate", Value: 1, Unit: "ratio", Better: "higher", Exact: true},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Clients != 3 || b.HitRate != 1 {
+	if err := os.WriteFile(good, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b, err := LoadSnapshot(good, "serve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metric(t, b, "serve/clients").Value != 3 || !metric(t, b, "serve/hit_rate").Exact {
 		t.Errorf("round trip lost fields: %+v", b)
 	}
-}
 
-func TestCompareServe(t *testing.T) {
-	base := &ServeBaseline{
-		WarmMs: 100, ReplayMs: 1000, P50Ms: 2, P99Ms: 10,
-		HitRate: 1, ByteIdentical: true,
-		SweepBatches: 3, SweepBatchedReqs: 16,
+	c, err := LoadSnapshot(committed["serve"], "serve")
+	if err != nil {
+		t.Fatal(err)
 	}
-	ok := &ServeBaseline{
-		WarmMs: 150, ReplayMs: 2000, P50Ms: 4, P99Ms: 20,
-		HitRate: 1, ByteIdentical: true,
-		SweepBatches: 4, SweepBatchedReqs: 16,
-	}
-	if regs := CompareServe(base, ok, 3); len(regs) != 0 {
-		t.Errorf("within-tolerance run flagged: %v", regs)
-	}
-
-	slow := &ServeBaseline{
-		WarmMs: 100, ReplayMs: 5000, P50Ms: 2, P99Ms: 10,
-		HitRate: 1, ByteIdentical: true,
-		SweepBatches: 3, SweepBatchedReqs: 16,
-	}
-	regs := CompareServe(base, slow, 3)
-	if len(regs) != 1 || regs[0].Name != "serve/replay" {
-		t.Errorf("slow replay: regs = %v, want serve/replay alone", regs)
-	}
-
-	broken := &ServeBaseline{
-		WarmMs: 100, ReplayMs: 1000, P50Ms: 2, P99Ms: 10,
-		HitRate: 0.5, ByteIdentical: false,
-		SweepBatches: 16, SweepBatchedReqs: 16,
-	}
-	regs = CompareServe(base, broken, 3)
-	names := make(map[string]bool, len(regs))
-	for _, r := range regs {
-		names[r.Name] = true
-		if r.String() == "" {
-			t.Errorf("%s: empty String()", r.Name)
-		}
-	}
-	for _, want := range []string{"serve/hit_rate", "serve/byte_identical", "serve/sweep_batching"} {
-		if !names[want] {
-			t.Errorf("broken run: missing regression %s (got %v)", want, regs)
-		}
+	if p99 := metric(t, c, "serve/p99").Value; p99 != 861.867002 || c.Env.GOMAXPROCS != 1 {
+		t.Errorf("committed BENCH_serve.json: p99 %v ms at gomaxprocs %d, want 861.867002 at 1", p99, c.Env.GOMAXPROCS)
 	}
 }
 
+// TestServeDeltas pairs the serve timings in the fresh snapshot's order.
 func TestServeDeltas(t *testing.T) {
-	base := &ServeBaseline{WarmMs: 10, ReplayMs: 100, P50Ms: 1, P99Ms: 5}
-	fresh := &ServeBaseline{WarmMs: 20, ReplayMs: 150, P50Ms: 2, P99Ms: 10}
-	ds := ServeDeltas(base, fresh)
+	snap := func(warm, replay, p50, p99 float64) *Snapshot {
+		return &Snapshot{Mode: "serve", Metrics: []Metric{
+			{Name: "serve/warm", Value: warm, Unit: "ms", Better: "lower"},
+			{Name: "serve/replay", Value: replay, Unit: "ms", Better: "lower"},
+			{Name: "serve/p50", Value: p50, Unit: "ms", Better: "lower"},
+			{Name: "serve/p99", Value: p99, Unit: "ms", Better: "lower"},
+		}}
+	}
+	ds := Deltas(snap(10, 100, 1, 5), snap(20, 150, 2, 10))
 	if len(ds) != 4 {
 		t.Fatalf("%d deltas, want 4", len(ds))
 	}
-	if ds[0].Name != "serve/warm" || ds[0].OldMs != 10 || ds[0].NewMs != 20 {
+	if ds[0].Name != "serve/warm" || ds[0].Base != 10 || ds[0].Value != 20 {
 		t.Errorf("warm delta = %+v", ds[0])
 	}
 	if ds[1].Factor() != 1.5 {

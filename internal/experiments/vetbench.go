@@ -3,140 +3,52 @@ package experiments
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"time"
 
 	"repro/internal/vet"
 )
 
-// VetBaseline is the machine-readable snapshot `hlsbench -vet` writes to
-// BENCH_vet.json: the wall time of one full hlsvet suite run over the
-// module, sequential versus parallel, plus the determinism verdict (the
-// two runs must emit byte-identical JSON). hlsvet runs on internal/pool
-// — the same worker substrate it vets — so this baseline is both a perf
+// MeasureVetCtx measures the `hlsbench -vet` snapshot: the wall time of
+// the full hlsvet analyzer suite over every package of the module
+// rooted at dir, once with one worker and once with GOMAXPROCS workers
+// (best of two runs each — the dominant cost, the `go list -export`
+// load, is warm after the first run), plus the determinism verdict: the
+// two runs must emit byte-identical JSON. hlsvet runs on internal/pool —
+// the same worker substrate it vets — so this snapshot is both a perf
 // trajectory for the analyzers and a regression guard for that fan-out.
-type VetBaseline struct {
-	SchemaVersion int    `json:"schema_version"`
-	GoVersion     string `json:"go_version"`
-	GOMAXPROCS    int    `json:"gomaxprocs"`
-
-	// Analyzers and Findings pin the measured workload: a baseline taken
-	// with fewer analyzers or against a dirtier tree is not comparable.
-	Analyzers int `json:"analyzers"`
-	Findings  int `json:"findings"`
-
-	SequentialMs float64 `json:"sequential_ms"`
-	ParallelMs   float64 `json:"parallel_ms"`
-	Speedup      float64 `json:"speedup"`
-
-	// Identical records that the sequential and parallel runs emitted
-	// byte-identical JSON — the analyzer-output determinism guarantee,
-	// asserted at measurement time so a regression shows up in the
-	// baseline itself.
-	Identical bool `json:"identical_results"`
-}
-
-// MeasureVetCtx times the full hlsvet analyzer suite over every package
-// of the module rooted at dir, once with one worker and once with
-// GOMAXPROCS workers (best of two runs each — the dominant cost, the
-// `go list -export` load, is warm after the first run), and compares
-// the two JSON renderings byte-for-byte.
-func MeasureVetCtx(ctx context.Context, dir string) (*VetBaseline, error) {
+// The analyzer and finding counts pin the measured workload: a run with
+// fewer analyzers or against a dirtier tree is not comparable.
+func MeasureVetCtx(ctx context.Context, dir string) (*Snapshot, error) {
 	analyzers := vet.Analyzers()
-	b := &VetBaseline{
-		SchemaVersion: 1,
-		GoVersion:     runtime.Version(),
-		Analyzers:     len(analyzers),
-	}
-	run := func(workers int) ([]byte, int, float64, error) {
-		var rendered []byte
-		n, best := 0, 0.0
-		for rep := 0; rep < 2; rep++ {
-			start := time.Now()
+	run := func(workers int) ([]byte, int, timing, error) {
+		var rendered bytes.Buffer
+		findings := 0
+		t, err := bestOf(2, func() error {
 			ds, err := vet.CheckParallel(ctx, dir, []string{"./..."}, analyzers, workers)
 			if err != nil {
-				return nil, 0, 0, fmt.Errorf("experiments: vet baseline (workers=%d): %w", workers, err)
+				return fmt.Errorf("experiments: vet snapshot (workers=%d): %w", workers, err)
 			}
-			ms := float64(time.Since(start).Microseconds()) / 1000
-			if rep == 0 || ms < best {
-				best = ms
-			}
-			var buf bytes.Buffer
-			vet.PrintJSON(&buf, ds)
-			rendered = buf.Bytes()
-			n = len(ds)
-		}
-		return rendered, n, best, nil
+			rendered.Reset()
+			vet.PrintJSON(&rendered, ds)
+			findings = len(ds)
+			return nil
+		})
+		return rendered.Bytes(), findings, t, err
 	}
-	seqJSON, _, seqMs, err := run(1)
+	seqJSON, _, seq, err := run(1)
 	if err != nil {
 		return nil, err
 	}
-	parJSON, n, parMs, err := run(0)
+	parJSON, findings, par, err := run(0)
 	if err != nil {
 		return nil, err
 	}
-	b.Findings = n
-	b.SequentialMs = seqMs
-	b.ParallelMs = parMs
-	b.Speedup = seqMs / parMs
-	b.Identical = bytes.Equal(seqJSON, parJSON)
-	// Recorded after the timed work, not at construction: the snapshot
-	// must state the parallelism the measurements actually ran under,
-	// even if something resized GOMAXPROCS mid-run.
-	b.GOMAXPROCS = runtime.GOMAXPROCS(0)
-	return b, nil
-}
-
-// LoadVetBaseline reads a BENCH_vet.json snapshot written by
-// `hlsbench -vet`.
-func LoadVetBaseline(path string) (*VetBaseline, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("experiments: vet baseline %s does not exist; run `hlsbench -vet -out %s` to regenerate it", path, path)
-		}
-		return nil, fmt.Errorf("experiments: vet baseline: %w", err)
-	}
-	var b VetBaseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("experiments: vet baseline %s is not valid JSON (%v); run `hlsbench -vet -out %s` to regenerate it", path, err, path)
-	}
-	if b.SchemaVersion != 1 {
-		return nil, fmt.Errorf("experiments: vet baseline %s: unsupported schema_version %d (this build reads version 1); run `hlsbench -vet -out %s` to regenerate it", path, b.SchemaVersion, path)
-	}
-	return &b, nil
-}
-
-// VetDeltas pairs up the comparable measurements of two vet baselines.
-func VetDeltas(baseline, fresh *VetBaseline) []Delta {
-	return []Delta{
-		{Name: "vet/sequential", OldMs: baseline.SequentialMs, NewMs: fresh.SequentialMs},
-		{Name: "vet/parallel", OldMs: baseline.ParallelMs, NewMs: fresh.ParallelMs},
-	}
-}
-
-// CompareVet checks a fresh vet measurement against a committed
-// baseline under the shared tolerance rules (see ComparePerf): wall
-// times may grow at most tolerance-fold, speedups never fail, and a run
-// that lost output determinism is a regression of its own.
-func CompareVet(baseline, fresh *VetBaseline, tolerance float64) []PerfRegression {
-	var regs []PerfRegression
-	check := func(name string, oldMs, newMs float64) {
-		if oldMs <= 0 {
-			return
-		}
-		if limit := oldMs * tolerance; newMs > limit {
-			regs = append(regs, PerfRegression{Name: name, OldMs: oldMs, NewMs: newMs, LimitMs: limit})
-		}
-	}
-	check("vet/sequential", baseline.SequentialMs, fresh.SequentialMs)
-	check("vet/parallel", baseline.ParallelMs, fresh.ParallelMs)
-	if baseline.Identical && !fresh.Identical {
-		regs = append(regs, PerfRegression{Name: "vet/identical_results"})
-	}
-	return regs
+	return newSnapshot("vet", []Metric{
+		info("vet/analyzers", float64(len(analyzers)), "analyzers", ""),
+		{Name: "vet/findings", Value: float64(findings), Unit: "findings", Exact: true},
+		wall("vet/sequential", seq.wall),
+		wall("vet/parallel", par.wall),
+		info("vet/speedup", seq.wall.Seconds()/par.wall.Seconds(), "x", "higher"),
+		verdict("vet/identical_results", bytes.Equal(seqJSON, parJSON)),
+	}), nil
 }

@@ -40,6 +40,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"sort"
 	"sync"
@@ -730,24 +731,20 @@ func (s *Server) Metrics() Metrics {
 		BatchedReqs: s.batcher.joined.Load(),
 		Served:      served,
 	}
-	if len(lat) > 0 {
-		m.LatencyP50Ms = percentile(lat, 50)
-		m.LatencyP99Ms = percentile(lat, 99)
-	}
+	m.LatencyP50Ms = Percentile(lat, 50)
+	m.LatencyP99Ms = Percentile(lat, 99)
 	return m
 }
 
-// percentile reads the p-th percentile from an ascending sample slice
-// (nearest-rank).
-func percentile(sorted []float64, p float64) float64 {
+// Percentile returns the nearest-rank p-th percentile (0 < p <= 100) of
+// an ascending sample slice: the smallest sample with at least p% of
+// the samples at or below it, at index ⌈p·n/100⌉−1. An empty slice
+// yields 0.
+func Percentile(sorted []float64, p float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(p / 100 * float64(len(sorted)))
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	return sorted[int(math.Ceil(p*float64(len(sorted))/100))-1]
 }
 
 func b2u(v bool) uint64 {

@@ -481,3 +481,32 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Error("latency sample count is zero after a served request")
 	}
 }
+
+// TestPercentile pins the nearest-rank definition behind the /metrics
+// latency percentiles and the hlsbench -serve replay: index ⌈p·n/100⌉−1,
+// so a percentile never reads one rank high when p·n/100 is whole.
+func TestPercentile(t *testing.T) {
+	oneTo100 := make([]float64, 100)
+	for i := range oneTo100 {
+		oneTo100[i] = float64(i + 1)
+	}
+	cases := []struct {
+		name   string
+		sorted []float64
+		p      float64
+		want   float64
+	}{
+		{"p50 of 1..100", oneTo100, 50, 50},
+		{"p99 of 1..100", oneTo100, 99, 99},
+		{"p100 of 1..100", oneTo100, 100, 100},
+		{"p50 of even length", []float64{1, 2, 3, 4}, 50, 2},
+		{"p50 of odd length", []float64{1, 2, 3}, 50, 2},
+		{"p99 of one sample", []float64{7}, 99, 7},
+		{"empty", nil, 50, 0},
+	}
+	for _, c := range cases {
+		if got := Percentile(c.sorted, c.p); got != c.want {
+			t.Errorf("%s: Percentile(_, %v) = %v, want %v", c.name, c.p, got, c.want)
+		}
+	}
+}
