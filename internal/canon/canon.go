@@ -2,19 +2,20 @@
 // triple (DFG, library, config) — so a long-running server can answer
 // identical requests from a cache instead of re-synthesizing them.
 //
-// Two hashes are exposed, one per cache concern:
+// Two hashes are exposed:
 //
-//   - Canonical is the cache index: a structural hash computed with the
-//     hash-consing idiom of internal/symb, insensitive to node names
-//     and node insertion order. Isomorphic graphs — the same DAG
+//   - Fingerprint is the cache's entry key: a strict hash over every
+//     byte of observable request content, names and order included.
+//     Served responses embed names (schedules, netlists), so a cached
+//     body is only byte-identical to fresh synthesis when the
+//     fingerprints match exactly.
+//   - Canonical is the design's structural identity: a hash computed
+//     with the hash-consing idiom of internal/symb, insensitive to node
+//     names and node insertion order. Isomorphic graphs — the same DAG
 //     resubmitted under fresh signal names, or rebuilt in a different
-//     node order — land in the same cache bucket, so iterative flows
-//     that regenerate their designs per session still hit.
-//   - Fingerprint is the cache guard: a strict hash over every byte of
-//     observable request content, names and order included. Served
-//     responses embed names (schedules, netlists), so a cached body is
-//     only byte-identical to fresh synthesis when the fingerprints
-//     match exactly; the cache verifies it on every hit.
+//     node order — hash equal. hlsd computes it only for a request it
+//     synthesizes, embeds it in the response as "hash", and counts the
+//     distinct values it holds as cache buckets; it keys no lookup.
 //
 // Both hashes are sensitive to every semantic field: operation kinds,
 // argument positions, cycle counts, chaining delays, mutual-exclusion
@@ -118,12 +119,12 @@ func (e *enc) str(s string) {
 	e.u64(uint64(len(s)))
 	e.b = append(e.b, s...)
 }
-func (e *enc) u64(v uint64)   { e.b = binary.BigEndian.AppendUint64(e.b, v) }
-func (e *enc) i64(v int64)    { e.u64(uint64(v)) }
-func (e *enc) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *enc) bool(v bool)    { e.b = append(e.b, b2u(v)) }
-func (e *enc) raw(p []byte)   { e.b = append(e.b, p...) }
-func (e *enc) hash(h Hash)    { e.b = append(e.b, h[:]...) }
+func (e *enc) u64(v uint64)  { e.b = binary.BigEndian.AppendUint64(e.b, v) }
+func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
+func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
+func (e *enc) bool(v bool)   { e.b = append(e.b, b2u(v)) }
+func (e *enc) raw(p []byte)  { e.b = append(e.b, p...) }
+func (e *enc) hash(h Hash)   { e.b = append(e.b, h[:]...) }
 
 func b2u(v bool) byte {
 	if v {

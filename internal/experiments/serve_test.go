@@ -95,8 +95,8 @@ func TestLoadServeBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p99 := metric(t, c, "serve/p99").Value; p99 != 861.867002 || c.Env.GOMAXPROCS != 1 {
-		t.Errorf("committed BENCH_serve.json: p99 %v ms at gomaxprocs %d, want 861.867002 at 1", p99, c.Env.GOMAXPROCS)
+	if p99 := metric(t, c, "serve/p99").Value; p99 != 255.696097 || c.Env.GOMAXPROCS != 1 {
+		t.Errorf("committed BENCH_serve.json: p99 %v ms at gomaxprocs %d, want 255.696097 at 1", p99, c.Env.GOMAXPROCS)
 	}
 }
 

@@ -8,25 +8,37 @@ import (
 	"repro/internal/canon"
 )
 
-func key(bucket, entry byte) cacheKey {
-	var k cacheKey
-	k.bucket[0] = bucket
-	k.entry[0] = entry
+// key is a test entry key: entry in byte 0, bucket in byte 1, so keys
+// that share a bucket byte model the isomorphic-rename case.
+func key(bucket, entry byte) canon.Hash {
+	var k canon.Hash
+	k[0] = entry
+	k[1] = bucket
 	return k
 }
 
+// put stores body under k with k's bucket and no front alias.
+func put(c *cache, k canon.Hash, body []byte) {
+	var bucket canon.Hash
+	bucket[0] = k[1]
+	c.put(k, bucket, canon.Hash{}, body)
+}
+
+// get looks k up without re-pointing any alias.
+func get(c *cache, k canon.Hash) ([]byte, bool) { return c.get(k, canon.Hash{}) }
+
 func TestCacheLRUByEntries(t *testing.T) {
 	c := newCache(2, 0)
-	c.put(key(1, 1), []byte("a"))
-	c.put(key(2, 1), []byte("b"))
-	if _, ok := c.get(key(1, 1)); !ok { // touch 1: now 2 is coldest
+	put(c, key(1, 1), []byte("a"))
+	put(c, key(2, 1), []byte("b"))
+	if _, ok := get(c, key(1, 1)); !ok { // touch 1: now 2 is coldest
 		t.Fatal("entry 1 missing")
 	}
-	c.put(key(3, 1), []byte("c")) // evicts 2
-	if _, ok := c.get(key(2, 1)); ok {
+	put(c, key(3, 1), []byte("c")) // evicts 2
+	if _, ok := get(c, key(2, 1)); ok {
 		t.Error("coldest entry not evicted")
 	}
-	if _, ok := c.get(key(1, 1)); !ok {
+	if _, ok := get(c, key(1, 1)); !ok {
 		t.Error("recently used entry evicted")
 	}
 	st := c.stats()
@@ -37,10 +49,10 @@ func TestCacheLRUByEntries(t *testing.T) {
 
 func TestCacheLRUByBytes(t *testing.T) {
 	c := newCache(0, 10)
-	c.put(key(1, 1), []byte("aaaa"))
-	c.put(key(2, 1), []byte("bbbb"))
-	c.put(key(3, 1), []byte("cccc")) // 12 bytes > 10: evicts key 1
-	if _, ok := c.get(key(1, 1)); ok {
+	put(c, key(1, 1), []byte("aaaa"))
+	put(c, key(2, 1), []byte("bbbb"))
+	put(c, key(3, 1), []byte("cccc")) // 12 bytes > 10: evicts key 1
+	if _, ok := get(c, key(1, 1)); ok {
 		t.Error("byte cap did not evict the coldest entry")
 	}
 	if st := c.stats(); st.Bytes != 8 {
@@ -48,8 +60,8 @@ func TestCacheLRUByBytes(t *testing.T) {
 	}
 
 	// A body that alone exceeds the cap is not admitted at all.
-	c.put(key(4, 1), bytes.Repeat([]byte("x"), 11))
-	if _, ok := c.get(key(4, 1)); ok {
+	put(c, key(4, 1), bytes.Repeat([]byte("x"), 11))
+	if _, ok := get(c, key(4, 1)); ok {
 		t.Error("oversized body admitted")
 	}
 }
@@ -58,16 +70,16 @@ func TestCacheBucketAccounting(t *testing.T) {
 	c := newCache(8, 0)
 	// Two entries in one bucket (same canonical hash, different
 	// fingerprints — the isomorphic-rename case), one in another.
-	c.put(key(1, 1), []byte("a"))
-	c.put(key(1, 2), []byte("b"))
-	c.put(key(2, 1), []byte("c"))
+	put(c, key(1, 1), []byte("a"))
+	put(c, key(1, 2), []byte("b"))
+	put(c, key(2, 1), []byte("c"))
 	st := c.stats()
 	if st.Entries != 3 || st.Buckets != 2 {
 		t.Errorf("stats = %+v, want 3 entries in 2 buckets", st)
 	}
 
 	// Replacing an entry must not double-count.
-	c.put(key(1, 1), []byte("aa"))
+	put(c, key(1, 1), []byte("aa"))
 	st = c.stats()
 	if st.Entries != 3 || st.Buckets != 2 || st.Bytes != 4 {
 		t.Errorf("after replace: stats = %+v, want 3 entries, 2 buckets, 4 bytes", st)
@@ -76,9 +88,9 @@ func TestCacheBucketAccounting(t *testing.T) {
 
 func TestCacheReplaceUpdatesBody(t *testing.T) {
 	c := newCache(4, 0)
-	c.put(key(1, 1), []byte("old"))
-	c.put(key(1, 1), []byte("new"))
-	got, ok := c.get(key(1, 1))
+	put(c, key(1, 1), []byte("old"))
+	put(c, key(1, 1), []byte("new"))
+	got, ok := get(c, key(1, 1))
 	if !ok || string(got) != "new" {
 		t.Errorf("got %q, %v; want new", got, ok)
 	}
@@ -118,8 +130,8 @@ func TestCacheConcurrent(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				k := key(byte(i%16), byte(w))
-				c.put(k, []byte(fmt.Sprintf("%d-%d", w, i)))
-				c.get(k)
+				put(c, k, []byte(fmt.Sprintf("%d-%d", w, i)))
+				get(c, k)
 			}
 		}(w)
 	}

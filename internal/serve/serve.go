@@ -15,15 +15,21 @@
 //     pass and return the lint certificate.
 //   - GET /metrics — request, cache, queue, and latency counters.
 //
-// Caching: requests are bucketed by canon.Canonical (name- and
-// order-insensitive, so isomorphic graphs share a bucket) and stored
-// under canon.Fingerprint mixed with the endpoint and its
+// Caching: each POST body is read once, up to maxBodyBytes, and keyed
+// by SHA-256 over the endpoint name and the raw bytes — the front key.
+// A request that repeats an earlier successful request byte for byte is
+// answered from the stored body with no JSON decode, no graph build and
+// no graph hashing. On a front-key miss the request is decoded and
+// keyed by canon.Fingerprint mixed with the endpoint and its
 // response-shaping options (strict byte identity — responses embed
 // names, so only requests that would produce the very same bytes share
-// an entry). A hit is served from the stored bytes with no synthesis
-// work; the X-Hlsd-Cache response header says "hit" or "miss" so the
-// body itself stays byte-identical either way. Eviction is LRU with
-// entry-count and total-byte knobs.
+// an entry); an entry hit re-points the entry's front alias to the new
+// bytes. Only an entry miss computes canon.Canonical, which every
+// response embeds as "hash" and which the Buckets gauge counts
+// (isomorphic graphs share a bucket). A hit does no synthesis work; the
+// X-Hlsd-Cache response header says "hit" or "miss" so the body itself
+// stays byte-identical either way. Eviction is LRU with entry-count and
+// total-byte knobs.
 //
 // Bounded work: at most Options.Workers requests synthesize at once; up
 // to Options.QueueDepth more wait in line, and everything beyond that
@@ -34,6 +40,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -54,6 +61,7 @@ import (
 	"repro/internal/dfgio"
 	"repro/internal/guard"
 	"repro/internal/pool"
+	"repro/internal/sched"
 )
 
 // Options configures a Server. The zero value selects the defaults
@@ -122,15 +130,15 @@ var ErrQueueFull = errors.New("serve: request queue full")
 // counters. Create with New, mount Handler on an http.Server, and call
 // Close to drain.
 type Server struct {
-	opts    Options
-	ctx     context.Context // done when Close is called
-	cancel  context.CancelFunc
-	sem     chan struct{} // worker slots
-	queued  atomic.Int64
+	opts     Options
+	ctx      context.Context // done when Close is called
+	cancel   context.CancelFunc
+	sem      chan struct{} // worker slots
+	queued   atomic.Int64
 	inFlight atomic.Int64
-	cache   *cache
-	batcher *batcher
-	mux     *http.ServeMux
+	cache    *cache
+	batcher  *batcher
+	mux      *http.ServeMux
 
 	mu       sync.Mutex
 	requests map[string]uint64
@@ -160,9 +168,9 @@ func New(opts Options) *Server {
 	}
 	s.batcher = newBatcher(s)
 	mux := http.NewServeMux()
-	mux.Handle("/synthesize", s.endpoint("synthesize", http.MethodPost, s.handleSynthesize))
-	mux.Handle("/sweep", s.endpoint("sweep", http.MethodPost, s.handleSweep))
-	mux.Handle("/certify", s.endpoint("certify", http.MethodPost, s.handleCertify))
+	mux.Handle("/synthesize", s.cachedEndpoint("synthesize", s.decodeSynthesize))
+	mux.Handle("/sweep", s.cachedEndpoint("sweep", s.decodeSweep))
+	mux.Handle("/certify", s.cachedEndpoint("certify", s.decodeCertify))
 	mux.Handle("/metrics", s.endpoint("metrics", http.MethodGet, s.handleMetrics))
 	s.mux = mux
 	return s
@@ -199,11 +207,12 @@ func badRequest(err error) error {
 // 500, not a dead daemon), error-to-status mapping, and request/latency
 // accounting.
 func (s *Server) endpoint(name, method string, fn func(w http.ResponseWriter, r *http.Request) error) http.Handler {
+	op := "serve " + name
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.count(s.requests, name)
 		err := func() (err error) {
-			defer guard.Recover("serve "+name, &err)
+			defer guard.Recover(op, &err)
 			if r.Method != method {
 				return &httpError{code: http.StatusMethodNotAllowed,
 					err: fmt.Errorf("method %s not allowed; use %s", r.Method, method)}
@@ -221,13 +230,17 @@ func (s *Server) endpoint(name, method string, fn func(w http.ResponseWriter, r 
 // writeError maps a handler error onto a status code and a JSON body.
 func writeError(w http.ResponseWriter, err error) {
 	code := http.StatusInternalServerError
+	var mb *http.MaxBytesError
 	var he *httpError
 	var re *guard.RangeError
 	var le *guard.LimitError
+	var ie *sched.InfeasibleError
 	switch {
+	case errors.As(err, &mb):
+		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &he):
 		code = he.code
-	case errors.As(err, &re), errors.As(err, &le):
+	case errors.As(err, &re), errors.As(err, &le), errors.As(err, &ie):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
 		code = http.StatusServiceUnavailable
@@ -449,20 +462,51 @@ type Metrics struct {
 
 // --- request keys -----------------------------------------------------
 
-// decoded is a parsed request payload: the graph plus its cache
-// coordinates.
+// maxBodyBytes caps a POST body; a longer one is refused with 413
+// before any of it is decoded. A compact 100k-node dfgio graph (the
+// guard.DefaultMaxNodes budget) is 7.9 MB, and 15.5 MB indented.
+const maxBodyBytes = 64 << 20
+
+// bodyPresize caps the buffer readBody sizes from a declared
+// Content-Length: a typical body is read into one allocation, while a
+// header alone cannot make the daemon allocate the whole body cap.
+const bodyPresize = 1 << 20
+
+// readBody reads a POST body whole. A body longer than maxBodyBytes
+// fails with an *http.MaxBytesError, which writeError maps to 413.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := r.ContentLength; n > 0 {
+		buf.Grow(int(min(n, bodyPresize)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes)); err != nil {
+		return nil, badRequest(fmt.Errorf("request body: %w", err))
+	}
+	return buf.Bytes(), nil
+}
+
+// frontKey is the cache key of a request's raw bytes: SHA-256 over the
+// endpoint name and the body, so a /synthesize body and an identical
+// /certify body never share an alias. It is computed from untrusted
+// bytes, so it must be collision-resistant: a collision would serve one
+// client another client's body.
+func frontKey(endpoint string, body []byte) canon.Hash {
+	return mixKey(canon.Hash{}, []byte(endpoint), body)
+}
+
+// decoded is a parsed request payload: the graph, its config, and the
+// fingerprint basis of its entry key.
 type decoded struct {
 	graph  *dfg.Graph
 	cfg    core.Config
-	bucket canon.Hash // canonical: isomorphic requests collide here
-	strict canon.Hash // fingerprint basis for the entry key
+	strict canon.Hash
 }
 
 // decodeRequest parses the graph-or-source payload and computes its
-// cache coordinates. For source requests the strict key hashes the
-// source text itself (the built graph embeds interned literals whose
-// values the graph fingerprint alone would not cover).
-func (s *Server) decodeRequest(graphJSON json.RawMessage, source string, cj ConfigJSON) (*decoded, error) {
+// fingerprint. For source requests the strict key hashes the source
+// text itself (the built graph embeds interned literals whose values
+// the graph fingerprint alone would not cover).
+func decodeRequest(graphJSON json.RawMessage, source string, cj ConfigJSON) (*decoded, error) {
 	cfg, err := cj.toCore()
 	if err != nil {
 		return nil, err
@@ -494,11 +538,7 @@ func (s *Server) decodeRequest(graphJSON json.RawMessage, source string, cj Conf
 	default:
 		return nil, badRequest(errors.New("request carries neither graph nor source"))
 	}
-	bucket, err := canon.Canonical(g, cfg.Lib, cfg)
-	if err != nil {
-		return nil, badRequest(err)
-	}
-	return &decoded{graph: g, cfg: cfg, bucket: bucket, strict: strict}, nil
+	return &decoded{graph: g, cfg: cfg, strict: strict}, nil
 }
 
 // mixKey derives an entry key from the strict fingerprint plus the
@@ -527,47 +567,97 @@ func u64bytes(vs ...uint64) []byte {
 
 // --- handlers ---------------------------------------------------------
 
-// serveCached answers from the cache when possible; on a miss it runs
-// produce (under a worker slot), stores the exact bytes written, and
-// answers with them. The X-Hlsd-Cache header carries the verdict so hit
-// and miss bodies stay byte-identical.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key cacheKey,
-	produce func(ctx context.Context) (any, error)) error {
-	if body, ok := s.cache.get(key); ok {
-		w.Header().Set("X-Hlsd-Cache", "hit")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
+// produceFunc builds an endpoint's response on an entry miss. bucket is
+// the request graph's canonical hash, which every response embeds as
+// "hash".
+type produceFunc func(ctx context.Context, bucket canon.Hash) (any, error)
+
+// pending is a request that missed the front key, decoded: its graph
+// and config, the entry key of its response, and how to produce that
+// response on an entry miss.
+type pending struct {
+	*decoded
+	entry   canon.Hash
+	produce produceFunc
+}
+
+// cachedEndpoint is a POST endpoint answered through the cache; decode
+// parses its body, validates it and keys it.
+func (s *Server) cachedEndpoint(name string, decode func(body []byte) (*pending, error)) http.Handler {
+	return s.endpoint(name, http.MethodPost, func(w http.ResponseWriter, r *http.Request) error {
+		return s.serveCached(w, r, name, decode)
+	})
+}
+
+// serveCached answers one cacheable POST. The body is read once and
+// looked up by its front key; a hit is written straight from the stored
+// bytes. Otherwise decode parses it and the entry key decides: a hit is
+// written from the entry, whose alias now points at these bytes; a miss
+// computes the canonical bucket (before produce takes a worker slot, so
+// its errors stay 400s), runs produce, stores the exact bytes written,
+// and answers with them. A failed request is never cached.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, name string,
+	decode func(body []byte) (*pending, error)) error {
+	body, err := readBody(w, r)
+	if err != nil {
+		return err
+	}
+	front := frontKey(name, body)
+	if out, ok := s.cache.getFront(front); ok {
+		writeCached(w, out, "hit")
 		return nil
+	}
+	p, err := decode(body)
+	if err != nil {
+		return err
+	}
+	if out, ok := s.cache.get(p.entry, front); ok {
+		writeCached(w, out, "hit")
+		return nil
+	}
+	bucket, err := canon.Canonical(p.graph, p.cfg.Lib, p.cfg)
+	if err != nil {
+		return badRequest(err)
 	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	release, err := s.acquire(ctx)
+	resp, err := p.produce(ctx, bucket)
 	if err != nil {
 		return err
 	}
-	resp, err := func() (any, error) {
-		defer release()
-		return produce(ctx)
-	}()
+	out, err := json.Marshal(resp)
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	s.cache.put(key, body)
-	w.Header().Set("X-Hlsd-Cache", "miss")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
+	s.cache.put(p.entry, bucket, front, out)
+	writeCached(w, out, "miss")
 	return nil
 }
 
-func decodeBody[T any](r *http.Request) (*T, error) {
+// writeCached writes a 200 response body with its cache verdict in the
+// X-Hlsd-Cache header, so hit and miss bodies stay byte-identical.
+func writeCached(w http.ResponseWriter, body []byte, verdict string) {
+	w.Header().Set("X-Hlsd-Cache", verdict)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
+}
+
+// onWorker wraps produce to run holding a worker slot.
+func (s *Server) onWorker(produce produceFunc) produceFunc {
+	return func(ctx context.Context, bucket canon.Hash) (any, error) {
+		release, err := s.acquire(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		return produce(ctx, bucket)
+	}
+}
+
+func decodeBody[T any](body []byte) (*T, error) {
 	var req T
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return nil, badRequest(fmt.Errorf("request body: %w", err))
@@ -575,26 +665,36 @@ func decodeBody[T any](r *http.Request) (*T, error) {
 	return &req, nil
 }
 
-func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) error {
-	req, err := decodeBody[SynthesizeRequest](r)
+// decodeDesign decodes a /synthesize or /certify body: one design and
+// the time constraint to synthesize it under.
+func decodeDesign(body []byte) (*SynthesizeRequest, *decoded, error) {
+	req, err := decodeBody[SynthesizeRequest](body)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	d, err := s.decodeRequest(req.Graph, req.Source, req.Config)
+	d, err := decodeRequest(req.Graph, req.Source, req.Config)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	key := cacheKey{
-		bucket: d.bucket,
-		entry:  mixKey(d.strict, []byte("synthesize"), u64bytes(b2u(req.Netlist), b2u(req.Schedule))),
+	if req.Config.CS < 1 {
+		return nil, nil, badRequest(fmt.Errorf("config: cs %d: synthesis needs a time constraint of at least 1 step", req.Config.CS))
 	}
-	return s.serveCached(w, r, key, func(ctx context.Context) (any, error) {
+	return req, d, nil
+}
+
+func (s *Server) decodeSynthesize(body []byte) (*pending, error) {
+	req, d, err := decodeDesign(body)
+	if err != nil {
+		return nil, err
+	}
+	entry := mixKey(d.strict, []byte("synthesize"), u64bytes(b2u(req.Netlist), b2u(req.Schedule)))
+	return &pending{decoded: d, entry: entry, produce: s.onWorker(func(ctx context.Context, bucket canon.Hash) (any, error) {
 		design, err := hls.SynthesizeCtx(ctx, d.graph, d.cfg)
 		if err != nil {
 			return nil, err
 		}
 		resp := &SynthesizeResponse{
-			Hash:        d.bucket.String(),
+			Hash:        bucket.String(),
 			Fingerprint: d.strict.String(),
 			Design:      design.Graph.Name,
 			CS:          design.Schedule.CS,
@@ -615,76 +715,54 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) error 
 			resp.Schedule = sj
 		}
 		return resp, nil
-	})
+	})}, nil
 }
 
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) error {
-	req, err := decodeBody[SweepRequest](r)
+// decodeSweep also validates the range: a bad range or a graph whose
+// critical path exceeds cs_hi is rejected here, before the entry lookup
+// and before batching, so one bad graph fails alone instead of
+// poisoning the whole fan-out.
+func (s *Server) decodeSweep(body []byte) (*pending, error) {
+	req, err := decodeBody[SweepRequest](body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d, err := s.decodeRequest(req.Graph, "", req.Config)
+	d, err := decodeRequest(req.Graph, "", req.Config)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if req.CsLo < 1 || req.CsLo > req.CsHi {
-		return badRequest(&guard.RangeError{Lo: req.CsLo, Hi: req.CsHi})
+		return nil, badRequest(&guard.RangeError{Lo: req.CsLo, Hi: req.CsHi})
 	}
-	// Infeasible ranges are rejected before batching, so one bad graph
-	// fails alone instead of poisoning the whole fan-out.
 	if cp := d.graph.CriticalPathCycles(); cp > req.CsHi {
-		return badRequest(&guard.RangeError{
+		return nil, badRequest(&guard.RangeError{
 			Lo: req.CsLo, Hi: req.CsHi, CriticalPath: cp, Graph: d.graph.Name,
 		})
 	}
-	key := cacheKey{
-		bucket: d.bucket,
-		entry:  mixKey(d.strict, []byte("sweep"), u64bytes(uint64(req.CsLo), uint64(req.CsHi))),
-	}
-	if body, ok := s.cache.get(key); ok {
-		w.Header().Set("X-Hlsd-Cache", "hit")
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(body)
-		return nil
-	}
-	ctx, cancel := s.requestCtx(r)
-	defer cancel()
-	points, err := s.batcher.submit(ctx, d, req.CsLo, req.CsHi, req.Config)
-	if err != nil {
-		return err
-	}
-	resp := &SweepResponse{
-		Hash:   d.bucket.String(),
-		Design: d.graph.Name,
-		Points: make([]SweepPointJSON, len(points)),
-	}
-	for i, p := range points {
-		resp.Points[i] = SweepPointJSON{CS: p.CS, Cost: costJSON(p.Cost), ALUs: p.ALUs, Pareto: p.Pareto}
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	s.cache.put(key, body)
-	w.Header().Set("X-Hlsd-Cache", "miss")
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(body)
-	return nil
+	entry := mixKey(d.strict, []byte("sweep"), u64bytes(uint64(req.CsLo), uint64(req.CsHi)))
+	return &pending{decoded: d, entry: entry, produce: func(ctx context.Context, bucket canon.Hash) (any, error) {
+		points, err := s.batcher.submit(ctx, d, req.CsLo, req.CsHi, req.Config)
+		if err != nil {
+			return nil, err
+		}
+		resp := &SweepResponse{
+			Hash:   bucket.String(),
+			Design: d.graph.Name,
+			Points: make([]SweepPointJSON, len(points)),
+		}
+		for i, p := range points {
+			resp.Points[i] = SweepPointJSON{CS: p.CS, Cost: costJSON(p.Cost), ALUs: p.ALUs, Pareto: p.Pareto}
+		}
+		return resp, nil
+	}}, nil
 }
 
-func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) error {
-	req, err := decodeBody[SynthesizeRequest](r)
+func (s *Server) decodeCertify(body []byte) (*pending, error) {
+	_, d, err := decodeDesign(body)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	d, err := s.decodeRequest(req.Graph, req.Source, req.Config)
-	if err != nil {
-		return err
-	}
-	key := cacheKey{bucket: d.bucket, entry: mixKey(d.strict, []byte("certify"))}
-	return s.serveCached(w, r, key, func(ctx context.Context) (any, error) {
+	return &pending{decoded: d, entry: mixKey(d.strict, []byte("certify")), produce: s.onWorker(func(ctx context.Context, bucket canon.Hash) (any, error) {
 		design, err := hls.SynthesizeCtx(ctx, d.graph, d.cfg)
 		if err != nil {
 			return nil, err
@@ -697,8 +775,8 @@ func (s *Server) handleCertify(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return nil, err
 		}
-		return &CertifyResponse{Hash: d.bucket.String(), Certificate: cj}, nil
-	})
+		return &CertifyResponse{Hash: bucket.String(), Certificate: cj}, nil
+	})}, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -508,5 +509,162 @@ func TestPercentile(t *testing.T) {
 		if got := Percentile(c.sorted, c.p); got != c.want {
 			t.Errorf("%s: Percentile(_, %v) = %v, want %v", c.name, c.p, got, c.want)
 		}
+	}
+}
+
+// aliased reports whether body's bytes are a front key of s's cache.
+func aliased(s *Server, body []byte) bool {
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
+	_, ok := s.cache.fronts[frontKey("synthesize", body)]
+	return ok
+}
+
+func mustMarshal(t testing.TB, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCacheSemantics walks /synthesize request sequences through the
+// front key and the entry key. After every step it checks the status,
+// the verdict, the body against an earlier step's, the alias map, and
+// that every cacheable request counted exactly one hit or one miss.
+func TestCacheSemantics(t *testing.T) {
+	ex := benchmarks.Facet()
+	gj := graphJSON(t, ex)
+	cfg := ConfigJSON{CS: ex.TimeConstraints[0]}
+	plain := mustMarshal(t, SynthesizeRequest{Graph: gj, Config: cfg})
+	reencoded := reencode(t, gj, cfg)
+	withTimeout := mustMarshal(t, SynthesizeRequest{Graph: gj, Config: ConfigJSON{CS: cfg.CS, TimeoutMs: 60_000}})
+	withNetlist := mustMarshal(t, SynthesizeRequest{Graph: gj, Config: cfg, Netlist: true})
+	renamed := bytes.ReplaceAll(plain, []byte(`"i1"`), []byte(`"z1"`))
+	if bytes.Equal(renamed, plain) {
+		t.Fatal("rename had no effect")
+	}
+
+	type step struct {
+		name    string
+		body    []byte
+		status  int
+		verdict string   // "" for a request refused before the cache
+		sameAs  int      // earlier step whose body this one repeats; -1 for none
+		dropped [][]byte // bodies whose alias must be gone after the step
+	}
+	for _, sc := range []struct {
+		name             string
+		opts             Options
+		steps            []step
+		entries, buckets int
+	}{
+		{"front and entry keys", Options{}, []step{
+			{"first send", plain, 200, "miss", -1, nil},
+			{"byte-identical repeat", plain, 200, "hit", 0, nil},
+			{"re-encoded: front miss, entry hit", reencoded, 200, "hit", 0, [][]byte{plain}},
+			{"re-encoded again: through the re-pointed alias", reencoded, 200, "hit", 0, nil},
+			{"timeout_ms differs", withTimeout, 200, "hit", 0, [][]byte{reencoded}},
+			{"netlist flipped", withNetlist, 200, "miss", -1, nil},
+			{"malformed body", []byte(`{"graph": `), 400, "", -1, nil},
+		}, 2, 1},
+		{"eviction drops the alias", Options{CacheEntries: 1}, []step{
+			{"first send", plain, 200, "miss", -1, nil},
+			{"another request evicts it", withNetlist, 200, "miss", -1, [][]byte{plain}},
+			{"evicted bytes re-synthesize", plain, 200, "miss", 0, [][]byte{withNetlist}},
+		}, 1, 1},
+		{"isomorphic rename", Options{}, []step{
+			{"original", plain, 200, "miss", -1, nil},
+			{"renamed", renamed, 200, "miss", -1, nil},
+		}, 2, 1},
+	} {
+		t.Run(sc.name, func(t *testing.T) {
+			s := New(sc.opts)
+			defer s.Close()
+			h := s.Handler()
+			bodies := make([][]byte, len(sc.steps))
+			cacheable := uint64(0)
+			for i, st := range sc.steps {
+				rec := serveOnce(h, st.body)
+				bodies[i] = rec.Body.Bytes()
+				if rec.Code != st.status {
+					t.Fatalf("%s: status %d, want %d: %s", st.name, rec.Code, st.status, rec.Body)
+				}
+				if got := rec.Header().Get("X-Hlsd-Cache"); got != st.verdict {
+					t.Errorf("%s: verdict %q, want %q", st.name, got, st.verdict)
+				}
+				if st.sameAs >= 0 && !bytes.Equal(bodies[i], bodies[st.sameAs]) {
+					t.Errorf("%s: body differs from step %q", st.name, sc.steps[st.sameAs].name)
+				}
+				if st.verdict != "" {
+					cacheable++
+				}
+				if got := aliased(s, st.body); got != (st.verdict != "") {
+					t.Errorf("%s: aliased = %v after the step", st.name, got)
+				}
+				for _, b := range st.dropped {
+					if aliased(s, b) {
+						t.Errorf("%s: an earlier request's alias survived", st.name)
+					}
+				}
+				c := s.Metrics().Cache
+				if c.Hits+c.Misses != cacheable {
+					t.Errorf("%s: %d hits + %d misses, want %d cacheable requests", st.name, c.Hits, c.Misses, cacheable)
+				}
+				s.cache.mu.Lock()
+				aliases := len(s.cache.fronts)
+				s.cache.mu.Unlock()
+				if aliases > c.Entries {
+					t.Errorf("%s: %d aliases for %d entries", st.name, aliases, c.Entries)
+				}
+			}
+			if c := s.Metrics().Cache; c.Entries != sc.entries || c.Buckets != sc.buckets {
+				t.Errorf("cache holds %d entries in %d buckets, want %d in %d", c.Entries, c.Buckets, sc.entries, sc.buckets)
+			}
+		})
+	}
+}
+
+// spaces is a body of n bytes of JSON whitespace, streamed without a
+// Content-Length.
+type spaces struct{ n int64 }
+
+func (r *spaces) Read(p []byte) (int, error) {
+	if r.n == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), r.n)]
+	for i := range p {
+		p[i] = ' '
+	}
+	r.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestBodyTooLarge streams one byte over the body cap: the request is
+// refused with 413 and the usual JSON error body, never a 500, and
+// counts neither a hit nor a miss. It reads 64 MiB into one buffer,
+// which the race detector's shadow memory grows past 1 GB; readBody
+// runs on the request's goroutine alone, so the plain run covers it.
+func TestBodyTooLarge(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a 64 MiB body costs over 1 GB under the race detector")
+	}
+	s := New(Options{})
+	defer s.Close()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/synthesize", &spaces{n: maxBodyBytes + 1}))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413: %.200s", rec.Code, rec.Body)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error == "" {
+		t.Errorf("error body %q: %v", rec.Body, err)
+	}
+	if c := s.Metrics().Cache; c.Hits+c.Misses != 0 {
+		t.Errorf("refused body counted %d hits, %d misses", c.Hits, c.Misses)
 	}
 }
