@@ -154,45 +154,90 @@ func TestCanonicalIsomorphismInvariant(t *testing.T) {
 	}
 }
 
+// loopGraph is a small outer graph around one folded 3-cycle loop whose
+// body reads both of its sub inputs.
+func loopGraph(t *testing.T) *dfg.Graph {
+	t.Helper()
+	sub := dfg.New("body")
+	for _, in := range []string{"u", "v"} {
+		if err := sub.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := sub.AddOp("w", op.Mul, "u", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sub.AddOp("x", op.Add, "w", "u"); err != nil {
+		t.Fatal(err)
+	}
+	g := dfg.New("outer")
+	for _, in := range []string{"a", "b", "c"} {
+		if err := g.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := g.AddOp("s", op.Add, "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := g.AddLoop("lp", sub, "x", map[string]string{"u": "s", "v": "c"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.SetCycles(id, 3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.AddOp("y", op.Sub, "lp", "a"); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// hashPins are the literal Canonical and Fingerprint values of the six
+// paper graphs (at their first Table 1 time constraint) and of loopGraph
+// (at 6 steps). hlsd embeds Canonical in every response it synthesizes
+// and keys its cache entries by Fingerprint, so these bytes are a wire
+// contract: an encoding or hashing change must fail here, not drift.
+var hashPins = map[string][2]string{
+	"facet":      {"b49f7e2b57f3369ed02c8506ea7b5f73fadff69d4519247d8b2a846e45b99c0b", "0dcf4881809c94be5e575f17d35b8b890efdd831d455bf572d081accc0c6deb2"},
+	"chained":    {"d66050b19b898a6fa9823761227510034ce39368fb20ec57ee84224063ddefd3", "b5f980ee03cb049c8ac3d82dd752e395091f875b867c95ca76c46afdd1f0c033"},
+	"diffeq":     {"eec54099115a79a4b094069db52eeb149eed85ba9b6e94298569514e9aa0a655", "2aa96c9a76fc9c697b5e747d42b6732503c7479390056cf0e3372df3d1e969f7"},
+	"ar-lattice": {"b732cca2f8f1a9d9a086ce182eb4d1dfa0bef74ea7caf6b4cb32ff53e4705aee", "01c3d36f9af1e161034de131e4170ff1cb8a66762b16cdd7fe556de9e5e154d3"},
+	"bandpass":   {"357aa0d53cab9a58a511acd2b0f662acdc3f9d945ebc56b3133ed561da50a9d7", "934f4c24369760b6a5cfd3055e17bc64e0cf4805ba4fd9b51df02eb663b1ab9a"},
+	"ewf":        {"37eecc833a063c633b08c65d85c14275d4f06a6e20a4fbb94b22563f8002a657", "92ce4ecb9bbf83b6bb9f8984f151c20fb9e9c89396c65508711b1913a80638d1"},
+	"loop":       {"e0aef9d131b54fe7062e232331e7a25ae1dd1a7bac3245aa03436b5d9e8d23cc", "49360a7fbff4bb0ad46da38fbb30f5cc62be80470ed5ba4cab86676668912b42"},
+}
+
+func TestHashGoldenPins(t *testing.T) {
+	type pinCase struct {
+		name string
+		g    *dfg.Graph
+		cfg  core.Config
+	}
+	var cases []pinCase
+	for _, ex := range benchmarks.All() {
+		cases = append(cases, pinCase{ex.Name, ex.Graph, core.Config{CS: ex.TimeConstraints[0], ClockNs: ex.ClockNs}})
+	}
+	cases = append(cases, pinCase{"loop", loopGraph(t), core.Config{CS: 6}})
+	for _, c := range cases {
+		ch, err := Canonical(c.g, nil, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fp, err := Fingerprint(c.g, nil, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := [2]string{ch.String(), fp.String()}; got != hashPins[c.name] {
+			t.Errorf("%q: {%q, %q}, // pinned %q", c.name, got[0], got[1], hashPins[c.name])
+		}
+	}
+}
+
 // TestCanonicalLoopGraph extends the invariance property to folded
 // loops: the sub-graph canonicalizes recursively and the positional
 // binding of outer operands onto sub inputs is tracked canonically.
 func TestCanonicalLoopGraph(t *testing.T) {
-	build := func() *dfg.Graph {
-		sub := dfg.New("body")
-		for _, in := range []string{"u", "v"} {
-			if err := sub.AddInput(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := sub.AddOp("w", op.Mul, "u", "v"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sub.AddOp("x", op.Add, "w", "u"); err != nil {
-			t.Fatal(err)
-		}
-		g := dfg.New("outer")
-		for _, in := range []string{"a", "b", "c"} {
-			if err := g.AddInput(in); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := g.AddOp("s", op.Add, "a", "b"); err != nil {
-			t.Fatal(err)
-		}
-		id, err := g.AddLoop("lp", sub, "x", map[string]string{"u": "s", "v": "c"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.SetCycles(id, 3); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := g.AddOp("y", op.Sub, "lp", "a"); err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	g := build()
+	g := loopGraph(t)
 	base, err := Canonical(g, nil, core.Config{CS: 6})
 	if err != nil {
 		t.Fatal(err)
