@@ -48,12 +48,15 @@
 package canon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dfg"
@@ -113,7 +116,40 @@ func digest(tag string, chunks ...[]byte) Hash {
 
 // enc is an append-only buffer with fixed-width primitive encoders; all
 // multi-byte values are big-endian so encodings are platform-stable.
-type enc struct{ b []byte }
+type enc struct {
+	b  []byte
+	at int // start of the chunk after open
+}
+
+// encs recycles encoding buffers: hlsd fingerprints every request it
+// decodes, and a 300-node graph encodes to tens of kilobytes.
+var encs = sync.Pool{New: func() any { return new(enc) }}
+
+// getEnc returns an empty pooled buffer; hand it back with encs.Put once
+// its bytes are hashed.
+func getEnc() *enc {
+	e := encs.Get().(*enc)
+	e.b = e.b[:0]
+	return e
+}
+
+// open resets e to the bytes digest(tag, chunk) streams up to the chunk:
+// the length-prefixed tag, then a chunk length that sum patches in.
+// Encode the chunk with e's encoders between open and sum; the buffer is
+// reused, so the hot per-node digests allocate nothing.
+func (e *enc) open(tag string) {
+	e.b = e.b[:0]
+	e.str(tag)
+	e.u64(0)
+	e.at = len(e.b)
+}
+
+// sum returns digest(tag, chunk) for the tag of open and the chunk
+// encoded since.
+func (e *enc) sum() Hash {
+	binary.BigEndian.PutUint64(e.b[e.at-8:e.at], uint64(len(e.b)-e.at))
+	return sha256.Sum256(e.b)
+}
 
 func (e *enc) str(s string) {
 	e.u64(uint64(len(s)))
@@ -140,9 +176,19 @@ func b2u(v bool) byte {
 // them — so they are included; the library's own display name is not.
 func hashLibrary(lib *library.Library) []byte {
 	if lib == nil {
-		lib = library.NCRLike()
+		return ncrLikeHash()
 	}
-	var e enc
+	return digestLibrary(lib)
+}
+
+// ncrLikeHash is the hash of the default library, which every request
+// without a library of its own hashes twice (Fingerprint, Canonical).
+var ncrLikeHash = sync.OnceValue(func() []byte { return digestLibrary(library.NCRLike()) })
+
+// digestLibrary is hashLibrary for a non-nil library.
+func digestLibrary(lib *library.Library) []byte {
+	e := getEnc()
+	defer encs.Put(e)
 	e.f64(lib.RegArea)
 	e.f64(lib.MuxBase)
 	e.f64(lib.MuxStep)
@@ -183,7 +229,8 @@ func effectiveLimit(knob, def int) int {
 // design. Parallelism and Timeout are deliberately excluded (identical
 // results at every setting); Lib is hashed separately by the callers.
 func hashConfig(cfg core.Config) []byte {
-	var e enc
+	e := getEnc()
+	defer encs.Put(e)
 	e.u64(uint64(cfg.CS))
 	keys := make([]string, 0, len(cfg.Limits))
 	for k := range cfg.Limits {
@@ -230,7 +277,8 @@ func fingerprintGraph(g *dfg.Graph) (Hash, error) {
 	if g == nil {
 		return Hash{}, fmt.Errorf("canon: nil graph")
 	}
-	var e enc
+	e := getEnc()
+	defer encs.Put(e)
 	e.str(g.Name)
 	ins := g.Inputs()
 	e.u64(uint64(len(ins)))
@@ -312,21 +360,38 @@ func canonicalizeGraph(g *dfg.Graph) (*canonGraph, error) {
 
 	topo := g.TopoOrder()
 
+	// uses lists, per input, the (consumer, operand position) pairs that
+	// read it, in node order; refinement rounds only re-key them.
+	type use struct {
+		node dfg.NodeID
+		pos  int
+	}
+	uses := make([][]use, len(inputs))
+	for _, n := range g.Nodes() {
+		for ai, a := range n.Args {
+			if ii, ok := inputIdx[a]; ok {
+				uses[ii] = append(uses[ii], use{n.ID, ai})
+			}
+		}
+	}
+
 	// nodeColors recomputes every node's color bottom-up from the
-	// current input colors. The result is independent of traversal
-	// order: a node's color is a pure function of its own fields and
-	// its operands' colors.
-	nodeColors := func(inCol []Hash) ([]Hash, error) {
-		col := make([]Hash, g.Len())
+	// current input colors into col. The result is independent of
+	// traversal order: a node's color is a pure function of its own
+	// fields and its operands' colors.
+	e := getEnc()
+	defer encs.Put(e)
+	col := make([]Hash, g.Len())
+	nodeColors := func(inCol []Hash) error {
 		for _, id := range topo {
 			n := g.Node(id)
-			var e enc
+			e.open("node/v1")
 			if sub := subs[id]; sub != nil {
 				e.str("loop")
 				e.hash(sub.hash)
 				out, ok := n.Sub.Lookup(n.SubOut)
 				if !ok {
-					return nil, fmt.Errorf("canon: loop %q: unknown sub output %q", n.Name, n.SubOut)
+					return fmt.Errorf("canon: loop %q: unknown sub output %q", n.Name, n.SubOut)
 				}
 				e.hash(sub.nodeColor[out.ID])
 			} else {
@@ -347,7 +412,7 @@ func canonicalizeGraph(g *dfg.Graph) (*canonGraph, error) {
 				} else if p, ok := g.Lookup(a); ok {
 					e.hash(col[p.ID])
 				} else {
-					return nil, fmt.Errorf("canon: node %q: unresolved argument %q", n.Name, a)
+					return fmt.Errorf("canon: node %q: unresolved argument %q", n.Name, a)
 				}
 				if sub := subs[id]; sub != nil {
 					// Bind the operand to its role in the sub-graph
@@ -356,14 +421,14 @@ func canonicalizeGraph(g *dfg.Graph) (*canonGraph, error) {
 					// binding is exactly as fine as the refinement.
 					sc, ok := sub.inputColor[n.SubIns[ai]]
 					if !ok {
-						return nil, fmt.Errorf("canon: loop %q: unknown sub input %q", n.Name, n.SubIns[ai])
+						return fmt.Errorf("canon: loop %q: unknown sub input %q", n.Name, n.SubIns[ai])
 					}
 					e.hash(sc)
 				}
 			}
-			col[id] = digest("node/v1", e.b)
+			col[id] = e.sum()
 		}
-		return col, nil
+		return nil
 	}
 
 	// Position-aware Weisfeiler-Leman refinement of the input colors:
@@ -371,41 +436,34 @@ func canonicalizeGraph(g *dfg.Graph) (*canonGraph, error) {
 	// by the sorted multiset of (consumer color, operand position) pairs
 	// it feeds, until the partition of inputs into color classes is
 	// stable or the round cap is reached.
-	inCol := make([]Hash, len(inputs))
+	inCol, next := make([]Hash, len(inputs)), make([]Hash, len(inputs))
 	seed := digest("in/v1")
 	for i := range inCol {
 		inCol[i] = seed
 	}
 	prev := partition(inCol)
-	var col []Hash
-	var err error
+	var keys [][40]byte
 	for round := 0; round < wlMaxRounds; round++ {
-		col, err = nodeColors(inCol)
-		if err != nil {
+		if err := nodeColors(inCol); err != nil {
 			return nil, err
 		}
-		next := make([]Hash, len(inputs))
 		for i := range inputs {
-			var sigs [][]byte
-			for _, n := range g.Nodes() {
-				for ai, a := range n.Args {
-					if a == inputs[i] {
-						var e enc
-						e.hash(col[n.ID])
-						e.u64(uint64(ai))
-						sigs = append(sigs, e.b)
-					}
-				}
+			keys = keys[:0]
+			for _, u := range uses[i] {
+				var k [40]byte
+				copy(k[:], col[u.node][:])
+				binary.BigEndian.PutUint64(k[32:], uint64(u.pos))
+				keys = append(keys, k)
 			}
-			sort.Slice(sigs, func(x, y int) bool { return lessBytes(sigs[x], sigs[y]) })
-			var e enc
+			slices.SortFunc(keys, func(x, y [40]byte) int { return bytes.Compare(x[:], y[:]) })
+			e.open("in-refine/v1")
 			e.hash(inCol[i])
-			for _, s := range sigs {
-				e.raw(s)
+			for k := range keys {
+				e.raw(keys[k][:])
 			}
-			next[i] = digest("in-refine/v1", e.b)
+			next[i] = e.sum()
 		}
-		inCol = next
+		inCol, next = next, inCol
 		part := partition(inCol)
 		if samePartition(prev, part) {
 			break
@@ -417,8 +475,7 @@ func canonicalizeGraph(g *dfg.Graph) (*canonGraph, error) {
 	// refinement left tied stay tied — deliberately: any tie-break would
 	// have to consult a name or a declaration position, and either leaks
 	// the very information Canonical promises to be blind to.
-	col, err = nodeColors(inCol)
-	if err != nil {
+	if err := nodeColors(inCol); err != nil {
 		return nil, err
 	}
 	inColor := make(map[string]Hash, len(inputs))
@@ -429,36 +486,32 @@ func canonicalizeGraph(g *dfg.Graph) (*canonGraph, error) {
 	// The graph hash covers the input-color and node-color multisets
 	// plus the sink (primary output) sub-multiset, so input roles and
 	// output structure are both explicit.
-	ins := make([][]byte, 0, len(inputs))
-	for i := range inputs {
-		ins = append(ins, inCol[i][:])
-	}
-	all := make([][]byte, 0, len(col))
-	var sinks [][]byte
+	ins := slices.Clone(inCol)
+	all := slices.Clone(col)
+	var sinks []Hash
 	for _, n := range g.Nodes() {
-		all = append(all, col[n.ID][:])
 		if len(n.Succs()) == 0 {
-			sinks = append(sinks, col[n.ID][:])
+			sinks = append(sinks, col[n.ID])
 		}
 	}
-	sort.Slice(ins, func(a, b int) bool { return lessBytes(ins[a], ins[b]) })
-	sort.Slice(all, func(a, b int) bool { return lessBytes(all[a], all[b]) })
-	sort.Slice(sinks, func(a, b int) bool { return lessBytes(sinks[a], sinks[b]) })
-	var e enc
+	for _, hs := range [][]Hash{ins, all, sinks} {
+		slices.SortFunc(hs, func(x, y Hash) int { return bytes.Compare(x[:], y[:]) })
+	}
+	e.open("g/v1")
 	e.u64(uint64(len(inputs)))
 	e.u64(uint64(g.Len()))
 	for _, c := range ins {
-		e.raw(c)
+		e.hash(c)
 	}
 	e.str("nodes")
 	for _, c := range all {
-		e.raw(c)
+		e.hash(c)
 	}
 	e.str("sinks")
 	for _, c := range sinks {
-		e.raw(c)
+		e.hash(c)
 	}
-	return &canonGraph{hash: digest("g/v1", e.b), nodeColor: col, inputColor: inColor}, nil
+	return &canonGraph{hash: e.sum(), nodeColor: col, inputColor: inColor}, nil
 }
 
 // partition maps a color list to class ids, for stability comparison.
@@ -486,13 +539,4 @@ func samePartition(a, b []int) bool {
 		}
 	}
 	return true
-}
-
-func lessBytes(a, b []byte) bool {
-	for i := 0; i < len(a) && i < len(b); i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

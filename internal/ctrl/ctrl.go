@@ -75,14 +75,33 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 		states[i].Step = i + 1
 	}
 	// One pass over the datapath instead of a FindBinding scan per node
-	// (quadratic on large designs), plus lazily built per-ALU signal →
-	// mux-select maps replacing the per-action list scans.
-	byNode := make(map[dfg.NodeID]*rtl.ALU)
-	binds := make(map[dfg.NodeID]*rtl.Binding)
+	// (quadratic on large designs), into tables indexed by NodeID, plus
+	// lazily built per-ALU signal → mux-select maps replacing the
+	// per-action list scans.
+	byNode := make([]*rtl.ALU, g.Len())
+	binds := make([]*rtl.Binding, g.Len())
 	for _, a := range dp.ALUs {
 		for i := range a.Ops {
-			byNode[a.Ops[i].Node] = a
-			binds[a.Ops[i].Node] = &a.Ops[i]
+			if id := a.Ops[i].Node; id >= 0 && int(id) < g.Len() {
+				byNode[id] = a
+				binds[id] = &a.Ops[i]
+			}
+		}
+	}
+	// Carve every state's action list out of one backing slice, sized by
+	// a counting pass, so the appends below never regrow.
+	counts := make([]int, len(states))
+	total := 0
+	for _, n := range g.Nodes() {
+		if p, ok := s.Placements[n.ID]; ok && p.Step >= 1 && p.Step <= len(states) {
+			counts[p.Step-1]++
+			total++
+		}
+	}
+	backing := make([]Action, total)
+	for i, k := range counts {
+		if k > 0 {
+			states[i].Actions, backing = backing[:0:k], backing[k:]
 		}
 	}
 	sels := make(map[*rtl.ALU]*muxSelects)
@@ -91,8 +110,8 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 		if !ok {
 			return nil, fmt.Errorf("ctrl: node %q unscheduled", n.Name)
 		}
-		a, ok := byNode[n.ID]
-		if !ok {
+		a := byNode[n.ID]
+		if a == nil {
 			return nil, fmt.Errorf("ctrl: node %q unbound", n.Name)
 		}
 		sel := sels[a]
@@ -197,19 +216,6 @@ func action(n *dfg.Node, a *rtl.ALU, bind *rtl.Binding, sel *muxSelects) (Action
 		}
 	}
 	return act, nil
-}
-
-// ActionFor returns the action issuing node id and the 1-based position
-// of the state that issues it, or ok=false when no state does.
-func (c *Controller) ActionFor(id dfg.NodeID) (Action, int, bool) {
-	for i, st := range c.States {
-		for _, act := range st.Actions {
-			if act.Node == id {
-				return act, i + 1, true
-			}
-		}
-	}
-	return Action{}, 0, false
 }
 
 // NextState returns the state index following i, honoring functional
