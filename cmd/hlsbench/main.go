@@ -29,14 +29,7 @@
 // exact metric changed or any wall time exceeds -tolerance (default 3)
 // times its baseline; DESIGN.md §12 states the rule:
 //
-//	hlsbench -scale -maxnodes 10000 -out fresh.json -compare BENCH_scale.json
-//
-// -noindex disables the grid occupancy index for the whole run (every
-// mode), falling back to the per-cell CanPlace walks. It is the A/B
-// control for the word-scan placement walks, and snapshots record it
-// as env.noindex so the two populations cannot be conflated:
-//
-//	hlsbench -scale -maxnodes 1000 -noindex -out noindex.json
+//	GOMAXPROCS=1 hlsbench -scale -maxnodes 10000 -out fresh.json -compare BENCH_scale.json
 package main
 
 import (
@@ -50,7 +43,6 @@ import (
 
 	"repro/internal/cli"
 	"repro/internal/experiments"
-	"repro/internal/grid"
 	"repro/internal/report"
 )
 
@@ -68,7 +60,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	outPath := fs.String("out", "", "output path for -json, -scale, -serve, or -vet (default BENCH_sweep.json, BENCH_scale.json, BENCH_serve.json, or BENCH_vet.json)")
 	compare := fs.String("compare", "", "with -json, -scale, -serve, or -vet: print the per-metric delta table against this committed snapshot of the same mode, and fail if an exact metric changed or a fresh wall time exceeds it by more than -tolerance")
 	tolerance := fs.Float64("tolerance", 3, "with -compare: allowed slowdown factor per wall time")
-	noIndex := fs.Bool("noindex", false, "disable the grid occupancy index (A/B baseline for the word-scan placement walks); recorded in every snapshot as env.noindex")
 	timeout := cli.Timeout(fs)
 	prof := cli.Profile(fs)
 	if err := fs.Parse(args); err != nil {
@@ -81,10 +72,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	defer stopProf()
 	ctx, cancel := cli.WithTimeout(ctx, *timeout)
 	defer cancel()
-	if *noIndex {
-		grid.DisableIndex = true
-		defer func() { grid.DisableIndex = false }()
-	}
 
 	// The measuring modes, each with its default output file.
 	modes := []struct {
@@ -175,8 +162,8 @@ func writeSnapshot(out io.Writer, s *experiments.Snapshot, path, compare string,
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	t := report.New(fmt.Sprintf("hlsbench -%s (%s, gomaxprocs %d, num_cpu %d, noindex %v):",
-		s.Mode, s.Env.GoVersion, s.Env.GOMAXPROCS, s.Env.NumCPU, s.Env.NoIndex), "metric", "value", "unit")
+	t := report.New(fmt.Sprintf("hlsbench -%s (%s, gomaxprocs %d, num_cpu %d):",
+		s.Mode, s.Env.GoVersion, s.Env.GOMAXPROCS, s.Env.NumCPU), "metric", "value", "unit")
 	for _, m := range s.Metrics {
 		t.Add(m.Name, num(m.Value), m.Unit)
 	}

@@ -6,8 +6,6 @@ import (
 	"os"
 	"runtime"
 	"time"
-
-	"repro/internal/grid"
 )
 
 // schemaVersion is the snapshot format this build writes and reads.
@@ -37,11 +35,6 @@ type Env struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu,omitempty"`
-
-	// NoIndex records a run with the grid occupancy index disabled
-	// (`hlsbench -noindex`), so an A/B snapshot can never be mistaken
-	// for the indexed baseline it is compared against.
-	NoIndex bool `json:"noindex,omitempty"`
 }
 
 // Metric is one named measurement.
@@ -92,7 +85,6 @@ func newSnapshot(mode string, metrics []Metric) *Snapshot {
 			GoVersion:  runtime.Version(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
 			NumCPU:     runtime.NumCPU(),
-			NoIndex:    grid.DisableIndex,
 		},
 		Metrics: metrics,
 	}
@@ -213,9 +205,14 @@ func (r Regression) String() string {
 // 3) absorbs shared-runner noise while still catching
 // order-of-magnitude regressions such as an accidental O(n²), a lost
 // cache or a sweep gone sequential. Every other metric is shown in the
-// delta table and never fails. A comparison that pairs no metric is an
-// error, not a pass.
+// delta table and never fails. A comparison that pairs no metric, or
+// pairs snapshots measured at different GOMAXPROCS, is an error, not a
+// pass: single-core and multicore wall times never compare.
 func CompareSnapshots(base, fresh *Snapshot, tolerance float64) ([]Regression, error) {
+	if base.Env.GOMAXPROCS != fresh.Env.GOMAXPROCS {
+		return nil, fmt.Errorf("experiments: the %s baseline was measured at GOMAXPROCS %d, the fresh snapshot at %d; rerun with GOMAXPROCS=%d",
+			base.Mode, base.Env.GOMAXPROCS, fresh.Env.GOMAXPROCS, base.Env.GOMAXPROCS)
+	}
 	ds := Deltas(base, fresh)
 	if len(ds) == 0 {
 		return nil, fmt.Errorf("experiments: the %s baseline shares no metric with the fresh %s snapshot", base.Mode, fresh.Mode)

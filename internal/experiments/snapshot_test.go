@@ -131,8 +131,8 @@ func TestLoadPerfBaseline(t *testing.T) {
 // the exact metrics are exactly wantExact and fail on any change; the
 // mode has wantWalls wall times, each passing at tolerance × baseline
 // and failing just past it; every other metric, and any metric present
-// on one side only, never fails; and a comparison that pairs no metric
-// is an error.
+// on one side only, never fails; and a comparison that pairs no metric,
+// or pairs snapshots of different GOMAXPROCS, is an error.
 func checkParity(t *testing.T, mode string, wantExact []string, wantWalls int) {
 	t.Helper()
 	const tol = 3
@@ -202,6 +202,14 @@ func checkParity(t *testing.T, mode string, wantExact []string, wantWalls int) {
 	none.Metrics = []Metric{{Name: "unpaired", Value: 1, Unit: "ms", Better: "lower"}}
 	if _, err := CompareSnapshots(base, &none, tol); err == nil {
 		t.Error("a comparison that pairs no metric passed")
+	}
+
+	// Wall times measured at another GOMAXPROCS never compare.
+	multi := *base
+	multi.Env.GOMAXPROCS = base.Env.GOMAXPROCS + 1
+	if _, err := CompareSnapshots(base, &multi, tol); err == nil || !strings.Contains(err.Error(), "GOMAXPROCS") {
+		t.Errorf("a comparison across GOMAXPROCS %d and %d: err = %v, want a GOMAXPROCS mismatch",
+			base.Env.GOMAXPROCS, multi.Env.GOMAXPROCS, err)
 	}
 }
 

@@ -12,11 +12,12 @@
 // Frames are dense bitsets, not hash sets: a Frame is a row-major
 // []uint64 over its bounding box, one word group per control step, so
 // Rect is a mask fill, Union and Minus are per-word | and &^, and
-// membership is a shift-and-test. Scan and ScanColumns walk the set bits
-// in (step, index) or (index, step) order without materializing a slice;
-// for the paper's linear Liapunov functions those orders are exactly
-// non-decreasing energy (see liapunov.Ordered), which is what turns the
-// schedulers' min-energy search into "first legal bit wins".
+// membership is a shift-and-test. Table.ScanPlaceable walks a move
+// window's free cells in (step, index) or (index, step) order straight
+// off the table's occupancy bitsets; for the paper's linear Liapunov
+// functions those orders are exactly non-decreasing energy (see
+// liapunov.Ordered), which is what turns the schedulers' min-energy
+// search into "first legal bit wins".
 package grid
 
 import (
@@ -296,28 +297,6 @@ func (f Frame) Scan(yield func(Pos) bool) bool {
 	return true
 }
 
-// ScanColumns visits every position in column-major (index, step) order —
-// "use another step before adding hardware". It stops early when yield
-// returns false, and reports whether the walk ran to completion. For a
-// resource-constrained Liapunov function V = cs·x + y with cs greater
-// than every step, this order is strictly increasing energy.
-//
-//hls:noalloc
-func (f Frame) ScanColumns(yield func(Pos) bool) bool {
-	wpr := wordsPerRow(f.max)
-	for i := 0; i < f.max; i++ {
-		w, mask := i/64, uint64(1)<<uint(i%64)
-		for s := 0; s < f.steps; s++ {
-			if f.words[s*wpr+w]&mask != 0 {
-				if !yield(Pos{Step: s + 1, Index: i + 1}) {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // Positions returns the frame's positions sorted by (step, index) so
 // iteration is deterministic. The bitset stores them in exactly that
 // order, so this is a single pre-sized scan, no sort.
@@ -371,14 +350,6 @@ type Table struct {
 	rowWords int // ⌈Max/64⌉
 	colWords int // ⌈CS/64⌉
 }
-
-// DisableIndex, when set before any tables are used, makes ScanPlaceable
-// take its naive per-cell CanPlace path instead of the word-scan fast
-// path. The placements are identical either way — the knob exists for
-// the A/B measurement (`hlsbench -noindex`) and for the bit-identity
-// cross-check tests, in the mold of mfs's disableOrderedWalk. It is not
-// safe to flip concurrently with running schedulers.
-var DisableIndex = false
 
 // NewTable returns an empty cs × max table for the given FU type.
 // Callers that discover their instance count as they go (MFSA's local
@@ -543,64 +514,31 @@ func (t *Table) Remove(id dfg.NodeID, p Pos, cycles int) {
 	}
 }
 
-// UsedColumns returns the highest occupied column index, i.e. how many FU
-// instances of this type the current placement uses.
-func (t *Table) UsedColumns() int {
-	max := 0
-	for c, occ := range t.cells {
-		if len(occ) == 0 {
-			continue
-		}
-		if idx := c/t.CS + 1; idx > max {
-			max = idx
-		}
-	}
-	return max
-}
-
-// walkIndexed reports whether ScanPlaceable may use the word-scan index
-// for the given order and duration, or must take the naive per-cell
-// path. The decision is a pure function of table shape so tests can pin
-// which path a configuration runs (TestIndexPathSelection):
-//
-//   - DisableIndex forces the naive path (the -noindex A/B knob);
-//   - ColMajor with Latency folding is unindexed — folding wraps an
-//     op's footprint across row words, which breaks the shifted-mask
-//     busy-start trick (and never occurs via the paper's standard
-//     Liapunov functions: MFS functional pipelining implies the
-//     time-constrained, row-major walk);
-//   - Latency > CS would fold footprint rows past the table edge, a
-//     corner CanPlace resolves by its raw cell arithmetic, so the index
-//     defers to it;
-//   - footprints of 64+ rows exceed the shifted-mask width.
-//
-//hls:noalloc
-func (t *Table) walkIndexed(ord Order, cycles int) bool {
-	if DisableIndex {
-		return false
-	}
-	if t.Latency > 0 && (ord == ColMajor || t.Latency > t.CS) {
-		return false
-	}
-	return t.footRows(cycles) < 64
-}
-
 // ScanPlaceable visits, in the given walk order, exactly the positions p
 // in the window [stepLo..stepHi] × [1..idxHi] where CanPlace(g, id, p,
 // cycles) holds, stopping early when yield returns false (and reporting
 // whether the walk ran to completion). It is semantically a window loop
-// over CanPlace — the schedulers' move-frame walk — but when the index
-// is usable it masks the window into the occupancy words and jumps
-// between free footprints with bits.TrailingZeros64: on a graph with no
-// mutual-exclusion tags (excl=false) an occupied bit is provably illegal
-// and is skipped without touching cells; with exclusion tags (excl=true)
-// free bits still fast-accept, and only occupied bits fall back to the
-// per-occupant CanPlace walk. Multicycle footprints AND the shifted
-// occupancy of footRows consecutive rows into one mask (one row for
-// Pipelined types); Latency folding ORs the folded rows' words.
+// over CanPlace — the schedulers' move-frame walk — but it masks the
+// window into the occupancy words and jumps between free footprints with
+// bits.TrailingZeros64: on a graph with no mutual-exclusion tags
+// (excl=false) an occupied bit is provably illegal and is skipped
+// without touching cells; with exclusion tags (excl=true) free bits
+// still fast-accept, and only occupied bits fall back to the
+// per-occupant CanPlace walk. A multicycle footprint ORs the occupancy
+// of its footRows rows, any number of them, into one busy mask (one row
+// for Pipelined types).
+//
+// Latency folding is the identity whenever Latency ≥ CS: the completion
+// bound keeps every footprint row at or below CS. Below CS the row-major
+// walk folds rows through t.row exactly as CanPlace does; a column-major
+// walk over such a table is a caller bug and panics (MFS rejects the
+// configuration when it builds its tables, MFSA only walks row-major).
 //
 //hls:noalloc
 func (t *Table) ScanPlaceable(g *dfg.Graph, id dfg.NodeID, excl bool, ord Order, stepLo, stepHi, idxHi, cycles int, yield func(Pos) bool) bool {
+	if ord == ColMajor && t.Latency > 0 && t.Latency < t.CS {
+		panic("grid: column-major walk over a latency-folded table")
+	}
 	if stepLo < 1 {
 		stepLo = 1
 	}
@@ -613,40 +551,10 @@ func (t *Table) ScanPlaceable(g *dfg.Graph, id dfg.NodeID, excl bool, ord Order,
 	if stepLo > stepHi || idxHi < 1 {
 		return true
 	}
-	if !t.walkIndexed(ord, cycles) {
-		return t.scanNaive(g, id, ord, stepLo, stepHi, idxHi, cycles, yield)
-	}
 	if ord == RowMajor {
 		return t.scanRowMajor(g, id, excl, stepLo, stepHi, idxHi, cycles, yield)
 	}
 	return t.scanColMajor(g, id, excl, stepLo, stepHi, idxHi, cycles, yield)
-}
-
-// scanNaive is ScanPlaceable's reference path: the pre-index window walk,
-// one CanPlace per cell.
-//
-//hls:noalloc
-func (t *Table) scanNaive(g *dfg.Graph, id dfg.NodeID, ord Order, stepLo, stepHi, idxHi, cycles int, yield func(Pos) bool) bool {
-	if ord == RowMajor {
-		for s := stepLo; s <= stepHi; s++ {
-			for i := 1; i <= idxHi; i++ {
-				p := Pos{Step: s, Index: i}
-				if t.CanPlace(g, id, p, cycles) && !yield(p) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for i := 1; i <= idxHi; i++ {
-		for s := stepLo; s <= stepHi; s++ {
-			p := Pos{Step: s, Index: i}
-			if t.CanPlace(g, id, p, cycles) && !yield(p) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // scanRowMajor walks the window by ascending (step, index). For each
@@ -697,9 +605,9 @@ func (t *Table) scanRowMajor(g *dfg.Graph, id dfg.NodeID, excl bool, stepLo, ste
 // column it builds a busy-start mask — bit s set iff any of the
 // footprint rows s..s+f-1 is occupied — by ORing the column words
 // shifted down by each footprint offset (the bitboard AND-of-shifted-
-// masks trick, complemented), then iterates the free start bits. Only
-// reached with Latency == 0 (walkIndexed), so footprint rows are the
-// raw consecutive rows.
+// masks trick, complemented), then iterates the free start bits.
+// ScanPlaceable only sends it tables whose folding is the identity, so
+// footprint rows are the raw consecutive rows.
 //
 //hls:noalloc
 func (t *Table) scanColMajor(g *dfg.Graph, id dfg.NodeID, excl bool, stepLo, stepHi, idxHi, cycles int, yield func(Pos) bool) bool {
@@ -710,9 +618,12 @@ func (t *Table) scanColMajor(g *dfg.Graph, id dfg.NodeID, excl bool, stepLo, ste
 		for w := 0; w < words; w++ {
 			busy := t.occCol[base+w]
 			for j := 1; j < f; j++ {
-				busy |= t.occCol[base+w] >> uint(j)
-				if w+1 < t.colWords {
-					busy |= t.occCol[base+w+1] << uint(64-j)
+				// Row s+j lies j/64 words and j%64 bits past row s; the
+				// completion bound keeps word q inside the column.
+				q, r := w+j/64, uint(j%64)
+				busy |= t.occCol[base+q] >> r
+				if q+1 < t.colWords {
+					busy |= t.occCol[base+q+1] << (64 - r)
 				}
 			}
 			lo, hi := stepLo-1-w*64, stepHi-1-w*64
@@ -748,22 +659,4 @@ func (t *Table) scanColMajor(g *dfg.Graph, id dfg.NodeID, excl bool, stepLo, ste
 		}
 	}
 	return true
-}
-
-// OccupiedFrame returns every cell holding at least one operation that is
-// NOT mutually exclusive with id — the positions id cannot take for
-// occupancy reasons.
-func (t *Table) OccupiedFrame(g *dfg.Graph, id dfg.NodeID) Frame {
-	f := Frame{steps: t.CS, max: t.Max, words: make([]uint64, t.CS*wordsPerRow(t.Max))}
-	wpr := wordsPerRow(t.Max)
-	for c, occ := range t.cells {
-		for _, o := range occ {
-			if !g.MutuallyExclusive(id, o) {
-				s, i := c%t.CS, c/t.CS
-				f.words[s*wpr+i/64] |= uint64(1) << uint(i%64)
-				break
-			}
-		}
-	}
-	return f
 }

@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -141,25 +142,13 @@ func TestBitsetMatchesMapSemantics(t *testing.T) {
 		sameSet(t, "union", a.Union(b), ma.union(mb))
 		sameSet(t, "minus", a.Minus(b), ma.minus(mb))
 		sameSet(t, "mf", a.Minus(b.Union(c)), ma.minus(mb.union(mc)))
-		// Positions must come out sorted by (step, index), and the two
-		// scan orders must visit the same set.
+		// Positions must come out sorted by (step, index).
 		ps := a.Minus(b).Positions()
 		for i := 1; i < len(ps); i++ {
 			x, y := ps[i-1], ps[i]
 			if x.Step > y.Step || (x.Step == y.Step && x.Index >= y.Index) {
 				t.Fatalf("Positions not sorted: %v", ps)
 			}
-		}
-		cols := 0
-		a.ScanColumns(func(p Pos) bool {
-			if !ma[p] {
-				t.Fatalf("ScanColumns yielded %v outside the set", p)
-			}
-			cols++
-			return true
-		})
-		if cols != len(ma) {
-			t.Fatalf("ScanColumns visited %d positions, want %d", cols, len(ma))
 		}
 	}
 }
@@ -188,7 +177,6 @@ func TestFrameAlgebraAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(100, func() {
 			n = 0
 			mf.Scan(func(Pos) bool { n++; return true })
-			mf.ScanColumns(func(Pos) bool { return true })
 		}); a != 0 {
 			t.Errorf("%dx%d: Scan allocates %.0f, want 0", cs, max, a)
 		}
@@ -237,18 +225,11 @@ func TestPositionsSorted(t *testing.T) {
 
 func TestScanOrders(t *testing.T) {
 	f := Rect(1, 2, 1, 2)
-	var row, col []Pos
+	var row []Pos
 	f.Scan(func(p Pos) bool { row = append(row, p); return true })
-	f.ScanColumns(func(p Pos) bool { col = append(col, p); return true })
 	wantRow := []Pos{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
-	wantCol := []Pos{{1, 1}, {2, 1}, {1, 2}, {2, 2}}
-	for i := range wantRow {
-		if row[i] != wantRow[i] {
-			t.Fatalf("Scan order = %v, want %v", row, wantRow)
-		}
-		if col[i] != wantCol[i] {
-			t.Fatalf("ScanColumns order = %v, want %v", col, wantCol)
-		}
+	if !reflect.DeepEqual(row, wantRow) {
+		t.Fatalf("Scan order = %v, want %v", row, wantRow)
 	}
 	// Early stop.
 	seen := 0
@@ -284,8 +265,8 @@ func TestPlaceAndConflict(t *testing.T) {
 	if err := tb.Place(g, z, Pos{1, 2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if tb.UsedColumns() != 2 {
-		t.Errorf("UsedColumns = %d, want 2", tb.UsedColumns())
+	if got := len(tb.At(Pos{1, 2})); got != 1 {
+		t.Errorf("occupants of (t1,fu2) = %d, want 1", got)
 	}
 }
 
@@ -325,8 +306,8 @@ func TestMulticycleFootprint(t *testing.T) {
 	if len(tb.At(Pos{1, 1})) != 0 || len(tb.At(Pos{2, 1})) != 0 {
 		t.Error("Remove left footprint behind")
 	}
-	if tb.UsedColumns() != 0 {
-		t.Error("UsedColumns after Remove != 0")
+	if !empty(tb) {
+		t.Error("occupancy index not empty after Remove")
 	}
 }
 
@@ -366,21 +347,6 @@ func TestLatencyFolding(t *testing.T) {
 	}
 	if !tb.CanPlace(g, x, Pos{2, 1}, 1) {
 		t.Error("non-conflicting fold refused")
-	}
-}
-
-func TestOccupiedFrame(t *testing.T) {
-	g, x, y, z := testGraph(t)
-	tb := NewTable("+", 3, 2)
-	tb.Place(g, x, Pos{1, 1}, 1)
-	tb.Place(g, z, Pos{2, 2}, 1)
-	// For y: x's cell is shareable (exclusive), z's is not.
-	f := tb.OccupiedFrame(g, y)
-	if f.Contains(Pos{1, 1}) {
-		t.Error("exclusive occupant blocked the cell")
-	}
-	if !f.Contains(Pos{2, 2}) {
-		t.Error("non-exclusive occupant not blocking")
 	}
 }
 
@@ -458,8 +424,19 @@ func TestPlaceRemoveInvariants(t *testing.T) {
 		for _, pl := range live {
 			tb.Remove(pl.id, pl.p, pl.cycles)
 		}
-		if tb.UsedColumns() != 0 {
+		if !empty(tb) {
 			t.Fatalf("trial %d: table not empty after removals", trial)
 		}
 	}
+}
+
+// empty reports whether no cell of tb is occupied, read off the
+// row-major occupancy bitset (checkIndex pins that it mirrors the cells).
+func empty(tb *Table) bool {
+	for _, w := range tb.occRow {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -177,10 +177,41 @@ func TestOccupancyIndexProperty(t *testing.T) {
 	}
 }
 
-// TestScanPlaceableMatchesNaive pins the tentpole's bit-identity claim at
-// the grid layer: over randomized occupancy, every (order × exclusion ×
-// duration × window) walk visits exactly the positions the per-cell
-// CanPlace loop accepts, in exactly the same order.
+// scanNaive is the reference ScanPlaceable is checked against: the
+// window walk with one CanPlace per cell, in the given order, over an
+// already clamped window.
+func (t *Table) scanNaive(g *dfg.Graph, id dfg.NodeID, ord Order, stepLo, stepHi, idxHi, cycles int, yield func(Pos) bool) bool {
+	if ord == RowMajor {
+		for s := stepLo; s <= stepHi; s++ {
+			for i := 1; i <= idxHi; i++ {
+				p := Pos{Step: s, Index: i}
+				if t.CanPlace(g, id, p, cycles) && !yield(p) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for i := 1; i <= idxHi; i++ {
+		for s := stepLo; s <= stepHi; s++ {
+			p := Pos{Step: s, Index: i}
+			if t.CanPlace(g, id, p, cycles) && !yield(p) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestScanPlaceableMatchesNaive pins the word scans against scanNaive:
+// over randomized occupancy, every (order × exclusion × duration ×
+// window) walk visits exactly the positions the per-cell CanPlace loop
+// accepts, in exactly the same order. The configurations cover every
+// table shape the schedulers build: latency folding below, at and past
+// CS, pipelined single-row footprints, multi-word columns, and
+// footprints of 60–140 rows that span up to three column words. A
+// table folded below CS is walked row-major only (ScanPlaceable's
+// precondition, pinned by TestScanPlaceableRejectsFoldedColumnWalk).
 func TestScanPlaceableMatchesNaive(t *testing.T) {
 	for _, cfg := range []struct {
 		name      string
@@ -188,14 +219,28 @@ func TestScanPlaceableMatchesNaive(t *testing.T) {
 		latency   int
 		pipelined bool
 		tagged    bool
+		cycLo     int // durations are cycLo..cycLo+cycSpan-1 (default 1..3)
+		cycSpan   int
 	}{
-		{"plain", 9, 0, false, false},
-		{"excl", 9, 0, false, true},
-		{"latency", 12, 4, false, true},
-		{"pipelined", 9, 0, true, false},
-		{"tall", 130, 0, false, false}, // multi-word columns
+		{"plain", 9, 0, false, false, 0, 0},
+		{"excl", 9, 0, false, true, 0, 0},
+		{"latency", 12, 4, false, true, 0, 0},
+		{"latency=cs", 12, 12, false, true, 0, 0},
+		{"latency>cs", 12, 20, false, false, 0, 0},
+		{"pipelined", 9, 0, true, false, 0, 0},
+		{"tall", 130, 0, false, false, 0, 0}, // multi-word columns
+		{"long-footprints", 300, 0, false, false, 60, 81},
+		{"long-footprints/excl", 300, 0, false, true, 60, 81},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
+			cycLo, cycSpan := 1, 3
+			if cfg.cycLo > 0 {
+				cycLo, cycSpan = cfg.cycLo, cfg.cycSpan
+			}
+			orders := []Order{RowMajor, ColMajor}
+			if cfg.latency > 0 && cfg.latency < cfg.cs {
+				orders = orders[:1]
+			}
 			r := rand.New(rand.NewSource(99))
 			for trial := 0; trial < 25; trial++ {
 				g, ids := exclGraph(t, 60, cfg.tagged)
@@ -203,7 +248,7 @@ func TestScanPlaceableMatchesNaive(t *testing.T) {
 				tb.Latency = cfg.latency
 				tb.Pipelined = cfg.pipelined
 				for _, id := range ids {
-					c := 1 + r.Intn(3)
+					c := cycLo + r.Intn(cycSpan)
 					g.SetCycles(id, c)
 					p := Pos{Step: 1 + r.Intn(cfg.cs), Index: 1 + r.Intn(tb.Max)}
 					if tb.CanPlace(g, id, p, c) {
@@ -216,10 +261,15 @@ func TestScanPlaceableMatchesNaive(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cyc := 1 + r.Intn(3)
+				cyc := cycLo + r.Intn(cycSpan)
 				g.SetCycles(probe, cyc)
+				if cfg.tagged {
+					// So occupied cells whose occupants all sit on the other
+					// branch stay placeable.
+					g.Tag(probe, dfg.CondTag{Cond: 1, Branch: r.Intn(2)})
+				}
 				excl := g.HasExclusions()
-				for _, ord := range []Order{RowMajor, ColMajor} {
+				for _, ord := range orders {
 					lo := 1 + r.Intn(cfg.cs)
 					hi := lo + r.Intn(cfg.cs)
 					idxHi := 1 + r.Intn(tb.Max+4)
@@ -268,41 +318,37 @@ func TestScanPlaceableMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestIndexPathSelection pins which configurations run the word-scan
-// fast path and which fall back to the naive CanPlace walk — the
-// exclusion/latency fallback rules of DESIGN.md §15.
-func TestIndexPathSelection(t *testing.T) {
-	mk := func(cs, latency int, pipelined bool) *Table {
-		tb := NewTable("*", cs, 4)
+// TestScanPlaceableRejectsFoldedColumnWalk pins ScanPlaceable's one
+// precondition: a column-major walk over a table folded below CS
+// panics, even over an empty window, while the same table walks
+// row-major and a table folded at or past CS walks in both orders.
+func TestScanPlaceableRejectsFoldedColumnWalk(t *testing.T) {
+	g, ids := exclGraph(t, 1, false)
+	walk := func(latency int, ord Order, stepLo int) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		tb := NewTable("*", 8, 4)
 		tb.Latency = latency
-		tb.Pipelined = pipelined
-		return tb
+		tb.ScanPlaceable(g, ids[0], false, ord, stepLo, 8, 4, 1, func(Pos) bool { return true })
+		return false
 	}
-	cases := []struct {
-		name   string
-		tb     *Table
-		ord    Order
-		cycles int
-		want   bool
+	for _, c := range []struct {
+		latency int
+		ord     Order
+		stepLo  int
+		want    bool
 	}{
-		{"row-major plain", mk(8, 0, false), RowMajor, 1, true},
-		{"col-major plain", mk(8, 0, false), ColMajor, 1, true},
-		{"row-major multicycle", mk(8, 0, false), RowMajor, 3, true},
-		{"row-major latency folds masks", mk(8, 4, false), RowMajor, 2, true},
-		{"col-major latency falls back", mk(8, 4, false), ColMajor, 1, false},
-		{"latency past CS falls back", mk(4, 6, false), RowMajor, 1, false},
-		{"pipelined single-row footprint", mk(8, 0, true), RowMajor, 64, true},
-		{"64-row footprint falls back", mk(200, 0, false), RowMajor, 64, false},
-	}
-	for _, c := range cases {
-		if got := c.tb.walkIndexed(c.ord, c.cycles); got != c.want {
-			t.Errorf("%s: walkIndexed = %v, want %v", c.name, got, c.want)
+		{4, ColMajor, 1, true},
+		{4, ColMajor, 9, true}, // empty window
+		{7, ColMajor, 1, true},
+		{4, RowMajor, 1, false},
+		{8, ColMajor, 1, false},
+		{9, ColMajor, 1, false},
+		{0, ColMajor, 1, false},
+	} {
+		if got := walk(c.latency, c.ord, c.stepLo); got != c.want {
+			t.Errorf("latency %d, order %v, stepLo %d on 8 steps: panicked = %v, want %v",
+				c.latency, c.ord, c.stepLo, got, c.want)
 		}
-	}
-	defer func() { DisableIndex = false }()
-	DisableIndex = true
-	if mk(8, 0, false).walkIndexed(RowMajor, 1) {
-		t.Error("DisableIndex set: walkIndexed should be false")
 	}
 }
 
@@ -351,7 +397,8 @@ func TestScanPlaceableAllocs(t *testing.T) {
 }
 
 // BenchmarkWindowWalk measures both scan orders over a half-occupied
-// 64×256 window, indexed against the naive per-cell reference walk.
+// 64×256 window, the word scans against the test-only scanNaive, so an
+// A/B of the walk itself is one `go test -bench WindowWalk` away.
 func BenchmarkWindowWalk(b *testing.B) {
 	g := dfg.New("bench")
 	if err := g.AddInput("a"); err != nil {

@@ -25,15 +25,16 @@ type Func interface {
 	Name() string
 }
 
-// Ordered is an optional capability of a Func: a guiding function that
-// can prove one of the two canonical grid scan orders visits positions
-// in non-decreasing energy (with the (step, index) tie-break the
-// schedulers use). When GridOrder reports ok for a concrete cs × max
-// grid, the schedulers walk the move frame's bits in that order and
-// commit the first legal position — no slice materialization, no sort —
-// which is exactly the minimum the generic sorted path would pick.
-// Implementations must be conservative: return ok only when the order
-// is provably strict for every position on the given grid.
+// Ordered is a Func that can prove one of the two canonical grid scan
+// orders visits positions in non-decreasing energy (with the (step,
+// index) tie-break the schedulers use). MFS requires it: it asks
+// GridOrder once per placement table, walks the move frame's free cells
+// in that order and commits the first legal one — no slice, no sort —
+// which is exactly the minimum of a sort by (energy, step, index). There
+// is no generic path: a function that withdraws its order for some
+// table fails the run with an error. Implementations must be
+// conservative: return ok only when the order is provably strict for
+// every position on the given grid.
 type Ordered interface {
 	Func
 	// GridOrder reports the scan order under which this function is
@@ -62,7 +63,7 @@ func (f TimeConstrained) Name() string { return fmt.Sprintf("time-constrained(n=
 // row-major (step, then index) order — two positions in the same step
 // differ by their index, and any step increase adds N, more than the
 // largest possible index decrease. With N ≤ max the function is not
-// even injective on the grid, so the capability is withdrawn.
+// even injective on the grid, so the order is withdrawn.
 func (f TimeConstrained) GridOrder(cs, max int) (grid.Order, bool) {
 	return grid.RowMajor, f.N > max
 }
@@ -83,9 +84,9 @@ func (f ResourceConstrained) Name() string { return fmt.Sprintf("resource-constr
 
 // GridOrder: with CS > cs, V = CS·i + s is strictly increasing in
 // column-major (index, then step) order, by the mirror of the
-// TimeConstrained argument. Self-validating against the concrete grid
-// so ablation configurations with an undersized CS fall back to the
-// generic sorted path instead of silently misordering.
+// TimeConstrained argument. Self-validating against the concrete grid,
+// so a run with an undersized CS fails with an error instead of
+// silently misordering.
 func (f ResourceConstrained) GridOrder(cs, max int) (grid.Order, bool) {
 	return grid.ColMajor, f.CS > cs
 }

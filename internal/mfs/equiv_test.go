@@ -6,11 +6,11 @@ package mfs
 // frames as map[grid.Pos]bool with Rect/Union/Minus as map operations,
 // and position selection as "materialize the move frame's positions,
 // stable-sort by (energy, step, index), take the first legal one". The
-// test replays it on every benchmark, under both §3.1 guiding functions
-// and with chaining on and off, and asserts the production engine
-// produced the identical Schedule (every node's step, type and index)
-// and the identical Trace (commit order, chosen positions, energies,
-// and recorded frame contents).
+// test replays it on every benchmark, under both §3.1 guiding functions,
+// with chaining on and off, and on an exclusion-sharing graph, and
+// asserts the production engine produced the identical Schedule (every
+// node's step, type and index) and the identical Trace (commit order,
+// chosen positions, current_j, energies, and recorded frame contents).
 
 import (
 	"fmt"
@@ -20,6 +20,7 @@ import (
 	"repro/internal/benchmarks"
 	"repro/internal/dfg"
 	"repro/internal/grid"
+	"repro/internal/op"
 	"repro/internal/sched"
 )
 
@@ -59,11 +60,12 @@ func refMinus(a, b posSet) posSet {
 
 // refCommit is one reference placement decision, for trace comparison.
 type refCommit struct {
-	node   dfg.NodeID
-	typ    string
-	pos    grid.Pos
-	energy float64
-	mf     posSet
+	node     dfg.NodeID
+	typ      string
+	pos      grid.Pos
+	currentJ int
+	energy   float64
+	mf       posSet
 }
 
 // refRunOnce is the historical fixed-cs run. It borrows the production
@@ -71,7 +73,10 @@ type refCommit struct {
 // changed representation) and then schedules with the old map algebra
 // and the old sorted selection.
 func refRunOnce(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, []refCommit, error) {
-	s := newScheduler(g, cs, opt, resource, frames, extraMax...)
+	s, err := newScheduler(g, cs, opt, resource, frames, extraMax...)
+	if err != nil {
+		return nil, nil, err
+	}
 	placed := make(map[dfg.NodeID]sched.Placement, g.Len())
 	steps := make([]int, g.Len())
 	var commits []refCommit
@@ -152,7 +157,7 @@ func refRunOnce(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.F
 				placed[id] = sched.Placement{Step: p.Step, Type: typ, Index: p.Index}
 				steps[id] = p.Step
 				commits = append(commits, refCommit{
-					node: id, typ: typ, pos: p, energy: s.lf.Value(p), mf: mf,
+					node: id, typ: typ, pos: p, currentJ: s.current[typ], energy: s.lf.Value(p), mf: mf,
 				})
 				committed = true
 				break
@@ -179,26 +184,30 @@ func refRunOnce(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.F
 	return out, commits, nil
 }
 
-// refSchedule mirrors ScheduleCtx's search structure over refRunOnce:
+// fixedRun is one fixed-cs scheduling run, the unit searchSchedule
+// composes.
+type fixedRun func(cs int, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, error)
+
+// searchSchedule mirrors ScheduleCtx's search structure over run:
 // fixed-cs with widening retries under a time constraint, sequential
 // smallest-feasible-cs search under a resource constraint.
-func refSchedule(g *dfg.Graph, opt Options) (*sched.Schedule, []refCommit, error) {
+func searchSchedule(g *dfg.Graph, opt Options, run fixedRun) (*sched.Schedule, error) {
 	if opt.CS > 0 {
 		frames, err := sched.ComputeFrames(g, opt.CS, opt.ClockNs)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		s, c, err := refRunOnce(g, opt.CS, opt, false, frames)
+		s, err := run(opt.CS, false, frames)
 		if err == nil {
-			return s, c, nil
+			return s, nil
 		}
 		for extra := 1; extra <= 3; extra++ {
-			s, c, retryErr := refRunOnce(g, opt.CS, opt, false, frames, extra)
+			s, retryErr := run(opt.CS, false, frames, extra)
 			if retryErr == nil {
-				return s, c, nil
+				return s, nil
 			}
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	lo := g.CriticalPathCycles()
 	if lo < 1 {
@@ -210,21 +219,63 @@ func refSchedule(g *dfg.Graph, opt Options) (*sched.Schedule, []refCommit, error
 	}
 	frames, err := sched.ComputeFrames(g, lo, opt.ClockNs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for cs := lo; cs <= hi; cs++ {
-		s, c, err := refRunOnce(g, cs, opt, true, frames.Shifted(cs-lo))
+		s, err := run(cs, true, frames.Shifted(cs-lo))
 		if err == nil {
-			return s, c, nil
+			return s, nil
 		}
 	}
-	return nil, nil, fmt.Errorf("ref: no schedule within %d steps", hi)
+	return nil, fmt.Errorf("ref: no schedule within %d steps", hi)
 }
 
-// equivCase is one (benchmark, options) configuration under test.
+// refSchedule is the map-semantics reference: searchSchedule over
+// refRunOnce, returning the commits of the run it settles on.
+func refSchedule(g *dfg.Graph, opt Options) (*sched.Schedule, []refCommit, error) {
+	var commits []refCommit
+	s, err := searchSchedule(g, opt, func(cs int, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, error) {
+		s, c, err := refRunOnce(g, cs, opt, resource, frames, extraMax...)
+		commits = c
+		return s, err
+	})
+	return s, commits, err
+}
+
+// checkReplay runs the production scheduler white-box through
+// searchSchedule, calling check before every placement of every
+// fixed-cs run, and asserts the replay reproduced Schedule's placements
+// and trace — so check saw exactly the states a real run visits.
+func checkReplay(t *testing.T, tc equivCase, check func(s *scheduler, id dfg.NodeID)) {
+	t.Helper()
+	want, err := Schedule(tc.g, tc.opt)
+	if err != nil {
+		t.Fatalf("engine: %v", err)
+	}
+	got, err := searchSchedule(tc.g, tc.opt, func(cs int, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, error) {
+		s, err := newScheduler(tc.g, cs, tc.opt, resource, frames, extraMax...)
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range sched.PriorityOrder(tc.g, frames) {
+			check(s, id)
+			if err := s.placeOne(id); err != nil {
+				return nil, err
+			}
+		}
+		return s.finish()
+	})
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	comparePlacements(t, tc.name, got, want)
+	compareTraces(t, tc.name, got.Trace, want.Trace)
+}
+
+// equivCase is one (graph, options) configuration under test.
 type equivCase struct {
 	name string
-	ex   *benchmarks.Example
+	g    *dfg.Graph
 	opt  Options
 }
 
@@ -242,7 +293,7 @@ func equivCases(t *testing.T) []equivCase {
 				opt.Latency = ex.Latency(cs)
 			}
 			cases = append(cases, equivCase{
-				name: fmt.Sprintf("%s/T=%d/time", ex.Name, cs), ex: ex, opt: opt,
+				name: fmt.Sprintf("%s/T=%d/time", ex.Name, cs), g: ex.Graph, opt: opt,
 			})
 			// Chaining toggled: off for the chained example, on (with a
 			// permissive clock; the benchmark graphs leave DelayNs at
@@ -258,13 +309,13 @@ func equivCases(t *testing.T) []equivCase {
 				alt.ClockNs = 100
 			}
 			cases = append(cases, equivCase{
-				name: fmt.Sprintf("%s/T=%d/time/chain-toggled", ex.Name, cs), ex: ex, opt: alt,
+				name: fmt.Sprintf("%s/T=%d/time/chain-toggled", ex.Name, cs), g: ex.Graph, opt: alt,
 			})
 			if len(ex.PipelinedOps) > 0 {
 				sp := opt
 				sp.PipelinedTypes = piped
 				cases = append(cases, equivCase{
-					name: fmt.Sprintf("%s/T=%d/time/pipelined", ex.Name, cs), ex: ex, opt: sp,
+					name: fmt.Sprintf("%s/T=%d/time/pipelined", ex.Name, cs), g: ex.Graph, opt: sp,
 				})
 			}
 		}
@@ -281,12 +332,24 @@ func equivCases(t *testing.T) []equivCase {
 		for _, clock := range []float64{0, 100} {
 			cases = append(cases, equivCase{
 				name: fmt.Sprintf("%s/resource/clock=%g", ex.Name, clock),
-				ex:   ex,
+				g:    ex.Graph,
 				opt:  Options{Limits: s.InstancesPerType(), ClockNs: clock, Parallelism: 1},
 			})
 		}
 	}
-	return cases
+	// Conditional sharing: the one configuration where the index walk
+	// must consult CanPlace's occupant lists on occupied bits.
+	mg := dfg.New("mx-idx")
+	if err := mg.AddInput("a"); err != nil {
+		t.Fatal(err)
+	}
+	x, _ := mg.AddOp("x", op.Mul, "a", "a")
+	y, _ := mg.AddOp("y", op.Mul, "a", "a")
+	mg.AddOp("ux", op.Add, "x", "a")
+	mg.AddOp("uy", op.Sub, "y", "a")
+	mg.Tag(x, dfg.CondTag{Cond: 1, Branch: 0})
+	mg.Tag(y, dfg.CondTag{Cond: 1, Branch: 1})
+	return append(cases, equivCase{name: "mx/T=2/exclusion", g: mg, opt: Options{CS: 2}})
 }
 
 func comparePlacements(t *testing.T, name string, got, want *sched.Schedule) {
@@ -304,32 +367,33 @@ func comparePlacements(t *testing.T, name string, got, want *sched.Schedule) {
 
 // TestBitsetEngineMatchesMapReference is the golden equivalence test of
 // the representation change: on every benchmark, under both guiding
-// functions, chaining on and off, the engine's schedule and trace must
-// match the map-semantics reference bit for bit.
+// functions, chaining on and off, and with exclusion sharing, the
+// engine's schedule and trace must match the map-semantics reference
+// bit for bit.
 func TestBitsetEngineMatchesMapReference(t *testing.T) {
 	for _, tc := range equivCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			got, err := Schedule(tc.ex.Graph, tc.opt)
+			got, err := Schedule(tc.g, tc.opt)
 			if err != nil {
 				t.Fatalf("engine: %v", err)
 			}
-			want, commits, err := refSchedule(tc.ex.Graph, tc.opt)
+			want, commits, err := refSchedule(tc.g, tc.opt)
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
 			comparePlacements(t, tc.name, got, want)
 
-			// Trace equivalence: same commit order, same positions and
-			// energies, same recorded move-frame contents.
+			// Trace equivalence: same commit order, same positions,
+			// current_j and energies, same recorded move-frame contents.
 			steps := got.Trace.Steps
 			if len(steps) != len(commits) {
 				t.Fatalf("trace has %d steps, reference %d", len(steps), len(commits))
 			}
 			for i, c := range commits {
 				st := steps[i]
-				if st.Node != c.node || st.Type != c.typ || st.Pos != c.pos || st.Energy != c.energy {
-					t.Fatalf("trace step %d: (%d %s %v %g), reference (%d %s %v %g)",
-						i, st.Node, st.Type, st.Pos, st.Energy, c.node, c.typ, c.pos, c.energy)
+				if st.Node != c.node || st.Type != c.typ || st.Pos != c.pos || st.CurrentJ != c.currentJ || st.Energy != c.energy {
+					t.Fatalf("trace step %d: (%d %s %v j=%d %g), reference (%d %s %v j=%d %g)",
+						i, st.Node, st.Type, st.Pos, st.CurrentJ, st.Energy, c.node, c.typ, c.pos, c.currentJ, c.energy)
 				}
 				if st.MF.Len() != len(c.mf) {
 					t.Fatalf("trace step %d: |MF| = %d, reference %d", i, st.MF.Len(), len(c.mf))
@@ -344,23 +408,48 @@ func TestBitsetEngineMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestOrderedWalkMatchesSortedFallback cross-checks bestPosition's two
-// paths: forcing the generic sorted enumeration must reproduce the
-// ordered bit walk's schedule exactly on every configuration.
+// sortedBestPosition is the generic path bestPosition replaced, kept as
+// its oracle: list the window row-major, stable-sort it by energy (so
+// ties keep (step, index) order), and take the first position that is
+// placeable and keeps the chain within the clock.
+func sortedBestPosition(s *scheduler, id dfg.NodeID, cycles, lo, hi, cur int) (grid.Pos, bool) {
+	var ps []grid.Pos
+	for step := max(lo, 1); step <= hi; step++ {
+		for idx := 1; idx <= cur; idx++ {
+			ps = append(ps, grid.Pos{Step: step, Index: idx})
+		}
+	}
+	sort.SliceStable(ps, func(i, j int) bool { return s.lf.Value(ps[i]) < s.lf.Value(ps[j]) })
+	table := s.tables[TypeKey(s.g.Node(id))]
+	for _, p := range ps {
+		if table.CanPlace(s.g, id, p, cycles) && (s.opt.ClockNs <= 0 || s.chainOK(id, p.Step)) {
+			return p, true
+		}
+	}
+	return grid.Pos{}, false
+}
+
+// TestOrderedWalkMatchesSortedFallback pins bestPosition's ordered walk
+// against sortedBestPosition at every state a run of every equivCase
+// visits, for every current_j local rescheduling may reach: the first
+// legal position in the certified grid order must be the least-energy
+// legal position.
 func TestOrderedWalkMatchesSortedFallback(t *testing.T) {
 	for _, tc := range equivCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			fast, err := Schedule(tc.ex.Graph, tc.opt)
-			if err != nil {
-				t.Fatalf("ordered walk: %v", err)
-			}
-			disableOrderedWalk = true
-			defer func() { disableOrderedWalk = false }()
-			slow, err := Schedule(tc.ex.Graph, tc.opt)
-			if err != nil {
-				t.Fatalf("sorted fallback: %v", err)
-			}
-			comparePlacements(t, tc.name, fast, slow)
+			checkReplay(t, tc, func(s *scheduler, id dfg.NodeID) {
+				n := s.g.Node(id)
+				typ := TypeKey(n)
+				lo, hi, _ := s.windowOf(id)
+				for cur := s.current[typ]; cur <= s.maxj[typ]; cur++ {
+					got, gotOK := s.bestPosition(s.tables[typ], s.orders[typ], id, n.Cycles, lo, hi, cur)
+					want, wantOK := sortedBestPosition(s, id, n.Cycles, lo, hi, cur)
+					if got != want || gotOK != wantOK {
+						t.Fatalf("%q in [%d..%d] x [1..%d]: ordered walk %v (%v), sorted %v (%v)",
+							n.Name, lo, hi, cur, got, gotOK, want, wantOK)
+					}
+				}
+			})
 		})
 	}
 }

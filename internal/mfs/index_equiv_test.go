@@ -1,57 +1,65 @@
 package mfs
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dfg"
 	"repro/internal/grid"
-	"repro/internal/op"
 	"repro/internal/sched"
 )
 
-// TestIndexedWalkMatchesDisabledIndex is the tentpole's cross-check at
-// the MFS layer, in the mold of TestOrderedWalkMatchesSortedFallback:
-// disabling the occupancy index (grid.DisableIndex) must reproduce the
-// indexed engine's schedule AND its recorded trace bit for bit on every
-// benchmark × constraint × chaining/pipelining variant, plus the
-// exclusion-sharing graph that exercises the CanPlace fallback.
-func TestIndexedWalkMatchesDisabledIndex(t *testing.T) {
-	type caseT struct {
-		name string
-		g    *dfg.Graph
-		opt  Options
+// cellWalk is the walk the occupancy index replaced: one CanPlace per
+// window cell, in the given order.
+func cellWalk(s *scheduler, table *grid.Table, ord grid.Order, id dfg.NodeID, cycles, lo, hi, cur int) []grid.Pos {
+	var out []grid.Pos
+	visit := func(step, idx int) {
+		if p := (grid.Pos{Step: step, Index: idx}); table.CanPlace(s.g, id, p, cycles) {
+			out = append(out, p)
+		}
 	}
-	var cases []caseT
-	for _, tc := range equivCases(t) {
-		cases = append(cases, caseT{name: tc.name, g: tc.ex.Graph, opt: tc.opt})
+	if ord == grid.RowMajor {
+		for step := lo; step <= hi; step++ {
+			for idx := 1; idx <= cur; idx++ {
+				visit(step, idx)
+			}
+		}
+		return out
 	}
-	mg := dfg.New("mx-idx")
-	if err := mg.AddInput("a"); err != nil {
-		t.Fatal(err)
+	for idx := 1; idx <= cur; idx++ {
+		for step := lo; step <= hi; step++ {
+			visit(step, idx)
+		}
 	}
-	x, _ := mg.AddOp("x", op.Mul, "a", "a")
-	y, _ := mg.AddOp("y", op.Mul, "a", "a")
-	mg.AddOp("ux", op.Add, "x", "a")
-	mg.AddOp("uy", op.Sub, "y", "a")
-	mg.Tag(x, dfg.CondTag{Cond: 1, Branch: 0})
-	mg.Tag(y, dfg.CondTag{Cond: 1, Branch: 1})
-	cases = append(cases, caseT{name: "mx/T=2/exclusion", g: mg, opt: Options{CS: 2}})
+	return out
+}
 
-	for _, tc := range cases {
+// TestIndexedWalkMatchesDisabledIndex pins the occupancy index on the
+// tables MFS builds — latency-folded, pipelined, exclusion-shared,
+// row- and column-major — at every state a run of every equivCase
+// visits: for every current_j local rescheduling may reach,
+// grid.Table.ScanPlaceable must yield exactly cellWalk's positions in
+// cellWalk's order.
+func TestIndexedWalkMatchesDisabledIndex(t *testing.T) {
+	for _, tc := range equivCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			fast, err := Schedule(tc.g, tc.opt)
-			if err != nil {
-				t.Fatalf("indexed: %v", err)
-			}
-			grid.DisableIndex = true
-			defer func() { grid.DisableIndex = false }()
-			slow, err := Schedule(tc.g, tc.opt)
-			grid.DisableIndex = false
-			if err != nil {
-				t.Fatalf("index disabled: %v", err)
-			}
-			comparePlacements(t, tc.name, fast, slow)
-			compareTraces(t, tc.name, fast.Trace, slow.Trace)
+			checkReplay(t, tc, func(s *scheduler, id dfg.NodeID) {
+				n := s.g.Node(id)
+				typ := TypeKey(n)
+				table, ord := s.tables[typ], s.orders[typ]
+				lo, hi, _ := s.windowOf(id)
+				for cur := s.current[typ]; cur <= s.maxj[typ]; cur++ {
+					var got []grid.Pos
+					table.ScanPlaceable(s.g, id, s.excl, ord, lo, hi, cur, n.Cycles, func(p grid.Pos) bool {
+						got = append(got, p)
+						return true
+					})
+					if want := cellWalk(s, table, ord, id, n.Cycles, lo, hi, cur); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%q in [%d..%d] x [1..%d]: index walk %v, per-cell walk %v",
+							n.Name, lo, hi, cur, got, want)
+					}
+				}
+			})
 		})
 	}
 }

@@ -31,7 +31,10 @@ func FramesFor(g *dfg.Graph, opt Options, target dfg.NodeID) (*Inspection, error
 	if err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
 	}
-	s := newScheduler(g, opt.CS, opt, false, frames)
+	s, err := newScheduler(g, opt.CS, opt, false, frames)
+	if err != nil {
+		return nil, err
+	}
 
 	for _, id := range sched.PriorityOrder(g, frames) {
 		var snap *Inspection

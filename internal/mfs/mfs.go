@@ -17,7 +17,6 @@ package mfs
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dfg"
 	"repro/internal/grid"
@@ -56,7 +55,10 @@ type Options struct {
 
 	// Liapunov overrides the guiding function; nil selects the §3.1
 	// function matching the constraint mode. Used by ablation benchmarks.
-	Liapunov liapunov.Func
+	// The function must order every placement table (GridOrder): a run
+	// whose function withdraws the order, or walks columns of a table
+	// folded by Latency, fails with an error.
+	Liapunov liapunov.Ordered
 
 	// NoRedundantFrame disables the RF balancing mechanism: current_j
 	// starts at max_j instead of ⌈N_j/steps⌉, so every column is
@@ -186,20 +188,18 @@ type scheduler struct {
 	opt      Options
 	resource bool
 
-	frames  sched.Frames
-	lf      liapunov.Func
-	tables  map[string]*grid.Table
+	frames sched.Frames
+	lf     liapunov.Ordered
+	tables map[string]*grid.Table
+	// orders[typ] is the walk order lf certified for tables[typ]: in it
+	// the first legal position is the least-energy one.
+	orders  map[string]grid.Order
 	maxj    map[string]int
 	current map[string]int
 	// excl caches g.HasExclusions() for the run: when false, the window
 	// walk can treat every occupied index bit as illegal without
 	// consulting the occupant lists (grid.Table.ScanPlaceable).
 	excl bool
-	// sortScratch reuses the generic sorted path's position and value
-	// buffers across placements — custom Liapunov ablations take that
-	// path for every operation, and a fresh slice plus sort.SliceStable
-	// per placement dominated the ablation-weights table time.
-	sortScratch posSorter
 	// placed and steps are indexed by dfg.NodeID (dense from 0);
 	// Step == 0 / steps[id] == 0 means unplaced (steps are 1-based).
 	// steps duplicates placed[id].Step so the chain filter gets its
@@ -217,11 +217,12 @@ type scheduler struct {
 // newScheduler builds the state of one fixed-cs run. It reads g and
 // frames but mutates neither, so concurrent runs over the same graph
 // are safe — the speculative search depends on that.
-func newScheduler(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, extraMax ...int) *scheduler {
+func newScheduler(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, extraMax ...int) (*scheduler, error) {
 	s := &scheduler{
 		g: g, cs: cs, opt: opt, resource: resource,
 		frames:  frames,
 		tables:  make(map[string]*grid.Table),
+		orders:  make(map[string]grid.Order),
 		maxj:    make(map[string]int),
 		current: make(map[string]int),
 		placed:  make([]sched.Placement, g.Len()),
@@ -238,14 +239,19 @@ func newScheduler(g *dfg.Graph, cs int, opt Options, resource bool, frames sched
 	}
 	s.initBounds(extraMax...)
 	s.initLiapunov()
-	s.initTables()
-	return s
+	if err := s.initTables(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // runOnce performs one fixed-cs scheduling run against precomputed
 // frames (which must match cs; see ComputeFrames and Frames.Shifted).
 func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, error) {
-	s := newScheduler(g, cs, opt, resource, frames, extraMax...)
+	s, err := newScheduler(g, cs, opt, resource, frames, extraMax...)
+	if err != nil {
+		return nil, err
+	}
 
 	// MFS step 4: schedule every operation in priority order. Because an
 	// operation's ALAP is always strictly earlier than its successors',
@@ -365,14 +371,38 @@ func (s *scheduler) initLiapunov() {
 	s.lf = liapunov.TimeConstrained{N: n + 1}
 }
 
-func (s *scheduler) initTables() {
-	//hls:orderok builds one independent table per typ, written keyed; no cross-key state
+// initTables builds one table per type and asks the guiding function,
+// once per table, for the walk order that visits it in non-decreasing
+// energy. A withdrawn order, or a column walk over a table that Latency
+// folds (grid.Table.ScanPlaceable's one precondition), is an error
+// naming the smallest such type.
+func (s *scheduler) initTables() error {
+	folded := s.opt.Latency > 0 && s.opt.Latency < s.cs
+	bad := ""
+	//hls:orderok builds one independent table per typ, written keyed; bad is a min fold over type names
 	for typ, m := range s.maxj {
+		ord, ok := s.lf.GridOrder(s.cs, m)
+		if !ok || (ord == grid.ColMajor && folded) {
+			if bad == "" || typ < bad {
+				bad = typ
+			}
+			continue
+		}
 		t := grid.NewTable(typ, s.cs, m)
 		t.Latency = s.opt.Latency
 		t.Pipelined = s.opt.PipelinedTypes[typ]
 		s.tables[typ] = t
+		s.orders[typ] = ord
 	}
+	if bad == "" {
+		return nil
+	}
+	if _, ok := s.lf.GridOrder(s.cs, s.maxj[bad]); !ok {
+		return fmt.Errorf("mfs: guiding function %s withdraws its grid order on the %d-step × %d-unit %q table",
+			s.lf.Name(), s.cs, s.maxj[bad], bad)
+	}
+	return fmt.Errorf("mfs: guiding function %s walks columns, which latency %d folds below %d steps (%q table)",
+		s.lf.Name(), s.opt.Latency, s.cs, bad)
 }
 
 // placeOne schedules one operation: frame it, walk its move frame in
@@ -392,10 +422,10 @@ func (s *scheduler) initTables() {
 func (s *scheduler) placeOne(id dfg.NodeID) error {
 	n := s.g.Node(id)
 	typ := TypeKey(n)
-	table := s.tables[typ]
+	table, ord := s.tables[typ], s.orders[typ]
 	lo, hi, ffTop := s.windowOf(id)
 	for {
-		if p, ok := s.bestPosition(table, id, n.Cycles, lo, hi, s.current[typ]); ok {
+		if p, ok := s.bestPosition(table, ord, id, n.Cycles, lo, hi, s.current[typ]); ok {
 			if err := table.Place(s.g, id, p, n.Cycles); err != nil {
 				return fmt.Errorf("mfs: %w", err)
 			}
@@ -435,86 +465,25 @@ func (s *scheduler) commit(id dfg.NodeID, typ string, p grid.Pos) {
 	}
 }
 
-// disableOrderedWalk forces bestPosition onto the generic sorted path.
-// Tests flip it to cross-check that the ordered bit walk and the sorted
-// enumeration pick identical positions.
-var disableOrderedWalk = false
-
 // bestPosition returns the cheapest legal position within the move
 // window [lo..hi] × [1..cur], filtering occupied cells, footprint
-// conflicts, and chaining overflows.
-//
-// Fast path: when the guiding function certifies (liapunov.Ordered) that
-// one of the grid scan orders visits positions in strictly increasing
-// energy over this table, the window is walked in that order via the
-// table's occupancy index (grid.Table.ScanPlaceable) and the first legal
-// position wins. Otherwise the generic path enumerates the window's
-// positions and sorts by (energy, step, index), the historical
-// semantics; the two paths agree exactly wherever the capability holds,
-// because a strict scan order with the (step, index) tie-break is
-// precisely the sorted order.
-func (s *scheduler) bestPosition(table *grid.Table, id dfg.NodeID, cycles, lo, hi, cur int) (grid.Pos, bool) {
-	if lo < 1 {
-		lo = 1 // Rect clamped identically; ASAP ≥ 1 makes this a no-op
-	}
-	if of, ok := s.lf.(liapunov.Ordered); ok && !disableOrderedWalk {
-		if ord, ok := of.GridOrder(s.cs, table.Max); ok {
-			var best grid.Pos
-			found := false
-			table.ScanPlaceable(s.g, id, s.excl, ord, lo, hi, cur, cycles, func(p grid.Pos) bool {
-				if s.opt.ClockNs > 0 && !s.chainOK(id, p.Step) {
-					return true // placeable but the chain overflows; keep walking
-				}
-				best, found = p, true
-				return false
-			})
-			return best, found
+// conflicts, and chaining overflows. The guiding function certified
+// (liapunov.Ordered) that ord visits the table in strictly increasing
+// energy, so the window is walked in that order via the table's
+// occupancy index (grid.Table.ScanPlaceable) and the first legal
+// position wins: exactly the minimum of a sort by (energy, step,
+// index), which the tests keep as the oracle.
+func (s *scheduler) bestPosition(table *grid.Table, ord grid.Order, id dfg.NodeID, cycles, lo, hi, cur int) (grid.Pos, bool) {
+	var best grid.Pos
+	found := false
+	table.ScanPlaceable(s.g, id, s.excl, ord, lo, hi, cur, cycles, func(p grid.Pos) bool {
+		if s.opt.ClockNs > 0 && !s.chainOK(id, p.Step) {
+			return true // placeable but the chain overflows; keep walking
 		}
-	}
-	sc := &s.sortScratch
-	sc.pos, sc.val = sc.pos[:0], sc.val[:0]
-	for step := lo; step <= hi; step++ { // row-major, as Frame.Positions emitted
-		for idx := 1; idx <= cur; idx++ {
-			p := grid.Pos{Step: step, Index: idx}
-			sc.pos = append(sc.pos, p)
-			sc.val = append(sc.val, s.lf.Value(p))
-		}
-	}
-	sort.Stable(sc)
-	for _, p := range sc.pos {
-		if table.CanPlace(s.g, id, p, cycles) && (s.opt.ClockNs <= 0 || s.chainOK(id, p.Step)) {
-			return p, true
-		}
-	}
-	return grid.Pos{}, false
-}
-
-// posSorter sorts the generic path's candidate positions by (energy,
-// step, index) — the historical sort.SliceStable semantics — over
-// buffers that persist on the scheduler, with energies computed once per
-// position instead of once per comparison. A concrete sort.Interface on
-// a pointer the scheduler already holds keeps the sort allocation-free
-// (sort.SliceStable builds a reflect-based swapper per call).
-type posSorter struct {
-	pos []grid.Pos
-	val []float64
-}
-
-func (ps *posSorter) Len() int { return len(ps.pos) }
-
-func (ps *posSorter) Less(i, j int) bool {
-	if ps.val[i] != ps.val[j] {
-		return ps.val[i] < ps.val[j]
-	}
-	if ps.pos[i].Step != ps.pos[j].Step {
-		return ps.pos[i].Step < ps.pos[j].Step
-	}
-	return ps.pos[i].Index < ps.pos[j].Index
-}
-
-func (ps *posSorter) Swap(i, j int) {
-	ps.pos[i], ps.pos[j] = ps.pos[j], ps.pos[i]
-	ps.val[i], ps.val[j] = ps.val[j], ps.val[i]
+		best, found = p, true
+		return false
+	})
+	return best, found
 }
 
 // windowOf computes an operation's move window against the current

@@ -3,6 +3,7 @@ package mfs
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -469,6 +470,28 @@ func TestLiapunovOverride(t *testing.T) {
 	}
 	if err := s.Verify(nil); err != nil {
 		t.Fatal(err)
+	}
+	wide := false
+	for _, st := range s.Trace.Steps {
+		wide = wide || st.MaxJ > 1
+	}
+	if !wide {
+		t.Fatal("facet at T=5 builds no table wider than 1; the rejections below need one")
+	}
+	// A function with no grid order for some table, and a column walk
+	// over a latency-folded table, are errors: there is no fallback
+	// walk, and neither reaches ScanPlaceable's panic.
+	for _, c := range []struct {
+		name string
+		opt  Options
+		want string
+	}{
+		{"withdrawn order", Options{CS: 5, Liapunov: liapunov.TimeConstrained{N: 2}}, "withdraws its grid order"},
+		{"folded column walk", Options{CS: 5, Latency: 2, Liapunov: liapunov.ResourceConstrained{CS: 6}}, "walks columns"},
+	} {
+		if _, err := Schedule(ex.Graph, c.opt); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }
 

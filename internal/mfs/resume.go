@@ -43,7 +43,10 @@ func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Sched
 	if err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
 	}
-	s := newScheduler(g, opt.CS, opt, false, frames)
+	s, err := newScheduler(g, opt.CS, opt, false, frames)
+	if err != nil {
+		return scheduleTimeConstrained(ctx, g, opt) // reproduces the fresh run's error
+	}
 	oldMaxj, oldCur := boundsFor(prev.Graph, opt.CS, opt, prev.Frames)
 	if !intMapsEqual(s.maxj, oldMaxj) || !intMapsEqual(s.current, oldCur) {
 		return scheduleTimeConstrained(ctx, g, opt)

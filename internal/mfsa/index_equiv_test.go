@@ -10,10 +10,10 @@ import (
 	"repro/internal/grid"
 	"repro/internal/op"
 	"repro/internal/rtl"
+	"repro/internal/sched"
 )
 
-// indexCase is one (graph, options) configuration of the index on/off
-// cross-check.
+// indexCase is one (graph, options) configuration of the replay oracle.
 type indexCase struct {
 	name string
 	g    *dfg.Graph
@@ -69,36 +69,118 @@ func indexCases(t *testing.T) []indexCase {
 	return cases
 }
 
-// TestIndexedSynthesisMatchesDisabledIndex is the tentpole's cross-check
-// at the MFSA layer: with grid.DisableIndex set, the full synthesis —
-// schedule, recorded trace, bound netlist, and cost — must be
-// bit-identical to the indexed run on every benchmark × style ×
-// chaining/pipelining/latency/exclusion variant.
+// checkReplay is the white-box replay oracle of the MFSA engine. It
+// runs Synthesize's placement loop one placeOne at a time and, before
+// each, checks every candidate unit's move-frame walk (movePositions)
+// against the per-cell CanPlace loop at the unit's current_j and at its
+// max_inst columns, and regDelta against the pack-and-diff regDeltaSlow
+// at every step of the window. It then binds the schedule with
+// Allocate's loop, checking regDelta at each bound step. Each replay
+// must reproduce its public entry point exactly — placements, trace,
+// datapath and cost — so the checks saw the states a real run visits.
+func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
+	t.Helper()
+	want, err := Synthesize(g, opt)
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	popt, unitsByOp, err := prepare(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := sched.ComputeFrames(g, popt.CS, popt.ClockNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newState(g, popt, frames, unitsByOp)
+	for _, id := range sched.PriorityOrder(g, frames) {
+		n := g.Node(id)
+		lo, hi := s.window(n)
+		for _, u := range s.unitsFor(n) {
+			if s.maxInst[u.Name] == 0 {
+				continue // never walked (bestCandidate skips it)
+			}
+			table := s.tableOf(u)
+			table.Grow(s.maxInst[u.Name])
+			for _, cur := range []int{s.current[u.Name], s.maxInst[u.Name]} {
+				got := append([]grid.Pos(nil), s.movePositions(table, n, lo, hi, cur)...)
+				var want []grid.Pos
+				for step := lo; step <= hi; step++ {
+					for idx := 1; idx <= cur; idx++ {
+						if p := (grid.Pos{Step: step, Index: idx}); table.CanPlace(g, id, p, n.Cycles) {
+							want = append(want, p)
+						}
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%q on %s [%d..%d] x [1..%d]: index walk %v, per-cell walk %v",
+						n.Name, u.Name, lo, hi, cur, got, want)
+				}
+			}
+		}
+		s.memoGen++ // answer from the counts, not from a memo entry
+		for step := lo; step <= hi; step++ {
+			assertRegDelta(t, s, n, step)
+		}
+		if err := s.placeOne(id); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+	}
+	got, err := s.finish()
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	compareResults(t, "synthesis", got, want)
+
+	// The allocation replay fills in the options as AllocateCtx does:
+	// library and style defaults, and the schedule's CS, clock and latency.
+	aopt := Options{Lib: opt.Lib, Style: opt.Style, Weights: opt.Weights, RegisterInputs: opt.RegisterInputs}
+	wantA, err := Allocate(want.Schedule, aopt)
+	if err != nil {
+		t.Fatalf("Allocate: %v", err)
+	}
+	aopt.Lib, aopt.Style = popt.Lib, popt.Style
+	aopt.CS, aopt.ClockNs, aopt.Latency = want.Schedule.CS, want.Schedule.ClockNs, want.Schedule.Latency
+	st := allocState(g, aopt, nil)
+	for _, id := range allocationOrder(want.Schedule) {
+		st.memoGen++
+		assertRegDelta(t, st, g.Node(id), want.Schedule.Placements[id].Step)
+		if err := st.bindOne(want.Schedule, id); err != nil {
+			t.Fatalf("allocation replay: %v", err)
+		}
+	}
+	gotA, err := st.finishAlloc()
+	if err != nil {
+		t.Fatalf("allocation replay: %v", err)
+	}
+	compareResults(t, "allocation", gotA, wantA)
+}
+
+// TestIndexedSynthesisMatchesDisabledIndex runs checkReplay on every
+// benchmark × style × chaining/pipelining/latency/exclusion variant: the
+// occupancy-index walk must match the per-cell walk it replaced at
+// every state, and the run must match Synthesize bit for bit.
 func TestIndexedSynthesisMatchesDisabledIndex(t *testing.T) {
 	for _, tc := range indexCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			fast, err := Synthesize(tc.g, tc.opt)
-			if err != nil {
-				t.Fatalf("indexed: %v", err)
-			}
-			grid.DisableIndex = true
-			defer func() { grid.DisableIndex = false }()
-			slow, err := Synthesize(tc.g, tc.opt)
-			grid.DisableIndex = false
-			if err != nil {
-				t.Fatalf("index disabled: %v", err)
-			}
-			if !reflect.DeepEqual(fast.Schedule.Placements, slow.Schedule.Placements) {
-				t.Errorf("placements diverge with the index disabled")
-			}
-			if !fast.Schedule.Trace.Equal(slow.Schedule.Trace) {
-				t.Errorf("traces diverge with the index disabled")
-			}
-			compareDatapaths(t, fast.Datapath, slow.Datapath)
-			if fast.Cost != slow.Cost {
-				t.Errorf("cost diverges: %+v vs %+v", fast.Cost, slow.Cost)
-			}
+			checkReplay(t, tc.g, tc.opt)
 		})
+	}
+}
+
+// compareResults asserts two results are bit-identical: placements,
+// trace, datapath and cost.
+func compareResults(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got.Schedule.Placements, want.Schedule.Placements) {
+		t.Errorf("%s: placements diverge from the entry point's", what)
+	}
+	if !got.Schedule.Trace.Equal(want.Schedule.Trace) {
+		t.Errorf("%s: traces diverge from the entry point's", what)
+	}
+	compareDatapaths(t, got.Datapath, want.Datapath)
+	if got.Cost != want.Cost {
+		t.Errorf("%s: cost diverges: %+v vs %+v", what, got.Cost, want.Cost)
 	}
 }
 

@@ -722,10 +722,6 @@ func (s *state) muxAfter(a *rtl.ALU, n *dfg.Node) (area float64, swapped bool) {
 	return direct, false
 }
 
-// checkRegDelta, when set (by the equivalence test), cross-checks every
-// incremental regDelta answer against the direct pack-and-diff oracle.
-var checkRegDelta = false
-
 // regDelta returns how many additional registers the left-edge packer
 // needs when n consumes its inputs at the given step (§4.1's f^REG: zero,
 // one or two). The committed overlap counts are perturbed in place with
@@ -739,30 +735,19 @@ func (s *state) regDelta(n *dfg.Node, step int) int {
 	if s.regMemoGen[step] == s.memoGen {
 		return s.regMemo[step]
 	}
-	var touched [4]*lifetime
-	var saved [4]int
+	// At most two lifetimes are touched: mfsa rejects loop nodes, and
+	// dfg.Validate holds every other node to its op's arity, at most 2.
+	var touched [2]*lifetime
+	var saved [2]int
 	nt := 0
-	overflow := false
 	for _, a := range n.Args {
 		lt := s.life[a]
 		if lt == nil || step <= lt.death {
 			continue
 		}
-		if nt == len(touched) {
-			overflow = true // more live args than the revert buffer holds
-			break
-		}
 		touched[nt], saved[nt] = lt, lt.death
 		nt++
 		s.consume(lt, step)
-	}
-	if overflow {
-		// Never with binary ops; restore and let the oracle do it.
-		for i := nt - 1; i >= 0; i-- {
-			s.revert(touched[i], saved[i])
-		}
-		//hls:allocok cold fallback for >4 live args — unreachable with the library's binary ops
-		return s.regDeltaSlow(n, step)
 	}
 	after := s.maxCnt()
 	for i := nt - 1; i >= 0; i-- {
@@ -772,28 +757,7 @@ func (s *state) regDelta(n *dfg.Node, step int) int {
 	if d < 0 {
 		d = 0
 	}
-	if checkRegDelta {
-		//hls:allocok oracle cross-check, enabled only by the equivalence test
-		if want := s.regDeltaSlow(n, step); want != d {
-			panic(fmt.Sprintf("mfsa: regDelta(%s, %d) = %d, pack-and-diff oracle says %d",
-				n.Name, step, d, want))
-		}
-	}
 	s.regMemo[step], s.regMemoGen[step] = d, s.memoGen
-	return d
-}
-
-// regDeltaSlow is the direct evaluation regDelta replaces — rebuild the
-// interval list with and without the candidate consumption, left-edge
-// pack both, diff the counts. Kept as the oracle the equivalence test
-// (and the rare >4-arg fallback) measures the incremental path against.
-func (s *state) regDeltaSlow(n *dfg.Node, step int) int {
-	before := len(rtl.PackRegisters(s.intervals(nil, 0)))
-	after := len(rtl.PackRegisters(s.intervals(n, step)))
-	d := after - before
-	if d < 0 {
-		d = 0
-	}
 	return d
 }
 

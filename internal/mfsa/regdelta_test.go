@@ -5,23 +5,37 @@ import (
 	"testing"
 
 	"repro/internal/benchmarks"
+	"repro/internal/dfg"
 	"repro/internal/library"
 	"repro/internal/rtl"
 	"repro/internal/sched"
 )
 
-// TestRegDeltaMatchesPackOracle runs full syntheses over every benchmark
-// with checkRegDelta armed, so every single f^REG evaluation the
-// incremental overlap counter produces is cross-checked in regDelta
-// against the original pack-both-interval-lists-and-diff oracle. Any
-// divergence panics with the node and step. Options cover the dimensions
-// that shape lifetimes: chaining (same-step consumption shrinks spans),
-// registered inputs (signals born at boundary 0), reweighted f^REG
-// (different commit orders), and the frozen-time Allocate path.
-func TestRegDeltaMatchesPackOracle(t *testing.T) {
-	checkRegDelta = true
-	defer func() { checkRegDelta = false }()
+// regDeltaSlow is the direct evaluation regDelta replaced, kept as its
+// oracle: rebuild the interval list with and without the candidate
+// consumption, left-edge pack both, diff the counts.
+func (s *state) regDeltaSlow(n *dfg.Node, step int) int {
+	before := len(rtl.PackRegisters(s.intervals(nil, 0)))
+	after := len(rtl.PackRegisters(s.intervals(n, step)))
+	return max(after-before, 0)
+}
 
+// assertRegDelta asserts the incremental f^REG at (n, step) equals the
+// pack-and-diff oracle's.
+func assertRegDelta(t *testing.T, s *state, n *dfg.Node, step int) {
+	t.Helper()
+	if got, want := s.regDelta(n, step), s.regDeltaSlow(n, step); got != want {
+		t.Fatalf("regDelta(%s, %d) = %d, pack-and-diff oracle says %d", n.Name, step, got, want)
+	}
+}
+
+// TestRegDeltaMatchesPackOracle runs checkReplay over every benchmark
+// and time constraint in the dimensions that shape lifetimes: chaining
+// (same-step consumption shrinks spans), registered inputs (signals
+// born at boundary 0) and reweighted f^REG (different commit orders).
+// Every f^REG the synthesis and the frozen-time Allocate can score is
+// checked against regDeltaSlow before the decision that uses it.
+func TestRegDeltaMatchesPackOracle(t *testing.T) {
 	for _, ex := range benchmarks.All() {
 		for _, cs := range ex.TimeConstraints {
 			variants := []struct {
@@ -38,15 +52,7 @@ func TestRegDeltaMatchesPackOracle(t *testing.T) {
 					continue // constraint only feasible with chaining on
 				}
 				t.Run(fmt.Sprintf("%s/T=%d/%s", ex.Name, cs, v.name), func(t *testing.T) {
-					res, err := Synthesize(ex.Graph, v.opt)
-					if err != nil {
-						t.Fatalf("Synthesize: %v", err)
-					}
-					// The frozen-time binder exercises bindOne's memo path
-					// over the schedule the full run just produced.
-					if _, err := Allocate(res.Schedule, Options{Lib: v.opt.Lib, RegisterInputs: v.opt.RegisterInputs}); err != nil {
-						t.Fatalf("Allocate: %v", err)
-					}
+					checkReplay(t, ex.Graph, v.opt)
 				})
 			}
 		}
