@@ -13,9 +13,8 @@
 //     with the hash-consing idiom of internal/symb, insensitive to node
 //     names and node insertion order. Isomorphic graphs — the same DAG
 //     resubmitted under fresh signal names, or rebuilt in a different
-//     node order — hash equal. hlsd computes it only for a request it
-//     synthesizes, embeds it in the response as "hash", and counts the
-//     distinct values it holds as cache buckets; it keys no lookup.
+//     node order — hash equal. No hlsd path computes it; it remains for
+//     perfbench's traced serve run.
 //
 // Both hashes are sensitive to every semantic field: operation kinds,
 // argument positions, cycle counts, chaining delays, mutual-exclusion
@@ -42,9 +41,8 @@
 // keep their shared class color — no tie-break ever consults a name or
 // a declaration position, so isomorphic graphs always hash equal. The
 // price is one-sided: two non-isomorphic graphs that differ only in how
-// refinement-tied inputs are wired can collide into the same bucket,
-// where the Fingerprint guard keeps their entries apart — a shared
-// bucket, never a wrong result.
+// refinement-tied inputs are wired can collide. No cache keys on
+// Canonical, so a collision never serves a wrong result.
 package canon
 
 import (
@@ -181,8 +179,8 @@ func hashLibrary(lib *library.Library) []byte {
 	return digestLibrary(lib)
 }
 
-// ncrLikeHash is the hash of the default library, which every request
-// without a library of its own hashes twice (Fingerprint, Canonical).
+// ncrLikeHash is the hash of the default library, computed once for
+// every hash of a request without a library of its own.
 var ncrLikeHash = sync.OnceValue(func() []byte { return digestLibrary(library.NCRLike()) })
 
 // digestLibrary is hashLibrary for a non-nil library.

@@ -53,60 +53,22 @@ func Sweep(g *dfg.Graph, cfg Config, csLo, csHi int) ([]SweepPoint, error) {
 // SweepCtx is Sweep with cancellation, cfg.Timeout (bounding the whole
 // sweep, not each point), the input-size guards, and the panic-recovery
 // boundary. A cancelled sweep returns ctx.Err(), never partial points.
-func SweepCtx(ctx context.Context, g *dfg.Graph, cfg Config, csLo, csHi int) (points []SweepPoint, err error) {
-	defer guard.Recover("core.Sweep", &err)
-	if err := guardSweepRange(cfg, csLo, csHi); err != nil {
-		return nil, err
-	}
-	if err := guardInput(g, cfg); err != nil {
-		return nil, err
-	}
-	ctx, cancel := withTimeout(ctx, cfg)
-	defer cancel()
-	if cfg.Lib == nil {
-		// Resolve the default library once for the whole sweep instead of
-		// letting every design point rebuild it.
-		cfg.Lib = library.NCRLike()
-	}
-	// The clamp below never silently empties the range: a request whose
-	// whole [csLo, csHi] sits under the critical path used to reach
-	// pool.MapCtx with n <= 0 and return zero points with a nil error — a
-	// success-shaped failure. It is now a typed *guard.RangeError naming
-	// the critical path.
-	if cp := g.CriticalPathCycles(); csLo < cp {
-		if cp > csHi {
-			return nil, fmt.Errorf("core: sweep %s: %w", g.Name,
-				&guard.RangeError{Lo: csLo, Hi: csHi, CriticalPath: cp, Graph: g.Name})
-		}
-		csLo = cp
-	}
-	points, err = pool.MapCtx(ctx, pool.Size(cfg.Parallelism), csHi-csLo+1,
-		func(i int) (SweepPoint, error) {
-			c := cfg
-			c.CS = csLo + i
-			d, err := synthesize(ctx, g, c)
-			if err != nil {
-				return SweepPoint{}, fmt.Errorf("core: sweep at cs=%d: %w", c.CS, err)
-			}
-			return SweepPoint{
-				CS:   c.CS,
-				Cost: d.Cost,
-				ALUs: d.Datapath.ALUSummary(),
-			}, nil
-		})
+// It is row 0 of SweepGraphsCtx over g alone.
+func SweepCtx(ctx context.Context, g *dfg.Graph, cfg Config, csLo, csHi int) ([]SweepPoint, error) {
+	rows, err := SweepGraphsCtx(ctx, []*dfg.Graph{g}, cfg, csLo, csHi)
 	if err != nil {
 		return nil, err
 	}
-	markPareto(points)
-	return points, nil
+	return rows[0], nil
 }
 
 // SweepGraphs sweeps several designs over one shared worker pool: the
 // whole graphs × constraints grid is flattened into independent
 // synthesis jobs, so a multi-design exploration saturates the machine
 // even when individual sweep ranges are short. Each graph's range is
-// clamped to its own critical path, exactly as Sweep would clamp it, and
-// the returned slice is indexed like gs with per-graph Pareto marks.
+// clamped to its own critical path, and the returned slice is indexed
+// like gs with per-graph Pareto marks, so each row equals Sweep of its
+// graph.
 func SweepGraphs(gs []*dfg.Graph, cfg Config, csLo, csHi int) ([][]SweepPoint, error) {
 	return SweepGraphsCtx(context.Background(), gs, cfg, csLo, csHi)
 }
@@ -122,6 +84,8 @@ func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
 	if cfg.Lib == nil {
+		// Resolve the default library once for the whole sweep instead of
+		// letting every design point rebuild it.
 		cfg.Lib = library.NCRLike()
 	}
 	type job struct {
@@ -135,19 +99,19 @@ func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi
 			return nil, err
 		}
 		if g == nil {
-			return nil, fmt.Errorf("core: sweep graphs: nil graph at %d", gi)
+			return nil, fmt.Errorf("core: sweep: nil graph at %d", gi)
 		}
 		if err := guardInput(g, cfg); err != nil {
-			return nil, fmt.Errorf("core: sweep graphs: %s: %w", g.Name, err)
+			return nil, fmt.Errorf("core: sweep %s: %w", g.Name, err)
 		}
 		lo := csLo
 		if cp := g.CriticalPathCycles(); lo < cp {
-			// Same fix as SweepCtx's clamp: a graph whose critical path
-			// exceeds csHi would contribute zero jobs (counts[gi] == 0) and
-			// come back as a silently empty row; fail the request instead,
-			// naming the graph so a batched caller can drop it and retry.
+			// A graph whose critical path exceeds csHi would contribute
+			// no jobs and come back as an empty row with a nil error, a
+			// success-shaped failure: refuse it with a typed
+			// *guard.RangeError naming the graph and its critical path.
 			if cp > csHi {
-				return nil, fmt.Errorf("core: sweep graphs: %w",
+				return nil, fmt.Errorf("core: sweep: %w",
 					&guard.RangeError{Lo: csLo, Hi: csHi, CriticalPath: cp, Graph: g.Name})
 			}
 			lo = cp
@@ -179,9 +143,6 @@ func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi
 	next := 0
 	//hls:ctxok assembles results the pooled workers already computed; O(points) slicing after the cancellable phase is over
 	for gi := range gs {
-		if counts[gi] == 0 {
-			continue
-		}
 		out[gi] = flat[next : next+counts[gi] : next+counts[gi]]
 		next += counts[gi]
 		markPareto(out[gi])

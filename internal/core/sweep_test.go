@@ -85,16 +85,18 @@ func TestSweepParallelIdentical(t *testing.T) {
 	}
 }
 
-// TestSweepGraphs checks the multi-design entry point agrees with
-// per-graph Sweep calls: same points, same Pareto marks, per-graph
-// critical-path clamping intact.
+// TestSweepGraphs checks the multi-design entry point against
+// independent oracles: every point's cost and ALU summary equal a direct
+// Synthesize at that cs, each row starts at its graph's critical path,
+// and the Pareto marks equal the quadratic all-pairs marker's.
 func TestSweepGraphs(t *testing.T) {
 	exs := []*benchmarks.Example{benchmarks.Facet(), benchmarks.Diffeq(), benchmarks.ARLattice()}
 	gs := make([]*dfg.Graph, len(exs))
 	for i, ex := range exs {
 		gs[i] = ex.Graph
 	}
-	multi, err := SweepGraphs(gs, Config{}, 1, 9)
+	const lo, hi = 1, 9
+	multi, err := SweepGraphs(gs, Config{}, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,13 +104,23 @@ func TestSweepGraphs(t *testing.T) {
 		t.Fatalf("len = %d, want %d", len(multi), len(gs))
 	}
 	for i, g := range gs {
-		single, err := Sweep(g, Config{}, 1, 9)
-		if err != nil {
-			t.Fatalf("%s: %v", g.Name, err)
+		row := multi[i]
+		cp := g.CriticalPathCycles()
+		if len(row) != hi-cp+1 {
+			t.Fatalf("%s: %d points, want cs %d..%d", g.Name, len(row), cp, hi)
 		}
-		if !reflect.DeepEqual(multi[i], single) {
-			t.Errorf("%s: SweepGraphs row differs from Sweep\ngot  %+v\nwant %+v",
-				g.Name, multi[i], single)
+		want := make([]SweepPoint, len(row))
+		for k := range row {
+			cs := cp + k
+			d, err := Synthesize(g, Config{CS: cs})
+			if err != nil {
+				t.Fatalf("%s at cs=%d: %v", g.Name, cs, err)
+			}
+			want[k] = SweepPoint{CS: cs, Cost: d.Cost, ALUs: d.Datapath.ALUSummary()}
+		}
+		brutePareto(want)
+		if !reflect.DeepEqual(row, want) {
+			t.Errorf("%s: SweepGraphs row differs from direct synthesis\ngot  %+v\nwant %+v", g.Name, row, want)
 		}
 	}
 	if _, err := SweepGraphs(gs, Config{}, 0, 9); err == nil {

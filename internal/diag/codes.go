@@ -10,15 +10,15 @@ const (
 	CodeAnalyzerCrash = "HL0001" // an analyzer returned a hard error instead of diagnostics
 
 	// Data-flow graph (HL001x).
-	CodeDFGEmptyName   = "HL0010" // node with an empty output-signal name
-	CodeDFGUndefined   = "HL0011" // dangling edge: argument names no input or node output
-	CodeDFGArity       = "HL0012" // operand count disagrees with the op table arity
-	CodeDFGCycle       = "HL0013" // the name-resolved dataflow relation has a cycle
-	CodeDFGDeadNode    = "HL0014" // node unreachable backwards from any declared output
-	CodeDFGCrossLink   = "HL0015" // cached pred/succ links disagree with the Args relation
-	CodeDFGBadCycles   = "HL0016" // non-positive per-node cycle count
-	CodeDFGBadLoop     = "HL0017" // malformed folded-loop node
-	CodeDFGDupName     = "HL0018" // two nodes (or a node and an input) share a name
+	CodeDFGEmptyName = "HL0010" // node with an empty output-signal name
+	CodeDFGUndefined = "HL0011" // dangling edge: argument names no input or node output
+	CodeDFGArity     = "HL0012" // operand count disagrees with the op table arity
+	CodeDFGCycle     = "HL0013" // the name-resolved dataflow relation has a cycle
+	CodeDFGDeadNode  = "HL0014" // node unreachable backwards from any declared output
+	CodeDFGCrossLink = "HL0015" // cached pred/succ links disagree with the Args relation
+	CodeDFGBadCycles = "HL0016" // non-positive per-node cycle count
+	CodeDFGBadLoop   = "HL0017" // malformed folded-loop node
+	CodeDFGDupName   = "HL0018" // two nodes (or a node and an input) share a name
 
 	// Frames and schedule legality (HL01xx).
 	CodeFrameIdentity = "HL0101" // recorded MF != PF − (RF ∪ FF)

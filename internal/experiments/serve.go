@@ -17,31 +17,21 @@ import (
 )
 
 // Replay fleet shape: serveClients concurrent clients each issuing
-// serveRequestsPerClient requests round-robin over the warmed workload,
-// and a serveSweepBurst-wide concurrent /sweep wave to exercise the
-// batcher. The fleet is sized to stress admission and the cache hot
-// path, not the synthesis engine — replay requests are hits.
+// serveRequestsPerClient requests round-robin over the warmed workload.
+// The fleet is sized to stress admission and the cache hot path, not
+// the synthesis engine — replay requests are hits.
 const (
 	serveClients           = 1000
 	serveRequestsPerClient = 4
-	serveSweepBurst        = 4 // concurrent duplicates per sweep graph
-	serveSweepHi           = 8 // shared range hi; covers cp <= 8 graphs
 )
 
-// serveRequest is one replayable unit: a pre-marshalled request body
-// and the endpoint it goes to.
-type serveRequest struct {
-	path string
-	body []byte
-}
-
-// serveWorkload builds the distinct request set: every benchmark
-// example synthesized at its critical path and at two relaxed
+// serveWorkload builds the distinct /synthesize request bodies: every
+// benchmark example synthesized at its critical path and at two relaxed
 // schedules (cp, cp+1, cp+2 — always feasible, unlike the paper's T
 // values, which can undershoot a graph's cycle-accurate critical
 // path). Each (graph, cs) pair is one cache entry.
-func serveWorkload() ([]serveRequest, error) {
-	var reqs []serveRequest
+func serveWorkload() ([][]byte, error) {
+	var reqs [][]byte
 	for _, ex := range benchmarks.All() {
 		gj, err := dfgio.EncodeGraph(ex.Graph)
 		if err != nil {
@@ -56,36 +46,7 @@ func serveWorkload() ([]serveRequest, error) {
 			if err != nil {
 				return nil, err
 			}
-			reqs = append(reqs, serveRequest{path: "/synthesize", body: body})
-		}
-	}
-	return reqs, nil
-}
-
-// serveSweepWave builds the concurrent /sweep burst: every example
-// whose critical path fits the shared [1, serveSweepHi] range, each
-// duplicated serveSweepBurst times so the batcher sees a real burst of
-// coalescable work.
-func serveSweepWave() ([]serveRequest, error) {
-	var reqs []serveRequest
-	for _, ex := range benchmarks.All() {
-		if ex.Graph.CriticalPathCycles() > serveSweepHi {
-			continue
-		}
-		gj, err := dfgio.EncodeGraph(ex.Graph)
-		if err != nil {
-			return nil, err
-		}
-		body, err := json.Marshal(&serve.SweepRequest{
-			Graph: gj,
-			CsLo:  1,
-			CsHi:  serveSweepHi,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < serveSweepBurst; i++ {
-			reqs = append(reqs, serveRequest{path: "/sweep", body: body})
+			reqs = append(reqs, body)
 		}
 	}
 	return reqs, nil
@@ -98,11 +59,10 @@ func serveSweepWave() ([]serveRequest, error) {
 // synthesis service sees, where almost everything is a cache hit. The
 // snapshot pins the client-observed hit-path latency percentiles, the
 // hit rate (every replay request repeats a warmed one, so anything
-// below 1 means the cache dropped entries it had room for), the
+// below 1 means the cache dropped entries it had room for), and the
 // byte-identity guarantee (a hit must return the exact bytes the miss
-// produced), and whether a concurrent /sweep burst coalesced into fewer
-// engine batches than requests. Every issued request carries ctx, so a
-// cancelled measurement unwinds promptly.
+// produced). Every issued request carries ctx, so a cancelled
+// measurement unwinds promptly.
 func MeasureServeCtx(ctx context.Context) (*Snapshot, error) {
 	return measureServe(ctx, serveClients, serveRequestsPerClient)
 }
@@ -139,23 +99,13 @@ func measureServe(ctx context.Context, clients, perClient int) (*Snapshot, error
 		for i, rq := range work {
 			body, _, err := serveDo(ctx, client, ts.URL, rq)
 			if err != nil {
-				return fmt.Errorf("warm %s #%d: %w", rq.path, i, err)
+				return fmt.Errorf("warm #%d: %w", i, err)
 			}
 			warm[i] = body
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
-	}
-
-	// Sweep burst: concurrent coalescable /sweep requests, before the
-	// replay so the burst is cold and actually batches.
-	wave, err := serveSweepWave()
-	if err != nil {
-		return nil, err
-	}
-	if err := serveBurst(ctx, client, ts.URL, wave); err != nil {
 		return nil, err
 	}
 
@@ -216,7 +166,6 @@ func measureServe(ctx context.Context, clients, perClient int) (*Snapshot, error
 	}
 	sort.Float64s(lat)
 
-	m := srv.Metrics()
 	total := clients * perClient
 	return newSnapshot("serve", []Metric{
 		info("serve/clients", float64(clients), "clients", ""),
@@ -229,16 +178,13 @@ func measureServe(ctx context.Context, clients, perClient int) (*Snapshot, error
 		info("serve/throughput", float64(total)/replayT.wall.Seconds(), "1/s", "higher"),
 		{Name: "serve/hit_rate", Value: float64(hits) / float64(total), Unit: "ratio", Better: "higher", Exact: true},
 		verdict("serve/byte_identical", identical),
-		info("serve/sweep_batches", float64(m.Batches), "batches", "lower"),
-		info("serve/sweep_batched_requests", float64(m.BatchedReqs), "requests", ""),
-		verdict("serve/sweep_coalesced", m.Batches < m.BatchedReqs),
 	}), nil
 }
 
-// serveDo issues one request and returns the response body and the
-// cache verdict. Non-200 statuses are errors carrying the body text.
-func serveDo(ctx context.Context, client *http.Client, base string, rq serveRequest) ([]byte, bool, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+rq.path, bytes.NewReader(rq.body))
+// serveDo posts one /synthesize body and returns the response body and
+// the cache verdict. Non-200 statuses are errors carrying the body text.
+func serveDo(ctx context.Context, client *http.Client, base string, body []byte) ([]byte, bool, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/synthesize", bytes.NewReader(body))
 	if err != nil {
 		return nil, false, err
 	}
@@ -253,28 +199,7 @@ func serveDo(ctx context.Context, client *http.Client, base string, rq serveRequ
 		return nil, false, err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("%s: status %d: %s", rq.path, resp.StatusCode, buf.String())
+		return nil, false, fmt.Errorf("/synthesize: status %d: %s", resp.StatusCode, buf.String())
 	}
 	return buf.Bytes(), resp.Header.Get("X-Hlsd-Cache") == "hit", nil
-}
-
-// serveBurst fires every request concurrently and waits for all of
-// them; first error wins.
-func serveBurst(ctx context.Context, client *http.Client, base string, reqs []serveRequest) error {
-	errs := make([]error, len(reqs))
-	var wg sync.WaitGroup
-	for i, rq := range reqs {
-		wg.Add(1)
-		go func(i int, rq serveRequest) {
-			defer wg.Done()
-			_, _, errs[i] = serveDo(ctx, client, base, rq)
-		}(i, rq)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return fmt.Errorf("sweep burst: %w", err)
-		}
-	}
-	return nil
 }

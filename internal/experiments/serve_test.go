@@ -11,8 +11,8 @@ import (
 
 // TestMeasureServeSmallFleet runs the full harness with a small fleet —
 // the identical code path hlsbench -serve takes, scaled so the test
-// stays fast. The correctness verdicts (hit rate, byte identity,
-// batching) must hold at any fleet size.
+// stays fast. The correctness verdicts (hit rate, byte identity) must
+// hold at any fleet size.
 func TestMeasureServeSmallFleet(t *testing.T) {
 	s, err := measureServe(context.Background(), 8, 2)
 	if err != nil {
@@ -33,10 +33,6 @@ func TestMeasureServeSmallFleet(t *testing.T) {
 	}
 	if value("serve/byte_identical") != 1 {
 		t.Error("replayed responses not byte-identical to the warm bodies")
-	}
-	if value("serve/sweep_coalesced") != 1 {
-		t.Errorf("sweep burst: %v requests in %v batches, want coalescing",
-			value("serve/sweep_batched_requests"), value("serve/sweep_batches"))
 	}
 	if value("serve/warm") <= 0 || value("serve/replay") <= 0 || value("serve/p99") < value("serve/p50") {
 		t.Errorf("implausible timings: warm %v replay %v p50 %v p99 %v",

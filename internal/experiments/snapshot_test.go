@@ -222,7 +222,7 @@ func TestCompareScale(t *testing.T) {
 }
 
 func TestCompareServe(t *testing.T) {
-	checkParity(t, "serve", []string{"serve/hit_rate", "serve/byte_identical", "serve/sweep_coalesced"}, 4)
+	checkParity(t, "serve", []string{"serve/hit_rate", "serve/byte_identical"}, 4)
 }
 
 func TestCompareVet(t *testing.T) {

@@ -313,9 +313,9 @@ func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 		topoIdx[id] = i
 	}
 
-	wireVal := make(map[string]*symb.Expr)  // signal -> value its ALU computes
-	wireReady := make(map[string]int)       // signal -> finish step of its action
-	latched := make(map[string]*symb.Expr)  // signal -> value its register holds
+	wireVal := make(map[string]*symb.Expr) // signal -> value its ALU computes
+	wireReady := make(map[string]int)      // signal -> finish step of its action
+	latched := make(map[string]*symb.Expr) // signal -> value its register holds
 
 	// resolve yields the symbolic value the hardware delivers when an
 	// operand signal is read during step t.

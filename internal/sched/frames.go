@@ -90,11 +90,24 @@ func ComputeFrames(g *dfg.Graph, cs int, clockNs float64) (Frames, error) {
 	return frames, nil
 }
 
+// ClockError reports a single-cycle node whose combinational delay
+// exceeds the chaining clock period, so no control step can hold it.
+type ClockError struct {
+	Graph   string
+	Node    string
+	DelayNs float64
+	ClockNs float64
+}
+
+func (e *ClockError) Error() string {
+	return fmt.Sprintf("sched: %s: node %q delay %.1fns exceeds clock %.1fns; mark it multicycle",
+		e.Graph, e.Node, e.DelayNs, e.ClockNs)
+}
+
 func checkDelaysFit(g *dfg.Graph, clockNs float64) error {
 	for _, n := range g.Nodes() {
 		if n.Cycles == 1 && !n.IsLoop() && n.DelayNs > clockNs {
-			return fmt.Errorf("sched: %s: node %q delay %.1fns exceeds clock %.1fns; mark it multicycle",
-				g.Name, n.Name, n.DelayNs, clockNs)
+			return &ClockError{Graph: g.Name, Node: n.Name, DelayNs: n.DelayNs, ClockNs: clockNs}
 		}
 	}
 	return nil

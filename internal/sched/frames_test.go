@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/dfg"
@@ -170,8 +171,17 @@ func TestFramesChainingRejectsOversizedDelay(t *testing.T) {
 	g := chain(t, 1)
 	n := g.Nodes()[0]
 	g.SetDelayNs(n.ID, 150)
-	if _, err := ComputeFrames(g, 3, 100); err == nil {
-		t.Error("single-cycle op slower than the clock accepted")
+	_, err := ComputeFrames(g, 3, 100)
+	var ce *ClockError
+	if !errors.As(err, &ce) {
+		t.Fatalf("err = %v, want *ClockError", err)
+	}
+	if ce.Node != n.Name || ce.DelayNs != 150 || ce.ClockNs != 100 {
+		t.Errorf("ClockError = %+v", ce)
+	}
+	want := fmt.Sprintf("sched: %s: node %q delay 150.0ns exceeds clock 100.0ns; mark it multicycle", g.Name, n.Name)
+	if err.Error() != want {
+		t.Errorf("message %q, want %q", err, want)
 	}
 	// Marking it multicycle fixes it.
 	g.SetCycles(n.ID, 2)

@@ -9,16 +9,14 @@ import (
 
 // cacheEntry is one stored response body on the LRU list, stored under
 // its entry key (the strict fingerprint mixed with the endpoint and its
-// response-shaping options). bucket is the request graph's canonical
-// hash, kept only for the Buckets gauge. front is the one front key
-// (endpoint plus raw request bytes) that answers from this entry
-// without decoding; zero when none does.
+// response-shaping options). front is the one front key (endpoint plus
+// raw request bytes) that answers from this entry without decoding;
+// zero when none does.
 type cacheEntry struct {
-	key    canon.Hash
-	bucket canon.Hash
-	front  canon.Hash
-	body   []byte
-	elem   *list.Element
+	key   canon.Hash
+	front canon.Hash
+	body  []byte
+	elem  *list.Element
 }
 
 // CacheStats is the cache section of the /metrics report.
@@ -27,7 +25,6 @@ type CacheStats struct {
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
-	Buckets   int    `json:"buckets"`
 	Bytes     int64  `json:"bytes"`
 }
 
@@ -47,7 +44,6 @@ type cache struct {
 	ll      *list.List // *cacheEntry; front = most recently used
 	entries map[canon.Hash]*cacheEntry
 	fronts  map[canon.Hash]*cacheEntry // at most one alias per entry
-	buckets map[canon.Hash]int         // live entries per canonical bucket
 
 	bytes                   int64
 	hits, misses, evictions uint64
@@ -60,7 +56,6 @@ func newCache(maxEntries int, maxBytes int64) *cache {
 		ll:         list.New(),
 		entries:    make(map[canon.Hash]*cacheEntry),
 		fronts:     make(map[canon.Hash]*cacheEntry),
-		buckets:    make(map[canon.Hash]int),
 	}
 }
 
@@ -101,7 +96,7 @@ func (c *cache) get(key, front canon.Hash) ([]byte, bool) {
 // to front, and evicts from the cold end until both knobs are
 // satisfied. A body larger than MaxBytes on its own is not cached at
 // all.
-func (c *cache) put(key, bucket, front canon.Hash, body []byte) {
+func (c *cache) put(key, front canon.Hash, body []byte) {
 	if c.maxBytes > 0 && int64(len(body)) > c.maxBytes {
 		return
 	}
@@ -113,10 +108,9 @@ func (c *cache) put(key, bucket, front canon.Hash, body []byte) {
 		e.body = body
 		c.ll.MoveToFront(e.elem)
 	} else {
-		e = &cacheEntry{key: key, bucket: bucket, body: body}
+		e = &cacheEntry{key: key, body: body}
 		e.elem = c.ll.PushFront(e)
 		c.entries[key] = e
-		c.buckets[bucket]++
 		c.bytes += int64(len(body))
 	}
 	c.alias(e, front)
@@ -155,10 +149,6 @@ func (c *cache) evictOldest() {
 		delete(c.fronts, e.front)
 	}
 	c.bytes -= int64(len(e.body))
-	c.buckets[e.bucket]--
-	if c.buckets[e.bucket] == 0 {
-		delete(c.buckets, e.bucket)
-	}
 	c.evictions++
 }
 
@@ -170,7 +160,6 @@ func (c *cache) stats() CacheStats {
 		Misses:    c.misses,
 		Evictions: c.evictions,
 		Entries:   len(c.entries),
-		Buckets:   len(c.buckets),
 		Bytes:     c.bytes,
 	}
 }

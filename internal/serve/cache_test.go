@@ -8,37 +8,31 @@ import (
 	"repro/internal/canon"
 )
 
-// key is a test entry key: entry in byte 0, bucket in byte 1, so keys
-// that share a bucket byte model the isomorphic-rename case.
-func key(bucket, entry byte) canon.Hash {
+// key is a test entry key with n in byte 0.
+func key(n byte) canon.Hash {
 	var k canon.Hash
-	k[0] = entry
-	k[1] = bucket
+	k[0] = n
 	return k
 }
 
-// put stores body under k with k's bucket and no front alias.
-func put(c *cache, k canon.Hash, body []byte) {
-	var bucket canon.Hash
-	bucket[0] = k[1]
-	c.put(k, bucket, canon.Hash{}, body)
-}
+// put stores body under k with no front alias.
+func put(c *cache, k canon.Hash, body []byte) { c.put(k, canon.Hash{}, body) }
 
 // get looks k up without re-pointing any alias.
 func get(c *cache, k canon.Hash) ([]byte, bool) { return c.get(k, canon.Hash{}) }
 
 func TestCacheLRUByEntries(t *testing.T) {
 	c := newCache(2, 0)
-	put(c, key(1, 1), []byte("a"))
-	put(c, key(2, 1), []byte("b"))
-	if _, ok := get(c, key(1, 1)); !ok { // touch 1: now 2 is coldest
+	put(c, key(1), []byte("a"))
+	put(c, key(2), []byte("b"))
+	if _, ok := get(c, key(1)); !ok { // touch 1: now 2 is coldest
 		t.Fatal("entry 1 missing")
 	}
-	put(c, key(3, 1), []byte("c")) // evicts 2
-	if _, ok := get(c, key(2, 1)); ok {
+	put(c, key(3), []byte("c")) // evicts 2
+	if _, ok := get(c, key(2)); ok {
 		t.Error("coldest entry not evicted")
 	}
-	if _, ok := get(c, key(1, 1)); !ok {
+	if _, ok := get(c, key(1)); !ok {
 		t.Error("recently used entry evicted")
 	}
 	st := c.stats()
@@ -49,10 +43,10 @@ func TestCacheLRUByEntries(t *testing.T) {
 
 func TestCacheLRUByBytes(t *testing.T) {
 	c := newCache(0, 10)
-	put(c, key(1, 1), []byte("aaaa"))
-	put(c, key(2, 1), []byte("bbbb"))
-	put(c, key(3, 1), []byte("cccc")) // 12 bytes > 10: evicts key 1
-	if _, ok := get(c, key(1, 1)); ok {
+	put(c, key(1), []byte("aaaa"))
+	put(c, key(2), []byte("bbbb"))
+	put(c, key(3), []byte("cccc")) // 12 bytes > 10: evicts key 1
+	if _, ok := get(c, key(1)); ok {
 		t.Error("byte cap did not evict the coldest entry")
 	}
 	if st := c.stats(); st.Bytes != 8 {
@@ -60,37 +54,30 @@ func TestCacheLRUByBytes(t *testing.T) {
 	}
 
 	// A body that alone exceeds the cap is not admitted at all.
-	put(c, key(4, 1), bytes.Repeat([]byte("x"), 11))
-	if _, ok := get(c, key(4, 1)); ok {
+	put(c, key(4), bytes.Repeat([]byte("x"), 11))
+	if _, ok := get(c, key(4)); ok {
 		t.Error("oversized body admitted")
 	}
 }
 
 func TestCacheBucketAccounting(t *testing.T) {
 	c := newCache(8, 0)
-	// Two entries in one bucket (same canonical hash, different
-	// fingerprints — the isomorphic-rename case), one in another.
-	put(c, key(1, 1), []byte("a"))
-	put(c, key(1, 2), []byte("b"))
-	put(c, key(2, 1), []byte("c"))
-	st := c.stats()
-	if st.Entries != 3 || st.Buckets != 2 {
-		t.Errorf("stats = %+v, want 3 entries in 2 buckets", st)
-	}
+	put(c, key(1), []byte("a"))
+	put(c, key(2), []byte("b"))
+	put(c, key(3), []byte("c"))
 
 	// Replacing an entry must not double-count.
-	put(c, key(1, 1), []byte("aa"))
-	st = c.stats()
-	if st.Entries != 3 || st.Buckets != 2 || st.Bytes != 4 {
-		t.Errorf("after replace: stats = %+v, want 3 entries, 2 buckets, 4 bytes", st)
+	put(c, key(1), []byte("aa"))
+	if st := c.stats(); st.Entries != 3 || st.Bytes != 4 {
+		t.Errorf("after replace: stats = %+v, want 3 entries, 4 bytes", st)
 	}
 }
 
 func TestCacheReplaceUpdatesBody(t *testing.T) {
 	c := newCache(4, 0)
-	put(c, key(1, 1), []byte("old"))
-	put(c, key(1, 1), []byte("new"))
-	got, ok := get(c, key(1, 1))
+	put(c, key(1), []byte("old"))
+	put(c, key(1), []byte("new"))
+	got, ok := get(c, key(1))
 	if !ok || string(got) != "new" {
 		t.Errorf("got %q, %v; want new", got, ok)
 	}
@@ -129,7 +116,7 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
-				k := key(byte(i%16), byte(w))
+				k := key(byte(w*16 + i%16))
 				put(c, k, []byte(fmt.Sprintf("%d-%d", w, i)))
 				get(c, k)
 			}

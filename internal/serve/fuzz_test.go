@@ -10,46 +10,81 @@ import (
 	"repro/internal/dfgio"
 )
 
-// FuzzSynthesizeBody drives arbitrary bytes through POST /synthesize.
-// The handler must never panic or answer 500, the same bytes sent again
-// must get the same status, and after a 200 the repeat must be a cache
-// hit with identical bytes. The short DefaultTimeout turns a fuzzed
-// time constraint that would synthesize for long into a 504; whether a
-// deadline fires depends on the clock, not on the bytes, so a 504 is
-// the one status a repeat may change.
-func FuzzSynthesizeBody(f *testing.F) {
+// postPaths are the endpoints FuzzPostBody drives, picked by its
+// endpoint byte.
+var postPaths = [...]string{"/synthesize", "/sweep", "/certify"}
+
+// postBody is the request body for postPaths[ep] carrying one graph and
+// cfg; a /sweep spans cfg.CS to two steps past it.
+func postBody(tb testing.TB, ep int, gj []byte, cfg ConfigJSON) []byte {
+	if postPaths[ep] == "/sweep" {
+		return mustMarshal(tb, SweepRequest{Graph: gj, CsLo: cfg.CS, CsHi: cfg.CS + 2, Config: cfg})
+	}
+	return mustMarshal(tb, SynthesizeRequest{Graph: gj, Config: cfg})
+}
+
+// FuzzPostBody drives arbitrary bytes through POST /synthesize, /sweep
+// or /certify, picked by the endpoint byte. The handler must never panic
+// or answer 500, the same bytes sent again must get the same status, and
+// after a 200 the repeat must be a cache hit with identical bytes. The
+// short DefaultTimeout turns a fuzzed time constraint that would
+// synthesize for long into a 504; whether a deadline fires depends on
+// the clock, not on the bytes, so a 504 is the one status a repeat may
+// change.
+func FuzzPostBody(f *testing.F) {
 	for _, ex := range benchmarks.All() {
 		gj, err := dfgio.EncodeGraph(ex.Graph)
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(mustMarshal(f, SynthesizeRequest{Graph: gj, Config: ConfigJSON{CS: ex.Graph.CriticalPathCycles()}}))
+		for ep := range postPaths {
+			f.Add(byte(ep), postBody(f, ep, gj, ConfigJSON{CS: ex.Graph.CriticalPathCycles()}))
+		}
 	}
-	f.Add(mustMarshal(f, SynthesizeRequest{Source: "design mac\ninput a, b, c\ny = a * b + c\n", Config: ConfigJSON{CS: 3}}))
+	f.Add(byte(0), mustMarshal(f, SynthesizeRequest{Source: "design mac\ninput a, b, c\ny = a * b + c\n", Config: ConfigJSON{CS: 3}}))
+
+	// Config-heavy bodies on facet, whose mul has an 80 ns delay.
+	gj, err := dfgio.EncodeGraph(benchmarks.Facet().Graph)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cfg := range []ConfigJSON{
+		{CS: 4, ClockNs: 50},
+		{CS: 4, Latency: 2},
+		{CS: 4, Style: 2},
+		{CS: 4, PipelinedOps: []string{"*"}},
+		{CS: 4, Limits: map[string]int{"fu_mul": 1, "fu_add": 1, "fu_sub": 1}},
+		{CS: 4, Weights: []float64{1, 50, 1, 1}},
+	} {
+		for ep := range postPaths {
+			f.Add(byte(ep), postBody(f, ep, gj, cfg))
+		}
+	}
 
 	s := New(Options{DefaultTimeout: 200 * time.Millisecond})
 	f.Cleanup(s.Close)
 	h := s.Handler()
-	f.Fuzz(func(t *testing.T, body []byte) {
-		first := serveOnce(h, body)
+	f.Fuzz(func(t *testing.T, ep byte, body []byte) {
+		path := postPaths[int(ep)%len(postPaths)]
+		first := serveOnce(h, path, body)
 		if first.Code == http.StatusInternalServerError {
-			t.Fatalf("500: %s", first.Body)
+			t.Fatalf("%s: 500: %s", path, first.Body)
 		}
-		again := serveOnce(h, body)
+		again := serveOnce(h, path, body)
 		if again.Code == http.StatusInternalServerError {
-			t.Fatalf("repeat: 500: %s", again.Body)
+			t.Fatalf("%s: repeat: 500: %s", path, again.Body)
 		}
 		if first.Code != again.Code && first.Code != http.StatusGatewayTimeout {
-			t.Fatalf("status %d, then %d on the repeat: %s", first.Code, again.Code, again.Body)
+			t.Fatalf("%s: status %d, then %d on the repeat: %s", path, first.Code, again.Code, again.Body)
 		}
 		if first.Code != http.StatusOK {
 			return
 		}
 		if v := again.Header().Get("X-Hlsd-Cache"); v != "hit" {
-			t.Errorf("repeat of a 200: verdict %q, want hit", v)
+			t.Errorf("%s: repeat of a 200: verdict %q, want hit", path, v)
 		}
 		if !bytes.Equal(first.Body.Bytes(), again.Body.Bytes()) {
-			t.Error("repeat of a 200 returned other bytes")
+			t.Errorf("%s: repeat of a 200 returned other bytes", path)
 		}
 	})
 }

@@ -42,11 +42,11 @@ func reencode(tb testing.TB, gj json.RawMessage, cfg ConfigJSON) []byte {
 	return b
 }
 
-// serveOnce posts body to /synthesize on h in process and returns the
+// serveOnce posts body to path on h in process and returns the
 // recorded response.
-func serveOnce(h http.Handler, body []byte) *httptest.ResponseRecorder {
+func serveOnce(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/synthesize", bytes.NewReader(body)))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
 	return rec
 }
 
@@ -68,14 +68,14 @@ func BenchmarkHitPath(b *testing.B) {
 			defer s.Close()
 			h := s.Handler()
 			for _, body := range bc.bodies {
-				if rec := serveOnce(h, body); rec.Code != http.StatusOK {
+				if rec := serveOnce(h, "/synthesize", body); rec.Code != http.StatusOK {
 					b.Fatalf("warm: status %d: %s", rec.Code, rec.Body)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				rec := serveOnce(h, bc.bodies[i%len(bc.bodies)])
+				rec := serveOnce(h, "/synthesize", bc.bodies[i%len(bc.bodies)])
 				if rec.Header().Get("X-Hlsd-Cache") != "hit" {
 					b.Fatalf("request %d: status %d, verdict %q", i, rec.Code, rec.Header().Get("X-Hlsd-Cache"))
 				}
@@ -101,12 +101,12 @@ func TestFrontHitAllocs(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	h := s.Handler()
-	if rec := serveOnce(h, compact); rec.Code != http.StatusOK {
+	if rec := serveOnce(h, "/synthesize", compact); rec.Code != http.StatusOK {
 		t.Fatalf("warm: status %d: %s", rec.Code, rec.Body)
 	}
 	var verdict string
 	allocs := testing.AllocsPerRun(100, func() {
-		verdict = serveOnce(h, compact).Header().Get("X-Hlsd-Cache")
+		verdict = serveOnce(h, "/synthesize", compact).Header().Get("X-Hlsd-Cache")
 	})
 	if verdict != "hit" {
 		t.Fatalf("repeat verdict %q, want hit", verdict)

@@ -1,16 +1,16 @@
 // Package serve is the synthesis-as-a-service daemon behind cmd/hlsd:
 // an HTTP/JSON front end over the public hls façade with a
-// content-addressed result cache, so identical — or isomorphic —
-// requests are answered from memory instead of re-synthesized.
+// content-addressed result cache, so identical requests are answered
+// from memory instead of re-synthesized.
 //
 // Endpoints:
 //
 //   - POST /synthesize — one graph (dfgio JSON) or behavioral source,
 //     synthesized under the request config; optional netlist/schedule
 //     in the response.
-//   - POST /sweep — one graph plus a [cs_lo, cs_hi] range; queued
-//     requests with the same config and range are coalesced into a
-//     single hls.SweepGraphsCtx fan-out (see batch.go).
+//   - POST /sweep — one graph plus a [cs_lo, cs_hi] range, swept by
+//     hls.SweepCtx on one worker slot that fans the points out across
+//     the machine.
 //   - POST /certify — synthesize, then run the translation-validation
 //     pass and return the lint certificate.
 //   - GET /metrics — request, cache, queue, and latency counters.
@@ -24,12 +24,10 @@
 // response-shaping options (strict byte identity — responses embed
 // names, so only requests that would produce the very same bytes share
 // an entry); an entry hit re-points the entry's front alias to the new
-// bytes. Only an entry miss computes canon.Canonical, which every
-// response embeds as "hash" and which the Buckets gauge counts
-// (isomorphic graphs share a bucket). A hit does no synthesis work; the
-// X-Hlsd-Cache response header says "hit" or "miss" so the body itself
-// stays byte-identical either way. Eviction is LRU with entry-count and
-// total-byte knobs.
+// bytes. Every response embeds its entry key as "hash". A hit does no
+// synthesis work; the X-Hlsd-Cache response header says "hit" or "miss"
+// so the body itself stays byte-identical either way. Eviction is LRU
+// with entry-count and total-byte knobs.
 //
 // Bounded work: at most Options.Workers requests synthesize at once; up
 // to Options.QueueDepth more wait in line, and everything beyond that
@@ -68,8 +66,8 @@ import (
 // noted on each field.
 type Options struct {
 	// Workers bounds concurrent synthesis work (default: pool.Size(0),
-	// the machine's GOMAXPROCS). A /sweep batch occupies one worker and
-	// fans out internally on the request parallelism.
+	// the machine's GOMAXPROCS). A /sweep occupies one worker and fans
+	// its points out across the machine.
 	Workers int
 
 	// QueueDepth bounds how many requests may wait for a worker before
@@ -85,12 +83,6 @@ type Options struct {
 	// DefaultTimeout bounds each request's synthesis work when the
 	// request config carries no timeout of its own (default 60s).
 	DefaultTimeout time.Duration
-
-	// BatchWindow is how long the first /sweep request of a batch waits
-	// for companions before the batch runs (default 2ms); BatchMax
-	// flushes a batch early once it holds that many graphs (default 16).
-	BatchWindow time.Duration
-	BatchMax    int
 }
 
 func (o Options) withDefaults() Options {
@@ -113,12 +105,6 @@ func (o Options) withDefaults() Options {
 	if o.DefaultTimeout == 0 {
 		o.DefaultTimeout = 60 * time.Second
 	}
-	if o.BatchWindow <= 0 {
-		o.BatchWindow = 2 * time.Millisecond
-	}
-	if o.BatchMax <= 0 {
-		o.BatchMax = 16
-	}
 	return o
 }
 
@@ -126,9 +112,8 @@ func (o Options) withDefaults() Options {
 // QueueDepth requests are already waiting for a worker.
 var ErrQueueFull = errors.New("serve: request queue full")
 
-// Server is the daemon state: cache, worker slots, sweep batcher, and
-// counters. Create with New, mount Handler on an http.Server, and call
-// Close to drain.
+// Server is the daemon state: cache, worker slots, and counters. Create
+// with New, mount Handler on an http.Server, and call Close to drain.
 type Server struct {
 	opts     Options
 	ctx      context.Context // done when Close is called
@@ -137,7 +122,6 @@ type Server struct {
 	queued   atomic.Int64
 	inFlight atomic.Int64
 	cache    *cache
-	batcher  *batcher
 	mux      *http.ServeMux
 
 	mu       sync.Mutex
@@ -166,11 +150,10 @@ func New(opts Options) *Server {
 		errs:     make(map[string]uint64),
 		lat:      make([]float64, 0, latRing),
 	}
-	s.batcher = newBatcher(s)
 	mux := http.NewServeMux()
-	mux.Handle("/synthesize", s.cachedEndpoint("synthesize", s.decodeSynthesize))
-	mux.Handle("/sweep", s.cachedEndpoint("sweep", s.decodeSweep))
-	mux.Handle("/certify", s.cachedEndpoint("certify", s.decodeCertify))
+	mux.Handle("/synthesize", s.cachedEndpoint("synthesize", decodeSynthesize))
+	mux.Handle("/sweep", s.cachedEndpoint("sweep", decodeSweep))
+	mux.Handle("/certify", s.cachedEndpoint("certify", decodeCertify))
 	mux.Handle("/metrics", s.endpoint("metrics", http.MethodGet, s.handleMetrics))
 	s.mux = mux
 	return s
@@ -235,12 +218,13 @@ func writeError(w http.ResponseWriter, err error) {
 	var re *guard.RangeError
 	var le *guard.LimitError
 	var ie *sched.InfeasibleError
+	var ce *sched.ClockError
 	switch {
 	case errors.As(err, &mb):
 		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &he):
 		code = he.code
-	case errors.As(err, &re), errors.As(err, &le), errors.As(err, &ie):
+	case errors.As(err, &re), errors.As(err, &le), errors.As(err, &ie), errors.As(err, &ce):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
 		code = http.StatusServiceUnavailable
@@ -290,14 +274,6 @@ func (s *Server) acquire(ctx context.Context) (release func(), err error) {
 		return nil, ErrQueueFull
 	}
 	defer s.queued.Add(-1)
-	release, err = s.acquireSlot(ctx)
-	return release, err
-}
-
-// acquireSlot is acquire without the queue-depth gate; the sweep
-// batcher uses it directly so a batch (already representing admitted
-// requests) cannot be refused by the queue its own members fill.
-func (s *Server) acquireSlot(ctx context.Context) (func(), error) {
 	select {
 	case s.sem <- struct{}{}:
 		s.inFlight.Add(1)
@@ -416,7 +392,6 @@ type SynthesizeResponse struct {
 }
 
 // SweepRequest is the /sweep request body: one graph, one range.
-// Requests sharing config and range are batched server-side.
 type SweepRequest struct {
 	Graph  json.RawMessage `json:"graph"`
 	CsLo   int             `json:"cs_lo"`
@@ -453,8 +428,6 @@ type Metrics struct {
 	Cache        CacheStats        `json:"cache"`
 	InFlight     int64             `json:"in_flight"`
 	Queued       int64             `json:"queued"`
-	Batches      uint64            `json:"batches"`
-	BatchedReqs  uint64            `json:"batched_requests"`
 	LatencyP50Ms float64           `json:"latency_p50_ms"`
 	LatencyP99Ms float64           `json:"latency_p99_ms"`
 	Served       uint64            `json:"served"`
@@ -567,16 +540,13 @@ func u64bytes(vs ...uint64) []byte {
 
 // --- handlers ---------------------------------------------------------
 
-// produceFunc builds an endpoint's response on an entry miss. bucket is
-// the request graph's canonical hash, which every response embeds as
-// "hash".
-type produceFunc func(ctx context.Context, bucket canon.Hash) (any, error)
+// produceFunc builds an endpoint's response on an entry miss, holding a
+// worker slot.
+type produceFunc func(ctx context.Context) (any, error)
 
-// pending is a request that missed the front key, decoded: its graph
-// and config, the entry key of its response, and how to produce that
-// response on an entry miss.
+// pending is a request that missed the front key, decoded: the entry key
+// of its response, and how to produce that response on an entry miss.
 type pending struct {
-	*decoded
 	entry   canon.Hash
 	produce produceFunc
 }
@@ -593,8 +563,7 @@ func (s *Server) cachedEndpoint(name string, decode func(body []byte) (*pending,
 // looked up by its front key; a hit is written straight from the stored
 // bytes. Otherwise decode parses it and the entry key decides: a hit is
 // written from the entry, whose alias now points at these bytes; a miss
-// computes the canonical bucket (before produce takes a worker slot, so
-// its errors stay 400s), runs produce, stores the exact bytes written,
+// takes a worker slot, runs produce, stores the exact bytes written,
 // and answers with them. A failed request is never cached.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, name string,
 	decode func(body []byte) (*pending, error)) error {
@@ -615,13 +584,16 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, name string
 		writeCached(w, out, "hit")
 		return nil
 	}
-	bucket, err := canon.Canonical(p.graph, p.cfg.Lib, p.cfg)
-	if err != nil {
-		return badRequest(err)
-	}
 	ctx, cancel := s.requestCtx(r)
 	defer cancel()
-	resp, err := p.produce(ctx, bucket)
+	resp, err := func() (any, error) {
+		release, err := s.acquire(ctx)
+		if err != nil {
+			return nil, err
+		}
+		defer release() // the slot is free before the response is written
+		return p.produce(ctx)
+	}()
 	if err != nil {
 		return err
 	}
@@ -629,7 +601,7 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, name string
 	if err != nil {
 		return err
 	}
-	s.cache.put(p.entry, bucket, front, out)
+	s.cache.put(p.entry, front, out)
 	writeCached(w, out, "miss")
 	return nil
 }
@@ -641,18 +613,6 @@ func writeCached(w http.ResponseWriter, body []byte, verdict string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	w.Write(body)
-}
-
-// onWorker wraps produce to run holding a worker slot.
-func (s *Server) onWorker(produce produceFunc) produceFunc {
-	return func(ctx context.Context, bucket canon.Hash) (any, error) {
-		release, err := s.acquire(ctx)
-		if err != nil {
-			return nil, err
-		}
-		defer release()
-		return produce(ctx, bucket)
-	}
 }
 
 func decodeBody[T any](body []byte) (*T, error) {
@@ -682,19 +642,19 @@ func decodeDesign(body []byte) (*SynthesizeRequest, *decoded, error) {
 	return req, d, nil
 }
 
-func (s *Server) decodeSynthesize(body []byte) (*pending, error) {
+func decodeSynthesize(body []byte) (*pending, error) {
 	req, d, err := decodeDesign(body)
 	if err != nil {
 		return nil, err
 	}
 	entry := mixKey(d.strict, []byte("synthesize"), u64bytes(b2u(req.Netlist), b2u(req.Schedule)))
-	return &pending{decoded: d, entry: entry, produce: s.onWorker(func(ctx context.Context, bucket canon.Hash) (any, error) {
+	return &pending{entry: entry, produce: func(ctx context.Context) (any, error) {
 		design, err := hls.SynthesizeCtx(ctx, d.graph, d.cfg)
 		if err != nil {
 			return nil, err
 		}
 		resp := &SynthesizeResponse{
-			Hash:        bucket.String(),
+			Hash:        entry.String(),
 			Fingerprint: d.strict.String(),
 			Design:      design.Graph.Name,
 			CS:          design.Schedule.CS,
@@ -715,14 +675,14 @@ func (s *Server) decodeSynthesize(body []byte) (*pending, error) {
 			resp.Schedule = sj
 		}
 		return resp, nil
-	})}, nil
+	}}, nil
 }
 
 // decodeSweep also validates the range: a bad range or a graph whose
-// critical path exceeds cs_hi is rejected here, before the entry lookup
-// and before batching, so one bad graph fails alone instead of
-// poisoning the whole fan-out.
-func (s *Server) decodeSweep(body []byte) (*pending, error) {
+// critical path exceeds cs_hi is refused here, before the entry lookup
+// and before a worker slot is taken, so it counts as neither a hit nor
+// a miss and never waits in the queue.
+func decodeSweep(body []byte) (*pending, error) {
 	req, err := decodeBody[SweepRequest](body)
 	if err != nil {
 		return nil, err
@@ -740,13 +700,15 @@ func (s *Server) decodeSweep(body []byte) (*pending, error) {
 		})
 	}
 	entry := mixKey(d.strict, []byte("sweep"), u64bytes(uint64(req.CsLo), uint64(req.CsHi)))
-	return &pending{decoded: d, entry: entry, produce: func(ctx context.Context, bucket canon.Hash) (any, error) {
-		points, err := s.batcher.submit(ctx, d, req.CsLo, req.CsHi, req.Config)
+	return &pending{entry: entry, produce: func(ctx context.Context) (any, error) {
+		cfg := d.cfg
+		cfg.Parallelism = 0 // the sweep holds one slot; fan its points out on the machine
+		points, err := hls.SweepCtx(ctx, d.graph, cfg, req.CsLo, req.CsHi)
 		if err != nil {
 			return nil, err
 		}
 		resp := &SweepResponse{
-			Hash:   bucket.String(),
+			Hash:   entry.String(),
 			Design: d.graph.Name,
 			Points: make([]SweepPointJSON, len(points)),
 		}
@@ -757,12 +719,13 @@ func (s *Server) decodeSweep(body []byte) (*pending, error) {
 	}}, nil
 }
 
-func (s *Server) decodeCertify(body []byte) (*pending, error) {
+func decodeCertify(body []byte) (*pending, error) {
 	_, d, err := decodeDesign(body)
 	if err != nil {
 		return nil, err
 	}
-	return &pending{decoded: d, entry: mixKey(d.strict, []byte("certify")), produce: s.onWorker(func(ctx context.Context, bucket canon.Hash) (any, error) {
+	entry := mixKey(d.strict, []byte("certify"))
+	return &pending{entry: entry, produce: func(ctx context.Context) (any, error) {
 		design, err := hls.SynthesizeCtx(ctx, d.graph, d.cfg)
 		if err != nil {
 			return nil, err
@@ -775,8 +738,8 @@ func (s *Server) decodeCertify(body []byte) (*pending, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &CertifyResponse{Hash: bucket.String(), Certificate: cj}, nil
-	})}, nil
+		return &CertifyResponse{Hash: entry.String(), Certificate: cj}, nil
+	}}, nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) error {
@@ -800,14 +763,12 @@ func (s *Server) Metrics() Metrics {
 	s.mu.Unlock()
 	sort.Float64s(lat)
 	m := Metrics{
-		Requests:    reqs,
-		Errors:      errs,
-		Cache:       s.cache.stats(),
-		InFlight:    s.inFlight.Load(),
-		Queued:      s.queued.Load(),
-		Batches:     s.batcher.batches.Load(),
-		BatchedReqs: s.batcher.joined.Load(),
-		Served:      served,
+		Requests: reqs,
+		Errors:   errs,
+		Cache:    s.cache.stats(),
+		InFlight: s.inFlight.Load(),
+		Queued:   s.queued.Load(),
+		Served:   served,
 	}
 	m.LatencyP50Ms = Percentile(lat, 50)
 	m.LatencyP99Ms = Percentile(lat, 99)

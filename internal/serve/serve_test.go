@@ -174,8 +174,8 @@ func TestCacheHitsByteIdentical32Clients(t *testing.T) {
 }
 
 // TestIsomorphicRequestsShareBucket: a renamed copy of a cached graph
-// reports the same canonical hash (same bucket) but is served by fresh
-// synthesis — its response embeds its own names.
+// is served by fresh synthesis — its response embeds its own names — at
+// the same cost, and its "hash" is its own entry key.
 func TestIsomorphicRequestsShareBucket(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	ex := benchmarks.Facet()
@@ -207,8 +207,8 @@ func TestIsomorphicRequestsShareBucket(t *testing.T) {
 	if err := json.Unmarshal(body2, &r2); err != nil {
 		t.Fatal(err)
 	}
-	if r1.Hash != r2.Hash {
-		t.Errorf("isomorphic graphs in different buckets: %s != %s", r1.Hash, r2.Hash)
+	if r1.Hash == r2.Hash {
+		t.Error("renamed graph shares a hash with the original")
 	}
 	if r1.Fingerprint == r2.Fingerprint {
 		t.Error("renamed graph shares a fingerprint with the original")
@@ -218,11 +218,11 @@ func TestIsomorphicRequestsShareBucket(t *testing.T) {
 	}
 }
 
-// TestSweepBatching: concurrent /sweep requests over the same config
-// and range coalesce into fewer SweepGraphsCtx fan-outs, and every
-// client's points match a direct hls.Sweep of its graph.
-func TestSweepBatching(t *testing.T) {
-	s, ts := newTestServer(t, Options{BatchWindow: 20 * time.Millisecond})
+// TestConcurrentSweeps: concurrent /sweep requests, three rounds over
+// three graphs, each get the points of a direct hls.Sweep of their
+// graph.
+func TestConcurrentSweeps(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
 	exs := []*benchmarks.Example{benchmarks.Facet(), benchmarks.Diffeq(), benchmarks.ARLattice()}
 	const lo, hi = 1, 8
 
@@ -277,15 +277,6 @@ func TestSweepBatching(t *testing.T) {
 			}
 		}
 	}
-
-	m := s.Metrics()
-	if m.BatchedReqs == 0 {
-		t.Fatal("no requests went through the batcher")
-	}
-	if m.Batches >= m.BatchedReqs {
-		t.Errorf("no coalescing: %d batches for %d batched requests (cache absorbed the rest)",
-			m.Batches, m.BatchedReqs)
-	}
 }
 
 func TestSweepInfeasibleRangeRejectedAlone(t *testing.T) {
@@ -298,6 +289,21 @@ func TestSweepInfeasibleRangeRejectedAlone(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "critical path") {
 		t.Errorf("error body %q does not name the critical path", body)
+	}
+}
+
+// TestClockShorterThanDelay: a clock_ns below a single-cycle node's
+// delay is the client's error, a 400 on every POST endpoint.
+func TestClockShorterThanDelay(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	h := s.Handler()
+	gj := graphJSON(t, benchmarks.Facet()) // its mul has an 80 ns delay
+	for ep, path := range postPaths {
+		rec := serveOnce(h, path, postBody(t, ep, gj, ConfigJSON{CS: 4, ClockNs: 50}))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "exceeds clock") {
+			t.Errorf("%s: status %d, want 400 naming the clock: %s", path, rec.Code, rec.Body)
+		}
 	}
 }
 
@@ -372,13 +378,14 @@ func TestCertifyEndpoint(t *testing.T) {
 	}
 }
 
-// TestQueueBounds exercises the admission control directly: with one
-// worker slot held, one request may wait, and the next is refused.
+// TestQueueBounds exercises the admission control: with one worker slot
+// held, one request may wait, and the next is refused, on every POST
+// endpoint as on a direct acquire.
 func TestQueueBounds(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 1})
 	defer s.Close()
 
-	release, err := s.acquireSlot(context.Background())
+	release, err := s.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +411,12 @@ func TestQueueBounds(t *testing.T) {
 	if _, err := s.acquire(context.Background()); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("overflow acquire: err = %v, want ErrQueueFull", err)
 	}
+	gj := graphJSON(t, benchmarks.Facet())
+	for ep, path := range postPaths {
+		if rec := serveOnce(s.Handler(), path, postBody(t, ep, gj, ConfigJSON{CS: 4})); rec.Code != http.StatusServiceUnavailable {
+			t.Errorf("%s with the queue full: status %d, want 503: %s", path, rec.Code, rec.Body)
+		}
+	}
 
 	release()
 	if err := <-waited; err != nil {
@@ -415,7 +428,7 @@ func TestQueueBounds(t *testing.T) {
 // in the queue observes Close and fails out in well under 100ms.
 func TestShutdownCancelsQueued(t *testing.T) {
 	s := New(Options{Workers: 1, QueueDepth: 4})
-	release, err := s.acquireSlot(context.Background())
+	release, err := s.acquire(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,10 +568,10 @@ func TestCacheSemantics(t *testing.T) {
 		dropped [][]byte // bodies whose alias must be gone after the step
 	}
 	for _, sc := range []struct {
-		name             string
-		opts             Options
-		steps            []step
-		entries, buckets int
+		name    string
+		opts    Options
+		steps   []step
+		entries int
 	}{
 		{"front and entry keys", Options{}, []step{
 			{"first send", plain, 200, "miss", -1, nil},
@@ -568,16 +581,16 @@ func TestCacheSemantics(t *testing.T) {
 			{"timeout_ms differs", withTimeout, 200, "hit", 0, [][]byte{reencoded}},
 			{"netlist flipped", withNetlist, 200, "miss", -1, nil},
 			{"malformed body", []byte(`{"graph": `), 400, "", -1, nil},
-		}, 2, 1},
+		}, 2},
 		{"eviction drops the alias", Options{CacheEntries: 1}, []step{
 			{"first send", plain, 200, "miss", -1, nil},
 			{"another request evicts it", withNetlist, 200, "miss", -1, [][]byte{plain}},
 			{"evicted bytes re-synthesize", plain, 200, "miss", 0, [][]byte{withNetlist}},
-		}, 1, 1},
+		}, 1},
 		{"isomorphic rename", Options{}, []step{
 			{"original", plain, 200, "miss", -1, nil},
 			{"renamed", renamed, 200, "miss", -1, nil},
-		}, 2, 1},
+		}, 2},
 	} {
 		t.Run(sc.name, func(t *testing.T) {
 			s := New(sc.opts)
@@ -586,7 +599,7 @@ func TestCacheSemantics(t *testing.T) {
 			bodies := make([][]byte, len(sc.steps))
 			cacheable := uint64(0)
 			for i, st := range sc.steps {
-				rec := serveOnce(h, st.body)
+				rec := serveOnce(h, "/synthesize", st.body)
 				bodies[i] = rec.Body.Bytes()
 				if rec.Code != st.status {
 					t.Fatalf("%s: status %d, want %d: %s", st.name, rec.Code, st.status, rec.Body)
@@ -619,8 +632,8 @@ func TestCacheSemantics(t *testing.T) {
 					t.Errorf("%s: %d aliases for %d entries", st.name, aliases, c.Entries)
 				}
 			}
-			if c := s.Metrics().Cache; c.Entries != sc.entries || c.Buckets != sc.buckets {
-				t.Errorf("cache holds %d entries in %d buckets, want %d in %d", c.Entries, c.Buckets, sc.entries, sc.buckets)
+			if c := s.Metrics().Cache; c.Entries != sc.entries {
+				t.Errorf("cache holds %d entries, want %d", c.Entries, sc.entries)
 			}
 		})
 	}
