@@ -37,13 +37,11 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/behav"
 	"repro/internal/core"
-	"repro/internal/ctrl"
 	"repro/internal/dfg"
 	"repro/internal/diag"
 	"repro/internal/guard"
 	"repro/internal/library"
 	"repro/internal/lint"
-	"repro/internal/mfsa"
 	"repro/internal/op"
 	"repro/internal/rtl"
 	"repro/internal/sched"
@@ -226,7 +224,11 @@ func ScheduleSourceCtx(ctx context.Context, src string, cfg Config) (d *Design, 
 // Allocate binds an externally produced schedule (from ScheduleGraph,
 // ForceDirected, ListSchedule, ...) to an RTL datapath using MFSA's cost
 // machinery with the operations' control steps frozen — the sequential
-// two-phase flow the paper's introduction contrasts with MFSA.
+// two-phase flow the paper's introduction contrasts with MFSA. cfg
+// applies as in Synthesize (library, style, weights, limits,
+// RegisterInputs, NoTrace, the input guards, Timeout and Lint), except
+// that the schedule fixes CS, ClockNs and Latency. The result cannot be
+// resynthesized.
 func Allocate(s *Schedule, cfg Config) (*Design, error) {
 	return AllocateCtx(context.Background(), s, cfg)
 }
@@ -235,26 +237,7 @@ func Allocate(s *Schedule, cfg Config) (*Design, error) {
 // panic-recovery boundary.
 func AllocateCtx(ctx context.Context, s *Schedule, cfg Config) (d *Design, err error) {
 	defer guard.Recover("hls.Allocate", &err)
-	res, err := mfsa.AllocateCtx(ctx, s, mfsa.Options{
-		Lib:            cfg.Lib,
-		Style:          mfsa.Style(cfg.Style),
-		Limits:         cfg.Limits,
-		RegisterInputs: cfg.RegisterInputs,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c, err := ctrl.Build(s.Graph, res.Schedule, res.Datapath)
-	if err != nil {
-		return nil, err
-	}
-	return &Design{
-		Graph:      s.Graph,
-		Schedule:   res.Schedule,
-		Datapath:   res.Datapath,
-		Controller: c,
-		Cost:       res.Cost,
-	}, nil
+	return core.AllocateCtx(ctx, s, cfg)
 }
 
 // Incremental re-synthesis: apply a local graph edit to a finished
@@ -276,8 +259,8 @@ type (
 // synthesizing the edited graph from scratch; on a large design whose
 // edit perturbs a small cone it is orders of magnitude faster. The
 // design must come from Synthesize, ScheduleGraph, the Source variants,
-// or a previous Resynthesize (Allocate results carry no configuration
-// and are rejected).
+// or a previous Resynthesize (Allocate results bind an external schedule
+// with no run to replay and are rejected).
 //
 //hls:sharedok the edit is applied to Edit.apply's private Clone of d.Graph; the input design is only read
 func Resynthesize(d *Design, e Edit) (out *Design, err error) {

@@ -195,6 +195,26 @@ func TestSynthesizeCtx100kNodeCancel(t *testing.T) {
 	}
 }
 
+// TestSynthesizeCtxDeadlineAtLargeCS pins the deadline inside one
+// placement: near the cs cap a single MFSA move frame holds millions of
+// scored positions, so a run that polled only between placements would
+// overrun a 50ms timeout by seconds (facet at cs 20000 took 3s).
+func TestSynthesizeCtxDeadlineAtLargeCS(t *testing.T) {
+	g := benchmarks.Facet().Graph
+	budget := 250 * time.Millisecond
+	if raceEnabled {
+		budget = time.Second
+	}
+	start := time.Now()
+	_, err := hls.SynthesizeCtx(context.Background(), g, hls.Config{CS: 20000, Timeout: 50 * time.Millisecond})
+	if d := time.Since(start); d > budget {
+		t.Fatalf("synthesis returned after %v, want < %v", d, budget)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+}
+
 func TestSynthesizeCtxPreCancelled(t *testing.T) {
 	ex := benchmarks.Diffeq()
 	ctx, cancel := context.WithCancel(context.Background())

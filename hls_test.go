@@ -1,10 +1,16 @@
 package hls_test
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	hls "repro"
+	"repro/internal/benchmarks"
+	"repro/internal/mfsa"
 )
 
 const quick = `
@@ -163,6 +169,51 @@ func TestFacadeAllocate(t *testing.T) {
 		if d.Schedule.Placements[n.ID].Step != s.Placements[n.ID].Step {
 			t.Errorf("node %q moved", n.Name)
 		}
+	}
+}
+
+// TestFacadeAllocateHonoursConfig checks that Allocate applies its
+// Config as Synthesize does: the Liapunov weights, NoTrace, the Timeout
+// and MaxNodes guards, and the lint gate, with the design auditing under
+// its style and limits.
+func TestFacadeAllocateHonoursConfig(t *testing.T) {
+	g := benchmarks.Facet().Graph
+	sd, err := hls.ScheduleGraph(g, hls.Config{CS: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sd.Schedule
+
+	d, err := hls.Allocate(s, hls.Config{Weights: [4]float64{1, 1, 50, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mfsa.Allocate(s, mfsa.Options{Weights: mfsa.Weights{Time: 1, ALU: 1, Mux: 50, Reg: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Cost != want.Cost || d.Cost.Total != 44600 {
+		t.Fatalf("mux-weighted cost %+v, want mfsa.Allocate's %+v (44600)", d.Cost, want.Cost)
+	}
+
+	if d, err := hls.Allocate(s, hls.Config{NoTrace: true}); err != nil || d.Schedule.Trace != nil {
+		t.Fatalf("NoTrace: err = %v, or a trace was recorded", err)
+	}
+	if _, err := hls.Allocate(s, hls.Config{Timeout: time.Nanosecond}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Timeout: err = %v, want context.DeadlineExceeded", err)
+	}
+	var le *hls.LimitError
+	if _, err := hls.Allocate(s, hls.Config{MaxNodes: 1}); !errors.As(err, &le) || le.What != "graph nodes" {
+		t.Fatalf("MaxNodes: err = %v, want a graph-nodes *hls.LimitError", err)
+	}
+
+	cfg := hls.Config{Style: 2, Limits: map[string]int{"fu_mul": 3}, Lint: true}
+	d, err = hls.Allocate(s, cfg)
+	if err != nil {
+		t.Fatalf("style 2 with the lint gate on: %v", err)
+	}
+	if u := d.LintUnit(); !u.Style2 || !reflect.DeepEqual(u.Limits, cfg.Limits) {
+		t.Fatalf("lint unit audits style2=%v limits=%v, want style 2 under %v", u.Style2, u.Limits, cfg.Limits)
 	}
 }
 

@@ -88,7 +88,7 @@ type Config struct {
 	// bit-identical either way; the run just drops the audit metadata,
 	// so lint's trace-replay analyzers have nothing to check and the
 	// design cannot seed Resynthesize's replay fast path (Resynthesize
-	// still works — it falls back to a full run). Intended for very
+	// still works — it replays nothing). Intended for very
 	// large graphs, where trace materialization dominates the runtime.
 	NoTrace bool
 
@@ -147,8 +147,8 @@ func withTimeout(ctx context.Context, cfg Config) (context.Context, context.Canc
 }
 
 // Design is a complete synthesis result. Datapath, Controller and Cost
-// are populated by Synthesize (MFSA); Schedule alone by ScheduleOnly
-// (MFS).
+// are populated by Synthesize (MFSA) and Allocate; Schedule alone by
+// ScheduleOnly (MFS).
 type Design struct {
 	Graph      *dfg.Graph
 	Consts     map[string]int64 // literal constants from the behavioral source
@@ -157,19 +157,14 @@ type Design struct {
 	Controller *ctrl.Controller
 	Cost       rtl.Cost
 
-	// lint context captured at synthesis time so Design.Lint can audit
-	// the result under the constraints it was produced under.
-	limits      map[string]int
-	style2      bool
-	parallelism int
-
-	// cfg is the full configuration the design was synthesized under,
-	// captured so Resynthesize can re-run the exact same flow after a
-	// graph edit. hasCfg distinguishes a real capture from a zero value:
-	// designs assembled outside the core entry points (hls.Allocate)
-	// carry no configuration and cannot be resynthesized.
-	cfg    Config
-	hasCfg bool
+	// cfg is the configuration the design was produced under: Lint
+	// audits the result under its Limits, Style and Parallelism, and
+	// Resynthesize re-runs it after a graph edit.
+	cfg Config
+	// resumable marks a design from an MFS or MFSA entry point, whose
+	// recorded run Resynthesize can replay. Allocate results bind a
+	// frozen external schedule and cannot be resynthesized.
+	resumable bool
 }
 
 // ScheduleOnly runs MFS on a graph.
@@ -191,9 +186,8 @@ func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, 
 	if err != nil {
 		return nil, err
 	}
-	d = &Design{Graph: g, Schedule: s}
-	d.captureLintContext(cfg)
-	if err := d.lintGate(ctx, cfg); err != nil {
+	d = &Design{Graph: g, Schedule: s, cfg: cfg, resumable: true}
+	if err := d.lintGate(ctx); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -223,36 +217,71 @@ func synthesize(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error) 
 	if err != nil {
 		return nil, err
 	}
-	c, err := ctrl.Build(g, res.Schedule, res.Datapath)
+	d, err := allocated(g, res, cfg)
 	if err != nil {
 		return nil, err
 	}
-	d := &Design{
-		Graph:      g,
-		Schedule:   res.Schedule,
-		Datapath:   res.Datapath,
-		Controller: c,
-		Cost:       res.Cost,
-	}
-	d.captureLintContext(cfg)
-	if err := d.lintGate(ctx, cfg); err != nil {
+	d.resumable = true
+	if err := d.lintGate(ctx); err != nil {
 		return nil, err
 	}
 	return d, nil
 }
 
-func (d *Design) captureLintContext(cfg Config) {
-	d.limits = cfg.Limits
-	d.style2 = cfg.Style == 2
-	d.parallelism = cfg.Parallelism
-	d.cfg = cfg
-	d.hasCfg = true
+// Allocate binds an externally produced schedule (MFS, force-directed,
+// list-scheduled, ...) to a datapath with MFSA's cost machinery, the
+// operations' control steps frozen (mfsa.Allocate), and builds the
+// controller.
+func Allocate(s *sched.Schedule, cfg Config) (*Design, error) {
+	return AllocateCtx(context.Background(), s, cfg)
 }
 
-// lintGate enforces cfg.Lint: any error-severity diagnostic fails the
-// synthesis run.
-func (d *Design) lintGate(ctx context.Context, cfg Config) error {
-	if !cfg.Lint {
+// AllocateCtx is Allocate with cancellation, cfg.Timeout, the input-size
+// guards (the schedule's CS stands in for cfg.CS), the lint gate, and
+// the panic-recovery boundary.
+func AllocateCtx(ctx context.Context, s *sched.Schedule, cfg Config) (d *Design, err error) {
+	defer guard.Recover("core.Allocate", &err)
+	cfg.CS = s.CS
+	if err := guardInput(s.Graph, cfg); err != nil {
+		return nil, err
+	}
+	ctx, cancel := withTimeout(ctx, cfg)
+	defer cancel()
+	res, err := mfsa.AllocateCtx(ctx, s, mfsaOptions(cfg))
+	if err != nil {
+		return nil, err
+	}
+	d, err = allocated(s.Graph, res, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.lintGate(ctx); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// allocated builds the controller of an MFSA result and wraps both into
+// a design produced under cfg.
+func allocated(g *dfg.Graph, res *mfsa.Result, cfg Config) (*Design, error) {
+	c, err := ctrl.Build(g, res.Schedule, res.Datapath)
+	if err != nil {
+		return nil, err
+	}
+	return &Design{
+		Graph:      g,
+		Schedule:   res.Schedule,
+		Datapath:   res.Datapath,
+		Controller: c,
+		Cost:       res.Cost,
+		cfg:        cfg,
+	}, nil
+}
+
+// lintGate enforces Config.Lint: any error-severity diagnostic fails the
+// run that produced the design.
+func (d *Design) lintGate(ctx context.Context) error {
+	if !d.cfg.Lint {
 		return nil
 	}
 	ds, err := d.LintCtx(ctx)
@@ -282,7 +311,7 @@ func (d *Design) Lint(analyzers ...string) (diag.List, error) {
 
 // LintCtx is Lint with cancellation.
 func (d *Design) LintCtx(ctx context.Context, analyzers ...string) (diag.List, error) {
-	return lint.RunCtx(ctx, d.LintUnit(), lint.Options{Analyzers: analyzers, Parallelism: d.parallelism})
+	return lint.RunCtx(ctx, d.LintUnit(), lint.Options{Analyzers: analyzers, Parallelism: d.cfg.Parallelism})
 }
 
 // LintUnit bundles the design's artifacts — graph, schedule, datapath,
@@ -293,9 +322,9 @@ func (d *Design) LintUnit() *lint.Unit {
 	u := &lint.Unit{
 		Graph:      d.Graph,
 		Schedule:   d.Schedule,
-		Limits:     d.limits,
+		Limits:     d.cfg.Limits,
 		Datapath:   d.Datapath,
-		Style2:     d.style2,
+		Style2:     d.cfg.Style == 2,
 		Controller: d.Controller,
 	}
 	if d.Datapath != nil && d.Controller != nil {
@@ -385,9 +414,8 @@ func ScheduleSourceCtx(ctx context.Context, src string, cfg Config) (d *Design, 
 	if err != nil {
 		return nil, nil, err
 	}
-	d = &Design{Graph: g, Consts: consts, Schedule: ld.Schedule}
-	d.captureLintContext(cfg)
-	if err := d.lintGate(ctx, cfg); err != nil {
+	d = &Design{Graph: g, Consts: consts, Schedule: ld.Schedule, cfg: cfg, resumable: true}
+	if err := d.lintGate(ctx); err != nil {
 		return nil, nil, err
 	}
 	return d, ld, nil

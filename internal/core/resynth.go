@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/ctrl"
 	"repro/internal/dfg"
 	"repro/internal/guard"
 	"repro/internal/mfs"
 	"repro/internal/mfsa"
 	"repro/internal/op"
-	"repro/internal/sched"
 )
 
 // Edit describes one local change to a synthesized design's graph.
@@ -52,10 +50,8 @@ type RetimeEdit struct {
 	Cycles int
 }
 
-// apply derives the post-edit graph plus the UpdateFrames seed set: the
-// new-graph IDs of every node whose timing inputs the edit changed. The
-// input graph is never mutated.
-func (e Edit) apply(g *dfg.Graph) (*dfg.Graph, []dfg.NodeID, error) {
+// apply derives the post-edit graph. The input graph is never mutated.
+func (e Edit) apply(g *dfg.Graph) (*dfg.Graph, error) {
 	set := 0
 	if e.AddInput != "" {
 		set++
@@ -70,47 +66,44 @@ func (e Edit) apply(g *dfg.Graph) (*dfg.Graph, []dfg.NodeID, error) {
 		set++
 	}
 	if set != 1 {
-		return nil, nil, fmt.Errorf("core: edit must set exactly one of AddInput, AddOp, RemoveSink, Retime (got %d)", set)
+		return nil, fmt.Errorf("core: edit must set exactly one of AddInput, AddOp, RemoveSink, Retime (got %d)", set)
 	}
 	switch {
 	case e.AddInput != "":
 		c := g.Clone()
 		if err := c.AddInput(e.AddInput); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		// A fresh input carries no frame; nothing existing moves, but an
-		// empty seed set makes UpdateFrames recompute from scratch, which
-		// is exactly right for the cheap O(V+E) frame pass.
-		return c, nil, nil
+		return c, nil
 	case e.AddOp != nil:
 		c := g.Clone()
 		id, err := c.AddOp(e.AddOp.Name, e.AddOp.Op, e.AddOp.Args...)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if e.AddOp.Cycles >= 1 {
 			if err := c.SetCycles(id, e.AddOp.Cycles); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if e.AddOp.DelayNs > 0 {
 			if err := c.SetDelayNs(id, e.AddOp.DelayNs); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
-		return c, []dfg.NodeID{id}, nil
+		return c, nil
 	case e.RemoveSink != "":
 		return removeSink(g, e.RemoveSink)
 	default:
 		c := g.Clone()
 		n, ok := c.Lookup(e.Retime.Node)
 		if !ok {
-			return nil, nil, fmt.Errorf("core: retime: no node %q in %s", e.Retime.Node, g.Name)
+			return nil, fmt.Errorf("core: retime: no node %q in %s", e.Retime.Node, g.Name)
 		}
 		if err := c.SetCycles(n.ID, e.Retime.Cycles); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return c, []dfg.NodeID{n.ID}, nil
+		return c, nil
 	}
 }
 
@@ -118,19 +111,19 @@ func (e Edit) apply(g *dfg.Graph) (*dfg.Graph, []dfg.NodeID, error) {
 // append-only, so deletion means reconstruction; everything else — names,
 // args, cycle counts, delays, conditional tags, folded loops — carries
 // over verbatim, and IDs past the sink shift down by one.
-func removeSink(g *dfg.Graph, name string) (*dfg.Graph, []dfg.NodeID, error) {
+func removeSink(g *dfg.Graph, name string) (*dfg.Graph, error) {
 	target, ok := g.Lookup(name)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: remove: no node %q in %s", name, g.Name)
+		return nil, fmt.Errorf("core: remove: no node %q in %s", name, g.Name)
 	}
 	if len(target.Succs()) > 0 {
-		return nil, nil, fmt.Errorf("core: remove: node %q has %d consumer(s); only sinks can be removed",
+		return nil, fmt.Errorf("core: remove: node %q has %d consumer(s); only sinks can be removed",
 			name, len(target.Succs()))
 	}
 	c := dfg.New(g.Name)
 	for _, in := range g.Inputs() {
 		if err := c.AddInput(in); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	for _, n := range g.Nodes() {
@@ -149,54 +142,25 @@ func removeSink(g *dfg.Graph, name string) (*dfg.Graph, []dfg.NodeID, error) {
 			id, err = c.AddOp(n.Name, n.Op, n.Args...)
 		}
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if n.Cycles != 1 {
 			if err := c.SetCycles(id, n.Cycles); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if n.DelayNs != 0 {
 			if err := c.SetDelayNs(id, n.DelayNs); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 		if len(n.Excl) > 0 {
 			if err := c.Tag(id, n.Excl...); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 		}
 	}
-	// Losing a consumer relaxes the producers' latest start times, so
-	// each former predecessor seeds the frame update.
-	seeds := make([]dfg.NodeID, 0, len(target.Preds()))
-	for _, pid := range target.Preds() {
-		if p, ok := c.Lookup(g.Node(pid).Name); ok {
-			seeds = append(seeds, p.ID)
-		}
-	}
-	return c, seeds, nil
-}
-
-// remapFrames carries the pre-edit frames onto the post-edit graph's node
-// IDs by name, the shape mfs.ResumeCtx and mfsa.ResumeCtx expect. Nodes
-// the old graph never had keep the zero frame; every such node is in the
-// seed set, so UpdateFrames re-derives it before anyone reads it.
-func remapFrames(newG, oldG *dfg.Graph, old sched.Frames) sched.Frames {
-	if old == nil {
-		return nil
-	}
-	byName := make(map[string]sched.Frame, len(old))
-	for _, n := range oldG.Nodes() {
-		if int(n.ID) < len(old) {
-			byName[n.Name] = old[n.ID]
-		}
-	}
-	out := make(sched.Frames, newG.Len())
-	for _, n := range newG.Nodes() {
-		out[n.ID] = byName[n.Name]
-	}
-	return out
+	return c, nil
 }
 
 // Resynthesize re-derives a design after a local graph edit, reusing the
@@ -209,9 +173,9 @@ func remapFrames(newG, oldG *dfg.Graph, old sched.Frames) sched.Frames {
 //
 // The design must come from Synthesize/ScheduleOnly (or a previous
 // Resynthesize): those capture the Config the replay re-runs under.
-// Designs assembled by other means (hls.Allocate) are rejected. A design
+// Designs assembled by other means (Allocate) are rejected. A design
 // synthesized with Config.NoTrace has no trajectory to replay; the call
-// still succeeds by falling back to a full run.
+// still succeeds, replaying nothing.
 //
 //hls:sharedok Edit.apply mutates only its own Clone of d.Graph (loop bodies are re-cloned before reuse); d is read-only here
 func Resynthesize(d *Design, e Edit) (*Design, error) {
@@ -227,11 +191,11 @@ func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (out *Design, err e
 	if d == nil || d.Graph == nil || d.Schedule == nil {
 		return nil, fmt.Errorf("core: resynthesize needs a completed design (run Synthesize or ScheduleOnly first)")
 	}
-	if !d.hasCfg {
+	if !d.resumable {
 		return nil, fmt.Errorf("core: resynthesize needs a design produced by Synthesize, ScheduleOnly or Resynthesize; this one carries no synthesis configuration")
 	}
 	cfg := d.cfg
-	newG, seeds, err := e.apply(d.Graph)
+	newG, err := e.apply(d.Graph)
 	if err != nil {
 		return nil, err
 	}
@@ -240,34 +204,26 @@ func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (out *Design, err e
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
-	oldFrames := remapFrames(newG, d.Graph, d.Schedule.Frames)
 	if d.Datapath != nil {
 		prev := &mfsa.Result{Schedule: d.Schedule, Datapath: d.Datapath, Cost: d.Cost}
-		res, err := mfsa.ResumeCtx(ctx, newG, mfsaOptions(cfg), prev, oldFrames, seeds)
+		res, err := mfsa.ResumeCtx(ctx, newG, mfsaOptions(cfg), prev)
 		if err != nil {
 			return nil, err
 		}
-		c, err := ctrl.Build(newG, res.Schedule, res.Datapath)
+		out, err = allocated(newG, res, cfg)
 		if err != nil {
 			return nil, err
-		}
-		out = &Design{
-			Graph:      newG,
-			Consts:     d.Consts,
-			Schedule:   res.Schedule,
-			Datapath:   res.Datapath,
-			Controller: c,
-			Cost:       res.Cost,
 		}
 	} else {
-		s, err := mfs.ResumeCtx(ctx, newG, mfsOptions(cfg), d.Schedule, oldFrames, seeds)
+		s, err := mfs.ResumeCtx(ctx, newG, mfsOptions(cfg), d.Schedule)
 		if err != nil {
 			return nil, err
 		}
-		out = &Design{Graph: newG, Consts: d.Consts, Schedule: s}
+		out = &Design{Graph: newG, Schedule: s, cfg: cfg}
 	}
-	out.captureLintContext(cfg)
-	if err := out.lintGate(ctx, cfg); err != nil {
+	out.Consts = d.Consts
+	out.resumable = true
+	if err := out.lintGate(ctx); err != nil {
 		return nil, err
 	}
 	return out, nil

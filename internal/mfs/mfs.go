@@ -81,7 +81,7 @@ type Options struct {
 	// per-step frame bitsets dominate memory on very large graphs
 	// (O(N·cs·max_j) bits across a run), so the scale ladder sets this —
 	// at the cost of the lint trace audits becoming no-ops and the
-	// schedule not being resumable (ResumeCtx falls back to a full run).
+	// schedule not being resumable (ResumeCtx replays nothing).
 	NoTrace bool
 }
 
@@ -105,6 +105,13 @@ func Schedule(g *dfg.Graph, opt Options) (*sched.Schedule, error) {
 // resource-constrained search, returning ctx.Err() — never a partial
 // schedule — once ctx is done.
 func ScheduleCtx(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedule, error) {
+	return schedule(ctx, g, opt, nil)
+}
+
+// schedule is the one run path behind ScheduleCtx and ResumeCtx. A
+// time-constrained run first replays what it can of prev's trace (see
+// ResumeCtx); prev == nil replays nothing.
+func schedule(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Schedule) (*sched.Schedule, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
 	}
@@ -112,19 +119,19 @@ func ScheduleCtx(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedul
 		return nil, fmt.Errorf("mfs: functional pipelining needs a time constraint")
 	}
 	if opt.CS > 0 {
-		return scheduleTimeConstrained(ctx, g, opt)
+		return scheduleTimeConstrained(ctx, g, opt, prev)
 	}
 	return scheduleResourceConstrained(ctx, g, opt)
 }
 
-func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedule, error) {
+func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Schedule) (*sched.Schedule, error) {
 	// Frames depend only on (graph, cs, clock), so the widening retries
 	// below share one computation.
 	frames, err := sched.ComputeFrames(g, opt.CS, opt.ClockNs)
 	if err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
 	}
-	s, err := runOnce(ctx, g, opt.CS, opt, false, frames)
+	s, err := runOnce(ctx, g, opt.CS, opt, false, frames, prev)
 	if err == nil {
 		return s, nil
 	}
@@ -134,8 +141,9 @@ func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*s
 	// The ASAP/ALAP bound on max_j is usually sufficient but not a
 	// guarantee; for types the user left unbounded, widen and retry a few
 	// times before giving up (time-constrained runs must keep cs fixed).
+	// prev was recorded under unwidened bounds, so retries replay nothing.
 	for extra := 1; extra <= 3; extra++ {
-		s, retryErr := runOnce(ctx, g, opt.CS, opt, false, frames, extra)
+		s, retryErr := runOnce(ctx, g, opt.CS, opt, false, frames, nil, extra)
 		if retryErr == nil {
 			return s, nil
 		}
@@ -170,7 +178,7 @@ func scheduleResourceConstrained(ctx context.Context, g *dfg.Graph, opt Options)
 	}
 	_, s, err := pool.SearchMinCtx(ctx, pool.Size(opt.Parallelism), hi-lo+1,
 		func(i int) (*sched.Schedule, error) {
-			return runOnce(ctx, g, lo+i, opt, true, frames.Shifted(i))
+			return runOnce(ctx, g, lo+i, opt, true, frames.Shifted(i), nil)
 		})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -246,8 +254,9 @@ func newScheduler(g *dfg.Graph, cs int, opt Options, resource bool, frames sched
 }
 
 // runOnce performs one fixed-cs scheduling run against precomputed
-// frames (which must match cs; see ComputeFrames and Frames.Shifted).
-func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, error) {
+// frames (which must match cs; see ComputeFrames and Frames.Shifted),
+// replaying the valid prefix of prev's trace before it searches.
+func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, prev *sched.Schedule, extraMax ...int) (*sched.Schedule, error) {
 	s, err := newScheduler(g, cs, opt, resource, frames, extraMax...)
 	if err != nil {
 		return nil, err
@@ -259,9 +268,16 @@ func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bo
 	// before their consumers, so frames only ever tighten from above.
 	// The per-operation ctx check is what makes a cancelled run return
 	// within one placement's worth of work rather than one schedule's.
-	for _, id := range sched.PriorityOrder(g, frames) {
+	steps := s.replayable(prev)
+	for i, id := range sched.PriorityOrder(g, frames) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if i < len(steps) {
+			if s.replayStep(id, &steps[i], prev) {
+				continue
+			}
+			steps = nil // the first divergence ends the replay
 		}
 		if err := s.placeOne(id); err != nil {
 			return nil, err

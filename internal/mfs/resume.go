@@ -2,7 +2,7 @@ package mfs
 
 import (
 	"context"
-	"fmt"
+	"maps"
 
 	"repro/internal/dfg"
 	"repro/internal/sched"
@@ -11,76 +11,60 @@ import (
 // ResumeCtx re-schedules g after a local edit by replaying the recorded
 // trajectory of a previous run instead of re-deriving every decision.
 // prev is the schedule of the pre-edit graph (its Graph, Frames and
-// Trace fields must be the ones the scheduler produced); oldFrames is
-// prev.Frames remapped onto g's node IDs (entries for freshly added
-// nodes absent or past the end); seeds are the node IDs whose timing
-// inputs the edit changed, as for sched.UpdateFrames.
+// Trace fields must be the ones the scheduler produced).
 //
 // The result is always bit-identical to ScheduleCtx(g, opt) — replay is
-// an optimization, never a semantic shortcut. It rests on an induction:
-// if the fresh run's initial bounds (max_j/current_j) match the old
-// run's, then as long as each trace step's node matches the new priority
-// order's node (structural equivalence), its frames match, and its
-// max_j still holds, the scheduler state after the prefix is identical
-// to the old run's — so the recorded decision IS what placeOne would
-// derive, and it is committed directly: no window walk, no energy
-// comparison. The first divergence switches permanently to placeOne,
-// which from the common state continues exactly as a fresh run would.
-// Whenever a precondition fails (no trace — e.g. the previous run had
-// NoTrace set —, a widened previous run, resource-constrained mode, or
-// changed initial bounds), the function falls back to the full
-// ScheduleCtx, so callers can treat it as a drop-in Schedule. An edit
-// that makes the constraint infeasible returns the same InfeasibleError
-// a fresh run would.
-func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Schedule, oldFrames sched.Frames, seeds []dfg.NodeID) (*sched.Schedule, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("mfs: %w", err)
+// an optimization, never a semantic shortcut. The run is ScheduleCtx's
+// own: same frames, same bounds, same placement loop. It rests on an
+// induction: if the fresh run's initial bounds (max_j/current_j) match
+// the old run's, then as long as each trace step's node matches the new
+// priority order's node (structural equivalence), its frames match, and
+// its max_j still holds, the scheduler state after the prefix is
+// identical to the old run's — so the recorded decision IS what
+// placeOne would derive, and it is committed directly: no window walk,
+// no energy comparison. The first divergence switches permanently to
+// placeOne, which from the common state continues exactly as a fresh
+// run would. When a precondition fails (no trace — e.g. the previous
+// run had NoTrace set —, a widened previous run, resource-constrained
+// mode, or changed initial bounds), the run replays nothing.
+func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Schedule) (*sched.Schedule, error) {
+	return schedule(ctx, g, opt, prev)
+}
+
+// Resume is ResumeCtx without cancellation.
+func Resume(g *dfg.Graph, opt Options, prev *sched.Schedule) (*sched.Schedule, error) {
+	return ResumeCtx(context.Background(), g, opt, prev)
+}
+
+// replayable returns the trace steps of prev the run may replay: all of
+// them when the induction's preconditions hold against the run's fresh
+// initial state, none otherwise.
+func (s *scheduler) replayable(prev *sched.Schedule) []sched.TraceStep {
+	if prev == nil || prev.Trace == nil || prev.Frames == nil || prev.Graph == nil {
+		return nil
 	}
-	if opt.CS == 0 || prev == nil || prev.Trace == nil || prev.Frames == nil || prev.Graph == nil {
-		return ScheduleCtx(ctx, g, opt)
+	old := &scheduler{
+		g: prev.Graph, cs: s.cs, opt: s.opt,
+		frames:  prev.Frames,
+		maxj:    make(map[string]int),
+		current: make(map[string]int),
 	}
-	frames, err := sched.UpdateFrames(g, opt.CS, opt.ClockNs, oldFrames, seeds)
-	if err != nil {
-		return nil, fmt.Errorf("mfs: %w", err)
-	}
-	s, err := newScheduler(g, opt.CS, opt, false, frames)
-	if err != nil {
-		return scheduleTimeConstrained(ctx, g, opt) // reproduces the fresh run's error
-	}
-	oldMaxj, oldCur := boundsFor(prev.Graph, opt.CS, opt, prev.Frames)
-	if !intMapsEqual(s.maxj, oldMaxj) || !intMapsEqual(s.current, oldCur) {
-		return scheduleTimeConstrained(ctx, g, opt)
+	old.initBounds()
+	if !maps.Equal(s.maxj, old.maxj) || !maps.Equal(s.current, old.current) {
+		return nil
 	}
 	// A widened previous run (scheduleTimeConstrained's retry loop)
-	// started from larger bounds than the fresh recomputation above, so
-	// its decisions — for every type, not only the widened ones — were
-	// taken under a different Liapunov normalization. Such traces are
+	// started from larger bounds than the recomputation above, so its
+	// decisions — for every type, not only the widened ones — were taken
+	// under a different Liapunov normalization. Such traces are
 	// detectable exactly: every step of an unbounded type records the
 	// widened max_j.
 	for i := range prev.Trace.Steps {
-		if st := &prev.Trace.Steps[i]; st.MaxJ != oldMaxj[st.Type] {
-			return scheduleTimeConstrained(ctx, g, opt)
+		if st := &prev.Trace.Steps[i]; st.MaxJ != old.maxj[st.Type] {
+			return nil
 		}
 	}
-	steps := prev.Trace.Steps
-	replaying := true
-	for i, id := range sched.PriorityOrder(g, frames) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if replaying {
-			if i < len(steps) && s.replayStep(id, &steps[i], prev) {
-				continue
-			}
-			replaying = false
-		}
-		if err := s.placeOne(id); err != nil {
-			// A fresh run that fails mid-placement retries with widened
-			// bounds; reproduce that exactly rather than erroring.
-			return scheduleTimeConstrained(ctx, g, opt)
-		}
-	}
-	return s.finish()
+	return prev.Trace.Steps
 }
 
 // replayStep commits the recorded decision st for new-graph node id if
@@ -121,36 +105,4 @@ func (s *scheduler) replayStep(id dfg.NodeID, st *sched.TraceStep, prev *sched.S
 		})
 	}
 	return true
-}
-
-// boundsFor computes the initial max_j/current_j maps a fresh
-// time-constrained run over (g, cs, frames) would start from, without
-// building the placement tables.
-func boundsFor(g *dfg.Graph, cs int, opt Options, frames sched.Frames) (maxj, current map[string]int) {
-	s := &scheduler{
-		g: g, cs: cs, opt: opt,
-		frames:  frames,
-		maxj:    make(map[string]int),
-		current: make(map[string]int),
-	}
-	s.initBounds()
-	return s.maxj, s.current
-}
-
-func intMapsEqual(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	//hls:orderok set-equality test; the verdict is the same whatever order the keys arrive in
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
-	}
-	return true
-}
-
-// Resume is ResumeCtx without cancellation.
-func Resume(g *dfg.Graph, opt Options, prev *sched.Schedule, oldFrames sched.Frames, seeds []dfg.NodeID) (*sched.Schedule, error) {
-	return ResumeCtx(context.Background(), g, opt, prev, oldFrames, seeds)
 }

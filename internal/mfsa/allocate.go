@@ -8,7 +8,6 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/grid"
 	"repro/internal/library"
-	"repro/internal/op"
 	"repro/internal/sched"
 )
 
@@ -31,52 +30,25 @@ func Allocate(s *sched.Schedule, opt Options) (*Result, error) {
 // operation's worth of work.
 func AllocateCtx(ctx context.Context, s *sched.Schedule, opt Options) (*Result, error) {
 	g := s.Graph
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("mfsa: %w", err)
+	opt.CS, opt.ClockNs, opt.Latency = s.CS, s.ClockNs, s.Latency
+	opt, unitsByOp, err := prepare(g, opt)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Lib == nil {
-		opt.Lib = library.NCRLike()
-	}
-	if err := opt.Lib.Validate(); err != nil {
-		return nil, fmt.Errorf("mfsa: %w", err)
-	}
-	if opt.Style == 0 {
-		opt.Style = Style1
-	}
-	opt.CS = s.CS
-	opt.ClockNs = s.ClockNs
-	opt.Latency = s.Latency
-	unitsByOp := make(map[op.Kind][]*library.Unit)
-	for _, n := range g.Nodes() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if n.IsLoop() {
-			return nil, fmt.Errorf("mfsa: Allocate does not bind loop nodes (node %q)", n.Name)
-		}
-		us, ok := unitsByOp[n.Op]
-		if !ok {
-			us = candidateUnits(opt, n)
-			unitsByOp[n.Op] = us
-		}
-		if len(us) == 0 {
-			return nil, fmt.Errorf("mfsa: library has no unit for %q", n.Name)
-		}
-		if _, ok := s.Placements[n.ID]; !ok {
-			return nil, fmt.Errorf("mfsa: node %q unscheduled", n.Name)
-		}
-	}
-
-	st := allocState(g, opt, unitsByOp)
+	// The binder never consults frames.
+	st := newState(g, opt, nil, unitsByOp)
 	for _, id := range allocationOrder(s) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
+		}
+		if _, ok := s.Placements[id]; !ok {
+			return nil, fmt.Errorf("mfsa: node %q unscheduled", g.Node(id).Name)
 		}
 		if err := st.bindOne(s, id); err != nil {
 			return nil, err
 		}
 	}
-	return st.finishAlloc()
+	return st.finish()
 }
 
 // allocationOrder visits operations by start step (then ID), so reuse
@@ -94,12 +66,6 @@ func allocationOrder(s *sched.Schedule) []dfg.NodeID {
 		return ids[i] < ids[j]
 	})
 	return ids
-}
-
-func allocState(g *dfg.Graph, opt Options, unitsByOp map[op.Kind][]*library.Unit) *state {
-	// Reuse the Synthesize state with trivial frames; the binder never
-	// consults them.
-	return newState(g, opt, make(sched.Frames, g.Len()), unitsByOp)
 }
 
 // bindOne chooses the cheapest ALU instance for a fixed (node, step):
@@ -160,36 +126,4 @@ func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 		return fmt.Errorf("mfsa: no ALU for %q at step %d", n.Name, step)
 	}
 	return st.commit(n, best, evaluated, nil)
-}
-
-func (st *state) finishAlloc() (*Result, error) {
-	out := sched.NewSchedule(st.g, st.opt.CS)
-	out.ClockNs = st.opt.ClockNs
-	out.Latency = st.opt.Latency
-	for _, name := range st.pipeTypes {
-		out.PipelinedTypes[name] = true
-	}
-	for id, p := range st.placed {
-		if p.Step == 0 {
-			continue // unbound; Verify reports it
-		}
-		out.Place(dfg.NodeID(id), p)
-	}
-	if !st.opt.NoTrace {
-		out.Trace = &sched.Trace{Steps: st.trace}
-	}
-	if err := out.Verify(st.opt.Limits); err != nil {
-		return nil, fmt.Errorf("mfsa: allocation produced an illegal binding: %w", err)
-	}
-	st.dp.ReoptimizeMuxes(st.g)
-	st.dp.AssignRegisters(st.intervals(nil, 0))
-	if err := st.dp.Validate(); err != nil {
-		return nil, fmt.Errorf("mfsa: allocation produced an invalid datapath: %w", err)
-	}
-	if st.opt.Style == Style2 {
-		if err := VerifyStyle2(st.g, st.dp); err != nil {
-			return nil, fmt.Errorf("mfsa: %w", err)
-		}
-	}
-	return &Result{Schedule: out, Datapath: st.dp, Cost: st.dp.Cost()}, nil
 }

@@ -1,6 +1,7 @@
 package mfsa
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -122,7 +123,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 		for step := lo; step <= hi; step++ {
 			assertRegDelta(t, s, n, step)
 		}
-		if err := s.placeOne(id); err != nil {
+		if err := s.placeOne(context.Background(), id); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
 	}
@@ -141,7 +142,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 	}
 	aopt.Lib, aopt.Style = popt.Lib, popt.Style
 	aopt.CS, aopt.ClockNs, aopt.Latency = want.Schedule.CS, want.Schedule.ClockNs, want.Schedule.Latency
-	st := allocState(g, aopt, nil)
+	st := newState(g, aopt, nil, nil)
 	for _, id := range allocationOrder(want.Schedule) {
 		st.memoGen++
 		assertRegDelta(t, st, g.Node(id), want.Schedule.Placements[id].Step)
@@ -149,7 +150,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 			t.Fatalf("allocation replay: %v", err)
 		}
 	}
-	gotA, err := st.finishAlloc()
+	gotA, err := st.finish()
 	if err != nil {
 		t.Fatalf("allocation replay: %v", err)
 	}

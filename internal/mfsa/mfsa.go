@@ -116,23 +116,16 @@ func Synthesize(g *dfg.Graph, opt Options) (*Result, error) {
 }
 
 // SynthesizeCtx is Synthesize with cancellation: ctx is checked before
-// every operation placement, so a cancelled run returns ctx.Err() within
-// one placement's worth of work instead of finishing the whole design.
+// every operation placement and every 64 move-frame positions within
+// one, so a cancelled run returns ctx.Err() within a bounded slice of
+// one placement's work instead of finishing the whole design.
 func SynthesizeCtx(ctx context.Context, g *dfg.Graph, opt Options) (*Result, error) {
-	opt, unitsByOp, err := prepare(g, opt)
-	if err != nil {
-		return nil, err
-	}
-	frames, err := sched.ComputeFrames(g, opt.CS, opt.ClockNs)
-	if err != nil {
-		return nil, fmt.Errorf("mfsa: %w", err)
-	}
-	return synthesize(ctx, g, opt, frames, unitsByOp)
+	return ResumeCtx(ctx, g, opt, nil)
 }
 
 // prepare validates the graph, library and options, normalizes the
 // defaulted option fields, and builds the candidate-unit cache. Shared by
-// the from-scratch and resume entry points.
+// the synthesis and allocation entry points.
 func prepare(g *dfg.Graph, opt Options) (Options, map[op.Kind][]*library.Unit, error) {
 	if err := g.Validate(); err != nil {
 		return opt, nil, fmt.Errorf("mfsa: %w", err)
@@ -164,20 +157,6 @@ func prepare(g *dfg.Graph, opt Options) (Options, map[op.Kind][]*library.Unit, e
 		}
 	}
 	return opt, unitsByOp, nil
-}
-
-// synthesize runs the main placement loop over prepared inputs.
-func synthesize(ctx context.Context, g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.Kind][]*library.Unit) (*Result, error) {
-	s := newState(g, opt, frames, unitsByOp)
-	for _, id := range sched.PriorityOrder(g, frames) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if err := s.placeOne(id); err != nil {
-			return nil, err
-		}
-	}
-	return s.finish()
 }
 
 // candidateUnits returns the library cells that can execute node n under
@@ -466,12 +445,15 @@ func (s *state) unitsFor(n *dfg.Node) []*library.Unit {
 // placeOne evaluates the dynamic Liapunov function over every empty
 // move-frame position of every candidate ALU type and commits the
 // minimum (§4.2 step 4).
-func (s *state) placeOne(id dfg.NodeID) error {
+func (s *state) placeOne(ctx context.Context, id dfg.NodeID) error {
 	n := s.g.Node(id)
 	units := s.unitsFor(n)
 	var grown []string // types grown by local rescheduling, for the trace
 	for {
-		best, evaluated, ok := s.bestCandidate(n, units)
+		best, evaluated, ok, err := s.bestCandidate(ctx, n, units)
+		if err != nil {
+			return err
+		}
 		if ok {
 			return s.commit(n, best, evaluated, grown)
 		}
@@ -506,12 +488,22 @@ type candidate struct {
 	swapped bool
 }
 
-func (s *state) bestCandidate(n *dfg.Node, units []*library.Unit) (candidate, []sched.TraceCandidate, bool) {
+// pollEvery is how many move-frame positions bestCandidate walks
+// between context polls. Near the cs cap one window holds millions of
+// positions, so the per-placement poll alone would let a deadline slip
+// by seconds; ctx.Err takes a lock, so it is not polled per position.
+const pollEvery = 64
+
+// bestCandidate returns the least-energy candidate of n's move frame,
+// the candidates it scored, and whether any was found. It returns
+// ctx.Err() once ctx is done.
+func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library.Unit) (candidate, []sched.TraceCandidate, bool, error) {
 	s.memoGen++ // new candidate evaluation: invalidate the regDelta memo
 	lo, hi := s.window(n)
 	var best candidate
 	evaluated := s.candBuf[:0] // commit copies what it keeps
 	found := false
+	walked := 0
 	for _, u := range units {
 		if s.maxInst[u.Name] == 0 {
 			continue // capped to zero instances (Limits); tableOf is nil
@@ -530,6 +522,11 @@ func (s *state) bestCandidate(n *dfg.Node, units []*library.Unit) (candidate, []
 		// column per step is evaluated; the rest are skipped losslessly.
 		freshStep := -1
 		for _, p := range s.movePositions(table, n, lo, hi, cur) {
+			if walked++; walked%pollEvery == 0 {
+				if err := ctx.Err(); err != nil {
+					return candidate{}, nil, false, err
+				}
+			}
 			if p.Index >= len(bc) || !bc[p.Index] {
 				if p.Step == freshStep {
 					continue
@@ -553,7 +550,7 @@ func (s *state) bestCandidate(n *dfg.Node, units []*library.Unit) (candidate, []
 		}
 	}
 	s.candBuf = evaluated
-	return best, evaluated, found
+	return best, evaluated, found, nil
 }
 
 func less(a, b candidate) bool {

@@ -3,6 +3,8 @@ package mfsa
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/dfg"
 	"repro/internal/sched"
@@ -11,63 +13,46 @@ import (
 // ResumeCtx re-synthesizes g after a local edit by replaying the recorded
 // trajectory of a previous run instead of re-deriving every decision.
 // prev is the result of synthesizing the pre-edit graph (its Schedule's
-// Graph, Frames and Trace must be the ones MFSA produced); oldFrames is
-// prev.Schedule.Frames remapped onto g's node IDs (entries for freshly
-// added nodes absent or past the end); seeds are the node IDs whose
-// timing inputs the edit changed, as for sched.UpdateFrames.
+// Graph, Frames and Trace must be the ones MFSA produced); nil replays
+// nothing, which is SynthesizeCtx.
 //
 // The result is always bit-identical to SynthesizeCtx(g, opt) — replay is
-// an optimization, never a semantic shortcut. The induction mirrors
-// mfs.ResumeCtx: if the initial per-unit instance bounds match the old
-// run's, then as long as each trace step's node is structurally
-// equivalent to the new priority order's node, its frames match, and its
-// recorded instance-count trajectory (MaxJ, Grown, CurrentJ) still
-// holds, the allocator state after the prefix — grid occupancy, ALU
-// bindings, mux lists, value lifetimes — is identical to the old run's,
-// so the recorded decision IS what bestCandidate would derive and it is
-// committed directly. The first divergence switches permanently to the
-// full per-node search, which from the common state continues exactly as
-// a fresh run would. Whenever a precondition fails (no trace — e.g. the
-// previous run had NoTrace set —, changed initial bounds, or a changed
-// input set under RegisterInputs), the function falls back to the full
-// synthesis, so callers can treat it as a drop-in Synthesize.
-func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *Result, oldFrames sched.Frames, seeds []dfg.NodeID) (*Result, error) {
+// an optimization, never a semantic shortcut, and this is the one run
+// path both take. The induction mirrors mfs.ResumeCtx: if the initial
+// per-unit instance bounds match the old run's, then as long as each
+// trace step's node is structurally equivalent to the new priority
+// order's node, its frames match, and its recorded instance-count
+// trajectory (MaxJ, Grown, CurrentJ) still holds, the allocator state
+// after the prefix — grid occupancy, ALU bindings, mux lists, value
+// lifetimes — is identical to the old run's, so the recorded decision IS
+// what bestCandidate would derive and it is committed directly. The
+// first divergence switches permanently to the full per-node search,
+// which from the common state continues exactly as a fresh run would.
+// When a precondition fails (no trace — e.g. the previous run had
+// NoTrace set —, changed initial bounds, or a changed input set under
+// RegisterInputs), the run replays nothing.
+func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *Result) (*Result, error) {
 	opt, unitsByOp, err := prepare(g, opt)
 	if err != nil {
 		return nil, err
 	}
-	if prev == nil || prev.Schedule == nil || prev.Schedule.Trace == nil ||
-		prev.Schedule.Frames == nil || prev.Schedule.Graph == nil {
-		return SynthesizeCtx(ctx, g, opt)
-	}
-	frames, err := sched.UpdateFrames(g, opt.CS, opt.ClockNs, oldFrames, seeds)
+	frames, err := sched.ComputeFrames(g, opt.CS, opt.ClockNs)
 	if err != nil {
 		return nil, fmt.Errorf("mfsa: %w", err)
 	}
-	if opt.RegisterInputs && !sameInputs(g, prev.Schedule.Graph) {
-		return synthesize(ctx, g, opt, frames, unitsByOp)
-	}
-	oldMax, oldCur, ok := instanceBounds(prev.Schedule.Graph, opt, unitsByOp)
-	if !ok {
-		return synthesize(ctx, g, opt, frames, unitsByOp)
-	}
 	s := newState(g, opt, frames, unitsByOp)
-	if !intMapsEqual(s.maxInst, oldMax) || !intMapsEqual(s.current, oldCur) {
-		return synthesize(ctx, g, opt, frames, unitsByOp)
-	}
-	steps := prev.Schedule.Trace.Steps
-	replaying := true
+	steps := s.replayable(prev)
 	for i, id := range sched.PriorityOrder(g, frames) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if replaying {
-			if i < len(steps) && s.replayStep(id, &steps[i], prev) {
+		if i < len(steps) {
+			if s.replayStep(id, &steps[i], prev) {
 				continue
 			}
-			replaying = false
+			steps = nil // the first divergence ends the replay
 		}
-		if err := s.placeOne(id); err != nil {
+		if err := s.placeOne(ctx, id); err != nil {
 			return nil, err
 		}
 	}
@@ -75,8 +60,28 @@ func ResumeCtx(ctx context.Context, g *dfg.Graph, opt Options, prev *Result, old
 }
 
 // Resume is ResumeCtx without cancellation.
-func Resume(g *dfg.Graph, opt Options, prev *Result, oldFrames sched.Frames, seeds []dfg.NodeID) (*Result, error) {
-	return ResumeCtx(context.Background(), g, opt, prev, oldFrames, seeds)
+func Resume(g *dfg.Graph, opt Options, prev *Result) (*Result, error) {
+	return ResumeCtx(context.Background(), g, opt, prev)
+}
+
+// replayable returns the trace steps of prev the run may replay: all of
+// them when the induction's preconditions hold against the run's fresh
+// initial state, none otherwise.
+func (s *state) replayable(prev *Result) []sched.TraceStep {
+	if prev == nil || prev.Schedule == nil || prev.Schedule.Trace == nil ||
+		prev.Schedule.Frames == nil || prev.Schedule.Graph == nil {
+		return nil
+	}
+	pg := prev.Schedule.Graph
+	// RegisterInputs seeds the initial lifetimes in input order.
+	if s.opt.RegisterInputs && !slices.Equal(s.g.Inputs(), pg.Inputs()) {
+		return nil
+	}
+	maxInst, current, ok := instanceBounds(pg, s.opt, s.unitsByOp)
+	if !ok || !maps.Equal(s.maxInst, maxInst) || !maps.Equal(s.current, current) {
+		return nil
+	}
+	return prev.Schedule.Trace.Steps
 }
 
 // replayStep commits the recorded decision st for new-graph node id if
@@ -139,34 +144,6 @@ func (s *state) replayStep(id dfg.NodeID, st *sched.TraceStep, prev *Result) boo
 	if err := s.commit(n, candidate{unit: u, pos: st.Pos, value: st.Energy}, nil, grown); err != nil {
 		revert()
 		return false
-	}
-	return true
-}
-
-// sameInputs reports whether two graphs declare the same primary inputs
-// in the same order (the order seeds RegisterInputs' initial lifetimes).
-func sameInputs(a, b *dfg.Graph) bool {
-	ia, ib := a.Inputs(), b.Inputs()
-	if len(ia) != len(ib) {
-		return false
-	}
-	for i := range ia {
-		if ia[i] != ib[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func intMapsEqual(a, b map[string]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	//hls:orderok set-equality test; the verdict is the same whatever order the keys arrive in
-	for k, v := range a {
-		if bv, ok := b[k]; !ok || bv != v {
-			return false
-		}
 	}
 	return true
 }

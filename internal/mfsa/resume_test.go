@@ -74,11 +74,10 @@ func TestResumeAddSinkMatchesFresh(t *testing.T) {
 		outs := g.Outputs()
 		for k := 0; k+1 < len(outs) && k < 3; k++ {
 			c := g.Clone()
-			nid, err := c.AddOp(fmt.Sprintf("resume_sink%d", k), op.Add, outs[k], outs[k+1])
-			if err != nil {
+			if _, err := c.AddOp(fmt.Sprintf("resume_sink%d", k), op.Add, outs[k], outs[k+1]); err != nil {
 				t.Fatal(err)
 			}
-			got, err := Resume(c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
+			got, err := Resume(c, opt, prev)
 			if err != nil {
 				t.Fatalf("%s: resume: %v", g.Name, err)
 			}
@@ -109,7 +108,7 @@ func TestResumeRetimeMatchesFresh(t *testing.T) {
 			if err := c.SetCycles(nid, c.Node(nid).Cycles%2+1); err != nil {
 				t.Fatal(err)
 			}
-			got, err := Resume(c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
+			got, err := Resume(c, opt, prev)
 			if err != nil {
 				t.Fatalf("%s retime %d: resume: %v", g.Name, id, err)
 			}
@@ -137,11 +136,10 @@ func TestResumeStyle2AndLimits(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := g.Clone()
-	nid, err := c.AddOp("s2_sink", op.Add, g.Outputs()[0], c.Node(dfg.NodeID(g.Len()/2)).Name)
-	if err != nil {
+	if _, err := c.AddOp("s2_sink", op.Add, g.Outputs()[0], c.Node(dfg.NodeID(g.Len()/2)).Name); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c, opt, prev, prev.Schedule.Frames, []dfg.NodeID{nid})
+	got, err := Resume(c, opt, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +170,10 @@ func TestResumeFallbacks(t *testing.T) {
 		t.Fatal("NoTrace run recorded a trace")
 	}
 	c := g.Clone()
-	nid, err := c.AddOp("extra", op.Neg, g.Outputs()[0])
-	if err != nil {
+	if _, err := c.AddOp("extra", op.Neg, g.Outputs()[0]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c, opt, prevNoTrace, prevNoTrace.Schedule.Frames, []dfg.NodeID{nid})
+	got, err := Resume(c, opt, prevNoTrace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +183,7 @@ func TestResumeFallbacks(t *testing.T) {
 	}
 	sameResult(t, "noTrace-fallback", got, want)
 
-	if _, err := Resume(c, opt, nil, nil, []dfg.NodeID{nid}); err != nil {
+	if _, err := Resume(c, opt, nil); err != nil {
 		t.Fatalf("nil prev: %v", err)
 	}
 }
@@ -205,20 +202,18 @@ func TestResumeResumedTrace(t *testing.T) {
 	}
 	outs := g.Outputs()
 	c1 := g.Clone()
-	n1, err := c1.AddOp("extra1", op.Add, outs[0], outs[1])
-	if err != nil {
+	if _, err := c1.AddOp("extra1", op.Add, outs[0], outs[1]); err != nil {
 		t.Fatal(err)
 	}
-	mid, err := Resume(c1, opt, prev, prev.Schedule.Frames, []dfg.NodeID{n1})
+	mid, err := Resume(c1, opt, prev)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c2 := c1.Clone()
-	n2, err := c2.AddOp("extra2", op.Sub, "extra1", outs[2])
-	if err != nil {
+	if _, err := c2.AddOp("extra2", op.Sub, "extra1", outs[2]); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Resume(c2, opt, mid, mid.Schedule.Frames, []dfg.NodeID{n2})
+	got, err := Resume(c2, opt, mid)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package sched_test
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -12,28 +15,41 @@ import (
 	"repro/internal/sched"
 )
 
-func framesEqual(a, b sched.Frames) bool {
-	if len(a) != len(b) {
-		return false
+// resumeMatchesFresh re-schedules the edited graph c from prev's trace
+// and checks the result against a fresh run of c: the same placements,
+// and the frames ComputeFrames derives for c.
+func resumeMatchesFresh(t *testing.T, label string, c *dfg.Graph, opt mfs.Options, prev *sched.Schedule) {
+	t.Helper()
+	got, err := mfs.Resume(c, opt, prev)
+	if err != nil {
+		t.Fatalf("%s: resume: %v", label, err)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
+	want, err := mfs.Schedule(c, opt)
+	if err != nil {
+		t.Fatalf("%s: fresh: %v", label, err)
 	}
-	return true
+	if !reflect.DeepEqual(got.Placements, want.Placements) {
+		t.Fatalf("%s: resumed placements differ from a fresh run", label)
+	}
+	frames, err := sched.ComputeFrames(c, opt.CS, opt.ClockNs)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !slices.Equal(got.Frames, frames) {
+		t.Fatalf("%s: resumed frames differ from ComputeFrames", label)
+	}
 }
 
-// TestUpdateFramesRetime checks the dirty-cone update against the full
-// recomputation after retiming single nodes of generated graphs.
+// TestUpdateFramesRetime retimes single nodes of generated graphs: a
+// resumed run recomputes the frames a fresh run does and matches it.
 func TestUpdateFramesRetime(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g, err := gen.Generate(gen.Config{Nodes: 400, Seed: seed, MulCycles: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := g.CriticalPathCycles() + 6
-		old, err := sched.ComputeFrames(g, cs, 0)
+		opt := mfs.Options{CS: g.CriticalPathCycles() + 6}
+		prev, err := mfs.Schedule(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,31 +62,22 @@ func TestUpdateFramesRetime(t *testing.T) {
 			if err := c.SetCycles(nid, newCycles); err != nil {
 				t.Fatal(err)
 			}
-			got, err := sched.UpdateFrames(c, cs, 0, old, []dfg.NodeID{nid})
-			if err != nil {
-				t.Fatalf("seed %d retime %d: %v", seed, id, err)
-			}
-			want, err := sched.ComputeFrames(c, cs, 0)
-			if err != nil {
-				t.Fatalf("seed %d retime %d full: %v", seed, id, err)
-			}
-			if !framesEqual(got, want) {
-				t.Fatalf("seed %d retime node %d to %d cycles: incremental != full", seed, id, newCycles)
-			}
+			resumeMatchesFresh(t, fmt.Sprintf("seed %d retime node %d to %d cycles", seed, id, newCycles), c, opt, prev)
 		}
 	}
 }
 
-// TestUpdateFramesAddNode checks the update after appending a sink node
-// consuming two existing values — the incremental re-synthesis edit.
+// TestUpdateFramesAddNode appends a sink node consuming two existing
+// values — the incremental re-synthesis edit — and checks the resumed
+// run against a fresh one.
 func TestUpdateFramesAddNode(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		g, err := gen.Generate(gen.Config{Nodes: 300, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := g.CriticalPathCycles() + 6
-		old, err := sched.ComputeFrames(g, cs, 0)
+		opt := mfs.Options{CS: g.CriticalPathCycles() + 6}
+		prev, err := mfs.Schedule(g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,76 +85,70 @@ func TestUpdateFramesAddNode(t *testing.T) {
 			c := g.Clone()
 			a := c.Node(dfg.NodeID(i)).Name
 			b := c.Node(dfg.NodeID((i * 7) % c.Len())).Name
-			var nid dfg.NodeID
 			var err error
 			if a == b {
-				nid, err = c.AddOp("extra", op.Neg, a)
+				_, err = c.AddOp("extra", op.Neg, a)
 			} else {
-				nid, err = c.AddOp("extra", op.Add, a, b)
+				_, err = c.AddOp("extra", op.Add, a, b)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := sched.UpdateFrames(c, cs, 0, old, []dfg.NodeID{nid})
-			if err != nil {
-				t.Fatalf("seed %d add after %d: %v", seed, i, err)
-			}
-			want, err := sched.ComputeFrames(c, cs, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !framesEqual(got, want) {
-				t.Fatalf("seed %d add consuming %q,%q: incremental != full", seed, a, b)
-			}
+			resumeMatchesFresh(t, fmt.Sprintf("seed %d add consuming %q,%q", seed, a, b), c, opt, prev)
 		}
 	}
 }
 
 // TestUpdateFramesInfeasible checks that an edit pushing the critical
-// path past cs yields the same InfeasibleError as the full computation.
+// path past cs makes a resumed run return ComputeFrames' exact
+// InfeasibleError.
 func TestUpdateFramesInfeasible(t *testing.T) {
 	g, err := gen.Generate(gen.Config{Nodes: 100, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := g.CriticalPathCycles() + 1
-	old, err := sched.ComputeFrames(g, cs, 0)
+	opt := mfs.Options{CS: g.CriticalPathCycles() + 1}
+	prev, err := mfs.Schedule(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := g.Clone()
 	// Stretch a node far past the slack.
-	if err := c.SetCycles(0, cs); err != nil {
+	if err := c.SetCycles(0, opt.CS); err != nil {
 		t.Fatal(err)
 	}
-	_, err = sched.UpdateFrames(c, cs, 0, old, []dfg.NodeID{0})
-	ie, ok := err.(*sched.InfeasibleError)
-	if !ok {
+	_, err = mfs.Resume(c, opt, prev)
+	var ie *sched.InfeasibleError
+	if !errors.As(err, &ie) {
 		t.Fatalf("want InfeasibleError, got %v", err)
 	}
-	_, werr := sched.ComputeFrames(c, cs, 0)
+	_, werr := sched.ComputeFrames(c, opt.CS, 0)
 	if werr == nil || ie.Error() != werr.Error() {
-		t.Fatalf("incremental error %q != full error %q", err, werr)
+		t.Fatalf("resumed error %q != ComputeFrames error %q", ie, werr)
 	}
 }
 
-// TestUpdateFramesChainedFallsBack checks that chained mode delegates to
-// the exact full computation.
+// TestUpdateFramesChainedFallsBack checks a resumed run under chaining,
+// whose frames couple steps through continuous time, against a fresh
+// one.
 func TestUpdateFramesChainedFallsBack(t *testing.T) {
 	ex := benchmarks.Chained()
 	g := ex.Graph
-	cs := 4
-	old, err := sched.ComputeFrames(g, cs, ex.ClockNs)
+	opt := mfs.Options{CS: 4, ClockNs: ex.ClockNs}
+	prev, err := mfs.Schedule(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sched.UpdateFrames(g, cs, ex.ClockNs, old, []dfg.NodeID{0})
+	outs := g.Outputs()
+	c := g.Clone()
+	nid, err := c.AddOp("chain_sink", op.Add, outs[0], outs[len(outs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !framesEqual(got, old) {
-		t.Fatal("chained fallback differs from ComputeFrames")
+	if err := c.SetDelayNs(nid, 10); err != nil {
+		t.Fatal(err)
 	}
+	resumeMatchesFresh(t, "chained+sink", c, opt, prev)
 }
 
 // priorityOrderScan is the historical linear-scan ready-list emission,

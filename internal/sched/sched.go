@@ -51,9 +51,9 @@ type Schedule struct {
 	Trace *Trace
 
 	// Frames, when non-nil, holds the ASAP/ALAP frames the schedule was
-	// derived under. Like Trace it is advisory metadata: incremental
-	// re-synthesis (core.Resynthesize) seeds its dirty-cone frame update
-	// from it instead of recomputing both graph passes from scratch.
+	// derived under. Like Trace it is advisory metadata: a resumed run
+	// (mfs.ResumeCtx, mfsa.ResumeCtx) replays a recorded step only while
+	// the node's freshly computed frame equals the one recorded here.
 	Frames Frames
 }
 

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/dfg"
 	"repro/internal/grid"
 	"repro/internal/liapunov"
@@ -129,4 +131,16 @@ func (t *Trace) StepFor(id dfg.NodeID) (*TraceStep, bool) {
 		}
 	}
 	return nil, false
+}
+
+// NodesEquivalent reports whether two nodes (from different graphs) are
+// interchangeable for every input a placement decision reads: identity,
+// operation, duration, combinational delay, operand names, exclusion
+// tags, and loop-ness. It underpins trace replay in mfs.ResumeCtx and
+// mfsa.ResumeCtx: a trace step may be replayed onto a node only when the
+// recorded node is equivalent to it.
+func NodesEquivalent(a, b *dfg.Node) bool {
+	return a.Name == b.Name && a.Op == b.Op && a.Cycles == b.Cycles &&
+		a.DelayNs == b.DelayNs && a.IsLoop() == b.IsLoop() &&
+		slices.Equal(a.Args, b.Args) && slices.Equal(a.Excl, b.Excl)
 }

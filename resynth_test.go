@@ -8,6 +8,7 @@ package hls_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	hls "repro"
 	"repro/internal/benchmarks"
 	"repro/internal/gen"
+	"repro/internal/sched"
 )
 
 // sameDesign requires bit-identical synthesis results: the schedule's
@@ -72,14 +74,31 @@ func editsFor(g *hls.Graph) []hls.Edit {
 	return es
 }
 
-func TestResynthesizeMatchesFreshMFSA(t *testing.T) {
-	gsmall, err := gen.Generate(gen.Config{Nodes: 120, Seed: 7, MulCycles: 2})
+type resynthCase struct {
+	g   *hls.Graph
+	cfg hls.Config
+}
+
+// resynthCases lists the designs the matches-fresh tests edit: the six
+// paper benchmarks and a generated graph at cs = critical path + 2, and
+// the chained benchmark under its clock.
+func resynthCases(t *testing.T, seed int64) []resynthCase {
+	t.Helper()
+	gsmall, err := gen.Generate(gen.Config{Nodes: 120, Seed: seed, MulCycles: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	graphs := append(benchGraphs(), gsmall)
-	for _, g := range graphs {
-		cfg := hls.Config{CS: g.CriticalPathCycles() + 2}
+	var out []resynthCase
+	for _, g := range append(benchGraphs(), gsmall) {
+		out = append(out, resynthCase{g, hls.Config{CS: g.CriticalPathCycles() + 2}})
+	}
+	ch := benchmarks.Chained()
+	return append(out, resynthCase{ch.Graph, hls.Config{CS: ch.Graph.CriticalPathCycles() + 2, ClockNs: ch.ClockNs}})
+}
+
+func TestResynthesizeMatchesFreshMFSA(t *testing.T) {
+	for _, c := range resynthCases(t, 7) {
+		g, cfg := c.g, c.cfg
 		d, err := hls.Synthesize(g, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
@@ -99,13 +118,8 @@ func TestResynthesizeMatchesFreshMFSA(t *testing.T) {
 }
 
 func TestResynthesizeMatchesFreshMFS(t *testing.T) {
-	gsmall, err := gen.Generate(gen.Config{Nodes: 120, Seed: 11, MulCycles: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	graphs := append(benchGraphs(), gsmall)
-	for _, g := range graphs {
-		cfg := hls.Config{CS: g.CriticalPathCycles() + 2}
+	for _, c := range resynthCases(t, 11) {
+		g, cfg := c.g, c.cfg
 		d, err := hls.ScheduleGraph(g, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", g.Name, err)
@@ -192,6 +206,38 @@ func TestResynthesizeRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestResynthesizeInfeasibleMatchesFresh retimes a node past the time
+// constraint: Resynthesize must fail exactly as a fresh run of the
+// edited graph does, with the frame computation's *sched.InfeasibleError.
+func TestResynthesizeInfeasibleMatchesFresh(t *testing.T) {
+	g := benchmarks.Diffeq().Graph
+	cfg := hls.Config{CS: g.CriticalPathCycles() + 1}
+	var mul *hls.Node
+	for _, n := range g.Nodes() {
+		if n.Op == hls.Mul {
+			mul = n
+			break
+		}
+	}
+	edited := g.Clone()
+	if err := edited.SetCycles(mul.ID, cfg.CS); err != nil {
+		t.Fatal(err)
+	}
+	e := hls.Edit{Retime: &hls.RetimeEdit{Node: mul.Name, Cycles: cfg.CS}}
+	for _, run := range []func(*hls.Graph, hls.Config) (*hls.Design, error){hls.Synthesize, hls.ScheduleGraph} {
+		d, err := run(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = hls.Resynthesize(d, e)
+		_, want := run(edited, cfg)
+		var ie *sched.InfeasibleError
+		if !errors.As(err, &ie) || want == nil || err.Error() != want.Error() {
+			t.Fatalf("resynthesize err = %v, want the fresh run's *sched.InfeasibleError %v", err, want)
+		}
+	}
+}
+
 // TestResynthesizeRejectsAllocatedDesign pins the contract that designs
 // assembled outside the capturing entry points cannot be resynthesized:
 // hls.Allocate never records a Config, so there is nothing to replay
@@ -213,7 +259,7 @@ func TestResynthesizeRejectsAllocatedDesign(t *testing.T) {
 }
 
 // TestResynthesizeNoTraceFallback: a NoTrace design has no trajectory to
-// replay; Resynthesize must fall back to a full run and still match the
+// replay; Resynthesize must replay nothing and still match the
 // from-scratch result exactly.
 func TestResynthesizeNoTraceFallback(t *testing.T) {
 	g := benchmarks.EWF().Graph
