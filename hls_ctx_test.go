@@ -196,22 +196,41 @@ func TestSynthesizeCtx100kNodeCancel(t *testing.T) {
 }
 
 // TestSynthesizeCtxDeadlineAtLargeCS pins the deadline inside one
-// placement: near the cs cap a single MFSA move frame holds millions of
-// scored positions, so a run that polled only between placements would
-// overrun a 50ms timeout by seconds (facet at cs 20000 took 3s).
+// placement. Under weights that break time dominance (ALU weight 50)
+// MFSA scores every free position of every move frame, and near the cs
+// cap a single frame holds millions, so a run that polled only between
+// placements would overrun a 50ms timeout by seconds (facet at cs 20000
+// takes about 8s to finish). With the default weights the same run
+// scores only the earliest feasible step and returns a design within
+// the budget; its timeout is the budget itself, since the run's
+// O(cs) frames, tables and controller take tens of milliseconds under
+// the race detector.
 func TestSynthesizeCtxDeadlineAtLargeCS(t *testing.T) {
 	g := benchmarks.Facet().Graph
 	budget := 250 * time.Millisecond
 	if raceEnabled {
 		budget = time.Second
 	}
-	start := time.Now()
-	_, err := hls.SynthesizeCtx(context.Background(), g, hls.Config{CS: 20000, Timeout: 50 * time.Millisecond})
-	if d := time.Since(start); d > budget {
-		t.Fatalf("synthesis returned after %v, want < %v", d, budget)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	for _, tc := range []struct {
+		name    string
+		weights [4]float64
+		timeout time.Duration
+		want    error
+	}{
+		{"full-scan", [4]float64{1, 50, 1, 1}, 50 * time.Millisecond, context.DeadlineExceeded},
+		{"default-weights", [4]float64{}, budget, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := time.Now()
+			_, err := hls.SynthesizeCtx(context.Background(), g,
+				hls.Config{CS: 20000, Weights: tc.weights, Timeout: tc.timeout})
+			if d := time.Since(start); d > budget {
+				t.Fatalf("synthesis returned after %v, want < %v", d, budget)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+		})
 	}
 }
 

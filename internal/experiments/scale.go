@@ -25,9 +25,12 @@ import (
 //
 // Fresh rungs run with Config.NoTrace: a pure batch run has no replay
 // trajectory to keep, and the trace would only add allocation noise to
-// the footprint columns. The incremental points keep the trace on for
-// their fresh run — that recorded trajectory is exactly what the
-// resynthesis replays, so trace-on fresh time is the honest comparator.
+// the footprint columns. One untimed traced synthesis per rung, run
+// after the timed ones, counts the candidates MFSA scored: an exact
+// metric, so any change to the search's pruning fails the comparison.
+// The incremental points keep the trace on for their fresh run — that
+// recorded trajectory is exactly what the resynthesis replays, so
+// trace-on fresh time is the honest comparator.
 func MeasureScaleCtx(ctx context.Context, maxNodes int) (*Snapshot, error) {
 	ms := []Metric{info("ladder/max_nodes", float64(maxNodes), "nodes", "")}
 	// The incremental points run first: the big ladder rungs leave a
@@ -57,8 +60,8 @@ func MeasureScaleCtx(ctx context.Context, maxNodes int) (*Snapshot, error) {
 }
 
 // measureRung returns one ladder rung's metrics: its size, its cs
-// budget, and the wall time, ns/node and allocation footprint of a
-// fresh synthesis.
+// budget, the wall time, ns/node and allocation footprint of a fresh
+// synthesis, and the number of candidates it scores.
 func measureRung(ctx context.Context, rung *benchmarks.ScaleExample) ([]Metric, error) {
 	g := rung.Graph()
 	cs := g.CriticalPathCycles() + rung.Slack
@@ -77,6 +80,10 @@ func measureRung(ctx context.Context, rung *benchmarks.ScaleExample) ([]Metric, 
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scale rung %s: %w", rung.Name, err)
 	}
+	traced, err := core.SynthesizeCtx(ctx, g, core.Config{CS: cs})
+	if err != nil {
+		return nil, fmt.Errorf("experiments: scale rung %s: traced run: %w", rung.Name, err)
+	}
 	return []Metric{
 		info(rung.Name+"/nodes", float64(rung.Nodes), "nodes", ""),
 		info(rung.Name+"/cs", float64(cs), "cs", ""),
@@ -84,6 +91,7 @@ func measureRung(ctx context.Context, rung *benchmarks.ScaleExample) ([]Metric, 
 		info(rung.Name+"/ns_per_node", float64(t.wall.Nanoseconds())/float64(rung.Nodes), "ns", "lower"),
 		info(rung.Name+"/alloc", t.allocMB, "MB", "lower"),
 		info(rung.Name+"/heap_peak", t.heapMB, "MB", "lower"),
+		{Name: rung.Name + "/candidates", Value: float64(traced.Schedule.Trace.Scored()), Unit: "candidates", Exact: true},
 	}, nil
 }
 

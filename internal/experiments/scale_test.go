@@ -43,6 +43,9 @@ func TestMeasureScaleSmallLadder(t *testing.T) {
 			t.Errorf("implausible %s = %v", name, v)
 		}
 	}
+	if m := metric(t, s, "rand1k/candidates"); !m.Exact || m.Value <= 0 {
+		t.Errorf("rand1k/candidates = %+v, want an exact positive count", m)
+	}
 	if metric(t, s, "inc1k/identical_results").Value != 1 {
 		t.Error("incremental result diverged from the from-scratch run")
 	}

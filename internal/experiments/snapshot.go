@@ -47,9 +47,10 @@ type Metric struct {
 	// empty for a descriptive count such as rows or nodes.
 	Better string `json:"better,omitempty"`
 
-	// Exact marks a correctness verdict, such as a determinism check or
-	// the cache hit rate, that a fresh run must reproduce exactly.
-	// Booleans are recorded as 1 (true) and 0 (false).
+	// Exact marks a figure a fresh run must reproduce exactly: a
+	// correctness verdict, such as a determinism check or the cache hit
+	// rate, or a deterministic count, such as the candidates a scale
+	// rung scores. Booleans are recorded as 1 (true) and 0 (false).
 	Exact bool `json:"exact,omitempty"`
 }
 

@@ -218,7 +218,8 @@ func TestComparePerf(t *testing.T) {
 }
 
 func TestCompareScale(t *testing.T) {
-	checkParity(t, "scale", []string{"inc1k/identical_results", "inc5k/identical_results", "inc10k/identical_results"}, 10)
+	checkParity(t, "scale", []string{"inc1k/identical_results", "inc5k/identical_results", "inc10k/identical_results",
+		"rand1k/candidates", "fir2k/candidates", "rand5k/candidates", "rand10k/candidates"}, 10)
 }
 
 func TestCompareServe(t *testing.T) {

@@ -8,6 +8,7 @@ package liapunov
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/grid"
 )
@@ -98,6 +99,43 @@ func (f ResourceConstrained) GridOrder(cs, max int) (grid.Order, bool) {
 // whenever possible.
 func DominanceConstant(maxALU, maxMux, maxReg float64) float64 {
 	return maxALU + maxMux + maxReg + 1
+}
+
+// TimeDominates reports whether the time term of MFSA's weighted
+// function V = w_T·C·y + w_A·f^ALU + w_M·f^MUX + w_R·f^REG strictly
+// dominates over control steps 1..cs, as MFSA evaluates V in float64:
+// every candidate at step y then scores strictly below every candidate
+// at a later step, so the search may stop at the first step that has
+// one. w is (w_T, w_A, w_M, w_R); C is DominanceConstant(maxALU, maxMux,
+// maxReg), the same float MFSA scales y by; the hardware terms lie in
+// [0, max] up to rounding; and muxScale bounds the two-port mux areas
+// f^MUX is the difference of.
+//
+// It holds when every weight is ≥ 0 and the gap w_T·C − H, with
+// H = w_A·maxALU + w_M·maxMux + w_R·maxReg, exceeds 2^-40·S plus the
+// smallest normal float, where S = w_T·C·(cs+1) + H + w_M·muxScale
+// bounds every magnitude the evaluation touches, and S is at most half
+// the largest float. In exact arithmetic a gap > 0 suffices. Rounding
+// is monotone and every term is ≥ 0, so a later candidate scores at
+// least its rounded time term, and an earlier one at most its real
+// value plus: 6u of it (u = 2^-53; two products and three sums), the
+// f^MUX excess its own sums and difference can round into (under
+// 6u·w_M·(maxMux + muxScale)), and 2^-1075 per product that underflows.
+// Between the two that is under 20u·S + 2^-1070, far below the
+// 2^-40·S + 2^-1022 required; the slack also absorbs the rounding of
+// the check itself. Overflow fails it: an infinite or NaN weight,
+// C·(cs+1) or S leaves a comparison false, and S ≤ MaxFloat64/2 keeps
+// every V finite.
+func TimeDominates(w [4]float64, maxALU, maxMux, maxReg, muxScale float64, cs int) bool {
+	for _, x := range w {
+		if !(x >= 0) {
+			return false
+		}
+	}
+	c := DominanceConstant(maxALU, maxMux, maxReg)
+	h := w[1]*maxALU + w[2]*maxMux + w[3]*maxReg
+	s := w[0]*(c*float64(cs+1)) + h + w[2]*muxScale
+	return s <= math.MaxFloat64/2 && w[0]*c-h > 0x1p-40*s+0x1p-1022
 }
 
 // CheckProperties verifies the theorem's usable properties of f over the

@@ -1,6 +1,7 @@
 package liapunov
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -183,5 +184,64 @@ func TestDominanceConstant(t *testing.T) {
 	nextFree := c * (y + 1)
 	if !(worst < nextFree) {
 		t.Errorf("time dominance broken: %v >= %v", worst, nextFree)
+	}
+}
+
+// TestTimeDominatesEdges pins the predicate's verdict at its edges. The
+// margin is relative to the largest magnitude the evaluation touches, so
+// a gap that is ample for a hundred steps fails for an astronomically
+// long schedule.
+func TestTimeDominatesEdges(t *testing.T) {
+	one := [4]float64{1, 1, 1, 1}
+	cases := []struct {
+		name string
+		w    [4]float64
+		cs   int
+		want bool
+	}{
+		{"balanced", one, 100, true},
+		{"cs-beyond-margin", one, 1 << 50, false},
+		{"nan-weight", [4]float64{1, math.NaN(), 1, 1}, 100, false},
+		{"inf-weight", [4]float64{math.Inf(1), 1, 1, 1}, 100, false},
+		{"overflowing-product", [4]float64{math.MaxFloat64, 1, 1, 1}, 100, false},
+		{"overflowing-hardware", [4]float64{1, math.MaxFloat64, math.MaxFloat64, 1}, 100, false},
+		{"negative", [4]float64{1, 1, -1, 1}, 100, false},
+		{"negative-zero", [4]float64{1, math.Copysign(0, -1), 1, 1}, 100, true},
+		{"alu-outweighs-time", [4]float64{1, 1.01, 1, 1}, 100, false},
+		{"time-only", [4]float64{1, 0, 0, 0}, 100, true},
+		{"no-time", [4]float64{0, 1, 1, 1}, 100, false},
+		{"all-zero", [4]float64{0, 0, 0, 0}, 100, false},
+		{"subnormal-time", [4]float64{0x1p-1070, 0, 0, 0}, 100, false},
+	}
+	for _, tc := range cases {
+		if got := TimeDominates(tc.w, 100, 20, 16, 1e4*20, tc.cs); got != tc.want {
+			t.Errorf("%s: TimeDominates = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestTimeDominatesOrdersSteps checks the predicate's promise on random
+// weights and caps: whenever it holds, the dearest candidate of step y,
+// evaluated as MFSA evaluates V, scores below the cheapest of step y+1.
+func TestTimeDominatesOrdersSteps(t *testing.T) {
+	prop := func(wt, wa, wm, wr, a, m, r uint16, cs uint8) bool {
+		w := [4]float64{float64(wt) / 64, float64(wa) / 4096, float64(wm) / 4096, float64(wr) / 4096}
+		maxALU, maxMux, maxReg := float64(a)+1, float64(m)/8+1, float64(r)/8+1
+		steps := int(cs) + 2
+		if !TimeDominates(w, maxALU, maxMux, maxReg, 64*maxMux, steps) {
+			return true
+		}
+		c := DominanceConstant(maxALU, maxMux, maxReg)
+		for y := 1; y < steps; y++ {
+			dearest := w[0]*(c*float64(y)) + w[1]*maxALU + w[2]*maxMux + w[3]*maxReg
+			cheapest := w[0]*(c*float64(y+1)) + w[1]*0 + w[2]*0 + w[3]*0
+			if dearest >= cheapest {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, nil); err != nil {
+		t.Error(err)
 	}
 }

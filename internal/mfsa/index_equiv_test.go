@@ -76,9 +76,11 @@ func indexCases(t *testing.T) []indexCase {
 // against the per-cell CanPlace loop at the unit's current_j and at its
 // max_inst columns, and regDelta against the pack-and-diff regDeltaSlow
 // at every step of the window. It then binds the schedule with
-// Allocate's loop, checking regDelta at each bound step. Each replay
-// must reproduce its public entry point exactly — placements, trace,
-// datapath and cost — so the checks saw the states a real run visits.
+// Allocate's loop, checking regDelta at each bound step. At the end of
+// each replay the live lifetimes must pack into the same registers as
+// the rebuild from the placements, and the replay must reproduce its
+// public entry point exactly — placements, trace, datapath and cost —
+// so the checks saw the states a real run visits.
 func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 	t.Helper()
 	want, err := Synthesize(g, opt)
@@ -104,7 +106,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 			table := s.tableOf(u)
 			table.Grow(s.maxInst[u.Name])
 			for _, cur := range []int{s.current[u.Name], s.maxInst[u.Name]} {
-				got := append([]grid.Pos(nil), s.movePositions(table, n, lo, hi, cur)...)
+				got := movePositions(s, table, n, lo, hi, cur)
 				var want []grid.Pos
 				for step := lo; step <= hi; step++ {
 					for idx := 1; idx <= cur; idx++ {
@@ -127,6 +129,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 			t.Fatalf("replay: %v", err)
 		}
 	}
+	assertRegisterIntervals(t, s)
 	got, err := s.finish()
 	if err != nil {
 		t.Fatalf("replay: %v", err)
@@ -150,6 +153,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 			t.Fatalf("allocation replay: %v", err)
 		}
 	}
+	assertRegisterIntervals(t, st)
 	gotA, err := st.finish()
 	if err != nil {
 		t.Fatalf("allocation replay: %v", err)

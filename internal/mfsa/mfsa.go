@@ -24,7 +24,6 @@ package mfsa
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/dfg"
 	"repro/internal/diag"
@@ -94,7 +93,10 @@ type Options struct {
 	RegisterInputs bool
 
 	// NoTrace skips recording the placement trajectory (Schedule.Trace)
-	// and the per-step candidate sets. The schedule and datapath are
+	// and the per-step candidate lists: the candidates each placement
+	// scored, which under time dominance are only those up to the
+	// earliest step that has one (see sched.TraceStep.Candidates) and
+	// otherwise the whole move frame. The schedule and datapath are
 	// bit-identical either way; the run just drops the audit metadata, so
 	// lint's trace-replay analyzers have nothing to check and the result
 	// cannot seed ResumeCtx. Intended for very large graphs, where trace
@@ -183,6 +185,13 @@ type state struct {
 	c      float64 // time-dominance constant
 	frames sched.Frames
 
+	// dominant records liapunov.TimeDominates for the run: every
+	// candidate at step t scores strictly below every candidate at a
+	// later step, so bestCandidate stops scoring past the best step it
+	// has found. False (a reweighting that breaks §4.1's sizing of C)
+	// scores the whole move frame.
+	dominant bool
+
 	tables    map[string]*grid.Table // per unit name, created lazily by tableOf
 	maxInst   map[string]int
 	current   map[string]int
@@ -203,7 +212,7 @@ type state struct {
 	// their stored intervals cover the boundary span [t, t+1), and
 	// regBase caches max(cnt). Left-edge packing is optimal for interval
 	// lifetimes — the register count IS the maximum overlap — so regBase
-	// always equals len(rtl.PackRegisters(s.intervals(nil, 0))) without
+	// always equals len(rtl.PackRegisters(s.registerIntervals())) without
 	// rebuilding and packing the interval list per candidate. Maintained
 	// on commit; regDelta perturbs cnt in place and reverts.
 	//
@@ -251,7 +260,6 @@ type state struct {
 	excl bool
 
 	unitsByOp map[op.Kind][]*library.Unit // candidateUnits cache
-	posBuf    []grid.Pos                  // movePositions scratch
 	candBuf   []sched.TraceCandidate      // candidate-evaluation scratch; commit copies
 	muxMemo   []float64                   // muxArea's Lib.MuxArea prefix cache
 }
@@ -264,7 +272,7 @@ type lifetime struct {
 }
 
 // span returns the half-open boundary range [lo, hi) during which the
-// signal occupies a register, mirroring intervals(): no consumer means
+// signal occupies a register, mirroring registerIntervals(): no consumer means
 // one boundary of storage; a consumer chained into the birth step means
 // none (hi == lo).
 //
@@ -313,11 +321,17 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.K
 		// never reallocates the whole trajectory on large graphs.
 		s.trace = make([]sched.TraceStep, 0, g.Len())
 	}
-	s.c = liapunov.DominanceConstant(
-		opt.Lib.MaxUnitArea(),
-		2*opt.Lib.MaxMuxStep(),
-		2*opt.Lib.RegArea,
-	)
+	// f^MUX adds at most one input per port and f^REG at most one
+	// register per live argument: mfsa rejects loops and dfg.Validate
+	// holds every node to arity ≤ 2.
+	maxALU, maxMux, maxReg := opt.Lib.MaxUnitArea(), 2*opt.Lib.MaxMuxStep(), 2*opt.Lib.RegArea
+	s.c = liapunov.DominanceConstant(maxALU, maxMux, maxReg)
+	// A port's input list holds distinct signals, so the two port areas
+	// f^MUX is a difference of sum to under signals·maxMux; twice that
+	// leaves room for MuxArea's own rounding.
+	signals := float64(len(g.Inputs()) + g.Len())
+	s.dominant = liapunov.TimeDominates([4]float64{s.w.Time, s.w.ALU, s.w.Mux, s.w.Reg},
+		maxALU, maxMux, maxReg, 2*signals*maxMux, opt.CS)
 	// Lifetime boundaries run from 0 (inputs) to the last finish step; a
 	// legal placement finishes by CS, but size past it so latency-folded
 	// multi-cycle footprints never force a grow inside regDelta.
@@ -442,8 +456,8 @@ func (s *state) unitsFor(n *dfg.Node) []*library.Unit {
 	return u
 }
 
-// placeOne evaluates the dynamic Liapunov function over every empty
-// move-frame position of every candidate ALU type and commits the
+// placeOne evaluates the dynamic Liapunov function over the empty
+// move-frame positions of every candidate ALU type and commits the
 // minimum (§4.2 step 4).
 func (s *state) placeOne(ctx context.Context, id dfg.NodeID) error {
 	n := s.g.Node(id)
@@ -457,27 +471,35 @@ func (s *state) placeOne(ctx context.Context, id dfg.NodeID) error {
 		if ok {
 			return s.commit(n, best, evaluated, grown)
 		}
-		// Local rescheduling: open one more instance of exactly one
-		// capable type — the cheapest with headroom — and re-frame.
-		// Growing one type at a time keeps the redundant frame tight for
-		// every other operation; growing them all would license
-		// gratuitous early-step ALU purchases elsewhere.
-		var grow *library.Unit
-		for _, u := range units {
-			if s.current[u.Name] >= s.maxInst[u.Name] {
-				continue
-			}
-			if grow == nil || u.Area < grow.Area ||
-				(u.Area == grow.Area && u.Name < grow.Name) {
-				grow = u
-			}
+		name, err := s.grow(n, units)
+		if err != nil {
+			return err
 		}
-		if grow == nil {
-			return fmt.Errorf("mfsa: %s: no position for %q within %d steps", s.g.Name, n.Name, s.opt.CS)
-		}
-		s.current[grow.Name]++
-		grown = append(grown, grow.Name)
+		grown = append(grown, name)
 	}
+}
+
+// grow is local rescheduling: it opens one more instance of exactly one
+// capable type — the cheapest with headroom — and returns its name.
+// Growing one type at a time keeps the redundant frame tight for every
+// other operation; growing them all would license gratuitous early-step
+// ALU purchases elsewhere.
+func (s *state) grow(n *dfg.Node, units []*library.Unit) (string, error) {
+	var pick *library.Unit
+	for _, u := range units {
+		if s.current[u.Name] >= s.maxInst[u.Name] {
+			continue
+		}
+		if pick == nil || u.Area < pick.Area ||
+			(u.Area == pick.Area && u.Name < pick.Name) {
+			pick = u
+		}
+	}
+	if pick == nil {
+		return "", fmt.Errorf("mfsa: %s: no position for %q within %d steps", s.g.Name, n.Name, s.opt.CS)
+	}
+	s.current[pick.Name]++
+	return pick.Name, nil
 }
 
 // candidate is one evaluated (unit, position) choice.
@@ -495,8 +517,14 @@ type candidate struct {
 const pollEvery = 64
 
 // bestCandidate returns the least-energy candidate of n's move frame,
-// the candidates it scored, and whether any was found. It returns
-// ctx.Err() once ctx is done.
+// the candidates it scored, and whether any was found. Each unit's
+// free positions MF = PF − RF (FF is folded into the window's lower
+// bound) are scored as grid.Table.ScanPlaceable walks them row-major,
+// in (step, index) order. When time dominates, a candidate past the
+// best step found so far can only lose, so each unit's walk stops at
+// the first such position and later units' windows end at that step;
+// otherwise every free position is scored. It returns ctx.Err() once
+// ctx is done.
 func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library.Unit) (candidate, []sched.TraceCandidate, bool, error) {
 	s.memoGen++ // new candidate evaluation: invalidate the regDelta memo
 	lo, hi := s.window(n)
@@ -504,13 +532,14 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library
 	evaluated := s.candBuf[:0] // commit copies what it keeps
 	found := false
 	walked := 0
+	var err error
 	for _, u := range units {
 		if s.maxInst[u.Name] == 0 {
 			continue // capped to zero instances (Limits); tableOf is nil
 		}
 		table := s.tableOf(u)
 		cur := s.current[u.Name]
-		table.Grow(cur) // movePositions probes indexes 1..cur
+		table.Grow(cur) // the walk probes indexes 1..cur
 		s.beginUnitEval(cur)
 		bc := s.boundCols[u.Name]
 		// Fresh-column dedup: a column with no ALU instance yet has never
@@ -521,23 +550,30 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library
 		// always pick the lowest-indexed one, so only the first fresh
 		// column per step is evaluated; the rest are skipped losslessly.
 		freshStep := -1
-		for _, p := range s.movePositions(table, n, lo, hi, cur) {
+		last := hi
+		if s.dominant && found {
+			last = min(last, best.pos.Step)
+		}
+		table.ScanPlaceable(s.g, n.ID, s.excl, grid.RowMajor, lo, last, cur, n.Cycles, func(p grid.Pos) bool {
 			if walked++; walked%pollEvery == 0 {
-				if err := ctx.Err(); err != nil {
-					return candidate{}, nil, false, err
+				if err = ctx.Err(); err != nil {
+					return false
 				}
+			}
+			if s.dominant && found && p.Step > best.pos.Step {
+				return false
 			}
 			if p.Index >= len(bc) || !bc[p.Index] {
 				if p.Step == freshStep {
-					continue
+					return true
 				}
 				freshStep = p.Step
 			}
 			if s.opt.ClockNs > 0 && !sched.ChainFits(s.g, s.opt.ClockNs, s.steps, n.ID, p.Step) {
-				continue
+				return true
 			}
 			if s.opt.Style == Style2 && s.neighborsOnALU(n, cell{u.Name, p.Index}) {
-				continue
+				return true
 			}
 			v, swapped := s.value(n, u, p)
 			cand := candidate{unit: u, pos: p, value: v, swapped: swapped}
@@ -547,6 +583,10 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library
 			if !found || less(cand, best) {
 				best, found = cand, true
 			}
+			return true
+		})
+		if err != nil {
+			return candidate{}, nil, false, err
 		}
 	}
 	s.candBuf = evaluated
@@ -586,22 +626,6 @@ func (s *state) window(n *dfg.Node) (int, int) {
 		}
 	}
 	return lo, hi
-}
-
-// movePositions lists the free positions of the unit's move frame
-// MF = PF − RF (FF is folded into the window's lower bound). The walk
-// (grid.Table.ScanPlaceable, row-major) emits positions in (step, index)
-// order by construction — the historical nested CanPlace loops' order —
-// so the list is already deterministically sorted; the occupancy index
-// just skips the provably-occupied cells in O(window/64) word scans.
-func (s *state) movePositions(table *grid.Table, n *dfg.Node, lo, hi, cur int) []grid.Pos {
-	out := s.posBuf[:0] // callers consume the list before the next call
-	table.ScanPlaceable(s.g, n.ID, s.excl, grid.RowMajor, lo, hi, cur, n.Cycles, func(p grid.Pos) bool {
-		out = append(out, p)
-		return true
-	})
-	s.posBuf = out
-	return out
 }
 
 // beginUnitEval opens a (node, unit) evaluation scope for the column-term
@@ -832,58 +856,30 @@ func (s *state) maxCnt() int {
 	return s.cntMax
 }
 
-// intervals derives the value lifetimes of the committed placement,
-// optionally extending them with `extra` consuming its inputs at
-// extraStep. Outputs with no placed consumer are held one boundary.
-func (s *state) intervals(extra *dfg.Node, extraStep int) []rtl.Interval {
-	birth := make(map[string]int) // signal -> producer finish step
-	death := make(map[string]int) // signal -> latest consumer step
-	have := make(map[string]bool) // signals with a committed producer
-	for id, p := range s.placed {
-		if p.Step == 0 {
-			continue
+// registerIntervals lists the committed value lifetimes as the
+// register allocator's intervals: the primary inputs first under
+// RegisterInputs, then every placed node in NodeID order. A value no
+// placed operation consumes yet is held one boundary.
+func (s *state) registerIntervals() []rtl.Interval {
+	out := make([]rtl.Interval, 0, len(s.life))
+	add := func(sig string) {
+		lt := s.life[sig]
+		if lt == nil {
+			return
 		}
-		pn := s.g.Node(dfg.NodeID(id))
-		birth[pn.Name] = p.Step + pn.Cycles - 1
-		have[pn.Name] = true
+		d := lt.death
+		if d == 0 {
+			d = lt.birth + 1
+		}
+		out = append(out, rtl.Interval{Name: sig, Birth: lt.birth, Death: d})
 	}
 	if s.opt.RegisterInputs {
 		for _, in := range s.g.Inputs() {
-			birth[in] = 0
-			have[in] = true
+			add(in)
 		}
 	}
-	consume := func(n *dfg.Node, step int) {
-		for _, a := range n.Args {
-			if !have[a] {
-				continue
-			}
-			if step > death[a] {
-				death[a] = step
-			}
-		}
-	}
-	for id, p := range s.placed {
-		if p.Step == 0 {
-			continue
-		}
-		consume(s.g.Node(dfg.NodeID(id)), p.Step)
-	}
-	if extra != nil {
-		consume(extra, extraStep)
-	}
-	names := make([]string, 0, len(have))
-	for sig := range have {
-		names = append(names, sig)
-	}
-	sort.Strings(names)
-	out := make([]rtl.Interval, 0, len(names))
-	for _, sig := range names {
-		d := death[sig]
-		if d == 0 { // no consumer yet: hold the value one boundary
-			d = birth[sig] + 1
-		}
-		out = append(out, rtl.Interval{Name: sig, Birth: birth[sig], Death: d})
+	for _, n := range s.g.Nodes() {
+		add(n.Name)
 	}
 	return out
 }
@@ -968,7 +964,7 @@ func (s *state) finish() (*Result, error) {
 	// §5.6 post-pass: re-derive each ALU's input lists jointly over all
 	// its bound operations (the incremental lists are order-dependent).
 	s.dp.ReoptimizeMuxes(s.g)
-	s.dp.AssignRegisters(s.intervals(nil, 0))
+	s.dp.AssignRegisters(s.registerIntervals())
 	if err := s.dp.Validate(); err != nil {
 		return nil, fmt.Errorf("mfsa: internal: produced invalid datapath: %w", err)
 	}

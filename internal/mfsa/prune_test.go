@@ -1,0 +1,216 @@
+package mfsa
+
+import (
+	"context"
+	"math"
+	"slices"
+	"testing"
+
+	"repro/internal/benchmarks"
+	"repro/internal/dfg"
+	"repro/internal/grid"
+	"repro/internal/library"
+	"repro/internal/op"
+	"repro/internal/sched"
+)
+
+// movePositions lists the free positions of the unit's move frame in the
+// row-major (step, index) order of the window walk.
+func movePositions(s *state, table *grid.Table, n *dfg.Node, lo, hi, cur int) []grid.Pos {
+	var out []grid.Pos
+	table.ScanPlaceable(s.g, n.ID, s.excl, grid.RowMajor, lo, hi, cur, n.Cycles, func(p grid.Pos) bool {
+		out = append(out, p)
+		return true
+	})
+	return out
+}
+
+// fullScan is the search bestCandidate prunes, kept as its oracle: it
+// lists every free position of every unit's move frame first and then
+// scores each one, whatever the weights.
+func (s *state) fullScan(n *dfg.Node, units []*library.Unit) (candidate, []sched.TraceCandidate, bool) {
+	s.memoGen++
+	lo, hi := s.window(n)
+	var best candidate
+	var evaluated []sched.TraceCandidate
+	found := false
+	for _, u := range units {
+		if s.maxInst[u.Name] == 0 {
+			continue
+		}
+		table := s.tableOf(u)
+		cur := s.current[u.Name]
+		table.Grow(cur)
+		s.beginUnitEval(cur)
+		bc := s.boundCols[u.Name]
+		freshStep := -1
+		for _, p := range movePositions(s, table, n, lo, hi, cur) {
+			if p.Index >= len(bc) || !bc[p.Index] {
+				if p.Step == freshStep {
+					continue
+				}
+				freshStep = p.Step
+			}
+			if s.opt.ClockNs > 0 && !sched.ChainFits(s.g, s.opt.ClockNs, s.steps, n.ID, p.Step) {
+				continue
+			}
+			if s.opt.Style == Style2 && s.neighborsOnALU(n, cell{u.Name, p.Index}) {
+				continue
+			}
+			v, swapped := s.value(n, u, p)
+			cand := candidate{unit: u, pos: p, value: v, swapped: swapped}
+			evaluated = append(evaluated, sched.TraceCandidate{Pos: p, Type: u.Name, Energy: v})
+			if !found || less(cand, best) {
+				best, found = cand, true
+			}
+		}
+	}
+	return best, evaluated, found
+}
+
+// checkPrune is the white-box oracle of the time-dominance prune. It
+// asserts the run's liapunov.TimeDominates verdict, then runs
+// Synthesize's placement loop one search at a time. At every state the
+// run visits — each node, and each retry after local rescheduling grew
+// a unit — it runs the full scan beside bestCandidate. Both must find
+// the same candidate: unit, position, energy and operand swap. The
+// pruned candidate list must be a subsequence of the full scan's, and
+// equal to it when time does not dominate. The replay commits the
+// pruned choice and must reproduce Synthesize exactly, so the oracle saw
+// the states a real run visits.
+func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
+	t.Helper()
+	want, err := Synthesize(g, opt)
+	if err != nil {
+		t.Fatalf("Synthesize: %v", err)
+	}
+	popt, unitsByOp, err := prepare(g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, err := sched.ComputeFrames(g, popt.CS, popt.ClockNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newState(g, popt, frames, unitsByOp)
+	if s.dominant != dominant {
+		t.Fatalf("time dominates = %v under weights %+v, want %v", s.dominant, s.w, dominant)
+	}
+	scored := 0
+	for _, id := range sched.PriorityOrder(g, frames) {
+		n := g.Node(id)
+		units := s.unitsFor(n)
+		var grown []string
+		for {
+			full, fullEval, fullOK := s.fullScan(n, units)
+			best, evaluated, ok, err := s.bestCandidate(context.Background(), n, units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != fullOK || best != full {
+				t.Fatalf("%q: pruned search found %v %+v, full scan %v %+v", n.Name, ok, best, fullOK, full)
+			}
+			if !isSubsequence(evaluated, fullEval) {
+				t.Fatalf("%q: pruned candidates %v are not a subsequence of the full scan's %v", n.Name, evaluated, fullEval)
+			}
+			if !dominant && !slices.Equal(evaluated, fullEval) {
+				t.Fatalf("%q: without time dominance the search scored %d of %d candidates", n.Name, len(evaluated), len(fullEval))
+			}
+			scored += len(evaluated)
+			if ok {
+				if err := s.commit(n, best, evaluated, grown); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			name, err := s.grow(n, units)
+			if err != nil {
+				t.Fatal(err)
+			}
+			grown = append(grown, name)
+		}
+	}
+	got, err := s.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareResults(t, "pruned synthesis", got, want)
+	if scored != want.Schedule.Trace.Scored() {
+		t.Errorf("the replay scored %d candidates, the trace holds %d", scored, want.Schedule.Trace.Scored())
+	}
+}
+
+// isSubsequence reports whether sub lists some of full's candidates in
+// full's order.
+func isSubsequence(sub, full []sched.TraceCandidate) bool {
+	i := 0
+	for _, c := range full {
+		if i < len(sub) && sub[i] == c {
+			i++
+		}
+	}
+	return i == len(sub)
+}
+
+// TestPrunedSearchMatchesFullScan runs checkPrune over every
+// benchmark × style × chaining/pipelining/latency/exclusion case of the
+// replay oracle, under each weight row: the default weights, which let
+// time dominate, and rows that break the predicate's premises and must
+// keep the full scan — §4.1's C outweighed (ALU weight 50, as
+// TestWeightsShiftTradeoffs runs), no time term, a negative weight, and
+// products that overflow to +Inf. Two more rows run the default
+// weights: on the weights ablation's restricted shared-ALU library, and
+// with the add, sub and mul cells limited to one instance, so local
+// rescheduling opens multi-function ALUs and several unit types compete
+// for the same step (each unit's window is clamped to the best step an
+// earlier unit found).
+func TestPrunedSearchMatchesFullScan(t *testing.T) {
+	shared, err := library.NCRLike().Restrict(
+		library.ComposeName(op.Add, op.Sub, op.Mul), "fu_div", "fu_lt", "fu_and", "fu_or")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		name     string
+		w        Weights
+		lib      *library.Library
+		limits   map[string]int
+		dominant bool
+	}{
+		{"default", Weights{}, nil, nil, true},
+		{"limited", Weights{}, nil, map[string]int{"fu_add": 1, "fu_sub": 1, "fu_mul": 1}, true},
+		{"alu50", Weights{Time: 1, ALU: 50, Mux: 1, Reg: 1}, nil, nil, false},
+		{"notime", Weights{Time: 0, ALU: 1, Mux: 1, Reg: 1}, nil, nil, false},
+		{"negative", Weights{Time: 1, ALU: 1, Mux: -1, Reg: 1}, nil, nil, false},
+		{"overflow-time", Weights{Time: math.MaxFloat64, ALU: 1, Mux: 1, Reg: 1}, nil, nil, false},
+		{"overflow-hw", Weights{Time: 1, ALU: math.MaxFloat64, Mux: math.MaxFloat64, Reg: 1}, nil, nil, false},
+		{"shared-alu", Weights{}, shared, nil, true},
+	}
+	for _, tc := range indexCases(t) {
+		for _, row := range rows {
+			t.Run(tc.name+"/"+row.name, func(t *testing.T) {
+				opt := tc.opt
+				opt.Weights, opt.Lib, opt.Limits = row.w, row.lib, row.limits
+				checkPrune(t, tc.g, opt, row.dominant)
+			})
+		}
+	}
+}
+
+// TestPrunedSearchMatchesFullScanLadder runs checkPrune on the scale
+// ladder's rungs up to rand10k, at the time constraints hlsbench -scale
+// gives them.
+func TestPrunedSearchMatchesFullScanLadder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scale ladder")
+	}
+	for _, rung := range benchmarks.Scale() {
+		if rung.Nodes > 10_000 {
+			continue
+		}
+		t.Run(rung.Name, func(t *testing.T) {
+			g := rung.Graph()
+			checkPrune(t, g, Options{CS: g.CriticalPathCycles() + rung.Slack}, true)
+		})
+	}
+}

@@ -2,6 +2,8 @@ package mfsa
 
 import (
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/benchmarks"
@@ -18,6 +20,74 @@ func (s *state) regDeltaSlow(n *dfg.Node, step int) int {
 	before := len(rtl.PackRegisters(s.intervals(nil, 0)))
 	after := len(rtl.PackRegisters(s.intervals(n, step)))
 	return max(after-before, 0)
+}
+
+// intervals derives the value lifetimes of the committed placement
+// from the placements alone, optionally extending them with `extra`
+// consuming its inputs at extraStep. Outputs with no placed consumer are
+// held one boundary. It is the name-keyed rebuild registerIntervals
+// replaced, kept as the oracle of regDelta and of the register packing.
+func (s *state) intervals(extra *dfg.Node, extraStep int) []rtl.Interval {
+	birth := make(map[string]int) // signal -> producer finish step
+	death := make(map[string]int) // signal -> latest consumer step
+	have := make(map[string]bool) // signals with a committed producer
+	for id, p := range s.placed {
+		if p.Step == 0 {
+			continue
+		}
+		pn := s.g.Node(dfg.NodeID(id))
+		birth[pn.Name] = p.Step + pn.Cycles - 1
+		have[pn.Name] = true
+	}
+	if s.opt.RegisterInputs {
+		for _, in := range s.g.Inputs() {
+			birth[in] = 0
+			have[in] = true
+		}
+	}
+	consume := func(n *dfg.Node, step int) {
+		for _, a := range n.Args {
+			if !have[a] {
+				continue
+			}
+			if step > death[a] {
+				death[a] = step
+			}
+		}
+	}
+	for id, p := range s.placed {
+		if p.Step == 0 {
+			continue
+		}
+		consume(s.g.Node(dfg.NodeID(id)), p.Step)
+	}
+	if extra != nil {
+		consume(extra, extraStep)
+	}
+	names := make([]string, 0, len(have))
+	for sig := range have {
+		names = append(names, sig)
+	}
+	sort.Strings(names)
+	out := make([]rtl.Interval, 0, len(names))
+	for _, sig := range names {
+		d := death[sig]
+		if d == 0 { // no consumer yet: hold the value one boundary
+			d = birth[sig] + 1
+		}
+		out = append(out, rtl.Interval{Name: sig, Birth: birth[sig], Death: d})
+	}
+	return out
+}
+
+// assertRegisterIntervals asserts the live lifetimes pack into the same
+// registers as the rebuild from the placements.
+func assertRegisterIntervals(t *testing.T, s *state) {
+	t.Helper()
+	got, want := rtl.PackRegisters(s.registerIntervals()), rtl.PackRegisters(s.intervals(nil, 0))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("live lifetimes pack into %v, the placements into %v", got, want)
+	}
 }
 
 // assertRegDelta asserts the incremental f^REG at (n, step) equals the

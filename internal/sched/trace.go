@@ -10,10 +10,10 @@ import (
 
 // TraceCandidate is one evaluated alternative of a placement decision:
 // a grid position (on the FU type's table), the type it was evaluated
-// on, and its Liapunov energy at decision time. MFSA records the full
-// candidate set it compared; MFS leaves Candidates empty because its
-// static energy function lets an auditor re-enumerate the alternatives
-// from the recorded frames alone.
+// on, and its Liapunov energy at decision time. MFSA records the
+// candidates it scored; MFS leaves Candidates empty because its static
+// energy function lets an auditor re-enumerate the alternatives from
+// the recorded frames alone.
 type TraceCandidate struct {
 	Pos    grid.Pos
 	Type   string
@@ -44,8 +44,13 @@ type TraceStep struct {
 	Pos    grid.Pos
 	Energy float64
 
-	// Candidates lists every alternative the scheduler evaluated,
-	// including the chosen one (MFSA only; nil for MFS).
+	// Candidates lists the alternatives the scheduler scored, including
+	// the chosen one (MFSA only; nil for MFS and for replayed steps).
+	// When time dominates (liapunov.TimeDominates), MFSA stops each
+	// unit's walk past the best step found so far, so the list holds
+	// every candidate of the winning step plus the later-step ones
+	// scored before an earlier step turned up; otherwise it holds every
+	// candidate of the move frame.
 	Candidates []TraceCandidate
 
 	// Grown lists the FU types whose running estimate current_j was
@@ -118,6 +123,19 @@ func (s *TraceStep) Equal(o *TraceStep) bool {
 		}
 	}
 	return true
+}
+
+// Scored returns how many candidates the trace's steps record: the
+// positions an MFSA run scored (replayed steps and MFS record none).
+func (t *Trace) Scored() int {
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for i := range t.Steps {
+		n += len(t.Steps[i].Candidates)
+	}
+	return n
 }
 
 // StepFor returns the trace step that committed node id, if recorded.

@@ -2,14 +2,15 @@
 // be bit-identical to a from-scratch run of the edited graph under the
 // original Config — on both the MFS (ScheduleGraph) and MFSA
 // (Synthesize) paths, across every edit kind — and on a 10k-node design
-// the replayed run must meaningfully beat the from-scratch run (see
-// TestResynthesizeSpeedup10k for the bar and its history).
+// the replayed run must replay every recorded step and search only for
+// the added node (TestResynthesizeSpeedup10k).
 package hls_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -284,18 +285,17 @@ func TestResynthesizeNoTraceFallback(t *testing.T) {
 	sameDesign(t, inc, fresh)
 }
 
-// TestResynthesizeSpeedup10k pins that on a 10k-node design, an
-// incremental re-synthesis after a one-node edit is meaningfully faster
-// than the from-scratch MFSA run whose result it reproduces bit for
-// bit. The bar was 10x (measured ~17x) when from-scratch search walked
-// the grid cell by cell; the word-scan occupancy index (DESIGN.md §15)
-// then cut the fresh run ~3x while replay — which re-commits recorded
-// decisions and never walks a window — kept its old cost, so the
-// honest ratio on this workload is now ~2–4x with heavy run-to-run
-// noise at these millisecond scales. The 1.5x bar still separates
-// "replayed the trajectory" from "fell back to the full search" (a
-// fallback makes incremental ≈ fresh plus replay overhead, i.e. ratio
-// ≤ 1), which is what the test exists to catch.
+// TestResynthesizeSpeedup10k pins what replay skips on a 10k-node
+// design. After a one-node edit, the incremental re-synthesis must
+// replay every one of the 10,000 recorded steps, score candidates only
+// for the added node, and match the from-scratch run of the edited
+// graph bit for bit. Replay saves the candidate scoring. Since MFSA
+// scores only the earliest feasible step when time dominates (DESIGN.md
+// §12), a fresh run scores little, and the wall-clock ratio is about
+// 1–1.3x here, too close to noise to assert. So the test asserts the
+// deterministic counts from the two traces and only logs the times. A
+// run that fell back to the full search would replay nothing and score
+// as many candidates as the fresh run.
 //
 // Three choices make the trajectory replay end to end instead of
 // falling back to the (correct but slow) full search:
@@ -350,6 +350,11 @@ func TestResynthesizeSpeedup10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	freshTime := time.Since(start)
+	// The fresh count also pins the time-dominance prune: the full scan
+	// scores 1,864,256 candidates on this run.
+	if got, want := d.Schedule.Trace.Scored(), 79_570; got != want {
+		t.Errorf("the fresh run scored %d candidates, want %d", got, want)
+	}
 
 	// Pick an op kind whose node count is off a ⌈n/CS⌉ boundary, so the
 	// one-node edit cannot shift the initial instance floor either.
@@ -381,10 +386,24 @@ func TestResynthesizeSpeedup10k(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameDesign(t, inc, fresh)
-	if float64(freshTime) < 1.5*float64(incTime) {
-		t.Fatalf("incremental %v vs fresh %v: speedup %.1fx, want >= 1.5x",
-			incTime, freshTime, float64(freshTime)/float64(incTime))
+	// A replayed step records no candidates; a searched one records at
+	// least the one it committed.
+	replayed := 0
+	var searched []string
+	for _, st := range inc.Schedule.Trace.Steps {
+		if len(st.Candidates) == 0 {
+			replayed++
+		} else {
+			searched = append(searched, inc.Graph.Node(st.Node).Name)
+		}
 	}
-	t.Logf("fresh %v, incremental %v (%.0fx)", freshTime, incTime,
+	if replayed != len(d.Schedule.Trace.Steps) || !slices.Equal(searched, []string{"probe"}) {
+		t.Fatalf("replayed %d of %d recorded steps and searched for %v, want every step replayed and a search for [probe] only",
+			replayed, len(d.Schedule.Trace.Steps), searched)
+	}
+	if got, want := inc.Schedule.Trace.Scored(), 4; got != want {
+		t.Errorf("the incremental run scored %d candidates, want %d", got, want)
+	}
+	t.Logf("fresh %v, incremental %v (%.2fx)", freshTime, incTime,
 		float64(freshTime)/float64(incTime))
 }
