@@ -17,7 +17,7 @@
 // changes have a trajectory to regress against:
 //
 //	hlsbench -json    # wall time per table, sequential vs parallel sweep -> BENCH_sweep.json
-//	hlsbench -scale   # the 1k-100k-node ladder and incremental re-synthesis -> BENCH_scale.json
+//	hlsbench -scale   # the 1k-100k-node ladder -> BENCH_scale.json
 //	hlsbench -serve   # in-process hlsd replay load test -> BENCH_serve.json
 //	hlsbench -vet     # hlsvet suite, sequential vs parallel -> BENCH_vet.json
 //

@@ -106,7 +106,7 @@ func TestScaleBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := out.String()
-	for _, want := range []string{"rand1k/ns_per_node", "rand1k/alloc", "inc1k/incremental", "wrote " + path} {
+	for _, want := range []string{"rand1k/ns_per_node", "rand1k/alloc", "wrote " + path} {
 		if !strings.Contains(got, want) {
 			t.Errorf("scale output missing %q in:\n%s", want, got)
 		}
@@ -125,7 +125,7 @@ func TestScaleBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = out.String()
-	for _, want := range []string{"delta vs " + path, "rand1k/wall", "inc1k/fresh", "inc1k/incremental", "inc1k/identical_results", "within 1000x"} {
+	for _, want := range []string{"delta vs " + path, "rand1k/wall", "rand1k/alloc", "rand1k/candidates", "within 1000x"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("compare output missing %q in:\n%s", want, got)
 		}

@@ -240,8 +240,8 @@ func AllocateCtx(ctx context.Context, s *Schedule, cfg Config) (d *Design, err e
 	return core.AllocateCtx(ctx, s, cfg)
 }
 
-// Incremental re-synthesis: apply a local graph edit to a finished
-// design and re-derive only the affected decisions.
+// Re-synthesis: apply a local graph edit to a finished design and run
+// its engine again on the edited graph.
 
 type (
 	// Edit is one local change to a design's graph; exactly one of its
@@ -253,14 +253,14 @@ type (
 	RetimeEdit = core.RetimeEdit
 )
 
-// Resynthesize re-derives a design after a local graph edit under the
-// design's original Config, replaying the previous run's recorded
-// trajectory for the untouched prefix. The result is bit-identical to
-// synthesizing the edited graph from scratch; on a large design whose
-// edit perturbs a small cone it is orders of magnitude faster. The
-// design must come from Synthesize, ScheduleGraph, the Source variants,
-// or a previous Resynthesize (Allocate results bind an external schedule
-// with no run to replay and are rejected).
+// Resynthesize re-derives a design after a local graph edit: it applies
+// the edit and runs the design's engine fresh under the design's
+// original Config — Synthesize's MFSA for a design with a datapath,
+// ScheduleGraph's MFS otherwise — so the result, trace included, is
+// exactly that entry point's result for the edited graph. The design
+// must come from Synthesize, ScheduleGraph, the Source variants, or a
+// previous Resynthesize (Allocate results carry no Config to re-run
+// under and are rejected).
 //
 //hls:sharedok the edit is applied to Edit.apply's private Clone of d.Graph; the input design is only read
 func Resynthesize(d *Design, e Edit) (out *Design, err error) {

@@ -195,6 +195,46 @@ func TestSynthesizeCtx100kNodeCancel(t *testing.T) {
 	}
 }
 
+// TestSynthesizeCtxCancelDuringSetup cancels the 100k-node synthesis
+// of TestSynthesizeCtx100kNodeCancel 20ms after the call starts, while
+// MFSA still validates the graph, computes frames, builds its state or
+// orders the nodes. Those phases poll too, so the cancel must surface
+// within the same bar.
+func TestSynthesizeCtxCancelDuringSetup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-node graph build")
+	}
+	g, err := gen.Generate(gen.Config{Nodes: 100_000, Seed: 5, MulCycles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hls.Config{CS: g.CriticalPathCycles() + 4, NoTrace: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := hls.SynthesizeCtx(ctx, g, cfg)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	budget := 100 * time.Millisecond
+	if raceEnabled {
+		budget = time.Second
+	}
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if d := time.Since(start); d > budget {
+			t.Fatalf("synthesis returned %v after cancel, want < %v", d, budget)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("synthesis never returned after cancellation")
+	}
+}
+
 // TestSynthesizeCtxDeadlineAtLargeCS pins the deadline inside one
 // placement. Under weights that break time dominance (ALU weight 50)
 // MFSA scores every free position of every move frame, and near the cs

@@ -86,10 +86,9 @@ type Config struct {
 	// NoTrace skips recording the move trajectory (Schedule.Trace) and
 	// the per-step candidate sets. The schedule and datapath are
 	// bit-identical either way; the run just drops the audit metadata,
-	// so lint's trace-replay analyzers have nothing to check and the
-	// design cannot seed Resynthesize's replay fast path (Resynthesize
-	// still works — it replays nothing). Intended for very
-	// large graphs, where trace materialization dominates the runtime.
+	// so lint's trace-replay analyzers have nothing to check. Intended
+	// for very large graphs, where trace materialization dominates the
+	// runtime.
 	NoTrace bool
 
 	// Timeout bounds the wall-clock time of one entry-point call
@@ -161,9 +160,10 @@ type Design struct {
 	// audits the result under its Limits, Style and Parallelism, and
 	// Resynthesize re-runs it after a graph edit.
 	cfg Config
-	// resumable marks a design from an MFS or MFSA entry point, whose
-	// recorded run Resynthesize can replay. Allocate results bind a
-	// frozen external schedule and cannot be resynthesized.
+	// resumable marks a design from an MFS or MFSA entry point, which
+	// Resynthesize can re-run on an edited graph under cfg. Allocate
+	// results bind a frozen external schedule and cannot be
+	// resynthesized.
 	resumable bool
 }
 
@@ -182,11 +182,17 @@ func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, 
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
+	return scheduleOnly(ctx, g, cfg)
+}
+
+// scheduleOnly is the shared MFS body; guards and timeout are already
+// applied by the caller.
+func scheduleOnly(ctx context.Context, g *dfg.Graph, cfg Config) (*Design, error) {
 	s, err := mfs.ScheduleCtx(ctx, g, mfsOptions(cfg))
 	if err != nil {
 		return nil, err
 	}
-	d = &Design{Graph: g, Schedule: s, cfg: cfg, resumable: true}
+	d := &Design{Graph: g, Schedule: s, cfg: cfg, resumable: true}
 	if err := d.lintGate(ctx); err != nil {
 		return nil, err
 	}

@@ -95,8 +95,8 @@ func synthesisFingerprint() ([]byte, error) {
 	if tr := d.Schedule.Trace; tr != nil {
 		fmt.Fprintf(&b, "trace steps=%d\n", len(tr.Steps))
 		for i, s := range tr.Steps {
-			fmt.Fprintf(&b, "step %d: node=%d type=%s pos=%v energy=%v curj=%d maxj=%d cands=%d grown=%v\n",
-				i, s.Node, s.Type, s.Pos, s.Energy, s.CurrentJ, s.MaxJ, len(s.Candidates), s.Grown)
+			fmt.Fprintf(&b, "step %d: node=%d type=%s pos=%v energy=%v curj=%d maxj=%d cands=%d\n",
+				i, s.Node, s.Type, s.Pos, s.Energy, s.CurrentJ, s.MaxJ, len(s.Candidates))
 			for j, c := range s.Candidates {
 				fmt.Fprintf(&b, "  cand %d: %+v\n", j, c)
 			}

@@ -6,8 +6,6 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/guard"
-	"repro/internal/mfs"
-	"repro/internal/mfsa"
 	"repro/internal/op"
 )
 
@@ -163,19 +161,15 @@ func removeSink(g *dfg.Graph, name string) (*dfg.Graph, error) {
 	return c, nil
 }
 
-// Resynthesize re-derives a design after a local graph edit, reusing the
-// previous run's recorded trajectory for the untouched prefix. The result
-// is always bit-identical to synthesizing the edited graph from scratch
-// under the design's original Config — replay is an optimization, never a
-// semantic shortcut (see mfs.ResumeCtx and mfsa.ResumeCtx for the
-// induction) — but on a large design whose edit only perturbs a small
-// cone, it skips nearly all of the placement search.
+// Resynthesize re-derives a design after a local graph edit: it applies
+// the edit and runs the engine the design came from — MFSA for a design
+// with a datapath, MFS otherwise — under the design's original Config.
+// The result, trace included, is exactly what that entry point returns
+// for the edited graph.
 //
 // The design must come from Synthesize/ScheduleOnly (or a previous
-// Resynthesize): those capture the Config the replay re-runs under.
-// Designs assembled by other means (Allocate) are rejected. A design
-// synthesized with Config.NoTrace has no trajectory to replay; the call
-// still succeeds, replaying nothing.
+// Resynthesize): those capture the Config the edited graph re-runs
+// under. Designs assembled by other means (Allocate) are rejected.
 //
 //hls:sharedok Edit.apply mutates only its own Clone of d.Graph (loop bodies are re-cloned before reuse); d is read-only here
 func Resynthesize(d *Design, e Edit) (*Design, error) {
@@ -194,37 +188,22 @@ func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (out *Design, err e
 	if !d.resumable {
 		return nil, fmt.Errorf("core: resynthesize needs a design produced by Synthesize, ScheduleOnly or Resynthesize; this one carries no synthesis configuration")
 	}
-	cfg := d.cfg
 	newG, err := e.apply(d.Graph)
 	if err != nil {
 		return nil, err
 	}
-	if err := guardInput(newG, cfg); err != nil {
+	if err := guardInput(newG, d.cfg); err != nil {
 		return nil, err
 	}
-	ctx, cancel := withTimeout(ctx, cfg)
+	ctx, cancel := withTimeout(ctx, d.cfg)
 	defer cancel()
+	run := scheduleOnly
 	if d.Datapath != nil {
-		prev := &mfsa.Result{Schedule: d.Schedule, Datapath: d.Datapath, Cost: d.Cost}
-		res, err := mfsa.ResumeCtx(ctx, newG, mfsaOptions(cfg), prev)
-		if err != nil {
-			return nil, err
-		}
-		out, err = allocated(newG, res, cfg)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		s, err := mfs.ResumeCtx(ctx, newG, mfsOptions(cfg), d.Schedule)
-		if err != nil {
-			return nil, err
-		}
-		out = &Design{Graph: newG, Schedule: s, cfg: cfg}
+		run = synthesize
+	}
+	if out, err = run(ctx, newG, d.cfg); err != nil {
+		return nil, err
 	}
 	out.Consts = d.Consts
-	out.resumable = true
-	if err := out.lintGate(ctx); err != nil {
-		return nil, err
-	}
 	return out, nil
 }

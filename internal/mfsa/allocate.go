@@ -125,5 +125,5 @@ func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 	if !found {
 		return fmt.Errorf("mfsa: no ALU for %q at step %d", n.Name, step)
 	}
-	return st.commit(n, best, evaluated, nil)
+	return st.commit(n, best, evaluated)
 }

@@ -98,9 +98,9 @@ type Options struct {
 	// earliest step that has one (see sched.TraceStep.Candidates) and
 	// otherwise the whole move frame. The schedule and datapath are
 	// bit-identical either way; the run just drops the audit metadata, so
-	// lint's trace-replay analyzers have nothing to check and the result
-	// cannot seed ResumeCtx. Intended for very large graphs, where trace
-	// materialization dominates the runtime.
+	// lint's trace-replay analyzers have nothing to check. Intended for
+	// very large graphs, where trace materialization dominates the
+	// runtime.
 	NoTrace bool
 }
 
@@ -117,12 +117,41 @@ func Synthesize(g *dfg.Graph, opt Options) (*Result, error) {
 	return SynthesizeCtx(context.Background(), g, opt)
 }
 
-// SynthesizeCtx is Synthesize with cancellation: ctx is checked before
-// every operation placement and every 64 move-frame positions within
-// one, so a cancelled run returns ctx.Err() within a bounded slice of
-// one placement's work instead of finishing the whole design.
+// SynthesizeCtx is Synthesize with cancellation: ctx is checked between
+// the setup phases (validation, frames, state, priority order, which
+// polls every 1024 emitted nodes itself), before every operation
+// placement and every 64 move-frame positions within one, so a
+// cancelled run returns ctx.Err() within a bounded slice of work instead
+// of finishing the whole design.
 func SynthesizeCtx(ctx context.Context, g *dfg.Graph, opt Options) (*Result, error) {
-	return ResumeCtx(ctx, g, opt, nil)
+	opt, unitsByOp, err := prepare(g, opt)
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	frames, err := sched.ComputeFrames(g, opt.CS, opt.ClockNs)
+	if err != nil {
+		return nil, fmt.Errorf("mfsa: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s := newState(g, opt, frames, unitsByOp)
+	order, err := sched.PriorityOrderCtx(ctx, g, frames)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range order {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		if err := s.placeOne(ctx, id); err != nil {
+			return nil, err
+		}
+	}
+	return s.finish()
 }
 
 // prepare validates the graph, library and options, normalizes the
@@ -332,15 +361,26 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.K
 	signals := float64(len(g.Inputs()) + g.Len())
 	s.dominant = liapunov.TimeDominates([4]float64{s.w.Time, s.w.ALU, s.w.Mux, s.w.Reg},
 		maxALU, maxMux, maxReg, 2*signals*maxMux, opt.CS)
+	// One pass over the nodes sizes the lifetime counts and collects the
+	// instance-bound inputs: per unit, the operations it can serve and
+	// those whose cheapest implementation it is.
+	maxCycles := 1
+	capable := make(map[string]int)
+	primary := make(map[string]int)
+	for _, n := range g.Nodes() {
+		maxCycles = max(maxCycles, n.Cycles)
+		var cheapest *library.Unit
+		for _, u := range s.unitsFor(n) {
+			capable[u.Name]++
+			if cheapest == nil || u.Area < cheapest.Area {
+				cheapest = u
+			}
+		}
+		primary[cheapest.Name]++ // prepare rejects a node with no capable unit
+	}
 	// Lifetime boundaries run from 0 (inputs) to the last finish step; a
 	// legal placement finishes by CS, but size past it so latency-folded
 	// multi-cycle footprints never force a grow inside regDelta.
-	maxCycles := 1
-	for _, n := range g.Nodes() {
-		if n.Cycles > maxCycles {
-			maxCycles = n.Cycles
-		}
-	}
 	s.cnt = make([]int, opt.CS+maxCycles+2)
 	s.hist = make([]int, 1, 16)
 	s.hist[0] = len(s.cnt)
@@ -353,55 +393,18 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.K
 		}
 		s.regBase = s.maxCnt()
 	}
-	s.maxInst, s.current, _ = instanceBounds(g, opt, s.unitsByOp)
-	for _, u := range opt.Lib.Units() {
-		if s.maxInst[u.Name] > 0 && u.Pipelined() {
-			s.pipeTypes = append(s.pipeTypes, u.Name)
-		}
-	}
-	return s
-}
-
-// instanceBounds computes the per-unit instance cap and the initial
-// instance estimate a run over g starts from: a unit can never need more
-// instances than the operations it can serve (user limits tighten that),
-// and the starting estimate is the ⌈N_j/steps⌉ floor of MFS step 4, with
-// N_j counting only the operations whose cheapest implementation is this
-// unit. Units that are nobody's first choice (dearer multi-function ALUs)
-// start at zero instances: they enter the datapath through the
-// redundant-frame growth mechanism or by zero-cost reuse, never as a
-// gratuitous early-step purchase. ok is false when some node has no
-// capable unit at all (possible only for a graph the caller did not
-// validate against this library, e.g. a resume source from another run).
-//
-//hls:sharedok unitsByOp is the run's own lazily-filled candidate cache (made in prepare); its slices are fresh candidateUnits appends, never library storage
-func instanceBounds(g *dfg.Graph, opt Options, unitsByOp map[op.Kind][]*library.Unit) (maxInst, current map[string]int, ok bool) {
+	// Instance bounds: a unit can never need more instances than the
+	// operations it can serve (user limits tighten that), and the
+	// starting estimate is the ⌈N_j/steps⌉ floor of MFS step 4, with N_j
+	// counting only the operations whose cheapest implementation is this
+	// unit. Units that are nobody's first choice (dearer multi-function
+	// ALUs) start at zero instances: they enter the datapath through the
+	// redundant-frame growth mechanism or by zero-cost reuse, never as a
+	// gratuitous early-step purchase.
 	span := opt.CS
 	if opt.Latency > 0 && opt.Latency < span {
 		span = opt.Latency
 	}
-	capable := make(map[string]int)
-	primary := make(map[string]int)
-	for _, n := range g.Nodes() {
-		units, cached := unitsByOp[n.Op]
-		if !cached {
-			units = candidateUnits(opt, n)
-			unitsByOp[n.Op] = units
-		}
-		var cheapest *library.Unit
-		for _, u := range units {
-			capable[u.Name]++
-			if cheapest == nil || u.Area < cheapest.Area {
-				cheapest = u
-			}
-		}
-		if cheapest == nil {
-			return nil, nil, false
-		}
-		primary[cheapest.Name]++
-	}
-	maxInst = make(map[string]int)
-	current = make(map[string]int)
 	for _, u := range opt.Lib.Units() {
 		m := capable[u.Name]
 		if lim, ok := opt.Limits[u.Name]; ok && lim < m {
@@ -410,14 +413,13 @@ func instanceBounds(g *dfg.Graph, opt Options, unitsByOp map[op.Kind][]*library.
 		if m == 0 {
 			continue
 		}
-		maxInst[u.Name] = m
-		cur := (primary[u.Name] + span - 1) / span
-		if cur > m {
-			cur = m
+		s.maxInst[u.Name] = m
+		s.current[u.Name] = min((primary[u.Name]+span-1)/span, m)
+		if u.Pipelined() {
+			s.pipeTypes = append(s.pipeTypes, u.Name)
 		}
-		current[u.Name] = cur
 	}
-	return maxInst, current, true
+	return s
 }
 
 // tableOf returns the unit's occupancy table, creating it on first use:
@@ -462,29 +464,25 @@ func (s *state) unitsFor(n *dfg.Node) []*library.Unit {
 func (s *state) placeOne(ctx context.Context, id dfg.NodeID) error {
 	n := s.g.Node(id)
 	units := s.unitsFor(n)
-	var grown []string // types grown by local rescheduling, for the trace
 	for {
 		best, evaluated, ok, err := s.bestCandidate(ctx, n, units)
 		if err != nil {
 			return err
 		}
 		if ok {
-			return s.commit(n, best, evaluated, grown)
+			return s.commit(n, best, evaluated)
 		}
-		name, err := s.grow(n, units)
-		if err != nil {
+		if err := s.grow(n, units); err != nil {
 			return err
 		}
-		grown = append(grown, name)
 	}
 }
 
 // grow is local rescheduling: it opens one more instance of exactly one
-// capable type — the cheapest with headroom — and returns its name.
-// Growing one type at a time keeps the redundant frame tight for every
-// other operation; growing them all would license gratuitous early-step
-// ALU purchases elsewhere.
-func (s *state) grow(n *dfg.Node, units []*library.Unit) (string, error) {
+// capable type — the cheapest with headroom. Growing one type at a time
+// keeps the redundant frame tight for every other operation; growing
+// them all would license gratuitous early-step ALU purchases elsewhere.
+func (s *state) grow(n *dfg.Node, units []*library.Unit) error {
 	var pick *library.Unit
 	for _, u := range units {
 		if s.current[u.Name] >= s.maxInst[u.Name] {
@@ -496,10 +494,10 @@ func (s *state) grow(n *dfg.Node, units []*library.Unit) (string, error) {
 		}
 	}
 	if pick == nil {
-		return "", fmt.Errorf("mfsa: %s: no position for %q within %d steps", s.g.Name, n.Name, s.opt.CS)
+		return fmt.Errorf("mfsa: %s: no position for %q within %d steps", s.g.Name, n.Name, s.opt.CS)
 	}
 	s.current[pick.Name]++
-	return pick.Name, nil
+	return nil
 }
 
 // candidate is one evaluated (unit, position) choice.
@@ -886,13 +884,10 @@ func (s *state) registerIntervals() []rtl.Interval {
 
 // commit places n at the chosen candidate: grid footprint, datapath
 // binding, and bookkeeping. evaluated is the full alternative set the
-// choice was made from, recorded for the Liapunov audit; grown lists the
-// unit types local rescheduling opened while searching, recorded so a
-// replay can reproduce the instance-count trajectory.
-func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidate, grown []string) error {
-	table := s.tableOf(c.unit)
-	table.Grow(c.pos.Index) // replayed positions can outrun the probed width
-	if err := table.Place(s.g, n.ID, c.pos, n.Cycles); err != nil {
+// choice was made from, recorded for the Liapunov audit. The table is
+// already as wide as the position: the search grew it before probing.
+func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidate) error {
+	if err := s.tableOf(c.unit).Place(s.g, n.ID, c.pos, n.Cycles); err != nil {
 		return fmt.Errorf("mfsa: %w", err)
 	}
 	key := cell{c.unit.Name, c.pos.Index}
@@ -936,7 +931,6 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 		CurrentJ: s.current[c.unit.Name], MaxJ: s.maxInst[c.unit.Name],
 		Pos: c.pos, Energy: c.value,
 		Candidates: cands,
-		Grown:      grown,
 	})
 	return nil
 }
@@ -957,7 +951,6 @@ func (s *state) finish() (*Result, error) {
 	if !s.opt.NoTrace {
 		out.Trace = &sched.Trace{Steps: s.trace}
 	}
-	out.Frames = s.frames
 	if err := out.Verify(s.opt.Limits); err != nil {
 		return nil, fmt.Errorf("mfsa: internal: produced illegal schedule: %w", err)
 	}

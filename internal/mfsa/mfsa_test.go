@@ -390,3 +390,59 @@ func TestScheduleTypesAreUnitNames(t *testing.T) {
 	}
 	_ = sched.Placement{}
 }
+
+// sameResult asserts two synthesis results are bit-identical: every
+// placement, every ALU binding and mux list, every register interval,
+// and the cost breakdown.
+func sameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	gs, ws := got.Schedule, want.Schedule
+	if gs.CS != ws.CS || len(gs.Placements) != len(ws.Placements) {
+		t.Fatalf("%s: schedule shape differs", label)
+	}
+	for id, wp := range ws.Placements {
+		if gp := gs.Placements[id]; gp != wp {
+			t.Fatalf("%s: node %d placed %+v, fresh run places %+v", label, id, gp, wp)
+		}
+	}
+	gd, wd := got.Datapath, want.Datapath
+	if len(gd.ALUs) != len(wd.ALUs) {
+		t.Fatalf("%s: %d ALUs != %d", label, len(gd.ALUs), len(wd.ALUs))
+	}
+	for i := range wd.ALUs {
+		ga, wa := gd.ALUs[i], wd.ALUs[i]
+		if ga.Name != wa.Name || ga.Unit.Name != wa.Unit.Name ||
+			fmt.Sprint(ga.Ops) != fmt.Sprint(wa.Ops) ||
+			fmt.Sprint(ga.L1) != fmt.Sprint(wa.L1) || fmt.Sprint(ga.L2) != fmt.Sprint(wa.L2) {
+			t.Fatalf("%s: ALU %d differs:\n%+v\nfresh:\n%+v", label, i, ga, wa)
+		}
+	}
+	if fmt.Sprint(gd.Registers) != fmt.Sprint(wd.Registers) {
+		t.Fatalf("%s: register packing differs", label)
+	}
+	if got.Cost != want.Cost {
+		t.Fatalf("%s: cost %+v != fresh %+v", label, got.Cost, want.Cost)
+	}
+}
+
+// TestNoTraceSameResult checks NoTrace changes only the metadata, never
+// the synthesis outcome.
+func TestNoTraceSameResult(t *testing.T) {
+	for _, ex := range benchmarks.All() {
+		g := ex.Graph
+		opt := Options{CS: g.CriticalPathCycles() + 3}
+		with, err := Synthesize(g, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		opt.NoTrace = true
+		without, err := Synthesize(g, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		if without.Schedule.Trace != nil {
+			t.Fatalf("%s: NoTrace run recorded a trace", g.Name)
+		}
+		sameResult(t, ex.Name+"/notrace", without, with)
+	}
+}

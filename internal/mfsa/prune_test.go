@@ -100,7 +100,6 @@ func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
 	for _, id := range sched.PriorityOrder(g, frames) {
 		n := g.Node(id)
 		units := s.unitsFor(n)
-		var grown []string
 		for {
 			full, fullEval, fullOK := s.fullScan(n, units)
 			best, evaluated, ok, err := s.bestCandidate(context.Background(), n, units)
@@ -118,16 +117,14 @@ func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
 			}
 			scored += len(evaluated)
 			if ok {
-				if err := s.commit(n, best, evaluated, grown); err != nil {
+				if err := s.commit(n, best, evaluated); err != nil {
 					t.Fatal(err)
 				}
 				break
 			}
-			name, err := s.grow(n, units)
-			if err != nil {
+			if err := s.grow(n, units); err != nil {
 				t.Fatal(err)
 			}
-			grown = append(grown, name)
 		}
 	}
 	got, err := s.finish()

@@ -164,7 +164,8 @@ func TestRegBaseTracksPackedCount(t *testing.T) {
 					if !ok {
 						t.Fatalf("trace names unknown unit %q", st.Type)
 					}
-					if err := s.commit(n, candidate{unit: u, pos: st.Pos, value: st.Energy}, nil, nil); err != nil {
+					s.tableOf(u).Grow(st.Pos.Index) // the replay commits positions it never probed
+					if err := s.commit(n, candidate{unit: u, pos: st.Pos, value: st.Energy}, nil); err != nil {
 						t.Fatalf("replaying %q: %v", n.Name, err)
 					}
 					if got, want := s.regBase, len(rtl.PackRegisters(s.intervals(nil, 0))); got != want {

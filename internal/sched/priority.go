@@ -1,8 +1,22 @@
 package sched
 
-import "repro/internal/dfg"
+import (
+	"context"
 
-// PriorityOrder implements MFS step 2: operations are ranked by walking
+	"repro/internal/dfg"
+)
+
+// pollEvery is how many nodes PriorityOrderCtx emits between context
+// polls: a 100k-node order takes about 100 ms, and ctx.Err takes a lock.
+const pollEvery = 1024
+
+// PriorityOrder is PriorityOrderCtx without cancellation.
+func PriorityOrder(g *dfg.Graph, frames Frames) []dfg.NodeID {
+	order, _ := PriorityOrderCtx(context.Background(), g, frames)
+	return order
+}
+
+// PriorityOrderCtx implements MFS step 2: operations are ranked by walking
 // the ALAP schedule from the first control step onward, and within a step
 // the operation with the smaller mobility goes first. Two refinements from
 // §5.3 apply to multicycle operations: when the mobility difference
@@ -10,13 +24,16 @@ import "repro/internal/dfg"
 // more mobile one goes first, since it can always fall back on empty
 // positions), and remaining ties go to the operation whose predecessors
 // finish earlier. Final ties break on node ID so runs are deterministic
-// (the paper breaks them "arbitrarily").
-func PriorityOrder(g *dfg.Graph, frames Frames) []dfg.NodeID {
+// (the paper breaks them "arbitrarily"). The emission loop polls ctx
+// every pollEvery nodes and returns ctx.Err() once ctx is done.
+func PriorityOrderCtx(ctx context.Context, g *dfg.Graph, frames Frames) ([]dfg.NodeID, error) {
 	ids := g.TopoOrder()
 	earliest := make([]int, g.Len())
+	//hls:ctxok one O(edges) pass, a few ms at the 100k-node ceiling; the emission loop below polls
 	for _, id := range ids {
 		n := g.Node(id)
 		e := 0
+		//hls:ctxok reads one node's predecessors; the enclosing pass is one O(edges) sweep
 		for _, p := range n.Preds() {
 			if f := frames[p].ASAP + g.Node(p).Cycles - 1; f > e {
 				e = f
@@ -67,6 +84,7 @@ func PriorityOrder(g *dfg.Graph, frames Frames) []dfg.NodeID {
 	// pinned by TestPriorityOrderMatchesScanOracle.
 	out := make([]dfg.NodeID, 0, len(ids))
 	pending := make([]int, g.Len()) // unprocessed pred count
+	//hls:ctxok one O(nodes) pass, a few ms at the 100k-node ceiling; the emission loop below polls
 	for _, id := range ids {
 		pending[id] = len(g.Node(id).Preds())
 	}
@@ -103,14 +121,21 @@ func PriorityOrder(g *dfg.Graph, frames Frames) []dfg.NodeID {
 		}
 		return top
 	}
+	//hls:ctxok one O(nodes) pass over the sources, a few ms at the 100k-node ceiling; the emission loop below polls
 	for _, id := range ids {
 		if pending[id] == 0 {
 			push(id)
 		}
 	}
 	for len(ready) > 0 {
+		if len(out)%pollEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		id := pop()
 		out = append(out, id)
+		//hls:ctxok releases one node's successors; the enclosing emission loop polls every pollEvery nodes
 		for _, s := range g.Node(id).Succs() {
 			pending[s]--
 			if pending[s] == 0 {
@@ -118,7 +143,7 @@ func PriorityOrder(g *dfg.Graph, frames Frames) []dfg.NodeID {
 			}
 		}
 	}
-	return out
+	return out, nil
 }
 
 func abs(x int) int {

@@ -49,12 +49,6 @@ type Schedule struct {
 	// so the Liapunov audit can replay every placement decision; it is
 	// advisory metadata and plays no part in legality.
 	Trace *Trace
-
-	// Frames, when non-nil, holds the ASAP/ALAP frames the schedule was
-	// derived under. Like Trace it is advisory metadata: a resumed run
-	// (mfs.ResumeCtx, mfsa.ResumeCtx) replays a recorded step only while
-	// the node's freshly computed frame equals the one recorded here.
-	Frames Frames
 }
 
 // NewSchedule returns an empty schedule over g with cs control steps.

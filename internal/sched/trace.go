@@ -1,8 +1,6 @@
 package sched
 
 import (
-	"slices"
-
 	"repro/internal/dfg"
 	"repro/internal/grid"
 	"repro/internal/liapunov"
@@ -45,21 +43,13 @@ type TraceStep struct {
 	Energy float64
 
 	// Candidates lists the alternatives the scheduler scored, including
-	// the chosen one (MFSA only; nil for MFS and for replayed steps).
+	// the chosen one (MFSA only; nil for MFS).
 	// When time dominates (liapunov.TimeDominates), MFSA stops each
 	// unit's walk past the best step found so far, so the list holds
 	// every candidate of the winning step plus the later-step ones
 	// scored before an earlier step turned up; otherwise it holds every
 	// candidate of the move frame.
 	Candidates []TraceCandidate
-
-	// Grown lists the FU types whose running estimate current_j was
-	// incremented while placing this node, in growth order (MFSA may
-	// grow a cheaper unit than the one finally chosen, so the chosen
-	// type and CurrentJ alone cannot reconstruct the growth). Replay
-	// (mfs/mfsa ResumeCtx) applies these increments before re-committing
-	// the recorded decision.
-	Grown []string
 }
 
 // Trace is the recorded move trajectory of one scheduling run. The
@@ -80,10 +70,11 @@ type Trace struct {
 // Equal reports whether two traces record the identical trajectory:
 // same step sequence, and per step the same node, type, position,
 // energy (exact float equality — the trajectories must be bit-identical,
-// not merely close), frames, FU estimates, candidate sets and growth
-// lists. It backs the engine invariance cross-checks (ordered walk
-// on/off, occupancy index on/off): any divergence in what a scheduler
-// saw or chose shows up here even when the final placements agree.
+// not merely close), frames, FU estimates and candidate sets. It backs
+// the engine invariance cross-checks (ordered walk on/off, occupancy
+// index on/off, resynthesis against a fresh run): any divergence in what
+// a scheduler saw or chose shows up here even when the final placements
+// agree.
 func (t *Trace) Equal(o *Trace) bool {
 	if t == nil || o == nil {
 		return t == o
@@ -109,7 +100,7 @@ func (s *TraceStep) Equal(o *TraceStep) bool {
 	if !s.PF.Equal(o.PF) || !s.RF.Equal(o.RF) || !s.FF.Equal(o.FF) || !s.MF.Equal(o.MF) {
 		return false
 	}
-	if len(s.Candidates) != len(o.Candidates) || len(s.Grown) != len(o.Grown) {
+	if len(s.Candidates) != len(o.Candidates) {
 		return false
 	}
 	for i, c := range s.Candidates {
@@ -117,16 +108,11 @@ func (s *TraceStep) Equal(o *TraceStep) bool {
 			return false
 		}
 	}
-	for i, g := range s.Grown {
-		if g != o.Grown[i] {
-			return false
-		}
-	}
 	return true
 }
 
 // Scored returns how many candidates the trace's steps record: the
-// positions an MFSA run scored (replayed steps and MFS record none).
+// positions an MFSA run scored (MFS records none).
 func (t *Trace) Scored() int {
 	if t == nil {
 		return 0
@@ -149,16 +135,4 @@ func (t *Trace) StepFor(id dfg.NodeID) (*TraceStep, bool) {
 		}
 	}
 	return nil, false
-}
-
-// NodesEquivalent reports whether two nodes (from different graphs) are
-// interchangeable for every input a placement decision reads: identity,
-// operation, duration, combinational delay, operand names, exclusion
-// tags, and loop-ness. It underpins trace replay in mfs.ResumeCtx and
-// mfsa.ResumeCtx: a trace step may be replayed onto a node only when the
-// recorded node is equivalent to it.
-func NodesEquivalent(a, b *dfg.Node) bool {
-	return a.Name == b.Name && a.Op == b.Op && a.Cycles == b.Cycles &&
-		a.DelayNs == b.DelayNs && a.IsLoop() == b.IsLoop() &&
-		slices.Equal(a.Args, b.Args) && slices.Equal(a.Excl, b.Excl)
 }

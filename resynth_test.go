@@ -1,19 +1,15 @@
-// Incremental re-synthesis through the public facade: Resynthesize must
-// be bit-identical to a from-scratch run of the edited graph under the
+// Re-synthesis through the public facade: Resynthesize must be
+// bit-identical to a from-scratch run of the edited graph under the
 // original Config — on both the MFS (ScheduleGraph) and MFSA
-// (Synthesize) paths, across every edit kind — and on a 10k-node design
-// the replayed run must replay every recorded step and search only for
-// the added node (TestResynthesizeSpeedup10k).
+// (Synthesize) paths, across every edit kind, trace included.
 package hls_test
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	hls "repro"
 	"repro/internal/benchmarks"
@@ -241,7 +237,7 @@ func TestResynthesizeInfeasibleMatchesFresh(t *testing.T) {
 
 // TestResynthesizeRejectsAllocatedDesign pins the contract that designs
 // assembled outside the capturing entry points cannot be resynthesized:
-// hls.Allocate never records a Config, so there is nothing to replay
+// hls.Allocate never records a Config, so there is nothing to re-run
 // under.
 func TestResynthesizeRejectsAllocatedDesign(t *testing.T) {
 	g := benchmarks.Diffeq().Graph
@@ -259,9 +255,8 @@ func TestResynthesizeRejectsAllocatedDesign(t *testing.T) {
 	}
 }
 
-// TestResynthesizeNoTraceFallback: a NoTrace design has no trajectory to
-// replay; Resynthesize must replay nothing and still match the
-// from-scratch result exactly.
+// TestResynthesizeNoTraceFallback: a NoTrace design re-runs under
+// NoTrace and still matches the from-scratch result exactly.
 func TestResynthesizeNoTraceFallback(t *testing.T) {
 	g := benchmarks.EWF().Graph
 	cfg := hls.Config{CS: g.CriticalPathCycles() + 2, NoTrace: true}
@@ -285,53 +280,26 @@ func TestResynthesizeNoTraceFallback(t *testing.T) {
 	sameDesign(t, inc, fresh)
 }
 
-// TestResynthesizeSpeedup10k pins what replay skips on a 10k-node
-// design. After a one-node edit, the incremental re-synthesis must
-// replay every one of the 10,000 recorded steps, score candidates only
-// for the added node, and match the from-scratch run of the edited
-// graph bit for bit. Replay saves the candidate scoring. Since MFSA
-// scores only the earliest feasible step when time dominates (DESIGN.md
-// §12), a fresh run scores little, and the wall-clock ratio is about
-// 1–1.3x here, too close to noise to assert. So the test asserts the
-// deterministic counts from the two traces and only logs the times. A
-// run that fell back to the full search would replay nothing and score
-// as many candidates as the fresh run.
-//
-// Three choices make the trajectory replay end to end instead of
-// falling back to the (correct but slow) full search:
-//
-//   - Config.Limits pins every unit's instance bound. The replay
-//     induction requires the fresh run's initial bounds to match the
-//     recorded run's, and without limits the bounds derive from
-//     capability counts, which any structural edit perturbs.
-//   - The graph is all-single-cycle, where the §5.3 priority comparator
-//     is a strict total order: the appended node cannot reshuffle the
-//     relative order of existing operations (under the multicycle
-//     inverted rule the comparator is non-transitive and the order is
-//     insertion-dependent).
-//   - The new node reads primary inputs only, so no existing frame
-//     moves. A deeper edit diverges at its cone's priority position and
-//     replays just the prefix; the matches-fresh tests cover those
-//     shapes.
+// TestResynthesizeSpeedup10k resynthesizes a 10k-node design after a
+// one-node edit, under per-unit instance limits learned from an
+// unconstrained probe run, and checks the result and its trace against a
+// fresh run of the edited graph. The name dates from when Resynthesize
+// replayed the previous trace; it now runs MFSA fresh.
 func TestResynthesizeSpeedup10k(t *testing.T) {
 	if testing.Short() {
-		t.Skip("10k-node timing run")
+		t.Skip("10k-node run")
 	}
 	g, err := gen.Generate(gen.Config{Nodes: 10_000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	cs := g.CriticalPathCycles() + 16
-	// Learn the per-unit instance usage of an unconstrained run, then
-	// pin it (plus slack) as explicit limits; units the design never
-	// opened are capped to zero so their capability counts — which the
-	// edit shifts — drop out of the bound derivation entirely.
-	probe0, err := hls.Synthesize(g, hls.Config{CS: cs})
+	probe, err := hls.Synthesize(g, hls.Config{CS: cs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	used := make(map[string]int)
-	for _, a := range probe0.Datapath.ALUs {
+	for _, a := range probe.Datapath.ALUs {
 		used[a.Unit.Name]++
 	}
 	limits := make(map[string]int)
@@ -343,21 +311,16 @@ func TestResynthesizeSpeedup10k(t *testing.T) {
 		}
 	}
 	cfg := hls.Config{CS: cs, Limits: limits}
-
-	start := time.Now()
 	d, err := hls.Synthesize(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshTime := time.Since(start)
-	// The fresh count also pins the time-dominance prune: the full scan
-	// scores 1,864,256 candidates on this run.
+	// The count pins the time-dominance prune: the full scan scores
+	// 1,864,256 candidates on this run.
 	if got, want := d.Schedule.Trace.Scored(), 79_570; got != want {
 		t.Errorf("the fresh run scored %d candidates, want %d", got, want)
 	}
-
-	// Pick an op kind whose node count is off a ⌈n/CS⌉ boundary, so the
-	// one-node edit cannot shift the initial instance floor either.
+	// The added node is an op kind whose count is off a ⌈n/CS⌉ boundary.
 	counts := make(map[hls.OpKind]int)
 	for _, n := range g.Nodes() {
 		counts[n.Op]++
@@ -374,36 +337,66 @@ func TestResynthesizeSpeedup10k(t *testing.T) {
 	}
 	ins := g.Inputs()
 	e := hls.Edit{AddOp: &hls.AddOpEdit{Name: "probe", Op: kind, Args: []string{ins[0], ins[1]}}}
-	start = time.Now()
 	inc, err := hls.ResynthesizeCtx(context.Background(), d, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	incTime := time.Since(start)
-
 	fresh, err := hls.Synthesize(inc.Graph, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameDesign(t, inc, fresh)
-	// A replayed step records no candidates; a searched one records at
-	// least the one it committed.
-	replayed := 0
-	var searched []string
-	for _, st := range inc.Schedule.Trace.Steps {
-		if len(st.Candidates) == 0 {
-			replayed++
-		} else {
-			searched = append(searched, inc.Graph.Node(st.Node).Name)
+	if !inc.Schedule.Trace.Equal(fresh.Schedule.Trace) {
+		t.Fatal("the resynthesized trace differs from the fresh run's")
+	}
+}
+
+// TestResynthesizeTraceMatchesFresh checks that a resynthesized design's
+// trace is exactly the fresh run's, for every edit that succeeds on both
+// engines, and that with Lint on the frame (MFS) and candidate (MFSA)
+// audits see every step of it.
+func TestResynthesizeTraceMatchesFresh(t *testing.T) {
+	engines := []struct {
+		name string
+		run  func(*hls.Graph, hls.Config) (*hls.Design, error)
+	}{{"Synthesize", hls.Synthesize}, {"ScheduleGraph", hls.ScheduleGraph}}
+	for _, en := range engines {
+		for _, c := range resynthCases(t, 3) {
+			d, err := en.run(c.g, c.cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", en.name, c.g.Name, err)
+			}
+			for i, e := range editsFor(c.g) {
+				inc, err := hls.Resynthesize(d, e)
+				if err != nil {
+					continue
+				}
+				fresh, err := en.run(inc.Graph, c.cfg)
+				if err != nil {
+					t.Fatalf("%s %s edit %d: fresh: %v", en.name, c.g.Name, i, err)
+				}
+				if !inc.Schedule.Trace.Equal(fresh.Schedule.Trace) {
+					t.Errorf("%s %s edit %d: the resynthesized trace differs from the fresh run's", en.name, c.g.Name, i)
+				}
+			}
 		}
 	}
-	if replayed != len(d.Schedule.Trace.Steps) || !slices.Equal(searched, []string{"probe"}) {
-		t.Fatalf("replayed %d of %d recorded steps and searched for %v, want every step replayed and a search for [probe] only",
-			replayed, len(d.Schedule.Trace.Steps), searched)
+	g := benchmarks.EWF().Graph
+	cfg := hls.Config{CS: g.CriticalPathCycles() + 2, Lint: true}
+	for _, en := range engines {
+		d, err := en.run(g, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", en.name, err)
+		}
+		inc, err := hls.Resynthesize(d, hls.Edit{AddInput: "lint_in"})
+		if err != nil {
+			t.Fatalf("%s: resynthesize under Lint: %v", en.name, err)
+		}
+		for _, st := range inc.Schedule.Trace.Steps {
+			if len(st.Candidates) == 0 && st.MF.Empty() {
+				t.Fatalf("%s: step for node %d records neither candidates nor frames, so lint cannot audit it",
+					en.name, st.Node)
+			}
+		}
 	}
-	if got, want := inc.Schedule.Trace.Scored(), 4; got != want {
-		t.Errorf("the incremental run scored %d candidates, want %d", got, want)
-	}
-	t.Logf("fresh %v, incremental %v (%.2fx)", freshTime, incTime,
-		float64(freshTime)/float64(incTime))
 }
