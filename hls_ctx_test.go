@@ -235,6 +235,47 @@ func TestSynthesizeCtxCancelDuringSetup(t *testing.T) {
 	}
 }
 
+// TestScheduleGraphCtxCancelDuringSetup is
+// TestSynthesizeCtxCancelDuringSetup for MFS: it cancels a 100k-node
+// ScheduleGraphCtx 20ms after the call starts, while MFS still
+// validates the graph, computes frames, builds its tables or orders the
+// nodes. Setup polls between those phases, so the cancel must surface
+// within the same bar.
+func TestScheduleGraphCtxCancelDuringSetup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100k-node graph build")
+	}
+	g, err := gen.Generate(gen.Config{Nodes: 100_000, Seed: 5, MulCycles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := hls.Config{CS: g.CriticalPathCycles() + 4, NoTrace: true}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := hls.ScheduleGraphCtx(ctx, g, cfg)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	budget := 100 * time.Millisecond
+	if raceEnabled {
+		budget = time.Second
+	}
+	start := time.Now()
+	cancel()
+	select {
+	case err := <-done:
+		if d := time.Since(start); d > budget {
+			t.Fatalf("scheduling returned %v after cancel, want < %v", d, budget)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("scheduling never returned after cancellation")
+	}
+}
+
 // TestSynthesizeCtxDeadlineAtLargeCS pins the deadline inside one
 // placement. Under weights that break time dominance (ALU weight 50)
 // MFSA scores every free position of every move frame, and near the cs

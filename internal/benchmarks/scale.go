@@ -20,6 +20,10 @@ type ScaleExample struct {
 	// a little slack keeps the grids narrow while leaving the scheduler
 	// real choices.
 	Slack int
+
+	// ClockNs is the clock period the rung is synthesized at; > 0 turns
+	// on chaining (§5.4).
+	ClockNs float64
 }
 
 // Scale returns the ladder of generated graphs the scale benchmarks and
@@ -42,6 +46,13 @@ func Scale() []*ScaleExample {
 			},
 		}
 	}
+	// chain5k is rand5k's graph chained at a 100 ns clock, so a chain
+	// filter that walks the whole graph per candidate shows up as a
+	// quadratic rung.
+	chain5k := mk("chain5k", 5_000, func() (*dfg.Graph, error) {
+		return gen.Generate(gen.Config{Nodes: 5_000, Seed: 2, MulCycles: 2})
+	})
+	chain5k.ClockNs = 100
 	return []*ScaleExample{
 		mk("rand1k", 1_000, func() (*dfg.Graph, error) {
 			return gen.Generate(gen.Config{Nodes: 1_000, Seed: 1, MulCycles: 2})
@@ -52,6 +63,7 @@ func Scale() []*ScaleExample {
 		mk("rand5k", 5_000, func() (*dfg.Graph, error) {
 			return gen.Generate(gen.Config{Nodes: 5_000, Seed: 2, MulCycles: 2})
 		}),
+		chain5k,
 		mk("matmul20", 15_600, func() (*dfg.Graph, error) {
 			return gen.MatMul(20, 2)
 		}),

@@ -87,8 +87,7 @@ type Config struct {
 	// the per-step candidate sets. The schedule and datapath are
 	// bit-identical either way; the run just drops the audit metadata,
 	// so lint's trace-replay analyzers have nothing to check. Intended
-	// for very large graphs, where trace materialization dominates the
-	// runtime.
+	// for batch runs on very large graphs, which never audit the trace.
 	NoTrace bool
 
 	// Timeout bounds the wall-clock time of one entry-point call

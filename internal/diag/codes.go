@@ -20,8 +20,9 @@ const (
 	CodeDFGBadLoop   = "HL0017" // malformed folded-loop node
 	CodeDFGDupName   = "HL0018" // two nodes (or a node and an input) share a name
 
-	// Frames and schedule legality (HL01xx).
-	CodeFrameIdentity = "HL0101" // recorded MF != PF − (RF ∪ FF)
+	// Frames and schedule legality (HL01xx). HL0101 (recorded
+	// MF != PF − (RF ∪ FF)) is retired: a trace step records one window,
+	// from which all four frames follow.
 	CodeFrameMember   = "HL0102" // committed position outside its recorded move frame
 	CodeFrameBounds   = "HL0103" // recorded PF outside the independent ASAP/ALAP window
 	CodeSchedWindow   = "HL0104" // placement outside the independently recomputed time frame
@@ -115,7 +116,6 @@ var Docs = map[string]string{
 	CodeDFGBadLoop:   "malformed folded-loop node",
 	CodeDFGDupName:   "two nodes (or a node and an input) share a name",
 
-	CodeFrameIdentity: "recorded MF != PF − (RF ∪ FF)",
 	CodeFrameMember:   "committed position outside its recorded move frame",
 	CodeFrameBounds:   "recorded PF outside the independent ASAP/ALAP window",
 	CodeSchedWindow:   "placement outside the independently recomputed time frame",

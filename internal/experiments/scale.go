@@ -43,7 +43,7 @@ func MeasureScaleCtx(ctx context.Context, maxNodes int) (*Snapshot, error) {
 func measureRung(ctx context.Context, rung *benchmarks.ScaleExample) ([]Metric, error) {
 	g := rung.Graph()
 	cs := g.CriticalPathCycles() + rung.Slack
-	cfg := core.Config{CS: cs, NoTrace: true}
+	cfg := core.Config{CS: cs, ClockNs: rung.ClockNs, NoTrace: true}
 	// Best of two runs for the small rungs; the big ones are long enough
 	// that scheduler noise is negligible and a repeat would dominate the
 	// whole measurement.
@@ -58,7 +58,7 @@ func measureRung(ctx context.Context, rung *benchmarks.ScaleExample) ([]Metric, 
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scale rung %s: %w", rung.Name, err)
 	}
-	traced, err := core.SynthesizeCtx(ctx, g, core.Config{CS: cs})
+	traced, err := core.SynthesizeCtx(ctx, g, core.Config{CS: cs, ClockNs: rung.ClockNs})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scale rung %s: traced run: %w", rung.Name, err)
 	}

@@ -6,6 +6,8 @@ import (
 	"context"
 	"strings"
 	"testing"
+
+	"repro/internal/benchmarks"
 )
 
 // TestFullScaleLadder runs the entire ladder — 100k-node rung included —
@@ -28,8 +30,8 @@ func TestFullScaleLadder(t *testing.T) {
 			}
 		}
 	}
-	if rungs != 7 {
-		t.Fatalf("rungs = %d, want the full 7-rung ladder", rungs)
+	if want := len(benchmarks.Scale()); rungs != want {
+		t.Fatalf("rungs = %d, want the full %d-rung ladder", rungs, want)
 	}
 	// The issue's acceptance bars: 10k nodes in single-digit seconds,
 	// 100k completes at all. Generous multiples of the measured numbers

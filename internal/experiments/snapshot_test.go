@@ -218,7 +218,7 @@ func TestComparePerf(t *testing.T) {
 }
 
 func TestCompareScale(t *testing.T) {
-	checkParity(t, "scale", []string{"rand1k/candidates", "fir2k/candidates", "rand5k/candidates", "rand10k/candidates"}, 4)
+	checkParity(t, "scale", []string{"rand1k/candidates", "fir2k/candidates", "rand5k/candidates", "chain5k/candidates", "rand10k/candidates"}, 5)
 }
 
 func TestCompareServe(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package grid implements the paper's 2-dimensional placement tables
-// (Figure 1) and the frame algebra of MFS step 4: positions, rectangular
-// frames, the set relation MF = PF − (RF ∪ FF), occupancy with
+// (Figure 1) and the frames of MFS step 4: positions, the rectangular
+// frames PF, RF, FF and MF = PF − (RF ∪ FF), occupancy with
 // mutual-exclusion sharing, and ASCII rendering used to reproduce the
 // paper's Figures 1 and 2.
 //
@@ -9,15 +9,14 @@
 // instances of that type (1..Max). The full search space is the union of
 // the per-type tables — the paper's third dimension.
 //
-// Frames are dense bitsets, not hash sets: a Frame is a row-major
-// []uint64 over its bounding box, one word group per control step, so
-// Rect is a mask fill, Union and Minus are per-word | and &^, and
-// membership is a shift-and-test. Table.ScanPlaceable walks a move
+// Every frame of a placement decision is a rectangle of its table, so a
+// decision is five ints (Frames) and each frame a closed-form Rect. A
+// table is its occupancy bits. Table.ScanPlaceable walks a move
 // window's free cells in (step, index) or (index, step) order straight
-// off the table's occupancy bitsets; for the paper's linear Liapunov
-// functions those orders are exactly non-decreasing energy (see
-// liapunov.Ordered), which is what turns the schedulers' min-energy
-// search into "first legal bit wins".
+// off those bits; for the paper's linear Liapunov functions those
+// orders are exactly non-decreasing energy (see liapunov.Ordered),
+// which is what turns the schedulers' min-energy search into "first
+// legal bit wins".
 package grid
 
 import (
@@ -49,20 +48,6 @@ const (
 	ColMajor
 )
 
-// Frame is a set of grid positions. The paper's PF, RF, FF and MF are all
-// Frames; MF = PF − (RF ∪ FF) is set subtraction.
-//
-// The representation is a dense row-major bitset over the frame's
-// bounding box [1..steps] × [1..max]: wordsPerRow = ⌈max/64⌉ words per
-// control step, and position (s, i) is bit (i-1) mod 64 of word
-// (s-1)·wordsPerRow + (i-1)/64. The zero value is the empty frame.
-// Algebra results are always freshly allocated (one backing array per
-// result), so frames behave as values; only Add mutates in place.
-type Frame struct {
-	steps, max int // bounding box; both 0 for the zero value
-	words      []uint64
-}
-
 //hls:noalloc
 func wordsPerRow(max int) int { return (max + 63) / 64 }
 
@@ -78,242 +63,86 @@ func maskRange(lo, hi int) uint64 {
 	return m
 }
 
-// Rect returns the rectangular frame [stepLo..stepHi] × [idxLo..idxHi].
-// Bounds below 1 are clamped (positions are 1-based); empty or inverted
-// ranges yield an empty frame. The fill is one masked word row copied to
-// every step — a single allocation regardless of area.
-//
-//hls:noalloc
-func Rect(stepLo, stepHi, idxLo, idxHi int) Frame {
-	if stepLo < 1 {
-		stepLo = 1
-	}
-	if idxLo < 1 {
-		idxLo = 1
-	}
-	if stepHi < stepLo || idxHi < idxLo {
-		return Frame{}
-	}
-	wpr := wordsPerRow(idxHi)
-	//hls:allocok the result's single backing array, O(1) per call (pinned by TestFrameAlgebraAllocs)
-	f := Frame{steps: stepHi, max: idxHi, words: make([]uint64, stepHi*wpr)}
-	first := (stepLo - 1) * wpr
-	for w := 0; w < wpr; w++ {
-		lo, hi := idxLo-1, idxHi-1 // 0-based bit indices over the row
-		if lo < w*64 {
-			lo = w * 64
-		}
-		if hi > w*64+63 {
-			hi = w*64 + 63
-		}
-		if lo > hi {
-			continue
-		}
-		f.words[first+w] = maskRange(lo-w*64, hi-w*64)
-	}
-	row := f.words[first : first+wpr]
-	for s := stepLo; s < stepHi; s++ {
-		copy(f.words[s*wpr:(s+1)*wpr], row)
-	}
-	return f
+// Rect is the rectangle of grid positions [StepLo..StepHi] ×
+// [IdxLo..IdxHi]; an inverted range makes it empty.
+type Rect struct {
+	StepLo, StepHi, IdxLo, IdxHi int
 }
 
-// accumulate ORs (clear=false) or ANDNOT-clears (clear=true) src's bits
-// into f. For OR, f's bounding box must contain src's. Word layouts align
-// across different widths because a position's bit offset within its row
-// depends only on its index, never on the frame's max.
+// rect returns [stepLo..stepHi] × [idxLo..idxHi] with both lower bounds
+// clamped to 1, since positions are 1-based.
 //
 //hls:noalloc
-func (f *Frame) accumulate(src Frame, clear bool) {
-	wpr, swpr := wordsPerRow(f.max), wordsPerRow(src.max)
-	steps, w := src.steps, swpr
-	if clear {
-		if f.steps < steps {
-			steps = f.steps
-		}
-		if wpr < w {
-			w = wpr
-		}
-	}
-	if wpr == swpr {
-		n := steps * wpr
-		if clear {
-			for i := 0; i < n; i++ {
-				f.words[i] &^= src.words[i]
-			}
-		} else {
-			for i := 0; i < n; i++ {
-				f.words[i] |= src.words[i]
-			}
-		}
-		return
-	}
-	for s := 0; s < steps; s++ {
-		fo, so := s*wpr, s*swpr
-		if clear {
-			for k := 0; k < w; k++ {
-				f.words[fo+k] &^= src.words[so+k]
-			}
-		} else {
-			for k := 0; k < w; k++ {
-				f.words[fo+k] |= src.words[so+k]
-			}
-		}
-	}
+func rect(stepLo, stepHi, idxLo, idxHi int) Rect {
+	return Rect{StepLo: max(stepLo, 1), StepHi: stepHi, IdxLo: max(idxLo, 1), IdxHi: idxHi}
 }
 
-// Union returns f ∪ o.
+// Empty reports whether r holds no position.
 //
 //hls:noalloc
-func (f Frame) Union(o Frame) Frame {
-	steps, max := f.steps, f.max
-	if o.steps > steps {
-		steps = o.steps
-	}
-	if o.max > max {
-		max = o.max
-	}
-	if steps == 0 || max == 0 {
-		return Frame{}
-	}
-	//hls:allocok the result's single backing array, O(1) per call (pinned by TestFrameAlgebraAllocs)
-	out := Frame{steps: steps, max: max, words: make([]uint64, steps*wordsPerRow(max))}
-	out.accumulate(f, false)
-	out.accumulate(o, false)
-	return out
-}
+func (r Rect) Empty() bool { return r.StepLo > r.StepHi || r.IdxLo > r.IdxHi }
 
-// Minus returns f − o.
+// Len returns the number of positions in r.
 //
 //hls:noalloc
-func (f Frame) Minus(o Frame) Frame {
-	if f.steps == 0 {
-		return Frame{}
+func (r Rect) Len() int {
+	if r.Empty() {
+		return 0
 	}
-	//hls:allocok the result's single backing array, O(1) per call (pinned by TestFrameAlgebraAllocs)
-	out := Frame{steps: f.steps, max: f.max, words: append([]uint64(nil), f.words...)}
-	out.accumulate(o, true)
-	return out
+	return (r.StepHi - r.StepLo + 1) * (r.IdxHi - r.IdxLo + 1)
 }
 
 // Contains reports membership.
 //
 //hls:noalloc
-func (f Frame) Contains(p Pos) bool {
-	if p.Step < 1 || p.Step > f.steps || p.Index < 1 || p.Index > f.max {
-		return false
-	}
-	i := p.Index - 1
-	return f.words[(p.Step-1)*wordsPerRow(f.max)+i/64]&(uint64(1)<<uint(i%64)) != 0
+func (r Rect) Contains(p Pos) bool {
+	return p.Step >= r.StepLo && p.Step <= r.StepHi && p.Index >= r.IdxLo && p.Index <= r.IdxHi
 }
 
-// Add inserts p, growing the bounding box if needed. Positions below
-// (1,1) are rejected. Add mutates the frame in place (the only Frame
-// operation that does), re-packing the words when the box grows.
-//
-//hls:noalloc
-func (f *Frame) Add(p Pos) {
-	if p.Step < 1 || p.Index < 1 {
-		return
-	}
-	if p.Step > f.steps || p.Index > f.max {
-		steps, max := f.steps, f.max
-		if p.Step > steps {
-			steps = p.Step
-		}
-		if p.Index > max {
-			max = p.Index
-		}
-		//hls:allocok the grow path re-packs into a wider box; in-bounds Adds never reach it
-		grown := Frame{steps: steps, max: max, words: make([]uint64, steps*wordsPerRow(max))}
-		grown.accumulate(*f, false)
-		*f = grown
-	}
-	i := p.Index - 1
-	f.words[(p.Step-1)*wordsPerRow(f.max)+i/64] |= uint64(1) << uint(i%64)
-}
-
-// Empty reports whether the frame has no positions.
-//
-//hls:noalloc
-func (f Frame) Empty() bool {
-	for _, w := range f.words {
-		if w != 0 {
-			return false
+// Positions returns r's positions in row-major (step, index) order.
+func (r Rect) Positions() []Pos {
+	ps := make([]Pos, 0, r.Len())
+	for s := r.StepLo; s <= r.StepHi; s++ {
+		for i := r.IdxLo; i <= r.IdxHi; i++ {
+			ps = append(ps, Pos{Step: s, Index: i})
 		}
 	}
-	return true
-}
-
-// Len returns the number of positions in the frame.
-//
-//hls:noalloc
-func (f Frame) Len() int {
-	n := 0
-	for _, w := range f.words {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Equal reports set equality, independent of the bounding boxes.
-func (f Frame) Equal(o Frame) bool {
-	if f.steps == o.steps && f.max == o.max {
-		for i, w := range f.words {
-			if w != o.words[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if f.Len() != o.Len() {
-		return false
-	}
-	return f.Scan(func(p Pos) bool { return o.Contains(p) })
-}
-
-// Scan visits every position in row-major (step, index) order — the
-// paper's "fill a step before opening the next". It stops early when
-// yield returns false, and reports whether the walk ran to completion.
-// For a time-constrained Liapunov function V = x + n·y with n greater
-// than every index, this order is strictly increasing energy.
-//
-//hls:noalloc
-func (f Frame) Scan(yield func(Pos) bool) bool {
-	wpr := wordsPerRow(f.max)
-	for s := 0; s < f.steps; s++ {
-		base := s * wpr
-		for w := 0; w < wpr; w++ {
-			word := f.words[base+w]
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				if !yield(Pos{Step: s + 1, Index: w*64 + b + 1}) {
-					return false
-				}
-				word &= word - 1
-			}
-		}
-	}
-	return true
-}
-
-// Positions returns the frame's positions sorted by (step, index) so
-// iteration is deterministic. The bitset stores them in exactly that
-// order, so this is a single pre-sized scan, no sort.
-func (f Frame) Positions() []Pos {
-	ps := make([]Pos, 0, f.Len())
-	f.Scan(func(p Pos) bool {
-		ps = append(ps, p)
-		return true
-	})
 	return ps
 }
 
-// FrameSet bundles the four frames of one placement decision, for
-// inspection and for rendering Figure 2.
-type FrameSet struct {
-	PF, RF, FF, MF Frame
+// Frames is one placement decision's frames (§3 step 4, Figure 2) in
+// closed form: the start-step window [Lo..Hi] the placed predecessors
+// leave, the last step FFTop a placed predecessor forbids (0 for none),
+// the running FU estimate Cur (current_j) and the type's bound Max
+// (max_j). Every frame is a rectangle of the type's table, and so is
+// the move frame MF = PF − (RF ∪ FF).
+type Frames struct {
+	Lo, Hi, FFTop, Cur, Max int
 }
+
+// PF is the primary frame [Lo..Hi] × [1..Max].
+//
+//hls:noalloc
+func (f Frames) PF() Rect { return rect(f.Lo, f.Hi, 1, f.Max) }
+
+// RF is the redundant frame [Lo..Hi] × [Cur+1..Max].
+//
+//hls:noalloc
+func (f Frames) RF() Rect { return rect(f.Lo, f.Hi, f.Cur+1, f.Max) }
+
+// FF is the forbidden frame [1..FFTop] × [1..Max].
+//
+//hls:noalloc
+func (f Frames) FF() Rect { return rect(1, f.FFTop, 1, f.Max) }
+
+// MF is the move frame PF − (RF ∪ FF): removing RF keeps the columns
+// 1..min(Cur, Max), and removing FF keeps the rows past FFTop. The
+// schedulers keep Lo ≥ FFTop+1, since every predecessor that forbids a
+// row also raises Lo past it; the max keeps the form exact for any
+// record.
+//
+//hls:noalloc
+func (f Frames) MF() Rect { return rect(max(f.Lo, f.FFTop+1), f.Hi, 1, min(f.Cur, f.Max)) }
 
 // Table is the placement grid of one FU type.
 type Table struct {
@@ -328,27 +157,26 @@ type Table struct {
 	Latency   int
 	Pipelined bool
 
-	// cells is dense column-major: one contiguous CS-cell run per
-	// instance column, so Grow opens new columns by appending without
-	// relaying existing occupancy. A nil/empty slice is a free cell.
-	// More than one occupant only for mutually exclusive operations.
-	cells [][]dfg.NodeID
-
-	// The occupancy index: two mirrored word-level bitsets with bit
-	// (step, index) set iff cells[(index-1)·CS+(step-1)] is non-empty,
-	// maintained by Place/Remove/Grow. occRow is row-major (one
-	// rowWords-word group per control step, bit (i-1)%64 of word
-	// (s-1)·rowWords+(i-1)/64), matching the RowMajor walk order; occCol
-	// is column-major (one colWords-word group per instance column, bit
-	// (s-1)%64 of word (i-1)·colWords+(s-1)/64), matching ColMajor.
-	// ScanPlaceable masks a move window into these words and finds free
-	// footprints with bits.TrailingZeros64 instead of probing cells one
-	// by one — O(window/64) instead of O(window) for the common case of
-	// a graph without mutual-exclusion tags.
+	// The table is its occupancy: two mirrored word-level bitsets with
+	// bit (step, index) set iff the cell is occupied, maintained by
+	// Place and Grow. occRow is row-major (one rowWords-word group per
+	// control step, bit (i-1)%64 of word (s-1)·rowWords+(i-1)/64),
+	// matching the RowMajor walk order; occCol is column-major (one
+	// colWords-word group per instance column, bit (s-1)%64 of word
+	// (i-1)·colWords+(s-1)/64), matching ColMajor. ScanPlaceable masks a
+	// move window into these words and finds free footprints with
+	// bits.TrailingZeros64 — O(window/64) for the common case of a graph
+	// without mutual-exclusion tags.
 	occRow   []uint64
 	occCol   []uint64
 	rowWords int // ⌈Max/64⌉
 	colWords int // ⌈CS/64⌉
+
+	// shared lists the occupants of each cell whose first occupant carries
+	// a mutual-exclusion tag: only there can a second, mutually exclusive
+	// operation join. An occupied cell without an entry refuses every
+	// operation.
+	shared map[Pos][]dfg.NodeID
 }
 
 // NewTable returns an empty cs × max table for the given FU type.
@@ -359,7 +187,6 @@ type Table struct {
 func NewTable(typ string, cs, max int) *Table {
 	return &Table{
 		Type: typ, CS: cs, Max: max,
-		cells:    make([][]dfg.NodeID, cs*max),
 		rowWords: wordsPerRow(max),
 		colWords: wordsPerRow(cs),
 		occRow:   make([]uint64, cs*wordsPerRow(max)),
@@ -373,7 +200,6 @@ func (t *Table) Grow(max int) {
 	if max <= t.Max {
 		return
 	}
-	t.cells = append(t.cells, make([][]dfg.NodeID, (max-t.Max)*t.CS)...)
 	// occCol gains one zeroed colWords-word group per new column. occRow
 	// only re-packs when the new width crosses a 64-column word boundary;
 	// bits past Max inside the last word are never set, so within a word
@@ -398,34 +224,14 @@ func (t *Table) setOcc(step, index int) {
 	t.occCol[(index-1)*t.colWords+(step-1)/64] |= uint64(1) << uint((step-1)%64)
 }
 
-// clearOcc marks the cell at (folded) row step, column index free in
-// both index bitsets. The caller has already bounds-checked.
+// Occupied reports whether an operation occupies p.
 //
 //hls:noalloc
-func (t *Table) clearOcc(step, index int) {
-	t.occRow[(step-1)*t.rowWords+(index-1)/64] &^= uint64(1) << uint((index-1)%64)
-	t.occCol[(index-1)*t.colWords+(step-1)/64] &^= uint64(1) << uint((step-1)%64)
-}
-
-// cell returns the dense index of p, which must be in bounds.
-//
-//hls:noalloc
-func (t *Table) cell(p Pos) int { return (p.Index-1)*t.CS + (p.Step - 1) }
-
-// InBounds reports whether p lies on the table.
-//
-//hls:noalloc
-func (t *Table) InBounds(p Pos) bool {
-	return p.Step >= 1 && p.Step <= t.CS && p.Index >= 1 && p.Index <= t.Max
-}
-
-// At returns the operations occupying p (more than one only for mutually
-// exclusive operations). The slice must not be modified.
-func (t *Table) At(p Pos) []dfg.NodeID {
-	if !t.InBounds(p) {
-		return nil
+func (t *Table) Occupied(p Pos) bool {
+	if p.Step < 1 || p.Step > t.CS || p.Index < 1 || p.Index > t.Max {
+		return false
 	}
-	return t.cells[t.cell(p)]
+	return t.occRow[(p.Step-1)*t.rowWords+(p.Index-1)/64]&(uint64(1)<<uint((p.Index-1)%64)) != 0
 }
 
 // row returns the folded occupancy row for cycle i of an operation
@@ -465,10 +271,17 @@ func (t *Table) CanPlace(g *dfg.Graph, id dfg.NodeID, p Pos, cycles int) bool {
 		return false
 	}
 	for i := 0; i < t.footRows(cycles); i++ {
-		row := t.row(p.Step, i)
-		for _, occ := range t.cells[(p.Index-1)*t.CS+(row-1)] {
+		q := Pos{Step: t.row(p.Step, i), Index: p.Index}
+		if !t.Occupied(q) {
+			continue
+		}
+		occ := t.shared[q]
+		if len(occ) == 0 {
+			return false // an untagged first occupant excludes nobody
+		}
+		for _, o := range occ {
 			//hls:allocok dfg.MutuallyExclusive is two loops over the (tiny) Excl tag slices; it allocates nothing
-			if !g.MutuallyExclusive(id, occ) {
+			if !g.MutuallyExclusive(id, o) {
 				return false
 			}
 		}
@@ -477,41 +290,29 @@ func (t *Table) CanPlace(g *dfg.Graph, id dfg.NodeID, p Pos, cycles int) bool {
 }
 
 // Place records operation id starting at p for the given duration. It
-// fails if CanPlace would.
+// fails if CanPlace would. Only a tagged operation that opens a cell, or
+// joins one, allocates.
 func (t *Table) Place(g *dfg.Graph, id dfg.NodeID, p Pos, cycles int) error {
 	if !t.CanPlace(g, id, p, cycles) {
 		return fmt.Errorf("grid %s: cannot place node %d at %v", t.Type, id, p)
 	}
+	tagged := len(g.Node(id).Excl) > 0
 	for i := 0; i < t.footRows(cycles); i++ {
-		row := t.row(p.Step, i)
-		c := (p.Index-1)*t.CS + (row - 1)
-		t.cells[c] = append(t.cells[c], id)
-		if len(t.cells[c]) == 1 {
-			t.setOcc(row, p.Index)
+		q := Pos{Step: t.row(p.Step, i), Index: p.Index}
+		switch {
+		case !t.Occupied(q):
+			t.setOcc(q.Step, q.Index)
+			if tagged {
+				if t.shared == nil {
+					t.shared = make(map[Pos][]dfg.NodeID)
+				}
+				t.shared[q] = []dfg.NodeID{id}
+			}
+		case t.shared[q] != nil:
+			t.shared[q] = append(t.shared[q], id)
 		}
 	}
 	return nil
-}
-
-// Remove erases operation id's footprint starting at p.
-func (t *Table) Remove(id dfg.NodeID, p Pos, cycles int) {
-	for i := 0; i < t.footRows(cycles); i++ {
-		row := t.row(p.Step, i)
-		if row < 1 || row > t.CS || p.Index < 1 || p.Index > t.Max {
-			continue
-		}
-		c := (p.Index-1)*t.CS + (row - 1)
-		occ := t.cells[c]
-		for j, x := range occ {
-			if x == id {
-				t.cells[c] = append(occ[:j], occ[j+1:]...)
-				if len(t.cells[c]) == 0 {
-					t.clearOcc(row, p.Index)
-				}
-				break
-			}
-		}
-	}
 }
 
 // ScanPlaceable visits, in the given walk order, exactly the positions p
@@ -521,10 +322,9 @@ func (t *Table) Remove(id dfg.NodeID, p Pos, cycles int) {
 // over CanPlace — the schedulers' move-frame walk — but it masks the
 // window into the occupancy words and jumps between free footprints with
 // bits.TrailingZeros64: on a graph with no mutual-exclusion tags
-// (excl=false) an occupied bit is provably illegal and is skipped
-// without touching cells; with exclusion tags (excl=true) free bits
-// still fast-accept, and only occupied bits fall back to the
-// per-occupant CanPlace walk. A multicycle footprint ORs the occupancy
+// (excl=false) an occupied bit is provably illegal and is skipped; with
+// exclusion tags (excl=true) free bits still fast-accept, and only
+// occupied bits fall back to the per-occupant CanPlace check. A multicycle footprint ORs the occupancy
 // of its footRows rows, any number of them, into one busy mask (one row
 // for Pipelined types).
 //

@@ -2,8 +2,10 @@ package grid
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -27,64 +29,82 @@ func testGraph(t *testing.T) (*dfg.Graph, dfg.NodeID, dfg.NodeID, dfg.NodeID) {
 }
 
 func TestRect(t *testing.T) {
-	f := Rect(2, 4, 1, 3)
-	if f.Len() != 9 {
-		t.Errorf("|Rect(2,4,1,3)| = %d, want 9", f.Len())
+	r := Rect{StepLo: 2, StepHi: 4, IdxLo: 1, IdxHi: 3}
+	if r.Len() != 9 {
+		t.Errorf("|[2..4]×[1..3]| = %d, want 9", r.Len())
 	}
-	if !f.Contains(Pos{2, 1}) || !f.Contains(Pos{4, 3}) || f.Contains(Pos{1, 1}) {
+	if !r.Contains(Pos{2, 1}) || !r.Contains(Pos{4, 3}) || r.Contains(Pos{1, 1}) {
 		t.Error("Rect membership wrong")
 	}
-	if !Rect(3, 2, 1, 1).Empty() {
+	inverted := Rect{StepLo: 3, StepHi: 2, IdxLo: 1, IdxHi: 1}
+	if !inverted.Empty() || inverted.Len() != 0 || len(inverted.Positions()) != 0 {
 		t.Error("inverted Rect not empty")
 	}
-	// Rectangles spanning a word boundary fill every column.
-	wide := Rect(1, 2, 60, 70)
+	// Rectangles spanning a word boundary of the tables hold every column.
+	wide := Rect{StepLo: 1, StepHi: 2, IdxLo: 60, IdxHi: 70}
 	if wide.Len() != 22 || !wide.Contains(Pos{1, 64}) || !wide.Contains(Pos{2, 65}) {
-		t.Errorf("|Rect(1,2,60,70)| = %d, want 22", wide.Len())
+		t.Errorf("|[1..2]×[60..70]| = %d, want 22", wide.Len())
 	}
 }
 
+// TestFrameAlgebra works MF = PF − (RF ∪ FF) through two decisions: one
+// whose predecessors forbid no row of the window, and one where FF
+// reaches past Lo, as only a corrupted record can have it.
 func TestFrameAlgebra(t *testing.T) {
-	a := Rect(1, 2, 1, 2) // 4 cells
-	b := Rect(2, 3, 1, 2) // 4 cells, 2 shared
-	u := a.Union(b)
-	if u.Len() != 6 {
-		t.Errorf("|a∪b| = %d, want 6", u.Len())
+	f := Frames{Lo: 2, Hi: 3, FFTop: 1, Cur: 1, Max: 2}
+	for _, c := range []struct {
+		name string
+		got  Rect
+		want []Pos
+	}{
+		{"PF", f.PF(), []Pos{{2, 1}, {2, 2}, {3, 1}, {3, 2}}},
+		{"RF", f.RF(), []Pos{{2, 2}, {3, 2}}},
+		{"FF", f.FF(), []Pos{{1, 1}, {1, 2}}},
+		{"MF", f.MF(), []Pos{{2, 1}, {3, 1}}},
+	} {
+		if got := c.got.Positions(); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s = %v, want %v", c.name, got, c.want)
+		}
 	}
-	m := a.Minus(b)
-	if m.Len() != 2 || !m.Contains(Pos{1, 1}) || !m.Contains(Pos{1, 2}) {
-		t.Errorf("a−b = %v", m.Positions())
-	}
-	// MF = PF − (RF ∪ FF) as in the paper.
-	mf := a.Minus(b.Union(Rect(1, 1, 1, 1)))
-	if mf.Len() != 1 || !mf.Contains(Pos{1, 2}) {
-		t.Errorf("MF = %v", mf.Positions())
+	f.FFTop = 2
+	if got, want := f.MF().Positions(), []Pos{{3, 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("MF with FF past Lo = %v, want %v", got, want)
 	}
 }
 
 func TestFrameAlgebraProperties(t *testing.T) {
-	// Property: for random rectangles, |A−B| + |A∩B| == |A| where
-	// A∩B = A − (A−B).
-	f := func(a1, a2, b1, b2 uint8) bool {
-		A := Rect(int(a1%5)+1, int(a1%5)+1+int(a2%4), 1, 3)
-		B := Rect(int(b1%5)+1, int(b1%5)+1+int(b2%4), 2, 4)
-		diff := A.Minus(B)
-		inter := A.Minus(diff)
-		return diff.Len()+inter.Len() == A.Len()
+	// Property: MF and PF ∩ (RF ∪ FF) partition PF, as A − B and A ∩ B
+	// partition A.
+	f := func(lo, span, ffTop, cur, max uint8) bool {
+		fs := Frames{Lo: int(lo % 9), Hi: int(lo%9) + int(span%6) - 1, FFTop: int(ffTop % 9), Cur: int(cur % 7), Max: int(max % 6)}
+		pf, mf := fs.PF(), fs.MF()
+		excluded := 0
+		for _, p := range pf.Positions() {
+			switch {
+			case fs.RF().Contains(p) || fs.FF().Contains(p):
+				excluded++
+			case !mf.Contains(p):
+				return false
+			}
+		}
+		return mf.Len()+excluded == pf.Len()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
-// mapFrame is the historical map-of-positions frame representation; the
-// property tests below assert the bitset algebra agrees with it exactly.
+// mapFrame is the historical map-of-positions frame representation;
+// TestFramesMatchMapAlgebra asserts the closed forms agree with the set
+// algebra computed on it.
 type mapFrame map[Pos]bool
 
+// mapRect is [stepLo..stepHi] × [idxLo..idxHi] with both lower bounds
+// clamped to 1, as the bitset Rect of the frame algebra clamped them.
 func mapRect(stepLo, stepHi, idxLo, idxHi int) mapFrame {
 	f := make(mapFrame)
-	for s := stepLo; s <= stepHi; s++ {
-		for i := idxLo; i <= idxHi; i++ {
+	for s := max(stepLo, 1); s <= stepHi; s++ {
+		for i := max(idxLo, 1); i <= idxHi; i++ {
 			f[Pos{s, i}] = true
 		}
 	}
@@ -112,133 +132,119 @@ func (f mapFrame) minus(o mapFrame) mapFrame {
 	return out
 }
 
-func sameSet(t *testing.T, ctx string, got Frame, want mapFrame) {
+// sameSet asserts that got holds exactly want's positions, that its
+// Contains agrees with want over a margin around the window, and that
+// Positions lists them in row-major order.
+func sameSet(t *testing.T, ctx string, got Rect, want mapFrame) {
 	t.Helper()
-	if got.Len() != len(want) {
-		t.Fatalf("%s: bitset has %d positions, map has %d", ctx, got.Len(), len(want))
+	if got.Len() != len(want) || got.Empty() != (len(want) == 0) {
+		t.Fatalf("%s: closed form has %d positions (empty %v), map has %d", ctx, got.Len(), got.Empty(), len(want))
 	}
-	for _, p := range got.Positions() {
+	ps := got.Positions()
+	if len(ps) != len(want) {
+		t.Fatalf("%s: Positions lists %d, map has %d", ctx, len(ps), len(want))
+	}
+	for i, p := range ps {
 		if !want[p] {
-			t.Fatalf("%s: bitset contains %v, map does not", ctx, p)
+			t.Fatalf("%s: closed form contains %v, map does not", ctx, p)
+		}
+		if i > 0 && (ps[i-1].Step > p.Step || ps[i-1].Step == p.Step && ps[i-1].Index >= p.Index) {
+			t.Fatalf("%s: Positions not row-major: %v", ctx, ps)
 		}
 	}
-}
-
-// TestBitsetMatchesMapSemantics drives the bitset Union/Minus/Positions
-// through random rectangles (including word-boundary widths) and checks
-// every result against the map-of-positions reference semantics.
-func TestBitsetMatchesMapSemantics(t *testing.T) {
-	r := rand.New(rand.NewSource(17))
-	randRect := func() (Frame, mapFrame) {
-		sLo, iLo := 1+r.Intn(8), 1+r.Intn(70)
-		sHi, iHi := sLo+r.Intn(8)-2, iLo+r.Intn(70)-2 // sometimes inverted → empty
-		return Rect(sLo, sHi, iLo, iHi), mapRect(sLo, sHi, iLo, iHi)
-	}
-	for trial := 0; trial < 200; trial++ {
-		a, ma := randRect()
-		b, mb := randRect()
-		c, mc := randRect()
-		sameSet(t, "rect", a, ma)
-		sameSet(t, "union", a.Union(b), ma.union(mb))
-		sameSet(t, "minus", a.Minus(b), ma.minus(mb))
-		sameSet(t, "mf", a.Minus(b.Union(c)), ma.minus(mb.union(mc)))
-		// Positions must come out sorted by (step, index).
-		ps := a.Minus(b).Positions()
-		for i := 1; i < len(ps); i++ {
-			x, y := ps[i-1], ps[i]
-			if x.Step > y.Step || (x.Step == y.Step && x.Index >= y.Index) {
-				t.Fatalf("Positions not sorted: %v", ps)
+	for s := -1; s <= 20; s++ {
+		for i := -1; i <= 20; i++ {
+			if p := (Pos{s, i}); got.Contains(p) != want[p] {
+				t.Fatalf("%s: Contains(%v) = %v, map %v", ctx, p, got.Contains(p), want[p])
 			}
 		}
 	}
 }
 
-// TestFrameAlgebraAllocs pins the zero-allocation property of the bitset
-// algebra: each operation allocates O(1) — a single backing array for
-// the result — regardless of the frame's area, and iteration allocates
-// nothing at all.
-func TestFrameAlgebraAllocs(t *testing.T) {
-	for _, dim := range []struct{ cs, max int }{{4, 3}, {32, 16}, {128, 130}} {
-		cs, max := dim.cs, dim.max
-		var pf, rf, ff, mf Frame
-		if a := testing.AllocsPerRun(100, func() {
-			pf = Rect(1, cs, 1, max)
-			rf = Rect(1, cs, max/2+1, max)
-			ff = Rect(1, cs/2, 1, max)
-		}); a > 3 {
-			t.Errorf("%dx%d: Rect×3 allocates %.0f, want <= 3", cs, max, a)
-		}
-		if a := testing.AllocsPerRun(100, func() {
-			mf = pf.Minus(rf.Union(ff))
-		}); a > 2 {
-			t.Errorf("%dx%d: Union+Minus allocates %.0f, want <= 2", cs, max, a)
-		}
-		n := 0
-		if a := testing.AllocsPerRun(100, func() {
-			n = 0
-			mf.Scan(func(Pos) bool { n++; return true })
-		}); a != 0 {
-			t.Errorf("%dx%d: Scan allocates %.0f, want 0", cs, max, a)
-		}
-		if want := cs*max - cs*(max-max/2) - (cs/2)*(max/2); n != want {
-			t.Errorf("%dx%d: |MF| = %d, want %d", cs, max, n, want)
-		}
+// TestFramesMatchMapAlgebra checks each closed form against the set
+// algebra on maps — PF, RF and FF as rectangles, MF = PF − (RF ∪ FF) —
+// over random windows and the edge cases: empty and inverted windows,
+// FFTop past Lo, Cur at or past Max, negative Cur, and the all-zero
+// window MFSA steps record.
+func TestFramesMatchMapAlgebra(t *testing.T) {
+	cases := []Frames{
+		{},                                         // an MFSA step: Lo = Hi = FFTop = 0
+		{Lo: 0, Hi: 0, FFTop: 0, Cur: 2, Max: 3},   // the same with an FU estimate
+		{Lo: 3, Hi: 2, FFTop: 1, Cur: 1, Max: 2},   // inverted window
+		{Lo: 2, Hi: 5, FFTop: 4, Cur: 1, Max: 3},   // FF past Lo
+		{Lo: 2, Hi: 5, FFTop: 9, Cur: 1, Max: 3},   // FF past Hi
+		{Lo: 1, Hi: 4, FFTop: 0, Cur: 3, Max: 3},   // Cur = Max
+		{Lo: 1, Hi: 4, FFTop: 0, Cur: 7, Max: 3},   // Cur > Max
+		{Lo: 1, Hi: 4, FFTop: 0, Cur: -2, Max: 3},  // negative Cur
+		{Lo: -3, Hi: 4, FFTop: -1, Cur: 1, Max: 3}, // bounds below 1
+		{Lo: 1, Hi: 4, FFTop: 0, Cur: 1, Max: 0},   // no columns
+	}
+	r := rand.New(rand.NewSource(17))
+	for len(cases) < 400 {
+		lo := r.Intn(12) - 1
+		cases = append(cases, Frames{
+			Lo: lo, Hi: lo + r.Intn(10) - 2,
+			FFTop: r.Intn(12) - 1,
+			Cur:   r.Intn(10) - 1, Max: r.Intn(9),
+		})
+	}
+	for _, f := range cases {
+		ctx := fmt.Sprintf("%+v", f)
+		pf := mapRect(f.Lo, f.Hi, 1, f.Max)
+		rf := mapRect(f.Lo, f.Hi, f.Cur+1, f.Max)
+		ff := mapRect(1, f.FFTop, 1, f.Max)
+		sameSet(t, ctx+" PF", f.PF(), pf)
+		sameSet(t, ctx+" RF", f.RF(), rf)
+		sameSet(t, ctx+" FF", f.FF(), ff)
+		sameSet(t, ctx+" MF", f.MF(), pf.minus(rf.union(ff)))
 	}
 }
 
-func TestFrameAddAndEqual(t *testing.T) {
-	var f Frame
-	f.Add(Pos{2, 3})
-	f.Add(Pos{2, 3}) // idempotent
-	f.Add(Pos{5, 70})
-	f.Add(Pos{0, 1}) // below the grid: ignored
-	if f.Len() != 2 || !f.Contains(Pos{2, 3}) || !f.Contains(Pos{5, 70}) {
-		t.Fatalf("Add produced %v", f.Positions())
+// TestFrameAlgebraAllocs pins that the closed forms allocate nothing,
+// whatever the frame's area; only Positions materializes, in one
+// allocation.
+func TestFrameAlgebraAllocs(t *testing.T) {
+	f := Frames{Lo: 3, Hi: 4000, FFTop: 2, Cur: 70, Max: 130}
+	n := 0
+	if a := testing.AllocsPerRun(100, func() {
+		n = f.PF().Len() + f.RF().Len() + f.FF().Len() + f.MF().Len()
+		if f.MF().Empty() || !f.MF().Contains(Pos{3, 70}) {
+			n = -1
+		}
+	}); a != 0 {
+		t.Errorf("closed-form frames allocate %.0f, want 0", a)
 	}
-	g := Rect(2, 2, 3, 3)
-	g.Add(Pos{5, 70})
-	if !f.Equal(g) || !g.Equal(f) {
-		t.Error("Equal false for equal sets with different boxes")
+	if want := 3998*130 + 3998*60 + 2*130 + 3998*70; n != want {
+		t.Errorf("|PF|+|RF|+|FF|+|MF| = %d, want %d", n, want)
 	}
-	g.Add(Pos{1, 1})
-	if f.Equal(g) {
-		t.Error("Equal true for different sets")
-	}
-	if !Rect(1, 0, 1, 1).Equal(Frame{}) {
-		t.Error("empty frames not equal")
+	small := Frames{Lo: 1, Hi: 4, Cur: 2, Max: 3}
+	if a := testing.AllocsPerRun(100, func() { small.MF().Positions() }); a != 1 {
+		t.Errorf("Positions allocates %.0f, want 1", a)
 	}
 }
 
 func TestPositionsSorted(t *testing.T) {
-	var f Frame
-	for _, p := range []Pos{{3, 1}, {1, 2}, {1, 1}, {2, 5}} {
-		f.Add(p)
-	}
-	ps := f.Positions()
-	for i := 1; i < len(ps); i++ {
-		a, b := ps[i-1], ps[i]
-		if a.Step > b.Step || (a.Step == b.Step && a.Index >= b.Index) {
-			t.Fatalf("Positions not sorted: %v", ps)
-		}
+	got := Rect{StepLo: 1, StepHi: 2, IdxLo: 2, IdxHi: 3}.Positions()
+	want := []Pos{{1, 2}, {1, 3}, {2, 2}, {2, 3}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Positions = %v, want row-major %v", got, want)
 	}
 }
 
-func TestScanOrders(t *testing.T) {
-	f := Rect(1, 2, 1, 2)
-	var row []Pos
-	f.Scan(func(p Pos) bool { row = append(row, p); return true })
-	wantRow := []Pos{{1, 1}, {1, 2}, {2, 1}, {2, 2}}
-	if !reflect.DeepEqual(row, wantRow) {
-		t.Fatalf("Scan order = %v, want %v", row, wantRow)
+// TestTableBytesPerCell pins that a table is its occupancy bits: a
+// 480-step × 2925-column table, the size MFS builds for a 100k-node
+// graph's multipliers, allocates at most one byte per cell. Its two bit
+// mirrors take a quarter byte; dense occupant lists took 24 bytes.
+func TestTableBytesPerCell(t *testing.T) {
+	const cs, max = 480, 2925
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	tb := NewTable("*", cs, max)
+	runtime.ReadMemStats(&after)
+	if perCell := float64(after.TotalAlloc-before.TotalAlloc) / (cs * max); perCell > 1 {
+		t.Errorf("NewTable(%d, %d) allocates %.2f bytes per cell, want at most 1", cs, max, perCell)
 	}
-	// Early stop.
-	seen := 0
-	if f.Scan(func(Pos) bool { seen++; return false }) {
-		t.Error("Scan did not report the early stop")
-	}
-	if seen != 1 {
-		t.Errorf("Scan visited %d after stop, want 1", seen)
-	}
+	runtime.KeepAlive(tb)
 }
 
 func TestPlaceAndConflict(t *testing.T) {
@@ -258,15 +264,20 @@ func TestPlaceAndConflict(t *testing.T) {
 	if err := tb.Place(g, y, Pos{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tb.At(Pos{1, 1})); got != 2 {
+	if got := len(tb.shared[Pos{1, 1}]); got != 2 {
 		t.Errorf("occupants = %d, want 2", got)
 	}
-	// z can still go next to them.
+	// z can still go next to them; untagged, it opens no occupant list.
 	if err := tb.Place(g, z, Pos{1, 2}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(tb.At(Pos{1, 2})); got != 1 {
-		t.Errorf("occupants of (t1,fu2) = %d, want 1", got)
+	if !tb.Occupied(Pos{1, 2}) || tb.shared[Pos{1, 2}] != nil {
+		t.Errorf("(t1,fu2): occupied %v, occupants %v; want occupied with no list",
+			tb.Occupied(Pos{1, 2}), tb.shared[Pos{1, 2}])
+	}
+	// Nobody joins an untagged occupant, not even an exclusive op.
+	if tb.CanPlace(g, y, Pos{1, 2}, 1) {
+		t.Error("sharing with an untagged occupant allowed")
 	}
 }
 
@@ -296,18 +307,11 @@ func TestMulticycleFootprint(t *testing.T) {
 	if err := tb.Place(g, z, Pos{1, 1}, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.At(Pos{1, 1})) != 1 || len(tb.At(Pos{2, 1})) != 1 {
-		t.Error("2-cycle footprint not recorded on both rows")
+	if !tb.Occupied(Pos{1, 1}) || !tb.Occupied(Pos{2, 1}) || tb.Occupied(Pos{3, 1}) {
+		t.Error("2-cycle footprint not recorded on exactly its two rows")
 	}
 	if tb.CanPlace(g, x, Pos{2, 1}, 1) {
 		t.Error("overlap with 2nd cycle accepted")
-	}
-	tb.Remove(z, Pos{1, 1}, 2)
-	if len(tb.At(Pos{1, 1})) != 0 || len(tb.At(Pos{2, 1})) != 0 {
-		t.Error("Remove left footprint behind")
-	}
-	if !empty(tb) {
-		t.Error("occupancy index not empty after Remove")
 	}
 }
 
@@ -354,14 +358,9 @@ func TestRender(t *testing.T) {
 	g, x, _, z := testGraph(t)
 	tb := NewTable("+", 3, 2)
 	tb.Place(g, x, Pos{1, 1}, 1)
-	fs := &FrameSet{
-		PF: Rect(1, 3, 1, 2),
-		RF: Rect(1, 3, 2, 2),
-		FF: Rect(1, 1, 1, 2),
-		MF: Rect(2, 3, 1, 1),
-	}
+	fs := &Frames{Lo: 1, Hi: 3, FFTop: 1, Cur: 1, Max: 2}
 	out := Render(tb, fs, map[Pos]string{{2, 1}: "r*"})
-	for _, want := range []string{"fu1", "fu2", "t1", "t3", "X", "M", "r*", "legend"} {
+	for _, want := range []string{"fu1", "fu2", "t1", "t3", "X", "M", "r*", "legend", "|PF|=6 |RF|=3 |FF|=2 |MF|=2"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Render output missing %q:\n%s", want, out)
 		}
@@ -375,9 +374,8 @@ func TestRender(t *testing.T) {
 }
 
 func TestPlaceRemoveInvariants(t *testing.T) {
-	// Property: any sequence of successful placements followed by their
-	// removals leaves the table empty; occupancy never exceeds one op
-	// per cell among non-exclusive ops.
+	// Property: among non-exclusive ops, successful placements never
+	// share a cell, and the occupancy bits count exactly their footprints.
 	r := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {
 		g := dfg.New("pr")
@@ -389,6 +387,7 @@ func TestPlaceRemoveInvariants(t *testing.T) {
 		}
 		tb := NewTable("*", 6, 3)
 		var live []placed
+		cells := 0
 		for i := 0; i < 20; i++ {
 			name := fmt.Sprintf("n%d", i)
 			id, err := g.AddOp(name, op.Mul, "a", "a")
@@ -403,6 +402,7 @@ func TestPlaceRemoveInvariants(t *testing.T) {
 					t.Fatalf("trial %d: CanPlace true but Place failed: %v", trial, err)
 				}
 				live = append(live, placed{id, p, cyc})
+				cells += cyc
 			}
 		}
 		// No two live ops overlap (none are exclusive).
@@ -421,22 +421,12 @@ func TestPlaceRemoveInvariants(t *testing.T) {
 				}
 			}
 		}
-		for _, pl := range live {
-			tb.Remove(pl.id, pl.p, pl.cycles)
+		set := 0
+		for _, w := range tb.occRow {
+			set += bits.OnesCount64(w)
 		}
-		if !empty(tb) {
-			t.Fatalf("trial %d: table not empty after removals", trial)
-		}
-	}
-}
-
-// empty reports whether no cell of tb is occupied, read off the
-// row-major occupancy bitset (checkIndex pins that it mirrors the cells).
-func empty(tb *Table) bool {
-	for _, w := range tb.occRow {
-		if w != 0 {
-			return false
+		if set != cells || tb.shared != nil {
+			t.Fatalf("trial %d: %d occupancy bits and occupant lists %v for %d footprint cells", trial, set, tb.shared, cells)
 		}
 	}
-	return true
 }

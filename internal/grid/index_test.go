@@ -3,16 +3,105 @@ package grid
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dfg"
 	"repro/internal/op"
 )
 
-// checkIndex asserts both occupancy bitsets exactly mirror the cell
-// array: bit (step, index) set iff the cell holds at least one occupant.
-func checkIndex(t *testing.T, tb *Table, when string) {
+// model is the dense occupant-list table the occupancy bits replaced,
+// kept as their oracle: every cell lists its occupants, and a position
+// is placeable iff the footprint stays on the table and every footprint
+// cell's occupants are mutually exclusive with the mover. It reads its
+// shape from the table it shadows, so it follows the table's Grow.
+type model struct {
+	t     *Table
+	lists [][]dfg.NodeID // column-major: cell (s, i) at (i-1)·CS+(s-1); short until placed into
+}
+
+func newModel(t *Table) *model { return &model{t: t} }
+
+// at returns the occupants of the in-bounds cell p.
+func (m *model) at(p Pos) []dfg.NodeID {
+	if c := (p.Index-1)*m.t.CS + (p.Step - 1); c < len(m.lists) {
+		return m.lists[c]
+	}
+	return nil
+}
+
+func (m *model) canPlace(g *dfg.Graph, id dfg.NodeID, p Pos, cycles int) bool {
+	t := m.t
+	if p.Index < 1 || p.Index > t.Max || p.Step < 1 || p.Step+cycles-1 > t.CS {
+		return false
+	}
+	for i := 0; i < t.footRows(cycles); i++ {
+		for _, occ := range m.at(Pos{Step: t.row(p.Step, i), Index: p.Index}) {
+			if !g.MutuallyExclusive(id, occ) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// place checks the table's CanPlace against the model's, places id on
+// both when it is legal, and reports whether it was.
+func (m *model) place(tb testing.TB, g *dfg.Graph, id dfg.NodeID, p Pos, cycles int) bool {
+	tb.Helper()
+	ok := m.canPlace(g, id, p, cycles)
+	if got := m.t.CanPlace(g, id, p, cycles); got != ok {
+		tb.Fatalf("CanPlace(node %d, %v, %d cycles) = %v, the occupant model says %v", id, p, cycles, got, ok)
+	}
+	if !ok {
+		return false
+	}
+	if err := m.t.Place(g, id, p, cycles); err != nil {
+		tb.Fatalf("CanPlace true but Place failed: %v", err)
+	}
+	if n := m.t.Max * m.t.CS; len(m.lists) < n {
+		m.lists = append(m.lists, make([][]dfg.NodeID, n-len(m.lists))...)
+	}
+	for i := 0; i < m.t.footRows(cycles); i++ {
+		c := (p.Index-1)*m.t.CS + (m.t.row(p.Step, i) - 1)
+		m.lists[c] = append(m.lists[c], id)
+	}
+	return true
+}
+
+// scanNaive is the reference ScanPlaceable is checked against: the
+// window walk with one model canPlace per cell, in the given order,
+// over an already clamped window.
+func (m *model) scanNaive(g *dfg.Graph, id dfg.NodeID, ord Order, stepLo, stepHi, idxHi, cycles int, yield func(Pos) bool) bool {
+	if ord == RowMajor {
+		for s := stepLo; s <= stepHi; s++ {
+			for i := 1; i <= idxHi; i++ {
+				p := Pos{Step: s, Index: i}
+				if m.canPlace(g, id, p, cycles) && !yield(p) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for i := 1; i <= idxHi; i++ {
+		for s := stepLo; s <= stepHi; s++ {
+			p := Pos{Step: s, Index: i}
+			if m.canPlace(g, id, p, cycles) && !yield(p) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkIndex asserts the table is exactly the model: both occupancy
+// bitsets set iff the model's cell holds an occupant, and an occupant
+// list, equal to the model's, exactly for the cells whose first
+// occupant is tagged.
+func checkIndex(t *testing.T, g *dfg.Graph, m *model, when string) {
 	t.Helper()
+	tb := m.t
 	if got, want := tb.rowWords, wordsPerRow(tb.Max); got != want {
 		t.Fatalf("%s: rowWords = %d, want %d", when, got, want)
 	}
@@ -22,16 +111,28 @@ func checkIndex(t *testing.T, tb *Table, when string) {
 	if got, want := len(tb.occCol), tb.Max*tb.colWords; got != want {
 		t.Fatalf("%s: len(occCol) = %d, want %d", when, got, want)
 	}
+	lists := 0
 	for s := 1; s <= tb.CS; s++ {
 		for i := 1; i <= tb.Max; i++ {
-			occupied := len(tb.cells[(i-1)*tb.CS+(s-1)]) > 0
+			p := Pos{Step: s, Index: i}
+			occ := m.at(p)
 			rowBit := tb.occRow[(s-1)*tb.rowWords+(i-1)/64]&(uint64(1)<<uint((i-1)%64)) != 0
 			colBit := tb.occCol[(i-1)*tb.colWords+(s-1)/64]&(uint64(1)<<uint((s-1)%64)) != 0
-			if rowBit != occupied || colBit != occupied {
-				t.Fatalf("%s: (t%d,fu%d): occupied=%v rowBit=%v colBit=%v",
-					when, s, i, occupied, rowBit, colBit)
+			if rowBit != (len(occ) > 0) || colBit != (len(occ) > 0) {
+				t.Fatalf("%s: %v: occupants=%v rowBit=%v colBit=%v", when, p, occ, rowBit, colBit)
+			}
+			var want []dfg.NodeID
+			if len(occ) > 0 && len(g.Node(occ[0]).Excl) > 0 {
+				want = occ
+				lists++
+			}
+			if got := tb.shared[p]; !slices.Equal(got, want) {
+				t.Fatalf("%s: %v: occupant list %v, model %v", when, p, got, want)
 			}
 		}
+	}
+	if len(tb.shared) != lists {
+		t.Fatalf("%s: %d occupant lists, %d tagged cells", when, len(tb.shared), lists)
 	}
 	// No stray bits past Max within the last row word, or past CS within
 	// the last column word — Grow's repack correctness depends on that.
@@ -87,10 +188,11 @@ func exclGraph(t *testing.T, n int, tagged bool) (*dfg.Graph, []dfg.NodeID) {
 	return g, ids
 }
 
-// TestOccupancyIndexProperty drives randomized Place/Remove/Grow
-// sequences — across Latency folding, Pipelined footprints, multicycle
-// durations, and mutual-exclusion sharing — and asserts after every
-// mutation that the mirrored bitsets exactly track cell occupancy.
+// TestOccupancyIndexProperty drives randomized Place/Grow sequences —
+// across Latency folding, Pipelined footprints, multicycle durations,
+// and mutual-exclusion sharing — checking CanPlace against the occupant
+// model at every random probe and asserting after every mutation that
+// the table is exactly the model (checkIndex).
 func TestOccupancyIndexProperty(t *testing.T) {
 	configs := []struct {
 		name      string
@@ -102,6 +204,7 @@ func TestOccupancyIndexProperty(t *testing.T) {
 		{"plain", 9, 0, false, false},
 		{"excl", 9, 0, false, true},
 		{"latency", 12, 4, false, false},
+		{"latency/excl", 12, 4, false, true},
 		{"pipelined", 9, 0, true, false},
 		{"wide", 200, 0, false, true}, // colWords > 1
 	}
@@ -119,57 +222,26 @@ func TestOccupancyIndexProperty(t *testing.T) {
 				tb := NewTable("*", cfg.cs, 0)
 				tb.Latency = cfg.latency
 				tb.Pipelined = cfg.pipelined
-				type placed struct {
-					id dfg.NodeID
-					p  Pos
-				}
-				var live []placed
+				m := newModel(tb)
+				placed := make(map[dfg.NodeID]bool, len(ids))
 				for step := 0; step < 120; step++ {
-					switch {
-					case r.Intn(8) == 0:
+					if tb.Max == 0 || r.Intn(8) == 0 {
 						tb.Grow(tb.Max + 1 + r.Intn(70)) // crosses 64-column words
-					case len(live) > 0 && r.Intn(3) == 0:
-						k := r.Intn(len(live))
-						pl := live[k]
-						tb.Remove(pl.id, pl.p, cycles[pl.id])
-						live = append(live[:k], live[k+1:]...)
-					default:
-						if tb.Max == 0 {
-							tb.Grow(1 + r.Intn(5))
-						}
-						id := ids[r.Intn(len(ids))]
-						used := false
-						for _, pl := range live {
-							if pl.id == id {
-								used = true
-								break
-							}
-						}
-						if used {
-							continue
-						}
-						p := Pos{Step: 1 + r.Intn(cfg.cs), Index: 1 + r.Intn(tb.Max)}
-						if tb.CanPlace(g, id, p, cycles[id]) {
-							if err := tb.Place(g, id, p, cycles[id]); err != nil {
-								t.Fatalf("trial %d: CanPlace true but Place failed: %v", trial, err)
-							}
-							live = append(live, placed{id, p})
-						}
+						checkIndex(t, g, m, fmt.Sprintf("trial %d op %d (grow)", trial, step))
+						continue
 					}
-					checkIndex(t, tb, fmt.Sprintf("trial %d op %d", trial, step))
-				}
-				for _, pl := range live {
-					tb.Remove(pl.id, pl.p, cycles[pl.id])
-				}
-				checkIndex(t, tb, fmt.Sprintf("trial %d after teardown", trial))
-				for _, w := range tb.occRow {
-					if w != 0 {
-						t.Fatalf("trial %d: occRow not empty after removing everything", trial)
+					id := ids[r.Intn(len(ids))]
+					p := Pos{Step: 1 + r.Intn(cfg.cs), Index: 1 + r.Intn(tb.Max)}
+					if placed[id] {
+						// Each op is placed once; later draws only probe.
+						if got, want := tb.CanPlace(g, id, p, cycles[id]), m.canPlace(g, id, p, cycles[id]); got != want {
+							t.Fatalf("trial %d: CanPlace(node %d, %v) = %v, model %v", trial, id, p, got, want)
+						}
+						continue
 					}
-				}
-				for _, w := range tb.occCol {
-					if w != 0 {
-						t.Fatalf("trial %d: occCol not empty after removing everything", trial)
+					if m.place(t, g, id, p, cycles[id]) {
+						placed[id] = true
+						checkIndex(t, g, m, fmt.Sprintf("trial %d op %d", trial, step))
 					}
 				}
 			}
@@ -177,36 +249,10 @@ func TestOccupancyIndexProperty(t *testing.T) {
 	}
 }
 
-// scanNaive is the reference ScanPlaceable is checked against: the
-// window walk with one CanPlace per cell, in the given order, over an
-// already clamped window.
-func (t *Table) scanNaive(g *dfg.Graph, id dfg.NodeID, ord Order, stepLo, stepHi, idxHi, cycles int, yield func(Pos) bool) bool {
-	if ord == RowMajor {
-		for s := stepLo; s <= stepHi; s++ {
-			for i := 1; i <= idxHi; i++ {
-				p := Pos{Step: s, Index: i}
-				if t.CanPlace(g, id, p, cycles) && !yield(p) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for i := 1; i <= idxHi; i++ {
-		for s := stepLo; s <= stepHi; s++ {
-			p := Pos{Step: s, Index: i}
-			if t.CanPlace(g, id, p, cycles) && !yield(p) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// TestScanPlaceableMatchesNaive pins the word scans against scanNaive:
-// over randomized occupancy, every (order × exclusion × duration ×
-// window) walk visits exactly the positions the per-cell CanPlace loop
-// accepts, in exactly the same order. The configurations cover every
+// TestScanPlaceableMatchesNaive pins the word scans against the
+// occupant model's scanNaive: over randomized occupancy, every (order ×
+// exclusion × duration × window) walk visits exactly the positions the
+// per-cell model walk accepts, in exactly the same order. The configurations cover every
 // table shape the schedulers build: latency folding below, at and past
 // CS, pipelined single-row footprints, multi-word columns, and
 // footprints of 60–140 rows that span up to three column words. A
@@ -247,15 +293,11 @@ func TestScanPlaceableMatchesNaive(t *testing.T) {
 				tb := NewTable("*", cfg.cs, 70+r.Intn(70))
 				tb.Latency = cfg.latency
 				tb.Pipelined = cfg.pipelined
+				m := newModel(tb)
 				for _, id := range ids {
 					c := cycLo + r.Intn(cycSpan)
 					g.SetCycles(id, c)
-					p := Pos{Step: 1 + r.Intn(cfg.cs), Index: 1 + r.Intn(tb.Max)}
-					if tb.CanPlace(g, id, p, c) {
-						if err := tb.Place(g, id, p, c); err != nil {
-							t.Fatal(err)
-						}
-					}
+					m.place(t, g, id, Pos{Step: 1 + r.Intn(cfg.cs), Index: 1 + r.Intn(tb.Max)}, c)
 				}
 				probe, err := g.AddOp("probe", op.Mul, "a", "a")
 				if err != nil {
@@ -285,7 +327,7 @@ func TestScanPlaceableMatchesNaive(t *testing.T) {
 					if sIdx > tb.Max {
 						sIdx = tb.Max
 					}
-					tb.scanNaive(g, probe, ord, sLo, sHi, sIdx, cyc, func(p Pos) bool {
+					m.scanNaive(g, probe, ord, sLo, sHi, sIdx, cyc, func(p Pos) bool {
 						slow = append(slow, p)
 						return true
 					})
@@ -353,7 +395,7 @@ func TestScanPlaceableRejectsFoldedColumnWalk(t *testing.T) {
 }
 
 // TestScanPlaceableAllocs pins the zero-allocation claim of the index
-// walks, in the style of TestFrameAlgebraAllocs.
+// walks, and that placing an untagged operation allocates nothing.
 func TestScanPlaceableAllocs(t *testing.T) {
 	g, ids := exclGraph(t, 30, false)
 	tb := NewTable("*", 20, 130)
@@ -367,7 +409,6 @@ func TestScanPlaceableAllocs(t *testing.T) {
 		}
 	}
 	probe := ids[0]
-	tb.Remove(probe, Pos{}, 1) // no-op if unplaced; probe may be on the table
 	n := 0
 	for _, ord := range []Order{RowMajor, ColMajor} {
 		if a := testing.AllocsPerRun(100, func() {
@@ -383,21 +424,22 @@ func TestScanPlaceableAllocs(t *testing.T) {
 			t.Fatalf("ScanPlaceable(%v) found no positions on a sparse table", ord)
 		}
 	}
+	// Each run places on a fresh cell of an empty table.
+	fresh := NewTable("*", 20, 130)
+	k := 0
 	if a := testing.AllocsPerRun(100, func() {
-		p := Pos{Step: 3, Index: 7}
-		if tb.CanPlace(g, probe, p, 1) {
-			if err := tb.Place(g, probe, p, 1); err != nil {
-				t.Fatal(err)
-			}
-			tb.Remove(probe, p, 1)
+		p := Pos{Step: 1 + k%20, Index: 1 + k/20}
+		k++
+		if err := fresh.Place(g, probe, p, 1); err != nil {
+			t.Fatal(err)
 		}
 	}); a != 0 {
-		t.Errorf("Place+Remove with index maintenance allocates %.0f, want 0", a)
+		t.Errorf("untagged Place allocates %.0f, want 0", a)
 	}
 }
 
 // BenchmarkWindowWalk measures both scan orders over a half-occupied
-// 64×256 window, the word scans against the test-only scanNaive, so an
+// 64×256 window, the word scans against the occupant model's scanNaive, so an
 // A/B of the walk itself is one `go test -bench WindowWalk` away.
 func BenchmarkWindowWalk(b *testing.B) {
 	g := dfg.New("bench")
@@ -406,6 +448,7 @@ func BenchmarkWindowWalk(b *testing.B) {
 	}
 	const cs, max = 64, 256
 	tb := NewTable("*", cs, max)
+	m := newModel(tb)
 	r := rand.New(rand.NewSource(7))
 	for i := 0; ; i++ {
 		id, err := g.AddOp(fmt.Sprintf("n%d", i), op.Mul, "a", "a")
@@ -413,15 +456,8 @@ func BenchmarkWindowWalk(b *testing.B) {
 			b.Fatal(err)
 		}
 		placedAny := false
-		for tries := 0; tries < 4; tries++ {
-			p := Pos{Step: 1 + r.Intn(cs), Index: 1 + r.Intn(max)}
-			if tb.CanPlace(g, id, p, 1) {
-				if err := tb.Place(g, id, p, 1); err != nil {
-					b.Fatal(err)
-				}
-				placedAny = true
-				break
-			}
+		for tries := 0; tries < 4 && !placedAny; tries++ {
+			placedAny = m.place(b, g, id, Pos{Step: 1 + r.Intn(cs), Index: 1 + r.Intn(max)}, 1)
 		}
 		if !placedAny || i >= cs*max/2 {
 			break
@@ -450,7 +486,7 @@ func BenchmarkWindowWalk(b *testing.B) {
 		b.Run(bench.name+"/naive", func(b *testing.B) {
 			n := 0
 			for i := 0; i < b.N; i++ {
-				tb.scanNaive(g, probe, bench.ord, 1, cs, max, 1, func(Pos) bool {
+				m.scanNaive(g, probe, bench.ord, 1, cs, max, 1, func(Pos) bool {
 					n++
 					return true
 				})

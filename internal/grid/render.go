@@ -18,7 +18,7 @@ import (
 //	.      none of the above
 //
 // fs and labels may be nil.
-func Render(t *Table, fs *FrameSet, labels map[Pos]string) string {
+func Render(t *Table, fs *Frames, labels map[Pos]string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s  (rows: control steps 1..%d, cols: FU 1..%d)\n", t.Type, t.CS, t.Max)
 	b.WriteString("      ")
@@ -35,27 +35,27 @@ func Render(t *Table, fs *FrameSet, labels map[Pos]string) string {
 	}
 	if fs != nil {
 		fmt.Fprintf(&b, "  legend: P=primary R=redundant F=forbidden M=move X=occupied |PF|=%d |RF|=%d |FF|=%d |MF|=%d\n",
-			fs.PF.Len(), fs.RF.Len(), fs.FF.Len(), fs.MF.Len())
+			fs.PF().Len(), fs.RF().Len(), fs.FF().Len(), fs.MF().Len())
 	}
 	return b.String()
 }
 
-func glyph(t *Table, fs *FrameSet, labels map[Pos]string, p Pos) string {
+func glyph(t *Table, fs *Frames, labels map[Pos]string, p Pos) string {
 	if l, ok := labels[p]; ok {
 		return l
 	}
-	if len(t.At(p)) > 0 {
+	if t.Occupied(p) {
 		return "X"
 	}
 	if fs != nil {
 		switch {
-		case fs.MF.Contains(p):
+		case fs.MF().Contains(p):
 			return "M"
-		case fs.FF.Contains(p):
+		case fs.FF().Contains(p):
 			return "F"
-		case fs.RF.Contains(p):
+		case fs.RF().Contains(p):
 			return "R"
-		case fs.PF.Contains(p):
+		case fs.PF().Contains(p):
 			return "P"
 		}
 	}

@@ -240,7 +240,7 @@ func (e *prover) dfgExprs() map[string]*symb.Expr {
 		for i, a := range n.Args {
 			v, ok := vals[a]
 			if !ok {
-				v = e.b.Var("undef:" + a) // dangling edge: the dfg analyzer owns HL0101
+				v = e.b.Var("undef:" + a) // dangling edge: the dfg analyzer owns HL0011
 			}
 			args[i] = v
 		}

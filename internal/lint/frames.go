@@ -14,12 +14,12 @@ import (
 // legality verifier (sched.VerifyAll — completeness, dependencies,
 // conflicts, limits), and when the scheduler recorded its move-frame
 // trajectory it replays every placement decision, independently
-// re-deriving PF, RF and FF exactly as MFS step 4 does and asserting
-// the paper's frame algebra MF = PF − (RF ∪ FF), move-frame membership
-// of the committed position, and ASAP/ALAP containment.
+// re-deriving the frames exactly as MFS step 4 does and asserting
+// membership of the committed position in MF = PF − (RF ∪ FF) and
+// ASAP/ALAP containment.
 var framesAnalyzer = &Analyzer{
 	Name: "frames",
-	Doc:  "schedule legality and move-frame audit: MF = PF − (RF ∪ FF), ASAP/ALAP containment",
+	Doc:  "schedule legality and move-frame audit: re-derived frames, MF membership, ASAP/ALAP containment",
 	Run:  runFrames,
 }
 
@@ -84,51 +84,42 @@ func auditTrace(g *dfg.Graph, s *sched.Schedule, frames sched.Frames, report fun
 			continue
 		}
 		n := g.Node(st.Node)
-		if st.PF.Empty() {
+		fr := st.Frames()
+		pf := fr.PF()
+		if pf.Empty() {
 			// Allocation-style trace: no frames to audit, but the
 			// placement still joins the prefix for later steps.
 			placed[st.Node] = sched.Placement{Step: st.Pos.Step, Type: st.Type, Index: st.Pos.Index}
 			continue
 		}
 
-		// The recorded algebra must hold as recorded.
-		if want := st.PF.Minus(st.RF.Union(st.FF)); !st.MF.Equal(want) {
-			report(diag.CodeFrameIdentity, n.Name,
-				fmt.Sprintf("node %q: recorded MF (%d positions) != PF − (RF ∪ FF) (%d positions)",
-					n.Name, st.MF.Len(), want.Len()))
-		}
-		if !st.MF.Contains(st.Pos) {
+		if !fr.MF().Contains(st.Pos) {
 			report(diag.CodeFrameMember, n.Name,
 				fmt.Sprintf("node %q committed to %v outside its recorded move frame", n.Name, st.Pos))
 		}
-		base := frames[st.Node]
-		for _, p := range st.PF.Positions() {
-			if p.Step < base.ASAP || p.Step > base.ALAP {
-				report(diag.CodeFrameBounds, n.Name,
-					fmt.Sprintf("node %q: recorded PF position %v outside the ASAP/ALAP window [%d, %d]",
-						n.Name, p, base.ASAP, base.ALAP))
-				break
-			}
+		if base := frames[st.Node]; pf.StepLo < base.ASAP || pf.StepHi > base.ALAP {
+			report(diag.CodeFrameBounds, n.Name,
+				fmt.Sprintf("node %q: recorded PF steps [%d, %d] outside the ASAP/ALAP window [%d, %d]",
+					n.Name, pf.StepLo, pf.StepHi, base.ASAP, base.ALAP))
 		}
 
 		// Independent re-derivation against the committed prefix.
-		pf, rf, ff := deriveFrames(g, s, frames, placed, n, st.CurrentJ, st.MaxJ)
-		if !st.PF.Equal(pf) || !st.RF.Equal(rf) || !st.FF.Equal(ff) {
+		if want := deriveFrames(g, s, frames, placed, n, st.CurrentJ, st.MaxJ); fr != want {
 			report(diag.CodeFrameMismatch, n.Name,
-				fmt.Sprintf("node %q: recorded PF/RF/FF (%d/%d/%d positions) differ from the independent re-derivation (%d/%d/%d)",
-					n.Name, st.PF.Len(), st.RF.Len(), st.FF.Len(), pf.Len(), rf.Len(), ff.Len()))
+				fmt.Sprintf("node %q: recorded window [%d, %d] below forbidden step %d differs from the independent re-derivation [%d, %d] below %d",
+					n.Name, fr.Lo, fr.Hi, fr.FFTop, want.Lo, want.Hi, want.FFTop))
 		}
 		placed[st.Node] = sched.Placement{Step: st.Pos.Step, Type: st.Type, Index: st.Pos.Index}
 	}
 }
 
-// deriveFrames recomputes PF, RF and FF for node n against the placed
-// prefix, mirroring MFS step 4: the base ASAP/ALAP window tightened by
+// deriveFrames recomputes node n's frames against the placed prefix,
+// mirroring MFS step 4: the base ASAP/ALAP window tightened by
 // committed predecessors and successors (chaining admits sharing a
-// step), the redundant frame above current_j, and the forbidden frame
-// below the latest completing predecessor.
+// step), and the forbidden frame below the latest completing
+// predecessor, under the recorded current_j and max_j.
 func deriveFrames(g *dfg.Graph, s *sched.Schedule, frames sched.Frames,
-	placed map[dfg.NodeID]sched.Placement, n *dfg.Node, currentJ, maxJ int) (pf, rf, ff grid.Frame) {
+	placed map[dfg.NodeID]sched.Placement, n *dfg.Node, currentJ, maxJ int) grid.Frames {
 	base := frames[n.ID]
 	lo, hi := base.ASAP, base.ALAP
 	ffTop := 0
@@ -163,10 +154,7 @@ func deriveFrames(g *dfg.Graph, s *sched.Schedule, frames sched.Frames,
 			hi = bound
 		}
 	}
-	pf = grid.Rect(lo, hi, 1, maxJ)
-	rf = grid.Rect(lo, hi, currentJ+1, maxJ)
-	ff = grid.Rect(1, ffTop, 1, maxJ)
-	return pf, rf, ff
+	return grid.Frames{Lo: lo, Hi: hi, FFTop: ffTop, Cur: currentJ, Max: maxJ}
 }
 
 func chainableNodes(clockNs float64, pred, succ *dfg.Node) bool {

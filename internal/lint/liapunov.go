@@ -88,7 +88,7 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 					fmt.Sprintf("node %q at %v: recorded energy %g, V(position) = %g",
 						n.Name, st.Pos, st.Energy, v))
 			}
-			if !st.MF.Empty() {
+			if !st.Frames().MF().Empty() {
 				auditDescent(g, s, t.Fn, table, placedSteps, n, st, report)
 			}
 		}
@@ -132,7 +132,7 @@ func auditDescent(g *dfg.Graph, s *sched.Schedule, fn liapunov.Func, table *grid
 	best := math.Inf(1)
 	var bestPos grid.Pos
 	tiesAtBest := 0
-	for _, p := range st.MF.Positions() {
+	for _, p := range st.Frames().MF().Positions() {
 		if !table.CanPlace(g, n.ID, p, n.Cycles) {
 			continue
 		}

@@ -147,13 +147,6 @@ func TestAnalyzersCatchCorruption(t *testing.T) {
 			},
 		},
 		{
-			name: "move-frame identity broken", analyzer: "frames", want: diag.CodeFrameIdentity,
-			unit: mfsUnit,
-			corrupt: func(t *testing.T, u *lint.Unit) {
-				traceStepFor(t, u, "mul").MF.Add(grid.Pos{Step: 99, Index: 99})
-			},
-		},
-		{
 			name: "commit outside move frame", analyzer: "frames", want: diag.CodeFrameMember,
 			unit: mfsUnit,
 			corrupt: func(t *testing.T, u *lint.Unit) {
@@ -167,7 +160,15 @@ func TestAnalyzersCatchCorruption(t *testing.T) {
 			name: "recorded frames diverge from re-derivation", analyzer: "frames", want: diag.CodeFrameMismatch,
 			unit: mfsUnit,
 			corrupt: func(t *testing.T, u *lint.Unit) {
-				traceStepFor(t, u, "mul").FF.Add(grid.Pos{Step: 1, Index: 99})
+				traceStepFor(t, u, "mul").FFTop++
+			},
+		},
+		{
+			name: "recorded primary frame past ALAP", analyzer: "frames", want: diag.CodeFrameBounds,
+			unit: mfsUnit,
+			corrupt: func(t *testing.T, u *lint.Unit) {
+				// No step of a 4-step schedule has an ALAP past 4.
+				traceStepFor(t, u, "mul").Hi = 5
 			},
 		},
 		{
@@ -182,14 +183,14 @@ func TestAnalyzersCatchCorruption(t *testing.T) {
 			unit: mfsUnit,
 			corrupt: func(t *testing.T, u *lint.Unit) {
 				// "or" is the last op of a four-op chain, so it commits at
-				// step 4; injecting a free step-1 position into its recorded
-				// move frame fabricates a cheaper move the scheduler
-				// "ignored".
+				// step 4; opening its recorded window up to step 1 puts a
+				// free step-1 position in its move frame, fabricating a
+				// cheaper move the scheduler "ignored".
 				st := traceStepFor(t, u, "or")
 				if st.Pos.Step < 2 {
 					t.Fatalf("or committed at step %d; expected a late step", st.Pos.Step)
 				}
-				st.MF.Add(grid.Pos{Step: 1, Index: 1})
+				st.Lo, st.FFTop = 1, 0
 			},
 		},
 		{

@@ -1,9 +1,11 @@
 package mfs
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/benchmarks"
+	"repro/internal/gen"
 )
 
 // TestEWFScheduleAllocs pins the allocation budget of a full MFS run on
@@ -27,5 +29,37 @@ func TestEWFScheduleAllocs(t *testing.T) {
 	const budget = 1100 // measured 863; seed (map-based engine) was 1517
 	if got > budget {
 		t.Errorf("EWF cs=%d schedule: %.0f allocs/run, budget %d (seed was 1517)", cs, got, budget)
+	}
+}
+
+// TestTraceAllocsNearNoTrace pins the cost of recording the trajectory:
+// a step records its window and the frames follow in closed form, so a
+// traced 10k-node run allocates at most 1.5x what its NoTrace twin
+// does. When every step stored PF, RF, FF and MF as bitsets, the traced
+// run allocated 22.8x as much.
+func TestTraceAllocsNearNoTrace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("10k-node graph")
+	}
+	g, err := gen.Generate(gen.Config{Nodes: 10_000, Seed: 1, MulCycles: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(opt Options) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Schedule(g, opt); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	opt := Options{CS: g.CriticalPathCycles() + 16}
+	traced := allocated(opt)
+	opt.NoTrace = true
+	untraced := allocated(opt)
+	if ratio := float64(traced) / float64(untraced); ratio > 1.5 {
+		t.Errorf("traced run allocates %d KB, NoTrace %d KB: %.2fx, want at most 1.5x",
+			traced/1024, untraced/1024, ratio)
 	}
 }

@@ -395,10 +395,11 @@ func TestBitsetEngineMatchesMapReference(t *testing.T) {
 					t.Fatalf("trace step %d: (%d %s %v j=%d %g), reference (%d %s %v j=%d %g)",
 						i, st.Node, st.Type, st.Pos, st.CurrentJ, st.Energy, c.node, c.typ, c.pos, c.currentJ, c.energy)
 				}
-				if st.MF.Len() != len(c.mf) {
-					t.Fatalf("trace step %d: |MF| = %d, reference %d", i, st.MF.Len(), len(c.mf))
+				mf := st.Frames().MF()
+				if mf.Len() != len(c.mf) {
+					t.Fatalf("trace step %d: |MF| = %d, reference %d", i, mf.Len(), len(c.mf))
 				}
-				for _, p := range st.MF.Positions() {
+				for _, p := range mf.Positions() {
 					if !c.mf[p] {
 						t.Fatalf("trace step %d: MF contains %v, reference does not", i, p)
 					}

@@ -14,7 +14,7 @@ import (
 // what the paper's Figure 2 draws.
 type Inspection struct {
 	Node   *dfg.Node
-	Frames *grid.FrameSet
+	Frames grid.Frames
 	Table  *grid.Table
 	Chosen grid.Pos // the position MFS then selects
 }
@@ -39,11 +39,7 @@ func FramesFor(g *dfg.Graph, opt Options, target dfg.NodeID) (*Inspection, error
 	for _, id := range sched.PriorityOrder(g, frames) {
 		var snap *Inspection
 		if id == target {
-			fs, err := s.frameSet(id)
-			if err != nil {
-				return nil, err
-			}
-			snap = &Inspection{Node: g.Node(id), Frames: fs, Table: s.tables[TypeKey(g.Node(id))]}
+			snap = &Inspection{Node: g.Node(id), Frames: s.frameSet(id), Table: s.tables[TypeKey(g.Node(id))]}
 		}
 		if err := s.placeOne(id); err != nil {
 			return nil, err
@@ -65,5 +61,5 @@ func FramesFor(g *dfg.Graph, opt Options, target dfg.NodeID) (*Inspection, error
 func (in *Inspection) Render() string {
 	labels := map[grid.Pos]string{in.Chosen: "r*"}
 	return fmt.Sprintf("operation %q (frames at its placement)\n%s",
-		in.Node.Name, grid.Render(in.Table, in.Frames, labels))
+		in.Node.Name, grid.Render(in.Table, &in.Frames, labels))
 }

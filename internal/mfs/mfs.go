@@ -77,10 +77,9 @@ type Options struct {
 	Parallelism int
 
 	// NoTrace skips recording the move trajectory (Schedule.Trace). The
-	// placements are unaffected; only the audit metadata is dropped. The
-	// per-step frame bitsets dominate memory on very large graphs
-	// (O(N·cs·max_j) bits across a run), so the scale ladder sets this —
-	// at the cost of the lint trace audits becoming no-ops.
+	// placements are unaffected; only the audit metadata is dropped, and
+	// the lint trace audits become no-ops. A recorded step is its window
+	// in closed form, so the trace costs O(N) memory across a run.
 	NoTrace bool
 }
 
@@ -122,6 +121,9 @@ func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*s
 	frames, err := sched.ComputeFrames(g, opt.CS, opt.ClockNs)
 	if err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	s, err := runOnce(ctx, g, opt.CS, opt, false, frames)
 	if err == nil {
@@ -249,6 +251,9 @@ func newScheduler(g *dfg.Graph, cs int, opt Options, resource bool, frames sched
 func runOnce(ctx context.Context, g *dfg.Graph, cs int, opt Options, resource bool, frames sched.Frames, extraMax ...int) (*sched.Schedule, error) {
 	s, err := newScheduler(g, cs, opt, resource, frames, extraMax...)
 	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	order, err := sched.PriorityOrderCtx(ctx, g, frames)
@@ -412,16 +417,11 @@ func (s *scheduler) initTables() error {
 // Liapunov order, commit the first legal position, growing current_j and
 // re-framing when the frame is exhausted (local rescheduling).
 //
-// The move frame is handled analytically: MF = PF − (RF ∪ FF) of a
-// frameSet is always exactly the rectangle [lo..hi] × [1..current_j] —
-// PF − RF is that rectangle by construction, and FF cannot intersect it
-// because every predecessor contributing a forbidden row also raises lo
-// past it (windowOf keeps lo ≥ ffTop+1). So the search needs only the
-// three window bounds, never a bitset; the bitsets are materialized
-// solely for the trace record, via the same Rect/Minus/Union calls
-// frameSet has always used, so recorded traces stay byte-identical.
-// equiv_test.go pins both the schedule and the recorded frames against
-// the historical map-based reference scheduler.
+// The move frame MF = PF − (RF ∪ FF) is the rectangle
+// [lo..hi] × [1..current_j] (grid.Frames.MF; windowOf keeps
+// lo ≥ ffTop+1), so the search walks the window bounds and the trace
+// records them. equiv_test.go pins both the schedule and the recorded
+// move frames against the historical map-based reference scheduler.
 func (s *scheduler) placeOne(id dfg.NodeID) error {
 	n := s.g.Node(id)
 	typ := TypeKey(n)
@@ -440,13 +440,12 @@ func (s *scheduler) placeOne(id dfg.NodeID) error {
 				s.chainAcc[id] = sched.ChainAccAt(s.g, s.steps, s.chainAcc, id, p.Step)
 			}
 			if !s.opt.NoTrace {
-				// Record the decision for the Liapunov audit: the frames
+				// Record the decision for the Liapunov audit: the window
 				// the operation saw, the scheduler's FU estimate, and the
 				// energy of the committed position.
-				fs := s.buildFrameSet(typ, lo, hi, ffTop)
 				s.trace = append(s.trace, sched.TraceStep{
 					Node: id, Type: typ,
-					PF: fs.PF, RF: fs.RF, FF: fs.FF, MF: fs.MF,
+					Lo: lo, Hi: hi, FFTop: ffTop,
 					CurrentJ: s.current[typ], MaxJ: s.maxj[typ],
 					Pos: p, Energy: s.lf.Value(p),
 				})
@@ -486,12 +485,12 @@ func (s *scheduler) bestPosition(table *grid.Table, ord grid.Order, id dfg.NodeI
 // windowOf computes an operation's move window against the current
 // placement state: the start-step range [lo..hi] and the last
 // predecessor-forbidden row ffTop (the paper's FF extent). Placed
-// predecessors raise the earliest start; placed successors lower the
-// latest start (never in priority order, kept for the inspection entry
-// point); chaining admits sharing a step, with the chainOK filter
-// verifying the delay budget. lo ≥ ffTop+1 always holds: each
-// predecessor contributing end = step+cycles−1 to ffTop also pushes
-// lo to end+1.
+// predecessors raise the earliest start; chaining admits sharing a
+// step, with the chainOK filter verifying the delay budget. Both
+// callers place in priority order, which is topological, so no
+// successor is placed yet and hi stays the ALAP bound. lo ≥ ffTop+1
+// always holds: each predecessor contributing end = step+cycles−1 to
+// ffTop also pushes lo to end+1.
 func (s *scheduler) windowOf(id dfg.NodeID) (lo, hi, ffTop int) {
 	n := s.g.Node(id)
 	base := s.frames[id]
@@ -514,44 +513,16 @@ func (s *scheduler) windowOf(id dfg.NodeID) (lo, hi, ffTop int) {
 			ffTop = end
 		}
 	}
-	for _, sid := range n.Succs() {
-		sp := s.placed[sid]
-		if sp.Step == 0 {
-			continue
-		}
-		succ := s.g.Node(sid)
-		bound := sp.Step - n.Cycles
-		if s.chainable(n, succ) {
-			bound = sp.Step
-		}
-		if bound < hi {
-			hi = bound
-		}
-	}
 	return lo, hi, ffTop
 }
 
-// buildFrameSet materializes the PF/RF/FF/MF bitsets of a window — the
-// representation recorded in traces and shown by the inspection API.
-// The algebra is the historical frameSet construction verbatim, so
-// recorded frames are byte-identical to the pre-analytic scheduler's.
-func (s *scheduler) buildFrameSet(typ string, lo, hi, ffTop int) *grid.FrameSet {
-	maxj := s.maxj[typ]
-	cur := s.current[typ]
-	pf := grid.Rect(lo, hi, 1, maxj)
-	rf := grid.Rect(lo, hi, cur+1, maxj)
-	ff := grid.Rect(1, ffTop, 1, maxj)
-	mf := pf.Minus(rf.Union(ff))
-	return &grid.FrameSet{PF: pf, RF: rf, FF: ff, MF: mf}
-}
-
-// frameSet computes the PF/RF/FF/MF of an operation against the current
-// placement state (see FramesFor for the exported inspection entry
-// point used to reproduce Figure 2).
-func (s *scheduler) frameSet(id dfg.NodeID) (*grid.FrameSet, error) {
-	n := s.g.Node(id)
+// frameSet returns an operation's frames against the current placement
+// state (see FramesFor for the exported inspection entry point used to
+// reproduce Figure 2).
+func (s *scheduler) frameSet(id dfg.NodeID) grid.Frames {
+	typ := TypeKey(s.g.Node(id))
 	lo, hi, ffTop := s.windowOf(id)
-	return s.buildFrameSet(TypeKey(n), lo, hi, ffTop), nil
+	return grid.Frames{Lo: lo, Hi: hi, FFTop: ffTop, Cur: s.current[typ], Max: s.maxj[typ]}
 }
 
 func (s *scheduler) chainable(pred, succ *dfg.Node) bool {

@@ -228,10 +228,14 @@ type state struct {
 
 	// placed and steps are indexed by dfg.NodeID (dense from 0);
 	// Step == 0 / steps[id] == 0 means unplaced (steps are 1-based).
-	// steps feeds ChainFits directly and is maintained on commit.
+	// steps feeds the chain filter directly and is maintained on commit.
 	placed []sched.Placement
 	steps  []int
-	trace  []sched.TraceStep
+	// chainAcc[id] is the accumulated combinational delay at id's output
+	// within its step (chaining only; see sched.ChainAccAt), maintained
+	// on commit, so the per-candidate chain check is an O(preds) lookup.
+	chainAcc []float64
+	trace    []sched.TraceStep
 
 	dp   *rtl.Datapath
 	alus map[cell]*rtl.ALU // live ALU instances by (unit, column)
@@ -349,6 +353,9 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.K
 		// One step per node; sized up front so the per-commit append
 		// never reallocates the whole trajectory on large graphs.
 		s.trace = make([]sched.TraceStep, 0, g.Len())
+	}
+	if opt.ClockNs > 0 {
+		s.chainAcc = make([]float64, g.Len())
 	}
 	// f^MUX adds at most one input per port and f^REG at most one
 	// register per live argument: mfsa rejects loops and dfg.Validate
@@ -567,7 +574,9 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library
 				}
 				freshStep = p.Step
 			}
-			if s.opt.ClockNs > 0 && !sched.ChainFits(s.g, s.opt.ClockNs, s.steps, n.ID, p.Step) {
+			// The chain ending at n must fit the clock; the accumulator is
+			// exact under priority order (see sched.ChainAccAt).
+			if s.opt.ClockNs > 0 && sched.ChainAccAt(s.g, s.steps, s.chainAcc, n.ID, p.Step) > s.opt.ClockNs+1e-9 {
 				return true
 			}
 			if s.opt.Style == Style2 && s.neighborsOnALU(n, cell{u.Name, p.Index}) {
@@ -905,6 +914,11 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 	a.Bind(n, n.Args, c.pos.Step)
 	s.placed[n.ID] = sched.Placement{Step: c.pos.Step, Type: c.unit.Name, Index: c.pos.Index}
 	s.steps[n.ID] = c.pos.Step
+	if s.opt.ClockNs > 0 {
+		// Exact: priority order commits producers first, so no
+		// successor of n is placed yet.
+		s.chainAcc[n.ID] = sched.ChainAccAt(s.g, s.steps, s.chainAcc, n.ID, c.pos.Step)
+	}
 	// Fold the placement into the lifetime counts: n consumes its args at
 	// its start step and its own output is born at its finish step, held
 	// one boundary until a successor commits.

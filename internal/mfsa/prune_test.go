@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/dfg"
+	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/library"
 	"repro/internal/op"
@@ -192,17 +193,29 @@ func TestPrunedSearchMatchesFullScan(t *testing.T) {
 			})
 		}
 	}
+	// A generated graph at a 100 ns clock chains hundreds of edges, so the
+	// incremental chain filter meets the full-graph ChainFits walk of
+	// fullScan at every decision.
+	t.Run("gen500/chained", func(t *testing.T) {
+		g, err := gen.Generate(gen.Config{Nodes: 500, Seed: 1, MulCycles: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPrune(t, g, Options{CS: g.CriticalPathCycles() + 4, ClockNs: 100}, true)
+	})
 }
 
 // TestPrunedSearchMatchesFullScanLadder runs checkPrune on the scale
 // ladder's rungs up to rand10k, at the time constraints hlsbench -scale
-// gives them.
+// gives them. It skips the chained rungs: the full scan's ChainFits
+// walk is quadratic there, and the gen500/chained row of
+// TestPrunedSearchMatchesFullScan covers the chain filter.
 func TestPrunedSearchMatchesFullScanLadder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scale ladder")
 	}
 	for _, rung := range benchmarks.Scale() {
-		if rung.Nodes > 10_000 {
+		if rung.Nodes > 10_000 || rung.ClockNs > 0 {
 			continue
 		}
 		t.Run(rung.Name, func(t *testing.T) {

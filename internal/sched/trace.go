@@ -19,21 +19,22 @@ type TraceCandidate struct {
 }
 
 // TraceStep records one committed placement decision: which node moved,
-// the frames it saw (the paper's PF, RF, FF and the derived
-// MF = PF − (RF ∪ FF)), the scheduler's running FU estimate at that
+// the move window it saw, the scheduler's running FU estimate at that
 // moment, the position chosen, and its energy under the run's guiding
-// function. Steps are recorded in commit order, so replaying them in
-// sequence reconstructs the exact grid occupancy every decision was
-// made against.
+// function. The window and the estimate are the decision's frames in
+// closed form (Frames). Steps are recorded in commit order, so
+// replaying them in sequence reconstructs the exact grid occupancy
+// every decision was made against.
 type TraceStep struct {
 	Node dfg.NodeID
 	Type string // FU type key: op symbol (MFS) or library unit name (MFSA)
 
-	// PF, RF, FF, MF are the frames at commit time. MFSA folds its
-	// forbidden frame into the window bounds and leaves these empty
-	// (zero-value frames); the Candidates list then carries the audit
-	// trail instead.
-	PF, RF, FF, MF grid.Frame
+	// Lo, Hi and FFTop are the move window at commit time: the start
+	// steps [Lo..Hi] and the last step a placed predecessor forbids (0 for
+	// none). MFSA folds its forbidden frame into its window and records
+	// none of the three (all 0, so every frame is empty); the Candidates
+	// list then carries the audit trail instead.
+	Lo, Hi, FFTop int
 
 	// CurrentJ and MaxJ are the running FU estimate current_j and the
 	// bound max_j of the node's type when the decision was taken.
@@ -50,6 +51,11 @@ type TraceStep struct {
 	// scored before an earlier step turned up; otherwise it holds every
 	// candidate of the move frame.
 	Candidates []TraceCandidate
+}
+
+// Frames returns the step's PF, RF, FF and MF in closed form.
+func (s *TraceStep) Frames() grid.Frames {
+	return grid.Frames{Lo: s.Lo, Hi: s.Hi, FFTop: s.FFTop, Cur: s.CurrentJ, Max: s.MaxJ}
 }
 
 // Trace is the recorded move trajectory of one scheduling run. The
@@ -70,10 +76,10 @@ type Trace struct {
 // Equal reports whether two traces record the identical trajectory:
 // same step sequence, and per step the same node, type, position,
 // energy (exact float equality — the trajectories must be bit-identical,
-// not merely close), frames, FU estimates and candidate sets. It backs
-// the engine invariance cross-checks (ordered walk on/off, occupancy
-// index on/off, resynthesis against a fresh run): any divergence in what
-// a scheduler saw or chose shows up here even when the final placements
+// not merely close), window, FU estimates and candidate sets. It backs
+// the engine invariance cross-checks (the replay oracles, resynthesis
+// against a fresh run, run-twice determinism): any divergence in what a
+// scheduler saw or chose shows up here even when the final placements
 // agree.
 func (t *Trace) Equal(o *Trace) bool {
 	if t == nil || o == nil {
@@ -94,10 +100,8 @@ func (t *Trace) Equal(o *Trace) bool {
 func (s *TraceStep) Equal(o *TraceStep) bool {
 	if s.Node != o.Node || s.Type != o.Type ||
 		s.Pos != o.Pos || s.Energy != o.Energy ||
+		s.Lo != o.Lo || s.Hi != o.Hi || s.FFTop != o.FFTop ||
 		s.CurrentJ != o.CurrentJ || s.MaxJ != o.MaxJ {
-		return false
-	}
-	if !s.PF.Equal(o.PF) || !s.RF.Equal(o.RF) || !s.FF.Equal(o.FF) || !s.MF.Equal(o.MF) {
 		return false
 	}
 	if len(s.Candidates) != len(o.Candidates) {

@@ -22,7 +22,7 @@ import (
 //
 // Flagged calls (HV0042): any callee that is not a builtin, not a
 // func-typed value (the caller supplied it — its cost is the caller's
-// contract, as with Frame.Scan's yield), not math/bits (compiler
+// contract, as with Table.ScanPlaceable's yield), not math/bits (compiler
 // intrinsics), and not a same-package function itself marked
 // //hls:noalloc. Cross-package callees cannot be verified from a
 // single-package unit, so they must be annotated //hls:allocok with the

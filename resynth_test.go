@@ -393,7 +393,7 @@ func TestResynthesizeTraceMatchesFresh(t *testing.T) {
 			t.Fatalf("%s: resynthesize under Lint: %v", en.name, err)
 		}
 		for _, st := range inc.Schedule.Trace.Steps {
-			if len(st.Candidates) == 0 && st.MF.Empty() {
+			if len(st.Candidates) == 0 && st.Frames().MF().Empty() {
 				t.Fatalf("%s: step for node %d records neither candidates nor frames, so lint cannot audit it",
 					en.name, st.Node)
 			}
