@@ -8,6 +8,8 @@ import (
 
 	hls "repro"
 	"repro/internal/benchmarks"
+	"repro/internal/dfg"
+	"repro/internal/gen"
 )
 
 // netlistPins are SHA-256 values over each paper graph's emitted netlist
@@ -86,6 +88,40 @@ func TestNetlistGoldenPins(t *testing.T) {
 					t.Errorf("%q: %q, // pinned %q", key, got, netlistPins[key])
 				}
 			}
+		}
+	}
+}
+
+// scalePins are SHA-256 values over the emitted netlist and cost of two
+// generated 2k-node designs at cp+4 under the default Config: netlists
+// of 300–500 KB that name thousands of signals and 100–800 registers,
+// a scale the paper pins never reach.
+var scalePins = map[string]string{
+	"gen2000/seed1/mul2": "015f2fb0877f12e5a87fed295cb1aed281bbf609572a57e7aaafebdd1aa7aeb9",
+	"fir1024/mul2":       "ae06dc069e1a4dfd0d8a6d04791fdf0b06bc57fefe52a3482fac3558e38fe7fd",
+}
+
+func TestNetlistScalePins(t *testing.T) {
+	rand, err := gen.Generate(gen.Config{Nodes: 2000, MulCycles: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fir, err := gen.FIR(1024, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for key, g := range map[string]*dfg.Graph{"gen2000/seed1/mul2": rand, "fir1024/mul2": fir} {
+		d, err := hls.Synthesize(g, hls.Config{CS: g.CriticalPathCycles() + 4})
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		net, err := d.Netlist()
+		if err != nil {
+			t.Fatalf("%s: %v", key, err)
+		}
+		sum := sha256.Sum256([]byte(fmt.Sprintf("%s\n%+v", net, d.Cost)))
+		if got := hex.EncodeToString(sum[:]); got != scalePins[key] {
+			t.Errorf("%q: %q, // pinned %q", key, got, scalePins[key])
 		}
 	}
 }

@@ -7,8 +7,9 @@
 package ctrl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/dfg"
@@ -134,16 +135,17 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 				RegWrite{Reg: r, Signal: iv.Name})
 		}
 	}
+	// Both keys are unique within a state (node names are unique, and a
+	// signal has one lifetime interval), so the order is total.
 	for i := range states {
-		sort.Slice(states[i].Actions, func(a, b int) bool {
-			return states[i].Actions[a].Name < states[i].Actions[b].Name
+		slices.SortFunc(states[i].Actions, func(a, b Action) int {
+			return strings.Compare(a.Name, b.Name)
 		})
-		sort.Slice(states[i].Writes, func(a, b int) bool {
-			wa, wb := states[i].Writes[a], states[i].Writes[b]
-			if wa.Reg != wb.Reg {
-				return wa.Reg < wb.Reg
+		slices.SortFunc(states[i].Writes, func(a, b RegWrite) int {
+			if c := cmp.Compare(a.Reg, b.Reg); c != 0 {
+				return c
 			}
-			return wa.Signal < wb.Signal
+			return strings.Compare(a.Signal, b.Signal)
 		})
 	}
 	c.States = states

@@ -7,7 +7,7 @@
 package emit
 
 import (
-	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -23,159 +23,314 @@ import (
 // fixed infrastructure identifiers (clk, rst, state, ...). Port names
 // are pre-assigned in declaration order so Verilog and Testbench agree
 // on the module interface.
+//
+// Every other identifier is assigned at its first use, so the order the
+// text names signals in decides which of two colliding names gets the
+// suffix: ports (inputs sorted, then outputs sorted), input taps,
+// R0..Rn, the wires the register writes name (in state and write
+// order), then the remaining node wires in NodeID order. Identifiers
+// sit in slices indexed by a per-call slot, so naming a signal again is
+// one lookup.
 type namer struct {
-	ids  map[string]string // namespaced source key → emitted identifier
-	used map[string]bool   // identifiers already taken
+	g    *dfg.Graph
+	ins  []string        // primary inputs, sorted: input slot i is ins[i]
+	outs []string        // primary outputs, sorted
+	port []string        // input ports by input slot, then output ports by output index
+	wire []string        // input taps by input slot, then node wires at len(ins)+NodeID
+	reg  []string        // register identifiers by index
+	used map[string]bool // identifiers already taken
+
+	// other names what lies outside the graph's slots — a vector key
+	// that is not an input, a write of an unknown signal or register —
+	// by namespaced key; only a hand-built controller or vector reaches
+	// it.
+	other map[string]string
 }
 
-func newNamer(g *dfg.Graph) *namer {
+func newNamer(g *dfg.Graph, regs int) *namer {
+	ins, outs := g.Inputs(), g.Outputs()
 	nm := &namer{
-		ids: make(map[string]string),
-		used: map[string]bool{
-			"clk": true, "rst": true, "state": true,
-			"sig": true, "errors": true,
-		},
+		g: g, ins: ins, outs: outs,
+		port: make([]string, 0, len(ins)+len(outs)),
+		wire: make([]string, len(ins)+g.Len()),
+		reg:  make([]string, regs),
+		used: make(map[string]bool, 5+2*len(ins)+len(outs)+g.Len()+regs),
 	}
-	for _, in := range g.Inputs() {
-		nm.ident("in:"+in, in)
+	for _, id := range []string{"clk", "rst", "state", "sig", "errors"} {
+		nm.used[id] = true
 	}
-	for _, out := range g.Outputs() {
-		nm.ident("out:"+out, "out_"+out)
+	for _, in := range ins {
+		nm.port = append(nm.port, nm.fresh(in))
+	}
+	for _, out := range outs {
+		nm.port = append(nm.port, nm.fresh("out_"+out))
 	}
 	return nm
 }
 
-// ident returns the stable identifier for the namespaced key, deriving
-// it from want and appending _2, _3, ... until it is unique.
-func (nm *namer) ident(key, want string) string {
-	if id, ok := nm.ids[key]; ok {
-		return id
-	}
+// fresh derives an identifier from want, appending _2, _3, ... until it
+// is unique, and takes it.
+func (nm *namer) fresh(want string) string {
 	base := sanitize(want)
 	id := base
 	for i := 2; nm.used[id]; i++ {
-		id = fmt.Sprintf("%s_%d", base, i)
+		id = base + "_" + strconv.Itoa(i)
 	}
 	nm.used[id] = true
-	nm.ids[key] = id
 	return id
 }
 
-// input is the port identifier for a primary input.
-func (nm *namer) input(sig string) string { return nm.ident("in:"+sig, sig) }
+// outside is the identifier of a name no slot holds, kept per
+// namespaced key.
+func (nm *namer) outside(key, want string) string {
+	if id, ok := nm.other[key]; ok {
+		return id
+	}
+	if nm.other == nil {
+		nm.other = make(map[string]string)
+	}
+	id := nm.fresh(want)
+	nm.other[key] = id
+	return id
+}
 
-// output is the port identifier for a primary output.
-func (nm *namer) output(sig string) string { return nm.ident("out:"+sig, "out_"+sig) }
+// input is the port identifier for the primary input with slot i.
+func (nm *namer) input(i int) string { return nm.port[i] }
 
-// wire is the internal result wire carrying a signal (a node output, or
+// output is the port identifier for the i-th primary output.
+func (nm *namer) output(i int) string { return nm.port[len(nm.ins)+i] }
+
+// inputNamed is the port identifier for a primary input given by name.
+func (nm *namer) inputNamed(sig string) string {
+	if i, ok := slices.BinarySearch(nm.ins, sig); ok {
+		return nm.input(i)
+	}
+	return nm.outside("in:"+sig, sig)
+}
+
+// wireAt is the internal result wire of a slot: an input tap below
+// len(ins), a node's result wire above.
+func (nm *namer) wireAt(slot int) string {
+	if id := nm.wire[slot]; id != "" {
+		return id
+	}
+	var sig string
+	if slot < len(nm.ins) {
+		sig = nm.ins[slot]
+	} else {
+		sig = nm.g.Node(dfg.NodeID(slot - len(nm.ins))).Name
+	}
+	nm.wire[slot] = nm.fresh("w_" + sig)
+	return nm.wire[slot]
+}
+
+// node is the result wire of node id.
+func (nm *namer) node(id dfg.NodeID) string { return nm.wireAt(len(nm.ins) + int(id)) }
+
+// signal is the wire carrying a signal given by name (a node output, or
 // an input tap).
-func (nm *namer) wire(sig string) string { return nm.ident("sig:"+sig, "w_"+sig) }
+func (nm *namer) signal(sig string) string {
+	if n, ok := nm.g.Lookup(sig); ok {
+		return nm.node(n.ID)
+	}
+	if i, ok := slices.BinarySearch(nm.ins, sig); ok {
+		return nm.wireAt(i)
+	}
+	return nm.outside("sig:"+sig, "w_"+sig)
+}
 
-// reg is the register-bank identifier for register r.
-func (nm *namer) reg(r int) string {
-	return nm.ident(fmt.Sprintf("reg:%d", r), fmt.Sprintf("R%d", r))
+// register is the register-bank identifier for register r.
+func (nm *namer) register(r int) string {
+	if r < 0 || r >= len(nm.reg) {
+		return nm.outside("reg:"+strconv.Itoa(r), "R"+strconv.Itoa(r))
+	}
+	if nm.reg[r] == "" {
+		nm.reg[r] = nm.fresh("R" + strconv.Itoa(r))
+	}
+	return nm.reg[r]
+}
+
+// writer appends text to one builder; num holds a formatted number or
+// quoted string on its way in.
+type writer struct {
+	strings.Builder
+	num []byte
+}
+
+// put writes each string in turn.
+func (w *writer) put(ss ...string) {
+	for _, s := range ss {
+		w.WriteString(s)
+	}
+}
+
+// int writes v in decimal, as %d does.
+func (w *writer) int(v int) {
+	w.num = strconv.AppendInt(w.num[:0], int64(v), 10)
+	w.Write(w.num)
+}
+
+// uint writes v in decimal.
+func (w *writer) uint(v uint64) {
+	w.num = strconv.AppendUint(w.num[:0], v, 10)
+	w.Write(w.num)
+}
+
+// quote writes s as a Go string literal, as %q does.
+func (w *writer) quote(s string) {
+	w.num = strconv.AppendQuote(w.num[:0], s)
+	w.Write(w.num)
+}
+
+// list writes a string slice as %v does: [a b c].
+func (w *writer) list(ss []string) {
+	w.WriteByte('[')
+	for i, s := range ss {
+		if i > 0 {
+			w.WriteByte(' ')
+		}
+		w.WriteString(s)
+	}
+	w.WriteByte(']')
 }
 
 // Verilog renders the complete design.
 func Verilog(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath, c *ctrl.Controller) string {
-	var b strings.Builder
-	name := sanitize(g.Name)
-	nm := newNamer(g)
-	fmt.Fprintf(&b, "// Generated by MFSA synthesis: %d control steps, %d ALUs, %d registers\n",
-		s.CS, len(dp.ALUs), len(dp.Registers))
-	fmt.Fprintf(&b, "// ALU set: %s\n", dp.ALUSummary())
-	fmt.Fprintf(&b, "module %s (\n", name)
-	fmt.Fprintf(&b, "    input  wire        clk,\n")
-	fmt.Fprintf(&b, "    input  wire        rst,\n")
-	for _, in := range g.Inputs() {
-		fmt.Fprintf(&b, "    input  wire [31:0] %s,\n", nm.input(in))
+	nm := newNamer(g, len(dp.Registers))
+	var b writer
+	b.Grow(netlistSize(nm, dp, c))
+	b.put("// Generated by MFSA synthesis: ")
+	b.int(s.CS)
+	b.put(" control steps, ")
+	b.int(len(dp.ALUs))
+	b.put(" ALUs, ")
+	b.int(len(dp.Registers))
+	b.put(" registers\n// ALU set: ", dp.ALUSummary(), "\nmodule ", sanitize(g.Name), " (\n")
+	b.put("    input  wire        clk,\n    input  wire        rst,\n")
+	for i := range nm.ins {
+		b.put("    input  wire [31:0] ", nm.input(i), ",\n")
 	}
-	outs := g.Outputs()
-	for i, out := range outs {
-		comma := ","
-		if i == len(outs)-1 {
-			comma = ""
+	for i := range nm.outs {
+		b.put("    output wire [31:0] ", nm.output(i))
+		if i < len(nm.outs)-1 {
+			b.put(",")
 		}
-		fmt.Fprintf(&b, "    output wire [31:0] %s%s\n", nm.output(out), comma)
+		b.put("\n")
 	}
-	fmt.Fprintf(&b, ");\n\n")
+	b.put(");\n\n")
 
 	emitState(&b, c)
-	emitInputTaps(&b, nm, g)
-	emitRegisters(&b, nm, dp, c)
-	emitALUs(&b, nm, g, dp, c)
-	emitOutputs(&b, nm, g)
-
-	fmt.Fprintf(&b, "endmodule\n")
+	emitInputTaps(&b, nm)
+	emitRegisters(&b, nm, c)
+	emitALUs(&b, nm, dp, c)
+	for i, out := range nm.outs {
+		b.put("    assign ", nm.output(i), " = ", nm.signal(out), ";\n")
+	}
+	b.put("endmodule\n")
 	return b.String()
+}
+
+// netlistSize estimates the netlist's length from the names it prints,
+// so the builder is allocated once.
+func netlistSize(nm *namer, dp *rtl.Datapath, c *ctrl.Controller) int {
+	size := 1024 + 32*len(c.States) + 24*len(dp.Registers)
+	for _, in := range nm.ins {
+		size += 64 + 4*len(in) // port, tap wire and tap assignment
+	}
+	for _, n := range nm.g.Nodes() {
+		size += 80 + 4*len(n.Name) // result wire, assignment, output port if any
+	}
+	for _, st := range c.States {
+		for _, w := range st.Writes {
+			size += 40 + 2*len(w.Signal)
+		}
+	}
+	for _, a := range dp.ALUs {
+		size += 48 + len(a.Name)
+		for _, sig := range a.L1 {
+			size += 1 + len(sig)
+		}
+		for _, sig := range a.L2 {
+			size += 1 + len(sig)
+		}
+	}
+	return size
 }
 
 // emitInputTaps binds each primary input port to the w_ wire the rest of
 // the netlist references it by, so every operand read names a declared,
 // driven wire.
-func emitInputTaps(b *strings.Builder, nm *namer, g *dfg.Graph) {
-	ins := g.Inputs()
-	if len(ins) == 0 {
+func emitInputTaps(b *writer, nm *namer) {
+	if len(nm.ins) == 0 {
 		return
 	}
-	fmt.Fprintf(b, "    // primary-input taps\n")
-	for _, in := range ins {
-		fmt.Fprintf(b, "    wire [31:0] %s;\n", nm.wire(in))
+	b.put("    // primary-input taps\n")
+	for i := range nm.ins {
+		b.put("    wire [31:0] ", nm.wireAt(i), ";\n")
 	}
-	for _, in := range ins {
-		fmt.Fprintf(b, "    assign %s = %s;\n", nm.wire(in), nm.input(in))
+	for i := range nm.ins {
+		b.put("    assign ", nm.wireAt(i), " = ", nm.input(i), ";\n")
 	}
-	fmt.Fprintf(b, "\n")
+	b.put("\n")
 }
 
-func emitState(b *strings.Builder, c *ctrl.Controller) {
+func emitState(b *writer, c *ctrl.Controller) {
 	n := len(c.States)
-	fmt.Fprintf(b, "    // control FSM: one state per control step\n")
-	fmt.Fprintf(b, "    reg [%d:0] state;\n", bits(n)-1)
+	b.put("    // control FSM: one state per control step\n    reg [")
+	b.int(bits(n) - 1)
+	b.put(":0] state;\n")
 	restart := n
 	if c.Latency > 0 {
 		restart = c.Latency
-		fmt.Fprintf(b, "    // functional pipelining: a new iteration starts every %d steps\n", c.Latency)
+		b.put("    // functional pipelining: a new iteration starts every ")
+		b.int(c.Latency)
+		b.put(" steps\n")
 	}
-	fmt.Fprintf(b, "    always @(posedge clk) begin\n")
-	fmt.Fprintf(b, "        if (rst) state <= 0;\n")
-	fmt.Fprintf(b, "        else if (state == %d) state <= 0;\n", restart-1)
-	fmt.Fprintf(b, "        else state <= state + 1;\n")
-	fmt.Fprintf(b, "    end\n\n")
+	b.put("    always @(posedge clk) begin\n        if (rst) state <= 0;\n        else if (state == ")
+	b.int(restart - 1)
+	b.put(") state <= 0;\n        else state <= state + 1;\n    end\n\n")
 }
 
-func emitRegisters(b *strings.Builder, nm *namer, dp *rtl.Datapath, c *ctrl.Controller) {
-	fmt.Fprintf(b, "    // register bank (%d registers, left-edge packed)\n", len(dp.Registers))
-	for r := range dp.Registers {
-		fmt.Fprintf(b, "    reg [31:0] %s;\n", nm.reg(r))
+func emitRegisters(b *writer, nm *namer, c *ctrl.Controller) {
+	b.put("    // register bank (")
+	b.int(len(nm.reg))
+	b.put(" registers, left-edge packed)\n")
+	for r := range nm.reg {
+		b.put("    reg [31:0] ", nm.register(r), ";\n")
 	}
-	fmt.Fprintf(b, "    always @(posedge clk) begin\n")
-	fmt.Fprintf(b, "        case (state)\n")
+	b.put("    always @(posedge clk) begin\n        case (state)\n")
 	for i, st := range c.States {
 		if len(st.Writes) == 0 {
 			continue
 		}
-		fmt.Fprintf(b, "        %d: begin\n", i)
+		b.put("        ")
+		b.int(i)
+		b.put(": begin\n")
 		for _, w := range st.Writes {
-			fmt.Fprintf(b, "            %s <= %s; // holds %q\n", nm.reg(w.Reg), nm.wire(w.Signal), w.Signal)
+			b.put("            ", nm.register(w.Reg), " <= ", nm.signal(w.Signal), "; // holds ")
+			b.quote(w.Signal)
+			b.put("\n")
 		}
-		fmt.Fprintf(b, "        end\n")
+		b.put("        end\n")
 	}
-	fmt.Fprintf(b, "        default: ;\n")
-	fmt.Fprintf(b, "        endcase\n")
-	fmt.Fprintf(b, "    end\n\n")
+	b.put("        default: ;\n        endcase\n    end\n\n")
 }
 
-func emitALUs(b *strings.Builder, nm *namer, g *dfg.Graph, dp *rtl.Datapath, c *ctrl.Controller) {
+func emitALUs(b *writer, nm *namer, dp *rtl.Datapath, c *ctrl.Controller) {
+	g := nm.g
 	// Per-node result wires.
 	for _, n := range g.Nodes() {
-		fmt.Fprintf(b, "    wire [31:0] %s;\n", nm.wire(n.Name))
+		b.put("    wire [31:0] ", nm.node(n.ID), ";\n")
 	}
-	fmt.Fprintf(b, "\n")
+	b.put("\n")
 	for _, a := range dp.ALUs {
-		fmt.Fprintf(b, "    // %s: %s — L1=%v L2=%v\n", sanitize(a.Name), a.Unit.Symbol(), a.L1, a.L2)
+		b.put("    // ", sanitize(a.Name), ": ", a.Unit.Symbol(), " — L1=")
+		b.list(a.L1)
+		b.put(" L2=")
+		b.list(a.L2)
+		b.put("\n")
 	}
-	fmt.Fprintf(b, "\n")
+	b.put("\n")
 	// Each node's value as a combinational select of its operands; the
 	// schedule guarantees its ALU computes it in its state. Both tables
 	// are indexed by NodeID; stepByNode keeps the 1-based position of the
@@ -191,31 +346,28 @@ func emitALUs(b *strings.Builder, nm *namer, g *dfg.Graph, dp *rtl.Datapath, c *
 		}
 	}
 	for _, n := range g.Nodes() { // in NodeID order
-		alu := aluByNode[n.ID]
-		state := "?"
-		if step := stepByNode[n.ID]; step > 0 {
-			state = "S" + strconv.Itoa(step)
-		}
 		switch {
 		case n.IsLoop():
-			fmt.Fprintf(b, "    // folded loop %q: see submodule %s\n", n.Name, sanitize(n.Sub.Name))
-			fmt.Fprintf(b, "    assign %s = 32'd0; // placeholder port of the loop submodule\n", nm.wire(n.Name))
+			b.put("    // folded loop ")
+			b.quote(n.Name)
+			b.put(": see submodule ", sanitize(n.Sub.Name), "\n")
+			b.put("    assign ", nm.node(n.ID), " = 32'd0; // placeholder port of the loop submodule\n")
+			continue
 		case len(n.Args) == 1:
-			fmt.Fprintf(b, "    assign %s = %s %s; // %s state %s\n",
-				nm.wire(n.Name), vOp(n.Op.String()), nm.wire(n.Args[0]), alu, state)
+			b.put("    assign ", nm.node(n.ID), " = ", vOp(n.Op.String()), " ", nm.signal(n.Args[0]))
 		default:
-			fmt.Fprintf(b, "    assign %s = %s %s %s; // %s state %s\n",
-				nm.wire(n.Name), nm.wire(n.Args[0]), vOp(n.Op.String()), nm.wire(n.Args[1]),
-				alu, state)
+			b.put("    assign ", nm.node(n.ID), " = ", nm.signal(n.Args[0]), " ", vOp(n.Op.String()), " ", nm.signal(n.Args[1]))
 		}
+		b.put("; // ", aluByNode[n.ID], " state ")
+		if step := stepByNode[n.ID]; step > 0 {
+			b.put("S")
+			b.int(step)
+		} else {
+			b.put("?")
+		}
+		b.put("\n")
 	}
-	fmt.Fprintf(b, "\n")
-}
-
-func emitOutputs(b *strings.Builder, nm *namer, g *dfg.Graph) {
-	for _, out := range g.Outputs() {
-		fmt.Fprintf(b, "    assign %s = %s;\n", nm.output(out), nm.wire(out))
-	}
+	b.put("\n")
 }
 
 func bits(n int) int {
@@ -226,20 +378,33 @@ func bits(n int) int {
 	return b
 }
 
+// sanitize maps s to a legal identifier, one underscore per rune outside
+// [A-Za-z0-9_]; a name that is already legal comes back as is.
 func sanitize(s string) string {
+	if s == "" {
+		return "sig"
+	}
+	legal := true
+	for i := 0; i < len(s) && legal; i++ {
+		legal = identByte(s[i])
+	}
+	if legal {
+		return s
+	}
 	var b strings.Builder
+	b.Grow(len(s))
 	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '_':
-			b.WriteRune(r)
-		default:
+		if r < 0x80 && identByte(byte(r)) {
+			b.WriteByte(byte(r))
+		} else {
 			b.WriteByte('_')
 		}
 	}
-	if b.Len() == 0 {
-		return "sig"
-	}
 	return b.String()
+}
+
+func identByte(c byte) bool {
+	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '_'
 }
 
 func vOp(sym string) string {

@@ -79,10 +79,15 @@ func TestSanitize(t *testing.T) {
 		"":        "sig",
 		"x$1":     "x_1",
 		"Under_9": "Under_9",
+		"é+日本":    "____", // one underscore per rune, not per byte
+		"a\xffb":  "a_b",
 	}
 	for in, want := range cases {
 		if got := sanitize(in); got != want {
 			t.Errorf("sanitize(%q) = %q, want %q", in, got, want)
+		}
+		if got := refSanitize(in); got != want {
+			t.Errorf("refSanitize(%q) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -115,10 +120,10 @@ func TestPipelinedRestartComment(t *testing.T) {
 	}
 }
 
-func TestNamerCollisions(t *testing.T) {
-	// "a+b" and "a-b" both sanitize to "a_b"; the namer must keep the
-	// emitted identifiers distinct and must not shadow the FSM's fixed
-	// names (clk, rst, state).
+// namerCollisionGraph has inputs that sanitize to one identifier or to a
+// reserved one, and node names that sanitize alike.
+func namerCollisionGraph(t testing.TB) *dfg.Graph {
+	t.Helper()
 	g := dfg.New("collide")
 	for _, in := range []string{"a+b", "a-b", "state", "clk"} {
 		if err := g.AddInput(in); err != nil {
@@ -135,6 +140,69 @@ func TestNamerCollisions(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Freeze()
+	return g
+}
+
+// collisionProbe has two nodes whose names sanitize to p_q: p.q (ID 2)
+// and p-q (ID 3). At cs 8 the schedule writes p-q to a register before
+// any register holds p.q, so p-q is named first and p.q takes the
+// suffix, although p.q has the lower NodeID.
+func collisionProbe(t testing.TB) *dfg.Graph {
+	t.Helper()
+	g := dfg.New("probe")
+	for _, in := range []string{"a", "b", "c"} {
+		if err := g.AddInput(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []struct {
+		name string
+		k    op.Kind
+		args []string
+	}{
+		{"m1", op.Mul, []string{"a", "b"}},
+		{"m2", op.Mul, []string{"m1", "c"}},
+		{"p.q", op.Add, []string{"m2", "a"}},
+		{"p-q", op.Add, []string{"a", "b"}},
+		{"z", op.Add, []string{"p.q", "p-q"}},
+	} {
+		if _, err := g.AddOp(n.name, n.k, n.args...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.Freeze()
+	return g
+}
+
+// TestFirstUseNamingOrder pins the order identifiers are assigned in:
+// at first use, so a node wire a register write names comes before the
+// node wires declared in NodeID order.
+func TestFirstUseNamingOrder(t *testing.T) {
+	g := collisionProbe(t)
+	res, err := mfsa.Synthesize(g, mfsa.Options{CS: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := ctrl.Build(g, res.Schedule, res.Datapath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := Verilog(g, res.Schedule, res.Datapath, c)
+	for _, want := range []string{
+		"    assign w_p_q_2 = w_m2 + w_a;",
+		"    assign w_p_q = w_a + w_b;",
+	} {
+		if !strings.Contains(v, "\n"+want+" // ") {
+			t.Errorf("netlist lacks the line %q:\n%s", want, v)
+		}
+	}
+}
+
+func TestNamerCollisions(t *testing.T) {
+	// "a+b" and "a-b" both sanitize to "a_b"; the namer must keep the
+	// emitted identifiers distinct and must not shadow the FSM's fixed
+	// names (clk, rst, state).
+	g := namerCollisionGraph(t)
 	res, err := mfsa.Synthesize(g, mfsa.Options{CS: 4})
 	if err != nil {
 		t.Fatal(err)

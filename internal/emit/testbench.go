@@ -3,7 +3,6 @@ package emit
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/dfg"
 	"repro/internal/sched"
@@ -21,62 +20,68 @@ func Testbench(g *dfg.Graph, s *sched.Schedule, vectors []map[string]int64) (str
 		return "", fmt.Errorf("emit: testbench needs at least one vector")
 	}
 	name := sanitize(g.Name)
-	nm := newNamer(g)
-	outs := g.Outputs()
-	ins := g.Inputs()
+	nm := newNamer(g, 0)
 
-	var b strings.Builder
-	fmt.Fprintf(&b, "// Self-checking testbench for %s: %d vectors, %d cycles each\n",
-		name, len(vectors), s.CS)
-	fmt.Fprintf(&b, "module %s_tb;\n", name)
-	fmt.Fprintf(&b, "    reg clk = 0, rst = 1;\n")
-	for _, in := range ins {
-		fmt.Fprintf(&b, "    reg  [31:0] %s;\n", nm.input(in))
+	var b writer
+	b.put("// Self-checking testbench for ", name, ": ")
+	b.int(len(vectors))
+	b.put(" vectors, ")
+	b.int(s.CS)
+	b.put(" cycles each\nmodule ", name, "_tb;\n    reg clk = 0, rst = 1;\n")
+	for i := range nm.ins {
+		b.put("    reg  [31:0] ", nm.input(i), ";\n")
 	}
-	for _, out := range outs {
-		fmt.Fprintf(&b, "    wire [31:0] %s;\n", nm.output(out))
+	for i := range nm.outs {
+		b.put("    wire [31:0] ", nm.output(i), ";\n")
 	}
-	fmt.Fprintf(&b, "    integer errors = 0;\n\n")
-	fmt.Fprintf(&b, "    %s dut (.clk(clk), .rst(rst)", name)
-	for _, in := range ins {
-		fmt.Fprintf(&b, ", .%s(%s)", nm.input(in), nm.input(in))
+	b.put("    integer errors = 0;\n\n    ", name, " dut (.clk(clk), .rst(rst)")
+	for i := range nm.ins {
+		b.put(", .", nm.input(i), "(", nm.input(i), ")")
 	}
-	for _, out := range outs {
-		fmt.Fprintf(&b, ", .%s(%s)", nm.output(out), nm.output(out))
+	for i := range nm.outs {
+		b.put(", .", nm.output(i), "(", nm.output(i), ")")
 	}
-	fmt.Fprintf(&b, ");\n\n")
-	fmt.Fprintf(&b, "    always #5 clk = ~clk;\n\n")
-	fmt.Fprintf(&b, "    task check(input [31:0] got, input [31:0] want, input [127:0] sig);\n")
-	fmt.Fprintf(&b, "        if (got !== want) begin\n")
-	fmt.Fprintf(&b, "            $display(\"FAIL %%0s: got %%0d want %%0d\", sig, got, want);\n")
-	fmt.Fprintf(&b, "            errors = errors + 1;\n")
-	fmt.Fprintf(&b, "        end\n")
-	fmt.Fprintf(&b, "    endtask\n\n")
-	fmt.Fprintf(&b, "    initial begin\n")
+	b.put(");\n\n")
+	b.put("    always #5 clk = ~clk;\n\n")
+	b.put("    task check(input [31:0] got, input [31:0] want, input [127:0] sig);\n")
+	b.put("        if (got !== want) begin\n")
+	b.put("            $display(\"FAIL %0s: got %0d want %0d\", sig, got, want);\n")
+	b.put("            errors = errors + 1;\n")
+	b.put("        end\n")
+	b.put("    endtask\n\n")
+	b.put("    initial begin\n")
 	for vi, vec := range vectors {
 		expected, err := sim.Run(s, vec)
 		if err != nil {
 			return "", fmt.Errorf("emit: vector %d: %w", vi, err)
 		}
-		fmt.Fprintf(&b, "        // vector %d\n", vi)
-		fmt.Fprintf(&b, "        rst = 1; @(posedge clk); rst = 0;\n")
+		b.put("        // vector ")
+		b.int(vi)
+		b.put("\n        rst = 1; @(posedge clk); rst = 0;\n")
 		keys := make([]string, 0, len(vec))
 		for k := range vec {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Fprintf(&b, "        %s = 32'd%d;\n", nm.input(k), uint32(vec[k]))
+			b.put("        ", nm.inputNamed(k), " = 32'd")
+			b.uint(uint64(uint32(vec[k])))
+			b.put(";\n")
 		}
-		fmt.Fprintf(&b, "        repeat (%d) @(posedge clk);\n", s.CS)
-		for _, out := range outs {
-			fmt.Fprintf(&b, "        check(%s, 32'd%d, \"%s\");\n",
-				nm.output(out), uint32(expected[out]), sanitize(out))
+		b.put("        repeat (")
+		b.int(s.CS)
+		b.put(") @(posedge clk);\n")
+		for i, out := range nm.outs {
+			b.put("        check(", nm.output(i), ", 32'd")
+			b.uint(uint64(uint32(expected[out])))
+			b.put(", \"", sanitize(out), "\");\n")
 		}
 	}
-	fmt.Fprintf(&b, "        if (errors == 0) $display(\"PASS: %d vectors\");\n", len(vectors))
-	fmt.Fprintf(&b, "        else $display(\"FAIL: %%0d mismatches\", errors);\n")
-	fmt.Fprintf(&b, "        $finish;\n")
-	fmt.Fprintf(&b, "    end\nendmodule\n")
+	b.put("        if (errors == 0) $display(\"PASS: ")
+	b.int(len(vectors))
+	b.put(" vectors\");\n")
+	b.put("        else $display(\"FAIL: %0d mismatches\", errors);\n")
+	b.put("        $finish;\n")
+	b.put("    end\nendmodule\n")
 	return b.String(), nil
 }

@@ -63,6 +63,17 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 
 	tables := make(map[string]*grid.Table)
 	placedSteps := make([]int, g.Len()) // committed prefix by NodeID (0 = unplaced), for the chaining filter
+	// Under chaining, acc[x] is x's chain delay within its step, taken
+	// with sched.ChainAccAt at x's replayed commit. While every replayed
+	// commit found none of its successors placed and kept its chain
+	// within the clock (incremental), the chain filter reads acc in
+	// O(preds) and answers exactly as ChainFits's whole-graph walk would;
+	// after the first commit that breaks either, it calls ChainFits.
+	var acc []float64
+	incremental := s.ClockNs > 0
+	if incremental {
+		acc = make([]float64, g.Len())
+	}
 	for i, st := range t.Steps {
 		if int(st.Node) < 0 || int(st.Node) >= g.Len() {
 			report(diag.CodeLiapReplay, diag.Error, fmt.Sprintf("trace step %d", i),
@@ -70,6 +81,7 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 			continue
 		}
 		n := g.Node(st.Node)
+		fast := incremental && !anyPlaced(n.Succs(), placedSteps)
 		table := tables[st.Type]
 		if table == nil {
 			max := st.MaxJ
@@ -89,7 +101,11 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 						n.Name, st.Pos, st.Energy, v))
 			}
 			if !st.Frames().MF().Empty() {
-				auditDescent(g, s, t.Fn, table, placedSteps, n, st, report)
+				chainAcc := acc
+				if !fast {
+					chainAcc = nil
+				}
+				auditDescent(g, s, t.Fn, table, placedSteps, chainAcc, n, st, report)
 			}
 		}
 		if len(st.Candidates) > 0 {
@@ -118,16 +134,31 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 			continue
 		}
 		placedSteps[st.Node] = st.Pos.Step
+		if incremental {
+			acc[st.Node] = sched.ChainAccAt(g, placedSteps, acc, st.Node, st.Pos.Step)
+			incremental = fast && acc[st.Node] <= s.ClockNs+1e-9
+		}
 	}
 	return out
+}
+
+// anyPlaced reports whether any of ids has a committed step.
+func anyPlaced(ids []dfg.NodeID, placedSteps []int) bool {
+	for _, id := range ids {
+		if placedSteps[id] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // auditDescent asserts the greedy-descent invariant for one recorded
 // MFS placement: among the recorded move frame's free positions (grid
 // occupancy and, under chaining, the delay budget both honored), none
-// has strictly lower energy than the committed one.
+// has strictly lower energy than the committed one. A non-nil acc holds
+// the replay's chain accumulator and stands in for sched.ChainFits.
 func auditDescent(g *dfg.Graph, s *sched.Schedule, fn liapunov.Func, table *grid.Table,
-	placedSteps []int, n *dfg.Node, st sched.TraceStep, report func(code string, sev diag.Severity, loc, msg string)) {
+	placedSteps []int, acc []float64, n *dfg.Node, st sched.TraceStep, report func(code string, sev diag.Severity, loc, msg string)) {
 	free := 0
 	best := math.Inf(1)
 	var bestPos grid.Pos
@@ -136,7 +167,7 @@ func auditDescent(g *dfg.Graph, s *sched.Schedule, fn liapunov.Func, table *grid
 		if !table.CanPlace(g, n.ID, p, n.Cycles) {
 			continue
 		}
-		if s.ClockNs > 0 && !sched.ChainFits(g, s.ClockNs, placedSteps, n.ID, p.Step) {
+		if s.ClockNs > 0 && !chainFits(g, s.ClockNs, placedSteps, acc, n.ID, p.Step) {
 			continue
 		}
 		free++
@@ -165,4 +196,13 @@ func auditDescent(g *dfg.Graph, s *sched.Schedule, fn liapunov.Func, table *grid
 			fmt.Sprintf("node %q: %d move-frame positions tie at minimum energy %g; the guiding function is degenerate here",
 				n.Name, tiesAtBest, best))
 	}
+}
+
+// chainFits is sched.ChainFits, read from the replay's chain
+// accumulator when the caller passes one.
+func chainFits(g *dfg.Graph, clockNs float64, placedSteps []int, acc []float64, id dfg.NodeID, step int) bool {
+	if acc == nil {
+		return sched.ChainFits(g, clockNs, placedSteps, id, step)
+	}
+	return sched.ChainAccAt(g, placedSteps, acc, id, step) <= clockNs+1e-9
 }

@@ -50,6 +50,11 @@ var criticalPkgs = map[string]bool{
 	// canon's hashes are cache keys shared across processes: any
 	// order-dependence would split identical requests across buckets.
 	"repro/internal/canon": true,
+	// Netlist bytes are golden-pinned, compared across processes and
+	// served by hlsd as cached response bytes; the controller's state
+	// tables are what emit prints.
+	"repro/internal/emit": true,
+	"repro/internal/ctrl": true,
 }
 
 func runMaporder(p *Pass) {
