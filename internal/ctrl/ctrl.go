@@ -194,27 +194,15 @@ func action(n *dfg.Node, a *rtl.ALU, bind *rtl.Binding, sel *muxSelects) (Action
 	if bind == nil {
 		return act, fmt.Errorf("ctrl: node %q missing from ALU %s op list", n.Name, a.Name)
 	}
-	src1, src2 := "", ""
-	switch {
-	case len(n.Args) == 1:
-		src1 = n.Args[0]
-	case bind.Swapped:
-		src1, src2 = n.Args[1], n.Args[0]
-	default:
-		src1, src2 = n.Args[0], n.Args[1]
+	ports := rtl.OperandPorts(n, bind.Swapped)
+	act.Src1 = n.Args[ports[0]]
+	if act.Mux1Sel = sel.index1(act.Src1); act.Mux1Sel < 0 {
+		return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L1", n.Name, act.Src1, a.Name)
 	}
-	if src1 != "" {
-		act.Mux1Sel = sel.index1(src1)
-		act.Src1 = src1
-		if act.Mux1Sel < 0 {
-			return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L1", n.Name, src1, a.Name)
-		}
-	}
-	if src2 != "" {
-		act.Mux2Sel = sel.index2(src2)
-		act.Src2 = src2
-		if act.Mux2Sel < 0 {
-			return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L2", n.Name, src2, a.Name)
+	if ports[1] >= 0 {
+		act.Src2 = n.Args[ports[1]]
+		if act.Mux2Sel = sel.index2(act.Src2); act.Mux2Sel < 0 {
+			return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L2", n.Name, act.Src2, a.Name)
 		}
 	}
 	return act, nil

@@ -10,6 +10,8 @@ package dfg
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/op"
@@ -18,6 +20,14 @@ import (
 // NodeID identifies a node within one Graph. IDs are dense, starting at 0,
 // in insertion order.
 type NodeID int
+
+// SignalID identifies a signal — a primary input or a node's output —
+// within one Graph. IDs are dense, starting at 0, in declaration order:
+// AddInput, AddOp and AddLoop each mint the next one. Consumers index
+// per-signal tables by it instead of interning names themselves. Two
+// builds of the same graph that declare inputs in a different order
+// number their signals differently, so no result may depend on id order.
+type SignalID int32
 
 // CondTag marks membership in one branch of one conditional construct.
 // Two operations are mutually exclusive when they carry tags with the same
@@ -60,6 +70,8 @@ type Node struct {
 
 	preds []NodeID
 	succs []NodeID
+	args  []SignalID // parallel to Args
+	out   SignalID
 }
 
 // IsLoop reports whether the node is a folded-loop super-operation.
@@ -73,23 +85,41 @@ func (n *Node) Preds() []NodeID { return n.preds }
 // The returned slice must not be modified.
 func (n *Node) Succs() []NodeID { return n.succs }
 
+// ArgIDs returns the signal IDs of Args, in operand order.
+// The returned slice must not be modified.
+func (n *Node) ArgIDs() []SignalID { return n.args }
+
+// OutID returns the signal ID of the node's output.
+func (n *Node) OutID() SignalID { return n.out }
+
 // Graph is a data-flow graph under construction or in use. The zero value
 // is not ready; use New.
 type Graph struct {
 	Name string
 
-	nodes  []*Node
-	byName map[string]NodeID
-	inputs map[string]bool
-	frozen bool
+	nodes []*Node
+	// signals is the name index of every signal. src[id] is the NodeID
+	// producing signal id, or ^k for the k-th declared input, ins[k].
+	signals map[string]SignalID
+	src     []int32
+	ins     []string
+	frozen  bool
 }
 
 // New returns an empty graph with the given diagnostic name.
-func New(name string) *Graph {
+func New(name string) *Graph { return NewSized(name, 0, 0) }
+
+// NewSized is New with room for the given numbers of inputs and nodes, so
+// a builder that knows its size (a decoder, a rewrite) never regrows the
+// graph's tables. The sizes are hints: the graph grows past them.
+func NewSized(name string, inputs, nodes int) *Graph {
+	inputs, nodes = max(inputs, 0), max(nodes, 0)
 	return &Graph{
-		Name:   name,
-		byName: make(map[string]NodeID),
-		inputs: make(map[string]bool),
+		Name:    name,
+		nodes:   make([]*Node, 0, nodes),
+		signals: make(map[string]SignalID, inputs+nodes),
+		src:     make([]int32, 0, inputs+nodes),
+		ins:     make([]string, 0, inputs),
 	}
 }
 
@@ -102,10 +132,15 @@ func (g *Graph) AddInput(name string) error {
 	if name == "" {
 		return fmt.Errorf("dfg %s: empty input name", g.Name)
 	}
-	if _, ok := g.byName[name]; ok {
-		return fmt.Errorf("dfg %s: input %q collides with node output", g.Name, name)
+	if id, ok := g.signals[name]; ok {
+		if g.src[id] >= 0 {
+			return fmt.Errorf("dfg %s: input %q collides with node output", g.Name, name)
+		}
+		return nil
 	}
-	g.inputs[name] = true
+	g.signals[name] = SignalID(len(g.src))
+	g.src = append(g.src, ^int32(len(g.ins)))
+	g.ins = append(g.ins, name)
 	return nil
 }
 
@@ -150,7 +185,7 @@ func (g *Graph) AddLoop(name string, sub *Graph, subOut string, binds map[string
 	if sub == nil {
 		return -1, fmt.Errorf("dfg %s: loop %q: nil body", g.Name, name)
 	}
-	if _, ok := sub.byName[subOut]; !ok {
+	if _, ok := sub.Lookup(subOut); !ok {
 		return -1, fmt.Errorf("dfg %s: loop %q: body has no node %q", g.Name, name, subOut)
 	}
 	ins := sub.Inputs()
@@ -191,32 +226,50 @@ func (g *Graph) checkNew(name string) error {
 	if name == "" {
 		return fmt.Errorf("dfg %s: empty node name", g.Name)
 	}
-	if _, ok := g.byName[name]; ok {
-		return fmt.Errorf("dfg %s: duplicate node %q", g.Name, name)
-	}
-	if g.inputs[name] {
+	if id, ok := g.signals[name]; ok {
+		if g.src[id] >= 0 {
+			return fmt.Errorf("dfg %s: duplicate node %q", g.Name, name)
+		}
 		return fmt.Errorf("dfg %s: node %q collides with primary input", g.Name, name)
 	}
 	return nil
 }
 
+// link resolves n's arguments, then cross-links it with its producers and
+// appends it. Every argument is resolved before any producer is touched,
+// so a node with an undefined argument leaves the graph as it was.
 func (g *Graph) link(n *Node) error {
-	seen := make(map[NodeID]bool)
-	for _, a := range n.Args {
-		if pid, ok := g.byName[a]; ok {
-			if !seen[pid] {
-				seen[pid] = true
-				n.preds = append(n.preds, pid)
-				g.nodes[pid].succs = append(g.nodes[pid].succs, n.ID)
-			}
-			continue
-		}
-		if !g.inputs[a] {
+	n.args = make([]SignalID, len(n.Args))
+	preds := 0
+	for i, a := range n.Args {
+		id, ok := g.signals[a]
+		if !ok {
 			return fmt.Errorf("dfg %s: node %q: undefined signal %q", g.Name, n.Name, a)
 		}
+		n.args[i] = id
+		if g.src[id] >= 0 {
+			preds++
+		}
 	}
+	if preds > 0 {
+		n.preds = make([]NodeID, 0, preds)
+	}
+	for _, id := range n.args {
+		if g.src[id] < 0 {
+			continue
+		}
+		// n is the newest node, so a producer already linked to it has n
+		// as its last successor.
+		p := g.nodes[g.src[id]]
+		if k := len(p.succs); k == 0 || p.succs[k-1] != n.ID {
+			n.preds = append(n.preds, p.ID)
+			p.succs = append(p.succs, n.ID)
+		}
+	}
+	n.out = SignalID(len(g.src))
 	g.nodes = append(g.nodes, n)
-	g.byName[n.Name] = n.ID
+	g.signals[n.Name] = n.out
+	g.src = append(g.src, int32(n.ID))
 	return nil
 }
 
@@ -283,19 +336,41 @@ func (g *Graph) Len() int { return len(g.nodes) }
 
 // Lookup returns the node producing the named signal, if any.
 func (g *Graph) Lookup(name string) (*Node, bool) {
-	id, ok := g.byName[name]
-	if !ok {
-		return nil, false
+	if id, ok := g.signals[name]; ok && g.src[id] >= 0 {
+		return g.nodes[g.src[id]], true
 	}
-	return g.nodes[id], true
+	return nil, false
+}
+
+// NumSignals returns the number of signals: primary inputs plus nodes.
+func (g *Graph) NumSignals() int { return len(g.src) }
+
+// Signal returns the ID of the named signal, if the graph has one.
+func (g *Graph) Signal(name string) (SignalID, bool) {
+	id, ok := g.signals[name]
+	return id, ok
+}
+
+// SignalName returns the name of signal id.
+func (g *Graph) SignalName(id SignalID) string {
+	if p := g.src[id]; p >= 0 {
+		return g.nodes[p].Name
+	}
+	return g.ins[^g.src[id]]
+}
+
+// Producer returns the node whose output is signal id, or nil when id is
+// a primary input.
+func (g *Graph) Producer(id SignalID) *Node {
+	if p := g.src[id]; p >= 0 {
+		return g.nodes[p]
+	}
+	return nil
 }
 
 // Inputs returns the primary input names in sorted order.
 func (g *Graph) Inputs() []string {
-	ins := make([]string, 0, len(g.inputs))
-	for in := range g.inputs {
-		ins = append(ins, in)
-	}
+	ins := slices.Clone(g.ins)
 	sort.Strings(ins)
 	return ins
 }
@@ -385,15 +460,25 @@ func (g *Graph) CriticalPathCycles() int {
 	return longest
 }
 
-// Validate checks structural invariants: unique non-empty names, defined
-// arguments, positive cycle counts, consistent pred/succ cross-links, and
-// well-formed loop nodes. It returns the first violation found.
+// Validate checks structural invariants: unique non-empty names, a
+// signal index that names every input and node output by its ID, defined
+// arguments whose IDs name them, positive cycle counts, consistent
+// pred/succ cross-links, and well-formed loop nodes. It returns the first
+// violation found.
 func (g *Graph) Validate() error {
+	if len(g.src) != len(g.ins)+len(g.nodes) || len(g.signals) != len(g.src) {
+		return fmt.Errorf("dfg %s: %d signal IDs for %d inputs and %d nodes", g.Name, len(g.src), len(g.ins), len(g.nodes))
+	}
+	for k, in := range g.ins {
+		if id, ok := g.signals[in]; !ok || g.src[id] != ^int32(k) {
+			return fmt.Errorf("dfg %s: input %q: name index broken", g.Name, in)
+		}
+	}
 	for _, n := range g.nodes {
 		if n.Name == "" {
 			return fmt.Errorf("dfg %s: node %d: empty name", g.Name, n.ID)
 		}
-		if got, ok := g.byName[n.Name]; !ok || got != n.ID {
+		if id, ok := g.signals[n.Name]; !ok || id != n.out || NodeID(g.src[id]) != n.ID {
 			return fmt.Errorf("dfg %s: node %q: name index broken", g.Name, n.Name)
 		}
 		if n.Cycles < 1 {
@@ -414,10 +499,17 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("dfg %s: node %q: arity mismatch", g.Name, n.Name)
 			}
 		}
-		for _, a := range n.Args {
-			if _, ok := g.byName[a]; !ok && !g.inputs[a] {
+		if len(n.args) != len(n.Args) {
+			return fmt.Errorf("dfg %s: node %q: %d arg IDs for %d args", g.Name, n.Name, len(n.args), len(n.Args))
+		}
+		for i, a := range n.Args {
+			if id := n.args[i]; id >= 0 && id < n.out && g.SignalName(id) == a {
+				continue
+			}
+			if _, ok := g.signals[a]; !ok {
 				return fmt.Errorf("dfg %s: node %q: undefined arg %q", g.Name, n.Name, a)
 			}
+			return fmt.Errorf("dfg %s: node %q: arg %d has ID %d, not %q's", g.Name, n.Name, i, n.args[i], a)
 		}
 		for _, p := range n.preds {
 			if p >= n.ID {
@@ -449,11 +541,13 @@ func containsID(ids []NodeID, id NodeID) bool {
 // they are scheduled independently and treated as read-only here). The
 // clone is unfrozen.
 func (g *Graph) Clone() *Graph {
-	c := New(g.Name)
-	for in := range g.inputs {
-		c.inputs[in] = true
+	c := &Graph{
+		Name:    g.Name,
+		nodes:   make([]*Node, len(g.nodes)),
+		signals: maps.Clone(g.signals),
+		src:     slices.Clone(g.src),
+		ins:     slices.Clone(g.ins),
 	}
-	c.nodes = make([]*Node, len(g.nodes))
 	for i, n := range g.nodes {
 		cn := *n
 		cn.Args = append([]string(nil), n.Args...)
@@ -461,8 +555,8 @@ func (g *Graph) Clone() *Graph {
 		cn.SubIns = append([]string(nil), n.SubIns...)
 		cn.preds = append([]NodeID(nil), n.preds...)
 		cn.succs = append([]NodeID(nil), n.succs...)
+		cn.args = append([]SignalID(nil), n.args...)
 		c.nodes[i] = &cn
-		c.byName[cn.Name] = cn.ID
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package dfg
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,6 +124,17 @@ func TestErrors(t *testing.T) {
 	}
 	if err := g.Tag(99, CondTag{1, 1}); err == nil {
 		t.Error("Tag on missing node accepted")
+	}
+	// A rejected node leaves no trace: its defined argument's producer
+	// keeps no successor link to it.
+	if _, err := g.AddOp("y", op.Add, "x", "missing"); err == nil {
+		t.Error("undefined second arg accepted")
+	}
+	if _, err := g.AddOp("z", op.Add, "a", "a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Validate(); err != nil || len(g.Node(0).Succs()) != 0 {
+		t.Errorf("after a rejected node: Validate %v, x's successors %v", err, g.Node(0).Succs())
 	}
 }
 
@@ -315,6 +327,52 @@ func TestLoopErrors(t *testing.T) {
 	}
 }
 
+// signalIDsError reports the first way g's signal IDs break the id-space
+// contract: IDs dense and unique over inputs and node outputs, each name
+// resolving to its ID, and each argument ID naming its Args entry.
+func signalIDsError(g *Graph) error {
+	if want := len(g.Inputs()) + g.Len(); g.NumSignals() != want {
+		return fmt.Errorf("%d signals, want %d", g.NumSignals(), want)
+	}
+	seen := make([]bool, g.NumSignals())
+	claim := func(name string, id SignalID) error {
+		if id < 0 || int(id) >= len(seen) || seen[id] {
+			return fmt.Errorf("%q: ID %d out of range or taken twice", name, id)
+		}
+		seen[id] = true
+		if got, ok := g.Signal(name); !ok || got != id || g.SignalName(id) != name {
+			return fmt.Errorf("%q: ID %d does not resolve both ways", name, id)
+		}
+		return nil
+	}
+	for _, in := range g.Inputs() {
+		id, _ := g.Signal(in)
+		if g.Producer(id) != nil {
+			return fmt.Errorf("input %q has a producer", in)
+		}
+		if err := claim(in, id); err != nil {
+			return err
+		}
+	}
+	for _, n := range g.Nodes() {
+		if g.Producer(n.OutID()) != n {
+			return fmt.Errorf("node %q is not its output's producer", n.Name)
+		}
+		if err := claim(n.Name, n.OutID()); err != nil {
+			return err
+		}
+		if len(n.ArgIDs()) != len(n.Args) {
+			return fmt.Errorf("node %q: %d arg IDs for %d args", n.Name, len(n.ArgIDs()), len(n.Args))
+		}
+		for i, id := range n.ArgIDs() {
+			if g.SignalName(id) != n.Args[i] {
+				return fmt.Errorf("node %q: arg %d ID %d names %q, not %q", n.Name, i, id, g.SignalName(id), n.Args[i])
+			}
+		}
+	}
+	return nil
+}
+
 func TestClone(t *testing.T) {
 	g := buildDiamond(t)
 	s, _ := g.Lookup("s")
@@ -322,6 +380,14 @@ func TestClone(t *testing.T) {
 	c := g.Clone()
 	if err := c.Validate(); err != nil {
 		t.Fatalf("clone invalid: %v", err)
+	}
+	if err := signalIDsError(c); err != nil {
+		t.Fatalf("clone signal IDs: %v", err)
+	}
+	for _, n := range g.Nodes() {
+		if cn := c.Node(n.ID); cn.OutID() != n.OutID() || !slices.Equal(cn.ArgIDs(), n.ArgIDs()) {
+			t.Fatalf("clone renumbered %q's signals", n.Name)
+		}
 	}
 	// Mutating the clone must not affect the original.
 	cs, _ := c.Lookup("s")
@@ -334,6 +400,15 @@ func TestClone(t *testing.T) {
 	}
 	if g.Len() == c.Len() {
 		t.Error("clone shares node storage with original")
+	}
+	if err := c.AddInput("late"); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := g.Signal("extra"); ok || g.NumSignals() != 5 {
+		t.Error("clone shares the signal index with original")
+	}
+	if err := signalIDsError(c); err != nil {
+		t.Errorf("clone after AddOp and AddInput: %v", err)
 	}
 }
 
@@ -353,13 +428,25 @@ func TestValidateDetectsCorruption(t *testing.T) {
 	if err := g.Validate(); err == nil {
 		t.Error("Validate missed broken succ link")
 	}
+	g = buildDiamond(t)
+	g.Node(2).args[1] = g.Node(2).args[0] // d reads s twice by ID, s and p by name
+	if err := g.Validate(); err == nil {
+		t.Error("Validate missed a corrupted argument ID")
+	}
+	g = buildDiamond(t)
+	g.Node(2).args[0] = SignalID(g.NumSignals()) // out of range
+	if err := g.Validate(); err == nil {
+		t.Error("Validate missed an out-of-range argument ID")
+	}
 }
 
 func TestQuickGraphInvariants(t *testing.T) {
 	// Property (testing/quick): for graphs generated from arbitrary byte
-	// strings, validation always passes, the topological order respects
-	// every edge, clones evaluate identically to their originals, and the
-	// critical path never exceeds the node-cycle sum.
+	// strings, validation always passes, the signal IDs of the graph, its
+	// clone and its merge keep the id-space contract (signalIDsError), the
+	// topological order respects every edge, clones evaluate identically
+	// to their originals, and the critical path never exceeds the
+	// node-cycle sum.
 	f := func(ops []byte, cycles []byte) bool {
 		g := New("q")
 		g.AddInput("i")
@@ -381,9 +468,28 @@ func TestQuickGraphInvariants(t *testing.T) {
 					return false
 				}
 			}
+			if b&8 != 0 { // opposite branches of one conditional
+				if err := g.Tag(id, CondTag{Cond: 1, Branch: i % 2}); err != nil {
+					return false
+				}
+			}
 			names = append(names, name)
 		}
+		// An input declared after the ops, and an op reading it.
+		if err := g.AddInput("late"); err != nil {
+			return false
+		}
+		if _, err := g.AddOp("tail", op.Add, names[len(names)-1], "late"); err != nil {
+			return false
+		}
 		if err := g.Validate(); err != nil {
+			return false
+		}
+		merged, _, err := g.MergeExclusiveDuplicates()
+		if err != nil || merged.Validate() != nil {
+			return false
+		}
+		if signalIDsError(g) != nil || signalIDsError(g.Clone()) != nil || signalIDsError(merged) != nil {
 			return false
 		}
 		pos := make(map[NodeID]int)
@@ -402,7 +508,7 @@ func TestQuickGraphInvariants(t *testing.T) {
 		if g.Len() > 0 && (g.CriticalPathCycles() < 1 || g.CriticalPathCycles() > total) {
 			return false
 		}
-		in := map[string]int64{"i": 7}
+		in := map[string]int64{"i": 7, "late": 3}
 		want, err := g.Eval(in)
 		if err != nil {
 			return false

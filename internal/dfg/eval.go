@@ -12,34 +12,39 @@ import "fmt"
 // the loop-folding model (§5.2), with inner inputs bound from outer
 // signals.
 func (g *Graph) Eval(inputs map[string]int64) (map[string]int64, error) {
-	vals := make(map[string]int64, len(g.nodes)+len(g.inputs))
-	for in := range g.inputs {
+	vals := make([]int64, len(g.src))
+	// Sorted, so a missing input is reported the same way whatever order
+	// the inputs were declared in.
+	for _, in := range g.Inputs() {
 		v, ok := inputs[in]
 		if !ok {
 			return nil, fmt.Errorf("dfg %s: Eval: missing input %q", g.Name, in)
 		}
-		vals[in] = v
+		vals[g.signals[in]] = v
 	}
-	for _, id := range g.TopoOrder() {
-		n := g.nodes[id]
+	for _, n := range g.nodes { // ID order is topological
 		if n.IsLoop() {
 			sub := make(map[string]int64, len(n.SubIns))
 			for i, in := range n.SubIns {
-				sub[in] = vals[n.Args[i]]
+				sub[in] = vals[n.args[i]]
 			}
 			inner, err := n.Sub.Eval(sub)
 			if err != nil {
 				return nil, fmt.Errorf("dfg %s: loop %q: %w", g.Name, n.Name, err)
 			}
-			vals[n.Name] = inner[n.SubOut]
+			vals[n.out] = inner[n.SubOut]
 			continue
 		}
 		var a, b int64
-		a = vals[n.Args[0]]
-		if len(n.Args) > 1 {
-			b = vals[n.Args[1]]
+		a = vals[n.args[0]]
+		if len(n.args) > 1 {
+			b = vals[n.args[1]]
 		}
-		vals[n.Name] = n.Op.Eval(a, b)
+		vals[n.out] = n.Op.Eval(a, b)
 	}
-	return vals, nil
+	out := make(map[string]int64, len(vals))
+	for id, v := range vals {
+		out[g.SignalName(SignalID(id))] = v
+	}
+	return out, nil
 }

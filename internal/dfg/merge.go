@@ -45,7 +45,7 @@ func (g *Graph) MergeExclusiveDuplicates() (*Graph, int, error) {
 		return g.Clone(), 0, nil
 	}
 
-	out := New(g.Name)
+	out := NewSized(g.Name, len(g.ins), len(nodes)-len(drop))
 	for _, in := range g.Inputs() {
 		if err := out.AddInput(in); err != nil {
 			return nil, 0, fmt.Errorf("dfg: merge rebuild of %s: %w", g.Name, err)

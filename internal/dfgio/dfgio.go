@@ -83,7 +83,7 @@ func DecodeGraph(data []byte) (*dfg.Graph, error) {
 }
 
 func fromJSON(gj *graphJSON) (*dfg.Graph, error) {
-	g := dfg.New(gj.Name)
+	g := dfg.NewSized(gj.Name, len(gj.Inputs), len(gj.Nodes))
 	for _, in := range gj.Inputs {
 		if err := g.AddInput(in); err != nil {
 			return nil, fmt.Errorf("dfgio: %w", err)

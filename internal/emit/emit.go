@@ -29,14 +29,14 @@ import (
 // suffix: ports (inputs sorted, then outputs sorted), input taps,
 // R0..Rn, the wires the register writes name (in state and write
 // order), then the remaining node wires in NodeID order. Identifiers
-// sit in slices indexed by a per-call slot, so naming a signal again is
-// one lookup.
+// sit in slices indexed by position or dfg.SignalID, so naming a signal
+// again is one lookup.
 type namer struct {
 	g    *dfg.Graph
-	ins  []string        // primary inputs, sorted: input slot i is ins[i]
+	ins  []string        // primary inputs, sorted
 	outs []string        // primary outputs, sorted
-	port []string        // input ports by input slot, then output ports by output index
-	wire []string        // input taps by input slot, then node wires at len(ins)+NodeID
+	port []string        // input ports by position in ins, then output ports by position in outs
+	wire []string        // signal wires (input taps and node results) by SignalID
 	reg  []string        // register identifiers by index
 	used map[string]bool // identifiers already taken
 
@@ -52,7 +52,7 @@ func newNamer(g *dfg.Graph, regs int) *namer {
 	nm := &namer{
 		g: g, ins: ins, outs: outs,
 		port: make([]string, 0, len(ins)+len(outs)),
-		wire: make([]string, len(ins)+g.Len()),
+		wire: make([]string, g.NumSignals()),
 		reg:  make([]string, regs),
 		used: make(map[string]bool, 5+2*len(ins)+len(outs)+g.Len()+regs),
 	}
@@ -94,7 +94,7 @@ func (nm *namer) outside(key, want string) string {
 	return id
 }
 
-// input is the port identifier for the primary input with slot i.
+// input is the port identifier for the i-th primary input.
 func (nm *namer) input(i int) string { return nm.port[i] }
 
 // output is the port identifier for the i-th primary output.
@@ -108,33 +108,20 @@ func (nm *namer) inputNamed(sig string) string {
 	return nm.outside("in:"+sig, sig)
 }
 
-// wireAt is the internal result wire of a slot: an input tap below
-// len(ins), a node's result wire above.
-func (nm *namer) wireAt(slot int) string {
-	if id := nm.wire[slot]; id != "" {
-		return id
+// wireOf is the wire carrying signal id: an input tap, or a node's
+// result wire.
+func (nm *namer) wireOf(id dfg.SignalID) string {
+	if w := nm.wire[id]; w != "" {
+		return w
 	}
-	var sig string
-	if slot < len(nm.ins) {
-		sig = nm.ins[slot]
-	} else {
-		sig = nm.g.Node(dfg.NodeID(slot - len(nm.ins))).Name
-	}
-	nm.wire[slot] = nm.fresh("w_" + sig)
-	return nm.wire[slot]
+	nm.wire[id] = nm.fresh("w_" + nm.g.SignalName(id))
+	return nm.wire[id]
 }
 
-// node is the result wire of node id.
-func (nm *namer) node(id dfg.NodeID) string { return nm.wireAt(len(nm.ins) + int(id)) }
-
-// signal is the wire carrying a signal given by name (a node output, or
-// an input tap).
+// signal is the wire carrying a signal given by name.
 func (nm *namer) signal(sig string) string {
-	if n, ok := nm.g.Lookup(sig); ok {
-		return nm.node(n.ID)
-	}
-	if i, ok := slices.BinarySearch(nm.ins, sig); ok {
-		return nm.wireAt(i)
+	if id, ok := nm.g.Signal(sig); ok {
+		return nm.wireOf(id)
 	}
 	return nm.outside("sig:"+sig, "w_"+sig)
 }
@@ -266,10 +253,10 @@ func emitInputTaps(b *writer, nm *namer) {
 	}
 	b.put("    // primary-input taps\n")
 	for i := range nm.ins {
-		b.put("    wire [31:0] ", nm.wireAt(i), ";\n")
+		b.put("    wire [31:0] ", nm.signal(nm.ins[i]), ";\n")
 	}
 	for i := range nm.ins {
-		b.put("    assign ", nm.wireAt(i), " = ", nm.input(i), ";\n")
+		b.put("    assign ", nm.signal(nm.ins[i]), " = ", nm.input(i), ";\n")
 	}
 	b.put("\n")
 }
@@ -320,7 +307,7 @@ func emitALUs(b *writer, nm *namer, dp *rtl.Datapath, c *ctrl.Controller) {
 	g := nm.g
 	// Per-node result wires.
 	for _, n := range g.Nodes() {
-		b.put("    wire [31:0] ", nm.node(n.ID), ";\n")
+		b.put("    wire [31:0] ", nm.wireOf(n.OutID()), ";\n")
 	}
 	b.put("\n")
 	for _, a := range dp.ALUs {
@@ -346,17 +333,18 @@ func emitALUs(b *writer, nm *namer, dp *rtl.Datapath, c *ctrl.Controller) {
 		}
 	}
 	for _, n := range g.Nodes() { // in NodeID order
+		out, args := nm.wireOf(n.OutID()), n.ArgIDs()
 		switch {
 		case n.IsLoop():
 			b.put("    // folded loop ")
 			b.quote(n.Name)
 			b.put(": see submodule ", sanitize(n.Sub.Name), "\n")
-			b.put("    assign ", nm.node(n.ID), " = 32'd0; // placeholder port of the loop submodule\n")
+			b.put("    assign ", out, " = 32'd0; // placeholder port of the loop submodule\n")
 			continue
-		case len(n.Args) == 1:
-			b.put("    assign ", nm.node(n.ID), " = ", vOp(n.Op.String()), " ", nm.signal(n.Args[0]))
+		case len(args) == 1:
+			b.put("    assign ", out, " = ", vOp(n.Op.String()), " ", nm.wireOf(args[0]))
 		default:
-			b.put("    assign ", nm.node(n.ID), " = ", nm.signal(n.Args[0]), " ", vOp(n.Op.String()), " ", nm.signal(n.Args[1]))
+			b.put("    assign ", out, " = ", nm.wireOf(args[0]), " ", vOp(n.Op.String()), " ", nm.wireOf(args[1]))
 		}
 		b.put("; // ", aluByNode[n.ID], " state ")
 		if step := stepByNode[n.ID]; step > 0 {

@@ -306,7 +306,7 @@ func NaiveAllocate(s *sched.Schedule, lib *library.Library) (*rtl.Datapath, erro
 			a = dp.AddALU(u)
 			alus[key] = a
 		}
-		a.Bind(n, n.Args, p.Step)
+		a.Bind(n, p.Step)
 	}
 	dp.AssignRegisters(lifetimes(s))
 	if err := dp.Validate(); err != nil {

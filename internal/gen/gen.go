@@ -118,7 +118,7 @@ func Generate(cfg Config) (*dfg.Graph, error) {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := dfg.New(fmt.Sprintf("gen-n%d-s%d", cfg.Nodes, cfg.Seed))
+	g := dfg.NewSized(fmt.Sprintf("gen-n%d-s%d", cfg.Nodes, cfg.Seed), cfg.Inputs, cfg.Nodes)
 
 	// Signals are numbered for the union-find: inputs first, then one
 	// per node output, in creation order.
@@ -264,7 +264,7 @@ func FIR(taps, mulCycles int) (*dfg.Graph, error) {
 	if 2*taps-1 > guard.DefaultMaxNodes {
 		return nil, &guard.LimitError{What: "generated graph nodes", Got: 2*taps - 1, Max: guard.DefaultMaxNodes}
 	}
-	g := dfg.New(fmt.Sprintf("fir%d", taps))
+	g := dfg.NewSized(fmt.Sprintf("fir%d", taps), 2*taps, 2*taps-1)
 	level := make([]string, 0, taps)
 	for i := 0; i < taps; i++ {
 		x, c := fmt.Sprintf("x%d", i), fmt.Sprintf("c%d", i)
@@ -312,10 +312,11 @@ func MatMul(n, mulCycles int) (*dfg.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("gen: MatMul size %d < 1", n)
 	}
-	if total := n*n*n + n*n*(n-1); total > guard.DefaultMaxNodes {
+	total := n*n*n + n*n*(n-1)
+	if total > guard.DefaultMaxNodes {
 		return nil, &guard.LimitError{What: "generated graph nodes", Got: total, Max: guard.DefaultMaxNodes}
 	}
-	g := dfg.New(fmt.Sprintf("matmul%d", n))
+	g := dfg.NewSized(fmt.Sprintf("matmul%d", n), 2*n*n, total)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if err := g.AddInput(fmt.Sprintf("a%d_%d", i, j)); err != nil {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dfg"
 	"repro/internal/grid"
-	"repro/internal/library"
 	"repro/internal/sched"
 )
 
@@ -31,12 +30,12 @@ func Allocate(s *sched.Schedule, opt Options) (*Result, error) {
 func AllocateCtx(ctx context.Context, s *sched.Schedule, opt Options) (*Result, error) {
 	g := s.Graph
 	opt.CS, opt.ClockNs, opt.Latency = s.CS, s.ClockNs, s.Latency
-	opt, unitsByOp, err := prepare(g, opt)
+	opt, err := prepare(g, opt)
 	if err != nil {
 		return nil, err
 	}
 	// The binder never consults frames.
-	st := newState(g, opt, nil, unitsByOp)
+	st := newState(g, opt, nil)
 	for _, id := range allocationOrder(s) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -79,17 +78,17 @@ func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 	var best candidate
 	evaluated := st.candBuf[:0] // commit copies what it keeps
 	found := false
-	consider := func(u *library.Unit, idx int) {
+	consider := func(u *unit, idx int) {
 		table := st.tableOf(u)
 		p := grid.Pos{Step: step, Index: idx}
 		if !table.CanPlace(st.g, id, p, n.Cycles) {
 			return
 		}
-		if st.opt.Style == Style2 && st.neighborsOnALU(n, cell{u.Name, idx}) {
+		if st.opt.Style == Style2 && neighborsOnALU(n, u.alu(idx)) {
 			return
 		}
-		v, swapped := st.value(n, u, p)
-		c := candidate{unit: u, pos: p, value: v, swapped: swapped}
+		v := st.value(n, u, p)
+		c := candidate{unit: u, pos: p, value: v}
 		if !st.opt.NoTrace {
 			evaluated = append(evaluated, sched.TraceCandidate{Pos: p, Type: u.Name, Energy: v})
 		}
@@ -98,21 +97,13 @@ func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 		}
 	}
 	for _, u := range units {
-		// Existing instances plus one fresh column per unit type.
-		maxIdx := 0
-		//hls:orderok max fold over instance indexes; commutative
-		for key := range st.alus {
-			if key.unit == u.Name && key.index > maxIdx {
-				maxIdx = key.index
-			}
-		}
-		limit := maxIdx + 1
+		// Existing instances plus one fresh column per unit type: the
+		// highest bound column is the last of u.alus.
+		limit := len(u.alus) + 1
 		if lim, ok := st.opt.Limits[u.Name]; ok && limit > lim {
 			limit = lim
 		}
-		if limit > st.maxInst[u.Name] {
-			limit = st.maxInst[u.Name]
-		}
+		limit = min(limit, u.maxInst)
 		if limit >= 1 {
 			st.tableOf(u).Grow(limit) // consider probes indexes 1..limit
 		}

@@ -87,7 +87,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	popt, unitsByOp, err := prepare(g, opt)
+	popt, err := prepare(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,17 +95,17 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newState(g, popt, frames, unitsByOp)
+	s := newState(g, popt, frames)
 	for _, id := range sched.PriorityOrder(g, frames) {
 		n := g.Node(id)
 		lo, hi := s.window(n)
 		for _, u := range s.unitsFor(n) {
-			if s.maxInst[u.Name] == 0 {
+			if u.maxInst == 0 {
 				continue // never walked (bestCandidate skips it)
 			}
 			table := s.tableOf(u)
-			table.Grow(s.maxInst[u.Name])
-			for _, cur := range []int{s.current[u.Name], s.maxInst[u.Name]} {
+			table.Grow(u.maxInst)
+			for _, cur := range []int{u.current, u.maxInst} {
 				got := movePositions(s, table, n, lo, hi, cur)
 				var want []grid.Pos
 				for step := lo; step <= hi; step++ {
@@ -145,7 +145,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 	}
 	aopt.Lib, aopt.Style = popt.Lib, popt.Style
 	aopt.CS, aopt.ClockNs, aopt.Latency = want.Schedule.CS, want.Schedule.ClockNs, want.Schedule.Latency
-	st := newState(g, aopt, nil, nil)
+	st := newState(g, aopt, nil)
 	for _, id := range allocationOrder(want.Schedule) {
 		st.memoGen++
 		assertRegDelta(t, st, g.Node(id), want.Schedule.Placements[id].Step)

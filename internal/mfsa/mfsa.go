@@ -124,7 +124,7 @@ func Synthesize(g *dfg.Graph, opt Options) (*Result, error) {
 // cancelled run returns ctx.Err() within a bounded slice of work instead
 // of finishing the whole design.
 func SynthesizeCtx(ctx context.Context, g *dfg.Graph, opt Options) (*Result, error) {
-	opt, unitsByOp, err := prepare(g, opt)
+	opt, err := prepare(g, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +138,7 @@ func SynthesizeCtx(ctx context.Context, g *dfg.Graph, opt Options) (*Result, err
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s := newState(g, opt, frames, unitsByOp)
+	s := newState(g, opt, frames)
 	order, err := sched.PriorityOrderCtx(ctx, g, frames)
 	if err != nil {
 		return nil, err
@@ -154,55 +154,53 @@ func SynthesizeCtx(ctx context.Context, g *dfg.Graph, opt Options) (*Result, err
 	return s.finish()
 }
 
-// prepare validates the graph, library and options, normalizes the
-// defaulted option fields, and builds the candidate-unit cache. Shared by
-// the synthesis and allocation entry points.
-func prepare(g *dfg.Graph, opt Options) (Options, map[op.Kind][]*library.Unit, error) {
+// prepare validates the graph, library and options and normalizes the
+// defaulted option fields. Shared by the synthesis and allocation entry
+// points.
+func prepare(g *dfg.Graph, opt Options) (Options, error) {
 	if err := g.Validate(); err != nil {
-		return opt, nil, fmt.Errorf("mfsa: %w", err)
+		return opt, fmt.Errorf("mfsa: %w", err)
 	}
 	if opt.CS < 1 {
-		return opt, nil, fmt.Errorf("mfsa: a time constraint is required")
+		return opt, fmt.Errorf("mfsa: a time constraint is required")
 	}
 	if opt.Lib == nil {
 		opt.Lib = library.NCRLike()
 	}
 	if err := opt.Lib.Validate(); err != nil {
-		return opt, nil, fmt.Errorf("mfsa: %w", err)
+		return opt, fmt.Errorf("mfsa: %w", err)
 	}
 	if opt.Style == 0 {
 		opt.Style = Style1
 	}
-	unitsByOp := make(map[op.Kind][]*library.Unit)
+	// The run's candidate units are fixed per operation kind by its first
+	// node (state.unitsFor), so that node is the one checked.
+	checked := make(map[op.Kind]bool)
 	for _, n := range g.Nodes() {
 		if n.IsLoop() {
-			return opt, nil, fmt.Errorf("mfsa: fold loops with mfs.ScheduleLoops and synthesize bodies separately (node %q)", n.Name)
+			return opt, fmt.Errorf("mfsa: fold loops with mfs.ScheduleLoops and synthesize bodies separately (node %q)", n.Name)
 		}
-		us, ok := unitsByOp[n.Op]
-		if !ok {
-			us = candidateUnits(opt, n)
-			unitsByOp[n.Op] = us
-		}
-		if len(us) == 0 {
-			return opt, nil, fmt.Errorf("mfsa: library has no unit for %q (op %v, %d cycles)", n.Name, n.Op, n.Cycles)
+		if !checked[n.Op] {
+			if len(candidateUnits(opt, n)) == 0 {
+				return opt, fmt.Errorf("mfsa: library has no unit for %q (op %v, %d cycles)", n.Name, n.Op, n.Cycles)
+			}
+			checked[n.Op] = true
 		}
 	}
-	return opt, unitsByOp, nil
+	return opt, nil
 }
 
-// candidateUnits returns the library cells that can execute node n under
-// the options: non-pipelined cells always qualify; pipelined cells only
-// when admitted and their depth matches the operation's cycle count.
-func candidateUnits(opt Options, n *dfg.Node) []*library.Unit {
-	var out []*library.Unit
-	for _, u := range opt.Lib.UnitsFor(n.Op) {
-		if u.Pipelined() {
-			if opt.UsePipelinedUnits && u.Stages == n.Cycles {
-				out = append(out, u)
-			}
+// candidateUnits returns the positions in Lib.Units() of the cells that
+// can execute node n under the options: non-pipelined cells always
+// qualify; pipelined cells only when admitted and their depth matches the
+// operation's cycle count.
+func candidateUnits(opt Options, n *dfg.Node) []int {
+	var out []int
+	for i, u := range opt.Lib.Units() {
+		if !u.Can(n.Op) || u.Pipelined() && !(opt.UsePipelinedUnits && u.Stages == n.Cycles) {
 			continue
 		}
-		out = append(out, u)
+		out = append(out, i)
 	}
 	return out
 }
@@ -221,10 +219,10 @@ type state struct {
 	// scores the whole move frame.
 	dominant bool
 
-	tables    map[string]*grid.Table // per unit name, created lazily by tableOf
-	maxInst   map[string]int
-	current   map[string]int
-	pipeTypes []string // capable pipelined unit names (for Schedule.PipelinedTypes)
+	// units holds one record per library unit, by position in
+	// Lib.Units(); byOp caches each operation kind's candidates there.
+	units []unit
+	byOp  map[op.Kind][]*unit
 
 	// placed and steps are indexed by dfg.NodeID (dense from 0);
 	// Step == 0 / steps[id] == 0 means unplaced (steps are 1-based).
@@ -237,23 +235,22 @@ type state struct {
 	chainAcc []float64
 	trace    []sched.TraceStep
 
-	dp   *rtl.Datapath
-	alus map[cell]*rtl.ALU // live ALU instances by (unit, column)
+	dp *rtl.Datapath
 
 	// Incremental value-lifetime tracking behind the f^REG term. life
-	// holds the committed signals' lifetimes, cnt[t] counts how many of
-	// their stored intervals cover the boundary span [t, t+1), and
-	// regBase caches max(cnt). Left-edge packing is optimal for interval
-	// lifetimes — the register count IS the maximum overlap — so regBase
-	// always equals len(rtl.PackRegisters(s.registerIntervals())) without
-	// rebuilding and packing the interval list per candidate. Maintained
-	// on commit; regDelta perturbs cnt in place and reverts.
+	// holds the committed signals' lifetimes by dfg.SignalID, cnt[t]
+	// counts how many of their stored intervals cover the boundary span
+	// [t, t+1), and regBase caches max(cnt). Left-edge packing is optimal
+	// for interval lifetimes — the register count IS the maximum overlap
+	// — so regBase always equals len(rtl.PackRegisters(s.registerIntervals()))
+	// without rebuilding and packing the interval list per candidate.
+	// Maintained on commit; regDelta perturbs cnt in place and reverts.
 	//
 	// hist[v] counts the entries of cnt holding value v, and cntMax is an
 	// upper bound on max(cnt) that maxCnt settles lazily, so the maximum
 	// is O(1) amortized per perturbation instead of an O(CS) rescan per
 	// candidate — the dominant regDelta cost on large designs.
-	life    map[string]*lifetime
+	life    []lifetime
 	cnt     []int
 	hist    []int
 	cntMax  int
@@ -268,40 +265,51 @@ type state struct {
 	memoGen    int
 
 	// Column-term memo for the current (node, unit) evaluation scope
-	// (beginUnitEval): f^ALU, f^MUX and the commutative-swap flag depend
-	// only on the column — the ALU instance and its input lists, frozen
-	// until commit — never on the step, so within one unit's position
-	// walk each column's terms are computed once instead of once per
-	// (step, column) candidate. The memoized values are the exact floats
-	// the direct evaluation produces (same muxAfter call, reused), so
-	// value()'s combined energy is bit-identical.
+	// (beginUnitEval): f^ALU and f^MUX depend only on the column — the
+	// ALU instance and its input lists, frozen until commit — never on
+	// the step, so within one unit's position walk each column's terms
+	// are computed once instead of once per (step, column) candidate. The
+	// memoized values are the exact floats the direct evaluation produces
+	// (same muxAfter call, reused), so value()'s combined energy is
+	// bit-identical.
 	colMemoGen []int
 	colALU     []float64
 	colMux     []float64
-	colSwap    []bool
 	colGen     int
-
-	// boundCols[unit][idx] mirrors "an ALU exists at (unit, idx)" — the
-	// alus map keyed for the per-position fresh-column test, which a map
-	// probe per candidate made one of the hottest lines on large graphs.
-	// Maintained alongside alus by commit; ALUs are never removed.
-	boundCols map[string][]bool
 
 	// excl caches g.HasExclusions() for the run: when false, the window
 	// walk can treat every occupied index bit as illegal without
 	// consulting the occupant lists (grid.Table.ScanPlaceable).
 	excl bool
 
-	unitsByOp map[op.Kind][]*library.Unit // candidateUnits cache
-	candBuf   []sched.TraceCandidate      // candidate-evaluation scratch; commit copies
-	muxMemo   []float64                   // muxArea's Lib.MuxArea prefix cache
+	candBuf []sched.TraceCandidate // candidate-evaluation scratch; commit copies
+	muxMemo []float64              // muxArea's Lib.MuxArea prefix cache
+}
+
+// unit is the run's record of one library unit.
+type unit struct {
+	*library.Unit
+	table   *grid.Table // created by tableOf on first use
+	maxInst int         // max_j: instances the unit can ever need
+	current int         // current_j: columns the position walk probes
+	alus    []*rtl.ALU  // alus[i] is the ALU at column i+1, nil while fresh
+}
+
+// alu returns the ALU bound at column idx, or nil for a fresh column.
+func (u *unit) alu(idx int) *rtl.ALU {
+	if idx > len(u.alus) {
+		return nil
+	}
+	return u.alus[idx-1]
 }
 
 // lifetime is one committed signal's storage life: born at the end of
 // control step birth, last consumed during step death (0 = no consumer
-// yet, in which case the value is held one boundary).
+// yet, in which case the value is held one boundary). live is false
+// until the signal is committed.
 type lifetime struct {
 	birth, death int
+	live         bool
 }
 
 // span returns the half-open boundary range [lo, hi) during which the
@@ -321,33 +329,22 @@ func (lt *lifetime) span() (lo, hi int) {
 	return lt.birth, d
 }
 
-type cell struct {
-	unit  string
-	index int
-}
-
-// newState builds the scheduler-allocator state. unitsByOp may carry a
-// candidate-unit cache the caller already built while validating; nil
-// starts an empty one.
-func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.Kind][]*library.Unit) *state {
-	if unitsByOp == nil {
-		unitsByOp = make(map[op.Kind][]*library.Unit)
-	}
+// newState builds the scheduler-allocator state.
+func newState(g *dfg.Graph, opt Options, frames sched.Frames) *state {
 	s := &state{
 		g: g, opt: opt,
-		w:         opt.Weights.orDefault(),
-		frames:    frames,
-		tables:    make(map[string]*grid.Table),
-		maxInst:   make(map[string]int),
-		current:   make(map[string]int),
-		placed:    make([]sched.Placement, g.Len()),
-		steps:     make([]int, g.Len()),
-		dp:        rtl.NewDatapath(opt.Lib),
-		alus:      make(map[cell]*rtl.ALU),
-		boundCols: make(map[string][]bool),
-		life:      make(map[string]*lifetime, g.Len()),
-		unitsByOp: unitsByOp,
-		excl:      g.HasExclusions(),
+		w:      opt.Weights.orDefault(),
+		frames: frames,
+		units:  make([]unit, len(opt.Lib.Units())),
+		byOp:   make(map[op.Kind][]*unit),
+		placed: make([]sched.Placement, g.Len()),
+		steps:  make([]int, g.Len()),
+		dp:     rtl.NewDatapath(opt.Lib),
+		life:   make([]lifetime, g.NumSignals()),
+		excl:   g.HasExclusions(),
+	}
+	for i, u := range opt.Lib.Units() {
+		s.units[i].Unit = u
 	}
 	if !opt.NoTrace {
 		// One step per node; sized up front so the per-commit append
@@ -365,25 +362,23 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.K
 	// A port's input list holds distinct signals, so the two port areas
 	// f^MUX is a difference of sum to under signals·maxMux; twice that
 	// leaves room for MuxArea's own rounding.
-	signals := float64(len(g.Inputs()) + g.Len())
+	signals := float64(g.NumSignals())
 	s.dominant = liapunov.TimeDominates([4]float64{s.w.Time, s.w.ALU, s.w.Mux, s.w.Reg},
 		maxALU, maxMux, maxReg, 2*signals*maxMux, opt.CS)
 	// One pass over the nodes sizes the lifetime counts and collects the
-	// instance-bound inputs: per unit, the operations it can serve and
-	// those whose cheapest implementation it is.
+	// instance-bound inputs: per unit, the operations it can serve (in
+	// maxInst) and those whose cheapest implementation it is (in current).
 	maxCycles := 1
-	capable := make(map[string]int)
-	primary := make(map[string]int)
 	for _, n := range g.Nodes() {
 		maxCycles = max(maxCycles, n.Cycles)
-		var cheapest *library.Unit
+		var cheapest *unit
 		for _, u := range s.unitsFor(n) {
-			capable[u.Name]++
+			u.maxInst++
 			if cheapest == nil || u.Area < cheapest.Area {
 				cheapest = u
 			}
 		}
-		primary[cheapest.Name]++ // prepare rejects a node with no capable unit
+		cheapest.current++ // prepare rejects a node with no capable unit
 	}
 	// Lifetime boundaries run from 0 (inputs) to the last finish step; a
 	// legal placement finishes by CS, but size past it so latency-folded
@@ -395,7 +390,8 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.K
 	s.regMemoGen = make([]int, opt.CS+2)
 	if opt.RegisterInputs {
 		for _, in := range g.Inputs() {
-			s.life[in] = &lifetime{birth: 0}
+			id, _ := g.Signal(in)
+			s.life[id] = lifetime{live: true}
 			s.addSpan(0, 1, 1)
 		}
 		s.regBase = s.maxCnt()
@@ -412,57 +408,47 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames, unitsByOp map[op.K
 	if opt.Latency > 0 && opt.Latency < span {
 		span = opt.Latency
 	}
-	for _, u := range opt.Lib.Units() {
-		m := capable[u.Name]
-		if lim, ok := opt.Limits[u.Name]; ok && lim < m {
-			m = lim
+	for i := range s.units {
+		u := &s.units[i]
+		if lim, ok := opt.Limits[u.Name]; ok && lim < u.maxInst {
+			u.maxInst = lim
 		}
-		if m == 0 {
-			continue
-		}
-		s.maxInst[u.Name] = m
-		s.current[u.Name] = min((primary[u.Name]+span-1)/span, m)
-		if u.Pipelined() {
-			s.pipeTypes = append(s.pipeTypes, u.Name)
-		}
+		u.current = min((u.current+span-1)/span, u.maxInst)
 	}
 	return s
 }
 
 // tableOf returns the unit's occupancy table, creating it on first use:
 // most capable units are never grown past zero instances and never need
-// one. A unit capped to zero instances gets (and caches) a nil table,
-// exactly what the eager construction used to leave in the map for it.
+// one. A unit capped to zero instances has no table.
 //
 // Tables start with zero columns and widen on demand (probe sites Grow
 // them to the index range they are about to touch). Sizing them to
 // maxInst up front looks harmless but is quadratic in disguise: for an
 // unbounded unit maxInst is the capable-node COUNT, so a 100k-node graph
 // would zero gigabytes of cells for columns no placement ever reaches.
-func (s *state) tableOf(u *library.Unit) *grid.Table {
-	t, ok := s.tables[u.Name]
-	if ok {
-		return t
+func (s *state) tableOf(u *unit) *grid.Table {
+	if u.table == nil && u.maxInst > 0 {
+		u.table = grid.NewTable(u.Name, s.opt.CS, 0)
+		u.table.Latency = s.opt.Latency
+		u.table.Pipelined = u.Pipelined()
 	}
-	if s.maxInst[u.Name] > 0 {
-		t = grid.NewTable(u.Name, s.opt.CS, 0)
-		t.Latency = s.opt.Latency
-		t.Pipelined = u.Pipelined()
-	}
-	s.tables[u.Name] = t
-	return t
+	return u.table
 }
 
-// unitsFor is candidateUnits memoized per operation kind: the candidate
-// set depends only on n.Op (and the fixed options), and the same few
-// kinds recur across the whole graph.
-func (s *state) unitsFor(n *dfg.Node) []*library.Unit {
-	if u, ok := s.unitsByOp[n.Op]; ok {
-		return u
+// unitsFor returns n's candidate units, memoized per operation kind: the
+// candidate set depends only on n.Op (and the fixed options), and the
+// same few kinds recur across the whole graph.
+func (s *state) unitsFor(n *dfg.Node) []*unit {
+	if us, ok := s.byOp[n.Op]; ok {
+		return us
 	}
-	u := candidateUnits(s.opt, n)
-	s.unitsByOp[n.Op] = u
-	return u
+	var us []*unit
+	for _, i := range candidateUnits(s.opt, n) {
+		us = append(us, &s.units[i])
+	}
+	s.byOp[n.Op] = us
+	return us
 }
 
 // placeOne evaluates the dynamic Liapunov function over the empty
@@ -489,10 +475,10 @@ func (s *state) placeOne(ctx context.Context, id dfg.NodeID) error {
 // capable type — the cheapest with headroom. Growing one type at a time
 // keeps the redundant frame tight for every other operation; growing
 // them all would license gratuitous early-step ALU purchases elsewhere.
-func (s *state) grow(n *dfg.Node, units []*library.Unit) error {
-	var pick *library.Unit
+func (s *state) grow(n *dfg.Node, units []*unit) error {
+	var pick *unit
 	for _, u := range units {
-		if s.current[u.Name] >= s.maxInst[u.Name] {
+		if u.current >= u.maxInst {
 			continue
 		}
 		if pick == nil || u.Area < pick.Area ||
@@ -503,16 +489,15 @@ func (s *state) grow(n *dfg.Node, units []*library.Unit) error {
 	if pick == nil {
 		return fmt.Errorf("mfsa: %s: no position for %q within %d steps", s.g.Name, n.Name, s.opt.CS)
 	}
-	s.current[pick.Name]++
+	pick.current++
 	return nil
 }
 
 // candidate is one evaluated (unit, position) choice.
 type candidate struct {
-	unit    *library.Unit
-	pos     grid.Pos
-	value   float64
-	swapped bool
+	unit  *unit
+	pos   grid.Pos
+	value float64
 }
 
 // pollEvery is how many move-frame positions bestCandidate walks
@@ -530,7 +515,7 @@ const pollEvery = 64
 // the first such position and later units' windows end at that step;
 // otherwise every free position is scored. It returns ctx.Err() once
 // ctx is done.
-func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library.Unit) (candidate, []sched.TraceCandidate, bool, error) {
+func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (candidate, []sched.TraceCandidate, bool, error) {
 	s.memoGen++ // new candidate evaluation: invalidate the regDelta memo
 	lo, hi := s.window(n)
 	var best candidate
@@ -539,14 +524,13 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library
 	walked := 0
 	var err error
 	for _, u := range units {
-		if s.maxInst[u.Name] == 0 {
+		if u.maxInst == 0 {
 			continue // capped to zero instances (Limits); tableOf is nil
 		}
 		table := s.tableOf(u)
-		cur := s.current[u.Name]
+		cur := u.current
 		table.Grow(cur) // the walk probes indexes 1..cur
 		s.beginUnitEval(cur)
-		bc := s.boundCols[u.Name]
 		// Fresh-column dedup: a column with no ALU instance yet has never
 		// been placed into, so every fresh column of this unit is an empty,
 		// interchangeable copy — same occupancy, same f^ALU (full unit
@@ -568,7 +552,8 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library
 			if s.dominant && found && p.Step > best.pos.Step {
 				return false
 			}
-			if p.Index >= len(bc) || !bc[p.Index] {
+			a := u.alu(p.Index)
+			if a == nil {
 				if p.Step == freshStep {
 					return true
 				}
@@ -579,11 +564,11 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*library
 			if s.opt.ClockNs > 0 && sched.ChainAccAt(s.g, s.steps, s.chainAcc, n.ID, p.Step) > s.opt.ClockNs+1e-9 {
 				return true
 			}
-			if s.opt.Style == Style2 && s.neighborsOnALU(n, cell{u.Name, p.Index}) {
+			if s.opt.Style == Style2 && neighborsOnALU(n, a) {
 				return true
 			}
-			v, swapped := s.value(n, u, p)
-			cand := candidate{unit: u, pos: p, value: v, swapped: swapped}
+			v := s.value(n, u, p)
+			cand := candidate{unit: u, pos: p, value: v}
 			if !s.opt.NoTrace {
 				evaluated = append(evaluated, sched.TraceCandidate{Pos: p, Type: u.Name, Energy: v})
 			}
@@ -645,38 +630,34 @@ func (s *state) beginUnitEval(cur int) {
 		s.colMemoGen = append(s.colMemoGen, make([]int, grow)...)
 		s.colALU = append(s.colALU, make([]float64, grow)...)
 		s.colMux = append(s.colMux, make([]float64, grow)...)
-		s.colSwap = append(s.colSwap, make([]bool, grow)...)
 	}
 }
 
 // colTerms returns the step-independent terms of value() for a column of
-// the current evaluation scope's unit — f^ALU, f^MUX and the swap flag —
-// computing them on first touch and replaying the memo after: the ALU
-// instance set and every input list are frozen between commits, so the
-// terms cannot change within one scope.
-func (s *state) colTerms(n *dfg.Node, u *library.Unit, idx int) (fALU, fMux float64, swapped bool) {
+// the current evaluation scope's unit — f^ALU and f^MUX — computing them
+// on first touch and replaying the memo after: the ALU instance set and
+// every input list are frozen between commits, so the terms cannot
+// change within one scope.
+func (s *state) colTerms(n *dfg.Node, u *unit, idx int) (fALU, fMux float64) {
 	if s.colMemoGen[idx] == s.colGen {
-		return s.colALU[idx], s.colMux[idx], s.colSwap[idx]
+		return s.colALU[idx], s.colMux[idx]
 	}
-	if a, exists := s.alus[cell{u.Name, idx}]; exists {
-		before := s.muxArea(len(a.L1)) + s.muxArea(len(a.L2))
-		g1, sw := s.muxAfter(a, n)
-		fMux = g1 - before
-		swapped = sw
+	if a := u.alu(idx); a != nil {
+		fMux = s.muxAfter(a, n) - (s.muxArea(len(a.L1)) + s.muxArea(len(a.L2)))
 	} else {
 		// A fresh ALU: full unit area, and no mux yet (one source per port).
 		fALU = u.Area
 	}
-	s.colALU[idx], s.colMux[idx], s.colSwap[idx] = fALU, fMux, swapped
+	s.colALU[idx], s.colMux[idx] = fALU, fMux
 	s.colMemoGen[idx] = s.colGen
-	return fALU, fMux, swapped
+	return fALU, fMux
 }
 
-// neighborsOnALU reports whether the ALU instance already executes a
-// direct predecessor or successor of n (style 2's forbidden self-loop).
-func (s *state) neighborsOnALU(n *dfg.Node, c cell) bool {
-	a, ok := s.alus[c]
-	if !ok {
+// neighborsOnALU reports whether ALU a (nil: a fresh column) already
+// executes a direct predecessor or successor of n (style 2's forbidden
+// self-loop).
+func neighborsOnALU(n *dfg.Node, a *rtl.ALU) bool {
+	if a == nil {
 		return false
 	}
 	for _, pid := range n.Preds() {
@@ -697,13 +678,12 @@ func (s *state) neighborsOnALU(n *dfg.Node, c cell) bool {
 // the step term from the regDelta memo; the combining expression is the
 // historical one, verbatim, so the energies are bit-identical to the
 // unmemoized evaluation.
-func (s *state) value(n *dfg.Node, u *library.Unit, p grid.Pos) (float64, bool) {
+func (s *state) value(n *dfg.Node, u *unit, p grid.Pos) float64 {
 	fTime := s.c * float64(p.Step)
-	fALU, fMux, swapped := s.colTerms(n, u, p.Index)
+	fALU, fMux := s.colTerms(n, u, p.Index)
 	fReg := float64(s.regDelta(n, p.Step)) * s.opt.Lib.RegArea
 
-	v := s.w.Time*fTime + s.w.ALU*fALU + s.w.Mux*fMux + s.w.Reg*fReg
-	return v, swapped
+	return s.w.Time*fTime + s.w.ALU*fALU + s.w.Mux*fMux + s.w.Reg*fReg
 }
 
 // muxArea is Lib.MuxArea behind a per-run prefix cache. The library
@@ -724,12 +704,13 @@ func (s *state) muxArea(n int) float64 {
 }
 
 // muxAfter returns the two-port mux area after adding n to ALU a with the
-// best operand orientation. Membership probes go through the ALU's O(1)
-// memoized sets — this runs once per (reused-ALU, position) candidate, so
-// a list scan here is quadratic over a large design's bindings.
-func (s *state) muxAfter(a *rtl.ALU, n *dfg.Node) (area float64, swapped bool) {
+// cheaper operand orientation. Membership probes binary-search the ALU's
+// sorted signal IDs — this runs once per (reused-ALU, position)
+// candidate, so a list scan here is quadratic over a large design's
+// bindings.
+func (s *state) muxAfter(a *rtl.ALU, n *dfg.Node) float64 {
 	l1, l2 := len(a.L1), len(a.L2)
-	args := n.Args
+	args := n.ArgIDs()
 	count := func(present bool) int {
 		if present {
 			return 0
@@ -737,17 +718,13 @@ func (s *state) muxAfter(a *rtl.ALU, n *dfg.Node) (area float64, swapped bool) {
 		return 1
 	}
 	if len(args) == 1 {
-		return s.muxArea(l1+count(a.InL1(args[0]))) + s.muxArea(l2), false
+		return s.muxArea(l1+count(a.InL1(args[0]))) + s.muxArea(l2)
 	}
 	direct := s.muxArea(l1+count(a.InL1(args[0]))) + s.muxArea(l2+count(a.InL2(args[1])))
 	if !n.Op.Commutative() {
-		return direct, false
+		return direct
 	}
-	crossed := s.muxArea(l1+count(a.InL1(args[1]))) + s.muxArea(l2+count(a.InL2(args[0])))
-	if crossed < direct {
-		return crossed, true
-	}
-	return direct, false
+	return min(direct, s.muxArea(l1+count(a.InL1(args[1])))+s.muxArea(l2+count(a.InL2(args[0]))))
 }
 
 // regDelta returns how many additional registers the left-edge packer
@@ -768,9 +745,10 @@ func (s *state) regDelta(n *dfg.Node, step int) int {
 	var touched [2]*lifetime
 	var saved [2]int
 	nt := 0
-	for _, a := range n.Args {
-		lt := s.life[a]
-		if lt == nil || step <= lt.death {
+	//hls:allocok dfg.Node.ArgIDs returns a stored slice; it allocates nothing
+	for _, a := range n.ArgIDs() {
+		lt := &s.life[a]
+		if !lt.live || step <= lt.death {
 			continue
 		}
 		touched[nt], saved[nt] = lt, lt.death
@@ -869,9 +847,9 @@ func (s *state) maxCnt() int {
 // placed operation consumes yet is held one boundary.
 func (s *state) registerIntervals() []rtl.Interval {
 	out := make([]rtl.Interval, 0, len(s.life))
-	add := func(sig string) {
-		lt := s.life[sig]
-		if lt == nil {
+	add := func(sig string, id dfg.SignalID) {
+		lt := s.life[id]
+		if !lt.live {
 			return
 		}
 		d := lt.death
@@ -882,11 +860,12 @@ func (s *state) registerIntervals() []rtl.Interval {
 	}
 	if s.opt.RegisterInputs {
 		for _, in := range s.g.Inputs() {
-			add(in)
+			id, _ := s.g.Signal(in)
+			add(in, id)
 		}
 	}
 	for _, n := range s.g.Nodes() {
-		add(n.Name)
+		add(n.Name, n.OutID())
 	}
 	return out
 }
@@ -896,23 +875,20 @@ func (s *state) registerIntervals() []rtl.Interval {
 // choice was made from, recorded for the Liapunov audit. The table is
 // already as wide as the position: the search grew it before probing.
 func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidate) error {
-	if err := s.tableOf(c.unit).Place(s.g, n.ID, c.pos, n.Cycles); err != nil {
+	u := c.unit
+	if err := s.tableOf(u).Place(s.g, n.ID, c.pos, n.Cycles); err != nil {
 		return fmt.Errorf("mfsa: %w", err)
 	}
-	key := cell{c.unit.Name, c.pos.Index}
-	a, ok := s.alus[key]
-	if !ok {
-		a = s.dp.AddALU(c.unit)
-		s.alus[key] = a
-		bc := s.boundCols[c.unit.Name]
-		for len(bc) <= c.pos.Index {
-			bc = append(bc, false)
+	a := u.alu(c.pos.Index)
+	if a == nil {
+		a = s.dp.AddALU(u.Unit)
+		for len(u.alus) < c.pos.Index {
+			u.alus = append(u.alus, nil)
 		}
-		bc[c.pos.Index] = true
-		s.boundCols[c.unit.Name] = bc
+		u.alus[c.pos.Index-1] = a
 	}
-	a.Bind(n, n.Args, c.pos.Step)
-	s.placed[n.ID] = sched.Placement{Step: c.pos.Step, Type: c.unit.Name, Index: c.pos.Index}
+	a.Bind(n, c.pos.Step)
+	s.placed[n.ID] = sched.Placement{Step: c.pos.Step, Type: u.Name, Index: c.pos.Index}
 	s.steps[n.ID] = c.pos.Step
 	if s.opt.ClockNs > 0 {
 		// Exact: priority order commits producers first, so no
@@ -922,13 +898,13 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 	// Fold the placement into the lifetime counts: n consumes its args at
 	// its start step and its own output is born at its finish step, held
 	// one boundary until a successor commits.
-	for _, arg := range n.Args {
-		if lt := s.life[arg]; lt != nil {
+	for _, arg := range n.ArgIDs() {
+		if lt := &s.life[arg]; lt.live {
 			s.consume(lt, c.pos.Step)
 		}
 	}
-	born := &lifetime{birth: c.pos.Step + n.Cycles - 1}
-	s.life[n.Name] = born
+	born := &s.life[n.OutID()]
+	*born = lifetime{birth: c.pos.Step + n.Cycles - 1, live: true}
 	if lo, hi := born.span(); hi > lo {
 		s.addSpan(lo, hi, 1)
 	}
@@ -941,8 +917,8 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 		cands = append(cands, evaluated...) // own the scratch buffer's content
 	}
 	s.trace = append(s.trace, sched.TraceStep{
-		Node: n.ID, Type: c.unit.Name,
-		CurrentJ: s.current[c.unit.Name], MaxJ: s.maxInst[c.unit.Name],
+		Node: n.ID, Type: u.Name,
+		CurrentJ: u.current, MaxJ: u.maxInst,
 		Pos: c.pos, Energy: c.value,
 		Candidates: cands,
 	})
@@ -953,8 +929,10 @@ func (s *state) finish() (*Result, error) {
 	out := sched.NewSchedule(s.g, s.opt.CS)
 	out.ClockNs = s.opt.ClockNs
 	out.Latency = s.opt.Latency
-	for _, name := range s.pipeTypes {
-		out.PipelinedTypes[name] = true
+	for _, u := range s.units {
+		if u.maxInst != 0 && u.Pipelined() {
+			out.PipelinedTypes[u.Name] = true
+		}
 	}
 	for id, p := range s.placed {
 		if p.Step == 0 {

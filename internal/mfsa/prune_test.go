@@ -29,24 +29,23 @@ func movePositions(s *state, table *grid.Table, n *dfg.Node, lo, hi, cur int) []
 // fullScan is the search bestCandidate prunes, kept as its oracle: it
 // lists every free position of every unit's move frame first and then
 // scores each one, whatever the weights.
-func (s *state) fullScan(n *dfg.Node, units []*library.Unit) (candidate, []sched.TraceCandidate, bool) {
+func (s *state) fullScan(n *dfg.Node, units []*unit) (candidate, []sched.TraceCandidate, bool) {
 	s.memoGen++
 	lo, hi := s.window(n)
 	var best candidate
 	var evaluated []sched.TraceCandidate
 	found := false
 	for _, u := range units {
-		if s.maxInst[u.Name] == 0 {
+		if u.maxInst == 0 {
 			continue
 		}
 		table := s.tableOf(u)
-		cur := s.current[u.Name]
+		cur := u.current
 		table.Grow(cur)
 		s.beginUnitEval(cur)
-		bc := s.boundCols[u.Name]
 		freshStep := -1
 		for _, p := range movePositions(s, table, n, lo, hi, cur) {
-			if p.Index >= len(bc) || !bc[p.Index] {
+			if u.alu(p.Index) == nil {
 				if p.Step == freshStep {
 					continue
 				}
@@ -55,11 +54,11 @@ func (s *state) fullScan(n *dfg.Node, units []*library.Unit) (candidate, []sched
 			if s.opt.ClockNs > 0 && !sched.ChainFits(s.g, s.opt.ClockNs, s.steps, n.ID, p.Step) {
 				continue
 			}
-			if s.opt.Style == Style2 && s.neighborsOnALU(n, cell{u.Name, p.Index}) {
+			if s.opt.Style == Style2 && neighborsOnALU(n, u.alu(p.Index)) {
 				continue
 			}
-			v, swapped := s.value(n, u, p)
-			cand := candidate{unit: u, pos: p, value: v, swapped: swapped}
+			v := s.value(n, u, p)
+			cand := candidate{unit: u, pos: p, value: v}
 			evaluated = append(evaluated, sched.TraceCandidate{Pos: p, Type: u.Name, Energy: v})
 			if !found || less(cand, best) {
 				best, found = cand, true
@@ -85,7 +84,7 @@ func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
 	if err != nil {
 		t.Fatalf("Synthesize: %v", err)
 	}
-	popt, unitsByOp, err := prepare(g, opt)
+	popt, err := prepare(g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newState(g, popt, frames, unitsByOp)
+	s := newState(g, popt, frames)
 	if s.dominant != dominant {
 		t.Fatalf("time dominates = %v under weights %+v, want %v", s.dominant, s.w, dominant)
 	}

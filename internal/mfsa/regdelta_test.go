@@ -3,6 +3,7 @@ package mfsa
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -154,16 +155,17 @@ func TestRegBaseTracksPackedCount(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := newState(ex.Graph, opt, frames, nil)
+				s := newState(ex.Graph, opt, frames)
 				if got, want := s.regBase, len(rtl.PackRegisters(s.intervals(nil, 0))); got != want {
 					t.Fatalf("initial regBase = %d, packed count = %d", got, want)
 				}
 				for _, st := range res.Schedule.Trace.Steps {
 					n := ex.Graph.Node(st.Node)
-					u, ok := opt.Lib.Lookup(st.Type)
-					if !ok {
+					i := slices.IndexFunc(s.units, func(u unit) bool { return u.Name == st.Type })
+					if i < 0 {
 						t.Fatalf("trace names unknown unit %q", st.Type)
 					}
+					u := &s.units[i]
 					s.tableOf(u).Grow(st.Pos.Index) // the replay commits positions it never probed
 					if err := s.commit(n, candidate{unit: u, pos: st.Pos, value: st.Energy}, nil); err != nil {
 						t.Fatalf("replaying %q: %v", n.Name, err)

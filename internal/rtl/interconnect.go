@@ -3,6 +3,7 @@ package rtl
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dfg"
@@ -39,23 +40,7 @@ type Interconnect struct {
 // lines) from registered reads, and the datapath's register packing to
 // name the register terminals.
 func AnalyzeInterconnect(g *dfg.Graph, s *sched.Schedule, dp *Datapath) (*Interconnect, error) {
-	regOf := make(map[string]int) // signal -> register index
-	for r, grp := range dp.Registers {
-		for _, iv := range grp {
-			regOf[iv.Name] = r
-		}
-	}
-	isInput := make(map[string]bool)
-	for _, in := range g.Inputs() {
-		isInput[in] = true
-	}
-	aluOf := make(map[dfg.NodeID]*ALU)
-	for _, a := range dp.ALUs {
-		for _, b := range a.Ops {
-			aluOf[b.Node] = a
-		}
-	}
-
+	src := newSources(g, s, dp)
 	out := &Interconnect{Sources: make(map[string][2][]string)}
 	perPort := make(map[string][2]map[string]bool)
 	for _, a := range dp.ALUs {
@@ -64,26 +49,19 @@ func AnalyzeInterconnect(g *dfg.Graph, s *sched.Schedule, dp *Datapath) (*Interc
 	}
 
 	for _, n := range g.Nodes() {
-		a, ok := aluOf[n.ID]
-		if !ok {
+		a := src.alu[n.ID]
+		if a == nil {
 			return nil, fmt.Errorf("rtl: node %q unbound", n.Name)
 		}
 		p, ok := s.Placements[n.ID]
 		if !ok {
 			return nil, fmt.Errorf("rtl: node %q unscheduled", n.Name)
 		}
-		var bind *Binding
-		for i := range a.Ops {
-			if a.Ops[i].Node == n.ID {
-				bind = &a.Ops[i]
-			}
-		}
-		ports := operandPorts(n, bind)
-		for port, sig := range ports {
-			if sig == "" {
+		for port, i := range OperandPorts(n, src.bind[n.ID].Swapped) {
+			if i < 0 {
 				continue
 			}
-			term, err := terminal(g, s, dp, regOf, isInput, aluOf, sig, p.Step)
+			term, err := src.terminal(n.ArgIDs()[i], p.Step)
 			if err != nil {
 				return nil, err
 			}
@@ -114,49 +92,65 @@ func muxable(n int) int {
 	return 0
 }
 
-// operandPorts returns the signal on port 0 (MUX1) and port 1 (MUX2),
-// honoring the commutative swap.
-func operandPorts(n *dfg.Node, bind *Binding) [2]string {
-	var ports [2]string
-	switch {
-	case len(n.Args) == 1:
-		ports[0] = n.Args[0]
-	case bind != nil && bind.Swapped:
-		ports[0], ports[1] = n.Args[1], n.Args[0]
-	default:
-		ports[0], ports[1] = n.Args[0], n.Args[1]
-	}
-	return ports
+// sources resolves a bound design's operand reads to the physical
+// terminals that drive them, for AnalyzeInterconnect and PlanBuses.
+type sources struct {
+	g    *dfg.Graph
+	s    *sched.Schedule
+	alu  []*ALU     // by NodeID: the ALU executing the node
+	bind []*Binding // by NodeID: its binding there
+	reg  []int      // by SignalID: the register holding the signal, or -1
 }
 
-// terminal resolves a signal read at readStep to its physical source.
-func terminal(g *dfg.Graph, s *sched.Schedule, dp *Datapath,
-	regOf map[string]int, isInput map[string]bool, aluOf map[dfg.NodeID]*ALU,
-	sig string, readStep int) (string, error) {
-	if isInput[sig] {
-		if r, ok := regOf[sig]; ok {
-			return fmt.Sprintf("reg:%d", r), nil
+func newSources(g *dfg.Graph, s *sched.Schedule, dp *Datapath) *sources {
+	src := &sources{
+		g: g, s: s,
+		alu:  make([]*ALU, g.Len()),
+		bind: make([]*Binding, g.Len()),
+		reg:  make([]int, g.NumSignals()),
+	}
+	for _, a := range dp.ALUs {
+		for i := range a.Ops {
+			if id := a.Ops[i].Node; id >= 0 && int(id) < g.Len() {
+				src.alu[id], src.bind[id] = a, &a.Ops[i]
+			}
 		}
-		return "in:" + sig, nil
 	}
-	prod, ok := g.Lookup(sig)
-	if !ok {
-		return "", fmt.Errorf("rtl: unknown signal %q", sig)
+	for i := range src.reg {
+		src.reg[i] = -1
 	}
-	pp := s.Placements[prod.ID]
-	finish := pp.Step + prod.Cycles - 1
-	if finish == readStep {
+	for r, grp := range dp.Registers {
+		for _, iv := range grp {
+			if id, ok := g.Signal(iv.Name); ok {
+				src.reg[id] = r
+			}
+		}
+	}
+	return src
+}
+
+// terminal resolves signal sig read at readStep to its physical source.
+func (src *sources) terminal(sig dfg.SignalID, readStep int) (string, error) {
+	r := src.reg[sig]
+	prod := src.g.Producer(sig)
+	if prod == nil {
+		if r >= 0 {
+			return "reg:" + strconv.Itoa(r), nil
+		}
+		return "in:" + src.g.SignalName(sig), nil
+	}
+	pp := src.s.Placements[prod.ID]
+	if pp.Step+prod.Cycles-1 == readStep {
 		// Chained: a direct combinational line from the producing ALU.
-		if a, ok := aluOf[prod.ID]; ok {
+		if a := src.alu[prod.ID]; a != nil {
 			return "alu:" + a.Name, nil
 		}
-		return "", fmt.Errorf("rtl: chained producer %q unbound", sig)
+		return "", fmt.Errorf("rtl: chained producer %q unbound", prod.Name)
 	}
-	r, ok := regOf[sig]
-	if !ok {
-		return "", fmt.Errorf("rtl: signal %q read at step %d but not registered", sig, readStep)
+	if r < 0 {
+		return "", fmt.Errorf("rtl: signal %q read at step %d but not registered", prod.Name, readStep)
 	}
-	return fmt.Sprintf("reg:%d", r), nil
+	return "reg:" + strconv.Itoa(r), nil
 }
 
 // EffectiveMuxArea recomputes the design's multiplexer area from the
@@ -188,51 +182,27 @@ type BusPlan struct {
 // control step, every operand read is one transfer, with reads of the
 // same terminal in the same step sharing a bus grant per destination.
 func PlanBuses(g *dfg.Graph, s *sched.Schedule, dp *Datapath) (*BusPlan, error) {
-	regOf := make(map[string]int)
-	for r, grp := range dp.Registers {
-		for _, iv := range grp {
-			regOf[iv.Name] = r
-		}
-	}
-	isInput := make(map[string]bool)
-	for _, in := range g.Inputs() {
-		isInput[in] = true
-	}
-	aluOf := make(map[dfg.NodeID]*ALU)
-	for _, a := range dp.ALUs {
-		for _, b := range a.Ops {
-			aluOf[b.Node] = a
-		}
-	}
+	src := newSources(g, s, dp)
 	perStep := make([]map[string]bool, s.CS+1)
 	for i := range perStep {
 		perStep[i] = make(map[string]bool)
 	}
 	for _, n := range g.Nodes() {
 		p := s.Placements[n.ID]
-		a := aluOf[n.ID]
-		var bind *Binding
+		a, dest, swapped := src.alu[n.ID], "?", false
 		if a != nil {
-			for i := range a.Ops {
-				if a.Ops[i].Node == n.ID {
-					bind = &a.Ops[i]
-				}
-			}
+			dest, swapped = a.Name, src.bind[n.ID].Swapped
 		}
-		for port, sig := range operandPorts(n, bind) {
-			if sig == "" {
+		for port, i := range OperandPorts(n, swapped) {
+			if i < 0 {
 				continue
 			}
-			term, err := terminal(g, s, dp, regOf, isInput, aluOf, sig, p.Step)
+			term, err := src.terminal(n.ArgIDs()[i], p.Step)
 			if err != nil {
 				return nil, err
 			}
 			if strings.HasPrefix(term, "alu:") {
 				continue // chained lines bypass the buses
-			}
-			dest := "?"
-			if a != nil {
-				dest = a.Name
 			}
 			perStep[p.Step][fmt.Sprintf("%s->%s.%d", term, dest, port)] = true
 		}

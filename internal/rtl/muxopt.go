@@ -25,29 +25,31 @@ type MuxOp struct {
 // chosen orientation.
 func OptimizeMuxLists(ops []MuxOp) (l1, l2 []string, swapped []bool) {
 	var s muxScratch
+	s.intern(ops)
 	swapped = make([]bool, len(ops))
-	l1, l2 = s.optimize(ops, swapped)
-	return l1, l2, swapped
+	s.optimize(swapped)
+	return s.portList(s.c1), s.portList(s.c2), swapped
 }
 
 const exactSearchLimit = 16
 
 // muxScratch is the optimizer's working state for one ALU at a time. The
-// ALU's operand signals are interned to dense ids, so port membership is
-// a refcount slice indexed by id, and the exact search runs on bitmasks
-// over the (at most 2·exactSearchLimit) signals the orientable ops read.
-// ReoptimizeMuxes shares one scratch across every ALU of a datapath.
+// ALU's operand signals are numbered densely (the result never depends
+// on the numbering), so port membership is a refcount slice indexed by
+// number, and the exact search runs on bitmasks over the (at most
+// 2·exactSearchLimit) signals the orientable ops read. ReoptimizeMuxes
+// shares one scratch across every ALU of a datapath.
 type muxScratch struct {
-	ids      map[string]int32 // signal → id, for the current ALU
-	names    []string         // id → signal
-	opA, opB []int32          // per op: operand ids; opB is -1 for unary ops
-	flex     []int32          // the orientable ops: commutative with two operands
-	empty    int32            // id of the empty signal, or -1
-	c1, c2   []int32          // per id: ops feeding it to port 1 / port 2
+	names    []string       // number → signal
+	sigs     []dfg.SignalID // number → signal ID (ReoptimizeMuxes)
+	opA, opB []int32        // per op: operand numbers; opB is -1 for unary ops
+	flex     []int32        // the orientable ops: commutative with two operands
+	empty    int32          // number of the empty signal, or -1
+	c1, c2   []int32        // per number: ops feeding it to port 1 / port 2
 
 	// Exact search tables. A signal read by a flex op has one bit; m1/m2
 	// in search hold the bits already on port 1/port 2.
-	bit      []uint64                     // per id: its bit, or 0
+	bit      []uint64                     // per number: its bit, or 0
 	fa, fb   []uint64                     // per flex op: the bits of A and B
 	suffix   [exactSearchLimit + 1]uint64 // bits read by flex ops idx..
 	emptyBit uint64                       // the empty signal's bit, or 0
@@ -56,63 +58,100 @@ type muxScratch struct {
 	bestMask uint32
 }
 
-// optimize sets the flex ops' entries of swapped (len(ops), all false)
-// and returns the sorted port lists.
-func (s *muxScratch) optimize(ops []MuxOp, swapped []bool) (l1, l2 []string) {
-	s.intern(ops)
+// optimize sets the flex ops' entries of swapped (one per op, all false)
+// and leaves the chosen port counts in c1 and c2.
+func (s *muxScratch) optimize(swapped []bool) {
 	if len(s.flex) <= exactSearchLimit {
 		s.exact(swapped)
 	} else {
 		s.greedy(swapped)
 		s.improve(swapped)
 	}
-	return s.portList(s.c1), s.portList(s.c2)
 }
 
-// intern assigns dense ids to the operand signals of ops, classifies the
-// ops, and counts the fixed (unary and non-commutative) port entries.
+// intern numbers the operand signals of ops by sorted position and loads
+// the ops.
 func (s *muxScratch) intern(ops []MuxOp) {
-	n := len(ops)
-	if s.ids == nil {
-		s.ids = make(map[string]int32, 2*n)
-	}
-	clear(s.ids)
-	s.names = slices.Grow(s.names[:0], 2*n)
-	s.opA, s.opB, s.flex = slices.Grow(s.opA[:0], n), slices.Grow(s.opB[:0], n), slices.Grow(s.flex[:0], n)
-	s.empty = -1
-	for i, op := range ops {
-		a, b := s.id(op.A), int32(-1)
+	s.names = s.names[:0]
+	for _, op := range ops {
+		s.names = append(s.names, op.A)
 		if op.B != "" {
-			b = s.id(op.B)
-			if op.Commutative {
-				s.flex = append(s.flex, int32(i))
+			s.names = append(s.names, op.B)
+		}
+	}
+	slices.Sort(s.names)
+	s.names = slices.Compact(s.names)
+	s.reset(len(s.names))
+	if len(s.names) > 0 && s.names[0] == "" {
+		s.empty = 0
+	}
+	for _, op := range ops {
+		b := int32(-1)
+		if op.B != "" {
+			b = s.number(op.B)
+		}
+		s.add(s.number(op.A), b, op.Commutative)
+	}
+}
+
+// number is the position of sig in the sorted names.
+func (s *muxScratch) number(sig string) int32 {
+	i, _ := slices.BinarySearch(s.names, sig)
+	return int32(i)
+}
+
+// load numbers the operand signals of the ALU's ops in SignalID order
+// and loads the ops. slot maps a SignalID to its number plus one; the
+// caller passes it all zero, and load leaves it so.
+func (s *muxScratch) load(g *dfg.Graph, a *ALU, slot []int32) {
+	s.sigs, s.names = s.sigs[:0], s.names[:0]
+	for _, b := range a.Ops {
+		for _, id := range operands(g.Node(b.Node)) {
+			if slot[id] == 0 {
+				s.sigs = append(s.sigs, id)
+				slot[id] = 1
 			}
 		}
-		s.opA, s.opB = append(s.opA, a), append(s.opB, b)
 	}
-	s.c1, s.c2 = zeroed(s.c1, len(s.names)), zeroed(s.c2, len(s.names))
-	for i, op := range ops {
-		switch {
-		case s.opB[i] < 0:
-			s.c1[s.opA[i]]++
-		case !op.Commutative:
-			s.c1[s.opA[i]]++
-			s.c2[s.opB[i]]++
+	slices.Sort(s.sigs) // so each port's IDs come out of portIDs sorted
+	for i, id := range s.sigs {
+		slot[id] = int32(i + 1)
+		s.names = append(s.names, g.SignalName(id))
+	}
+	s.reset(len(s.sigs))
+	for _, b := range a.Ops {
+		n := g.Node(b.Node)
+		ids, y := operands(n), int32(-1)
+		if len(ids) > 1 {
+			y = slot[ids[1]] - 1
 		}
+		s.add(slot[ids[0]]-1, y, n.Op.Commutative())
+	}
+	for _, id := range s.sigs {
+		slot[id] = 0
 	}
 }
 
-func (s *muxScratch) id(sig string) int32 {
-	if id, ok := s.ids[sig]; ok {
-		return id
+// reset empties the op lists and port counts for n signals.
+func (s *muxScratch) reset(n int) {
+	s.opA, s.opB, s.flex = s.opA[:0], s.opB[:0], s.flex[:0]
+	s.c1, s.c2 = zeroed(s.c1, n), zeroed(s.c2, n)
+	s.empty = -1
+}
+
+// add loads one op reading signals a and b (-1 when unary): an
+// orientable op joins flex, any other fixes its port entries.
+func (s *muxScratch) add(a, b int32, commutative bool) {
+	switch {
+	case b < 0:
+		s.c1[a]++
+	case commutative:
+		s.flex = append(s.flex, int32(len(s.opA)))
+	default:
+		s.c1[a]++
+		s.c2[b]++
 	}
-	id := int32(len(s.names))
-	s.ids[sig] = id
-	s.names = append(s.names, sig)
-	if sig == "" {
-		s.empty = id
-	}
-	return id
+	s.opA, s.opB = append(s.opA, a), append(s.opB, b)
 }
 
 func zeroed[T any](v []T, n int) []T {
@@ -126,7 +165,7 @@ func zeroed[T any](v []T, n int) []T {
 
 // exact finds the orientation search returns and applies it.
 func (s *muxScratch) exact(swapped []bool) {
-	s.bit = zeroed(s.bit, len(s.names))
+	s.bit = zeroed(s.bit, len(s.c1))
 	s.fa, s.fb = slices.Grow(s.fa[:0], len(s.flex)), slices.Grow(s.fb[:0], len(s.flex))
 	next := uint64(1)
 	for _, i := range s.flex {
@@ -307,39 +346,51 @@ func (s *muxScratch) portList(c []int32) []string {
 	return out
 }
 
+// portIDs appends the signal IDs with a nonzero count in c to dst, in
+// ID order.
+func (s *muxScratch) portIDs(dst []dfg.SignalID, c []int32) []dfg.SignalID {
+	for id, k := range c {
+		if k > 0 {
+			dst = append(dst, s.sigs[id])
+		}
+	}
+	return dst
+}
+
 // ReoptimizeMuxes runs the §5.6 constructive algorithm over every ALU of
 // a finished datapath, replacing the incrementally built L1/L2 lists and
 // orientations with the jointly optimized ones. It returns how many mux
 // inputs were eliminated. The graph supplies each bound node's operands
 // and commutativity.
 func (d *Datapath) ReoptimizeMuxes(g *dfg.Graph) int {
+	if len(d.ALUs) == 0 {
+		return 0 // nothing reads g
+	}
 	saved := 0
 	var s muxScratch
-	var ops []MuxOp
 	var swapped []bool
+	slot := make([]int32, g.NumSignals())
 	for _, a := range d.ALUs {
-		ops = ops[:0]
-		for _, b := range a.Ops {
-			n := g.Node(b.Node)
-			op := MuxOp{A: n.Args[0], Commutative: n.Op.Commutative()}
-			if len(n.Args) > 1 {
-				op.B = n.Args[1]
-			}
-			ops = append(ops, op)
-		}
-		swapped = zeroed(swapped, len(ops))
-		before := len(a.L1) + len(a.L2)
-		l1, l2 := s.optimize(ops, swapped)
-		after := len(l1) + len(l2)
+		s.load(g, a, slot)
+		swapped = zeroed(swapped, len(a.Ops))
+		s.optimize(swapped)
+		l1, l2 := s.portList(s.c1), s.portList(s.c2)
+		before, after := len(a.L1)+len(a.L2), len(l1)+len(l2)
 		if after > before {
 			continue // never regress (cannot happen, but stay safe)
 		}
 		a.L1, a.L2 = l1, l2
-		a.invalidateMuxSets() // wholesale replacement; sizes may not drift
+		a.in1, a.in2 = s.portIDs(a.in1[:0], s.c1), s.portIDs(a.in2[:0], s.c2)
 		for i := range a.Ops {
 			a.Ops[i].Swapped = swapped[i]
 		}
 		saved += before - after
 	}
 	return saved
+}
+
+// operands returns the signal IDs node n feeds an ALU's ports: its first
+// two arguments.
+func operands(n *dfg.Node) []dfg.SignalID {
+	return n.ArgIDs()[:min(2, len(n.ArgIDs()))]
 }

@@ -8,6 +8,7 @@ package rtl
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/dfg"
@@ -37,70 +38,26 @@ type ALU struct {
 	// input).
 	L1, L2 []string
 
-	// l1set/l2set memoize L1/L2 membership so the growth probes the
-	// schedulers issue per candidate are O(1) instead of a list scan.
-	// They are rebuilt whenever their size drifts from the list's (which
-	// catches every append) and explicitly dropped by in-package code
-	// that replaces the lists wholesale (ReoptimizeMuxes).
-	l1set, l2set map[string]struct{}
+	// in1 and in2 hold the signal IDs of L1 and L2, sorted, so the growth
+	// probes the schedulers issue per candidate are a binary search.
+	in1, in2 []dfg.SignalID
 }
 
-// InL1 reports whether signal s already feeds the ALU's first input port.
-func (a *ALU) InL1(s string) bool {
-	if a.l1set == nil || len(a.l1set) != len(a.L1) {
-		a.l1set = buildSet(a.L1)
-	}
-	_, ok := a.l1set[s]
+// InL1 reports whether signal id already feeds the ALU's first input port.
+func (a *ALU) InL1(id dfg.SignalID) bool {
+	_, ok := slices.BinarySearch(a.in1, id)
 	return ok
 }
 
-// InL2 reports whether signal s already feeds the ALU's second input port.
-func (a *ALU) InL2(s string) bool {
-	if a.l2set == nil || len(a.l2set) != len(a.L2) {
-		a.l2set = buildSet(a.L2)
-	}
-	_, ok := a.l2set[s]
+// InL2 reports whether signal id already feeds the ALU's second input port.
+func (a *ALU) InL2(id dfg.SignalID) bool {
+	_, ok := slices.BinarySearch(a.in2, id)
 	return ok
 }
 
-func buildSet(l []string) map[string]struct{} {
-	m := make(map[string]struct{}, len(l))
-	for _, s := range l {
-		m[s] = struct{}{}
-	}
-	return m
-}
-
-// invalidateMuxSets drops the membership memos after a wholesale
-// replacement of L1/L2 (a same-length replacement would otherwise evade
-// the size-drift check).
-func (a *ALU) invalidateMuxSets() {
-	a.l1set, a.l2set = nil, nil
-}
-
-// addL1/addL2 append s to the port list if absent, keeping the memo in
-// step, and report how many new entries were created (0 or 1).
-func (a *ALU) addL1(s string) int {
-	if s == "" || a.InL1(s) {
-		return 0
-	}
-	a.L1 = append(a.L1, s)
-	a.l1set[s] = struct{}{}
-	return 1
-}
-
-func (a *ALU) addL2(s string) int {
-	if s == "" || a.InL2(s) {
-		return 0
-	}
-	a.L2 = append(a.L2, s)
-	a.l2set[s] = struct{}{}
-	return 1
-}
-
-// growthOf counts the new entries adding s to a port would create.
-func growthOf(present bool, s string) int {
-	if s == "" || present {
+// growthOf counts the new entries adding a signal to a port would create.
+func growthOf(present bool) int {
+	if present {
 		return 0
 	}
 	return 1
@@ -108,39 +65,57 @@ func growthOf(present bool, s string) int {
 
 // MuxGrowth returns how many new multiplexer inputs binding node n to the
 // ALU would create, choosing the cheaper operand orientation for
-// commutative operations. args are the node's input signal names (one or
-// two). It does not modify the ALU.
-func (a *ALU) MuxGrowth(n *dfg.Node, args []string) (growth int, swapped bool) {
+// commutative operations. It does not modify the ALU.
+func (a *ALU) MuxGrowth(n *dfg.Node) (growth int, swapped bool) {
+	args := n.ArgIDs()
 	if len(args) == 1 {
-		return growthOf(a.InL1(args[0]), args[0]), false
+		return growthOf(a.InL1(args[0])), false
 	}
-	direct := growthOf(a.InL1(args[0]), args[0]) + growthOf(a.InL2(args[1]), args[1])
+	direct := growthOf(a.InL1(args[0])) + growthOf(a.InL2(args[1]))
 	if !n.Op.Commutative() {
 		return direct, false
 	}
-	crossed := growthOf(a.InL1(args[1]), args[1]) + growthOf(a.InL2(args[0]), args[0])
+	crossed := growthOf(a.InL1(args[1])) + growthOf(a.InL2(args[0]))
 	if crossed < direct {
 		return crossed, true
 	}
 	return direct, false
 }
 
-// Bind commits node n (with input signals args) to the ALU at the given
-// step, using the orientation MuxGrowth would pick.
-func (a *ALU) Bind(n *dfg.Node, args []string, step int) {
-	_, swapped := a.MuxGrowth(n, args)
-	b := Binding{Node: n.ID, Step: step, Swapped: swapped}
-	switch {
-	case len(args) == 1:
-		a.addL1(args[0])
-	case swapped:
-		a.addL1(args[1])
-		a.addL2(args[0])
-	default:
-		a.addL1(args[0])
-		a.addL2(args[1])
+// Bind commits node n to the ALU at the given step, using the
+// orientation MuxGrowth would pick.
+func (a *ALU) Bind(n *dfg.Node, step int) {
+	_, swapped := a.MuxGrowth(n)
+	a.Ops = append(a.Ops, Binding{Node: n.ID, Step: step, Swapped: swapped})
+	ports := OperandPorts(n, swapped)
+	a.L1, a.in1 = addSignal(a.L1, a.in1, n, ports[0])
+	a.L2, a.in2 = addSignal(a.L2, a.in2, n, ports[1])
+}
+
+// addSignal adds n's argument i (none when i < 0) to a port's list and
+// sorted IDs unless the port already carries it.
+func addSignal(l []string, ids []dfg.SignalID, n *dfg.Node, i int) ([]string, []dfg.SignalID) {
+	if i < 0 {
+		return l, ids
 	}
-	a.Ops = append(a.Ops, b)
+	k, ok := slices.BinarySearch(ids, n.ArgIDs()[i])
+	if ok {
+		return l, ids
+	}
+	return append(l, n.Args[i]), slices.Insert(ids, k, n.ArgIDs()[i])
+}
+
+// OperandPorts returns which of n's arguments feed port 0 (MUX1) and
+// port 1 (MUX2) under the given orientation: indexes into n.Args and
+// n.ArgIDs(), -1 for the port a unary operation leaves unused.
+func OperandPorts(n *dfg.Node, swapped bool) [2]int {
+	switch {
+	case len(n.Args) == 1:
+		return [2]int{0, -1}
+	case swapped:
+		return [2]int{1, 0}
+	}
+	return [2]int{0, 1}
 }
 
 // BindingFor returns the binding of node id on this ALU, if present.

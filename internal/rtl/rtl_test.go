@@ -36,16 +36,16 @@ func TestMuxGrowthCommutativeSharing(t *testing.T) {
 	n2 := addNode(t, g, "n2", op.Add, "b", "a") // swapped duplicate inputs
 	lib := library.NCRLike()
 	alu := NewDatapath(lib).AddALU(lib.Single(op.Add))
-	alu.Bind(n1, n1.Args, 1)
+	alu.Bind(n1, 1)
 	if len(alu.L1) != 1 || len(alu.L2) != 1 {
 		t.Fatalf("after first bind: L1=%v L2=%v", alu.L1, alu.L2)
 	}
 	// n2 reversed: the commutative swap makes its inputs free.
-	growth, swapped := alu.MuxGrowth(n2, n2.Args)
+	growth, swapped := alu.MuxGrowth(n2)
 	if growth != 0 || !swapped {
 		t.Errorf("MuxGrowth = %d swapped=%v, want 0,true", growth, swapped)
 	}
-	alu.Bind(n2, n2.Args, 2)
+	alu.Bind(n2, 2)
 	if len(alu.L1) != 1 || len(alu.L2) != 1 {
 		t.Errorf("swap not exploited: L1=%v L2=%v", alu.L1, alu.L2)
 	}
@@ -60,8 +60,8 @@ func TestMuxGrowthNonCommutative(t *testing.T) {
 	n2 := addNode(t, g, "n2", op.Sub, "b", "a")
 	lib := library.NCRLike()
 	alu := NewDatapath(lib).AddALU(lib.Single(op.Sub))
-	alu.Bind(n1, n1.Args, 1)
-	growth, swapped := alu.MuxGrowth(n2, n2.Args)
+	alu.Bind(n1, 1)
+	growth, swapped := alu.MuxGrowth(n2)
 	if swapped {
 		t.Error("non-commutative op swapped")
 	}
@@ -76,8 +76,8 @@ func TestMuxGrowthUnary(t *testing.T) {
 	n2 := addNode(t, g, "n2", op.Not, "a")
 	lib := library.NCRLike()
 	alu := NewDatapath(lib).AddALU(lib.Single(op.Not))
-	alu.Bind(n1, n1.Args, 1)
-	if growth, _ := alu.MuxGrowth(n2, n2.Args); growth != 0 {
+	alu.Bind(n1, 1)
+	if growth, _ := alu.MuxGrowth(n2); growth != 0 {
 		t.Errorf("unary shared-input growth = %d, want 0", growth)
 	}
 }
@@ -87,7 +87,7 @@ func TestMuxGrowthDoesNotMutate(t *testing.T) {
 	n1 := addNode(t, g, "n1", op.Add, "a", "b")
 	lib := library.NCRLike()
 	alu := NewDatapath(lib).AddALU(lib.Single(op.Add))
-	alu.MuxGrowth(n1, n1.Args)
+	alu.MuxGrowth(n1)
 	if len(alu.L1) != 0 || len(alu.L2) != 0 {
 		t.Error("MuxGrowth mutated the ALU")
 	}
@@ -195,8 +195,8 @@ func TestDatapathCost(t *testing.T) {
 	lib := library.NCRLike()
 	dp := NewDatapath(lib)
 	alu := dp.AddALU(lib.Single(op.Add))
-	alu.Bind(n1, n1.Args, 1)
-	alu.Bind(n2, n2.Args, 2)
+	alu.Bind(n1, 1)
+	alu.Bind(n2, 2)
 	dp.AssignRegisters([]Interval{
 		{Name: "n1", Birth: 1, Death: 3},
 		{Name: "n2", Birth: 2, Death: 3},
@@ -223,7 +223,7 @@ func TestSingleSourcePortIsFree(t *testing.T) {
 	lib := library.NCRLike()
 	dp := NewDatapath(lib)
 	alu := dp.AddALU(lib.Single(op.Add))
-	alu.Bind(n1, n1.Args, 1)
+	alu.Bind(n1, 1)
 	c := dp.Cost()
 	// One signal per port: no multiplexers at all.
 	if c.NumMux != 0 || c.MuxArea != 0 {
@@ -250,7 +250,7 @@ func TestFindBinding(t *testing.T) {
 	lib := library.NCRLike()
 	dp := NewDatapath(lib)
 	alu := dp.AddALU(lib.Single(op.Add))
-	alu.Bind(n1, n1.Args, 1)
+	alu.Bind(n1, 1)
 	got, ok := dp.FindBinding(n1.ID)
 	if !ok || got != alu {
 		t.Error("FindBinding failed")
@@ -267,8 +267,8 @@ func TestValidateCatchesDuplicates(t *testing.T) {
 	dp := NewDatapath(lib)
 	a1 := dp.AddALU(lib.Single(op.Add))
 	a2 := dp.AddALU(lib.Single(op.Add))
-	a1.Bind(n1, n1.Args, 1)
-	a2.Bind(n1, n1.Args, 2)
+	a1.Bind(n1, 1)
+	a2.Bind(n1, 2)
 	if err := dp.Validate(); err == nil {
 		t.Error("double binding accepted")
 	}

@@ -39,6 +39,9 @@ var maporderAnalyzer = &Analyzer{
 // results. Everything under them is replayed by traces, hashed into
 // sweep baselines, or compared bit-for-bit across parallelism settings.
 var criticalPkgs = map[string]bool{
+	// dfg mints the signal IDs every package below indexes by: an ID
+	// assigned in map order would differ from process to process.
+	"repro/internal/dfg":      true,
 	"repro/internal/sched":    true,
 	"repro/internal/mfs":      true,
 	"repro/internal/mfsa":     true,
