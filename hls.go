@@ -324,7 +324,11 @@ func ParseBehavior(src string) (g *Graph, consts map[string]int64, err error) {
 	return behav.BuildSource(src)
 }
 
-// RandomInputs generates reproducible input vectors for simulation.
+// RandomInputs generates reproducible input vectors for simulation:
+// every value lies in [-100, 100] and follows from the seed and the
+// input's position among the graph's sorted input names alone, so a
+// seed names the same vector in every process. The values changed when
+// the generator became a stateless mixer (see sim.RandomInputs).
 func RandomInputs(g *Graph, seed int64) map[string]int64 {
 	return sim.RandomInputs(g, seed)
 }

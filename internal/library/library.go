@@ -12,7 +12,7 @@ package library
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/op"
@@ -121,17 +121,22 @@ func (l *Library) Add(u *Unit) error {
 	if err := u.validate(); err != nil {
 		return err
 	}
-	for _, e := range l.units {
-		if e.Name == u.Name {
-			return fmt.Errorf("library %s: duplicate unit %s", l.Name, u.Name)
-		}
+	i, dup := l.find(u.Name)
+	if dup {
+		return fmt.Errorf("library %s: duplicate unit %s", l.Name, u.Name)
 	}
-	ops := append([]op.Kind(nil), u.Ops...)
-	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
-	u.Ops = ops
-	l.units = append(l.units, u)
-	sort.Slice(l.units, func(i, j int) bool { return l.units[i].Name < l.units[j].Name })
+	u.Ops = slices.Clone(u.Ops)
+	slices.Sort(u.Ops)
+	l.units = slices.Insert(l.units, i, u)
 	return nil
+}
+
+// find returns the position of the unit named name in the name-sorted
+// unit list, or where it would be inserted, and whether it is there.
+func (l *Library) find(name string) (int, bool) {
+	return slices.BinarySearchFunc(l.units, name, func(u *Unit, name string) int {
+		return strings.Compare(u.Name, name)
+	})
 }
 
 // Units returns every unit in name order. The slice must not be modified.
@@ -166,10 +171,8 @@ func (l *Library) Single(k op.Kind) *Unit {
 
 // Lookup returns the unit with the given name, if present.
 func (l *Library) Lookup(name string) (*Unit, bool) {
-	for _, u := range l.units {
-		if u.Name == name {
-			return u, true
-		}
+	if i, ok := l.find(name); ok {
+		return l.units[i], true
 	}
 	return nil, false
 }

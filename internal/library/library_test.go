@@ -1,6 +1,7 @@
 package library
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -227,5 +228,37 @@ func TestComposeNameDeterministic(t *testing.T) {
 	}
 	if a != "alu_add_sub" {
 		t.Errorf("ComposeName = %q", a)
+	}
+}
+
+// TestNCRLikeUnitsPinned pins the unit order Add keeps (by name) and
+// bounds what building the library allocates: every default-library
+// synthesis builds it.
+func TestNCRLikeUnitsPinned(t *testing.T) {
+	want := []string{
+		"alu_add_div_and", "alu_add_div_gt_ne", "alu_add_gt", "alu_add_lt", "alu_add_or",
+		"alu_add_sub", "alu_add_sub_gt", "alu_add_sub_gt_ne", "alu_add_sub_lt", "alu_add_sub_mul",
+		"alu_and_or", "alu_div_and", "alu_or_eq", "alu_sub_and", "alu_sub_gt",
+		"fu_add", "fu_and", "fu_div", "fu_eq", "fu_ge", "fu_gt", "fu_le", "fu_lt", "fu_mov",
+		"fu_mul", "fu_ne", "fu_neg", "fu_not", "fu_or", "fu_shl", "fu_shr", "fu_sub", "fu_xor",
+		"pfu_div", "pfu_mul",
+	}
+	var got []string
+	for _, u := range NCRLike().Units() {
+		got = append(got, u.Name)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("NCRLike units = %q, want %q", got, want)
+	}
+	// Re-sorting the whole list on every Add cost 382 allocations.
+	if n := testing.AllocsPerRun(20, func() { NCRLike() }); n > 300 {
+		t.Errorf("NCRLike allocates %v times, want at most 300", n)
+	}
+}
+
+func BenchmarkNCRLike(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NCRLike()
 	}
 }

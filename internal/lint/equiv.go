@@ -312,6 +312,7 @@ func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 	for i, id := range e.g.TopoOrder() {
 		topoIdx[id] = i
 	}
+	cov := e.dp.Coverage(e.g)
 
 	wireVal := make(map[string]*symb.Expr) // signal -> value its ALU computes
 	wireReady := make(map[string]int)      // signal -> finish step of its action
@@ -333,7 +334,8 @@ func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 		case r < t:
 			// Crossed a step boundary: only a covering register carries
 			// the value here.
-			if _, cov := e.dp.Covering(sig, r, t); !cov {
+			// sig has a wire, so it names a graph node.
+			if id, _ := e.g.Signal(sig); !cov.Covers(id, r, t) {
 				d := e.report(diag.CodeEquivRegister, "datapath", sig,
 					fmt.Sprintf("value %q born in S%d is read in S%d but no allocated register holds it over [%d,%d]", sig, r, t, r, t),
 					"extend the value's storage interval or re-run register allocation")

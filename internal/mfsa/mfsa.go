@@ -24,6 +24,7 @@ package mfsa
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/dfg"
 	"repro/internal/diag"
@@ -173,18 +174,18 @@ func prepare(g *dfg.Graph, opt Options) (Options, error) {
 	if opt.Style == 0 {
 		opt.Style = Style1
 	}
-	// The run's candidate units are fixed per operation kind by its first
-	// node (state.unitsFor), so that node is the one checked.
-	checked := make(map[op.Kind]bool)
+	// Candidate units depend on a node's kind and cycle count alone
+	// (state.unitsFor), so the first node of each pair is the one checked.
+	checked := make([][]int, op.NumKinds()+1) // per kind, the cycle counts checked
 	for _, n := range g.Nodes() {
 		if n.IsLoop() {
 			return opt, fmt.Errorf("mfsa: fold loops with mfs.ScheduleLoops and synthesize bodies separately (node %q)", n.Name)
 		}
-		if !checked[n.Op] {
+		if !slices.Contains(checked[n.Op], n.Cycles) {
 			if len(candidateUnits(opt, n)) == 0 {
 				return opt, fmt.Errorf("mfsa: library has no unit for %q (op %v, %d cycles)", n.Name, n.Op, n.Cycles)
 			}
-			checked[n.Op] = true
+			checked[n.Op] = append(checked[n.Op], n.Cycles)
 		}
 	}
 	return opt, nil
@@ -220,9 +221,11 @@ type state struct {
 	dominant bool
 
 	// units holds one record per library unit, by position in
-	// Lib.Units(); byOp caches each operation kind's candidates there.
+	// Lib.Units(); byOp[k] caches there the candidates of operation kind
+	// k, one set per cycle count, since a pipelined cell's depth must
+	// match the operation's.
 	units []unit
-	byOp  map[op.Kind][]*unit
+	byOp  [][]candidateSet
 
 	// placed and steps are indexed by dfg.NodeID (dense from 0);
 	// Step == 0 / steps[id] == 0 means unplaced (steps are 1-based).
@@ -336,7 +339,7 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames) *state {
 		w:      opt.Weights.orDefault(),
 		frames: frames,
 		units:  make([]unit, len(opt.Lib.Units())),
-		byOp:   make(map[op.Kind][]*unit),
+		byOp:   make([][]candidateSet, op.NumKinds()+1),
 		placed: make([]sched.Placement, g.Len()),
 		steps:  make([]int, g.Len()),
 		dp:     rtl.NewDatapath(opt.Lib),
@@ -436,18 +439,27 @@ func (s *state) tableOf(u *unit) *grid.Table {
 	return u.table
 }
 
-// unitsFor returns n's candidate units, memoized per operation kind: the
-// candidate set depends only on n.Op (and the fixed options), and the
-// same few kinds recur across the whole graph.
+// candidateSet is the candidate units of one operation kind at one
+// cycle count.
+type candidateSet struct {
+	cycles int
+	units  []*unit
+}
+
+// unitsFor returns n's candidate units, memoized per operation kind and
+// cycle count: the candidate set depends only on those (and the fixed
+// options), and the same few pairs recur across the whole graph.
 func (s *state) unitsFor(n *dfg.Node) []*unit {
-	if us, ok := s.byOp[n.Op]; ok {
-		return us
+	for _, c := range s.byOp[n.Op] {
+		if c.cycles == n.Cycles {
+			return c.units
+		}
 	}
 	var us []*unit
 	for _, i := range candidateUnits(s.opt, n) {
 		us = append(us, &s.units[i])
 	}
-	s.byOp[n.Op] = us
+	s.byOp[n.Op] = append(s.byOp[n.Op], candidateSet{n.Cycles, us})
 	return us
 }
 

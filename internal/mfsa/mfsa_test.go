@@ -219,6 +219,49 @@ func TestPipelinedUnits(t *testing.T) {
 	}
 }
 
+// TestCandidateUnitsPerKindAndCycles mixes 1- and 2-cycle multiplies
+// under UsePipelinedUnits, in both declaration orders: on the NCR
+// library only the 2-cycle one may go to the 2-stage pfu_mul, and a
+// library whose only multiplier is pfu_mul cannot take the 1-cycle one.
+func TestCandidateUnitsPerKindAndCycles(t *testing.T) {
+	want := map[int][]string{
+		1: {"alu_add_sub_mul", "fu_mul"},
+		2: {"alu_add_sub_mul", "fu_mul", "pfu_mul"},
+	}
+	piped, err := library.NCRLike().Restrict("pfu_mul", "fu_add")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cycles := range [][]int{{1, 2}, {2, 1}} {
+		g := dfg.New("mixed")
+		g.AddInput("a")
+		for i, c := range cycles {
+			id, err := g.AddOp(fmt.Sprintf("m%d", i), op.Mul, "a", "a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			g.SetCycles(id, c)
+		}
+		popt, err := prepare(g, Options{CS: 4, UsePipelinedUnits: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := newState(g, popt, nil)
+		for _, n := range g.Nodes() {
+			var got []string
+			for _, u := range st.unitsFor(n) {
+				got = append(got, u.Name)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want[n.Cycles]) {
+				t.Errorf("cycles %v: %d-cycle %s gets %v, want %v", cycles, n.Cycles, n.Name, got, want[n.Cycles])
+			}
+		}
+		if _, err := prepare(g, Options{CS: 4, Lib: piped, UsePipelinedUnits: true}); err == nil {
+			t.Errorf("cycles %v: a pfu_mul-only library accepted a 1-cycle multiply", cycles)
+		}
+	}
+}
+
 func TestMultifunctionMerging(t *testing.T) {
 	// Add and sub at distinct steps with a shared-capable library: MFSA
 	// should reuse one (+-) ALU rather than open two singles.

@@ -253,21 +253,59 @@ func (d *Datapath) AssignRegisters(ivals []Interval) {
 	d.Registers = PackRegisters(ivals)
 }
 
-// Covering returns the index of a register whose packing holds sig over
-// the whole span (birth, readStep] — an interval named sig born no
-// later than birth and dying no earlier than readStep — or ok=false
-// when no register covers the read. Both the RTL simulator and the
-// translation-validation pass use this to decide whether a cross-step
-// operand actually survives in storage.
-func (d *Datapath) Covering(sig string, birth, readStep int) (int, bool) {
-	for r, grp := range d.Registers {
+// Coverage indexes a datapath's register intervals by signal. Both the
+// RTL simulator and the translation-validation pass ask it whether a
+// cross-step operand actually survives in storage, at a cost that
+// follows that signal's own intervals rather than the whole packing.
+// It is a snapshot of Registers: build one per verification run, since
+// lint's mutations edit a datapath in place.
+type Coverage struct {
+	// The intervals of signal id are spans[start[id]:start[id+1]].
+	start []int32
+	spans []span
+}
+
+type span struct{ birth, death int }
+
+// Coverage indexes the datapath's registers by the signals of g.
+// Intervals naming no signal of g are left out: no read of g asks for
+// them.
+func (d *Datapath) Coverage(g *dfg.Graph) *Coverage {
+	var ids []dfg.SignalID
+	var spans []span
+	for _, grp := range d.Registers {
 		for _, iv := range grp {
-			if iv.Name == sig && iv.Birth <= birth && iv.Death >= readStep {
-				return r, true
+			if id, ok := g.Signal(iv.Name); ok {
+				ids = append(ids, id)
+				spans = append(spans, span{iv.Birth, iv.Death})
 			}
 		}
 	}
-	return -1, false
+	c := &Coverage{start: make([]int32, g.NumSignals()+1), spans: make([]span, len(spans))}
+	for _, id := range ids {
+		c.start[id+1]++
+	}
+	for i := 1; i < len(c.start); i++ {
+		c.start[i] += c.start[i-1]
+	}
+	next := slices.Clone(c.start)
+	for i, id := range ids {
+		c.spans[next[id]] = spans[i]
+		next[id]++
+	}
+	return c
+}
+
+// Covers reports whether a register holds signal id over the whole span
+// (birth, readStep]: an interval of id born no later than birth and
+// dying no earlier than readStep.
+func (c *Coverage) Covers(id dfg.SignalID, birth, readStep int) bool {
+	for _, s := range c.spans[c.start[id]:c.start[id+1]] {
+		if s.birth <= birth && s.death >= readStep {
+			return true
+		}
+	}
+	return false
 }
 
 // FindBinding returns the ALU executing node id, if bound.

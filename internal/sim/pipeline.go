@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/sched"
 )
@@ -46,23 +47,23 @@ func RunPipelinedCtx(ctx context.Context, s *sched.Schedule, inputs []map[string
 		Throughput: s.Latency,
 		TotalSteps: (len(inputs)-1)*s.Latency + s.CS,
 	}
+	p := compile(s, nil)
 	for k, in := range inputs {
-		vals, err := RunCtx(ctx, s, in)
-		if err != nil {
+		got := make([]int64, s.Graph.NumSignals())
+		if err := p.run(ctx, in, got); err != nil {
 			return nil, fmt.Errorf("sim: iteration %d: %w", k, err)
 		}
-		want, err := s.Graph.Eval(in)
-		if err != nil {
+		want := slices.Clone(got) // the inputs; the reference overwrites the nodes
+		if err := s.Graph.EvalSignals(want); err != nil {
 			return nil, fmt.Errorf("sim: iteration %d reference: %w", k, err)
 		}
-		//hls:ctxok O(nodes) value comparison; the enclosing iteration loop is cancelled through RunCtx
+		//hls:ctxok O(nodes) value comparison; the enclosing iteration loop is cancelled through p.run
 		for _, n := range s.Graph.Nodes() {
-			if vals[n.Name] != want[n.Name] {
-				return nil, fmt.Errorf("sim: iteration %d: %q = %d, reference %d",
-					k, n.Name, vals[n.Name], want[n.Name])
+			if v, w := got[n.OutID()], want[n.OutID()]; v != w {
+				return nil, fmt.Errorf("sim: iteration %d: %q = %d, reference %d", k, n.Name, v, w)
 			}
 		}
-		run.Iterations = append(run.Iterations, vals)
+		run.Iterations = append(run.Iterations, p.named(got))
 	}
 	return run, nil
 }

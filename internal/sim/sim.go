@@ -5,14 +5,22 @@
 // completion times and chaining included), RunRTL additionally walks the
 // bound datapath (checking that every cross-step operand is actually held
 // in an allocated register for the whole time it is needed), and
-// CrossCheck compares the results with dfg.Graph.Eval on the same inputs.
+// CrossCheck compares the results with the graph's reference evaluation
+// (dfg.Graph.EvalSignals) on the same inputs.
+//
+// Every entry point first compiles a plan of the work that does not
+// depend on input values — the step budget, the sorted inputs, the issue
+// order and the legality of every operand read — and then runs each
+// vector over one value slot per signal, so verifying a design costs
+// time linear in its size per vector.
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/dfg"
 	"repro/internal/guard"
@@ -24,24 +32,21 @@ import (
 // operation starting in a step reads its operands and produces its value
 // at the end of its finish step. It returns every signal's value.
 func Run(s *sched.Schedule, inputs map[string]int64) (map[string]int64, error) {
-	return run(context.Background(), s, nil, inputs)
+	return RunCtx(context.Background(), s, inputs)
 }
 
 // RunCtx is Run with cancellation: ctx is checked before every operation,
 // so a cancelled simulation returns ctx.Err() within one operation's
 // worth of work.
 func RunCtx(ctx context.Context, s *sched.Schedule, inputs map[string]int64) (map[string]int64, error) {
-	return run(ctx, s, nil, inputs)
+	return compile(s, nil).values(ctx, inputs)
 }
 
 // RunRTL simulates a schedule against its bound datapath, additionally
 // verifying register coverage: any operand read after its producing step
 // must sit in an allocated register whose lifetime covers the read.
 func RunRTL(s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) (map[string]int64, error) {
-	if dp == nil {
-		return nil, fmt.Errorf("sim: nil datapath")
-	}
-	return run(context.Background(), s, dp, inputs)
+	return RunRTLCtx(context.Background(), s, dp, inputs)
 }
 
 // RunRTLCtx is RunRTL with cancellation.
@@ -49,109 +54,216 @@ func RunRTLCtx(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs 
 	if dp == nil {
 		return nil, fmt.Errorf("sim: nil datapath")
 	}
-	return run(ctx, s, dp, inputs)
+	return compile(s, dp).values(ctx, inputs)
 }
 
-func run(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) (map[string]int64, error) {
+// plan is the part of simulating a schedule that does not depend on the
+// input values, compiled once per call from the schedule and, when there
+// is one, the datapath. It is never cached on either: lint's mutations
+// edit both in place.
+type plan struct {
+	g *dfg.Graph
+
+	// budget, when non-nil, is the step-budget error a simulation reports
+	// before anything else; order is then left empty.
+	budget error
+
+	// names are the primary inputs in sorted order, ins their signals.
+	names []string
+	ins   []dfg.SignalID
+
+	// order is the issue order: by start step, then topologically within
+	// a step (for chained operations), then by ID.
+	order []*dfg.Node
+
+	// fail is the position in order of the first node that is unscheduled
+	// or reads an operand illegally, whatever the inputs, and failErr is
+	// the error it raises; fail is len(order) when every read is legal.
+	fail    int
+	failErr error
+}
+
+// compile builds the plan of simulating s, checking register coverage
+// against dp when it is non-nil.
+func compile(s *sched.Schedule, dp *rtl.Datapath) *plan {
 	g := s.Graph
+	p := &plan{g: g, names: g.Inputs()}
+	p.ins = make([]dfg.SignalID, len(p.names))
+	for k, name := range p.names {
+		p.ins[k], _ = g.Signal(name)
+	}
 	// Step budget: a degenerate schedule (say an operation declared to
 	// take a billion cycles) must fail fast with a typed error, not hang
 	// the simulator. The budget counts node-cycles, so it scales with
 	// design size but rejects absurd single operations.
 	budget := 0
 	for _, n := range g.Nodes() {
-		c := n.Cycles
-		if c < 1 {
-			c = 1
-		}
-		if budget += c; budget > guard.DefaultSimBudget {
-			return nil, fmt.Errorf("sim: %w",
+		if budget += max(n.Cycles, 1); budget > guard.DefaultSimBudget {
+			p.budget = fmt.Errorf("sim: %w",
 				&guard.LimitError{What: "simulation node-cycles", Got: budget, Max: guard.DefaultSimBudget})
+			return p
 		}
-	}
-	vals := make(map[string]int64, g.Len()+len(inputs))
-	for _, in := range g.Inputs() {
-		v, ok := inputs[in]
-		if !ok {
-			return nil, fmt.Errorf("sim: missing input %q", in)
-		}
-		vals[in] = v
-	}
-	readyAt := make(map[string]int) // signal -> finish step of producer
-	isInput := make(map[string]bool)
-	for _, in := range g.Inputs() {
-		readyAt[in] = 0
-		isInput[in] = true
-	}
-	finish := func(n *dfg.Node) int {
-		return s.Placements[n.ID].Step + n.Cycles - 1
 	}
 
-	// Issue order: by start step, then topologically within a step (for
-	// chained operations), then by ID.
-	order := append([]dfg.NodeID(nil), g.TopoOrder()...)
-	sort.SliceStable(order, func(i, j int) bool {
-		si := s.Placements[order[i]].Step
-		sj := s.Placements[order[j]].Step
-		return si < sj
+	step := make([]int, g.Len())
+	placed := make([]bool, g.Len())
+	for i := range step {
+		pl, ok := s.Placements[dfg.NodeID(i)]
+		step[i], placed[i] = pl.Step, ok
+	}
+	// ID order is topological, so sorting by (step, ID) is the stable
+	// sort by step of the topological order.
+	p.order = slices.Clone(g.Nodes())
+	slices.SortFunc(p.order, func(a, b *dfg.Node) int {
+		return cmp.Or(cmp.Compare(step[a.ID], step[b.ID]), cmp.Compare(a.ID, b.ID))
 	})
 
-	for _, id := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		n := g.Node(id)
-		p, ok := s.Placements[id]
-		if !ok {
-			return nil, fmt.Errorf("sim: node %q unscheduled", n.Name)
-		}
-		for _, a := range n.Args {
-			r, ok := readyAt[a]
-			if !ok {
-				return nil, fmt.Errorf("sim: node %q reads %q which never becomes ready", n.Name, a)
-			}
-			switch {
-			case r < p.Step:
-				// Ready before the step: the value crossed a boundary;
-				// with a datapath, node-produced values must be
-				// registered for the whole span (primary inputs are
-				// stable ports unless the design registered them too).
-				if dp != nil && !isInput[a] {
-					if _, ok := dp.Covering(a, r, p.Step); !ok {
-						return nil, fmt.Errorf("sim: node %q reads %q at step %d but no register holds it over [%d,%d]",
-							n.Name, a, p.Step, r, p.Step)
-					}
-				}
-			case r == p.Step && s.ClockNs > 0 && n.Cycles == 1:
-				// Chained within the step; combinational, no register.
-			default:
-				return nil, fmt.Errorf("sim: node %q at step %d reads %q which is ready only at step %d",
-					n.Name, p.Step, a, r)
-			}
-		}
-		var out int64
-		if n.IsLoop() {
-			sub := make(map[string]int64, len(n.SubIns))
-			for i, in := range n.SubIns {
-				sub[in] = vals[n.Args[i]]
-			}
-			inner, err := n.Sub.Eval(sub)
-			if err != nil {
-				return nil, fmt.Errorf("sim: loop %q: %w", n.Name, err)
-			}
-			out = inner[n.SubOut]
-		} else {
-			var x, y int64
-			x = vals[n.Args[0]]
-			if len(n.Args) > 1 {
-				y = vals[n.Args[1]]
-			}
-			out = n.Op.Eval(x, y)
-		}
-		vals[n.Name] = out
-		readyAt[n.Name] = finish(n)
+	var cov *rtl.Coverage
+	if dp != nil {
+		cov = dp.Coverage(g)
 	}
-	return vals, nil
+	// readyAt[sig] is the finish step of sig's producer (0 for an input),
+	// valid once ready[sig]: the walk issues producers before it marks
+	// them ready, exactly as a simulation does.
+	readyAt := make([]int, g.NumSignals())
+	ready := make([]bool, g.NumSignals())
+	for _, id := range p.ins {
+		ready[id] = true
+	}
+	p.fail = len(p.order)
+	for i, n := range p.order {
+		if !placed[n.ID] {
+			p.fail, p.failErr = i, fmt.Errorf("sim: node %q unscheduled", n.Name)
+			break
+		}
+		t := step[n.ID]
+		if err := readError(s, cov, n, t, readyAt, ready); err != nil {
+			p.fail, p.failErr = i, err
+			break
+		}
+		readyAt[n.OutID()] = t + n.Cycles - 1
+		ready[n.OutID()] = true
+	}
+	return p
+}
+
+// readError returns the error of node n, issued in step t, reading its
+// first illegal operand, or nil when every read is legal. An operand is
+// legal when it is ready before t — a node-produced value crossing a
+// step boundary must then also sit in a register over the whole span,
+// when cov is non-nil (primary inputs are stable ports) — or when it is
+// chained: ready in t itself under a clock budget, read by a
+// single-cycle operation. It is illegal when it never becomes ready
+// before n issues or becomes ready only after t.
+func readError(s *sched.Schedule, cov *rtl.Coverage, n *dfg.Node, t int, readyAt []int, ready []bool) error {
+	for i, a := range n.ArgIDs() {
+		if !ready[a] {
+			return fmt.Errorf("sim: node %q reads %q which never becomes ready", n.Name, n.Args[i])
+		}
+		r := readyAt[a]
+		switch {
+		case r < t:
+			if cov != nil && s.Graph.Producer(a) != nil && !cov.Covers(a, r, t) {
+				return fmt.Errorf("sim: node %q reads %q at step %d but no register holds it over [%d,%d]",
+					n.Name, n.Args[i], t, r, t)
+			}
+		case r == t && s.ClockNs > 0 && n.Cycles == 1:
+			// Chained within the step; combinational, no register.
+		default:
+			return fmt.Errorf("sim: node %q at step %d reads %q which is ready only at step %d",
+				n.Name, t, n.Args[i], r)
+		}
+	}
+	return nil
+}
+
+// load copies the named input values into their slots of vals. It
+// returns the first missing input, in sorted order, and false when one
+// is missing.
+func (p *plan) load(inputs map[string]int64, vals []int64) (string, bool) {
+	for k, id := range p.ins {
+		v, ok := inputs[p.names[k]]
+		if !ok {
+			return p.names[k], false
+		}
+		vals[id] = v
+	}
+	return "", true
+}
+
+// exec simulates one vector in issue order: vals holds the inputs in
+// their slots on entry and every signal's simulated value on success.
+// ctx is checked before every operation.
+func (p *plan) exec(ctx context.Context, vals []int64) error {
+	done := ctx.Done()
+	for i, n := range p.order {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
+		if i == p.fail {
+			return p.failErr
+		}
+		v, err := n.Eval(vals)
+		if err != nil {
+			return fmt.Errorf("sim: loop %q: %w", n.Name, err)
+		}
+		vals[n.OutID()] = v
+	}
+	return nil
+}
+
+// run simulates the named inputs into vals, one slot per signal.
+func (p *plan) run(ctx context.Context, inputs map[string]int64, vals []int64) error {
+	if p.budget != nil {
+		return p.budget
+	}
+	if name, ok := p.load(inputs, vals); !ok {
+		return fmt.Errorf("sim: missing input %q", name)
+	}
+	return p.exec(ctx, vals)
+}
+
+// values simulates the named inputs and returns every signal's value by
+// name.
+func (p *plan) values(ctx context.Context, inputs map[string]int64) (map[string]int64, error) {
+	vals := make([]int64, p.g.NumSignals())
+	if err := p.run(ctx, inputs, vals); err != nil {
+		return nil, err
+	}
+	return p.named(vals), nil
+}
+
+// named maps a slot per signal to values by signal name.
+func (p *plan) named(vals []int64) map[string]int64 {
+	out := make(map[string]int64, len(vals))
+	for id, v := range vals {
+		out[p.g.SignalName(dfg.SignalID(id))] = v
+	}
+	return out
+}
+
+// check cross-checks one vector: want holds the inputs in their slots on
+// entry, the reference fills its node slots, the simulation fills got's,
+// and the first node (in ID order) whose values differ is reported.
+func (p *plan) check(ctx context.Context, want, got []int64) error {
+	copy(got, want)
+	if err := p.g.EvalSignals(want); err != nil {
+		return fmt.Errorf("sim: reference: %w", err)
+	}
+	if p.budget != nil {
+		return p.budget
+	}
+	if err := p.exec(ctx, got); err != nil {
+		return err
+	}
+	for _, n := range p.g.Nodes() {
+		if v, w := got[n.OutID()], want[n.OutID()]; v != w {
+			return fmt.Errorf("sim: %q = %d, reference says %d", n.Name, v, w)
+		}
+	}
+	return nil
 }
 
 // CrossCheck simulates the schedule (and datapath, if non-nil) on one
@@ -165,26 +277,14 @@ func CrossCheck(s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) er
 
 // CrossCheckCtx is CrossCheck with cancellation.
 func CrossCheckCtx(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map[string]int64) error {
-	want, err := s.Graph.Eval(inputs)
-	if err != nil {
+	p := compile(s, dp)
+	want := make([]int64, s.Graph.NumSignals())
+	if _, ok := p.load(inputs, want); !ok {
+		// A missing input fails the reference first; it words the error.
+		_, err := s.Graph.Eval(inputs)
 		return fmt.Errorf("sim: reference: %w", err)
 	}
-	var got map[string]int64
-	if dp != nil {
-		got, err = RunRTLCtx(ctx, s, dp, inputs)
-	} else {
-		got, err = RunCtx(ctx, s, inputs)
-	}
-	if err != nil {
-		return err
-	}
-	//hls:ctxok O(nodes) value comparison after the cancellable simulation already returned
-	for _, n := range s.Graph.Nodes() {
-		if got[n.Name] != want[n.Name] {
-			return fmt.Errorf("sim: %q = %d, reference says %d", n.Name, got[n.Name], want[n.Name])
-		}
-	}
-	return nil
+	return p.check(ctx, want, make([]int64, len(want)))
 }
 
 // DefaultCrossCheckSeeds is how many reproducible random vectors
@@ -201,27 +301,55 @@ func CrossCheckSeedsCtx(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath
 	if n <= 0 {
 		n = DefaultCrossCheckSeeds
 	}
+	p := compile(s, dp)
+	want := make([]int64, s.Graph.NumSignals())
+	got := make([]int64, len(want))
 	for seed := 1; seed <= n; seed++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		in := RandomInputs(s.Graph, int64(seed))
-		for k, v := range overrides {
-			in[k] = v
-		}
-		if err := CrossCheckCtx(ctx, s, dp, in); err != nil {
+		p.random(want, int64(seed), overrides)
+		if err := p.check(ctx, want, got); err != nil {
 			return fmt.Errorf("seed %d: %w", seed, err)
 		}
 	}
 	return nil
 }
 
-// RandomInputs generates reproducible input values for a graph.
+// random loads RandomInputs(g, seed) into the input slots of vals,
+// except that an input overrides names takes the value it gives.
+func (p *plan) random(vals []int64, seed int64, overrides map[string]int64) {
+	for k, id := range p.ins {
+		v, ok := overrides[p.names[k]]
+		if !ok {
+			v = inputValue(seed, k)
+		}
+		vals[id] = v
+	}
+}
+
+// RandomInputs generates reproducible input values for a graph: each
+// lies in [-100, 100] and is a function of the seed and the input's
+// position among the graph's sorted input names alone, so no random
+// source is built per vector. The values differ from those of earlier
+// versions, which drew them from a math/rand source seeded per vector.
 func RandomInputs(g *dfg.Graph, seed int64) map[string]int64 {
-	r := rand.New(rand.NewSource(seed))
-	in := make(map[string]int64)
-	for _, name := range g.Inputs() {
-		in[name] = int64(r.Intn(201) - 100)
+	names := g.Inputs()
+	in := make(map[string]int64, len(names))
+	for k, name := range names {
+		in[name] = inputValue(seed, k)
 	}
 	return in
+}
+
+// inputValue is the k-th sorted input's value under seed: the k-th
+// output of a SplitMix64 stream started at seed, mapped onto [-100, 100]
+// by a multiply-high.
+func inputValue(seed int64, k int) int64 {
+	z := uint64(seed) + uint64(k+1)*0x9e3779b97f4a7c15
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	hi, _ := bits.Mul64(z, 201)
+	return int64(hi) - 100
 }

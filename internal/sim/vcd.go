@@ -12,7 +12,8 @@ import (
 // 1364 §18) of every signal to w: inputs are driven at time 0 and each
 // node's value appears at the end of its finish step (one timescale unit
 // per control step). The dump can be inspected with any waveform viewer;
-// tests parse it back to cross-check the simulation.
+// tests parse it back to cross-check the simulation. A failed write
+// stops the dump and is returned.
 func TraceVCD(s *sched.Schedule, inputs map[string]int64, w io.Writer) error {
 	vals, err := Run(s, inputs)
 	if err != nil {
@@ -31,17 +32,18 @@ func TraceVCD(s *sched.Schedule, inputs map[string]int64, w io.Writer) error {
 		ids[name] = vcdID(i)
 	}
 
-	fmt.Fprintf(w, "$timescale 1ns $end\n")
-	fmt.Fprintf(w, "$scope module %s $end\n", g.Name)
+	vw := &vcdWriter{w: w}
+	vw.printf("$timescale 1ns $end\n")
+	vw.printf("$scope module %s $end\n", g.Name)
 	for _, name := range names {
-		fmt.Fprintf(w, "$var wire 64 %s %s $end\n", ids[name], name)
+		vw.printf("$var wire 64 %s %s $end\n", ids[name], name)
 	}
-	fmt.Fprintf(w, "$upscope $end\n$enddefinitions $end\n")
+	vw.printf("$upscope $end\n$enddefinitions $end\n")
 
 	// Time 0: inputs.
-	fmt.Fprintf(w, "#0\n")
+	vw.printf("#0\n")
 	for _, in := range g.Inputs() {
-		emitChange(w, ids[in], vals[in])
+		vw.change(ids[in], vals[in])
 	}
 	// One tick per control step: nodes finishing in that step.
 	byStep := make(map[int][]string)
@@ -56,16 +58,30 @@ func TraceVCD(s *sched.Schedule, inputs map[string]int64, w io.Writer) error {
 			continue
 		}
 		sort.Strings(sigs)
-		fmt.Fprintf(w, "#%d\n", step)
+		vw.printf("#%d\n", step)
 		for _, sig := range sigs {
-			emitChange(w, ids[sig], vals[sig])
+			vw.change(ids[sig], vals[sig])
 		}
 	}
-	return nil
+	return vw.err
 }
 
-func emitChange(w io.Writer, id string, v int64) {
-	fmt.Fprintf(w, "b%b %s\n", uint64(v), id)
+// vcdWriter writes a dump, keeping the first write error and skipping
+// every write after it.
+type vcdWriter struct {
+	w   io.Writer
+	err error
+}
+
+func (v *vcdWriter) printf(format string, args ...any) {
+	if v.err == nil {
+		_, v.err = fmt.Fprintf(v.w, format, args...)
+	}
+}
+
+// change writes one signal's value.
+func (v *vcdWriter) change(id string, val int64) {
+	v.printf("b%b %s\n", uint64(val), id)
 }
 
 // vcdID maps an index to a compact printable identifier (! through ~).

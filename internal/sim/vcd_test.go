@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"strconv"
 	"strings"
 	"testing"
@@ -142,5 +143,40 @@ func TestTraceVCDPropagatesSimErrors(t *testing.T) {
 	var b strings.Builder
 	if err := TraceVCD(s, map[string]int64{}, &b); err == nil {
 		t.Error("missing inputs accepted")
+	}
+}
+
+var errDiskFull = errors.New("disk full")
+
+// failWriter accepts its first ok writes and fails every later one.
+type failWriter struct{ ok, calls int }
+
+func (f *failWriter) Write(p []byte) (int, error) {
+	f.calls++
+	if f.calls > f.ok {
+		return 0, errDiskFull
+	}
+	return len(p), nil
+}
+
+func TestTraceVCDReturnsWriteError(t *testing.T) {
+	ex := benchmarks.Diffeq()
+	s, err := mfs.Schedule(ex.Graph, mfs.Options{CS: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := RandomInputs(ex.Graph, 1)
+	all := &failWriter{ok: 1 << 30}
+	if err := TraceVCD(s, in, all); err != nil {
+		t.Fatal(err)
+	}
+	for ok := 0; ok < all.calls; ok++ {
+		w := &failWriter{ok: ok}
+		if err := TraceVCD(s, in, w); !errors.Is(err, errDiskFull) {
+			t.Fatalf("write %d fails: TraceVCD returned %v", ok+1, err)
+		}
+		if w.calls != ok+1 {
+			t.Fatalf("write %d fails: %d more writes followed it", ok+1, w.calls-ok-1)
+		}
 	}
 }

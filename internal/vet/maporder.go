@@ -58,6 +58,9 @@ var criticalPkgs = map[string]bool{
 	// tables are what emit prints.
 	"repro/internal/emit": true,
 	"repro/internal/ctrl": true,
+	// sim's first error, its order and its text, end up in certificate
+	// bytes that hlsd caches.
+	"repro/internal/sim": true,
 }
 
 func runMaporder(p *Pass) {
