@@ -187,11 +187,33 @@ func (l *Library) Restrict(names ...string) (*Library, error) {
 		if !ok {
 			return nil, fmt.Errorf("library %s: no unit %s", l.Name, name)
 		}
-		if err := sub.Add(u); err != nil {
+		c := *u // Add writes its unit, and l's units may be shared
+		if err := sub.Add(&c); err != nil {
 			return nil, err
 		}
 	}
 	return sub, nil
+}
+
+// clone returns a deep copy of l: its units and their op lists are new,
+// allocated together.
+func (l *Library) clone() *Library {
+	c := *l
+	n := 0
+	for _, u := range l.units {
+		n += len(u.Ops)
+	}
+	c.units = make([]*Unit, len(l.units))
+	cells := make([]Unit, len(l.units))
+	ops := make([]op.Kind, 0, n)
+	for i, u := range l.units {
+		cells[i] = *u
+		start := len(ops)
+		ops = append(ops, u.Ops...)
+		cells[i].Ops = ops[start:len(ops):len(ops)] // an append reallocates
+		c.units[i] = &cells[i]
+	}
+	return &c
 }
 
 // MuxArea returns the area of an n-input multiplexer. Zero or one input

@@ -2,6 +2,7 @@ package library
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +167,50 @@ func TestRestrict(t *testing.T) {
 	}
 }
 
+// TestRestrictLeavesSourceUnits asserts Restrict does not write the
+// units of the library it restricts.
+func TestRestrictLeavesSourceUnits(t *testing.T) {
+	l := NCRLike()
+	add, _ := l.Lookup("fu_add")
+	before := *add
+	sub, err := l.Restrict("fu_add", "fu_mul")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := sub.Lookup("fu_add"); got == add {
+		t.Error("the restricted library holds the source's unit")
+	}
+	if add.Name != before.Name || add.Area != before.Area || add.Stages != before.Stages ||
+		!slices.Equal(add.Ops, before.Ops) || &add.Ops[0] != &before.Ops[0] {
+		t.Errorf("Restrict changed the source unit: %+v, was %+v", *add, before)
+	}
+}
+
+// TestRestrictConcurrent restricts one library from two goroutines; the
+// race detector reports any write to the shared units.
+func TestRestrictConcurrent(t *testing.T) {
+	l := NCRLike()
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				sub, err := l.Restrict("fu_add", "fu_mul")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := sub.Validate(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestAddValidation(t *testing.T) {
 	l := New("t", 700, 300, 260, 0.08)
 	bad := []*Unit{
@@ -250,9 +295,41 @@ func TestNCRLikeUnitsPinned(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("NCRLike units = %q, want %q", got, want)
 	}
-	// Re-sorting the whole list on every Add cost 382 allocations.
-	if n := testing.AllocsPerRun(20, func() { NCRLike() }); n > 300 {
-		t.Errorf("NCRLike allocates %v times, want at most 300", n)
+	// A copy of the template: the library, its unit list, the units and
+	// their op lists. Building it from scratch took 263.
+	if n := testing.AllocsPerRun(20, func() { NCRLike() }); n > 4 {
+		t.Errorf("NCRLike allocates %v times, want at most 4", n)
+	}
+}
+
+// TestNCRLikeResultsIndependent asserts two NCRLike results share no
+// unit and no op list, so an edit of one is invisible in the other.
+func TestNCRLikeResultsIndependent(t *testing.T) {
+	a, b := NCRLike(), NCRLike()
+	ua, ub := a.Units(), b.Units()
+	if len(ua) != len(ub) {
+		t.Fatalf("%d units vs %d", len(ua), len(ub))
+	}
+	for i := range ua {
+		if ua[i] == ub[i] {
+			t.Errorf("unit %s is shared", ua[i].Name)
+		}
+		if &ua[i].Ops[0] == &ub[i].Ops[0] {
+			t.Errorf("unit %s shares its op list", ua[i].Name)
+		}
+	}
+	want := *ub[0]
+	ua[0].Area *= 2
+	ua[0].Ops[0] = op.Mov
+	ua[1].Ops = append(ua[1].Ops, op.Mov)
+	if ub[0].Area != want.Area || ub[0].Ops[0] != want.Ops[0] {
+		t.Errorf("editing one result changed the other: %+v", ub[0])
+	}
+	if got := a.Units()[2].Ops[0]; got != ub[2].Ops[0] {
+		t.Errorf("appending to one unit's ops overwrote the next unit's: %v", got)
+	}
+	if err := NCRLike().Validate(); err != nil {
+		t.Errorf("edits leaked into later results: %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package library
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/op"
 )
@@ -142,8 +143,13 @@ var combos = [][]op.Kind{
 // above, and 2-stage pipelined multiplier/divider cells for structural
 // pipelining. Register area is 700 µm²; a 2-input multiplexer is 300 µm²
 // and each further input adds a concavely shrinking increment (see
-// Library.MuxArea).
-func NCRLike() *Library {
+// Library.MuxArea). Each call returns a library of its own, a copy of
+// one built on first use, so a caller may edit its result freely.
+func NCRLike() *Library { return ncrLike().clone() }
+
+var ncrLike = sync.OnceValue(buildNCRLike)
+
+func buildNCRLike() *Library {
 	l := New("ncr-like", 700, 300, 260, 0.08)
 	for k, a := range singleArea {
 		mustAdd(l, &Unit{Name: "fu_" + kindSlug(k), Ops: []op.Kind{k}, Area: a, Stages: 1})

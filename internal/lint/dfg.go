@@ -217,6 +217,7 @@ func sameIDSet(a, b map[dfg.NodeID]bool) bool {
 	if len(a) != len(b) {
 		return false
 	}
+	//hls:orderok set equality: whether every key of a is in b does not depend on the visit order
 	for id := range a {
 		if !b[id] {
 			return false

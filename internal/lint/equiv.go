@@ -111,6 +111,7 @@ func Certify(ctx context.Context, u *Unit) (*Certificate, error) {
 	e := &prover{
 		u: u, b: symb.NewBuilder(),
 		g: u.Graph, s: u.Schedule, dp: u.Datapath, c: u.Controller,
+		ins: u.Graph.Inputs(), outs: u.Graph.Outputs(),
 	}
 	// Reference first: its topological walk interns the leaves in graph
 	// order, so operand sorting by intern id is stable across layers.
@@ -129,7 +130,7 @@ func Certify(ctx context.Context, u *Unit) (*Certificate, error) {
 
 	outputs := u.Outputs
 	if len(outputs) == 0 {
-		outputs = e.g.Outputs()
+		outputs = e.outs
 	}
 	for _, o := range outputs {
 		if err := ctx.Err(); err != nil {
@@ -189,6 +190,9 @@ type prover struct {
 	dp *rtl.Datapath
 	c  *ctrl.Controller
 
+	// ins and outs are the graph's sorted inputs and outputs.
+	ins, outs []string
+
 	diags diag.List
 }
 
@@ -231,7 +235,7 @@ func (e *prover) poisonVar(sig string, step int) *symb.Expr {
 // the primary inputs by a topological walk.
 func (e *prover) dfgExprs() map[string]*symb.Expr {
 	vals := make(map[string]*symb.Expr, e.g.Len())
-	for _, in := range e.g.Inputs() {
+	for _, in := range e.ins {
 		vals[in] = e.b.Var(in)
 	}
 	for _, id := range e.g.TopoOrder() {
@@ -301,7 +305,7 @@ func (e *prover) loopExpr(n *dfg.Node, args []*symb.Expr) *symb.Expr {
 // (HL0604).
 func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 	isInput := make(map[string]bool)
-	for _, in := range e.g.Inputs() {
+	for _, in := range e.ins {
 		isInput[in] = true
 	}
 	aluOf := make(map[string]*rtl.ALU, len(e.dp.ALUs))
@@ -473,14 +477,14 @@ func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 
 // --- layer 3: the emitted netlist ---------------------------------------
 
-// netlistExprs re-parses the emitted Verilog and interprets it as a
-// clocked netlist: the combinational assign network is evaluated from
-// the input ports to the output ports. The emitter renders every node
-// as one continuous assign of its operand wires (the FSM sequences
-// which value is live when; the datapath layer above proves that
-// sequencing), so the comb network's function must equal the
-// reference's. Designs with folded loop nodes are skipped without a
-// finding: the emitter stubs their wires with a placeholder constant.
+// netlistExprs interprets the unit's parsed Verilog as a clocked
+// netlist: the combinational assign network is evaluated from the input
+// ports to the output ports. The emitter renders every node as one
+// continuous assign of its operand wires (the FSM sequences which value
+// is live when; the datapath layer above proves that sequencing), so
+// the comb network's function must equal the reference's. Designs with
+// folded loop nodes are skipped without a finding: the emitter stubs
+// their wires with a placeholder constant.
 func (e *prover) netlistExprs(ctx context.Context) (map[string]*symb.Expr, bool) {
 	if e.u.Netlist == "" {
 		return nil, true
@@ -490,7 +494,7 @@ func (e *prover) netlistExprs(ctx context.Context) (map[string]*symb.Expr, bool)
 			return nil, true
 		}
 	}
-	m, _ := parseNetlist(e.u.Netlist) // parse findings belong to the netlist analyzer
+	m, _ := e.u.netlist() // parse findings belong to the netlist analyzer
 	if m.name == "" {
 		e.report(diag.CodeEquivStructure, "netlist", "module",
 			"netlist cannot be interpreted for equivalence: no module declaration",
@@ -501,91 +505,81 @@ func (e *prover) netlistExprs(ctx context.Context) (map[string]*symb.Expr, bool)
 	// Port mapping is positional against the graph, mirroring the
 	// emitter: clk and rst first, then one input port per graph input,
 	// then one output port per graph output.
-	var ins, outs []string
-	for _, name := range m.order {
-		switch m.decls[name].kind {
-		case "input":
-			ins = append(ins, name)
-		case "output":
-			outs = append(outs, name)
+	var ins, outs []netID
+	for _, id := range m.order {
+		switch m.nets[id].kind {
+		case netInput:
+			ins = append(ins, id)
+		case netOutput:
+			outs = append(outs, id)
 		}
 	}
 	if len(ins) >= 2 {
 		ins = ins[2:] // clk, rst
 	}
-	gi, gos := e.g.Inputs(), e.g.Outputs()
-	if len(ins) != len(gi) || len(outs) != len(gos) {
+	if len(ins) != len(e.ins) || len(outs) != len(e.outs) {
 		e.report(diag.CodeEquivStructure, "netlist", "module "+m.name,
 			fmt.Sprintf("port shape mismatch: netlist has %d data inputs and %d outputs, graph has %d and %d",
-				len(ins), len(outs), len(gi), len(gos)),
+				len(ins), len(outs), len(e.ins), len(e.outs)),
 			"the module interface no longer matches the design")
 		return nil, true
 	}
-	inVar := make(map[string]*symb.Expr, len(ins))
+	// val holds each net's value: an input port's leaf, or a driven
+	// net's evaluated assign.
+	val := make([]*symb.Expr, len(m.nets))
 	for i, p := range ins {
-		inVar[p] = e.b.Var(gi[i])
+		val[p] = e.b.Var(e.ins[i])
 	}
 
-	// First driver wins, as in the analyzer's driver checks; duplicate
-	// drivers are the netlist analyzer's HL0503.
-	assignOf := make(map[string]*netAssign, len(m.assigns))
-	for _, a := range m.assigns {
-		if _, ok := assignOf[a.lhs]; !ok {
-			assignOf[a.lhs] = a
+	onStack := make([]bool, len(m.nets))
+	var evalNet func(id netID) *symb.Expr
+	operand := func(x netID) *symb.Expr {
+		if x < 0 {
+			return e.b.Const(m.lits[^x])
 		}
+		return evalNet(x)
 	}
-
-	cache := make(map[string]*symb.Expr)
-	onStack := make(map[string]bool)
-	var evalIdent func(ident string) *symb.Expr
-	var evalExpr func(x *netExpr, line int) *symb.Expr
-	evalIdent = func(ident string) *symb.Expr {
-		if v, ok := cache[ident]; ok {
+	evalNet = func(id netID) *symb.Expr {
+		if v := val[id]; v != nil {
 			return v
 		}
-		if v, ok := inVar[ident]; ok {
-			return v
-		}
-		if onStack[ident] {
-			e.report(diag.CodeEquivStructure, "netlist", ident,
-				fmt.Sprintf("combinational cycle through %q blocks symbolic evaluation", ident),
+		name := m.nets[id].name
+		if onStack[id] {
+			e.report(diag.CodeEquivStructure, "netlist", name,
+				fmt.Sprintf("combinational cycle through %q blocks symbolic evaluation", name),
 				"break the loop; see the netlist analyzer's cycle report")
-			return e.poisonVar("net:"+ident, 0)
+			return e.poisonVar("net:"+name, 0)
 		}
-		a := assignOf[ident]
-		if a == nil {
+		// First driver wins, as in the analyzer's driver checks;
+		// duplicate drivers are the netlist analyzer's HL0503.
+		ai := m.nets[id].firstCont
+		if ai < 0 {
 			// Undriven or a register: registers are write-only in the
 			// emitted subset, so a read here is a defect the divergence
 			// at the root will carry upward.
-			return e.b.Var("undef:net:" + ident)
+			return e.b.Var("undef:net:" + name)
 		}
-		onStack[ident] = true
-		ast, err := parseNetExpr(a.raw)
+		a := &m.assigns[ai]
+		onStack[id] = true
 		var v *symb.Expr
-		if err != nil {
+		switch x := &a.expr; {
+		case x.n == 0:
 			e.report(diag.CodeEquivStructure, "netlist", fmt.Sprintf("line %d", a.line),
-				fmt.Sprintf("assign to %q is outside the interpretable subset: %v", ident, err),
+				fmt.Sprintf("assign to %q is outside the interpretable subset: %v", name, m.exprErr[ai]),
 				"only the emitter's expression forms can be validated")
-			v = e.poisonVar("net:"+ident, 0)
-		} else {
-			v = evalExpr(ast, a.line)
+			v = e.poisonVar("net:"+name, 0)
+		case x.kind() == op.Invalid:
+			v = operand(x.args[0])
+		default:
+			args := make([]*symb.Expr, x.n)
+			for i := range args {
+				args[i] = operand(x.args[i])
+			}
+			v = e.b.Apply(x.kind(), args...)
 		}
-		delete(onStack, ident)
-		cache[ident] = v
+		onStack[id] = false
+		val[id] = v
 		return v
-	}
-	evalExpr = func(x *netExpr, line int) *symb.Expr {
-		switch {
-		case x.isLit:
-			return e.b.Const(x.lit)
-		case x.ident != "":
-			return evalIdent(x.ident)
-		}
-		args := make([]*symb.Expr, len(x.args))
-		for i, a := range x.args {
-			args[i] = evalExpr(a, line)
-		}
-		return e.b.Apply(x.op, args...)
 	}
 
 	res := make(map[string]*symb.Expr, len(outs))
@@ -593,7 +587,7 @@ func (e *prover) netlistExprs(ctx context.Context) (map[string]*symb.Expr, bool)
 		if ctx.Err() != nil {
 			return res, false
 		}
-		res[gos[i]] = evalIdent(p)
+		res[e.outs[i]] = evalNet(p)
 	}
 	return res, false
 }
@@ -618,7 +612,7 @@ func (e *prover) counterexample(ctx context.Context, output string, want, got *s
 	vars := make(map[string]bool)
 	want.Vars(vars)
 	got.Vars(vars)
-	for _, in := range e.g.Inputs() {
+	for _, in := range e.ins {
 		vars[in] = true
 	}
 	names := make([]string, 0, len(vars))
@@ -626,8 +620,8 @@ func (e *prover) counterexample(ctx context.Context, output string, want, got *s
 		names = append(names, v)
 	}
 	sort.Strings(names)
-	isInput := make(map[string]bool, len(e.g.Inputs()))
-	for _, in := range e.g.Inputs() {
+	isInput := make(map[string]bool, len(e.ins))
+	for _, in := range e.ins {
 		isInput[in] = true
 	}
 	for seed := 1; seed <= counterexampleSeeds; seed++ {
@@ -643,8 +637,8 @@ func (e *prover) counterexample(ctx context.Context, output string, want, got *s
 		if w == g {
 			continue
 		}
-		inputs := make(map[string]int64, len(e.g.Inputs()))
-		for _, in := range e.g.Inputs() {
+		inputs := make(map[string]int64, len(e.ins))
+		for _, in := range e.ins {
 			inputs[in] = env[in]
 		}
 		cx := &diag.Counterexample{Inputs: inputs, Output: output, Want: w, Got: g}
@@ -870,12 +864,12 @@ func commuteFirstNonCommutative(text string) (string, bool) {
 		if eq < 0 || semi < eq {
 			continue
 		}
-		toks, err := tokenizeNetExpr(line[eq+1 : semi])
-		if err != nil || len(toks) != 3 || toks[1].kind != tokOp {
+		ts, err := tokenizeNetExpr(line[eq+1 : semi])
+		if err != nil || ts.n != 3 || ts.tok[1].kind != tokOp {
 			continue
 		}
-		k, err := op.Parse(toks[1].text)
-		if err != nil || k.Commutative() || k.Arity() != 2 {
+		toks := ts.tok
+		if k := toks[1].op; k.Commutative() || k.Arity() != 2 {
 			continue
 		}
 		a, b := toks[0], toks[2]

@@ -9,13 +9,16 @@ import (
 	"repro/internal/mfsa"
 )
 
-// FuzzParseNetlist drives the Verilog-subset parser with arbitrary
-// text and checks two properties:
+// FuzzParseNetlist drives the Verilog-subset reader with arbitrary
+// text and checks three properties:
 //
-//  1. the parser never panics, whatever the input (the netlist comes
+//  1. the reader never panics, whatever the input (the netlist comes
 //     from disk in cmd/hlslint and cannot be trusted), and neither
-//     does the expression parser on any assign it extracted;
-//  2. parsing is idempotent on re-emitted source: rendering the parsed
+//     does the tokenizer on any procedural write it extracted;
+//  2. it agrees with the reference parser (reference_test.go) on the
+//     parse findings, the rendered normal form, and every continuous
+//     assign's expression or expression error;
+//  3. parsing is idempotent on re-emitted source: rendering the parsed
 //     module and parsing the rendering again reaches a fixed point,
 //     render(parse(render(parse(x)))) == render(parse(x)).
 func FuzzParseNetlist(f *testing.F) {
@@ -35,11 +38,13 @@ func FuzzParseNetlist(f *testing.F) {
 	f.Add("always @(posedge clk) begin\ncase (state)\n3: begin\n    R0 <= w_x;\nend\nendcase\nend\n")
 	f.Add("assign x = 32'd7;\nassign y = -x;;;\nassign z = x << 2;")
 	f.Add("module q (\n    output wire [15:0] o\n);\nreg [2:0] state;\no <= state;\nendmodule")
+	f.Add("module u (\r\n input wire [3:0]　a,\r\n);\nassign b = a + 1;\nassign c = 4'hF;\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
-		m, _ := parseNetlist(src) // must not panic
-		for _, a := range append(m.assigns, m.procs...) {
-			parseNetExpr(a.raw) // must not panic either
+		compareParse(t, "input", src)
+		m, _ := parseNetlist(src)
+		for i := range m.procs {
+			tokenizeNetExpr(m.procs[i].raw) // must not panic either
 		}
 		norm := renderNetlist(m)
 		m2, _ := parseNetlist(norm)

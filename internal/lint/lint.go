@@ -16,6 +16,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/ctrl"
 	"repro/internal/dfg"
@@ -62,6 +63,30 @@ type Unit struct {
 
 	// Netlist is the emitted structural Verilog text.
 	Netlist string
+
+	// parsed is the parse of Netlist that the analyzers of one RunCtx
+	// share; nil on a caller's unit.
+	parsed *parsedNetlist
+}
+
+// parsedNetlist is a Netlist parsed at most once. Analyzers read it
+// concurrently, so it is never written after the parse.
+type parsedNetlist struct {
+	once  sync.Once
+	m     *netModule
+	diags diag.List
+}
+
+// netlist returns the parsed Netlist and the parse's findings. Within a
+// RunCtx the analyzers share one parse; a unit outside a run, such as
+// one Certify is called on directly, parses for itself.
+func (u *Unit) netlist() (*netModule, diag.List) {
+	p := u.parsed
+	if p == nil {
+		p = new(parsedNetlist)
+	}
+	p.once.Do(func() { p.m, p.diags = parseNetlist(u.Netlist) })
+	return p.m, p.diags
 }
 
 func (u *Unit) designName() string {
@@ -137,6 +162,14 @@ func RunCtx(ctx context.Context, u *Unit, opts Options) (diag.List, error) {
 		return nil, err
 	}
 	design := u.designName()
+	if u.Netlist != "" {
+		// The analyzers get a copy that carries one shared parse; the
+		// caller's unit is never written, so a later edit of its Netlist
+		// is linted afresh.
+		shared := *u
+		shared.parsed = new(parsedNetlist)
+		u = &shared
+	}
 	results, err := pool.MapCtx(ctx, pool.Size(opts.Parallelism), len(selected),
 		func(i int) (diag.List, error) {
 			return runOne(ctx, selected[i], u), nil

@@ -24,84 +24,79 @@ func runNetlist(ctx context.Context, u *Unit) diag.List {
 	if u.Netlist == "" {
 		return nil
 	}
-	m, out := parseNetlist(u.Netlist)
-	report := func(code string, sev diag.Severity, line int, msg string) {
+	m, parsed := u.netlist()
+	out := append(diag.List(nil), parsed...) // the parse's list is shared
+	report := func(code string, sev diag.Severity, line int32, msg string) {
 		out = append(out, diag.Diagnostic{
 			Code: code, Severity: sev, Artifact: "netlist",
 			Loc: fmt.Sprintf("line %d", line), Message: msg,
 		})
 	}
-
-	// Driver census: continuous assigns and procedural writes per net.
-	contDrivers := make(map[string][]*netAssign)
-	procDrivers := make(map[string][]*netAssign)
-	for _, a := range m.assigns {
-		contDrivers[a.lhs] = append(contDrivers[a.lhs], a)
-	}
-	for _, a := range m.procs {
-		procDrivers[a.lhs] = append(procDrivers[a.lhs], a)
-	}
+	nets := m.nets
 
 	// Undeclared identifiers, on either side of any assignment.
-	checkDeclared := func(name string, line int, role string) {
-		if _, ok := m.decls[name]; !ok {
-			report(diag.CodeNetUndeclared, diag.Error, line,
-				fmt.Sprintf("%s %q is never declared", role, name))
+	checkDeclared := func(a *netAssign) {
+		if nets[a.lhs].kind == netUndeclared {
+			report(diag.CodeNetUndeclared, diag.Error, a.line,
+				fmt.Sprintf("assignment target %q is never declared", nets[a.lhs].name))
+		}
+		for _, r := range m.rhs(a) {
+			if nets[r].kind == netUndeclared {
+				report(diag.CodeNetUndeclared, diag.Error, a.line,
+					fmt.Sprintf("identifier %q is never declared", nets[r].name))
+			}
 		}
 	}
-	for _, a := range m.assigns {
-		checkDeclared(a.lhs, a.line, "assignment target")
-		for _, r := range a.rhs {
-			checkDeclared(r, a.line, "identifier")
-		}
+	for i := range m.assigns {
+		checkDeclared(&m.assigns[i])
 	}
-	for _, a := range m.procs {
-		checkDeclared(a.lhs, a.line, "assignment target")
-		for _, r := range a.rhs {
-			checkDeclared(r, a.line, "identifier")
-		}
+	for i := range m.procs {
+		checkDeclared(&m.procs[i])
 	}
 
 	// Per-net driver rules, in declaration order for determinism.
-	used := make(map[string]bool) // nets read by some RHS
-	for _, a := range m.assigns {
-		for _, r := range a.rhs {
-			used[r] = true
-		}
+	used := make([]bool, len(nets)) // nets read by some RHS
+	for _, r := range m.reads {
+		used[r] = true
 	}
-	for _, a := range m.procs {
-		for _, r := range a.rhs {
-			used[r] = true
+	for _, id := range m.order {
+		d := &nets[id]
+		cont, proc := d.firstCont >= 0, d.firstProc >= 0
+		var contLine, procLine int32
+		if cont {
+			contLine = m.assigns[d.firstCont].line
 		}
-	}
-	for _, name := range m.order {
-		d := m.decls[name]
-		cont, proc := contDrivers[name], procDrivers[name]
+		if proc {
+			procLine = m.procs[d.firstProc].line
+		}
 		switch {
-		case d.kind == "input":
-			if len(cont) > 0 || len(proc) > 0 {
-				line := d.line
-				if len(cont) > 0 {
-					line = cont[0].line
-				} else {
-					line = proc[0].line
+		case d.kind == netInput:
+			if cont || proc {
+				line := procLine
+				if cont {
+					line = contLine
 				}
 				report(diag.CodeNetMultiDriven, diag.Error, line,
-					fmt.Sprintf("input port %q is driven inside the module", name))
+					fmt.Sprintf("input port %q is driven inside the module", d.name))
 			}
-		case len(cont) > 1:
-			report(diag.CodeNetMultiDriven, diag.Error, cont[1].line,
-				fmt.Sprintf("net %q has %d continuous drivers (first at line %d)", name, len(cont), cont[0].line))
-		case len(cont) > 0 && len(proc) > 0:
-			report(diag.CodeNetMultiDriven, diag.Error, proc[0].line,
+		case cont && d.lastCont != d.firstCont:
+			n := 0
+			for i := d.firstCont; i >= 0; i = m.assigns[i].next {
+				n++
+			}
+			second := m.assigns[m.assigns[d.firstCont].next].line
+			report(diag.CodeNetMultiDriven, diag.Error, second,
+				fmt.Sprintf("net %q has %d continuous drivers (first at line %d)", d.name, n, contLine))
+		case cont && proc:
+			report(diag.CodeNetMultiDriven, diag.Error, procLine,
 				fmt.Sprintf("net %q is driven both continuously (line %d) and procedurally (line %d)",
-					name, cont[0].line, proc[0].line))
-		case d.kind == "output" && len(cont) == 0 && len(proc) == 0:
+					d.name, contLine, procLine))
+		case d.kind == netOutput && !cont && !proc:
 			report(diag.CodeNetOutput, diag.Error, d.line,
-				fmt.Sprintf("output port %q is never assigned", name))
-		case d.kind == "wire" && used[name] && len(cont) == 0 && len(proc) == 0:
+				fmt.Sprintf("output port %q is never assigned", d.name))
+		case d.kind == netWire && used[id] && !cont && !proc:
 			report(diag.CodeNetUndriven, diag.Error, d.line,
-				fmt.Sprintf("wire %q is read but never driven", name))
+				fmt.Sprintf("wire %q is read but never driven", d.name))
 		}
 	}
 
@@ -110,21 +105,20 @@ func runNetlist(ctx context.Context, u *Unit) diag.List {
 	// ever combines same-width operands, and re-deriving expression
 	// widths would duplicate the emitter's job rather than check it.
 	checkWidth := func(a *netAssign) {
-		if a.rhsIdent == "" {
+		if a.rhsIdent < 0 {
 			return
 		}
-		l, lok := m.decls[a.lhs]
-		r, rok := m.decls[a.rhsIdent]
-		if lok && rok && l.width != r.width {
+		l, r := &nets[a.lhs], &nets[a.rhsIdent]
+		if l.kind != netUndeclared && r.kind != netUndeclared && l.width != r.width {
 			report(diag.CodeNetWidth, diag.Error, a.line,
-				fmt.Sprintf("width mismatch: %q is %d bits, %q is %d bits", a.lhs, l.width, a.rhsIdent, r.width))
+				fmt.Sprintf("width mismatch: %q is %d bits, %q is %d bits", l.name, l.width, r.name, r.width))
 		}
 	}
-	for _, a := range m.assigns {
-		checkWidth(a)
+	for i := range m.assigns {
+		checkWidth(&m.assigns[i])
 	}
-	for _, a := range m.procs {
-		checkWidth(a)
+	for i := range m.procs {
+		checkWidth(&m.procs[i])
 	}
 
 	out = append(out, netCombLoops(m)...)
@@ -136,43 +130,33 @@ func runNetlist(ctx context.Context, u *Unit) diag.List {
 // excluded; a cycle purely through assign statements is unsimulatable
 // hardware.
 func netCombLoops(m *netModule) diag.List {
-	deps := make(map[string][]string) // lhs -> identifiers its assign reads
-	line := make(map[string]int)
-	for _, a := range m.assigns {
-		deps[a.lhs] = append(deps[a.lhs], a.rhs...)
-		if _, ok := line[a.lhs]; !ok {
-			line[a.lhs] = a.line
-		}
-	}
-	names := make([]string, 0, len(deps))
-	for n := range deps {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make(map[string]int)
-	onLoop := make(map[string]bool)
-	var stack []string
-	var visit func(n string)
-	visit = func(n string) {
+	color := make([]uint8, len(m.nets))
+	onLoop := make([]bool, len(m.nets))
+	found := false
+	var stack []netID
+	var visit func(n netID)
+	visit = func(n netID) {
 		color[n] = gray
 		stack = append(stack, n)
-		for _, d := range deps[n] {
-			switch color[d] {
-			case white:
-				if _, driven := deps[d]; driven {
-					visit(d)
-				}
-			case gray:
-				for i := len(stack) - 1; i >= 0; i-- {
-					onLoop[stack[i]] = true
-					if stack[i] == d {
-						break
+		for a := m.nets[n].firstCont; a >= 0; a = m.assigns[a].next {
+			for _, d := range m.rhs(&m.assigns[a]) {
+				switch color[d] {
+				case white:
+					if m.nets[d].firstCont >= 0 {
+						visit(d)
+					}
+				case gray:
+					found = true
+					for i := len(stack) - 1; i >= 0; i-- {
+						onLoop[stack[i]] = true
+						if stack[i] == d {
+							break
+						}
 					}
 				}
 			}
@@ -180,23 +164,43 @@ func netCombLoops(m *netModule) diag.List {
 		stack = stack[:len(stack)-1]
 		color[n] = black
 	}
-	for _, n := range names {
+
+	// Whether the network has a loop does not depend on the order of
+	// the walk, so look in id order first.
+	var driven []netID
+	for id := range m.nets {
+		if m.nets[id].firstCont >= 0 {
+			driven = append(driven, netID(id))
+			if color[id] == white {
+				visit(netID(id))
+			}
+		}
+	}
+	if !found {
+		return nil
+	}
+	// Which nets the walk marks does: mark them walking in name order.
+	clear(color)
+	clear(onLoop)
+	sort.Slice(driven, func(i, j int) bool { return m.nets[driven[i]].name < m.nets[driven[j]].name })
+	for _, n := range driven {
 		if color[n] == white {
 			visit(n)
 		}
 	}
 
-	var out diag.List
-	looped := make([]string, 0, len(onLoop))
-	for n := range onLoop {
-		looped = append(looped, n)
+	var looped []netID
+	for _, n := range driven {
+		if onLoop[n] {
+			looped = append(looped, n)
+		}
 	}
-	sort.Strings(looped)
+	var out diag.List
 	for _, n := range looped {
 		out = append(out, diag.Diagnostic{
 			Code: diag.CodeNetCombLoop, Severity: diag.Error, Artifact: "netlist",
-			Loc:     fmt.Sprintf("line %d", line[n]),
-			Message: fmt.Sprintf("net %q lies on a combinational loop through assign statements", n),
+			Loc:     fmt.Sprintf("line %d", m.assigns[m.nets[n].firstCont].line),
+			Message: fmt.Sprintf("net %q lies on a combinational loop through assign statements", m.nets[n].name),
 		})
 	}
 	return out

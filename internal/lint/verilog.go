@@ -2,48 +2,121 @@ package lint
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"strings"
+	"sync/atomic"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/diag"
 	"repro/internal/op"
 )
 
-// verilog.go is a small parser for the structural-Verilog subset
+// verilog.go is a small reader for the structural-Verilog subset
 // internal/emit produces: one module, scalar/vector port and net
 // declarations, continuous assigns, and always-blocks whose bodies are
 // nonblocking assignments (possibly behind if/else or case items). It
 // reconstructs enough structure — declarations with widths, drivers,
-// uses — for the netlist analyzer to re-check the emitted text without
-// trusting the emitter.
+// uses, and each continuous assign's expression — for the netlist and
+// equiv analyzers to re-check the emitted text without trusting the
+// emitter.
+//
+// The reader walks the text line by line, without splitting or copying
+// it, and interns every identifier: each distinct name gets a dense
+// netID on first sight, and everything else the module holds indexes
+// by it. Names stay substrings of the text.
 
-type netDecl struct {
+// netID is an identifier's dense index in its netModule.
+type netID int32
+
+type netKind uint8
+
+const (
+	netUndeclared netKind = iota
+	netInput
+	netOutput
+	netWire
+	netReg
+)
+
+// netInfo is what the module knows about one identifier.
+type netInfo struct {
 	name  string
-	kind  string // "input", "output", "wire", "reg"
 	width int
-	line  int
+	line  int32   // line of the first declaration
+	kind  netKind // netUndeclared until a declaration names it
+	// The identifier's drivers: the first and last continuous assign to
+	// it (indexes into assigns, chained through netAssign.next) and its
+	// first procedural write (an index into procs); -1 when none.
+	firstCont, lastCont, firstProc int32
 }
 
 type netAssign struct {
-	lhs      string
-	rhs      []string // identifiers read by the right-hand side
-	rhsIdent string   // non-empty when the RHS is a single bare identifier
-	raw      string   // right-hand-side text, trimmed, without the ";"
-	caseItem int      // procs: the "N: begin" case item enclosing it; -1 outside any
-	line     int
+	raw      string // right-hand-side text, trimmed, without the ";"
+	caseItem int    // procs: the "N: begin" case item enclosing it; -1 outside any
+	lhs      netID
+	rhsIdent netID // the right-hand side when it is one bare identifier, else -1
+	lo, hi   int32 // the identifiers the right-hand side reads: reads[lo:hi]
+	next     int32 // continuous assigns: the next one to the same lhs, -1 when last
+	line     int32
+	expr     netExpr // continuous assigns: the right-hand side, tokenized once
 }
 
-type netModule struct {
-	name    string
-	decls   map[string]*netDecl
-	order   []string     // declaration order, for deterministic reports
-	assigns []*netAssign // continuous (assign ... = ...)
-	procs   []*netAssign // procedural (... <= ...)
+// netExpr is a continuous assign's right-hand side in the emitted
+// subset: a bare operand, a unary operator applied to an operand, or a
+// binary operator between two operands. An operand is a net id, or the
+// literal lits[^a] when a is negative. n is the operand count; 0 means
+// the text is outside the subset and exprErr holds why.
+type netExpr struct {
+	args [2]netID
+	op   uint8 // an op.Kind; op.Invalid for a bare operand
+	n    uint8
 }
+
+func (x *netExpr) kind() op.Kind { return op.Kind(x.op) }
+
+// netModule is a parsed netlist. It is read-only once parseNetlist
+// returns: the analyzers of one lint run read it concurrently.
+type netModule struct {
+	name string
+	// slots is an open-addressing table of id+1 by the name's hash, 0
+	// for an empty slot, at most half full.
+	slots   []int32
+	seed    maphash.Seed
+	nets    []netInfo   // by id
+	order   []netID     // declaration order, for deterministic reports
+	assigns []netAssign // continuous (assign ... = ...)
+	procs   []netAssign // procedural (... <= ...)
+	reads   []netID     // backing store of every assign's read ids
+	lits    []int64     // literal operands of the netExprs
+	exprErr map[int32]error
+}
+
+// netlistParses counts parseNetlist calls, so a test can show that one
+// lint run parses its netlist once.
+var netlistParses atomic.Int64
 
 // parseNetlist parses the emitted text, reporting HL0505 duplicate
 // declarations and HL0508 unparseable constructs as it goes.
 func parseNetlist(text string) (*netModule, diag.List) {
-	m := &netModule{decls: make(map[string]*netDecl)}
+	netlistParses.Add(1)
+	// Size the tables from the text: every line holds at most one
+	// declaration or assignment, the emitter declares each net on a line
+	// of its own, and a declaration line takes at least 8 bytes.
+	lines := strings.Count(text, "\n") + 1
+	nAssign := strings.Count(text, "assign ")
+	nProc := strings.Count(text, "<=")
+	nNets := max(min(lines-nAssign-nProc, len(text)/8), 16)
+	m := &netModule{
+		slots:   make([]int32, 2<<bits.Len(uint(nNets))),
+		seed:    maphash.MakeSeed(),
+		nets:    make([]netInfo, 0, nNets),
+		order:   make([]netID, 0, nNets),
+		assigns: make([]netAssign, 0, nAssign),
+		procs:   make([]netAssign, 0, nProc),
+		reads:   make([]netID, 0, 2*nAssign+nProc),
+	}
 	var out diag.List
 	report := func(code string, sev diag.Severity, line int, msg string) {
 		out = append(out, diag.Diagnostic{
@@ -51,21 +124,26 @@ func parseNetlist(text string) (*netModule, diag.List) {
 			Loc: fmt.Sprintf("line %d", line), Message: msg,
 		})
 	}
-	declare := func(d *netDecl) {
-		if prev, dup := m.decls[d.name]; dup {
-			report(diag.CodeNetDupDecl, diag.Error, d.line,
-				fmt.Sprintf("identifier %q declared twice (lines %d and %d)", d.name, prev.line, d.line))
+	declare := func(name string, kind netKind, width, line int) {
+		id := m.intern(name)
+		d := &m.nets[id]
+		if d.kind != netUndeclared {
+			report(diag.CodeNetDupDecl, diag.Error, line,
+				fmt.Sprintf("identifier %q declared twice (lines %d and %d)", name, d.line, line))
 			return
 		}
-		m.decls[d.name] = d
-		m.order = append(m.order, d.name)
+		d.kind, d.width, d.line = kind, width, int32(line)
+		m.order = append(m.order, id)
 	}
 
 	inHeader := false
 	caseItem := -1 // current "N: begin" item of the enclosing case, -1 outside
-	for i, raw := range strings.Split(text, "\n") {
-		ln := i + 1
-		line := raw
+	for start, ln := 0, 1; start <= len(text); ln++ {
+		line := text[start:]
+		if k := strings.IndexByte(line, '\n'); k >= 0 {
+			line = line[:k]
+		}
+		start += len(line) + 1
 		if k := strings.Index(line, "//"); k >= 0 {
 			line = line[:k]
 		}
@@ -86,32 +164,32 @@ func parseNetlist(text string) (*netModule, diag.List) {
 			m.name = rest
 			inHeader = true
 		case inHeader && (strings.HasPrefix(line, "input") || strings.HasPrefix(line, "output")):
-			kind := "input"
+			kind := netInput
 			if strings.HasPrefix(line, "output") {
-				kind = "output"
+				kind = netOutput
 			}
 			name, width, ok := parsePortDecl(line)
 			if !ok {
 				report(diag.CodeNetParse, diag.Warn, ln, fmt.Sprintf("cannot parse port declaration %q", line))
 				continue
 			}
-			declare(&netDecl{name: name, kind: kind, width: width, line: ln})
+			declare(name, kind, width, ln)
 			if strings.Contains(line, ");") {
 				inHeader = false
 			}
 		case inHeader && strings.HasPrefix(line, ");"):
 			inHeader = false
 		case strings.HasPrefix(line, "wire") || strings.HasPrefix(line, "reg"):
-			kind := "wire"
+			kind := netWire
 			if strings.HasPrefix(line, "reg") {
-				kind = "reg"
+				kind = netReg
 			}
 			name, width, ok := parseNetDecl(line)
 			if !ok {
 				report(diag.CodeNetParse, diag.Warn, ln, fmt.Sprintf("cannot parse declaration %q", line))
 				continue
 			}
-			declare(&netDecl{name: name, kind: kind, width: width, line: ln})
+			declare(name, kind, width, ln)
 		case strings.HasPrefix(line, "assign "):
 			body := strings.TrimSuffix(strings.TrimPrefix(line, "assign "), ";")
 			lhs, rhs, ok := strings.Cut(body, "=")
@@ -119,23 +197,17 @@ func parseNetlist(text string) (*netModule, diag.List) {
 				report(diag.CodeNetParse, diag.Warn, ln, fmt.Sprintf("cannot parse assign %q", line))
 				continue
 			}
-			m.assigns = append(m.assigns, newAssign(lhs, rhs, ln))
+			m.addAssign(strings.TrimSpace(lhs), rhs, ln)
 		case strings.Contains(line, "<="):
 			k := strings.Index(line, "<=")
-			lhsIDs := identsOf(line[:k])
-			if len(lhsIDs) == 0 {
+			// The target is the identifier immediately before "<="; any
+			// earlier identifiers belong to an if/else condition.
+			lhs := lastIdent(line[:k])
+			if lhs == "" {
 				report(diag.CodeNetParse, diag.Warn, ln, fmt.Sprintf("cannot find assignment target in %q", line))
 				continue
 			}
-			rhs := line[k+2:]
-			if s := strings.Index(rhs, ";"); s >= 0 {
-				rhs = rhs[:s]
-			}
-			// The target is the identifier immediately before "<="; any
-			// earlier identifiers belong to an if/else condition.
-			p := newAssign(lhsIDs[len(lhsIDs)-1], rhs, ln)
-			p.caseItem = caseItem
-			m.procs = append(m.procs, p)
+			m.addProc(lhs, line[k+2:], caseItem, ln)
 		case isStructuralLine(line):
 			// Block structure the value checks don't need — always headers,
 			// begin/end, endmodule — except that case scaffolding positions
@@ -161,62 +233,166 @@ func parseNetlist(text string) (*netModule, diag.List) {
 	return m, out
 }
 
-func newAssign(lhs, rhs string, line int) *netAssign {
-	// Anything after a stray ";" is not part of the expression; dropping
-	// it here keeps renderNetlist∘parseNetlist idempotent.
-	if s := strings.Index(rhs, ";"); s >= 0 {
+// intern returns the id of the named identifier, giving a new name the
+// next id.
+func (m *netModule) intern(name string) netID {
+	mask := uint64(len(m.slots) - 1)
+	for i := maphash.String(m.seed, name) & mask; ; i = (i + 1) & mask {
+		s := m.slots[i]
+		if s == 0 {
+			id := netID(len(m.nets))
+			m.nets = append(m.nets, netInfo{name: name, firstCont: -1, lastCont: -1, firstProc: -1})
+			m.slots[i] = int32(id) + 1
+			if 2*len(m.nets) > len(m.slots) {
+				m.rehash(2 * len(m.slots))
+			}
+			return id
+		}
+		if m.nets[s-1].name == name {
+			return netID(s - 1)
+		}
+	}
+}
+
+// rehash rebuilds the slot table at the given power-of-two size.
+func (m *netModule) rehash(size int) {
+	m.slots = make([]int32, size)
+	mask := uint64(size - 1)
+	for id := range m.nets {
+		i := maphash.String(m.seed, m.nets[id].name) & mask
+		for m.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		m.slots[i] = int32(id) + 1
+	}
+}
+
+// setWrite fills in an assignment: it interns the target and the
+// identifiers the right-hand side reads.
+func (m *netModule) setWrite(a *netAssign, lhs, rhs string, line int) {
+	// Anything after a stray ";" is not part of the expression.
+	if s := strings.IndexByte(rhs, ';'); s >= 0 {
 		rhs = rhs[:s]
 	}
-	a := &netAssign{
-		lhs: strings.TrimSpace(lhs), rhs: identsOf(rhs),
-		raw: strings.TrimSpace(rhs), caseItem: -1, line: line,
+	*a = netAssign{
+		raw: strings.TrimSpace(rhs), caseItem: -1, lhs: m.intern(lhs),
+		rhsIdent: -1, next: -1, line: int32(line),
 	}
-	if isIdent(a.raw) {
-		a.rhsIdent = a.raw
+	a.lo = int32(len(m.reads))
+	m.appendReads(rhs)
+	a.hi = int32(len(m.reads))
+	if a.hi-a.lo == 1 && isIdent(a.raw) {
+		a.rhsIdent = m.reads[a.lo]
 	}
-	return a
 }
+
+// addAssign records a continuous assign and tokenizes its right-hand
+// side.
+func (m *netModule) addAssign(lhs, rhs string, line int) {
+	i := int32(len(m.assigns))
+	m.assigns = append(m.assigns, netAssign{})
+	a := &m.assigns[i]
+	m.setWrite(a, lhs, rhs, line)
+	if err := m.parseExpr(a); err != nil {
+		if m.exprErr == nil {
+			m.exprErr = make(map[int32]error)
+		}
+		m.exprErr[i] = err
+	}
+	d := &m.nets[a.lhs]
+	if d.firstCont < 0 {
+		d.firstCont = i
+	} else {
+		m.assigns[d.lastCont].next = i
+	}
+	d.lastCont = i
+}
+
+// addProc records a procedural write inside the given case item.
+func (m *netModule) addProc(lhs, rhs string, caseItem, line int) {
+	i := int32(len(m.procs))
+	m.procs = append(m.procs, netAssign{})
+	p := &m.procs[i]
+	m.setWrite(p, lhs, rhs, line)
+	p.caseItem = caseItem
+	if d := &m.nets[p.lhs]; d.firstProc < 0 {
+		d.firstProc = i
+	}
+}
+
+// rhs returns the ids the assignment's right-hand side reads.
+func (m *netModule) rhs(a *netAssign) []netID { return m.reads[a.lo:a.hi] }
 
 // parsePortDecl parses "input  wire [31:0] x," / "output wire y".
 func parsePortDecl(line string) (name string, width int, ok bool) {
 	line = strings.TrimRight(strings.TrimSpace(line), ",")
-	line = strings.TrimSuffix(line, ");")
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return "", 0, false
-	}
+	return declFields(strings.TrimSuffix(line, ");"))
+}
+
+// parseNetDecl parses "wire [31:0] w_x;" / "reg [2:0] state;".
+func parseNetDecl(line string) (name string, width int, ok bool) {
+	return declFields(strings.TrimSuffix(strings.TrimSpace(line), ";"))
+}
+
+// declFields reads a declaration's whitespace-separated fields (split
+// as strings.Fields splits): the last names the net, and the last
+// "[hi:lo]" range between the first and the last gives its width.
+func declFields(s string) (name string, width int, ok bool) {
 	width = 1
-	name = fields[len(fields)-1]
-	for _, f := range fields[1 : len(fields)-1] {
-		if w, isRange := parseRange(f); isRange {
-			width = w
+	n := 0
+	for {
+		f, rest := nextField(s)
+		if f == "" {
+			break
 		}
+		if n >= 2 { // name is a middle field
+			if w, isRange := parseRange(name); isRange {
+				width = w
+			}
+		}
+		name, s = f, rest
+		n++
 	}
-	if !isIdent(name) {
+	if n < 2 || !isIdent(name) {
 		return "", 0, false
 	}
 	return name, width, true
 }
 
-// parseNetDecl parses "wire [31:0] w_x;" / "reg [2:0] state;".
-func parseNetDecl(line string) (name string, width int, ok bool) {
-	line = strings.TrimSuffix(strings.TrimSpace(line), ";")
-	fields := strings.Fields(line)
-	if len(fields) < 2 {
-		return "", 0, false
-	}
-	width = 1
-	name = fields[len(fields)-1]
-	for _, f := range fields[1 : len(fields)-1] {
-		if w, isRange := parseRange(f); isRange {
-			width = w
+// nextField returns s's first whitespace-separated field and the text
+// after it, with unicode.IsSpace deciding what is whitespace.
+func nextField(s string) (field, rest string) {
+	i := 0
+	for i < len(s) {
+		if c := s[i]; c < utf8.RuneSelf {
+			if !asciiSpace[c] {
+				break
+			}
+			i++
+		} else if r, size := utf8.DecodeRuneInString(s[i:]); unicode.IsSpace(r) {
+			i += size
+		} else {
+			break
 		}
 	}
-	if !isIdent(name) {
-		return "", 0, false
+	j := i
+	for j < len(s) {
+		if c := s[j]; c < utf8.RuneSelf {
+			if asciiSpace[c] {
+				break
+			}
+			j++
+		} else if r, size := utf8.DecodeRuneInString(s[j:]); !unicode.IsSpace(r) {
+			j += size
+		} else {
+			break
+		}
 	}
-	return name, width, true
+	return s[i:j], s[j:]
 }
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // parseRange turns "[31:0]" into a width of 32.
 func parseRange(s string) (int, bool) {
@@ -294,11 +470,10 @@ func isIdent(s string) bool {
 	return true
 }
 
-// identsOf extracts the identifiers an expression reads, skipping
-// numeric and based literals like 7 and 32'd0.
-func identsOf(expr string) []string {
-	var out []string
-	i := 0
+// nextIdent returns the first identifier an expression reads at or
+// after i, skipping numeric and based literals like 7 and 32'd0, and
+// the index just past it; "" when there is none.
+func nextIdent(expr string, i int) (string, int) {
 	for i < len(expr) {
 		c := expr[i]
 		switch {
@@ -319,75 +494,78 @@ func identsOf(expr string) []string {
 			for j < len(expr) && isIdentChar(expr[j]) {
 				j++
 			}
-			out = append(out, expr[i:j])
-			i = j
+			return expr[i:j], j
 		default:
 			i++
 		}
 	}
-	return out
+	return "", i
 }
 
-// netExpr is the parsed form of one right-hand side in the emitted
-// subset: a bare operand, a unary operator applied to an operand, or a
-// binary operator between two operands. The translation-validation pass
-// interprets these against symbolic operand values.
-type netExpr struct {
-	op    op.Kind // Invalid for leaves
-	ident string  // leaf: identifier
-	lit   int64   // leaf: literal value
-	isLit bool
-	args  []*netExpr
+// appendReads interns the identifiers expr reads onto m.reads.
+func (m *netModule) appendReads(expr string) {
+	for id, i := nextIdent(expr, 0); id != ""; id, i = nextIdent(expr, i) {
+		m.reads = append(m.reads, m.intern(id))
+	}
 }
 
-// parseNetExpr parses an assign's right-hand-side text. It accepts
-// exactly the shapes internal/emit produces — IDENT, LITERAL, UNOP
-// OPERAND, OPERAND BINOP OPERAND, with decimal or 'd-based literals —
-// and reports anything else as an error for the caller to diagnose.
-func parseNetExpr(raw string) (*netExpr, error) {
-	toks, err := tokenizeNetExpr(raw)
+// lastIdent returns the last identifier expr reads, "" when none.
+func lastIdent(expr string) string {
+	last := ""
+	for id, i := nextIdent(expr, 0); id != ""; id, i = nextIdent(expr, i) {
+		last = id
+	}
+	return last
+}
+
+// parseExpr parses a continuous assign's right-hand side into a.expr.
+// It accepts exactly the shapes internal/emit produces — IDENT,
+// LITERAL, UNOP OPERAND, OPERAND BINOP OPERAND, with decimal or
+// 'd-based literals — and returns anything else as an error.
+func (m *netModule) parseExpr(a *netAssign) error {
+	ts, err := tokenizeNetExpr(a.raw)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	atom := func(t netToken) (*netExpr, bool) {
-		switch t.kind {
-		case tokIdent:
-			return &netExpr{ident: t.text}, true
-		case tokLit:
-			return &netExpr{lit: t.val, isLit: true}, true
+	toks := ts.tok[:min(ts.n, len(ts.tok))]
+	reads := m.rhs(a)
+	// operand turns an atom into a netExpr operand. In an expression of
+	// the subset, the tokenizer's identifiers are the reads in order.
+	operand := func(t netToken) netID {
+		if t.kind == tokLit {
+			m.lits = append(m.lits, t.val)
+			return ^netID(len(m.lits) - 1)
 		}
-		return nil, false
+		id := reads[0]
+		reads = reads[1:]
+		return id
 	}
-	switch len(toks) {
+	switch ts.n {
 	case 1:
-		if e, ok := atom(toks[0]); ok {
-			return e, nil
+		if toks[0].kind != tokOp {
+			a.expr = netExpr{args: [2]netID{operand(toks[0])}, n: 1}
+			return nil
 		}
 	case 2:
-		if toks[0].kind == tokOp {
-			var k op.Kind
-			switch toks[0].text {
-			case "-":
-				k = op.Neg
-			case "~":
-				k = op.Not
-			}
-			if a, ok := atom(toks[1]); k != op.Invalid && ok {
-				return &netExpr{op: k, args: []*netExpr{a}}, nil
-			}
+		var k op.Kind
+		switch toks[0].text {
+		case "-":
+			k = op.Neg
+		case "~":
+			k = op.Not
+		}
+		if k != op.Invalid && toks[1].kind != tokOp {
+			a.expr = netExpr{args: [2]netID{operand(toks[1])}, op: uint8(k), n: 1}
+			return nil
 		}
 	case 3:
-		a, okA := atom(toks[0])
-		c, okC := atom(toks[2])
-		if okA && okC && toks[1].kind == tokOp {
-			k, err := op.Parse(toks[1].text)
-			if err != nil {
-				return nil, fmt.Errorf("unknown operator %q", toks[1].text)
-			}
-			return &netExpr{op: k, args: []*netExpr{a, c}}, nil
+		if toks[0].kind != tokOp && toks[1].kind == tokOp && toks[2].kind != tokOp {
+			x := operand(toks[0])
+			a.expr = netExpr{args: [2]netID{x, operand(toks[2])}, op: uint8(toks[1].op), n: 2}
+			return nil
 		}
 	}
-	return nil, fmt.Errorf("expression %q is outside the emitted subset", raw)
+	return fmt.Errorf("expression %q is outside the emitted subset", a.raw)
 }
 
 type netTokenKind int
@@ -401,15 +579,72 @@ const (
 type netToken struct {
 	kind netTokenKind
 	text string
-	val  int64
+	val  int64   // tokLit: the value
+	op   op.Kind // tokOp: the binary operation the symbol names
 }
 
-// netExprOps are the operator symbols the tokenizer accepts, longest
-// first so "<=" wins over "<".
-var netExprOps = []string{"<<", ">>", "<=", ">=", "==", "!=", "+", "-", "*", "/", "&", "|", "^", "~", "<", ">"}
+// netTokens is a right-hand side's token count and its first three
+// tokens: no expression in the emitted subset has more.
+type netTokens struct {
+	tok [3]netToken
+	n   int
+}
 
-func tokenizeNetExpr(raw string) ([]netToken, error) {
-	var toks []netToken
+func (ts *netTokens) add(t netToken) {
+	if ts.n < len(ts.tok) {
+		ts.tok[ts.n] = t
+	}
+	ts.n++
+}
+
+// netExprOp returns the operator symbol s starts with and the binary
+// operation it names, or "" when s starts with none. Of the symbols
+// << >> <= >= == != + - * / & | ^ ~ < > the longest that matches wins,
+// so "<=" is never read as "<".
+func netExprOp(s string) (string, op.Kind) {
+	if len(s) > 1 {
+		switch s[:2] {
+		case "<<":
+			return "<<", op.Shl
+		case ">>":
+			return ">>", op.Shr
+		case "<=":
+			return "<=", op.Le
+		case ">=":
+			return ">=", op.Ge
+		case "==":
+			return "==", op.Eq
+		case "!=":
+			return "!=", op.Ne
+		}
+	}
+	switch s[0] {
+	case '+':
+		return "+", op.Add
+	case '-':
+		return "-", op.Sub
+	case '*':
+		return "*", op.Mul
+	case '/':
+		return "/", op.Div
+	case '&':
+		return "&", op.And
+	case '|':
+		return "|", op.Or
+	case '^':
+		return "^", op.Xor
+	case '~':
+		return "~", op.Not
+	case '<':
+		return "<", op.Lt
+	case '>':
+		return ">", op.Gt
+	}
+	return "", op.Invalid
+}
+
+func tokenizeNetExpr(raw string) (netTokens, error) {
+	var ts netTokens
 	i := 0
 	for i < len(raw) {
 		c := raw[i]
@@ -421,7 +656,7 @@ func tokenizeNetExpr(raw string) ([]netToken, error) {
 			for j < len(raw) && isIdentChar(raw[j]) {
 				j++
 			}
-			toks = append(toks, netToken{kind: tokIdent, text: raw[i:j]})
+			ts.add(netToken{kind: tokIdent, text: raw[i:j]})
 			i = j
 		case c >= '0' && c <= '9':
 			j := i
@@ -432,7 +667,7 @@ func tokenizeNetExpr(raw string) ([]netToken, error) {
 				// Based literal: WIDTH'dVALUE. Only the decimal base occurs
 				// in the emitted subset.
 				if j+1 >= len(raw) || raw[j+1] != 'd' {
-					return nil, fmt.Errorf("unsupported literal base in %q", raw)
+					return netTokens{}, fmt.Errorf("unsupported literal base in %q", raw)
 				}
 				k := j + 2
 				v := int64(0)
@@ -443,9 +678,9 @@ func tokenizeNetExpr(raw string) ([]netToken, error) {
 					k++
 				}
 				if digits == 0 {
-					return nil, fmt.Errorf("malformed based literal in %q", raw)
+					return netTokens{}, fmt.Errorf("malformed based literal in %q", raw)
 				}
-				toks = append(toks, netToken{kind: tokLit, val: v})
+				ts.add(netToken{kind: tokLit, val: v})
 				i = k
 				continue
 			}
@@ -453,138 +688,19 @@ func tokenizeNetExpr(raw string) ([]netToken, error) {
 			for _, d := range raw[i:j] {
 				v = v*10 + int64(d-'0')
 			}
-			toks = append(toks, netToken{kind: tokLit, val: v})
+			ts.add(netToken{kind: tokLit, val: v})
 			i = j
 		default:
-			matched := ""
-			for _, sym := range netExprOps {
-				if strings.HasPrefix(raw[i:], sym) {
-					matched = sym
-					break
-				}
-			}
+			matched, k := netExprOp(raw[i:])
 			if matched == "" {
-				return nil, fmt.Errorf("unexpected character %q in %q", string(c), raw)
+				return netTokens{}, fmt.Errorf("unexpected character %q in %q", string(c), raw)
 			}
-			toks = append(toks, netToken{kind: tokOp, text: matched})
+			ts.add(netToken{kind: tokOp, text: matched, op: k})
 			i += len(matched)
 		}
 	}
-	if len(toks) == 0 {
-		return nil, fmt.Errorf("empty expression")
+	if ts.n == 0 {
+		return netTokens{}, fmt.Errorf("empty expression")
 	}
-	return toks, nil
-}
-
-// netKeywords are the tokens that select a parser branch by line
-// prefix. An assignment target with one of these names would render
-// into a line the parser reads as something else entirely, so the
-// normal form drops such assignments (they can only come from
-// malformed input, never from the emitter).
-var netKeywords = map[string]bool{
-	"module": true, "endmodule": true, "input": true, "output": true,
-	"wire": true, "reg": true, "assign": true, "always": true,
-	"case": true, "endcase": true, "default": true, "begin": true,
-	"end": true, "if": true, "else": true,
-}
-
-// renderableLHS reports whether an assignment target survives the
-// render → parse round trip as the same construct.
-func renderableLHS(lhs string) bool {
-	return isIdent(lhs) && !netKeywords[lhs]
-}
-
-// renderNetlist prints the parsed module back as source the parser
-// accepts. It is the normal form behind the parser's round-trip
-// property (FuzzParseNetlist): for any input, parse∘render is the
-// identity on the rendered text — render(parse(render(parse(x)))) ==
-// render(parse(x)).
-func renderNetlist(m *netModule) string {
-	var b strings.Builder
-	var ports []*netDecl
-	for _, n := range m.order {
-		if d := m.decls[n]; d.kind == "input" || d.kind == "output" {
-			ports = append(ports, d)
-		}
-	}
-	name := m.name
-	if name == "" && len(ports) > 0 {
-		name = "m" // port decls need a header to parse; normalize one in
-	}
-	if name != "" {
-		fmt.Fprintf(&b, "module %s (\n", name)
-		for i, d := range ports {
-			dir := "input "
-			if d.kind == "output" {
-				dir = "output"
-			}
-			comma := ","
-			if i == len(ports)-1 {
-				comma = ""
-			}
-			if d.width > 1 {
-				fmt.Fprintf(&b, "    %s wire [%d:0] %s%s\n", dir, d.width-1, d.name, comma)
-			} else {
-				fmt.Fprintf(&b, "    %s wire %s%s\n", dir, d.name, comma)
-			}
-		}
-		b.WriteString(");\n")
-	}
-	for _, n := range m.order {
-		d := m.decls[n]
-		if d.kind == "input" || d.kind == "output" {
-			continue
-		}
-		if d.width > 1 {
-			fmt.Fprintf(&b, "%s [%d:0] %s;\n", d.kind, d.width-1, d.name)
-		} else {
-			fmt.Fprintf(&b, "%s %s;\n", d.kind, d.name)
-		}
-	}
-	for _, a := range m.assigns {
-		if !renderableLHS(a.lhs) {
-			continue
-		}
-		fmt.Fprintf(&b, "assign %s = %s;\n", a.lhs, a.raw)
-	}
-	var plain []*netAssign
-	var items []int
-	byItem := make(map[int][]*netAssign)
-	for _, p := range m.procs {
-		if !renderableLHS(p.lhs) {
-			continue
-		}
-		if p.caseItem < 0 {
-			plain = append(plain, p)
-			continue
-		}
-		if _, ok := byItem[p.caseItem]; !ok {
-			items = append(items, p.caseItem)
-		}
-		byItem[p.caseItem] = append(byItem[p.caseItem], p)
-	}
-	if len(plain) > 0 {
-		b.WriteString("always @(posedge clk) begin\n")
-		for _, p := range plain {
-			fmt.Fprintf(&b, "    %s <= %s;\n", p.lhs, p.raw)
-		}
-		b.WriteString("end\n")
-	}
-	if len(items) > 0 {
-		b.WriteString("always @(posedge clk) begin\n")
-		b.WriteString("case (state)\n")
-		for _, item := range items {
-			fmt.Fprintf(&b, "%d: begin\n", item)
-			for _, p := range byItem[item] {
-				fmt.Fprintf(&b, "    %s <= %s;\n", p.lhs, p.raw)
-			}
-			b.WriteString("end\n")
-		}
-		b.WriteString("endcase\n")
-		b.WriteString("end\n")
-	}
-	if name != "" {
-		b.WriteString("endmodule\n")
-	}
-	return b.String()
+	return ts, nil
 }

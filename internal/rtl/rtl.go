@@ -7,9 +7,11 @@
 package rtl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/dfg"
 	"repro/internal/diag"
@@ -394,7 +396,37 @@ func (d *Datapath) ValidateAll() diag.List {
 			Artifact: "datapath", Loc: loc, Message: msg,
 		})
 	}
-	seen := make(map[dfg.NodeID]string)
+	// A node bound twice reports against the ALU that bound it first:
+	// sorting the bindings by node, then by position in ALU order, puts
+	// each node's first binding ahead of its repeats.
+	type binding struct {
+		node     dfg.NodeID
+		pos, alu int
+	}
+	var bs []binding
+	for ai, a := range d.ALUs {
+		for _, b := range a.Ops {
+			bs = append(bs, binding{b.Node, len(bs), ai})
+		}
+	}
+	slices.SortFunc(bs, func(x, y binding) int {
+		return cmp.Or(cmp.Compare(x.node, y.node), cmp.Compare(x.pos, y.pos))
+	})
+	// firstALU, by position: the ALU of the node's first binding for a
+	// repeat, -1 for a first binding.
+	firstALU := make([]int, len(bs))
+	for lo := 0; lo < len(bs); {
+		hi := lo + 1
+		for hi < len(bs) && bs[hi].node == bs[lo].node {
+			firstALU[bs[hi].pos] = bs[lo].alu
+			hi++
+		}
+		firstALU[bs[lo].pos] = -1
+		lo = hi
+	}
+	var dup []bool // scratch: which inputs of one mux list repeat an earlier one
+	var order []int
+	pos := 0
 	for _, a := range d.ALUs {
 		if a.Unit == nil {
 			report(diag.CodeALUNoUnit, a.Name,
@@ -405,22 +437,29 @@ func (d *Datapath) ValidateAll() diag.List {
 				report(diag.CodeALUBadStep, a.Name,
 					fmt.Sprintf("rtl: ALU %s: node %d at step %d", a.Name, b.Node, b.Step))
 			}
-			if prev, dup := seen[b.Node]; dup {
+			if first := firstALU[pos]; first >= 0 {
 				report(diag.CodeALUDupBind, a.Name,
-					fmt.Sprintf("rtl: node %d bound to both %s and %s", b.Node, prev, a.Name))
-				continue
+					fmt.Sprintf("rtl: node %d bound to both %s and %s", b.Node, d.ALUs[first].Name, a.Name))
 			}
-			seen[b.Node] = a.Name
+			pos++
 		}
-		for _, l := range [][]string{a.L1, a.L2} {
-			names := make(map[string]bool)
-			for _, s := range l {
-				if names[s] {
+		for _, l := range [2][]string{a.L1, a.L2} {
+			order = order[:0]
+			for i := range l {
+				order = append(order, i)
+			}
+			slices.SortFunc(order, func(i, j int) int {
+				return cmp.Or(strings.Compare(l[i], l[j]), cmp.Compare(i, j))
+			})
+			dup = slices.Grow(dup[:0], len(l))[:len(l)]
+			for k, i := range order {
+				dup[i] = k > 0 && l[order[k-1]] == l[i]
+			}
+			for i, s := range l {
+				if dup[i] {
 					report(diag.CodeMuxDupInput, a.Name,
 						fmt.Sprintf("rtl: ALU %s: duplicate mux input %q", a.Name, s))
-					continue
 				}
-				names[s] = true
 			}
 		}
 	}

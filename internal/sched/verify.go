@@ -1,8 +1,11 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/dfg"
 	"repro/internal/diag"
@@ -146,83 +149,107 @@ func (s *Schedule) verifyDeps(report func(diag.Diagnostic)) {
 	}
 }
 
-// verifyConflicts checks functional-unit occupancy collisions.
+// verifyConflicts checks functional-unit occupancy collisions. Every
+// placed node contributes one occupant per row it holds (folded by the
+// functional-pipelining latency); sorting the occupants by cell, row and
+// node brings each cell's collisions together, so a legal schedule costs
+// one sort and one pass. Collisions report per cell in (type, index)
+// order and, within a cell, in (a, b) node order.
 func (s *Schedule) verifyConflicts(report func(diag.Diagnostic)) {
 	g := s.Graph
-	type cell struct {
-		typ   string
-		index int
+	// An occupant names its type by position in types, so the sort
+	// compares integers only; a schedule uses few types.
+	type occupant struct {
+		typ, index, row int
+		id              dfg.NodeID
 	}
-	byCell := make(map[cell][]dfg.NodeID)
-	//hls:orderok occupant lists are sorted per cell before any pair is examined, so report order is map-order free
-	for id := range s.Placements {
-		p := s.Placements[id]
-		c := cell{p.Type, p.Index}
-		byCell[c] = append(byCell[c], id)
-	}
-	// Deterministic report order.
-	cells := make([]cell, 0, len(byCell))
-	for c := range byCell {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].typ != cells[j].typ {
-			return cells[i].typ < cells[j].typ
-		}
-		return cells[i].index < cells[j].index
-	})
-	// Bucketing occupants by folded control-step row turns the historical
-	// all-pairs scan (quadratic in a cell's population — ruinous when a
-	// 100k-node schedule funnels thousands of ops through one instance)
-	// into a per-row pass: only ops sharing a row can collide, and a
-	// legal schedule has at most one non-exclusive op per row. The pair
-	// set and its (a, b) sort reproduce the all-pairs report order and
-	// messages exactly.
-	type pair struct{ a, b dfg.NodeID }
-	byRow := make(map[int][]dfg.NodeID)
-	for _, c := range cells {
-		ids := byCell[c]
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for r := range byRow {
-			delete(byRow, r)
-		}
-		for _, id := range ids {
-			for _, r := range s.StepsOf(id) {
-				byRow[r] = append(byRow[r], id)
+	var types []string
+	var pipelined []bool
+	occ := make([]occupant, 0, len(s.Placements))
+	t := -1
+	//hls:orderok the occupants are sorted below before any pair is examined, so report order is map-order free
+	for id, p := range s.Placements {
+		if t < 0 || types[t] != p.Type {
+			if t = slices.Index(types, p.Type); t < 0 {
+				t = len(types)
+				types = append(types, p.Type)
+				pipelined = append(pipelined, s.PipelinedTypes[p.Type])
 			}
 		}
-		seen := make(map[pair]bool)
-		var conflicts []pair
-		for _, row := range byRow {
-			for i := 0; i < len(row); i++ {
-				for j := i + 1; j < len(row); j++ {
-					a, b := row[i], row[j]
-					if a > b {
-						a, b = b, a
+		cycles := g.Node(id).Cycles
+		if pipelined[t] {
+			cycles = 1 // the instance frees its first stage the next step
+		}
+		for i := 0; i < cycles; i++ {
+			r := p.Step + i
+			if s.Latency > 0 {
+				r = ((r - 1) % s.Latency) + 1
+			}
+			occ = append(occ, occupant{t, p.Index, r, id})
+		}
+	}
+	// Renumber the types in name order.
+	byName := make([]int, len(types))
+	for i := range byName {
+		byName[i] = i
+	}
+	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(types[a], types[b]) })
+	rank := make([]int, len(types))
+	for r, i := range byName {
+		rank[i] = r
+	}
+	for i := range occ {
+		occ[i].typ = rank[occ[i].typ]
+	}
+	slices.SortFunc(occ, func(x, y occupant) int {
+		switch {
+		case x.typ != y.typ:
+			return x.typ - y.typ
+		case x.index != y.index:
+			return cmp.Compare(x.index, y.index)
+		case x.row != y.row:
+			return cmp.Compare(x.row, y.row)
+		}
+		return cmp.Compare(x.id, y.id)
+	})
+	type pair struct{ a, b dfg.NodeID }
+	var conflicts []pair
+	for lo := 0; lo < len(occ); {
+		cell := occ[lo]
+		hi := lo
+		conflicts = conflicts[:0]
+		for hi < len(occ) && occ[hi].typ == cell.typ && occ[hi].index == cell.index {
+			// A run of one row: every two distinct nodes in it collide
+			// unless they are mutually exclusive.
+			end := hi + 1
+			for end < len(occ) && occ[end].typ == cell.typ && occ[end].index == cell.index && occ[end].row == occ[hi].row {
+				end++
+			}
+			for i := hi; i < end; i++ {
+				for j := i + 1; j < end; j++ {
+					if a, b := occ[i].id, occ[j].id; a != b {
+						conflicts = append(conflicts, pair{a, b})
 					}
-					if a == b || seen[pair{a, b}] {
-						continue
-					}
-					seen[pair{a, b}] = true
-					if g.MutuallyExclusive(a, b) {
-						continue
-					}
-					conflicts = append(conflicts, pair{a, b})
 				}
 			}
+			hi = end
 		}
-		sort.Slice(conflicts, func(i, j int) bool {
-			if conflicts[i].a != conflicts[j].a {
-				return conflicts[i].a < conflicts[j].a
-			}
-			return conflicts[i].b < conflicts[j].b
+		lo = hi
+		// A pair that shares several rows is one collision.
+		slices.SortFunc(conflicts, func(x, y pair) int {
+			return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 		})
+		conflicts = slices.Compact(conflicts)
+		typ := types[byName[cell.typ]]
 		for _, p := range conflicts {
+			if g.MutuallyExclusive(p.a, p.b) {
+				continue
+			}
 			report(diag.Diagnostic{
 				Code: diag.CodeSchedFUConflict,
-				Loc:  fmt.Sprintf("%s%d", c.typ, c.index),
+				Loc:  fmt.Sprintf("%s%d", typ, cell.index),
 				Message: fmt.Sprintf("verify %s: %q and %q collide on %s%d",
-					g.Name, g.Node(p.a).Name, g.Node(p.b).Name, c.typ, c.index),
+					g.Name, g.Node(p.a).Name, g.Node(p.b).Name, typ, cell.index),
 			})
 		}
 	}

@@ -61,6 +61,9 @@ var criticalPkgs = map[string]bool{
 	// sim's first error, its order and its text, end up in certificate
 	// bytes that hlsd caches.
 	"repro/internal/sim": true,
+	// Lint findings are certificate bytes that hlsd caches, and they are
+	// the lint gate's error text.
+	"repro/internal/lint": true,
 }
 
 func runMaporder(p *Pass) {
