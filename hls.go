@@ -61,6 +61,13 @@ import (
 //     Sweep or SweepGraphs, or a well-formed range lies entirely below a
 //     graph's critical path (the error names the path length), so the
 //     sweep has no feasible point.
+//   - *ConfigError: a Config value no run can honor, such as a negative
+//     Limits entry (the error names the key).
+//   - *NoPositionError: an operation found no free position within the
+//     time constraint once its unit types reached their instance bounds
+//     (Config.Limits); it names the operation, its window and the units.
+//   - *LoopError: a folded loop node was given to MFSA, which synthesizes
+//     flat graphs only.
 //
 // Cancelled or timed-out runs return ctx.Err() — context.Canceled or
 // context.DeadlineExceeded — unwrapped, so errors.Is works as usual.
@@ -73,6 +80,13 @@ type (
 	// RangeError reports a malformed control-step range, or one lying
 	// entirely below a graph's critical path.
 	RangeError = guard.RangeError
+	// ConfigError reports a Config value no run can honor.
+	ConfigError = guard.ConfigError
+	// NoPositionError reports an operation no free position admits under
+	// the instance limits.
+	NoPositionError = sched.NoPositionError
+	// LoopError reports a folded loop node given to MFSA.
+	LoopError = sched.LoopError
 )
 
 // Resource-guard defaults, applied when the corresponding Config knob is
@@ -93,6 +107,9 @@ type (
 	Node = dfg.Node
 	// NodeID identifies a node within its Graph.
 	NodeID = dfg.NodeID
+	// SignalID identifies a signal (a primary input or a node's output)
+	// within its Graph; Graph.SignalName gives its name.
+	SignalID = dfg.SignalID
 	// CondTag marks membership in one branch of a conditional; nodes
 	// tagged with the same Cond but different Branch are mutually
 	// exclusive and may share hardware.
@@ -157,7 +174,11 @@ type (
 	Schedule = sched.Schedule
 	// Placement is one operation's slot in a Schedule.
 	Placement = sched.Placement
-	// Datapath is the bound RTL structure MFSA produces.
+	// Datapath is the bound RTL structure MFSA produces. Its ALUs' port
+	// lists (L1, L2, in multiplexer-select order) and its register
+	// intervals name signals by SignalID, and a Controller's actions name
+	// their ALU by position in ALUs: Graph.SignalName and ALUs[i].Name
+	// give the names.
 	Datapath = rtl.Datapath
 	// Cost is a datapath's Table 2-style cost breakdown.
 	Cost = rtl.Cost

@@ -1,0 +1,81 @@
+package hls_test
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+
+	hls "repro"
+	"repro/internal/benchmarks"
+	"repro/internal/library"
+)
+
+// TestNegativeLimitIsConfigError sends negative instance limits, keyed
+// by unit and by operation, through every entry point that takes them:
+// each must refuse the config with a ConfigError naming the key, before
+// an engine sizes anything by the limit.
+func TestNegativeLimitIsConfigError(t *testing.T) {
+	g := benchmarks.Diffeq().Graph
+	for _, lim := range []struct {
+		key string
+		v   int
+	}{{"fu_mul", -3}, {"*", -1}} {
+		limits := map[string]int{lim.key: lim.v, "fu_add": 2}
+		for _, call := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Synthesize", func() error { _, err := hls.Synthesize(g, hls.Config{CS: 4, Limits: limits}); return err }},
+			{"ScheduleGraph/time", func() error { _, err := hls.ScheduleGraph(g, hls.Config{CS: 4, Limits: limits}); return err }},
+			{"ScheduleGraph/resource", func() error { _, err := hls.ScheduleGraph(g, hls.Config{Limits: limits}); return err }},
+			{"Sweep", func() error { _, err := hls.Sweep(g, hls.Config{Limits: limits}, 4, 6); return err }},
+		} {
+			err := call.run()
+			var ce *hls.ConfigError
+			if !errors.As(err, &ce) || ce.Field != "Limits" || ce.Key != lim.key || ce.Value != lim.v {
+				t.Errorf("%s with %v: %T %v, want a ConfigError naming %q", call.name, limits, err, err, lim.key)
+			}
+		}
+	}
+}
+
+// TestNoPositionIsTyped caps every unit at one instance at the critical
+// path, where both engines run out of positions on four paper graphs,
+// and sends MFSA a folded loop: the failures are typed, and their text
+// is what the engines always printed.
+func TestNoPositionIsTyped(t *testing.T) {
+	units := map[string]int{}
+	for _, u := range library.NCRLike().Units() {
+		units[u.Name] = 1
+	}
+	for _, ex := range benchmarks.All() {
+		switch ex.Name {
+		case "diffeq", "ar-lattice", "bandpass", "ewf":
+		default:
+			continue
+		}
+		cp := ex.Graph.CriticalPathCycles()
+		_, err := hls.Synthesize(ex.Graph, hls.Config{CS: cp, Limits: units})
+		var pe *hls.NoPositionError
+		if !errors.As(err, &pe) || pe.Engine != "mfsa" || len(pe.Units) == 0 || pe.Lo < 1 || pe.Hi < pe.Lo ||
+			err.Error() != fmt.Sprintf("mfsa: %s: no position for %q within %d steps", ex.Name, pe.Node, cp) {
+			t.Errorf("%s: MFSA fails with %T %v", ex.Name, err, err)
+		}
+		ops := map[string]int{}
+		for _, n := range ex.Graph.Nodes() {
+			ops[n.Op.String()] = 1
+		}
+		_, err = hls.ScheduleGraph(ex.Graph, hls.Config{CS: cp, Limits: ops})
+		if !errors.As(err, &pe) || pe.Engine != "mfs" || len(pe.Units) != 1 ||
+			err.Error() != fmt.Sprintf("mfs: %s: no position for %q within 1 %s units and %d steps", ex.Name, pe.Node, pe.Units[0], cp) {
+			t.Errorf("%s: MFS fails with %T %v", ex.Name, err, err)
+		}
+	}
+	src := "design smoother\ninput start, coeff\nloop smooth cycles 2 binds acc = start, d = coeff yields nxt {\n" +
+		"    half = acc >> 1\n    nxt = half + d\n}\nfinal = smooth * 3\n"
+	_, err := hls.SynthesizeSource(src, hls.Config{CS: 4})
+	var le *hls.LoopError
+	if !errors.As(err, &le) || le.Node != "smooth" {
+		t.Errorf("loop: %T %v, want a LoopError naming the loop", err, err)
+	}
+}

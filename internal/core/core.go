@@ -132,6 +132,17 @@ func guardInput(g *dfg.Graph, cfg Config) error {
 	if max := effectiveLimit(cfg.MaxCSteps, guard.DefaultMaxCSteps); max > 0 && cfg.CS > max {
 		return &guard.LimitError{What: "control steps", Got: cfg.CS, Max: max}
 	}
+	// A negative instance limit; of several, the first key by name.
+	bad := ""
+	//hls:orderok a minimum over the keys does not depend on map order
+	for k, v := range cfg.Limits {
+		if v < 0 && (bad == "" || k < bad) {
+			bad = k
+		}
+	}
+	if v, ok := cfg.Limits[bad]; ok && v < 0 {
+		return &guard.ConfigError{Field: "Limits", Key: bad, Value: v, Why: "an instance limit cannot be negative"}
+	}
 	return nil
 }
 

@@ -18,18 +18,18 @@ import (
 	"repro/internal/sched"
 )
 
-// Action is one datapath operation issued in a state: the ALU that
-// executes it, the function code, and the two multiplexer selects
-// (indices into the ALU's L1/L2 input lists; -1 for an unused port).
+// Action is one datapath operation issued in a state: the node, the ALU
+// that executes it (by position in Datapath.ALUs), the function code,
+// and the two multiplexer selects (indices into the ALU's L1/L2 input
+// lists; -1 for an unused port) with the signals they pick.
 type Action struct {
 	Node    dfg.NodeID
-	Name    string // node name, for rendering
-	ALU     string
+	ALU     int
 	Func    op.Kind
 	Mux1Sel int
 	Mux2Sel int
-	Src1    string // signal selected on port 1 ("" if unused)
-	Src2    string
+	Src1    dfg.SignalID // signal selected on port 1
+	Src2    dfg.SignalID // signal selected on port 2 (dfg.NoSignal if unused)
 
 	// Guards lists the conditional branches the operation belongs to
 	// (§5.1): the controller commits the action's result only when every
@@ -45,7 +45,7 @@ func (a Action) Guarded() bool { return len(a.Guards) > 0 }
 // RegWrite latches a signal into a register at the end of a state.
 type RegWrite struct {
 	Reg    int
-	Signal string
+	Signal dfg.SignalID
 }
 
 // State is one FSM state (control step).
@@ -64,29 +64,41 @@ type Controller struct {
 	// non-zero the FSM restarts every Latency steps instead of after the
 	// last state.
 	Latency int
+
+	// g and dp are what Build derived the controller from: String names
+	// nodes, ALUs and signals through them.
+	g  *dfg.Graph
+	dp *rtl.Datapath
 }
 
 // Build derives the controller from a bound design. The datapath must
 // contain a binding for every node of g that the schedule places, and
-// its register packing must already be assigned.
+// its register packing must already be assigned. When several nodes
+// cannot be issued, the error names the first by NodeID.
 func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, error) {
-	c := &Controller{Design: g.Name, Latency: s.Latency}
+	c := &Controller{Design: g.Name, Latency: s.Latency, g: g, dp: dp}
 	states := make([]State, s.CS)
 	for i := range states {
 		states[i].Step = i + 1
 	}
 	// One pass over the datapath instead of a FindBinding scan per node
-	// (quadratic on large designs), into tables indexed by NodeID, plus
-	// lazily built per-ALU signal → mux-select maps replacing the
-	// per-action list scans.
-	byNode := make([]*rtl.ALU, g.Len())
-	binds := make([]*rtl.Binding, g.Len())
-	for _, a := range dp.ALUs {
+	// (quadratic on large designs): where[id] locates node id's binding,
+	// one past its ALU's position (0: unbound) and its index in that
+	// ALU's Ops. A node bound twice keeps its last binding.
+	type binding struct{ alu, op int32 }
+	where := make([]binding, g.Len())
+	for ai, a := range dp.ALUs {
 		for i := range a.Ops {
 			if id := a.Ops[i].Node; id >= 0 && int(id) < g.Len() {
-				byNode[id] = a
-				binds[id] = &a.Ops[i]
+				where[id] = binding{int32(ai) + 1, int32(i)}
 			}
+		}
+	}
+	// bad is the first node Build cannot issue, and err why.
+	bad, err := g.Len(), error(nil)
+	fail := func(id dfg.NodeID, e error) {
+		if int(id) < bad {
+			bad, err = int(id), e
 		}
 	}
 	// Carve every state's action list out of one backing slice, sized by
@@ -94,9 +106,18 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 	counts := make([]int, len(states))
 	total := 0
 	for _, n := range g.Nodes() {
-		if p, ok := s.Placements[n.ID]; ok && p.Step >= 1 && p.Step <= len(states) {
+		p, ok := s.Placements[n.ID]
+		switch {
+		case !ok:
+			fail(n.ID, fmt.Errorf("ctrl: node %q unscheduled", n.Name))
+		case where[n.ID].alu == 0:
+			fail(n.ID, fmt.Errorf("ctrl: node %q unbound", n.Name))
+		case p.Step >= 1 && p.Step <= len(states):
 			counts[p.Step-1]++
 			total++
+		}
+		if err != nil {
+			break
 		}
 	}
 	backing := make([]Action, total)
@@ -105,26 +126,48 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 			states[i].Actions, backing = backing[:0:k], backing[k:]
 		}
 	}
-	sels := make(map[*rtl.ALU]*muxSelects)
-	for _, n := range g.Nodes() {
-		p, ok := s.Placements[n.ID]
-		if !ok {
-			return nil, fmt.Errorf("ctrl: node %q unscheduled", n.Name)
+	// Issue each ALU's operations with its input lists loaded into one
+	// SignalID-indexed position table per port (one past the select; 0:
+	// not on the port), cleared again after the ALU.
+	pos := [2][]int32{make([]int32, g.NumSignals()), make([]int32, g.NumSignals())}
+	for ai, a := range dp.ALUs {
+		load(pos[0], a.L1, 1)
+		load(pos[1], a.L2, 1)
+		for i, b := range a.Ops {
+			if b.Node < 0 || int(b.Node) >= bad || where[b.Node] != (binding{int32(ai) + 1, int32(i)}) {
+				continue // not this node's binding, or past the first fault
+			}
+			n := g.Node(b.Node)
+			act, e := action(g, n, ai, a, b.Swapped, pos)
+			if e != nil {
+				fail(n.ID, e)
+				continue
+			}
+			p := s.Placements[n.ID]
+			states[p.Step-1].Actions = append(states[p.Step-1].Actions, act)
 		}
-		a := byNode[n.ID]
-		if a == nil {
-			return nil, fmt.Errorf("ctrl: node %q unbound", n.Name)
+		load(pos[0], a.L1, 0)
+		load(pos[1], a.L2, 0)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The register writes are carved the same way.
+	clear(counts)
+	total = 0
+	for _, grp := range dp.Registers {
+		for _, iv := range grp {
+			if iv.Birth >= 1 && iv.Birth <= s.CS {
+				counts[iv.Birth-1]++
+				total++
+			}
 		}
-		sel := sels[a]
-		if sel == nil {
-			sel = newMuxSelects(a)
-			sels[a] = sel
+	}
+	writes := make([]RegWrite, total)
+	for i, k := range counts {
+		if k > 0 {
+			states[i].Writes, writes = writes[:0:k], writes[k:]
 		}
-		act, err := action(n, a, binds[n.ID], sel)
-		if err != nil {
-			return nil, err
-		}
-		states[p.Step-1].Actions = append(states[p.Step-1].Actions, act)
 	}
 	for r, grp := range dp.Registers {
 		for _, iv := range grp {
@@ -132,77 +175,54 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 				continue // input captured before step 1 (or held past the end)
 			}
 			states[iv.Birth-1].Writes = append(states[iv.Birth-1].Writes,
-				RegWrite{Reg: r, Signal: iv.Name})
+				RegWrite{Reg: r, Signal: iv.Signal})
 		}
 	}
 	// Both keys are unique within a state (node names are unique, and a
 	// signal has one lifetime interval), so the order is total.
 	for i := range states {
 		slices.SortFunc(states[i].Actions, func(a, b Action) int {
-			return strings.Compare(a.Name, b.Name)
+			return strings.Compare(g.Node(a.Node).Name, g.Node(b.Node).Name)
 		})
 		slices.SortFunc(states[i].Writes, func(a, b RegWrite) int {
 			if c := cmp.Compare(a.Reg, b.Reg); c != 0 {
 				return c
 			}
-			return strings.Compare(a.Signal, b.Signal)
+			return strings.Compare(g.SignalLabel(a.Signal), g.SignalLabel(b.Signal))
 		})
 	}
 	c.States = states
 	return c, nil
 }
 
-// muxSelects maps an ALU's input signals to their L1/L2 positions.
-type muxSelects struct {
-	l1, l2 map[string]int
+// load sets pos[id] for each signal id of a port list to one past its
+// index when on is 1, and back to 0 when on is 0. A signal listed twice
+// keeps its last index; one outside the table is skipped.
+func load(pos []int32, list []dfg.SignalID, on int32) {
+	for i, id := range list {
+		if id >= 0 && int(id) < len(pos) {
+			pos[id] = on * int32(i+1)
+		}
+	}
 }
 
-func newMuxSelects(a *rtl.ALU) *muxSelects {
-	m := &muxSelects{
-		l1: make(map[string]int, len(a.L1)),
-		l2: make(map[string]int, len(a.L2)),
-	}
-	for i, s := range a.L1 {
-		m.l1[s] = i
-	}
-	for i, s := range a.L2 {
-		m.l2[s] = i
-	}
-	return m
-}
-
-func (m *muxSelects) index1(s string) int {
-	if i, ok := m.l1[s]; ok {
-		return i
-	}
-	return -1
-}
-
-func (m *muxSelects) index2(s string) int {
-	if i, ok := m.l2[s]; ok {
-		return i
-	}
-	return -1
-}
-
-func action(n *dfg.Node, a *rtl.ALU, bind *rtl.Binding, sel *muxSelects) (Action, error) {
+// action issues node n on ALU a, the ai-th of the datapath, reading the
+// mux selects from the loaded position tables.
+func action(g *dfg.Graph, n *dfg.Node, ai int, a *rtl.ALU, swapped bool, pos [2][]int32) (Action, error) {
 	act := Action{
-		Node: n.ID, Name: n.Name, ALU: a.Name, Func: n.Op,
-		Mux1Sel: -1, Mux2Sel: -1,
+		Node: n.ID, ALU: ai, Func: n.Op,
+		Mux1Sel: -1, Mux2Sel: -1, Src2: dfg.NoSignal,
 		Guards: append([]dfg.CondTag(nil), n.Excl...),
 	}
-	if bind == nil {
-		return act, fmt.Errorf("ctrl: node %q missing from ALU %s op list", n.Name, a.Name)
-	}
-	ports := rtl.OperandPorts(n, bind.Swapped)
-	act.Src1 = n.Args[ports[0]]
-	if act.Mux1Sel = sel.index1(act.Src1); act.Mux1Sel < 0 {
-		return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L1", n.Name, act.Src1, a.Name)
+	ports := rtl.OperandPorts(n, swapped)
+	act.Src1 = n.ArgIDs()[ports[0]]
+	if act.Mux1Sel = int(pos[0][act.Src1]) - 1; act.Mux1Sel < 0 {
+		return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L1", n.Name, g.SignalName(act.Src1), a.Name)
 	}
 	if ports[1] >= 0 {
-		act.Src2 = n.Args[ports[1]]
-		if act.Mux2Sel = sel.index2(act.Src2); act.Mux2Sel < 0 {
-			return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L2", n.Name, act.Src2, a.Name)
+		act.Src2 = n.ArgIDs()[ports[1]]
+		if act.Mux2Sel = int(pos[1][act.Src2]) - 1; act.Mux2Sel < 0 {
+			return act, fmt.Errorf("ctrl: %q: signal %q missing from %s.L2", n.Name, g.SignalName(act.Src2), a.Name)
 		}
 	}
 	return act, nil
@@ -217,7 +237,9 @@ func (c *Controller) NextState(i int) int {
 	return 0
 }
 
-// String renders the FSM as a readable state table.
+// String renders the FSM as a readable state table, naming nodes, ALUs
+// and signals as the graph and datapath Build read them do (#id, for a
+// controller Build did not make).
 func (c *Controller) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "controller %s: %d states", c.Design, len(c.States))
@@ -232,11 +254,16 @@ func (c *Controller) String() string {
 			for _, g := range a.Guards {
 				guard += fmt.Sprintf(" if c%d=b%d", g.Cond, g.Branch)
 			}
+			src2 := "" // the unused port's
+			if a.Src2 != dfg.NoSignal {
+				src2 = c.g.SignalLabel(a.Src2)
+			}
 			fmt.Fprintf(&b, "  %-12s %s fn=%s mux1=%d(%s) mux2=%d(%s)%s\n",
-				a.Name, a.ALU, a.Func, a.Mux1Sel, a.Src1, a.Mux2Sel, a.Src2, guard)
+				c.g.NodeLabel(a.Node), c.dp.ALULabel(a.ALU), a.Func, a.Mux1Sel, c.g.SignalLabel(a.Src1),
+				a.Mux2Sel, src2, guard)
 		}
 		for _, w := range st.Writes {
-			fmt.Fprintf(&b, "  R%d <= %s\n", w.Reg, w.Signal)
+			fmt.Fprintf(&b, "  R%d <= %s\n", w.Reg, c.g.SignalLabel(w.Signal))
 		}
 	}
 	return b.String()

@@ -51,7 +51,7 @@ func TestBuildController(t *testing.T) {
 		for _, a := range st.Actions {
 			if res.Schedule.Placements[a.Node].Step != st.Step {
 				t.Errorf("action %s in S%d but scheduled at %d",
-					a.Name, st.Step, res.Schedule.Placements[a.Node].Step)
+					g.Node(a.Node).Name, st.Step, res.Schedule.Placements[a.Node].Step)
 			}
 		}
 	}
@@ -67,14 +67,15 @@ func TestMuxSelectsResolve(t *testing.T) {
 		for _, a := range st.Actions {
 			n := g.Node(a.Node)
 			if a.Mux1Sel < 0 {
-				t.Errorf("%s: port 1 unresolved", a.Name)
+				t.Errorf("%s: port 1 unresolved", n.Name)
 			}
 			if n.Op.Arity() == 2 && a.Mux2Sel < 0 {
-				t.Errorf("%s: port 2 unresolved", a.Name)
+				t.Errorf("%s: port 2 unresolved", n.Name)
 			}
 			// The selected source must be the node's operand (either order).
-			if a.Src1 != n.Args[0] && (len(n.Args) < 2 || a.Src1 != n.Args[1]) {
-				t.Errorf("%s: src1 %q not an operand of %v", a.Name, a.Src1, n.Args)
+			src1 := g.SignalName(a.Src1)
+			if src1 != n.Args[0] && (len(n.Args) < 2 || src1 != n.Args[1]) {
+				t.Errorf("%s: src1 %q not an operand of %v", n.Name, src1, n.Args)
 			}
 		}
 	}

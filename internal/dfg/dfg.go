@@ -13,6 +13,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
+	"strconv"
 
 	"repro/internal/op"
 )
@@ -28,6 +29,10 @@ type NodeID int
 // builds of the same graph that declare inputs in a different order
 // number their signals differently, so no result may depend on id order.
 type SignalID int32
+
+// NoSignal stands for an absent signal, such as the second operand of a
+// unary operation. No graph has it.
+const NoSignal SignalID = -1
 
 // CondTag marks membership in one branch of one conditional construct.
 // Two operations are mutually exclusive when they carry tags with the same
@@ -357,6 +362,29 @@ func (g *Graph) SignalName(id SignalID) string {
 		return g.nodes[p].Name
 	}
 	return g.ins[^g.src[id]]
+}
+
+// HasSignal reports whether id names a signal of g.
+func (g *Graph) HasSignal(id SignalID) bool { return id >= 0 && int(id) < len(g.src) }
+
+// SignalLabel is the name of signal id, or "#id" when g has no such
+// signal or is nil. Text about an artifact that may name signals outside
+// its graph — a corrupted datapath or a hand-built controller — prints
+// it.
+func (g *Graph) SignalLabel(id SignalID) string {
+	if g != nil && g.HasSignal(id) {
+		return g.SignalName(id)
+	}
+	return "#" + strconv.Itoa(int(id))
+}
+
+// NodeLabel is the name of node id, or "#id" when g has no such node or
+// is nil; SignalLabel says who prints it.
+func (g *Graph) NodeLabel(id NodeID) string {
+	if g != nil && id >= 0 && int(id) < len(g.nodes) {
+		return g.nodes[id].Name
+	}
+	return "#" + strconv.Itoa(int(id))
 }
 
 // Producer returns the node whose output is signal id, or nil when id is

@@ -150,9 +150,10 @@ func TestVerilogMatchesReference(t *testing.T) {
 
 // TestNamesOutsideTheGraphMatchReference covers the names no slot
 // holds: a register write of a signal the graph lacks, into a register
-// the datapath lacks, and a vector key that is not an input. Only a
-// hand-built controller or vector carries them; the emitter names them
-// at first use as the reference does.
+// the datapath lacks, an action on an ALU the datapath lacks, and a
+// vector key that is not an input. Only a hand-built controller or
+// vector carries them; the emitter names them at first use as the
+// reference does.
 func TestNamesOutsideTheGraphMatchReference(t *testing.T) {
 	ex := benchmarks.Facet()
 	d, err := core.Synthesize(ex.Graph, core.Config{CS: 5})
@@ -162,10 +163,13 @@ func TestNamesOutsideTheGraphMatchReference(t *testing.T) {
 	c := *d.Controller
 	c.States = append([]ctrl.State(nil), c.States...)
 	st := &c.States[len(c.States)-1]
+	ghost := dfg.SignalID(d.Graph.NumSignals())
 	st.Writes = append(append([]ctrl.RegWrite(nil), st.Writes...),
-		ctrl.RegWrite{Reg: len(d.Datapath.Registers) + 1, Signal: "ghost"},
-		ctrl.RegWrite{Reg: 0, Signal: "ghost"},
-		ctrl.RegWrite{Reg: -1, Signal: "w_i1"})
+		ctrl.RegWrite{Reg: len(d.Datapath.Registers) + 1, Signal: ghost},
+		ctrl.RegWrite{Reg: 0, Signal: ghost},
+		ctrl.RegWrite{Reg: -1, Signal: dfg.NoSignal})
+	st.Actions = append([]ctrl.Action(nil), st.Actions...)
+	st.Actions[0].ALU = len(d.Datapath.ALUs)
 	sameText(t, "netlist", emit.Verilog(d.Graph, d.Schedule, d.Datapath, &c),
 		emit.RefVerilog(d.Graph, d.Schedule, d.Datapath, &c))
 

@@ -36,14 +36,15 @@ type namer struct {
 	ins  []string        // primary inputs, sorted
 	outs []string        // primary outputs, sorted
 	port []string        // input ports by position in ins, then output ports by position in outs
+	sig  []dfg.SignalID  // the signals of the ports, in port order
 	wire []string        // signal wires (input taps and node results) by SignalID
 	reg  []string        // register identifiers by index
 	used map[string]bool // identifiers already taken
 
 	// other names what lies outside the graph's slots — a vector key
-	// that is not an input, a write of an unknown signal or register —
-	// by namespaced key; only a hand-built controller or vector reaches
-	// it.
+	// that is not an input, a write of a signal or register the graph
+	// and datapath lack — by namespaced key; only a hand-built controller
+	// or vector reaches it.
 	other map[string]string
 }
 
@@ -52,6 +53,7 @@ func newNamer(g *dfg.Graph, regs int) *namer {
 	nm := &namer{
 		g: g, ins: ins, outs: outs,
 		port: make([]string, 0, len(ins)+len(outs)),
+		sig:  make([]dfg.SignalID, 0, len(ins)+len(outs)),
 		wire: make([]string, g.NumSignals()),
 		reg:  make([]string, regs),
 		used: make(map[string]bool, 5+2*len(ins)+len(outs)+g.Len()+regs),
@@ -64,6 +66,12 @@ func newNamer(g *dfg.Graph, regs int) *namer {
 	}
 	for _, out := range outs {
 		nm.port = append(nm.port, nm.fresh("out_"+out))
+	}
+	for _, names := range [2][]string{ins, outs} {
+		for _, name := range names {
+			id, _ := g.Signal(name)
+			nm.sig = append(nm.sig, id)
+		}
 	}
 	return nm
 }
@@ -111,19 +119,15 @@ func (nm *namer) inputNamed(sig string) string {
 // wireOf is the wire carrying signal id: an input tap, or a node's
 // result wire.
 func (nm *namer) wireOf(id dfg.SignalID) string {
+	if !nm.g.HasSignal(id) {
+		label := nm.g.SignalLabel(id)
+		return nm.outside("sig:"+label, "w_"+label)
+	}
 	if w := nm.wire[id]; w != "" {
 		return w
 	}
 	nm.wire[id] = nm.fresh("w_" + nm.g.SignalName(id))
 	return nm.wire[id]
-}
-
-// signal is the wire carrying a signal given by name.
-func (nm *namer) signal(sig string) string {
-	if id, ok := nm.g.Signal(sig); ok {
-		return nm.wireOf(id)
-	}
-	return nm.outside("sig:"+sig, "w_"+sig)
 }
 
 // register is the register-bank identifier for register r.
@@ -169,14 +173,15 @@ func (w *writer) quote(s string) {
 	w.Write(w.num)
 }
 
-// list writes a string slice as %v does: [a b c].
-func (w *writer) list(ss []string) {
+// signals writes the names g gives a signal list as %v writes a string
+// slice: [a b c].
+func (w *writer) signals(g *dfg.Graph, ids []dfg.SignalID) {
 	w.WriteByte('[')
-	for i, s := range ss {
+	for i, id := range ids {
 		if i > 0 {
 			w.WriteByte(' ')
 		}
-		w.WriteString(s)
+		w.WriteString(g.SignalLabel(id))
 	}
 	w.WriteByte(']')
 }
@@ -210,8 +215,8 @@ func Verilog(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath, c *ctrl.Controll
 	emitInputTaps(&b, nm)
 	emitRegisters(&b, nm, c)
 	emitALUs(&b, nm, dp, c)
-	for i, out := range nm.outs {
-		b.put("    assign ", nm.output(i), " = ", nm.signal(out), ";\n")
+	for i := range nm.outs {
+		b.put("    assign ", nm.output(i), " = ", nm.wireOf(nm.sig[len(nm.ins)+i]), ";\n")
 	}
 	b.put("endmodule\n")
 	return b.String()
@@ -220,25 +225,25 @@ func Verilog(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath, c *ctrl.Controll
 // netlistSize estimates the netlist's length from the names it prints,
 // so the builder is allocated once.
 func netlistSize(nm *namer, dp *rtl.Datapath, c *ctrl.Controller) int {
+	g := nm.g
 	size := 1024 + 32*len(c.States) + 24*len(dp.Registers)
 	for _, in := range nm.ins {
 		size += 64 + 4*len(in) // port, tap wire and tap assignment
 	}
-	for _, n := range nm.g.Nodes() {
+	for _, n := range g.Nodes() {
 		size += 80 + 4*len(n.Name) // result wire, assignment, output port if any
 	}
 	for _, st := range c.States {
 		for _, w := range st.Writes {
-			size += 40 + 2*len(w.Signal)
+			size += 40 + 2*len(g.SignalLabel(w.Signal))
 		}
 	}
 	for _, a := range dp.ALUs {
 		size += 48 + len(a.Name)
-		for _, sig := range a.L1 {
-			size += 1 + len(sig)
-		}
-		for _, sig := range a.L2 {
-			size += 1 + len(sig)
+		for _, l := range [2][]dfg.SignalID{a.L1, a.L2} {
+			for _, id := range l {
+				size += 1 + len(g.SignalLabel(id))
+			}
 		}
 	}
 	return size
@@ -253,10 +258,10 @@ func emitInputTaps(b *writer, nm *namer) {
 	}
 	b.put("    // primary-input taps\n")
 	for i := range nm.ins {
-		b.put("    wire [31:0] ", nm.signal(nm.ins[i]), ";\n")
+		b.put("    wire [31:0] ", nm.wireOf(nm.sig[i]), ";\n")
 	}
 	for i := range nm.ins {
-		b.put("    assign ", nm.signal(nm.ins[i]), " = ", nm.input(i), ";\n")
+		b.put("    assign ", nm.wireOf(nm.sig[i]), " = ", nm.input(i), ";\n")
 	}
 	b.put("\n")
 }
@@ -294,8 +299,8 @@ func emitRegisters(b *writer, nm *namer, c *ctrl.Controller) {
 		b.int(i)
 		b.put(": begin\n")
 		for _, w := range st.Writes {
-			b.put("            ", nm.register(w.Reg), " <= ", nm.signal(w.Signal), "; // holds ")
-			b.quote(w.Signal)
+			b.put("            ", nm.register(w.Reg), " <= ", nm.wireOf(w.Signal), "; // holds ")
+			b.quote(nm.g.SignalLabel(w.Signal))
 			b.put("\n")
 		}
 		b.put("        end\n")
@@ -312,23 +317,24 @@ func emitALUs(b *writer, nm *namer, dp *rtl.Datapath, c *ctrl.Controller) {
 	b.put("\n")
 	for _, a := range dp.ALUs {
 		b.put("    // ", sanitize(a.Name), ": ", a.Unit.Symbol(), " — L1=")
-		b.list(a.L1)
+		b.signals(g, a.L1)
 		b.put(" L2=")
-		b.list(a.L2)
+		b.signals(g, a.L2)
 		b.put("\n")
 	}
 	b.put("\n")
 	// Each node's value as a combinational select of its operands; the
 	// schedule guarantees its ALU computes it in its state. Both tables
-	// are indexed by NodeID; stepByNode keeps the 1-based position of the
-	// first state issuing the node (0: none).
-	aluByNode := make([]string, g.Len())
-	stepByNode := make([]int, g.Len())
+	// are indexed by NodeID: aluByNode keeps the ALU of the last action
+	// issuing the node, stepByNode the 1-based position of the first
+	// state issuing it (0: none).
+	aluByNode := make([]int32, g.Len())
+	stepByNode := make([]int32, g.Len())
 	for i, st := range c.States {
 		for _, act := range st.Actions {
-			aluByNode[act.Node] = act.ALU
+			aluByNode[act.Node] = int32(act.ALU)
 			if stepByNode[act.Node] == 0 {
-				stepByNode[act.Node] = i + 1
+				stepByNode[act.Node] = int32(i + 1)
 			}
 		}
 	}
@@ -346,12 +352,12 @@ func emitALUs(b *writer, nm *namer, dp *rtl.Datapath, c *ctrl.Controller) {
 		default:
 			b.put("    assign ", out, " = ", nm.wireOf(args[0]), " ", vOp(n.Op.String()), " ", nm.wireOf(args[1]))
 		}
-		b.put("; // ", aluByNode[n.ID], " state ")
+		b.put("; // ")
 		if step := stepByNode[n.ID]; step > 0 {
-			b.put("S")
-			b.int(step)
+			b.put(dp.ALULabel(int(aluByNode[n.ID])), " state S")
+			b.int(int(step))
 		} else {
-			b.put("?")
+			b.put(" state ?")
 		}
 		b.put("\n")
 	}

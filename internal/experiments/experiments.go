@@ -308,8 +308,8 @@ func NaiveAllocate(s *sched.Schedule, lib *library.Library) (*rtl.Datapath, erro
 		}
 		a.Bind(n, p.Step)
 	}
-	dp.AssignRegisters(lifetimes(s))
-	if err := dp.Validate(); err != nil {
+	dp.AssignRegisters(g, lifetimes(s))
+	if err := dp.Validate(g); err != nil {
 		return nil, err
 	}
 	return dp, nil
@@ -329,7 +329,7 @@ func lifetimes(s *sched.Schedule) []rtl.Interval {
 				death = sp.Step
 			}
 		}
-		out = append(out, rtl.Interval{Name: n.Name, Birth: birth, Death: death})
+		out = append(out, rtl.Interval{Signal: n.OutID(), Birth: birth, Death: death})
 	}
 	return out
 }

@@ -114,7 +114,7 @@ func TestNaiveAllocate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.Validate(); err != nil {
+	if err := dp.Validate(ex.Graph); err != nil {
 		t.Fatal(err)
 	}
 	c := dp.Cost()

@@ -101,6 +101,20 @@ func (e *LimitError) Error() string {
 	return fmt.Sprintf("%s %d exceeds the limit of %d", e.What, e.Got, e.Max)
 }
 
+// ConfigError reports a configuration value no run can honor, such as a
+// negative instance limit. Field names the configuration field and Key
+// the entry of a map-valued field.
+type ConfigError struct {
+	Field string
+	Key   string
+	Value int
+	Why   string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("config %s[%q] = %d: %s", e.Field, e.Key, e.Value, e.Why)
+}
+
 // RangeError reports a control-step constraint range a design-space
 // sweep cannot satisfy: either the range itself is malformed (Lo < 1 or
 // Lo > Hi), or it is well-formed but lies entirely below the graph's

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/dfg"
 	"repro/internal/diag"
 	"repro/internal/mfsa"
 )
@@ -26,7 +27,7 @@ func runAlloc(ctx context.Context, u *Unit) diag.List {
 		return nil
 	}
 	g := u.Graph
-	out := dp.ValidateAll()
+	out := dp.ValidateAll(g)
 	report := func(code, loc, msg string) {
 		out = append(out, diag.Diagnostic{
 			Code: code, Severity: diag.Error, Artifact: "datapath",
@@ -34,20 +35,13 @@ func runAlloc(ctx context.Context, u *Unit) diag.List {
 		})
 	}
 
-	inputs := make(map[string]bool)
-	for _, in := range g.Inputs() {
-		inputs[in] = true
-	}
-	bound := make(map[int]bool) // node IDs with a binding
+	bound := make([]bool, g.Len()) // by NodeID: has a binding
 	for _, a := range dp.ALUs {
-		for _, l := range [][]string{a.L1, a.L2} {
+		for _, l := range [2][]dfg.SignalID{a.L1, a.L2} {
 			for _, sig := range l {
-				if inputs[sig] {
-					continue
-				}
-				if _, ok := g.Lookup(sig); !ok {
+				if !g.HasSignal(sig) {
 					report(diag.CodeMuxUnknown, a.Name,
-						fmt.Sprintf("ALU %s: multiplexer input %q names no primary input or node output", a.Name, sig))
+						fmt.Sprintf("ALU %s: multiplexer input %q names no primary input or node output", a.Name, g.SignalLabel(sig)))
 				}
 			}
 		}
@@ -57,7 +51,7 @@ func runAlloc(ctx context.Context, u *Unit) diag.List {
 					fmt.Sprintf("ALU %s binds node %d, which the graph does not have", a.Name, b.Node))
 				continue
 			}
-			bound[int(b.Node)] = true
+			bound[b.Node] = true
 			n := g.Node(b.Node)
 			if a.Unit != nil && !n.IsLoop() && !a.Unit.Can(n.Op) {
 				report(diag.CodeALUOpMismatch, a.Name,
@@ -86,7 +80,7 @@ func runAlloc(ctx context.Context, u *Unit) diag.List {
 			if _, placed := s.Placements[n.ID]; !placed {
 				continue
 			}
-			if !bound[int(n.ID)] {
+			if !bound[n.ID] {
 				report(diag.CodeAllocUnbound, n.Name,
 					fmt.Sprintf("scheduled node %q has no ALU binding", n.Name))
 			}

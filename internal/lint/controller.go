@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/ctrl"
+	"repro/internal/dfg"
 	"repro/internal/diag"
 	"repro/internal/rtl"
 )
@@ -24,6 +26,7 @@ func runCtrl(ctx context.Context, u *Unit) diag.List {
 	if c == nil {
 		return nil
 	}
+	g := u.Graph
 	var out diag.List
 	report := func(code string, sev diag.Severity, loc, msg string) {
 		out = append(out, diag.Diagnostic{
@@ -38,6 +41,8 @@ func runCtrl(ctx context.Context, u *Unit) diag.List {
 	if c.Latency > 0 && c.Latency < restart {
 		restart = c.Latency
 	}
+	// unguarded holds one state's first write of each register.
+	unguarded := make(map[int]dfg.SignalID)
 	for i, st := range c.States {
 		loc := fmt.Sprintf("S%d", i+1)
 		if st.Step != i+1 {
@@ -51,53 +56,56 @@ func runCtrl(ctx context.Context, u *Unit) diag.List {
 
 		// Two unguarded writes to one register in one state race; the
 		// register's final value would depend on emission order.
-		unguarded := make(map[int]string)
+		clear(unguarded)
 		for _, w := range st.Writes {
 			if prev, dup := unguarded[w.Reg]; dup {
 				report(diag.CodeCtrlWriteRace, diag.Error, loc,
-					fmt.Sprintf("state %d writes R%d twice (%q and %q)", i, w.Reg, prev, w.Signal))
+					fmt.Sprintf("state %d writes R%d twice (%q and %q)", i, w.Reg, g.SignalLabel(prev), g.SignalLabel(w.Signal)))
 				continue
 			}
 			unguarded[w.Reg] = w.Signal
 		}
 
 		for _, act := range st.Actions {
+			name := g.NodeLabel(act.Node)
 			for x := 0; x < len(act.Guards); x++ {
 				for y := x + 1; y < len(act.Guards); y++ {
 					a, b := act.Guards[x], act.Guards[y]
 					if a.Cond == b.Cond && a.Branch != b.Branch {
-						report(diag.CodeCtrlGuardUnsat, diag.Error, act.Name,
+						report(diag.CodeCtrlGuardUnsat, diag.Error, name,
 							fmt.Sprintf("action %q is guarded by branches %d and %d of conditional %d: it can never commit",
-								act.Name, a.Branch, b.Branch, a.Cond))
+								name, a.Branch, b.Branch, a.Cond))
 					}
 				}
 			}
 			if u.Datapath != nil {
-				checkMuxSelects(u.Datapath, act.ALU, act.Name, act.Mux1Sel, act.Src1, act.Mux2Sel, act.Src2, report)
+				checkMuxSelects(g, u.Datapath, act, report)
 			}
 			if s := u.Schedule; s != nil {
 				if p, placed := s.Placements[act.Node]; !placed {
-					report(diag.CodeCtrlActionStep, diag.Error, act.Name,
-						fmt.Sprintf("action %q issued in state %d, but the schedule never placed its node", act.Name, i))
+					report(diag.CodeCtrlActionStep, diag.Error, name,
+						fmt.Sprintf("action %q issued in state %d, but the schedule never placed its node", name, i))
 				} else if p.Step != st.Step {
-					report(diag.CodeCtrlActionStep, diag.Error, act.Name,
+					report(diag.CodeCtrlActionStep, diag.Error, name,
 						fmt.Sprintf("action %q issued in state step %d, but scheduled at step %d",
-							act.Name, st.Step, p.Step))
+							name, st.Step, p.Step))
 				}
 			}
 		}
 	}
 
 	// Every scheduled node needs a controller action.
-	if s := u.Schedule; s != nil && u.Graph != nil {
-		acted := make(map[int]bool)
+	if s := u.Schedule; s != nil && g != nil {
+		acted := make([]bool, g.Len())
 		for _, st := range c.States {
 			for _, act := range st.Actions {
-				acted[int(act.Node)] = true
+				if act.Node >= 0 && int(act.Node) < len(acted) {
+					acted[act.Node] = true
+				}
 			}
 		}
-		for _, n := range u.Graph.Nodes() {
-			if _, placed := s.Placements[n.ID]; placed && !acted[int(n.ID)] {
+		for _, n := range g.Nodes() {
+			if _, placed := s.Placements[n.ID]; placed && !acted[n.ID] {
 				report(diag.CodeCtrlMissing, diag.Error, n.Name,
 					fmt.Sprintf("scheduled node %q has no controller action", n.Name))
 			}
@@ -106,31 +114,25 @@ func runCtrl(ctx context.Context, u *Unit) diag.List {
 	return out
 }
 
-// checkMuxSelects verifies an action's mux selects index the named
-// ALU's input lists at the action's source signals.
-func checkMuxSelects(dp *rtl.Datapath, aluName, actName string, sel1 int, src1 string, sel2 int, src2 string,
-	report func(code string, sev diag.Severity, loc, msg string)) {
-	var alu *rtl.ALU
-	for _, a := range dp.ALUs {
-		if a.Name == aluName {
-			alu = a
-			break
-		}
-	}
-	if alu == nil {
-		report(diag.CodeCtrlMuxSelect, diag.Error, actName,
-			fmt.Sprintf("action %q references ALU %s, which the datapath does not have", actName, aluName))
+// checkMuxSelects verifies an action's mux selects index its ALU's
+// input lists at the action's source signals.
+func checkMuxSelects(g *dfg.Graph, dp *rtl.Datapath, act ctrl.Action, report func(code string, sev diag.Severity, loc, msg string)) {
+	name := g.NodeLabel(act.Node)
+	if act.ALU < 0 || act.ALU >= len(dp.ALUs) {
+		report(diag.CodeCtrlMuxSelect, diag.Error, name,
+			fmt.Sprintf("action %q references ALU %s, which the datapath does not have", name, dp.ALULabel(act.ALU)))
 		return
 	}
-	check := func(port int, sel int, src string, list []string) {
-		if src == "" {
+	alu := dp.ALUs[act.ALU]
+	check := func(port int, sel int, src dfg.SignalID, list []dfg.SignalID) {
+		if src == dfg.NoSignal {
 			return
 		}
 		if sel < 0 || sel >= len(list) || list[sel] != src {
-			report(diag.CodeCtrlMuxSelect, diag.Error, actName,
-				fmt.Sprintf("action %q: mux%d select %d does not pick source %q on %s", actName, port, sel, src, aluName))
+			report(diag.CodeCtrlMuxSelect, diag.Error, name,
+				fmt.Sprintf("action %q: mux%d select %d does not pick source %q on %s", name, port, sel, g.SignalLabel(src), alu.Name))
 		}
 	}
-	check(1, sel1, src1, alu.L1)
-	check(2, sel2, src2, alu.L2)
+	check(1, act.Mux1Sel, act.Src1, alu.L1)
+	check(2, act.Mux2Sel, act.Src2, alu.L2)
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -111,21 +112,22 @@ func runDFG(ctx context.Context, u *Unit) diag.List {
 
 	// Cross-link audit: the cached pred set must equal the Args-derived
 	// producer set. (Succs mirror preds; Validate checks the back-links.)
+	// Both sets are small: compare them as sorted, deduplicated slices
+	// in scratch reused across nodes.
+	var derived, cached []dfg.NodeID
 	for _, n := range g.Nodes() {
-		derived := make(map[dfg.NodeID]bool)
+		derived = derived[:0]
 		for _, a := range n.Args {
 			if p, ok := producer[a]; ok {
-				derived[p.ID] = true
+				derived = append(derived, p.ID)
 			}
 		}
-		cached := make(map[dfg.NodeID]bool, len(n.Preds()))
-		for _, p := range n.Preds() {
-			cached[p] = true
-		}
-		if !sameIDSet(derived, cached) {
+		derived = idSet(derived)
+		cached = idSet(append(cached[:0], n.Preds()...))
+		if !slices.Equal(derived, cached) {
 			report(diag.CodeDFGCrossLink, diag.Error, n.Name,
 				fmt.Sprintf("node %q: cached predecessors %v disagree with Args-derived %v",
-					n.Name, sortedIDs(cached), sortedIDs(derived)),
+					n.Name, cached, derived),
 				"the Args relation and the pred/succ cache have diverged")
 		}
 	}
@@ -213,24 +215,8 @@ func dfgCycleNodes(g *dfg.Graph, producer map[string]*dfg.Node) []dfg.NodeID {
 	return ids
 }
 
-func sameIDSet(a, b map[dfg.NodeID]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	//hls:orderok set equality: whether every key of a is in b does not depend on the visit order
-	for id := range a {
-		if !b[id] {
-			return false
-		}
-	}
-	return true
-}
-
-func sortedIDs(set map[dfg.NodeID]bool) []dfg.NodeID {
-	ids := make([]dfg.NodeID, 0, len(set))
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+// idSet sorts ids and drops repeats, in place.
+func idSet(ids []dfg.NodeID) []dfg.NodeID {
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }

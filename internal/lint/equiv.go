@@ -26,9 +26,11 @@ package lint
 // out-of-range mux select) are HL0603/HL0604.
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 
@@ -144,7 +146,11 @@ func Certify(ctx context.Context, u *Unit) (*Certificate, error) {
 		if netSkipped {
 			proof.Netlist = "skipped"
 		}
-		if dpE := dpv[o]; dpE != refE {
+		var dpE *symb.Expr
+		if id, ok := e.g.Signal(o); ok {
+			dpE = dpv[id]
+		}
+		if dpE != refE {
 			proof.Datapath = "diverges"
 			e.reportDivergence(ctx, diag.CodeEquivDatapath, "datapath", o, refE, dpE)
 		}
@@ -296,56 +302,61 @@ func (e *prover) loopExpr(n *dfg.Node, args []*symb.Expr) *symb.Expr {
 // datapathExprs walks the FSM controller state by state, resolving
 // every action's operands through its ALU's input multiplexers and
 // latching register writes, and returns the symbolic value each signal
-// wire carries when its action executes. The walk enforces the
-// register-transfer availability rules the simulator enforces
-// concretely: a value read across a step boundary must be held by an
-// allocated register over the whole span (HL0603), a value read in its
-// own step is legal only as single-cycle chaining under a clock budget,
-// and a latch of a wire that is not ready is a structural defect
-// (HL0604).
-func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
-	isInput := make(map[string]bool)
-	for _, in := range e.ins {
-		isInput[in] = true
-	}
-	aluOf := make(map[string]*rtl.ALU, len(e.dp.ALUs))
-	for _, a := range e.dp.ALUs {
-		aluOf[a.Name] = a
-	}
-	topoIdx := make(map[dfg.NodeID]int, e.g.Len())
-	for i, id := range e.g.TopoOrder() {
+// wire carries when its action executes, indexed by dfg.SignalID (nil
+// for a signal no action computes). The walk follows the ids the
+// controller and datapath carry, never the graph's public Args, so a
+// graph whose names drifted from its ids diverges from the reference.
+// It enforces the register-transfer availability rules the simulator
+// enforces concretely: a value read across a step boundary must be held
+// by an allocated register over the whole span (HL0603), a value read
+// in its own step is legal only as single-cycle chaining under a clock
+// budget, and a latch of a wire that is not ready is a structural
+// defect (HL0604).
+func (e *prover) datapathExprs(ctx context.Context) []*symb.Expr {
+	g := e.g
+	topoIdx := make([]int, g.Len())
+	for i, id := range g.TopoOrder() {
 		topoIdx[id] = i
 	}
-	cov := e.dp.Coverage(e.g)
+	cov := e.dp.Coverage(g)
 
-	wireVal := make(map[string]*symb.Expr) // signal -> value its ALU computes
-	wireReady := make(map[string]int)      // signal -> finish step of its action
-	latched := make(map[string]*symb.Expr) // signal -> value its register holds
+	// By SignalID: the value a signal's ALU computes, the finish step of
+	// its action (0: never computed), and the value its register holds
+	// (nil: never latched).
+	wireVal := make([]*symb.Expr, g.NumSignals())
+	wireReady := make([]int, g.NumSignals())
+	latched := make([]*symb.Expr, g.NumSignals())
 
 	// resolve yields the symbolic value the hardware delivers when an
 	// operand signal is read during step t.
-	resolve := func(sig string, t int, chainOK bool, who string) *symb.Expr {
-		if isInput[sig] {
-			return e.b.Var(sig) // primary inputs are stable ports
-		}
-		r, ok := wireReady[sig]
-		switch {
-		case !ok:
+	resolve := func(sig dfg.SignalID, t int, chainOK bool, who string) *symb.Expr {
+		if !g.HasSignal(sig) {
+			name := g.SignalLabel(sig)
 			e.report(diag.CodeEquivStructure, "datapath", who,
-				fmt.Sprintf("operand %q read in S%d is never computed by an earlier state", sig, t),
+				fmt.Sprintf("operand %q read in S%d is never computed by an earlier state", name, t),
 				"schedule the producing operation before its consumer")
-			return e.poisonVar(sig, t)
+			return e.poisonVar(name, t)
+		}
+		name := g.SignalName(sig)
+		if g.Producer(sig) == nil {
+			return e.b.Var(name) // primary inputs are stable ports
+		}
+		switch r := wireReady[sig]; {
+		case r == 0:
+			e.report(diag.CodeEquivStructure, "datapath", who,
+				fmt.Sprintf("operand %q read in S%d is never computed by an earlier state", name, t),
+				"schedule the producing operation before its consumer")
+			return e.poisonVar(name, t)
 		case r < t:
 			// Crossed a step boundary: only a covering register carries
 			// the value here.
-			// sig has a wire, so it names a graph node.
-			if id, _ := e.g.Signal(sig); !cov.Covers(id, r, t) {
-				d := e.report(diag.CodeEquivRegister, "datapath", sig,
-					fmt.Sprintf("value %q born in S%d is read in S%d but no allocated register holds it over [%d,%d]", sig, r, t, r, t),
+			if !cov.Covers(sig, r, t) {
+				d := e.report(diag.CodeEquivRegister, "datapath", name,
+					fmt.Sprintf("value %q born in S%d is read in S%d but no allocated register holds it over [%d,%d]", name, r, t, r, t),
 					"extend the value's storage interval or re-run register allocation")
-				d.Counterexample = e.structuralCounterexample(ctx, sig)
+				d.Counterexample = e.structuralCounterexample(ctx, name)
 			}
-			if lv, ok := latched[sig]; ok {
+			if lv := latched[sig]; lv != nil {
 				return lv
 			}
 			return wireVal[sig] // uncovered and unlatched: the HL0603 above already refutes
@@ -354,33 +365,34 @@ func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 				return wireVal[sig]
 			}
 			e.report(diag.CodeEquivStructure, "datapath", who,
-				fmt.Sprintf("operand %q is read in S%d but only ready at the end of that step (chaining needs a clock budget and a single-cycle consumer)", sig, t),
+				fmt.Sprintf("operand %q is read in S%d but only ready at the end of that step (chaining needs a clock budget and a single-cycle consumer)", name, t),
 				"place the consumer one step later or enable chaining")
-			return e.poisonVar(sig, t)
+			return e.poisonVar(name, t)
 		default: // r > t
 			e.report(diag.CodeEquivStructure, "datapath", who,
-				fmt.Sprintf("operand %q is read in S%d before its producer finishes in S%d", sig, t, r),
+				fmt.Sprintf("operand %q is read in S%d before its producer finishes in S%d", name, t, r),
 				"the schedule and controller disagree on the producer's step")
-			return e.poisonVar(sig, t)
+			return e.poisonVar(name, t)
 		}
 	}
 
-	muxPort := func(list []string, sel, port, t int, chainOK bool, act *ctrl.Action) *symb.Expr {
+	muxPort := func(alu *rtl.ALU, list []dfg.SignalID, sel, port, t int, chainOK bool, who string) *symb.Expr {
 		switch {
 		case sel < 0:
-			e.report(diag.CodeEquivStructure, "datapath", act.Name,
-				fmt.Sprintf("action %q leaves multiplexer port %d unselected in S%d", act.Name, port, t),
+			e.report(diag.CodeEquivStructure, "datapath", who,
+				fmt.Sprintf("action %q leaves multiplexer port %d unselected in S%d", who, port, t),
 				"the controller did not derive a mux select for a needed operand")
-			return e.poisonVar(fmt.Sprintf("%s.mux%d", act.ALU, port), t)
+			return e.poisonVar(fmt.Sprintf("%s.mux%d", alu.Name, port), t)
 		case sel >= len(list):
-			e.report(diag.CodeEquivStructure, "datapath", act.Name,
-				fmt.Sprintf("action %q selects mux%d input %d of %s but the port has only %d inputs", act.Name, port, sel, act.ALU, len(list)),
+			e.report(diag.CodeEquivStructure, "datapath", who,
+				fmt.Sprintf("action %q selects mux%d input %d of %s but the port has only %d inputs", who, port, sel, alu.Name, len(list)),
 				"the controller's select and the datapath's mux tables diverged")
-			return e.poisonVar(fmt.Sprintf("%s.mux%d", act.ALU, port), t)
+			return e.poisonVar(fmt.Sprintf("%s.mux%d", alu.Name, port), t)
 		}
-		return resolve(list[sel], t, chainOK, act.Name)
+		return resolve(list[sel], t, chainOK, who)
 	}
 
+	var acts []*ctrl.Action
 	for i := range e.c.States {
 		if ctx.Err() != nil {
 			return wireVal
@@ -390,60 +402,64 @@ func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 
 		// Controller actions are sorted by name; chaining makes values
 		// flow between actions of one step, so process them in
-		// dataflow (topological) order instead.
-		acts := make([]*ctrl.Action, len(st.Actions))
+		// dataflow (topological) order instead, unknown nodes last.
+		acts = acts[:0]
 		for j := range st.Actions {
-			acts[j] = &st.Actions[j]
+			acts = append(acts, &st.Actions[j])
 		}
-		sort.SliceStable(acts, func(a, b int) bool {
-			ia, oka := topoIdx[acts[a].Node]
-			ib, okb := topoIdx[acts[b].Node]
-			if oka != okb {
-				return oka // unknown nodes last
+		known := func(a *ctrl.Action) bool { return a.Node >= 0 && int(a.Node) < g.Len() }
+		slices.SortStableFunc(acts, func(a, b *ctrl.Action) int {
+			ka, kb := known(a), known(b)
+			switch {
+			case ka != kb:
+				if ka {
+					return -1
+				}
+				return 1
+			case !ka:
+				return 0
 			}
-			return ia < ib
+			return cmp.Compare(topoIdx[a.Node], topoIdx[b.Node])
 		})
 
 		for _, act := range acts {
-			n, ok := e.g.Lookup(act.Name)
-			if !ok || n.ID != act.Node {
-				e.report(diag.CodeEquivStructure, "controller", act.Name,
-					fmt.Sprintf("S%d action names node %q (id %d) which the graph does not define", t, act.Name, act.Node),
+			if !known(act) {
+				e.report(diag.CodeEquivStructure, "controller", g.NodeLabel(act.Node),
+					fmt.Sprintf("S%d action names node id %d, which the graph does not define", t, act.Node),
 					"controller and graph are out of sync")
 				continue
 			}
+			n := g.Node(act.Node)
 			chainOK := e.s.ClockNs > 0 && n.Cycles == 1
 			var val *symb.Expr
 			switch {
 			case n.IsLoop():
 				// Folded loops bypass the ALU/mux fabric; operands bind
-				// by signal name as in the simulator.
-				args := make([]*symb.Expr, len(n.Args))
-				for ai, a := range n.Args {
-					args[ai] = resolve(a, t, chainOK, act.Name)
+				// by signal as in the simulator.
+				args := make([]*symb.Expr, len(n.ArgIDs()))
+				for ai, a := range n.ArgIDs() {
+					args[ai] = resolve(a, t, chainOK, n.Name)
 				}
 				val = e.loopExpr(n, args)
 			case !act.Func.Valid():
-				e.report(diag.CodeEquivStructure, "controller", act.Name,
-					fmt.Sprintf("S%d action for %q carries no valid ALU function", t, act.Name),
+				e.report(diag.CodeEquivStructure, "controller", n.Name,
+					fmt.Sprintf("S%d action for %q carries no valid ALU function", t, n.Name),
 					"the controller lost the operation's opcode")
-				val = e.poisonVar(act.Name, t)
+				val = e.poisonVar(n.Name, t)
+			case act.ALU < 0 || act.ALU >= len(e.dp.ALUs):
+				e.report(diag.CodeEquivStructure, "datapath", n.Name,
+					fmt.Sprintf("S%d action for %q targets ALU %q which the datapath does not contain", t, n.Name, e.dp.ALULabel(act.ALU)),
+					"binding names a functional unit that was never allocated")
+				val = e.poisonVar(n.Name, t)
 			default:
-				alu := aluOf[act.ALU]
-				if alu == nil {
-					e.report(diag.CodeEquivStructure, "datapath", act.Name,
-						fmt.Sprintf("S%d action for %q targets ALU %q which the datapath does not contain", t, act.Name, act.ALU),
-						"binding names a functional unit that was never allocated")
-					val = e.poisonVar(act.Name, t)
-					break
-				}
 				// The hardware computes act.Func over whatever the mux
 				// selects deliver — not what the graph says the node's
 				// operands are. That gap is exactly what this layer
 				// validates.
-				args := []*symb.Expr{muxPort(alu.L1, act.Mux1Sel, 1, t, chainOK, act)}
+				alu := e.dp.ALUs[act.ALU]
+				args := []*symb.Expr{muxPort(alu, alu.L1, act.Mux1Sel, 1, t, chainOK, n.Name)}
 				if act.Func.Arity() == 2 {
-					args = append(args, muxPort(alu.L2, act.Mux2Sel, 2, t, chainOK, act))
+					args = append(args, muxPort(alu, alu.L2, act.Mux2Sel, 2, t, chainOK, n.Name))
 				}
 				val = e.b.Apply(act.Func, args...)
 			}
@@ -451,22 +467,28 @@ func (e *prover) datapathExprs(ctx context.Context) map[string]*symb.Expr {
 			if cyc < 1 {
 				cyc = 1
 			}
-			wireVal[n.Name] = val
-			wireReady[n.Name] = t + cyc - 1
+			wireVal[n.OutID()] = val
+			wireReady[n.OutID()] = t + cyc - 1
 		}
 
 		for _, w := range st.Writes {
-			r, ok := wireReady[w.Signal]
-			if !ok || r != t {
+			name := g.SignalLabel(w.Signal)
+			r := 0
+			if g.HasSignal(w.Signal) {
+				r = wireReady[w.Signal]
+			}
+			if r != t {
 				was := "is never computed"
-				if ok {
+				if r > 0 {
 					was = fmt.Sprintf("is driven only during S%d", r)
 				}
-				d := e.report(diag.CodeEquivStructure, "datapath", w.Signal,
-					fmt.Sprintf("S%d latches %q into R%d but the wire %s", t, w.Signal, w.Reg, was),
+				d := e.report(diag.CodeEquivStructure, "datapath", name,
+					fmt.Sprintf("S%d latches %q into R%d but the wire %s", t, name, w.Reg, was),
 					"the register transfer fires in a state where its source wire is not valid")
-				d.Counterexample = e.structuralCounterexample(ctx, w.Signal)
-				latched[w.Signal] = e.poisonVar(w.Signal, t)
+				d.Counterexample = e.structuralCounterexample(ctx, name)
+				if g.HasSignal(w.Signal) {
+					latched[w.Signal] = e.poisonVar(name, t)
+				}
 				continue
 			}
 			latched[w.Signal] = wireVal[w.Signal]
@@ -750,23 +772,23 @@ var mutations = []Mutation{
 			if u.Controller == nil || u.Datapath == nil {
 				return fmt.Errorf("unit has no controller or datapath")
 			}
-			aluOf := make(map[string]*rtl.ALU)
-			for _, a := range u.Datapath.ALUs {
-				aluOf[a.Name] = a
-			}
+			alus := u.Datapath.ALUs
 			for si := range u.Controller.States {
 				for ai := range u.Controller.States[si].Actions {
 					act := &u.Controller.States[si].Actions[ai]
-					cur := aluOf[act.ALU]
-					if cur == nil || act.Mux1Sel < 0 || act.Mux1Sel >= len(cur.L1) {
+					if act.ALU < 0 || act.ALU >= len(alus) {
 						continue
 					}
-					for _, b := range u.Datapath.ALUs {
-						if b.Name == act.ALU {
+					cur := alus[act.ALU]
+					if act.Mux1Sel < 0 || act.Mux1Sel >= len(cur.L1) {
+						continue
+					}
+					for bi, b := range alus {
+						if bi == act.ALU {
 							continue
 						}
 						if act.Mux1Sel >= len(b.L1) || b.L1[act.Mux1Sel] != cur.L1[act.Mux1Sel] {
-							act.ALU = b.Name
+							act.ALU = bi
 							return nil
 						}
 					}
@@ -779,19 +801,21 @@ var mutations = []Mutation{
 		Name: "shift-action",
 		Doc:  "issue an operation one control step later than its register write expects",
 		Apply: func(u *Unit) error {
-			if u.Controller == nil {
-				return fmt.Errorf("unit has no controller")
+			if u.Controller == nil || u.Graph == nil {
+				return fmt.Errorf("unit has no controller or graph")
 			}
-			sts := u.Controller.States
-			written := make(map[string]bool)
+			g, sts := u.Graph, u.Controller.States
+			written := make([]bool, g.NumSignals())
 			for _, st := range sts {
 				for _, w := range st.Writes {
-					written[w.Signal] = true
+					if g.HasSignal(w.Signal) {
+						written[w.Signal] = true
+					}
 				}
 			}
 			for si := 0; si < len(sts)-1; si++ {
 				for ai, act := range sts[si].Actions {
-					if !written[act.Name] {
+					if act.Node < 0 || int(act.Node) >= g.Len() || !written[g.Node(act.Node).OutID()] {
 						continue // only a latched value is guaranteed to expose the shift
 					}
 					sts[si].Actions = append(append([]ctrl.Action(nil), sts[si].Actions[:ai]...), sts[si].Actions[ai+1:]...)
@@ -809,16 +833,16 @@ var mutations = []Mutation{
 			if u.Controller == nil || u.Datapath == nil {
 				return fmt.Errorf("unit has no controller or datapath")
 			}
-			used := make(map[string]bool) // ALUs with an action selecting L1[0] or L1[1]
+			used := make([]bool, len(u.Datapath.ALUs)) // ALUs with an action selecting L1[0] or L1[1]
 			for _, st := range u.Controller.States {
 				for _, act := range st.Actions {
-					if act.Mux1Sel == 0 || act.Mux1Sel == 1 {
+					if (act.Mux1Sel == 0 || act.Mux1Sel == 1) && act.ALU >= 0 && act.ALU < len(used) {
 						used[act.ALU] = true
 					}
 				}
 			}
-			for _, a := range u.Datapath.ALUs {
-				if len(a.L1) >= 2 && used[a.Name] {
+			for i, a := range u.Datapath.ALUs {
+				if len(a.L1) >= 2 && used[i] {
 					a.L1[0], a.L1[1] = a.L1[1], a.L1[0]
 					return nil
 				}

@@ -246,3 +246,34 @@ func TestMutationRegistry(t *testing.T) {
 		t.Error("unknown mutation name did not error")
 	}
 }
+
+// TestCertifyRefutesEditedArgs edits one node's public Args after
+// synthesis, leaving the graph's signal ids as they were: the reference
+// layer reads the names and the datapath and netlist layers the ids, so
+// the pass must refuse every such design rather than certify the ids
+// alone.
+func TestCertifyRefutesEditedArgs(t *testing.T) {
+	for _, ex := range benchmarks.All() {
+		u := synthUnit(t, ex)
+		edited := ""
+		for _, n := range u.Graph.Nodes() {
+			for _, in := range u.Graph.Inputs() {
+				if len(n.Args) == 2 && n.Args[0] != in && n.Args[1] != in && edited == "" {
+					edited = n.Name + ": " + n.Args[0] + " -> " + in
+					n.Args[0] = in
+				}
+			}
+		}
+		if edited == "" {
+			t.Fatalf("%s: no binary node to edit", ex.Name)
+		}
+		cert := certify(t, u)
+		diverged := false
+		for _, p := range cert.Outputs {
+			diverged = diverged || p.Datapath == "diverges"
+		}
+		if cert.Status != "refuted" || !diverged {
+			t.Errorf("%s (%s): status %q, outputs %+v", ex.Name, edited, cert.Status, cert.Outputs)
+		}
+	}
+}

@@ -233,7 +233,7 @@ func TestAnalyzersCatchCorruption(t *testing.T) {
 			name: "mux input names nothing", analyzer: "alloc", want: diag.CodeMuxUnknown,
 			corrupt: func(t *testing.T, u *lint.Unit) {
 				a := u.Datapath.ALUs[0]
-				a.L1 = append(a.L1, "ghost")
+				a.L1 = append(a.L1, dfg.SignalID(u.Graph.NumSignals())) // a signal the graph lacks
 			},
 		},
 		{

@@ -456,8 +456,8 @@ func (s *scheduler) placeOne(id dfg.NodeID) error {
 			s.current[typ]++ // local rescheduling: allow one more FU
 			continue
 		}
-		return fmt.Errorf("mfs: %s: no position for %q within %d %s units and %d steps",
-			s.g.Name, n.Name, s.maxj[typ], typ, s.cs)
+		return &sched.NoPositionError{Engine: "mfs", Graph: s.g.Name, Node: n.Name, Lo: lo, Hi: hi, CS: s.cs,
+			Units: []string{typ}, Max: []int{s.maxj[typ]}}
 	}
 }
 

@@ -25,7 +25,7 @@ func TestAllocateMFSSchedules(t *testing.T) {
 		if err := res.Schedule.Verify(nil); err != nil {
 			t.Fatalf("%s: %v", ex.Name, err)
 		}
-		if err := res.Datapath.Validate(); err != nil {
+		if err := res.Datapath.Validate(ex.Graph); err != nil {
 			t.Fatalf("%s: %v", ex.Name, err)
 		}
 		// Steps preserved exactly.

@@ -179,7 +179,7 @@ func prepare(g *dfg.Graph, opt Options) (Options, error) {
 	checked := make([][]int, op.NumKinds()+1) // per kind, the cycle counts checked
 	for _, n := range g.Nodes() {
 		if n.IsLoop() {
-			return opt, fmt.Errorf("mfsa: fold loops with mfs.ScheduleLoops and synthesize bodies separately (node %q)", n.Name)
+			return opt, &sched.LoopError{Engine: "mfsa", Node: n.Name}
 		}
 		if !slices.Contains(checked[n.Op], n.Cycles) {
 			if len(candidateUnits(opt, n)) == 0 {
@@ -245,7 +245,7 @@ type state struct {
 	// counts how many of their stored intervals cover the boundary span
 	// [t, t+1), and regBase caches max(cnt). Left-edge packing is optimal
 	// for interval lifetimes — the register count IS the maximum overlap
-	// — so regBase always equals len(rtl.PackRegisters(s.registerIntervals()))
+	// — so regBase always equals len(rtl.PackRegisters(g, s.registerIntervals()))
 	// without rebuilding and packing the interval list per candidate.
 	// Maintained on commit; regDelta perturbs cnt in place and reverts.
 	//
@@ -499,7 +499,12 @@ func (s *state) grow(n *dfg.Node, units []*unit) error {
 		}
 	}
 	if pick == nil {
-		return fmt.Errorf("mfsa: %s: no position for %q within %d steps", s.g.Name, n.Name, s.opt.CS)
+		e := &sched.NoPositionError{Engine: "mfsa", Graph: s.g.Name, Node: n.Name, CS: s.opt.CS}
+		e.Lo, e.Hi = s.window(n)
+		for _, u := range units {
+			e.Units, e.Max = append(e.Units, u.Name), append(e.Max, u.maxInst)
+		}
+		return e
 	}
 	pick.current++
 	return nil
@@ -859,7 +864,7 @@ func (s *state) maxCnt() int {
 // placed operation consumes yet is held one boundary.
 func (s *state) registerIntervals() []rtl.Interval {
 	out := make([]rtl.Interval, 0, len(s.life))
-	add := func(sig string, id dfg.SignalID) {
+	add := func(id dfg.SignalID) {
 		lt := s.life[id]
 		if !lt.live {
 			return
@@ -868,16 +873,16 @@ func (s *state) registerIntervals() []rtl.Interval {
 		if d == 0 {
 			d = lt.birth + 1
 		}
-		out = append(out, rtl.Interval{Name: sig, Birth: lt.birth, Death: d})
+		out = append(out, rtl.Interval{Signal: id, Birth: lt.birth, Death: d})
 	}
 	if s.opt.RegisterInputs {
 		for _, in := range s.g.Inputs() {
 			id, _ := s.g.Signal(in)
-			add(in, id)
+			add(id)
 		}
 	}
 	for _, n := range s.g.Nodes() {
-		add(n.Name, n.OutID())
+		add(n.OutID())
 	}
 	return out
 }
@@ -961,8 +966,8 @@ func (s *state) finish() (*Result, error) {
 	// §5.6 post-pass: re-derive each ALU's input lists jointly over all
 	// its bound operations (the incremental lists are order-dependent).
 	s.dp.ReoptimizeMuxes(s.g)
-	s.dp.AssignRegisters(s.registerIntervals())
-	if err := s.dp.Validate(); err != nil {
+	s.dp.AssignRegisters(s.g, s.registerIntervals())
+	if err := s.dp.Validate(s.g); err != nil {
 		return nil, fmt.Errorf("mfsa: internal: produced invalid datapath: %w", err)
 	}
 	if s.opt.Style == Style2 {

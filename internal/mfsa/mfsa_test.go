@@ -21,7 +21,7 @@ func synth(t *testing.T, g *dfg.Graph, opt Options) *Result {
 	if err := res.Schedule.Verify(nil); err != nil {
 		t.Fatalf("schedule: %v", err)
 	}
-	if err := res.Datapath.Validate(); err != nil {
+	if err := res.Datapath.Validate(g); err != nil {
 		t.Fatalf("datapath: %v", err)
 	}
 	return res
@@ -370,7 +370,7 @@ func TestAllBenchmarksSynthesize(t *testing.T) {
 			if err := res.Schedule.Verify(nil); err != nil {
 				t.Errorf("%s cs=%d: %v", ex.Name, cs, err)
 			}
-			if err := res.Datapath.Validate(); err != nil {
+			if err := res.Datapath.Validate(ex.Graph); err != nil {
 				t.Errorf("%s cs=%d: %v", ex.Name, cs, err)
 			}
 		}
@@ -406,7 +406,7 @@ func TestRandomGraphsSynthesize(t *testing.T) {
 		if err := res.Schedule.Verify(nil); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if err := res.Datapath.Validate(); err != nil {
+		if err := res.Datapath.Validate(g); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		if style == Style2 {

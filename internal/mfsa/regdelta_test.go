@@ -18,8 +18,8 @@ import (
 // oracle: rebuild the interval list with and without the candidate
 // consumption, left-edge pack both, diff the counts.
 func (s *state) regDeltaSlow(n *dfg.Node, step int) int {
-	before := len(rtl.PackRegisters(s.intervals(nil, 0)))
-	after := len(rtl.PackRegisters(s.intervals(n, step)))
+	before := len(rtl.PackRegisters(s.g, s.intervals(nil, 0)))
+	after := len(rtl.PackRegisters(s.g, s.intervals(n, step)))
 	return max(after-before, 0)
 }
 
@@ -76,7 +76,8 @@ func (s *state) intervals(extra *dfg.Node, extraStep int) []rtl.Interval {
 		if d == 0 { // no consumer yet: hold the value one boundary
 			d = birth[sig] + 1
 		}
-		out = append(out, rtl.Interval{Name: sig, Birth: birth[sig], Death: d})
+		id, _ := s.g.Signal(sig)
+		out = append(out, rtl.Interval{Signal: id, Birth: birth[sig], Death: d})
 	}
 	return out
 }
@@ -85,7 +86,7 @@ func (s *state) intervals(extra *dfg.Node, extraStep int) []rtl.Interval {
 // registers as the rebuild from the placements.
 func assertRegisterIntervals(t *testing.T, s *state) {
 	t.Helper()
-	got, want := rtl.PackRegisters(s.registerIntervals()), rtl.PackRegisters(s.intervals(nil, 0))
+	got, want := rtl.PackRegisters(s.g, s.registerIntervals()), rtl.PackRegisters(s.g, s.intervals(nil, 0))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("live lifetimes pack into %v, the placements into %v", got, want)
 	}
@@ -156,7 +157,7 @@ func TestRegBaseTracksPackedCount(t *testing.T) {
 					t.Fatal(err)
 				}
 				s := newState(ex.Graph, opt, frames)
-				if got, want := s.regBase, len(rtl.PackRegisters(s.intervals(nil, 0))); got != want {
+				if got, want := s.regBase, len(rtl.PackRegisters(s.g, s.intervals(nil, 0))); got != want {
 					t.Fatalf("initial regBase = %d, packed count = %d", got, want)
 				}
 				for _, st := range res.Schedule.Trace.Steps {
@@ -170,7 +171,7 @@ func TestRegBaseTracksPackedCount(t *testing.T) {
 					if err := s.commit(n, candidate{unit: u, pos: st.Pos, value: st.Energy}, nil); err != nil {
 						t.Fatalf("replaying %q: %v", n.Name, err)
 					}
-					if got, want := s.regBase, len(rtl.PackRegisters(s.intervals(nil, 0))); got != want {
+					if got, want := s.regBase, len(rtl.PackRegisters(s.g, s.intervals(nil, 0))); got != want {
 						t.Fatalf("after committing %q: regBase = %d, packed count = %d", n.Name, got, want)
 					}
 				}

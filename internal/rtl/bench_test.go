@@ -9,13 +9,18 @@ import (
 func BenchmarkPackRegisters(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	ivals := make([]Interval, 64)
+	names := make([]string, len(ivals))
+	for i := range ivals {
+		names[i] = fmt.Sprintf("v%d", i)
+	}
+	g := inputGraph(b, names...)
 	for i := range ivals {
 		birth := r.Intn(20)
-		ivals[i] = Interval{Name: fmt.Sprintf("v%d", i), Birth: birth, Death: birth + 1 + r.Intn(6)}
+		ivals[i] = Interval{Signal: sig(b, g, names[i]), Birth: birth, Death: birth + 1 + r.Intn(6)}
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PackRegisters(ivals)
+		PackRegisters(g, ivals)
 	}
 }
 

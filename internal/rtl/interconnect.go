@@ -121,8 +121,8 @@ func newSources(g *dfg.Graph, s *sched.Schedule, dp *Datapath) *sources {
 	}
 	for r, grp := range dp.Registers {
 		for _, iv := range grp {
-			if id, ok := g.Signal(iv.Name); ok {
-				src.reg[id] = r
+			if g.HasSignal(iv.Signal) {
+				src.reg[iv.Signal] = r
 			}
 		}
 	}

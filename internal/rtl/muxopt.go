@@ -3,6 +3,7 @@ package rtl
 import (
 	"math/bits"
 	"slices"
+	"strings"
 
 	"repro/internal/dfg"
 )
@@ -42,6 +43,7 @@ const exactSearchLimit = 16
 type muxScratch struct {
 	names    []string       // number → signal
 	sigs     []dfg.SignalID // number → signal ID (ReoptimizeMuxes)
+	byName   []int32        // the numbers in name order (ReoptimizeMuxes)
 	opA, opB []int32        // per op: operand numbers; opB is -1 for unary ops
 	flex     []int32        // the orientable ops: commutative with two operands
 	empty    int32          // number of the empty signal, or -1
@@ -330,13 +332,7 @@ func (s *muxScratch) improve(swapped []bool) {
 
 // portList returns the sorted signals with a nonzero count in c.
 func (s *muxScratch) portList(c []int32) []string {
-	n := 0
-	for _, k := range c {
-		if k > 0 {
-			n++
-		}
-	}
-	out := make([]string, 0, n)
+	out := make([]string, 0, nonzero(c))
 	for id, k := range c {
 		if k > 0 {
 			out = append(out, s.names[id])
@@ -357,11 +353,22 @@ func (s *muxScratch) portIDs(dst []dfg.SignalID, c []int32) []dfg.SignalID {
 	return dst
 }
 
+// portNamed appends the signal IDs with a nonzero count in c to dst, in
+// signal-name order: the order of s.byName.
+func (s *muxScratch) portNamed(dst []dfg.SignalID, c []int32) []dfg.SignalID {
+	for _, id := range s.byName {
+		if c[id] > 0 {
+			dst = append(dst, s.sigs[id])
+		}
+	}
+	return dst
+}
+
 // ReoptimizeMuxes runs the §5.6 constructive algorithm over every ALU of
 // a finished datapath, replacing the incrementally built L1/L2 lists and
-// orientations with the jointly optimized ones. It returns how many mux
-// inputs were eliminated. The graph supplies each bound node's operands
-// and commutativity.
+// orientations with the jointly optimized ones, each list in signal-name
+// order. It returns how many mux inputs were eliminated. The graph
+// supplies each bound node's operands and commutativity.
 func (d *Datapath) ReoptimizeMuxes(g *dfg.Graph) int {
 	if len(d.ALUs) == 0 {
 		return 0 // nothing reads g
@@ -374,12 +381,12 @@ func (d *Datapath) ReoptimizeMuxes(g *dfg.Graph) int {
 		s.load(g, a, slot)
 		swapped = zeroed(swapped, len(a.Ops))
 		s.optimize(swapped)
-		l1, l2 := s.portList(s.c1), s.portList(s.c2)
-		before, after := len(a.L1)+len(a.L2), len(l1)+len(l2)
+		before, after := len(a.L1)+len(a.L2), nonzero(s.c1)+nonzero(s.c2)
 		if after > before {
 			continue // never regress (cannot happen, but stay safe)
 		}
-		a.L1, a.L2 = l1, l2
+		s.sortByName()
+		a.L1, a.L2 = s.portNamed(a.L1[:0], s.c1), s.portNamed(a.L2[:0], s.c2)
 		a.in1, a.in2 = s.portIDs(a.in1[:0], s.c1), s.portIDs(a.in2[:0], s.c2)
 		for i := range a.Ops {
 			a.Ops[i].Swapped = swapped[i]
@@ -387,6 +394,26 @@ func (d *Datapath) ReoptimizeMuxes(g *dfg.Graph) int {
 		saved += before - after
 	}
 	return saved
+}
+
+// nonzero counts the nonzero entries of c.
+func nonzero(c []int32) int {
+	n := 0
+	for _, k := range c {
+		if k > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// sortByName orders the loaded signal numbers by name into s.byName.
+func (s *muxScratch) sortByName() {
+	s.byName = s.byName[:0]
+	for i := range s.sigs {
+		s.byName = append(s.byName, int32(i))
+	}
+	slices.SortFunc(s.byName, func(x, y int32) int { return strings.Compare(s.names[x], s.names[y]) })
 }
 
 // operands returns the signal IDs node n feeds an ALU's ports: its first

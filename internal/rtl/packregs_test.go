@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/dfg"
 )
 
 // packScan is the historical all-pairs first-fit, kept as the oracle the
 // segment-tree rewrite must match byte for byte (grouping AND order).
-func packScan(ivals []Interval) [][]Interval {
+func packScan(g *dfg.Graph, ivals []Interval) [][]Interval {
 	live := make([]Interval, 0, len(ivals))
 	for _, iv := range ivals {
 		if iv.Stored() {
@@ -20,7 +22,7 @@ func packScan(ivals []Interval) [][]Interval {
 		for j := i; j > 0; j-- {
 			a, b := live[j-1], live[j]
 			if a.Birth < b.Birth || (a.Birth == b.Birth && (a.Death < b.Death ||
-				(a.Death == b.Death && a.Name <= b.Name))) {
+				(a.Death == b.Death && g.SignalName(a.Signal) <= g.SignalName(b.Signal)))) {
 				break
 			}
 			live[j-1], live[j] = live[j], live[j-1]
@@ -54,17 +56,22 @@ func TestPackRegistersMatchesScanOracle(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(120)
+		names := make([]string, n/2+1)
+		for i := range names {
+			names[i] = fmt.Sprintf("v%d", i)
+		}
+		g := inputGraph(t, names...)
 		ivals := make([]Interval, n)
 		for i := range ivals {
 			b := rng.Intn(30)
 			ivals[i] = Interval{
-				Name:  fmt.Sprintf("v%d", i%(n/2+1)), // occasional duplicate names
-				Birth: b,
-				Death: b + rng.Intn(8), // sometimes unstored (Death == Birth)
+				Signal: sig(t, g, names[i%len(names)]), // occasional duplicate signals
+				Birth:  b,
+				Death:  b + rng.Intn(8), // sometimes unstored (Death == Birth)
 			}
 		}
-		got := PackRegisters(ivals)
-		want := packScan(ivals)
+		got := PackRegisters(g, ivals)
+		want := packScan(g, ivals)
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("seed %d: packing differs\n got: %v\nwant: %v", seed, got, want)
 		}
@@ -73,10 +80,11 @@ func TestPackRegistersMatchesScanOracle(t *testing.T) {
 
 // TestPackRegistersEmpty pins the nil-for-empty contract.
 func TestPackRegistersEmpty(t *testing.T) {
-	if got := PackRegisters(nil); got != nil {
+	g := inputGraph(t, "x")
+	if got := PackRegisters(g, nil); got != nil {
 		t.Fatalf("PackRegisters(nil) = %v, want nil", got)
 	}
-	if got := PackRegisters([]Interval{{Name: "x", Birth: 2, Death: 2}}); got != nil {
+	if got := PackRegisters(g, []Interval{{Signal: sig(t, g, "x"), Birth: 2, Death: 2}}); got != nil {
 		t.Fatalf("all-unstored input packed to %v, want nil", got)
 	}
 }

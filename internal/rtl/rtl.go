@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/dfg"
@@ -34,14 +35,15 @@ type ALU struct {
 	Unit *library.Unit
 	Ops  []Binding
 
-	// L1 and L2 are the signal lists feeding the ALU's first and second
-	// input port, deduplicated — each distinct signal is one multiplexer
-	// input (§5.7: shared lines between the same source and ALU cost one
-	// input).
-	L1, L2 []string
+	// L1 and L2 are the signals feeding the ALU's first and second input
+	// port, in multiplexer-select order (a controller select indexes
+	// them), deduplicated — each distinct signal is one multiplexer input
+	// (§5.7: shared lines between the same source and ALU cost one
+	// input). ReoptimizeMuxes leaves them in signal-name order.
+	L1, L2 []dfg.SignalID
 
-	// in1 and in2 hold the signal IDs of L1 and L2, sorted, so the growth
-	// probes the schedulers issue per candidate are a binary search.
+	// in1 and in2 hold L1 and L2 sorted, so the growth probes the
+	// schedulers issue per candidate are a binary search.
 	in1, in2 []dfg.SignalID
 }
 
@@ -96,15 +98,16 @@ func (a *ALU) Bind(n *dfg.Node, step int) {
 
 // addSignal adds n's argument i (none when i < 0) to a port's list and
 // sorted IDs unless the port already carries it.
-func addSignal(l []string, ids []dfg.SignalID, n *dfg.Node, i int) ([]string, []dfg.SignalID) {
+func addSignal(l, sorted []dfg.SignalID, n *dfg.Node, i int) ([]dfg.SignalID, []dfg.SignalID) {
 	if i < 0 {
-		return l, ids
+		return l, sorted
 	}
-	k, ok := slices.BinarySearch(ids, n.ArgIDs()[i])
+	id := n.ArgIDs()[i]
+	k, ok := slices.BinarySearch(sorted, id)
 	if ok {
-		return l, ids
+		return l, sorted
 	}
-	return append(l, n.Args[i]), slices.Insert(ids, k, n.ArgIDs()[i])
+	return append(l, id), slices.Insert(sorted, k, id)
 }
 
 // OperandPorts returns which of n's arguments feed port 0 (MUX1) and
@@ -143,9 +146,9 @@ func (a *ALU) HasNode(id dfg.NodeID) bool {
 // It needs register storage iff Death > Birth — i.e. it crosses at least
 // one step boundary.
 type Interval struct {
-	Name  string
-	Birth int
-	Death int
+	Signal dfg.SignalID
+	Birth  int
+	Death  int
 }
 
 // Stored reports whether the value outlives its producing step.
@@ -158,11 +161,12 @@ func (iv Interval) overlaps(o Interval) bool {
 
 // PackRegisters assigns the stored intervals to a minimal set of
 // registers with the left-edge algorithm ([19], which §5.8's activity
-// selection extends): intervals are sorted by birth (then death, then
-// name) and each goes to the first register whose occupants it does not
-// overlap. Left-edge first-fit is optimal for interval lifetimes — the
-// register count equals the maximum number of simultaneously live values.
-// The result is deterministic; unstored intervals are dropped.
+// selection extends): intervals are sorted by birth, then death, then
+// the name g gives their signal, and each goes to the first register
+// whose occupants it does not overlap. Left-edge first-fit is optimal for
+// interval lifetimes — the register count equals the maximum number of
+// simultaneously live values. The result is deterministic; unstored
+// intervals are dropped.
 //
 // Because intervals arrive in birth order, a register's occupants are
 // non-overlapping and birth-sorted, so a new interval conflicts with a
@@ -172,36 +176,42 @@ func (iv Interval) overlaps(o Interval) bool {
 // per-register last-death values (an empty register scores 0, so the
 // historical append-a-new-register fallback is the leftmost untouched
 // leaf). The packing — grouping AND order — is byte-identical to the
-// historical all-pairs scan, which the golden netlists depend on.
-func PackRegisters(ivals []Interval) [][]Interval {
-	live := make([]Interval, 0, len(ivals))
-	for _, iv := range ivals {
+// historical all-pairs scan, which the golden netlists depend on. The
+// registers share one backing array, each capped to its own length.
+func PackRegisters(g *dfg.Graph, ivals []Interval) [][]Interval {
+	// order holds the positions of the stored intervals in packing
+	// order; names break exact (birth, death) ties only.
+	order := make([]int32, 0, len(ivals))
+	for i, iv := range ivals {
 		if iv.Stored() {
-			live = append(live, iv)
+			order = append(order, int32(i))
 		}
 	}
-	sort.Slice(live, func(i, j int) bool {
-		a, b := live[i], live[j]
-		if a.Birth != b.Birth {
-			return a.Birth < b.Birth
+	if len(order) == 0 {
+		return nil
+	}
+	slices.SortFunc(order, func(x, y int32) int {
+		a, b := &ivals[x], &ivals[y]
+		if c := cmp.Compare(a.Birth, b.Birth); c != 0 {
+			return c
 		}
-		if a.Death != b.Death {
-			return a.Death < b.Death
+		if c := cmp.Compare(a.Death, b.Death); c != 0 {
+			return c
 		}
-		return a.Name < b.Name
+		return strings.Compare(g.SignalLabel(a.Signal), g.SignalLabel(b.Signal))
 	})
-	var regs [][]Interval
-	if len(live) == 0 {
-		return regs
-	}
 	size := 1
-	for size < len(live) {
+	for size < len(order) {
 		size <<= 1
 	}
 	// min[size+r] is register r's last death (0 = empty); internal nodes
-	// hold subtree minima. At most len(live) registers are ever needed.
+	// hold subtree minima. At most len(order) registers are ever needed.
 	min := make([]int, 2*size)
-	for _, iv := range live {
+	// regOf[k] is the register of the k-th interval in packing order.
+	regOf := make([]int32, len(order))
+	nregs := 0
+	for k, o := range order {
+		iv := &ivals[o]
 		i := 1
 		for i < size {
 			if min[2*i] <= iv.Birth {
@@ -211,10 +221,8 @@ func PackRegisters(ivals []Interval) [][]Interval {
 			}
 		}
 		r := i - size
-		if r == len(regs) {
-			regs = append(regs, nil)
-		}
-		regs[r] = append(regs[r], iv)
+		nregs = max(nregs, r+1)
+		regOf[k] = int32(r)
 		min[i] = iv.Death
 		for i >>= 1; i >= 1; i >>= 1 {
 			m := min[2*i]
@@ -223,6 +231,27 @@ func PackRegisters(ivals []Interval) [][]Interval {
 			}
 			min[i] = m
 		}
+	}
+	// Group by register in packing order: count, then carve each
+	// register out of one backing array.
+	end := make([]int, nregs)
+	for _, r := range regOf {
+		end[r]++
+	}
+	for r := 1; r < nregs; r++ {
+		end[r] += end[r-1]
+	}
+	backing := make([]Interval, len(order))
+	regs := make([][]Interval, nregs)
+	for r := range regs {
+		lo := 0
+		if r > 0 {
+			lo = end[r-1]
+		}
+		regs[r] = backing[lo:lo:end[r]]
+	}
+	for k, o := range order {
+		regs[regOf[k]] = append(regs[regOf[k]], ivals[o])
 	}
 	return regs
 }
@@ -249,10 +278,10 @@ func (d *Datapath) AddALU(u *library.Unit) *ALU {
 	return a
 }
 
-// AssignRegisters runs the register allocator over the design's value
-// lifetimes and stores the packing.
-func (d *Datapath) AssignRegisters(ivals []Interval) {
-	d.Registers = PackRegisters(ivals)
+// AssignRegisters runs the register allocator over the value lifetimes
+// of graph g and stores the packing.
+func (d *Datapath) AssignRegisters(g *dfg.Graph, ivals []Interval) {
+	d.Registers = PackRegisters(g, ivals)
 }
 
 // Coverage indexes a datapath's register intervals by signal. Both the
@@ -273,27 +302,26 @@ type span struct{ birth, death int }
 // Intervals naming no signal of g are left out: no read of g asks for
 // them.
 func (d *Datapath) Coverage(g *dfg.Graph) *Coverage {
-	var ids []dfg.SignalID
-	var spans []span
+	c := &Coverage{start: make([]int32, g.NumSignals()+1)}
 	for _, grp := range d.Registers {
 		for _, iv := range grp {
-			if id, ok := g.Signal(iv.Name); ok {
-				ids = append(ids, id)
-				spans = append(spans, span{iv.Birth, iv.Death})
+			if g.HasSignal(iv.Signal) {
+				c.start[iv.Signal+1]++
 			}
 		}
-	}
-	c := &Coverage{start: make([]int32, g.NumSignals()+1), spans: make([]span, len(spans))}
-	for _, id := range ids {
-		c.start[id+1]++
 	}
 	for i := 1; i < len(c.start); i++ {
 		c.start[i] += c.start[i-1]
 	}
+	c.spans = make([]span, c.start[len(c.start)-1])
 	next := slices.Clone(c.start)
-	for i, id := range ids {
-		c.spans[next[id]] = spans[i]
-		next[id]++
+	for _, grp := range d.Registers {
+		for _, iv := range grp {
+			if g.HasSignal(iv.Signal) {
+				c.spans[next[iv.Signal]] = span{iv.Birth, iv.Death}
+				next[iv.Signal]++
+			}
+		}
 	}
 	return c
 }
@@ -308,6 +336,15 @@ func (c *Coverage) Covers(id dfg.SignalID, birth, readStep int) bool {
 		}
 	}
 	return false
+}
+
+// ALULabel is the name of the i-th ALU, or "#i" when d has none or is
+// nil: only a hand-built controller names an ALU its datapath lacks.
+func (d *Datapath) ALULabel(i int) string {
+	if d != nil && i >= 0 && i < len(d.ALUs) {
+		return d.ALUs[i].Name
+	}
+	return "#" + strconv.Itoa(i)
 }
 
 // FindBinding returns the ALU executing node id, if bound.
@@ -344,10 +381,10 @@ func (d *Datapath) Cost() Cost {
 	for _, a := range d.ALUs {
 		c.ALUArea += a.Unit.Area
 		c.MuxArea += d.muxAreaOf(a)
-		for _, l := range [][]string{a.L1, a.L2} {
-			if len(l) >= 2 {
+		for _, n := range [2]int{len(a.L1), len(a.L2)} {
+			if n >= 2 {
 				c.NumMux++
-				c.NumMuxInputs += len(l)
+				c.NumMuxInputs += n
 			}
 		}
 	}
@@ -386,9 +423,9 @@ func (d *Datapath) ALUSummary() string {
 
 // ValidateAll checks structural sanity — every binding's step positive,
 // no node bound twice, mux lists deduplicated, registers non-overlapping
-// — and returns every violation found as a typed diagnostic. Validate is
-// the historical first-error shim on top.
-func (d *Datapath) ValidateAll() diag.List {
+// — and returns every violation found as a typed diagnostic, naming
+// signals as g does. Validate is the historical first-error shim on top.
+func (d *Datapath) ValidateAll(g *dfg.Graph) diag.List {
 	var out diag.List
 	report := func(code, loc, msg string) {
 		out = append(out, diag.Diagnostic{
@@ -396,38 +433,19 @@ func (d *Datapath) ValidateAll() diag.List {
 			Artifact: "datapath", Loc: loc, Message: msg,
 		})
 	}
-	// A node bound twice reports against the ALU that bound it first:
-	// sorting the bindings by node, then by position in ALU order, puts
-	// each node's first binding ahead of its repeats.
+	// A node bound twice reports against the ALU that bound it first.
+	// firstALU[node] is one past the index of that ALU (0: not bound
+	// yet); the bindings of nodes g does not have are kept in stray.
 	type binding struct {
-		node     dfg.NodeID
-		pos, alu int
+		node dfg.NodeID
+		alu  int
 	}
-	var bs []binding
+	firstALU := make([]int32, g.Len())
+	var stray []binding
+	// seen[sig] is the stamp of the last mux list found carrying sig.
+	seen := make([]int32, g.NumSignals())
+	stamp := int32(0)
 	for ai, a := range d.ALUs {
-		for _, b := range a.Ops {
-			bs = append(bs, binding{b.Node, len(bs), ai})
-		}
-	}
-	slices.SortFunc(bs, func(x, y binding) int {
-		return cmp.Or(cmp.Compare(x.node, y.node), cmp.Compare(x.pos, y.pos))
-	})
-	// firstALU, by position: the ALU of the node's first binding for a
-	// repeat, -1 for a first binding.
-	firstALU := make([]int, len(bs))
-	for lo := 0; lo < len(bs); {
-		hi := lo + 1
-		for hi < len(bs) && bs[hi].node == bs[lo].node {
-			firstALU[bs[hi].pos] = bs[lo].alu
-			hi++
-		}
-		firstALU[bs[lo].pos] = -1
-		lo = hi
-	}
-	var dup []bool // scratch: which inputs of one mux list repeat an earlier one
-	var order []int
-	pos := 0
-	for _, a := range d.ALUs {
 		if a.Unit == nil {
 			report(diag.CodeALUNoUnit, a.Name,
 				fmt.Sprintf("rtl: ALU %s has no unit", a.Name))
@@ -437,28 +455,36 @@ func (d *Datapath) ValidateAll() diag.List {
 				report(diag.CodeALUBadStep, a.Name,
 					fmt.Sprintf("rtl: ALU %s: node %d at step %d", a.Name, b.Node, b.Step))
 			}
-			if first := firstALU[pos]; first >= 0 {
+			first := -1
+			if b.Node >= 0 && int(b.Node) < len(firstALU) {
+				if f := firstALU[b.Node]; f > 0 {
+					first = int(f) - 1
+				} else {
+					firstALU[b.Node] = int32(ai) + 1
+				}
+			} else if k := slices.IndexFunc(stray, func(s binding) bool { return s.node == b.Node }); k >= 0 {
+				first = stray[k].alu
+			} else {
+				stray = append(stray, binding{b.Node, ai})
+			}
+			if first >= 0 {
 				report(diag.CodeALUDupBind, a.Name,
 					fmt.Sprintf("rtl: node %d bound to both %s and %s", b.Node, d.ALUs[first].Name, a.Name))
 			}
-			pos++
 		}
-		for _, l := range [2][]string{a.L1, a.L2} {
-			order = order[:0]
-			for i := range l {
-				order = append(order, i)
-			}
-			slices.SortFunc(order, func(i, j int) int {
-				return cmp.Or(strings.Compare(l[i], l[j]), cmp.Compare(i, j))
-			})
-			dup = slices.Grow(dup[:0], len(l))[:len(l)]
-			for k, i := range order {
-				dup[i] = k > 0 && l[order[k-1]] == l[i]
-			}
-			for i, s := range l {
-				if dup[i] {
+		for _, l := range [2][]dfg.SignalID{a.L1, a.L2} {
+			stamp++
+			for i, id := range l {
+				var dup bool
+				if g.HasSignal(id) {
+					dup = seen[id] == stamp
+					seen[id] = stamp
+				} else {
+					dup = slices.Contains(l[:i], id)
+				}
+				if dup {
 					report(diag.CodeMuxDupInput, a.Name,
-						fmt.Sprintf("rtl: ALU %s: duplicate mux input %q", a.Name, s))
+						fmt.Sprintf("rtl: ALU %s: duplicate mux input %q", a.Name, g.SignalLabel(id)))
 				}
 			}
 		}
@@ -468,7 +494,8 @@ func (d *Datapath) ValidateAll() diag.List {
 			for j := i + 1; j < len(grp); j++ {
 				if grp[i].overlaps(grp[j]) {
 					report(diag.CodeRegOverlap, fmt.Sprintf("R%d", r),
-						fmt.Sprintf("rtl: register %d: %q overlaps %q", r, grp[i].Name, grp[j].Name))
+						fmt.Sprintf("rtl: register %d: %q overlaps %q", r,
+							g.SignalLabel(grp[i].Signal), g.SignalLabel(grp[j].Signal)))
 				}
 			}
 		}
@@ -478,8 +505,8 @@ func (d *Datapath) ValidateAll() diag.List {
 
 // Validate returns the first violation ValidateAll finds (with the same
 // message string as the historical single-error validator), or nil.
-func (d *Datapath) Validate() error {
-	if all := d.ValidateAll(); len(all) > 0 {
+func (d *Datapath) Validate(g *dfg.Graph) error {
+	if all := d.ValidateAll(g); len(all) > 0 {
 		return all[:1].ErrOrNil()
 	}
 	return nil

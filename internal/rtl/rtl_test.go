@@ -19,6 +19,29 @@ func addNode(t *testing.T, g *dfg.Graph, name string, k op.Kind, args ...string)
 	return g.Node(id)
 }
 
+// inputGraph returns a graph whose primary inputs carry the given names
+// (a repeated name is declared once), for tests that name intervals.
+func inputGraph(t testing.TB, names ...string) *dfg.Graph {
+	t.Helper()
+	g := dfg.New("signals")
+	for _, name := range names {
+		if err := g.AddInput(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// sig is the ID of the named signal of g.
+func sig(t testing.TB, g *dfg.Graph, name string) dfg.SignalID {
+	t.Helper()
+	id, ok := g.Signal(name)
+	if !ok {
+		t.Fatalf("graph %s has no signal %q", g.Name, name)
+	}
+	return id
+}
+
 func testGraph(t *testing.T) *dfg.Graph {
 	t.Helper()
 	g := dfg.New("rtl")
@@ -95,10 +118,11 @@ func TestMuxGrowthDoesNotMutate(t *testing.T) {
 
 func TestPackRegistersBasic(t *testing.T) {
 	// Three values: two disjoint lifetimes share a register, one overlaps.
-	regs := PackRegisters([]Interval{
-		{Name: "v1", Birth: 1, Death: 3},
-		{Name: "v2", Birth: 3, Death: 5},
-		{Name: "v3", Birth: 2, Death: 4},
+	g := inputGraph(t, "v1", "v2", "v3")
+	regs := PackRegisters(g, []Interval{
+		{Signal: sig(t, g, "v1"), Birth: 1, Death: 3},
+		{Signal: sig(t, g, "v2"), Birth: 3, Death: 5},
+		{Signal: sig(t, g, "v3"), Birth: 2, Death: 4},
 	})
 	if len(regs) != 2 {
 		t.Fatalf("registers = %d, want 2", len(regs))
@@ -106,25 +130,27 @@ func TestPackRegistersBasic(t *testing.T) {
 }
 
 func TestPackRegistersDropsUnstored(t *testing.T) {
-	regs := PackRegisters([]Interval{
-		{Name: "chained", Birth: 2, Death: 2}, // consumed within its step
-		{Name: "v", Birth: 1, Death: 2},
+	g := inputGraph(t, "chained", "v")
+	regs := PackRegisters(g, []Interval{
+		{Signal: sig(t, g, "chained"), Birth: 2, Death: 2}, // consumed within its step
+		{Signal: sig(t, g, "v"), Birth: 1, Death: 2},
 	})
-	if len(regs) != 1 || len(regs[0]) != 1 || regs[0][0].Name != "v" {
+	if len(regs) != 1 || len(regs[0]) != 1 || regs[0][0].Signal != sig(t, g, "v") {
 		t.Fatalf("packing = %v", regs)
 	}
 }
 
 func TestPackRegistersDeterministic(t *testing.T) {
+	g := inputGraph(t, "b", "a", "c")
 	ivals := []Interval{
-		{Name: "b", Birth: 1, Death: 4},
-		{Name: "a", Birth: 1, Death: 4},
-		{Name: "c", Birth: 4, Death: 6},
+		{Signal: sig(t, g, "b"), Birth: 1, Death: 4},
+		{Signal: sig(t, g, "a"), Birth: 1, Death: 4},
+		{Signal: sig(t, g, "c"), Birth: 4, Death: 6},
 	}
-	r1 := PackRegisters(ivals)
+	r1 := PackRegisters(g, ivals)
 	// Reversed input order must give the same packing.
 	rev := []Interval{ivals[2], ivals[1], ivals[0]}
-	r2 := PackRegisters(rev)
+	r2 := PackRegisters(g, rev)
 	if len(r1) != len(r2) {
 		t.Fatalf("non-deterministic register count: %d vs %d", len(r1), len(r2))
 	}
@@ -133,8 +159,8 @@ func TestPackRegistersDeterministic(t *testing.T) {
 			t.Fatalf("register %d differs", i)
 		}
 		for j := range r1[i] {
-			if r1[i][j].Name != r2[i][j].Name {
-				t.Fatalf("register %d slot %d: %q vs %q", i, j, r1[i][j].Name, r2[i][j].Name)
+			if r1[i][j].Signal != r2[i][j].Signal {
+				t.Fatalf("register %d slot %d: %q vs %q", i, j, g.SignalName(r1[i][j].Signal), g.SignalName(r2[i][j].Signal))
 			}
 		}
 	}
@@ -145,6 +171,11 @@ func TestPackRegistersProperties(t *testing.T) {
 	// worse than the trivial one-register-per-value packing; count is
 	// also at least the max number of simultaneously live values (the
 	// left-edge optimum for interval graphs).
+	var letters []string
+	for i := 0; i < 26; i++ {
+		letters = append(letters, string(rune('a'+i)))
+	}
+	g := inputGraph(t, letters...)
 	f := func(raw []struct{ B, L uint8 }) bool {
 		if len(raw) > 24 {
 			raw = raw[:24]
@@ -153,12 +184,12 @@ func TestPackRegistersProperties(t *testing.T) {
 		for i, r := range raw {
 			b := int(r.B % 12)
 			ivals = append(ivals, Interval{
-				Name:  string(rune('a' + i%26)),
-				Birth: b,
-				Death: b + 1 + int(r.L%5),
+				Signal: sig(t, g, letters[i%26]),
+				Birth:  b,
+				Death:  b + 1 + int(r.L%5),
 			})
 		}
-		regs := PackRegisters(ivals)
+		regs := PackRegisters(g, ivals)
 		for _, grp := range regs {
 			for i := 0; i < len(grp); i++ {
 				for j := i + 1; j < len(grp); j++ {
@@ -197,11 +228,11 @@ func TestDatapathCost(t *testing.T) {
 	alu := dp.AddALU(lib.Single(op.Add))
 	alu.Bind(n1, 1)
 	alu.Bind(n2, 2)
-	dp.AssignRegisters([]Interval{
-		{Name: "n1", Birth: 1, Death: 3},
-		{Name: "n2", Birth: 2, Death: 3},
+	dp.AssignRegisters(g, []Interval{
+		{Signal: n1.OutID(), Birth: 1, Death: 3},
+		{Signal: n2.OutID(), Birth: 2, Death: 3},
 	})
-	if err := dp.Validate(); err != nil {
+	if err := dp.Validate(g); err != nil {
 		t.Fatal(err)
 	}
 	c := dp.Cost()
@@ -269,35 +300,35 @@ func TestValidateCatchesDuplicates(t *testing.T) {
 	a2 := dp.AddALU(lib.Single(op.Add))
 	a1.Bind(n1, 1)
 	a2.Bind(n1, 2)
-	if err := dp.Validate(); err == nil {
+	if err := dp.Validate(g); err == nil {
 		t.Error("double binding accepted")
 	}
 
 	dp2 := NewDatapath(lib)
 	a := dp2.AddALU(lib.Single(op.Add))
-	a.L1 = []string{"x", "x"}
-	if err := dp2.Validate(); err == nil {
+	a.L1 = []dfg.SignalID{sig(t, g, "a"), sig(t, g, "a")}
+	if err := dp2.Validate(g); err == nil {
 		t.Error("duplicate mux input accepted")
 	}
 
 	dp3 := NewDatapath(lib)
 	dp3.Registers = [][]Interval{{
-		{Name: "p", Birth: 1, Death: 4},
-		{Name: "q", Birth: 2, Death: 3},
+		{Signal: sig(t, g, "a"), Birth: 1, Death: 4},
+		{Signal: sig(t, g, "b"), Birth: 2, Death: 3},
 	}}
 	dp3.ALUs = nil
-	if err := dp3.Validate(); err == nil {
+	if err := dp3.Validate(g); err == nil {
 		t.Error("overlapping register occupants accepted")
 	}
 }
 
 func TestIntervalSemantics(t *testing.T) {
-	a := Interval{Name: "a", Birth: 1, Death: 3}
-	b := Interval{Name: "b", Birth: 3, Death: 5}
+	a := Interval{Signal: 0, Birth: 1, Death: 3}
+	b := Interval{Signal: 1, Birth: 3, Death: 5}
 	if a.overlaps(b) || b.overlaps(a) {
 		t.Error("touching intervals should not overlap (write at end of step 3, read gone)")
 	}
-	c := Interval{Name: "c", Birth: 2, Death: 4}
+	c := Interval{Signal: 2, Birth: 2, Death: 4}
 	if !a.overlaps(c) {
 		t.Error("overlapping intervals not detected")
 	}

@@ -9,11 +9,13 @@ import (
 	"repro/internal/dfg"
 	"repro/internal/diag"
 	"repro/internal/library"
+	"repro/internal/op"
 )
 
 // refValidateAll is ValidateAll before it dropped its per-call maps:
-// the oracle of TestValidateAllMatchesReference.
-func (d *Datapath) refValidateAll() diag.List {
+// the oracle of TestValidateAllMatchesReference. It keys mux inputs and
+// register occupants by the names g gives them.
+func (d *Datapath) refValidateAll(g *dfg.Graph) diag.List {
 	var out diag.List
 	report := func(code, loc, msg string) {
 		out = append(out, diag.Diagnostic{
@@ -39,9 +41,10 @@ func (d *Datapath) refValidateAll() diag.List {
 			}
 			seen[b.Node] = a.Name
 		}
-		for _, l := range [][]string{a.L1, a.L2} {
+		for _, ids := range [][]dfg.SignalID{a.L1, a.L2} {
 			names := make(map[string]bool)
-			for _, s := range l {
+			for _, id := range ids {
+				s := g.SignalLabel(id)
 				if names[s] {
 					report(diag.CodeMuxDupInput, a.Name,
 						fmt.Sprintf("rtl: ALU %s: duplicate mux input %q", a.Name, s))
@@ -56,7 +59,7 @@ func (d *Datapath) refValidateAll() diag.List {
 			for j := i + 1; j < len(grp); j++ {
 				if grp[i].overlaps(grp[j]) {
 					report(diag.CodeRegOverlap, fmt.Sprintf("R%d", r),
-						fmt.Sprintf("rtl: register %d: %q overlaps %q", r, grp[i].Name, grp[j].Name))
+						fmt.Sprintf("rtl: register %d: %q overlaps %q", r, g.SignalLabel(grp[i].Signal), g.SignalLabel(grp[j].Signal)))
 				}
 			}
 		}
@@ -67,10 +70,18 @@ func (d *Datapath) refValidateAll() diag.List {
 // TestValidateAllMatchesReference compares ValidateAll with the
 // map-based oracle on random datapaths with nodes bound twice or more,
 // repeated mux inputs, bad steps, missing units and overlapping
-// register intervals.
+// register intervals. Half the bound nodes and two of the signals lie
+// outside the graph.
 func TestValidateAllMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	signals := []string{"a", "b", "c", "d", "e"}
+	g := inputGraph(t, "a", "b", "c", "d", "e")
+	for _, name := range []string{"n0", "n1", "n2", "n3"} {
+		if _, err := g.AddOp(name, op.Add, "a", "b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	signals := []dfg.SignalID{sig(t, g, "a"), sig(t, g, "b"), sig(t, g, "c"), sig(t, g, "d"), sig(t, g, "e"),
+		dfg.SignalID(g.NumSignals()), dfg.NoSignal}
 	unit := library.NCRLike().Units()[0]
 	reported := 0
 	for trial := 0; trial < 300; trial++ {
@@ -95,11 +106,11 @@ func TestValidateAllMatchesReference(t *testing.T) {
 			var grp []Interval
 			for i := rng.Intn(4); i > 0; i-- {
 				b := rng.Intn(6)
-				grp = append(grp, Interval{Name: signals[rng.Intn(len(signals))], Birth: b, Death: b + rng.Intn(3)})
+				grp = append(grp, Interval{Signal: signals[rng.Intn(len(signals))], Birth: b, Death: b + rng.Intn(3)})
 			}
 			d.Registers = append(d.Registers, grp)
 		}
-		got, want := d.ValidateAll(), d.refValidateAll()
+		got, want := d.ValidateAll(g), d.refValidateAll(g)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: ValidateAll reports\n%v\nthe oracle reports\n%v", trial, got, want)
 		}

@@ -52,6 +52,39 @@ func (e *InfeasibleError) Error() string {
 		e.Graph, e.CS, e.Need)
 }
 
+// NoPositionError reports an operation whose move frame has no free
+// position once every unit type it may use has reached its instance
+// bound. Lo and Hi are the operation's window of start steps; Units
+// names the types it may use and Max their instance bounds.
+type NoPositionError struct {
+	Engine string // "mfs" or "mfsa"
+	Graph  string
+	Node   string
+	Lo, Hi int
+	CS     int
+	Units  []string
+	Max    []int
+}
+
+func (e *NoPositionError) Error() string {
+	if e.Engine == "mfs" && len(e.Units) == 1 {
+		return fmt.Sprintf("mfs: %s: no position for %q within %d %s units and %d steps",
+			e.Graph, e.Node, e.Max[0], e.Units[0], e.CS)
+	}
+	return fmt.Sprintf("%s: %s: no position for %q within %d steps", e.Engine, e.Graph, e.Node, e.CS)
+}
+
+// LoopError reports a folded loop node given to an engine that
+// schedules flat graphs only.
+type LoopError struct {
+	Engine string
+	Node   string
+}
+
+func (e *LoopError) Error() string {
+	return fmt.Sprintf("%s: fold loops with mfs.ScheduleLoops and synthesize bodies separately (node %q)", e.Engine, e.Node)
+}
+
 // ComputeFrames derives ASAP/ALAP start steps for every node of g within
 // cs control steps. clockNs > 0 enables the chaining extension (§5.4):
 // data-dependent single-cycle operations share a step while their summed

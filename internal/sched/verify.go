@@ -3,9 +3,9 @@ package sched
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
-	"strings"
 
 	"repro/internal/dfg"
 	"repro/internal/diag"
@@ -151,107 +151,147 @@ func (s *Schedule) verifyDeps(report func(diag.Diagnostic)) {
 
 // verifyConflicts checks functional-unit occupancy collisions. Every
 // placed node contributes one occupant per row it holds (folded by the
-// functional-pipelining latency); sorting the occupants by cell, row and
-// node brings each cell's collisions together, so a legal schedule costs
-// one sort and one pass. Collisions report per cell in (type, index)
-// order and, within a cell, in (a, b) node order.
+// functional-pipelining latency); sorting the occupants by cell and row
+// brings each cell's collisions together, so a legal schedule costs one
+// sort and one pass. Collisions report per cell in (type, index) order
+// and, within a cell, in (a, b) node order.
 func (s *Schedule) verifyConflicts(report func(diag.Diagnostic)) {
 	g := s.Graph
-	// An occupant names its type by position in types, so the sort
-	// compares integers only; a schedule uses few types.
-	type occupant struct {
-		typ, index, row int
-		id              dfg.NodeID
-	}
+	// First pass: the types in name order, the ranges of the indexes and
+	// rows, and the occupant count.
 	var types []string
-	var pipelined []bool
-	occ := make([]occupant, 0, len(s.Placements))
-	t := -1
+	n := 0
+	minIdx, maxIdx, minRow, maxRow := math.MaxInt, math.MinInt, math.MaxInt, math.MinInt
+	//hls:orderok types are sorted and the bounds are min/max folds, so neither depends on map order
+	for id, p := range s.Placements {
+		if !slices.Contains(types, p.Type) {
+			types = append(types, p.Type)
+		}
+		minIdx, maxIdx = min(minIdx, p.Index), max(maxIdx, p.Index)
+		for i := range s.footprint(id, p) {
+			r := s.row(p, i)
+			minRow, maxRow = min(minRow, r), max(maxRow, r)
+			n++
+		}
+	}
+	slices.Sort(types)
+	// An occupant packs (type, index) into hi and (row, node) into lo, 32
+	// bits each, so the sort compares two integers. Indexes and rows are
+	// offset by their minima; a range wider than 32 bits, far outside any
+	// schedule an engine makes, is ranked instead.
+	type occupant struct{ hi, lo uint64 }
+	idxKey, rowKey := offsetKey(minIdx, maxIdx), offsetKey(minRow, maxRow)
+	if idxKey == nil || rowKey == nil {
+		var idxs, rs []int
+		//hls:orderok the values are sorted into ranks before use
+		for id, p := range s.Placements {
+			idxs = append(idxs, p.Index)
+			for i := range s.footprint(id, p) {
+				rs = append(rs, s.row(p, i))
+			}
+		}
+		if idxKey == nil {
+			idxKey = rankKey(idxs)
+		}
+		if rowKey == nil {
+			rowKey = rankKey(rs)
+		}
+	}
+	occ := make([]occupant, 0, n)
 	//hls:orderok the occupants are sorted below before any pair is examined, so report order is map-order free
 	for id, p := range s.Placements {
-		if t < 0 || types[t] != p.Type {
-			if t = slices.Index(types, p.Type); t < 0 {
-				t = len(types)
-				types = append(types, p.Type)
-				pipelined = append(pipelined, s.PipelinedTypes[p.Type])
-			}
+		t, _ := slices.BinarySearch(types, p.Type)
+		hi := uint64(t)<<32 | idxKey(p.Index)
+		for i := range s.footprint(id, p) {
+			occ = append(occ, occupant{hi, rowKey(s.row(p, i))<<32 | uint64(id)})
 		}
-		cycles := g.Node(id).Cycles
-		if pipelined[t] {
-			cycles = 1 // the instance frees its first stage the next step
-		}
-		for i := 0; i < cycles; i++ {
-			r := p.Step + i
-			if s.Latency > 0 {
-				r = ((r - 1) % s.Latency) + 1
-			}
-			occ = append(occ, occupant{t, p.Index, r, id})
-		}
-	}
-	// Renumber the types in name order.
-	byName := make([]int, len(types))
-	for i := range byName {
-		byName[i] = i
-	}
-	slices.SortFunc(byName, func(a, b int) int { return strings.Compare(types[a], types[b]) })
-	rank := make([]int, len(types))
-	for r, i := range byName {
-		rank[i] = r
-	}
-	for i := range occ {
-		occ[i].typ = rank[occ[i].typ]
 	}
 	slices.SortFunc(occ, func(x, y occupant) int {
-		switch {
-		case x.typ != y.typ:
-			return x.typ - y.typ
-		case x.index != y.index:
-			return cmp.Compare(x.index, y.index)
-		case x.row != y.row:
-			return cmp.Compare(x.row, y.row)
-		}
-		return cmp.Compare(x.id, y.id)
+		return cmp.Or(cmp.Compare(x.hi, y.hi), cmp.Compare(x.lo, y.lo))
 	})
 	type pair struct{ a, b dfg.NodeID }
 	var conflicts []pair
 	for lo := 0; lo < len(occ); {
-		cell := occ[lo]
+		cell := occ[lo].hi
 		hi := lo
 		conflicts = conflicts[:0]
-		for hi < len(occ) && occ[hi].typ == cell.typ && occ[hi].index == cell.index {
+		for hi < len(occ) && occ[hi].hi == cell {
 			// A run of one row: every two distinct nodes in it collide
-			// unless they are mutually exclusive.
+			// unless they are mutually exclusive. The run is in node order.
 			end := hi + 1
-			for end < len(occ) && occ[end].typ == cell.typ && occ[end].index == cell.index && occ[end].row == occ[hi].row {
+			for end < len(occ) && occ[end].hi == cell && occ[end].lo>>32 == occ[hi].lo>>32 {
 				end++
 			}
 			for i := hi; i < end; i++ {
 				for j := i + 1; j < end; j++ {
-					if a, b := occ[i].id, occ[j].id; a != b {
+					if a, b := nodeOf(occ[i].lo), nodeOf(occ[j].lo); a != b {
 						conflicts = append(conflicts, pair{a, b})
 					}
 				}
 			}
 			hi = end
 		}
-		lo = hi
 		// A pair that shares several rows is one collision.
 		slices.SortFunc(conflicts, func(x, y pair) int {
 			return cmp.Or(cmp.Compare(x.a, y.a), cmp.Compare(x.b, y.b))
 		})
 		conflicts = slices.Compact(conflicts)
-		typ := types[byName[cell.typ]]
 		for _, p := range conflicts {
 			if g.MutuallyExclusive(p.a, p.b) {
 				continue
 			}
+			// Every occupant of the cell shares its type and index.
+			q := s.Placements[p.a]
 			report(diag.Diagnostic{
 				Code: diag.CodeSchedFUConflict,
-				Loc:  fmt.Sprintf("%s%d", typ, cell.index),
+				Loc:  fmt.Sprintf("%s%d", q.Type, q.Index),
 				Message: fmt.Sprintf("verify %s: %q and %q collide on %s%d",
-					g.Name, g.Node(p.a).Name, g.Node(p.b).Name, typ, cell.index),
+					g.Name, g.Node(p.a).Name, g.Node(p.b).Name, q.Type, q.Index),
 			})
 		}
+		lo = hi
+	}
+}
+
+// footprint is how many rows node id holds under placement p: one per
+// cycle, or one on a pipelined type, whose instance frees its first
+// stage the next step.
+func (s *Schedule) footprint(id dfg.NodeID, p Placement) int {
+	if s.PipelinedTypes[p.Type] {
+		return 1
+	}
+	return s.Graph.Node(id).Cycles
+}
+
+// row is the i-th row a placement holds, folded by the functional-
+// pipelining latency.
+func (s *Schedule) row(p Placement, i int) int {
+	r := p.Step + i
+	if s.Latency > 0 {
+		r = ((r - 1) % s.Latency) + 1
+	}
+	return r
+}
+
+// nodeOf is the node of an occupant's low word.
+func nodeOf(lo uint64) dfg.NodeID { return dfg.NodeID(uint32(lo)) }
+
+// offsetKey maps the values in [lo, hi] onto 32 bits in order by their
+// offset from lo, or is nil when the range is wider than that.
+func offsetKey(lo, hi int) func(int) uint64 {
+	if hi >= lo && uint64(hi)-uint64(lo) > math.MaxUint32 {
+		return nil
+	}
+	return func(v int) uint64 { return uint64(v) - uint64(lo) }
+}
+
+// rankKey maps each of vals onto its rank among their distinct values.
+func rankKey(vals []int) func(int) uint64 {
+	slices.Sort(vals)
+	vals = slices.Compact(vals)
+	return func(v int) uint64 {
+		i, _ := slices.BinarySearch(vals, v)
+		return uint64(i)
 	}
 }
 

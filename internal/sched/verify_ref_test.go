@@ -139,3 +139,32 @@ func TestVerifyConflictsMatchesReference(t *testing.T) {
 		t.Fatal("no trial produced a collision")
 	}
 }
+
+// TestVerifyConflictsRanksWideFields covers the ranked keys: indexes and
+// steps whose ranges do not fit 32 bits still report what the oracle
+// reports, in its order.
+func TestVerifyConflictsRanksWideFields(t *testing.T) {
+	g := dfg.New("wide")
+	if err := g.AddInput("in"); err != nil {
+		t.Fatal(err)
+	}
+	s := NewSchedule(g, 4)
+	for i, p := range []Placement{
+		{Step: 1, Type: "+", Index: 1 << 40}, {Step: 1, Type: "+", Index: 1 << 40},
+		{Step: -1 << 40, Type: "+", Index: 1}, {Step: -1 << 40, Type: "+", Index: 1},
+		{Step: 1 << 40, Type: "*", Index: -3}, {Step: 1 << 40, Type: "*", Index: -3},
+		{Step: 2, Type: "+", Index: 1}, {Step: 2, Type: "+", Index: 1},
+	} {
+		id, err := g.AddOp(fmt.Sprintf("n%d", i), op.Add, "in", "in")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Place(id, p)
+	}
+	var got, want diag.List
+	s.verifyConflicts(func(d diag.Diagnostic) { got = append(got, d) })
+	s.refVerifyConflicts(func(d diag.Diagnostic) { want = append(want, d) })
+	if len(want) != 4 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("verifyConflicts reports\n%v\nthe oracle reports\n%v", got, want)
+	}
+}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/dfgio"
+	"repro/internal/library"
 )
 
 // postPaths are the endpoints FuzzPostBody drives, picked by its
@@ -60,6 +61,30 @@ func FuzzPostBody(f *testing.F) {
 			f.Add(byte(ep), postBody(f, ep, gj, cfg))
 		}
 	}
+
+	// Configs the engines refuse with a typed error, on diffeq at cs 4:
+	// negative limits keyed by unit and by op, one instance of every
+	// unit, and a folded loop for MFSA.
+	dj, err := dfgio.EncodeGraph(benchmarks.Diffeq().Graph)
+	if err != nil {
+		f.Fatal(err)
+	}
+	units := map[string]int{}
+	for _, u := range library.NCRLike().Units() {
+		units[u.Name] = 1
+	}
+	for _, cfg := range []ConfigJSON{
+		{CS: 4, Limits: map[string]int{"fu_mul": -3}},
+		{CS: 4, Limits: map[string]int{"*": -1}},
+		{CS: 4, Limits: units},
+	} {
+		for ep := range postPaths {
+			f.Add(byte(ep), postBody(f, ep, dj, cfg))
+		}
+	}
+	f.Add(byte(0), mustMarshal(f, SynthesizeRequest{Source: "design smoother\ninput start, coeff\n" +
+		"loop smooth cycles 2 binds acc = start, d = coeff yields nxt {\n    half = acc >> 1\n    nxt = half + d\n}\n" +
+		"final = smooth * 3\n", Config: ConfigJSON{CS: 4}}))
 
 	s := New(Options{DefaultTimeout: 200 * time.Millisecond})
 	f.Cleanup(s.Close)

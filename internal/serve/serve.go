@@ -217,14 +217,18 @@ func writeError(w http.ResponseWriter, err error) {
 	var he *httpError
 	var re *guard.RangeError
 	var le *guard.LimitError
+	var cfe *guard.ConfigError
 	var ie *sched.InfeasibleError
 	var ce *sched.ClockError
+	var pe *sched.NoPositionError
+	var ue *sched.LoopError
 	switch {
 	case errors.As(err, &mb):
 		code = http.StatusRequestEntityTooLarge
 	case errors.As(err, &he):
 		code = he.code
-	case errors.As(err, &re), errors.As(err, &le), errors.As(err, &ie), errors.As(err, &ce):
+	case errors.As(err, &re), errors.As(err, &le), errors.As(err, &cfe), errors.As(err, &ie), errors.As(err, &ce),
+		errors.As(err, &pe), errors.As(err, &ue):
 		code = http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
 		code = http.StatusServiceUnavailable

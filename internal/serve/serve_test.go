@@ -18,6 +18,7 @@ import (
 	"repro/internal/benchmarks"
 	"repro/internal/core"
 	"repro/internal/dfgio"
+	"repro/internal/library"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
@@ -679,5 +680,35 @@ func TestBodyTooLarge(t *testing.T) {
 	}
 	if c := s.Metrics().Cache; c.Hits+c.Misses != 0 {
 		t.Errorf("refused body counted %d hits, %d misses", c.Hits, c.Misses)
+	}
+}
+
+// TestBadConfigIsBadRequest sends POST /synthesize the configs the
+// engines refuse with a typed error — negative instance limits, unit
+// caps no schedule at the critical path fits, and a folded loop for
+// MFSA — and wants a 400 naming the cause, not a 500.
+func TestBadConfigIsBadRequest(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	ex := benchmarks.Diffeq()
+	units := map[string]int{}
+	for _, u := range library.NCRLike().Units() {
+		units[u.Name] = 1
+	}
+	loop := "design smoother\ninput start, coeff\nloop smooth cycles 2 binds acc = start, d = coeff yields nxt {\n" +
+		"    half = acc >> 1\n    nxt = half + d\n}\nfinal = smooth * 3\n"
+	for _, tc := range []struct {
+		name string
+		req  SynthesizeRequest
+		want string
+	}{
+		{"negative unit limit", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Limits: map[string]int{"fu_mul": -3}}}, `fu_mul`},
+		{"negative op limit", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Limits: map[string]int{"*": -1}}}, `\"*\"`},
+		{"no position", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Limits: units}}, "no position"},
+		{"loop", SynthesizeRequest{Source: loop, Config: ConfigJSON{CS: 4}}, "fold loops"},
+	} {
+		resp, body := post(t, ts.URL+"/synthesize", tc.req)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Errorf("%s: status %d: %s", tc.name, resp.StatusCode, body)
+		}
 	}
 }

@@ -97,7 +97,7 @@ func refRun(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map
 				// registered for the whole span (primary inputs are
 				// stable ports unless the design registered them too).
 				if dp != nil && !isInput[a] {
-					if _, ok := refCovering(dp, a, r, p.Step); !ok {
+					if _, ok := refCovering(s.Graph, dp, a, r, p.Step); !ok {
 						return nil, fmt.Errorf("sim: node %q reads %q at step %d but no register holds it over [%d,%d]",
 							n.Name, a, p.Step, r, p.Step)
 					}
@@ -157,10 +157,10 @@ func refCrossCheckCtx(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, 
 	return nil
 }
 
-func refCovering(d *rtl.Datapath, sig string, birth, readStep int) (int, bool) {
+func refCovering(g *dfg.Graph, d *rtl.Datapath, sig string, birth, readStep int) (int, bool) {
 	for r, grp := range d.Registers {
 		for _, iv := range grp {
-			if iv.Name == sig && iv.Birth <= birth && iv.Death >= readStep {
+			if g.SignalLabel(iv.Signal) == sig && iv.Birth <= birth && iv.Death >= readStep {
 				return r, true
 			}
 		}

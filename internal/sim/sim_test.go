@@ -92,12 +92,12 @@ func TestDetectsMissingRegister(t *testing.T) {
 		t.Error("unregistered cross-step value accepted")
 	}
 	// Register covering only part of the lifetime still fails.
-	dp.Registers = [][]rtl.Interval{{{Name: "x", Birth: 1, Death: 2}}}
+	dp.Registers = [][]rtl.Interval{{{Signal: g.Node(x).OutID(), Birth: 1, Death: 2}}}
 	if _, err := RunRTL(s, dp, map[string]int64{"a": 2}); err == nil {
 		t.Error("partially covered lifetime accepted")
 	}
 	// Full coverage passes.
-	dp.Registers = [][]rtl.Interval{{{Name: "x", Birth: 1, Death: 3}}}
+	dp.Registers = [][]rtl.Interval{{{Signal: g.Node(x).OutID(), Birth: 1, Death: 3}}}
 	if _, err := RunRTL(s, dp, map[string]int64{"a": 2}); err != nil {
 		t.Errorf("covered lifetime rejected: %v", err)
 	}
