@@ -61,8 +61,12 @@ import (
 //     Sweep or SweepGraphs, or a well-formed range lies entirely below a
 //     graph's critical path (the error names the path length), so the
 //     sweep has no feasible point.
-//   - *ConfigError: a Config value no run can honor, such as a negative
-//     Limits entry (the error names the key).
+//   - *ConfigError: a Config value no run can honor: a negative Limits
+//     entry or one whose key names no FU type of the engine (op symbols
+//     for ScheduleGraph, library unit names for Synthesize, Allocate and
+//     Sweep), a Style outside 0–2, a negative ClockNs or Latency, a
+//     Latency above a set CS, or a PipelinedOps entry that names no
+//     operation. The error names the field, the key and the value.
 //   - *NoPositionError: an operation found no free position within the
 //     time constraint once its unit types reached their instance bounds
 //     (Config.Limits); it names the operation, its window and the units.
@@ -170,9 +174,14 @@ type (
 	Config = core.Config
 	// Design is a completed synthesis result.
 	Design = core.Design
-	// Schedule maps operations to control steps and FU instances.
+	// Schedule maps operations to control steps and FU instances. It
+	// keeps one placement per NodeID with a presence bit: At(id) reads
+	// a node's placement and whether it is placed, Place and Unplace
+	// write one.
 	Schedule = sched.Schedule
-	// Placement is one operation's slot in a Schedule.
+	// Placement is one operation's slot in a Schedule: its start step,
+	// its FU type (an op symbol for MFS, a library unit name for MFSA)
+	// and its instance index.
 	Placement = sched.Placement
 	// Datapath is the bound RTL structure MFSA produces. Its ALUs' port
 	// lists (L1, L2, in multiplexer-select order) and its register

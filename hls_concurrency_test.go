@@ -8,7 +8,6 @@ package hls_test
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -26,14 +25,10 @@ func designKey(d *hls.Design) string {
 		alus = d.Datapath.ALUSummary()
 	}
 	fmt.Fprintf(&b, "cs=%d cost=%.3f alus=%s\n", d.Schedule.CS, d.Cost.Total, alus)
-	ids := make([]hls.NodeID, 0, len(d.Schedule.Placements))
-	for id := range d.Schedule.Placements {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := d.Schedule.Placements[id]
-		fmt.Fprintf(&b, "%d@%d:%s#%d\n", id, p.Step, p.Type, p.Index)
+	for _, n := range d.Graph.Nodes() {
+		if p, ok := d.Schedule.At(n.ID); ok {
+			fmt.Fprintf(&b, "%d@%d:%s#%d\n", n.ID, p.Step, p.Type, p.Index)
+		}
 	}
 	return b.String()
 }

@@ -3,6 +3,7 @@ package hls_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"testing"
 
 	hls "repro"
@@ -34,6 +35,64 @@ func TestNegativeLimitIsConfigError(t *testing.T) {
 			var ce *hls.ConfigError
 			if !errors.As(err, &ce) || ce.Field != "Limits" || ce.Key != lim.key || ce.Value != lim.v {
 				t.Errorf("%s with %v: %T %v, want a ConfigError naming %q", call.name, limits, err, err, lim.key)
+			}
+		}
+	}
+}
+
+// TestUnhonorableConfigIsConfigError sends configs that every entry
+// point used to accept without effect: a limit on a key that names no FU
+// type of the engine (an op symbol for MFSA, a unit for MFS), a style
+// outside 0–2, a negative clock, a negative latency or one above the
+// time constraint, and a pipelined op that names no operation. Each must
+// be refused with a ConfigError naming the field and the key.
+func TestUnhonorableConfigIsConfigError(t *testing.T) {
+	g := benchmarks.Diffeq().Graph
+	ops := map[string]int{"*": 2, "+": 1, "-": 1, "<": 1}
+	entries := []struct {
+		name    string
+		foreign string // a limit key of the other engine
+		base    hls.Config
+		run     func(hls.Config) error
+	}{
+		{"Synthesize", "*", hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.Synthesize(g, c); return err }},
+		{"ScheduleGraph/time", "fu_mul", hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
+		{"ScheduleGraph/resource", "fu_mul", hls.Config{Limits: ops}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
+		{"Sweep", "*", hls.Config{}, func(c hls.Config) error { _, err := hls.Sweep(g, c, 4, 6); return err }},
+	}
+	cases := []struct {
+		name, field, key string // key "" on Limits: the entry's foreign key
+		needsCS          bool   // the check compares against Config.CS
+		set              func(c *hls.Config, foreign string)
+	}{
+		{"limit on a foreign key", "Limits", "", false, func(c *hls.Config, foreign string) {
+			c.Limits = maps.Clone(c.Limits)
+			if c.Limits == nil {
+				c.Limits = map[string]int{}
+			}
+			c.Limits[foreign] = 1
+		}},
+		{"style 7", "Style", "", false, func(c *hls.Config, _ string) { c.Style = 7 }},
+		{"negative clock", "ClockNs", "", false, func(c *hls.Config, _ string) { c.ClockNs = -5 }},
+		{"negative latency", "Latency", "", false, func(c *hls.Config, _ string) { c.Latency = -1 }},
+		{"latency above cs", "Latency", "", true, func(c *hls.Config, _ string) { c.Latency = 9 }},
+		{"unknown pipelined op", "PipelinedOps", "0", false, func(c *hls.Config, _ string) { c.PipelinedOps = []string{"%%"} }},
+	}
+	for _, e := range entries {
+		for _, tc := range cases {
+			if tc.needsCS && e.base.CS == 0 {
+				continue
+			}
+			cfg := e.base
+			tc.set(&cfg, e.foreign)
+			key := tc.key
+			if tc.field == "Limits" {
+				key = e.foreign
+			}
+			err := e.run(cfg)
+			var ce *hls.ConfigError
+			if !errors.As(err, &ce) || ce.Field != tc.field || ce.Key != key {
+				t.Errorf("%s, %s: %T %v, want a ConfigError naming %s[%q]", e.name, tc.name, err, err, tc.field, key)
 			}
 		}
 	}

@@ -166,7 +166,9 @@ func TestFacadeAllocate(t *testing.T) {
 	}
 	// Steps stay put.
 	for _, n := range g.Nodes() {
-		if d.Schedule.Placements[n.ID].Step != s.Placements[n.ID].Step {
+		got, _ := d.Schedule.At(n.ID)
+		want, _ := s.At(n.ID)
+		if got.Step != want.Step {
 			t.Errorf("node %q moved", n.Name)
 		}
 	}

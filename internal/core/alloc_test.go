@@ -5,42 +5,59 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/dfg"
 	"repro/internal/gen"
 )
 
 // TestSynthesizeNetlistAllocs pins what one scale-shaped synthesis
-// allocates: the 2000-node generated design (seed 1, 2-cycle multiplies)
-// at its critical path + 4 steps through SynthesizeCtx and Netlist.
-// Naming every datapath and controller fact by id took it from 3.32 MB
-// and 7,997 allocations to 2.31 MB and 6,457; the budget leaves about a
-// tenth of headroom.
+// allocates through SynthesizeCtx and Netlist, at the design's critical
+// path + 4 steps with 2-cycle multiplies. gen2000 is the 2000-node
+// generated design (seed 1): naming every datapath and controller fact
+// by id took it from 3.32 MB and 7,997 allocations to 2.31 MB and 6,457.
+// fir1024 is the 1024-tap FIR, whose 651 ALUs make MFSA score 66
+// candidates per node, so its bytes are mostly the recorded trace. Each
+// budget leaves about a tenth of headroom.
 func TestSynthesizeNetlistAllocs(t *testing.T) {
-	g, err := gen.Generate(gen.Config{Nodes: 2000, MulCycles: 2, Seed: 1})
+	rand, err := gen.Generate(gen.Config{Nodes: 2000, MulCycles: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{CS: g.CriticalPathCycles() + 4}
-	run := func() {
-		d, err := SynthesizeCtx(context.Background(), g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := d.Netlist(); err != nil {
-			t.Fatal(err)
-		}
+	fir, err := gen.FIR(1024, 2)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	const runs = 3
-	for i := 0; i < runs; i++ {
+	for _, c := range []struct {
+		name          string
+		g             *dfg.Graph
+		bytes, allocs uint64
+	}{
+		{"gen2000", rand, 2_600_000, 7_000},
+		{"fir1024", fir, 7_000_000, 21_000},
+	} {
+		cfg := Config{CS: c.g.CriticalPathCycles() + 4}
+		run := func() {
+			d, err := SynthesizeCtx(context.Background(), c.g, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := d.Netlist(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		run()
-	}
-	runtime.ReadMemStats(&after)
-	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
-	allocs := (after.Mallocs - before.Mallocs) / runs
-	t.Logf("%d bytes and %d allocations per synthesis", bytes, allocs)
-	if bytes > 2_600_000 || allocs > 7_000 {
-		t.Errorf("%d bytes and %d allocations per synthesis, budget 2,600,000 and 7,000", bytes, allocs)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		const runs = 3
+		for i := 0; i < runs; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		allocs := (after.Mallocs - before.Mallocs) / runs
+		t.Logf("%s: %d bytes and %d allocations per synthesis", c.name, bytes, allocs)
+		if bytes > c.bytes || allocs > c.allocs {
+			t.Errorf("%s: %d bytes and %d allocations per synthesis, budget %d and %d",
+				c.name, bytes, allocs, c.bytes, c.allocs)
+		}
 	}
 }

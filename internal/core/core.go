@@ -10,6 +10,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/behav"
@@ -22,6 +25,7 @@ import (
 	"repro/internal/lint"
 	"repro/internal/mfs"
 	"repro/internal/mfsa"
+	"repro/internal/op"
 	"repro/internal/opt"
 	"repro/internal/rtl"
 	"repro/internal/sched"
@@ -36,7 +40,8 @@ type Config struct {
 	CS int
 
 	// Limits caps functional units: op symbols for scheduling, library
-	// unit names for allocation.
+	// unit names for allocation. A negative value, or a key that names no
+	// FU type of the entry point's engine, is a *guard.ConfigError.
 	Limits map[string]int
 
 	// ClockNs enables operation chaining (§5.4).
@@ -54,7 +59,10 @@ type Config struct {
 	// Lib is the allocation cell library; nil = library.NCRLike().
 	Lib *library.Library
 
-	// Style is the MFSA datapath style (1 or 2); 0 = style 1.
+	// Style is the MFSA datapath style (1 or 2); 0 = style 1. Any other
+	// value, like a negative ClockNs or Latency, a Latency above a set
+	// CS, or a PipelinedOps entry that names no operation, is a
+	// *guard.ConfigError.
 	Style int
 
 	// Weights reweight MFSA's Liapunov terms (time, ALU, mux, register);
@@ -86,8 +94,10 @@ type Config struct {
 	// NoTrace skips recording the move trajectory (Schedule.Trace) and
 	// the per-step candidate sets. The schedule and datapath are
 	// bit-identical either way; the run just drops the audit metadata,
-	// so lint's trace-replay analyzers have nothing to check. Intended
-	// for batch runs on very large graphs, which never audit the trace.
+	// so lint's trace-replay analyzers have nothing to check. The trace
+	// costs 96 bytes per placement plus, for MFSA, 24 bytes per scored
+	// candidate (see mfsa.Options.NoTrace), so batch runs on very large
+	// graphs, which never audit it, may drop it.
 	NoTrace bool
 
 	// Timeout bounds the wall-clock time of one entry-point call
@@ -122,28 +132,114 @@ func effectiveLimit(knob, def int) int {
 	}
 }
 
-// guardInput is the resource gate every entry point runs before any real
-// work: inputs beyond the configured size caps are rejected with a typed
-// *guard.LimitError.
-func guardInput(g *dfg.Graph, cfg Config) error {
+// engine is the scheduler an entry point runs, which fixes the key space
+// of Config.Limits.
+type engine int
+
+const (
+	engineMFS  engine = iota // MFS: limits by operation symbol
+	engineMFSA               // MFSA: limits by unit of the library in use
+)
+
+// guardInput is the gate every entry point runs before any real work:
+// inputs beyond the configured size caps are rejected with a typed
+// *guard.LimitError, and a config value no run of eng can honor with a
+// *guard.ConfigError.
+func guardInput(g *dfg.Graph, cfg Config, eng engine) error {
 	if max := effectiveLimit(cfg.MaxNodes, guard.DefaultMaxNodes); max > 0 && g != nil && g.Len() > max {
 		return &guard.LimitError{What: "graph nodes", Got: g.Len(), Max: max}
 	}
 	if max := effectiveLimit(cfg.MaxCSteps, guard.DefaultMaxCSteps); max > 0 && cfg.CS > max {
 		return &guard.LimitError{What: "control steps", Got: cfg.CS, Max: max}
 	}
-	// A negative instance limit; of several, the first key by name.
-	bad := ""
-	//hls:orderok a minimum over the keys does not depend on map order
-	for k, v := range cfg.Limits {
-		if v < 0 && (bad == "" || k < bad) {
-			bad = k
+	return checkConfig(g, cfg, eng)
+}
+
+// checkConfig rejects the config values no run can honor. Of several bad
+// limits, the first by name is reported, a negative one before one on an
+// unknown key.
+func checkConfig(g *dfg.Graph, cfg Config, eng engine) error {
+	keys := make([]string, 0, len(cfg.Limits))
+	for k := range cfg.Limits {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if v := cfg.Limits[k]; v < 0 {
+			return &guard.ConfigError{Field: "Limits", Key: k, Value: v, Why: "an instance limit cannot be negative"}
 		}
 	}
-	if v, ok := cfg.Limits[bad]; ok && v < 0 {
-		return &guard.ConfigError{Field: "Limits", Key: bad, Value: v, Why: "an instance limit cannot be negative"}
+	lib := cfg.Lib
+	if lib == nil && eng == engineMFSA && len(keys) > 0 {
+		lib = library.NCRLike()
+	}
+	for _, k := range keys {
+		if !limitKey(g, lib, eng, k) {
+			return &guard.ConfigError{Field: "Limits", Key: k, Value: cfg.Limits[k],
+				Why: "no such FU type; valid keys are " + limitKeyList(lib, eng)}
+		}
+	}
+	switch {
+	case cfg.Style < 0 || cfg.Style > 2:
+		return &guard.ConfigError{Field: "Style", Value: cfg.Style, Why: "the datapath style is 1 or 2, or 0 for style 1"}
+	case cfg.ClockNs < 0:
+		return &guard.ConfigError{Field: "ClockNs", Value: cfg.ClockNs, Why: "a clock period cannot be negative"}
+	case cfg.Latency < 0:
+		return &guard.ConfigError{Field: "Latency", Value: cfg.Latency, Why: "an initiation interval cannot be negative"}
+	case cfg.CS > 0 && cfg.Latency > cfg.CS:
+		return &guard.ConfigError{Field: "Latency", Value: cfg.Latency,
+			Why: fmt.Sprintf("the initiation interval exceeds the time constraint of %d steps", cfg.CS)}
+	}
+	for i, sym := range cfg.PipelinedOps {
+		if _, err := op.Parse(sym); err != nil {
+			return &guard.ConfigError{Field: "PipelinedOps", Key: strconv.Itoa(i), Value: sym,
+				Why: "no such operation; valid ones are " + opSymbols()}
+		}
 	}
 	return nil
+}
+
+// limitKey reports whether k names an FU type of eng: a unit of lib for
+// MFSA; an operation symbol, or the type key of one of g's folded loops,
+// for MFS.
+func limitKey(g *dfg.Graph, lib *library.Library, eng engine, k string) bool {
+	if eng == engineMFSA {
+		_, ok := lib.Lookup(k)
+		return ok
+	}
+	if _, err := op.Parse(k); err == nil {
+		return true
+	}
+	name, ok := strings.CutPrefix(k, "loop:")
+	if !ok || g == nil {
+		return false
+	}
+	n, ok := g.Lookup(name)
+	return ok && n.IsLoop()
+}
+
+// limitKeyList lists the valid Limits keys of eng for an error message.
+func limitKeyList(lib *library.Library, eng engine) string {
+	if eng == engineMFS {
+		return opSymbols() + " and loop:<name> for a folded loop"
+	}
+	names := make([]string, len(lib.Units()))
+	for i, u := range lib.Units() {
+		names[i] = u.Name
+	}
+	return strings.Join(names, " ")
+}
+
+// opSymbols lists every operation symbol.
+func opSymbols() string {
+	var b strings.Builder
+	for i, k := range op.Kinds() {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		b.WriteString(k.String())
+	}
+	return b.String()
 }
 
 // withTimeout applies cfg.Timeout to ctx. The returned cancel must be
@@ -187,7 +283,7 @@ func ScheduleOnly(g *dfg.Graph, cfg Config) (*Design, error) {
 // surfaces as a *guard.InternalError instead of crashing the caller.
 func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, err error) {
 	defer guard.Recover("core.ScheduleOnly", &err)
-	if err := guardInput(g, cfg); err != nil {
+	if err := guardInput(g, cfg, engineMFS); err != nil {
 		return nil, err
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
@@ -218,7 +314,7 @@ func Synthesize(g *dfg.Graph, cfg Config) (*Design, error) {
 // input-size guards, and the panic-recovery boundary.
 func SynthesizeCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, err error) {
 	defer guard.Recover("core.Synthesize", &err)
-	if err := guardInput(g, cfg); err != nil {
+	if err := guardInput(g, cfg, engineMFSA); err != nil {
 		return nil, err
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
@@ -258,7 +354,7 @@ func Allocate(s *sched.Schedule, cfg Config) (*Design, error) {
 func AllocateCtx(ctx context.Context, s *sched.Schedule, cfg Config) (d *Design, err error) {
 	defer guard.Recover("core.Allocate", &err)
 	cfg.CS = s.CS
-	if err := guardInput(s.Graph, cfg); err != nil {
+	if err := guardInput(s.Graph, cfg, engineMFSA); err != nil {
 		return nil, err
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
@@ -378,7 +474,7 @@ func SynthesizeSourceCtx(ctx context.Context, src string, cfg Config) (d *Design
 	if err != nil {
 		return nil, err
 	}
-	if err := guardInput(g, cfg); err != nil {
+	if err := guardInput(g, cfg, engineMFSA); err != nil {
 		return nil, err
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
@@ -421,7 +517,7 @@ func ScheduleSourceCtx(ctx context.Context, src string, cfg Config) (d *Design, 
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := guardInput(g, cfg); err != nil {
+	if err := guardInput(g, cfg, engineMFS); err != nil {
 		return nil, nil, err
 	}
 	ctx, cancel := withTimeout(ctx, cfg)

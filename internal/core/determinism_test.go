@@ -6,11 +6,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/dfg"
 	"repro/internal/emit"
 	"repro/internal/gen"
 )
@@ -80,16 +78,12 @@ func synthesisFingerprint() ([]byte, error) {
 	}
 
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "cs=%d nodes=%d\n", d.Schedule.CS, len(d.Schedule.Placements))
+	fmt.Fprintf(&b, "cs=%d nodes=%d\n", d.Schedule.CS, d.Graph.Len())
 
-	ids := make([]dfg.NodeID, 0, len(d.Schedule.Placements))
-	for id := range d.Schedule.Placements {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		p := d.Schedule.Placements[id]
-		fmt.Fprintf(&b, "place %d: step=%d type=%s idx=%d\n", id, p.Step, p.Type, p.Index)
+	for _, n := range d.Graph.Nodes() {
+		if p, ok := d.Schedule.At(n.ID); ok {
+			fmt.Fprintf(&b, "place %d: step=%d type=%s idx=%d\n", n.ID, p.Step, p.Type, p.Index)
+		}
 	}
 
 	if tr := d.Schedule.Trace; tr != nil {

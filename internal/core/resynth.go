@@ -192,15 +192,15 @@ func ResynthesizeCtx(ctx context.Context, d *Design, e Edit) (out *Design, err e
 	if err != nil {
 		return nil, err
 	}
-	if err := guardInput(newG, d.cfg); err != nil {
+	run, eng := scheduleOnly, engineMFS
+	if d.Datapath != nil {
+		run, eng = synthesize, engineMFSA
+	}
+	if err := guardInput(newG, d.cfg, eng); err != nil {
 		return nil, err
 	}
 	ctx, cancel := withTimeout(ctx, d.cfg)
 	defer cancel()
-	run := scheduleOnly
-	if d.Datapath != nil {
-		run = synthesize
-	}
 	if out, err = run(ctx, newG, d.cfg); err != nil {
 		return nil, err
 	}

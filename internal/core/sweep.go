@@ -101,7 +101,7 @@ func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi
 		if g == nil {
 			return nil, fmt.Errorf("core: sweep: nil graph at %d", gi)
 		}
-		if err := guardInput(g, cfg); err != nil {
+		if err := guardInput(g, cfg, engineMFSA); err != nil {
 			return nil, fmt.Errorf("core: sweep %s: %w", g.Name, err)
 		}
 		lo := csLo

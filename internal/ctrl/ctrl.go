@@ -106,7 +106,7 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 	counts := make([]int, len(states))
 	total := 0
 	for _, n := range g.Nodes() {
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		switch {
 		case !ok:
 			fail(n.ID, fmt.Errorf("ctrl: node %q unscheduled", n.Name))
@@ -143,7 +143,7 @@ func Build(g *dfg.Graph, s *sched.Schedule, dp *rtl.Datapath) (*Controller, erro
 				fail(n.ID, e)
 				continue
 			}
-			p := s.Placements[n.ID]
+			p, _ := s.At(n.ID)
 			states[p.Step-1].Actions = append(states[p.Step-1].Actions, act)
 		}
 		load(pos[0], a.L1, 0)

@@ -49,9 +49,9 @@ func TestBuildController(t *testing.T) {
 	// Actions appear in the state their schedule step says.
 	for _, st := range c.States {
 		for _, a := range st.Actions {
-			if res.Schedule.Placements[a.Node].Step != st.Step {
+			if p, _ := res.Schedule.At(a.Node); p.Step != st.Step {
 				t.Errorf("action %s in S%d but scheduled at %d",
-					g.Node(a.Node).Name, st.Step, res.Schedule.Placements[a.Node].Step)
+					g.Node(a.Node).Name, st.Step, p.Step)
 			}
 		}
 	}
@@ -130,16 +130,11 @@ func TestBuildErrors(t *testing.T) {
 	g, res := buildDesign(t, 4)
 	// Unscheduled node: drop one placement from a copy.
 	s2 := *res.Schedule
-	s2.Placements = make(map[dfg.NodeID]sched.Placement, len(res.Schedule.Placements))
-	for k, v := range res.Schedule.Placements {
-		s2.Placements[k] = v
+	placed := make([]sched.Placement, g.Len())
+	for _, n := range g.Nodes()[1:] {
+		placed[n.ID], _ = res.Schedule.At(n.ID)
 	}
-	var anyID dfg.NodeID
-	for id := range s2.Placements {
-		anyID = id
-		break
-	}
-	delete(s2.Placements, anyID)
+	s2.Adopt(placed)
 	if _, err := Build(g, &s2, res.Datapath); err == nil {
 		t.Error("unscheduled node accepted")
 	}

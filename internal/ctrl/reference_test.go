@@ -162,7 +162,7 @@ func refBuild(g *dfg.Graph, s *sched.Schedule, dp *refDatapath) (*refController,
 	counts := make([]int, len(states))
 	total := 0
 	for _, n := range g.Nodes() {
-		if p, ok := s.Placements[n.ID]; ok && p.Step >= 1 && p.Step <= len(states) {
+		if p, ok := s.At(n.ID); ok && p.Step >= 1 && p.Step <= len(states) {
 			counts[p.Step-1]++
 			total++
 		}
@@ -175,7 +175,7 @@ func refBuild(g *dfg.Graph, s *sched.Schedule, dp *refDatapath) (*refController,
 	}
 	sels := make(map[*refALU]*refMuxSelects)
 	for _, n := range g.Nodes() {
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		if !ok {
 			return nil, fmt.Errorf("ctrl: node %q unscheduled", n.Name)
 		}
@@ -446,12 +446,13 @@ var corruptions = []struct {
 // dropPlacement removes node id's placement from a copy of the schedule.
 func dropPlacement(d *core.Design, id dfg.NodeID) {
 	s := *d.Schedule
-	s.Placements = make(map[dfg.NodeID]sched.Placement, len(d.Schedule.Placements))
-	for k, p := range d.Schedule.Placements { //hls:orderok copying a map
-		if k != id {
-			s.Placements[k] = p
+	placed := make([]sched.Placement, d.Graph.Len())
+	for _, n := range d.Graph.Nodes() {
+		if n.ID != id {
+			placed[n.ID], _ = d.Schedule.At(n.ID)
 		}
 	}
+	s.Adopt(placed)
 	d.Schedule = &s
 }
 

@@ -172,7 +172,7 @@ func EncodeSchedule(s *sched.Schedule) ([]byte, error) {
 		}
 	}
 	for _, n := range s.Graph.Nodes() {
-		p := s.Placements[n.ID]
+		p, _ := s.At(n.ID)
 		sj.Placements = append(sj.Placements, placementJSON{
 			Node: n.Name, Step: p.Step, Type: p.Type, Index: p.Index,
 		})

@@ -166,7 +166,8 @@ func TestScheduleRoundTrip(t *testing.T) {
 	// Same placements by node name.
 	for _, n := range s.Graph.Nodes() {
 		n2, _ := s2.Graph.Lookup(n.Name)
-		if s2.Placements[n2.ID] != s.Placements[n.ID] {
+		p2, _ := s2.At(n2.ID)
+		if p, _ := s.At(n.ID); p2 != p {
 			t.Errorf("placement of %q changed", n.Name)
 		}
 	}
@@ -205,12 +206,9 @@ func TestEncodeScheduleRejectsIllegal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := range s.Placements {
-		p := s.Placements[id]
-		p.Step = 99
-		s.Placements[id] = p
-		break
-	}
+	p, _ := s.At(0)
+	p.Step = 99
+	s.Place(0, p)
 	if _, err := EncodeSchedule(s); err == nil {
 		t.Error("illegal schedule encoded")
 	}

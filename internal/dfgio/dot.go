@@ -52,8 +52,8 @@ func ScheduleDOT(s *sched.Schedule) string {
 	}
 	byStep := make(map[int][]*dfg.Node)
 	for _, n := range g.Nodes() {
-		step := s.Placements[n.ID].Step
-		byStep[step] = append(byStep[step], n)
+		p, _ := s.At(n.ID)
+		byStep[p.Step] = append(byStep[p.Step], n)
 	}
 	for step := 1; step <= s.CS; step++ {
 		nodes := byStep[step]
@@ -62,7 +62,7 @@ func ScheduleDOT(s *sched.Schedule) string {
 		}
 		fmt.Fprintf(&b, "  subgraph cluster_t%d {\n    label=\"step %d\";\n", step, step)
 		for _, n := range nodes {
-			p := s.Placements[n.ID]
+			p, _ := s.At(n.ID)
 			fmt.Fprintf(&b, "    %q [shape=box, label=%q];\n",
 				n.Name, fmt.Sprintf("%s @ %s%d", n.Name, p.Type, p.Index))
 		}

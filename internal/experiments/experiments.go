@@ -292,7 +292,7 @@ func NaiveAllocate(s *sched.Schedule, lib *library.Library) (*rtl.Datapath, erro
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
 		n := g.Node(id)
-		p, ok := s.Placements[id]
+		p, ok := s.At(id)
 		if !ok {
 			return nil, fmt.Errorf("experiments: node %q unscheduled", n.Name)
 		}
@@ -321,11 +321,11 @@ func lifetimes(s *sched.Schedule) []rtl.Interval {
 	g := s.Graph
 	var out []rtl.Interval
 	for _, n := range g.Nodes() {
-		p := s.Placements[n.ID]
+		p, _ := s.At(n.ID)
 		birth := p.Step + n.Cycles - 1
 		death := birth + 1
 		for _, sid := range n.Succs() {
-			if sp, ok := s.Placements[sid]; ok && sp.Step > death {
+			if sp, ok := s.At(sid); ok && sp.Step > death {
 				death = sp.Step
 			}
 		}

@@ -102,17 +102,22 @@ func (e *LimitError) Error() string {
 }
 
 // ConfigError reports a configuration value no run can honor, such as a
-// negative instance limit. Field names the configuration field and Key
-// the entry of a map-valued field.
+// negative instance limit or a limit on a unit the library lacks. Field
+// names the configuration field, Key the entry of a map- or list-valued
+// field (empty for a scalar field), and Value the offending value.
 type ConfigError struct {
 	Field string
 	Key   string
-	Value int
+	Value any
 	Why   string
 }
 
 func (e *ConfigError) Error() string {
-	return fmt.Sprintf("config %s[%q] = %d: %s", e.Field, e.Key, e.Value, e.Why)
+	field := e.Field
+	if e.Key != "" {
+		field += fmt.Sprintf("[%q]", e.Key)
+	}
+	return fmt.Sprintf("config %s = %v: %s", field, e.Value, e.Why)
 }
 
 // RangeError reports a control-step constraint range a design-space

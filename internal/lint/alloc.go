@@ -58,7 +58,7 @@ func runAlloc(ctx context.Context, u *Unit) diag.List {
 					fmt.Sprintf("ALU %s (%s) cannot execute %q's op %v", a.Name, a.Unit.Symbol(), n.Name, n.Op))
 			}
 			if s := u.Schedule; s != nil {
-				p, placed := s.Placements[b.Node]
+				p, placed := s.At(b.Node)
 				if !placed {
 					report(diag.CodeALUUnplaced, a.Name,
 						fmt.Sprintf("ALU %s binds %q, which the schedule never placed", a.Name, n.Name))
@@ -77,7 +77,7 @@ func runAlloc(ctx context.Context, u *Unit) diag.List {
 			if n.IsLoop() {
 				continue
 			}
-			if _, placed := s.Placements[n.ID]; !placed {
+			if _, placed := s.At(n.ID); !placed {
 				continue
 			}
 			if !bound[n.ID] {

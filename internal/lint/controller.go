@@ -82,7 +82,7 @@ func runCtrl(ctx context.Context, u *Unit) diag.List {
 				checkMuxSelects(g, u.Datapath, act, report)
 			}
 			if s := u.Schedule; s != nil {
-				if p, placed := s.Placements[act.Node]; !placed {
+				if p, placed := s.At(act.Node); !placed {
 					report(diag.CodeCtrlActionStep, diag.Error, name,
 						fmt.Sprintf("action %q issued in state %d, but the schedule never placed its node", name, i))
 				} else if p.Step != st.Step {
@@ -105,7 +105,7 @@ func runCtrl(ctx context.Context, u *Unit) diag.List {
 			}
 		}
 		for _, n := range g.Nodes() {
-			if _, placed := s.Placements[n.ID]; placed && !acted[n.ID] {
+			if _, placed := s.At(n.ID); placed && !acted[n.ID] {
 				report(diag.CodeCtrlMissing, diag.Error, n.Name,
 					fmt.Sprintf("scheduled node %q has no controller action", n.Name))
 			}

@@ -184,8 +184,8 @@ func runLiapunovChainFits(ctx context.Context, u *Unit) diag.List {
 
 	maxIdx := 1
 	for _, st := range t.Steps {
-		if st.MaxJ > maxIdx {
-			maxIdx = st.MaxJ
+		if int(st.MaxJ) > maxIdx {
+			maxIdx = int(st.MaxJ)
 		}
 		if st.Pos.Index > maxIdx {
 			maxIdx = st.Pos.Index
@@ -209,7 +209,7 @@ func runLiapunovChainFits(ctx context.Context, u *Unit) diag.List {
 		n := g.Node(st.Node)
 		table := tables[st.Type]
 		if table == nil {
-			max := st.MaxJ
+			max := int(st.MaxJ)
 			if st.Pos.Index > max {
 				max = st.Pos.Index
 			}
@@ -234,7 +234,7 @@ func runLiapunovChainFits(ctx context.Context, u *Unit) diag.List {
 			var bestPos grid.Pos
 			for _, c := range st.Candidates {
 				if c.Energy < best {
-					best, bestPos = c.Energy, c.Pos
+					best, bestPos = c.Energy, c.Pos()
 				}
 			}
 			if st.Energy > best+energyEps {

@@ -50,7 +50,7 @@ func runFrames(ctx context.Context, u *Unit) diag.List {
 	// Every placement must sit inside the independently recomputed
 	// ASAP/ALAP window.
 	for _, n := range g.Nodes() {
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		if !ok {
 			continue // reported by VerifyAll
 		}
@@ -76,7 +76,7 @@ func runFrames(ctx context.Context, u *Unit) diag.List {
 // scheduler recorded. Steps without recorded frames (MFSA traces record
 // candidates instead) are skipped.
 func auditTrace(g *dfg.Graph, s *sched.Schedule, frames sched.Frames, report func(code, loc, msg string)) {
-	placed := make(map[dfg.NodeID]sched.Placement, len(s.Trace.Steps))
+	placed := sched.NewSchedule(g, s.CS) // the committed prefix
 	for i, st := range s.Trace.Steps {
 		if int(st.Node) < 0 || int(st.Node) >= g.Len() {
 			report(diag.CodeFrameMismatch, fmt.Sprintf("trace step %d", i),
@@ -89,7 +89,7 @@ func auditTrace(g *dfg.Graph, s *sched.Schedule, frames sched.Frames, report fun
 		if pf.Empty() {
 			// Allocation-style trace: no frames to audit, but the
 			// placement still joins the prefix for later steps.
-			placed[st.Node] = sched.Placement{Step: st.Pos.Step, Type: st.Type, Index: st.Pos.Index}
+			placed.Place(st.Node, sched.Placement{Step: st.Pos.Step, Type: st.Type, Index: st.Pos.Index})
 			continue
 		}
 
@@ -104,12 +104,12 @@ func auditTrace(g *dfg.Graph, s *sched.Schedule, frames sched.Frames, report fun
 		}
 
 		// Independent re-derivation against the committed prefix.
-		if want := deriveFrames(g, s, frames, placed, n, st.CurrentJ, st.MaxJ); fr != want {
+		if want := deriveFrames(g, s, frames, placed, n, int(st.CurrentJ), int(st.MaxJ)); fr != want {
 			report(diag.CodeFrameMismatch, n.Name,
 				fmt.Sprintf("node %q: recorded window [%d, %d] below forbidden step %d differs from the independent re-derivation [%d, %d] below %d",
 					n.Name, fr.Lo, fr.Hi, fr.FFTop, want.Lo, want.Hi, want.FFTop))
 		}
-		placed[st.Node] = sched.Placement{Step: st.Pos.Step, Type: st.Type, Index: st.Pos.Index}
+		placed.Place(st.Node, sched.Placement{Step: st.Pos.Step, Type: st.Type, Index: st.Pos.Index})
 	}
 }
 
@@ -119,12 +119,12 @@ func auditTrace(g *dfg.Graph, s *sched.Schedule, frames sched.Frames, report fun
 // step), and the forbidden frame below the latest completing
 // predecessor, under the recorded current_j and max_j.
 func deriveFrames(g *dfg.Graph, s *sched.Schedule, frames sched.Frames,
-	placed map[dfg.NodeID]sched.Placement, n *dfg.Node, currentJ, maxJ int) grid.Frames {
+	placed *sched.Schedule, n *dfg.Node, currentJ, maxJ int) grid.Frames {
 	base := frames[n.ID]
 	lo, hi := base.ASAP, base.ALAP
 	ffTop := 0
 	for _, pid := range n.Preds() {
-		pp, ok := placed[pid]
+		pp, ok := placed.At(pid)
 		if !ok {
 			continue
 		}
@@ -141,7 +141,7 @@ func deriveFrames(g *dfg.Graph, s *sched.Schedule, frames sched.Frames,
 		}
 	}
 	for _, sid := range n.Succs() {
-		sp, ok := placed[sid]
+		sp, ok := placed.At(sid)
 		if !ok {
 			continue
 		}

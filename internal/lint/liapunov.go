@@ -47,12 +47,7 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 
 	maxIdx := 1
 	for _, st := range t.Steps {
-		if st.MaxJ > maxIdx {
-			maxIdx = st.MaxJ
-		}
-		if st.Pos.Index > maxIdx {
-			maxIdx = st.Pos.Index
-		}
+		maxIdx = max(maxIdx, int(st.MaxJ), st.Pos.Index)
 	}
 	if t.Fn != nil {
 		if err := liapunov.CheckProperties(t.Fn, s.CS, maxIdx); err != nil {
@@ -84,11 +79,7 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 		fast := incremental && !anyPlaced(n.Succs(), placedSteps)
 		table := tables[st.Type]
 		if table == nil {
-			max := st.MaxJ
-			if st.Pos.Index > max {
-				max = st.Pos.Index
-			}
-			table = grid.NewTable(st.Type, s.CS, max)
+			table = grid.NewTable(st.Type, s.CS, max(int(st.MaxJ), st.Pos.Index))
 			table.Latency = s.Latency
 			table.Pipelined = s.PipelinedTypes[st.Type]
 			tables[st.Type] = table
@@ -113,7 +104,7 @@ func runLiapunov(ctx context.Context, u *Unit) diag.List {
 			var bestPos grid.Pos
 			for _, c := range st.Candidates {
 				if c.Energy < best {
-					best, bestPos = c.Energy, c.Pos
+					best, bestPos = c.Energy, c.Pos()
 				}
 			}
 			if st.Energy > best+energyEps {

@@ -141,9 +141,9 @@ func TestAnalyzersCatchCorruption(t *testing.T) {
 			unit: mfsUnit,
 			corrupt: func(t *testing.T, u *lint.Unit) {
 				n, _ := u.Graph.Lookup("add1")
-				p := u.Schedule.Placements[n.ID]
+				p, _ := u.Schedule.At(n.ID)
 				p.Step = 4 // add1's ALAP is 1: three ops chain after it
-				u.Schedule.Placements[n.ID] = p
+				u.Schedule.Place(n.ID, p)
 			},
 		},
 		{

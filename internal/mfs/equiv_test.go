@@ -358,7 +358,8 @@ func comparePlacements(t *testing.T, name string, got, want *sched.Schedule) {
 		t.Errorf("%s: cs %d, reference %d", name, got.CS, want.CS)
 	}
 	for _, n := range got.Graph.Nodes() {
-		gp, wp := got.Placements[n.ID], want.Placements[n.ID]
+		gp, _ := got.At(n.ID)
+		wp, _ := want.At(n.ID)
 		if gp != wp {
 			t.Errorf("%s: node %q placed %+v, reference %+v", name, n.Name, gp, wp)
 		}
@@ -391,7 +392,7 @@ func TestBitsetEngineMatchesMapReference(t *testing.T) {
 			}
 			for i, c := range commits {
 				st := steps[i]
-				if st.Node != c.node || st.Type != c.typ || st.Pos != c.pos || st.CurrentJ != c.currentJ || st.Energy != c.energy {
+				if st.Node != c.node || st.Type != c.typ || st.Pos != c.pos || int(st.CurrentJ) != c.currentJ || st.Energy != c.energy {
 					t.Fatalf("trace step %d: (%d %s %v j=%d %g), reference (%d %s %v j=%d %g)",
 						i, st.Node, st.Type, st.Pos, st.CurrentJ, st.Energy, c.node, c.typ, c.pos, c.currentJ, c.energy)
 				}

@@ -17,9 +17,11 @@ package mfs
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/dfg"
 	"repro/internal/grid"
+	"repro/internal/guard"
 	"repro/internal/liapunov"
 	"repro/internal/pool"
 	"repro/internal/sched"
@@ -108,6 +110,10 @@ func ScheduleCtx(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedul
 	}
 	if opt.Latency > 0 && opt.CS == 0 {
 		return nil, fmt.Errorf("mfs: functional pipelining needs a time constraint")
+	}
+	if cs := max(opt.CS, opt.MaxCS); cs > math.MaxInt32 {
+		// The trace keeps windows as int32.
+		return nil, &guard.LimitError{What: "mfs time constraint", Got: cs, Max: math.MaxInt32}
 	}
 	if opt.CS > 0 {
 		return scheduleTimeConstrained(ctx, g, opt)
@@ -296,7 +302,9 @@ func (s *scheduler) initBounds(extraMax ...int) {
 	//hls:orderok every write is keyed by typ and reads only typ's own entries; iterations are independent
 	for typ, nj := range counts {
 		if lim, ok := s.opt.Limits[typ]; ok {
-			s.maxj[typ] = lim
+			// No grid grows past MaxInt32 columns, and the trace keeps
+			// max_j as int32.
+			s.maxj[typ] = min(lim, math.MaxInt32)
 		} else {
 			m := asapConc[typ]
 			if alapConc[typ] > m {
@@ -445,8 +453,8 @@ func (s *scheduler) placeOne(id dfg.NodeID) error {
 				// energy of the committed position.
 				s.trace = append(s.trace, sched.TraceStep{
 					Node: id, Type: typ,
-					Lo: lo, Hi: hi, FFTop: ffTop,
-					CurrentJ: s.current[typ], MaxJ: s.maxj[typ],
+					Lo: int32(lo), Hi: int32(hi), FFTop: int32(ffTop),
+					CurrentJ: int32(s.current[typ]), MaxJ: int32(s.maxj[typ]),
 					Pos: p, Energy: s.lf.Value(p),
 				})
 			}
@@ -549,12 +557,7 @@ func (s *scheduler) finish() (*sched.Schedule, error) {
 	for typ, p := range s.opt.PipelinedTypes {
 		out.PipelinedTypes[typ] = p
 	}
-	for id, p := range s.placed {
-		if p.Step == 0 {
-			continue // unplaced (empty graph or internal error; Verify reports it)
-		}
-		out.Place(dfg.NodeID(id), p)
-	}
+	out.Adopt(s.placed) // an unplaced node keeps Step 0; Verify reports it
 	if !s.opt.NoTrace {
 		out.Trace = &sched.Trace{Fn: s.lf, Steps: s.trace}
 	}

@@ -24,7 +24,7 @@ func FunctionalPartition(s *sched.Schedule) (p1, p2 []dfg.NodeID) {
 	}
 	split := (s.CS + s.Latency + 1) / 2
 	for _, n := range s.Graph.Nodes() {
-		if s.Placements[n.ID].Step <= split {
+		if p, _ := s.At(n.ID); p.Step <= split {
 			p1 = append(p1, n.ID)
 		} else {
 			p2 = append(p2, n.ID)
@@ -72,7 +72,7 @@ func ExpandPipelined(s *sched.Schedule) (*sched.Schedule, error) {
 		out.PipelinedTypes[typ] = on
 	}
 	for _, n := range g.Nodes() {
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		if !ok {
 			return nil, fmt.Errorf("mfs: node %q unscheduled", n.Name)
 		}

@@ -47,14 +47,16 @@ func TestSpeculativeSearchMatchesSequential(t *testing.T) {
 					t.Errorf("%s limits=%d workers=%d: cs = %d, want %d",
 						ex.Name, n, workers, got.CS, want.CS)
 				}
-				if len(got.Placements) != len(want.Placements) {
-					t.Fatalf("%s limits=%d workers=%d: %d placements, want %d",
-						ex.Name, n, workers, len(got.Placements), len(want.Placements))
-				}
-				for id, wp := range want.Placements {
-					if gp := got.Placements[id]; gp != wp {
+				for _, node := range ex.Graph.Nodes() {
+					gp, gok := got.At(node.ID)
+					wp, wok := want.At(node.ID)
+					if gok != wok {
+						t.Fatalf("%s limits=%d workers=%d: node %d placed %v, want %v",
+							ex.Name, n, workers, node.ID, gok, wok)
+					}
+					if gp != wp {
 						t.Errorf("%s limits=%d workers=%d: node %d placed %+v, want %+v",
-							ex.Name, n, workers, id, gp, wp)
+							ex.Name, n, workers, node.ID, gp, wp)
 					}
 				}
 			}

@@ -40,7 +40,7 @@ func AllocateCtx(ctx context.Context, s *sched.Schedule, opt Options) (*Result, 
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, ok := s.Placements[id]; !ok {
+		if _, ok := s.At(id); !ok {
 			return nil, fmt.Errorf("mfsa: node %q unscheduled", g.Node(id).Name)
 		}
 		if err := st.bindOne(s, id); err != nil {
@@ -57,9 +57,12 @@ func allocationOrder(s *sched.Schedule) []dfg.NodeID {
 	for _, n := range s.Graph.Nodes() {
 		ids = append(ids, n.ID)
 	}
+	step := func(id dfg.NodeID) int {
+		p, _ := s.At(id)
+		return p.Step
+	}
 	sort.Slice(ids, func(i, j int) bool {
-		si, sj := s.Placements[ids[i]].Step, s.Placements[ids[j]].Step
-		if si != sj {
+		if si, sj := step(ids[i]), step(ids[j]); si != sj {
 			return si < sj
 		}
 		return ids[i] < ids[j]
@@ -73,7 +76,8 @@ func allocationOrder(s *sched.Schedule) []dfg.NodeID {
 func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 	st.memoGen++ // new candidate evaluation: invalidate the regDelta memo
 	n := st.g.Node(id)
-	step := s.Placements[id].Step
+	p, _ := s.At(id)
+	step := p.Step
 	units := st.unitsFor(n)
 	var best candidate
 	evaluated := st.candBuf[:0] // commit copies what it keeps
@@ -90,7 +94,7 @@ func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 		v := st.value(n, u, p)
 		c := candidate{unit: u, pos: p, value: v}
 		if !st.opt.NoTrace {
-			evaluated = append(evaluated, sched.TraceCandidate{Pos: p, Type: u.Name, Energy: v})
+			evaluated = append(evaluated, traceCandidate(u, p, v))
 		}
 		if !found || less(c, best) {
 			best, found = c, true

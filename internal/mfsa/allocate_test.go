@@ -30,9 +30,10 @@ func TestAllocateMFSSchedules(t *testing.T) {
 		}
 		// Steps preserved exactly.
 		for _, n := range ex.Graph.Nodes() {
-			if res.Schedule.Placements[n.ID].Step != s.Placements[n.ID].Step {
-				t.Fatalf("%s: %q moved from step %d to %d", ex.Name, n.Name,
-					s.Placements[n.ID].Step, res.Schedule.Placements[n.ID].Step)
+			got, _ := res.Schedule.At(n.ID)
+			want, _ := s.At(n.ID)
+			if got.Step != want.Step {
+				t.Fatalf("%s: %q moved from step %d to %d", ex.Name, n.Name, want.Step, got.Step)
 			}
 		}
 		if err := sim.CrossCheck(res.Schedule, res.Datapath, sim.RandomInputs(ex.Graph, 5)); err != nil {
@@ -113,7 +114,7 @@ func TestAllocateErrors(t *testing.T) {
 		t.Error("unservable library accepted")
 	}
 	// Unscheduled node.
-	delete(s.Placements, 0)
+	s.Unplace(0)
 	if _, err := Allocate(s, Options{}); err == nil {
 		t.Error("partial schedule accepted")
 	}

@@ -39,7 +39,7 @@ func checkBindings(t *testing.T, g *dfg.Graph, res *Result) {
 		if !a.Unit.Can(n.Op) {
 			t.Errorf("node %q (op %v) bound to incapable %s", n.Name, n.Op, a.Unit.Name)
 		}
-		p := res.Schedule.Placements[n.ID]
+		p, _ := res.Schedule.At(n.ID)
 		found := false
 		for _, b := range a.Ops {
 			if b.Node == n.ID && b.Step == p.Step {
@@ -426,7 +426,8 @@ func TestScheduleTypesAreUnitNames(t *testing.T) {
 	ex := benchmarks.Facet()
 	res := synth(t, ex.Graph, Options{CS: 5})
 	lib := library.NCRLike()
-	for _, p := range res.Schedule.Placements {
+	for _, n := range ex.Graph.Nodes() {
+		p, _ := res.Schedule.At(n.ID)
 		if _, ok := lib.Lookup(p.Type); !ok {
 			t.Errorf("placement type %q is not a library unit", p.Type)
 		}
@@ -440,12 +441,17 @@ func TestScheduleTypesAreUnitNames(t *testing.T) {
 func sameResult(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	gs, ws := got.Schedule, want.Schedule
-	if gs.CS != ws.CS || len(gs.Placements) != len(ws.Placements) {
+	if gs.CS != ws.CS {
 		t.Fatalf("%s: schedule shape differs", label)
 	}
-	for id, wp := range ws.Placements {
-		if gp := gs.Placements[id]; gp != wp {
-			t.Fatalf("%s: node %d placed %+v, fresh run places %+v", label, id, gp, wp)
+	for _, n := range ws.Graph.Nodes() {
+		gp, gok := gs.At(n.ID)
+		wp, wok := ws.At(n.ID)
+		if gok != wok {
+			t.Fatalf("%s: schedule shape differs", label)
+		}
+		if gp != wp {
+			t.Fatalf("%s: node %d placed %+v, fresh run places %+v", label, n.ID, gp, wp)
 		}
 	}
 	gd, wd := got.Datapath, want.Datapath

@@ -59,7 +59,7 @@ func (s *state) fullScan(n *dfg.Node, units []*unit) (candidate, []sched.TraceCa
 			}
 			v := s.value(n, u, p)
 			cand := candidate{unit: u, pos: p, value: v}
-			evaluated = append(evaluated, sched.TraceCandidate{Pos: p, Type: u.Name, Energy: v})
+			evaluated = append(evaluated, traceCandidate(u, p, v))
 			if !found || less(cand, best) {
 				best, found = cand, true
 			}

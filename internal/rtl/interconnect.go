@@ -53,7 +53,7 @@ func AnalyzeInterconnect(g *dfg.Graph, s *sched.Schedule, dp *Datapath) (*Interc
 		if a == nil {
 			return nil, fmt.Errorf("rtl: node %q unbound", n.Name)
 		}
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		if !ok {
 			return nil, fmt.Errorf("rtl: node %q unscheduled", n.Name)
 		}
@@ -139,7 +139,7 @@ func (src *sources) terminal(sig dfg.SignalID, readStep int) (string, error) {
 		}
 		return "in:" + src.g.SignalName(sig), nil
 	}
-	pp := src.s.Placements[prod.ID]
+	pp, _ := src.s.At(prod.ID)
 	if pp.Step+prod.Cycles-1 == readStep {
 		// Chained: a direct combinational line from the producing ALU.
 		if a := src.alu[prod.ID]; a != nil {
@@ -188,7 +188,7 @@ func PlanBuses(g *dfg.Graph, s *sched.Schedule, dp *Datapath) (*BusPlan, error) 
 		perStep[i] = make(map[string]bool)
 	}
 	for _, n := range g.Nodes() {
-		p := s.Placements[n.ID]
+		p, _ := s.At(n.ID)
 		a, dest, swapped := src.alu[n.ID], "?", false
 		if a != nil {
 			dest, swapped = a.Name, src.bind[n.ID].Swapped

@@ -19,7 +19,7 @@ func (s *Schedule) Gantt() string {
 	rowOf := make(map[string]*row)
 	var keys []string
 	for _, n := range s.Graph.Nodes() {
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		if !ok {
 			continue
 		}
@@ -93,7 +93,7 @@ func (s *Schedule) Utilization() map[string]float64 {
 	}
 	busy := make(map[string]int)
 	for _, n := range s.Graph.Nodes() {
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		if !ok {
 			continue
 		}
@@ -103,14 +103,12 @@ func (s *Schedule) Utilization() map[string]float64 {
 		}
 		busy[p.Type] += cyc
 	}
+	insts := s.InstancesPerType()
 	out := make(map[string]float64, len(busy))
-	//hls:orderok each utilization entry is computed from typ's own counters and written keyed
-	for typ, cycles := range busy {
-		inst := s.InstancesPerType()[typ]
-		if inst == 0 || span == 0 {
-			continue
+	for _, typ := range s.TypeNames() {
+		if inst := insts[typ]; inst != 0 && span != 0 {
+			out[typ] = float64(busy[typ]) / float64(inst*span)
 		}
-		out[typ] = float64(cycles) / float64(inst*span)
 	}
 	return out
 }

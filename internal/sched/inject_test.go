@@ -42,10 +42,22 @@ func clone(s *sched.Schedule) *sched.Schedule {
 	for typ, on := range s.PipelinedTypes {
 		c.PipelinedTypes[typ] = on
 	}
-	for id, p := range s.Placements {
-		c.Place(id, p)
+	for _, n := range s.Graph.Nodes() {
+		if p, ok := s.At(n.ID); ok {
+			c.Place(n.ID, p)
+		}
 	}
 	return c
+}
+
+// anyPlaced picks a placed node of s at random.
+func anyPlaced(r *rand.Rand, s *sched.Schedule) (dfg.NodeID, sched.Placement, bool) {
+	if s.Graph.Len() == 0 {
+		return 0, sched.Placement{}, false
+	}
+	id := s.Graph.Nodes()[r.Intn(s.Graph.Len())].ID
+	p, ok := s.At(id)
+	return id, p, ok
 }
 
 // mutations are corruption strategies; each returns false when it could
@@ -55,11 +67,11 @@ var mutations = []struct {
 	apply func(r *rand.Rand, s *sched.Schedule) bool
 }{
 	{"drop-placement", func(r *rand.Rand, s *sched.Schedule) bool {
-		for id := range s.Placements {
-			delete(s.Placements, id)
-			return true
+		id, _, ok := anyPlaced(r, s)
+		if ok {
+			s.Unplace(id)
 		}
-		return false
+		return ok
 	}},
 	{"before-predecessor", func(r *rand.Rand, s *sched.Schedule) bool {
 		for _, n := range s.Graph.Nodes() {
@@ -67,8 +79,8 @@ var mutations = []struct {
 				continue
 			}
 			pred := s.Graph.Node(n.Preds()[0])
-			pp := s.Placements[pred.ID]
-			p := s.Placements[n.ID]
+			pp, _ := s.At(pred.ID)
+			p, _ := s.At(n.ID)
 			target := pp.Step + pred.Cycles - 2 // strictly before pred completes, minus chaining room
 			if s.ClockNs > 0 {
 				target = pp.Step - 1
@@ -77,7 +89,7 @@ var mutations = []struct {
 				continue
 			}
 			p.Step = target
-			s.Placements[n.ID] = p
+			s.Place(n.ID, p)
 			return true
 		}
 		return false
@@ -95,7 +107,8 @@ var mutations = []struct {
 				if s.Graph.MutuallyExclusive(a.ID, b.ID) {
 					continue
 				}
-				pa, pb := s.Placements[a.ID], s.Placements[b.ID]
+				pa, _ := s.At(a.ID)
+				pb, _ := s.At(b.ID)
 				if pa.Type != pb.Type || a.Cycles != b.Cycles {
 					continue
 				}
@@ -105,29 +118,27 @@ var mutations = []struct {
 					continue
 				}
 				pb.Index = pa.Index
-				s.Placements[b.ID] = pb
+				s.Place(b.ID, pb)
 				return true
 			}
 		}
 		return false
 	}},
 	{"step-out-of-range", func(r *rand.Rand, s *sched.Schedule) bool {
-		for id := range s.Placements {
-			p := s.Placements[id]
+		id, p, ok := anyPlaced(r, s)
+		if ok {
 			p.Step = s.CS + 5
-			s.Placements[id] = p
-			return true
+			s.Place(id, p)
 		}
-		return false
+		return ok
 	}},
 	{"zero-index", func(r *rand.Rand, s *sched.Schedule) bool {
-		for id := range s.Placements {
-			p := s.Placements[id]
+		id, p, ok := anyPlaced(r, s)
+		if ok {
 			p.Index = 0
-			s.Placements[id] = p
-			return true
+			s.Place(id, p)
 		}
-		return false
+		return ok
 	}},
 }
 

@@ -173,7 +173,8 @@ func TestChainAccAtMatchesChainFits(t *testing.T) {
 	placed := make([]int, g.Len())
 	acc := make([]float64, g.Len())
 	for _, id := range sched.PriorityOrder(g, frames) {
-		step := s.Placements[id].Step
+		p, _ := s.At(id)
+		step := p.Step
 		// Probe every step in the node's frame, not just the chosen one.
 		for probe := frames[id].ASAP; probe <= frames[id].ALAP; probe++ {
 			full := sched.ChainFits(g, ex.ClockNs, placed, id, probe)

@@ -27,8 +27,11 @@ type Schedule struct {
 	Graph *dfg.Graph
 	CS    int // total control steps
 
-	// Placements maps every node to its placement.
-	Placements map[dfg.NodeID]Placement
+	// placements[id] is node id's placement while placed[id] is set. The
+	// presence bit keeps a placement at step 0, which Verify reports as
+	// out of range, apart from no placement at all. Read them with At.
+	placements []Placement
+	placed     []bool
 
 	// ClockNs is the control-step clock period when chaining is enabled
 	// (§5.4); 0 means one operation level per step.
@@ -56,14 +59,58 @@ func NewSchedule(g *dfg.Graph, cs int) *Schedule {
 	return &Schedule{
 		Graph:          g,
 		CS:             cs,
-		Placements:     make(map[dfg.NodeID]Placement, g.Len()),
 		PipelinedTypes: make(map[string]bool),
 	}
 }
 
+// At returns node id's placement and whether the node is placed.
+func (s *Schedule) At(id dfg.NodeID) (Placement, bool) {
+	if id < 0 || int(id) >= len(s.placed) || !s.placed[id] {
+		return Placement{}, false
+	}
+	return s.placements[id], true
+}
+
 // Place records node id at p.
 func (s *Schedule) Place(id dfg.NodeID, p Placement) {
-	s.Placements[id] = p
+	if n := int(id) + 1; n > len(s.placed) {
+		n = max(n, s.Graph.Len())
+		s.placements = append(s.placements, make([]Placement, n-len(s.placements))...)
+		s.placed = append(s.placed, make([]bool, n-len(s.placed))...)
+	}
+	s.placements[id], s.placed[id] = p, true
+}
+
+// Unplace removes node id's placement.
+func (s *Schedule) Unplace(id dfg.NodeID) {
+	if int(id) < len(s.placed) {
+		s.placements[id], s.placed[id] = Placement{}, false
+	}
+}
+
+// SamePlacements reports whether s and o place the same nodes at the
+// same steps, types and indexes. Like Trace.Equal, it backs the engine
+// invariance cross-checks.
+func (s *Schedule) SamePlacements(o *Schedule) bool {
+	for id := range max(len(s.placed), len(o.placed)) {
+		p, ok := s.At(dfg.NodeID(id))
+		q, qok := o.At(dfg.NodeID(id))
+		if ok != qok || p != q {
+			return false
+		}
+	}
+	return true
+}
+
+// Adopt makes placed, indexed by NodeID, the schedule's placements and
+// takes the slice over. A node is placed when its entry has a nonzero
+// Step: the engines fill such a slice as they commit, with 1-based
+// steps, so handing it over copies no placement.
+func (s *Schedule) Adopt(placed []Placement) {
+	s.placements, s.placed = placed, make([]bool, len(placed))
+	for id, p := range placed {
+		s.placed[id] = p.Step != 0
+	}
 }
 
 // StepsOf returns the control-step rows node id occupies, honoring
@@ -72,7 +119,7 @@ func (s *Schedule) Place(id dfg.NodeID, p Placement) {
 // pipelining (rows fold modulo Latency). The rows are the conflict
 // footprint on the instance, not the externally visible latency.
 func (s *Schedule) StepsOf(id dfg.NodeID) []int {
-	p, ok := s.Placements[id]
+	p, ok := s.At(id)
 	if !ok {
 		return nil
 	}
@@ -96,8 +143,8 @@ func (s *Schedule) StepsOf(id dfg.NodeID) []int {
 // type — Table 1's result columns.
 func (s *Schedule) InstancesPerType() map[string]int {
 	max := make(map[string]int)
-	for _, p := range s.Placements {
-		if p.Index > max[p.Type] {
+	for id, ok := range s.placed {
+		if p := s.placements[id]; ok && p.Index > max[p.Type] {
 			max[p.Type] = p.Index
 		}
 	}
@@ -107,12 +154,12 @@ func (s *Schedule) InstancesPerType() map[string]int {
 // TypeNames returns the used FU type keys in sorted order.
 func (s *Schedule) TypeNames() []string {
 	seen := make(map[string]bool)
-	for _, p := range s.Placements {
-		seen[p.Type] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
+	names := []string{}
+	for id, ok := range s.placed {
+		if typ := s.placements[id].Type; ok && !seen[typ] {
+			seen[typ] = true
+			names = append(names, typ)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -121,9 +168,11 @@ func (s *Schedule) TypeNames() []string {
 // String renders a compact per-step listing for debugging.
 func (s *Schedule) String() string {
 	byStep := make(map[int][]string)
-	//hls:orderok each step's bucket is sorted before rendering, so the listing is identical across runs
-	for id, p := range s.Placements {
-		n := s.Graph.Node(id)
+	for id, ok := range s.placed {
+		if !ok {
+			continue
+		}
+		p, n := s.placements[id], s.Graph.Node(dfg.NodeID(id))
 		byStep[p.Step] = append(byStep[p.Step],
 			fmt.Sprintf("%s@%s%d", n.Name, p.Type, p.Index))
 	}

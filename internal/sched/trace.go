@@ -1,21 +1,31 @@
 package sched
 
 import (
+	"slices"
+
 	"repro/internal/dfg"
 	"repro/internal/grid"
 	"repro/internal/liapunov"
 )
 
 // TraceCandidate is one evaluated alternative of a placement decision:
-// a grid position (on the FU type's table), the type it was evaluated
-// on, and its Liapunov energy at decision time. MFSA records the
-// candidates it scored; MFS leaves Candidates empty because its static
-// energy function lets an auditor re-enumerate the alternatives from
-// the recorded frames alone.
+// its Liapunov energy at decision time, its grid position on the unit's
+// table, and the unit it was evaluated on as a position in the run's
+// library, which Trace.Units names. MFSA records the candidates it
+// scored; MFS leaves Candidates empty because its static energy function
+// lets an auditor re-enumerate the alternatives from the recorded frames
+// alone. A candidate holds no pointer and takes 24 bytes, so a trace of
+// many is cheap to build and costs the collector nothing to scan. Both
+// engines keep control steps within int32, and an index never exceeds
+// the node count.
 type TraceCandidate struct {
-	Pos    grid.Pos
-	Type   string
-	Energy float64
+	Energy            float64
+	Step, Index, Unit int32
+}
+
+// Pos returns the candidate's grid position.
+func (c TraceCandidate) Pos() grid.Pos {
+	return grid.Pos{Step: int(c.Step), Index: int(c.Index)}
 }
 
 // TraceStep records one committed placement decision: which node moved,
@@ -24,7 +34,9 @@ type TraceCandidate struct {
 // function. The window and the estimate are the decision's frames in
 // closed form (Frames). Steps are recorded in commit order, so
 // replaying them in sequence reconstructs the exact grid occupancy
-// every decision was made against.
+// every decision was made against. The window and the estimates are
+// int32, which both engines' bounds on control steps and instance limits
+// keep exact, so a step takes 96 bytes.
 type TraceStep struct {
 	Node dfg.NodeID
 	Type string // FU type key: op symbol (MFS) or library unit name (MFSA)
@@ -34,11 +46,11 @@ type TraceStep struct {
 	// none). MFSA folds its forbidden frame into its window and records
 	// none of the three (all 0, so every frame is empty); the Candidates
 	// list then carries the audit trail instead.
-	Lo, Hi, FFTop int
+	Lo, Hi, FFTop int32
 
 	// CurrentJ and MaxJ are the running FU estimate current_j and the
 	// bound max_j of the node's type when the decision was taken.
-	CurrentJ, MaxJ int
+	CurrentJ, MaxJ int32
 
 	Pos    grid.Pos
 	Energy float64
@@ -55,7 +67,7 @@ type TraceStep struct {
 
 // Frames returns the step's PF, RF, FF and MF in closed form.
 func (s *TraceStep) Frames() grid.Frames {
-	return grid.Frames{Lo: s.Lo, Hi: s.Hi, FFTop: s.FFTop, Cur: s.CurrentJ, Max: s.MaxJ}
+	return grid.Frames{Lo: int(s.Lo), Hi: int(s.Hi), FFTop: int(s.FFTop), Cur: int(s.CurrentJ), Max: int(s.MaxJ)}
 }
 
 // Trace is the recorded move trajectory of one scheduling run. The
@@ -69,6 +81,10 @@ type Trace struct {
 	// (MFS). MFSA's dynamic composite function depends on datapath
 	// state, so MFSA leaves Fn nil and records Candidates instead.
 	Fn liapunov.Func
+
+	// Units names the units that candidates refer to by position: the
+	// run's library units, in library order (MFSA only; nil for MFS).
+	Units []string
 
 	Steps []TraceStep
 }
@@ -85,7 +101,7 @@ func (t *Trace) Equal(o *Trace) bool {
 	if t == nil || o == nil {
 		return t == o
 	}
-	if len(t.Steps) != len(o.Steps) {
+	if !slices.Equal(t.Units, o.Units) || len(t.Steps) != len(o.Steps) {
 		return false
 	}
 	for i := range t.Steps {
@@ -97,6 +113,8 @@ func (t *Trace) Equal(o *Trace) bool {
 }
 
 // Equal reports whether two trace steps record the identical decision.
+// Candidates compare by unit position, so the steps' traces must name
+// the same units.
 func (s *TraceStep) Equal(o *TraceStep) bool {
 	if s.Node != o.Node || s.Type != o.Type ||
 		s.Pos != o.Pos || s.Energy != o.Energy ||

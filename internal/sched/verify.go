@@ -63,7 +63,7 @@ func (s *Schedule) Verify(limits map[string]int) error {
 func (s *Schedule) verifyShape(report func(diag.Diagnostic)) {
 	g := s.Graph
 	for _, n := range g.Nodes() {
-		p, ok := s.Placements[n.ID]
+		p, ok := s.At(n.ID)
 		if !ok {
 			report(diag.Diagnostic{
 				Code: diag.CodeSchedUnplaced, Loc: n.Name,
@@ -108,14 +108,14 @@ func (s *Schedule) verifyDeps(report func(diag.Diagnostic)) {
 	acc := make([]float64, g.Len())
 	for _, id := range g.TopoOrder() {
 		n := g.Node(id)
-		pn, ok := s.Placements[id]
+		pn, ok := s.At(id)
 		if !ok {
 			continue // reported by verifyShape
 		}
 		chain := 0.0
 		for _, pid := range n.Preds() {
 			pred := g.Node(pid)
-			pp, pok := s.Placements[pid]
+			pp, pok := s.At(pid)
 			if !pok {
 				continue
 			}
@@ -162,13 +162,16 @@ func (s *Schedule) verifyConflicts(report func(diag.Diagnostic)) {
 	var types []string
 	n := 0
 	minIdx, maxIdx, minRow, maxRow := math.MaxInt, math.MinInt, math.MaxInt, math.MinInt
-	//hls:orderok types are sorted and the bounds are min/max folds, so neither depends on map order
-	for id, p := range s.Placements {
+	for id, ok := range s.placed {
+		if !ok {
+			continue
+		}
+		p := s.placements[id]
 		if !slices.Contains(types, p.Type) {
 			types = append(types, p.Type)
 		}
 		minIdx, maxIdx = min(minIdx, p.Index), max(maxIdx, p.Index)
-		for i := range s.footprint(id, p) {
+		for i := range s.footprint(dfg.NodeID(id), p) {
 			r := s.row(p, i)
 			minRow, maxRow = min(minRow, r), max(maxRow, r)
 			n++
@@ -183,10 +186,13 @@ func (s *Schedule) verifyConflicts(report func(diag.Diagnostic)) {
 	idxKey, rowKey := offsetKey(minIdx, maxIdx), offsetKey(minRow, maxRow)
 	if idxKey == nil || rowKey == nil {
 		var idxs, rs []int
-		//hls:orderok the values are sorted into ranks before use
-		for id, p := range s.Placements {
+		for id, ok := range s.placed {
+			if !ok {
+				continue
+			}
+			p := s.placements[id]
 			idxs = append(idxs, p.Index)
-			for i := range s.footprint(id, p) {
+			for i := range s.footprint(dfg.NodeID(id), p) {
 				rs = append(rs, s.row(p, i))
 			}
 		}
@@ -198,11 +204,14 @@ func (s *Schedule) verifyConflicts(report func(diag.Diagnostic)) {
 		}
 	}
 	occ := make([]occupant, 0, n)
-	//hls:orderok the occupants are sorted below before any pair is examined, so report order is map-order free
-	for id, p := range s.Placements {
+	for id, ok := range s.placed {
+		if !ok {
+			continue
+		}
+		p := s.placements[id]
 		t, _ := slices.BinarySearch(types, p.Type)
 		hi := uint64(t)<<32 | idxKey(p.Index)
-		for i := range s.footprint(id, p) {
+		for i := range s.footprint(dfg.NodeID(id), p) {
 			occ = append(occ, occupant{hi, rowKey(s.row(p, i))<<32 | uint64(id)})
 		}
 	}
@@ -241,7 +250,7 @@ func (s *Schedule) verifyConflicts(report func(diag.Diagnostic)) {
 				continue
 			}
 			// Every occupant of the cell shares its type and index.
-			q := s.Placements[p.a]
+			q := s.placements[p.a]
 			report(diag.Diagnostic{
 				Code: diag.CodeSchedFUConflict,
 				Loc:  fmt.Sprintf("%s%d", q.Type, q.Index),

@@ -21,10 +21,13 @@ func (s *Schedule) refVerifyConflicts(report func(diag.Diagnostic)) {
 		index int
 	}
 	byCell := make(map[cell][]dfg.NodeID)
-	for id := range s.Placements {
-		p := s.Placements[id]
+	for id, ok := range s.placed {
+		if !ok {
+			continue
+		}
+		p := s.placements[id]
 		c := cell{p.Type, p.Index}
-		byCell[c] = append(byCell[c], id)
+		byCell[c] = append(byCell[c], dfg.NodeID(id))
 	}
 	// Deterministic report order.
 	cells := make([]cell, 0, len(byCell))

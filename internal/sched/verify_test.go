@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dfg"
+	"repro/internal/diag"
 	"repro/internal/op"
 )
 
@@ -48,6 +49,26 @@ func TestVerifyUnplaced(t *testing.T) {
 	s.Place(y, Placement{Step: 1, Type: "+", Index: 2})
 	if err := s.Verify(nil); err == nil {
 		t.Error("schedule with unplaced node accepted")
+	}
+}
+
+// TestVerifyStepZeroIsStepRange pins that a node placed at step 0 is
+// placed: the verifier reports its step as out of range, not the node
+// as unplaced.
+func TestVerifyStepZeroIsStepRange(t *testing.T) {
+	g, x, y, z := twoAdds(t)
+	s := NewSchedule(g, 2)
+	s.Place(x, Placement{Step: 0, Type: "+", Index: 1})
+	s.Place(y, Placement{Step: 1, Type: "+", Index: 2})
+	s.Place(z, Placement{Step: 2, Type: "*", Index: 1})
+	all := s.VerifyAll(nil)
+	if len(all) == 0 || all[0].Code != diag.CodeSchedStepRange || all[0].Loc != "x" {
+		t.Fatalf("step-0 placement: %v, want %s on x first", all, diag.CodeSchedStepRange)
+	}
+	for _, d := range all {
+		if d.Code == diag.CodeSchedUnplaced {
+			t.Errorf("step-0 placement reported unplaced: %v", d)
+		}
 	}
 }
 

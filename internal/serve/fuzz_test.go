@@ -64,7 +64,9 @@ func FuzzPostBody(f *testing.F) {
 
 	// Configs the engines refuse with a typed error, on diffeq at cs 4:
 	// negative limits keyed by unit and by op, one instance of every
-	// unit, and a folded loop for MFSA.
+	// unit, the values no run can honor (a limit on an op symbol, style
+	// 7, a negative clock or latency, a latency above cs, an unknown
+	// pipelined op), and a folded loop for MFSA.
 	dj, err := dfgio.EncodeGraph(benchmarks.Diffeq().Graph)
 	if err != nil {
 		f.Fatal(err)
@@ -77,6 +79,12 @@ func FuzzPostBody(f *testing.F) {
 		{CS: 4, Limits: map[string]int{"fu_mul": -3}},
 		{CS: 4, Limits: map[string]int{"*": -1}},
 		{CS: 4, Limits: units},
+		{CS: 6, Limits: map[string]int{"*": 1}},
+		{CS: 4, Style: 7},
+		{CS: 4, ClockNs: -5},
+		{CS: 4, Latency: -1},
+		{CS: 4, Latency: 9},
+		{CS: 4, PipelinedOps: []string{"%%"}},
 	} {
 		for ep := range postPaths {
 			f.Add(byte(ep), postBody(f, ep, dj, cfg))

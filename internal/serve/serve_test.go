@@ -685,8 +685,10 @@ func TestBodyTooLarge(t *testing.T) {
 
 // TestBadConfigIsBadRequest sends POST /synthesize the configs the
 // engines refuse with a typed error — negative instance limits, unit
-// caps no schedule at the critical path fits, and a folded loop for
-// MFSA — and wants a 400 naming the cause, not a 500.
+// caps no schedule at the critical path fits, a folded loop for MFSA,
+// and the values no run can honor: a limit on an op symbol, style 7, a
+// negative clock or latency, a latency above cs and an unknown
+// pipelined op — and wants a 400 naming the cause, not a 500.
 func TestBadConfigIsBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	ex := benchmarks.Diffeq()
@@ -705,6 +707,12 @@ func TestBadConfigIsBadRequest(t *testing.T) {
 		{"negative op limit", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Limits: map[string]int{"*": -1}}}, `\"*\"`},
 		{"no position", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Limits: units}}, "no position"},
 		{"loop", SynthesizeRequest{Source: loop, Config: ConfigJSON{CS: 4}}, "fold loops"},
+		{"op-symbol limit", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 6, Limits: map[string]int{"*": 1}}}, "no such FU type"},
+		{"style 7", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Style: 7}}, "config Style"},
+		{"negative clock", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, ClockNs: -5}}, "config ClockNs"},
+		{"negative latency", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Latency: -1}}, "config Latency"},
+		{"latency above cs", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Latency: 9}}, "config Latency"},
+		{"unknown pipelined op", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, PipelinedOps: []string{"%%"}}}, "config PipelinedOps"},
 	} {
 		resp, body := post(t, ts.URL+"/synthesize", tc.req)
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {

@@ -64,15 +64,15 @@ func refRun(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map
 		isInput[in] = true
 	}
 	finish := func(n *dfg.Node) int {
-		return s.Placements[n.ID].Step + n.Cycles - 1
+		return stepOf(s, n.ID) + n.Cycles - 1
 	}
 
 	// Issue order: by start step, then topologically within a step (for
 	// chained operations), then by ID.
 	order := append([]dfg.NodeID(nil), g.TopoOrder()...)
 	sort.SliceStable(order, func(i, j int) bool {
-		si := s.Placements[order[i]].Step
-		sj := s.Placements[order[j]].Step
+		si := stepOf(s, order[i])
+		sj := stepOf(s, order[j])
 		return si < sj
 	})
 
@@ -81,7 +81,7 @@ func refRun(ctx context.Context, s *sched.Schedule, dp *rtl.Datapath, inputs map
 			return nil, err
 		}
 		n := g.Node(id)
-		p, ok := s.Placements[id]
+		p, ok := s.At(id)
 		if !ok {
 			return nil, fmt.Errorf("sim: node %q unscheduled", n.Name)
 		}
@@ -501,7 +501,7 @@ func corrupted(t *testing.T) []refCase {
 		}
 
 		d := fresh(base)
-		delete(d.Schedule.Placements, d.Graph.Nodes()[d.Graph.Len()/2].ID)
+		d.Schedule.Unplace(d.Graph.Nodes()[d.Graph.Len()/2].ID)
 		add(base+"/deleted-placement", d)
 
 		d = fresh(base)
@@ -520,14 +520,14 @@ func corrupted(t *testing.T) []refCase {
 		// A consumer moved to the step before its producer issues.
 		d = fresh(base)
 		if n, p, ok := consumerOf(d.Graph, 1); ok {
-			moveTo(d.Schedule, n, d.Schedule.Placements[p.ID].Step-1)
+			moveTo(d.Schedule, n, stepOf(d.Schedule, p.ID)-1)
 			add(base+"/read-before-issue", d)
 		}
 
 		// A consumer of a multicycle producer moved to its start step.
 		d = fresh(base)
 		if n, p, ok := consumerOf(d.Graph, 2); ok {
-			moveTo(d.Schedule, n, d.Schedule.Placements[p.ID].Step)
+			moveTo(d.Schedule, n, stepOf(d.Schedule, p.ID))
 			add(base+"/read-before-finish", d)
 		}
 	}
@@ -562,13 +562,19 @@ func consumerOf(g *dfg.Graph, cycles int) (n, p *dfg.Node, ok bool) {
 }
 
 func finishStep(s *sched.Schedule, n *dfg.Node) int {
-	return s.Placements[n.ID].Step + n.Cycles - 1
+	return stepOf(s, n.ID) + n.Cycles - 1
+}
+
+// stepOf is node id's start step, 0 when it is unplaced.
+func stepOf(s *sched.Schedule, id dfg.NodeID) int {
+	p, _ := s.At(id)
+	return p.Step
 }
 
 func moveTo(s *sched.Schedule, n *dfg.Node, step int) {
-	p := s.Placements[n.ID]
+	p, _ := s.At(n.ID)
 	p.Step = step
-	s.Placements[n.ID] = p
+	s.Place(n.ID, p)
 }
 
 // TestRandomInputsPinned pins the vector generator: its values for one

@@ -108,7 +108,7 @@ func compile(s *sched.Schedule, dp *rtl.Datapath) *plan {
 	step := make([]int, g.Len())
 	placed := make([]bool, g.Len())
 	for i := range step {
-		pl, ok := s.Placements[dfg.NodeID(i)]
+		pl, ok := s.At(dfg.NodeID(i))
 		step[i], placed[i] = pl.Step, ok
 	}
 	// ID order is topological, so sorting by (step, ID) is the stable

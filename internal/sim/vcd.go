@@ -48,7 +48,7 @@ func TraceVCD(s *sched.Schedule, inputs map[string]int64, w io.Writer) error {
 	// One tick per control step: nodes finishing in that step.
 	byStep := make(map[int][]string)
 	for _, n := range g.Nodes() {
-		p := s.Placements[n.ID]
+		p, _ := s.At(n.ID)
 		finish := p.Step + n.Cycles - 1
 		byStep[finish] = append(byStep[finish], n.Name)
 	}

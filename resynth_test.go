@@ -7,7 +7,6 @@ package hls_test
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -22,9 +21,8 @@ import (
 // lists, register packing and the controller), and the cost breakdown.
 func sameDesign(t *testing.T, got, want *hls.Design) {
 	t.Helper()
-	if fmt.Sprint(got.Schedule.Placements) != fmt.Sprint(want.Schedule.Placements) {
-		t.Fatalf("placements differ:\n got: %v\nwant: %v",
-			got.Schedule.Placements, want.Schedule.Placements)
+	if !got.Schedule.SamePlacements(want.Schedule) {
+		t.Fatalf("placements differ:\n got: %v\nwant: %v", got.Schedule, want.Schedule)
 	}
 	if got.Schedule.CS != want.Schedule.CS {
 		t.Fatalf("CS = %d, want %d", got.Schedule.CS, want.Schedule.CS)
