@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math"
 	"testing"
 
 	hls "repro"
@@ -52,17 +53,18 @@ func TestUnhonorableConfigIsConfigError(t *testing.T) {
 	entries := []struct {
 		name    string
 		foreign string // a limit key of the other engine
+		timed   bool   // runs under time constraints of 4 steps and up
 		base    hls.Config
 		run     func(hls.Config) error
 	}{
-		{"Synthesize", "*", hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.Synthesize(g, c); return err }},
-		{"ScheduleGraph/time", "fu_mul", hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
-		{"ScheduleGraph/resource", "fu_mul", hls.Config{Limits: ops}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
-		{"Sweep", "*", hls.Config{}, func(c hls.Config) error { _, err := hls.Sweep(g, c, 4, 6); return err }},
+		{"Synthesize", "*", true, hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.Synthesize(g, c); return err }},
+		{"ScheduleGraph/time", "fu_mul", true, hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
+		{"ScheduleGraph/resource", "fu_mul", false, hls.Config{Limits: ops}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
+		{"Sweep", "*", true, hls.Config{}, func(c hls.Config) error { _, err := hls.Sweep(g, c, 4, 6); return err }},
 	}
 	cases := []struct {
 		name, field, key string // key "" on Limits: the entry's foreign key
-		needsCS          bool   // the check compares against Config.CS
+		needsCS          bool   // the check compares against the time constraint
 		set              func(c *hls.Config, foreign string)
 	}{
 		{"limit on a foreign key", "Limits", "", false, func(c *hls.Config, foreign string) {
@@ -77,10 +79,13 @@ func TestUnhonorableConfigIsConfigError(t *testing.T) {
 		{"negative latency", "Latency", "", false, func(c *hls.Config, _ string) { c.Latency = -1 }},
 		{"latency above cs", "Latency", "", true, func(c *hls.Config, _ string) { c.Latency = 9 }},
 		{"unknown pipelined op", "PipelinedOps", "0", false, func(c *hls.Config, _ string) { c.PipelinedOps = []string{"%%"} }},
+		{"NaN weight", "Weights", "1", false, func(c *hls.Config, _ string) { c.Weights[1] = math.NaN() }},
+		{"infinite weight", "Weights", "0", false, func(c *hls.Config, _ string) { c.Weights[0] = math.Inf(1) }},
+		{"negative infinite weight", "Weights", "3", false, func(c *hls.Config, _ string) { c.Weights[3] = math.Inf(-1) }},
 	}
 	for _, e := range entries {
 		for _, tc := range cases {
-			if tc.needsCS && e.base.CS == 0 {
+			if tc.needsCS && !e.timed {
 				continue
 			}
 			cfg := e.base
@@ -95,6 +100,10 @@ func TestUnhonorableConfigIsConfigError(t *testing.T) {
 				t.Errorf("%s, %s: %T %v, want a ConfigError naming %s[%q]", e.name, tc.name, err, err, tc.field, key)
 			}
 		}
+	}
+	// A negative weight is a valid emphasis, not an error.
+	if _, err := hls.Synthesize(g, hls.Config{CS: 4, Weights: [4]float64{1, 1, -1, 1}}); err != nil {
+		t.Errorf("negative mux weight: %v", err)
 	}
 }
 

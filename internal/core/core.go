@@ -10,6 +10,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -66,7 +67,8 @@ type Config struct {
 	Style int
 
 	// Weights reweight MFSA's Liapunov terms (time, ALU, mux, register);
-	// zeros mean the balanced optimizer.
+	// zeros mean the balanced optimizer. A negative weight is valid: it
+	// rewards its term. A NaN or infinite one is a *guard.ConfigError.
 	Weights [4]float64
 
 	// RegisterInputs allocates registers for primary inputs too.
@@ -186,15 +188,30 @@ func checkConfig(g *dfg.Graph, cfg Config, eng engine) error {
 		return &guard.ConfigError{Field: "ClockNs", Value: cfg.ClockNs, Why: "a clock period cannot be negative"}
 	case cfg.Latency < 0:
 		return &guard.ConfigError{Field: "Latency", Value: cfg.Latency, Why: "an initiation interval cannot be negative"}
-	case cfg.CS > 0 && cfg.Latency > cfg.CS:
-		return &guard.ConfigError{Field: "Latency", Value: cfg.Latency,
-			Why: fmt.Sprintf("the initiation interval exceeds the time constraint of %d steps", cfg.CS)}
+	}
+	if err := checkLatency(cfg.Latency, cfg.CS); err != nil {
+		return err
 	}
 	for i, sym := range cfg.PipelinedOps {
 		if _, err := op.Parse(sym); err != nil {
 			return &guard.ConfigError{Field: "PipelinedOps", Key: strconv.Itoa(i), Value: sym,
 				Why: "no such operation; valid ones are " + opSymbols()}
 		}
+	}
+	for i, w := range cfg.Weights {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return &guard.ConfigError{Field: "Weights", Key: strconv.Itoa(i), Value: w, Why: "a weight must be a finite number"}
+		}
+	}
+	return nil
+}
+
+// checkLatency rejects a Latency above a time constraint of cs steps (0:
+// none set).
+func checkLatency(latency, cs int) error {
+	if cs > 0 && latency > cs {
+		return &guard.ConfigError{Field: "Latency", Value: latency,
+			Why: fmt.Sprintf("the initiation interval exceeds the time constraint of %d steps", cs)}
 	}
 	return nil
 }

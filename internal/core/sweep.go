@@ -116,6 +116,11 @@ func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi
 			}
 			lo = cp
 		}
+		// Each point checks Latency against its own cs, as Synthesize
+		// would; the first point's is the tightest.
+		if err := checkLatency(cfg.Latency, lo); err != nil {
+			return nil, fmt.Errorf("core: sweep %s: %w", g.Name, err)
+		}
 		for cs := lo; cs <= csHi; cs++ {
 			jobs = append(jobs, job{g, gi, cs})
 			counts[gi]++

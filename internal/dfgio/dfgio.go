@@ -9,6 +9,7 @@ package dfgio
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 
 	"repro/internal/dfg"
 	"repro/internal/op"
@@ -171,6 +172,7 @@ func EncodeSchedule(s *sched.Schedule) ([]byte, error) {
 			sj.Pipelined = append(sj.Pipelined, typ)
 		}
 	}
+	sort.Strings(sj.Pipelined) // the map's order varies from call to call
 	for _, n := range s.Graph.Nodes() {
 		p, _ := s.At(n.ID)
 		sj.Placements = append(sj.Placements, placementJSON{

@@ -1,6 +1,7 @@
 package dfgio
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -174,6 +175,32 @@ func TestScheduleRoundTrip(t *testing.T) {
 	// The decoded schedule still simulates correctly.
 	if err := sim.CrossCheck(s2, nil, sim.RandomInputs(s2.Graph, 9)); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestEncodeScheduleIsByteStable encodes one schedule with four
+// pipelined types 50 times: every encoding is the same bytes.
+func TestEncodeScheduleIsByteStable(t *testing.T) {
+	ex := benchmarks.Diffeq()
+	s, err := mfs.Schedule(ex.Graph, mfs.Options{
+		CS:             6,
+		PipelinedTypes: map[string]bool{"*": true, "+": true, "-": true, "<": true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := EncodeSchedule(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 50; i++ {
+		data, err := EncodeSchedule(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, first) {
+			t.Fatalf("encoding %d differs from the first:\n%s\nvs\n%s", i, data, first)
+		}
 	}
 }
 

@@ -74,8 +74,8 @@ func allocationOrder(s *sched.Schedule) []dfg.NodeID {
 // reuse an existing compatible instance if its footprint is free, else
 // open the cheapest new one.
 func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
-	st.memoGen++ // new candidate evaluation: invalidate the regDelta memo
 	n := st.g.Node(id)
+	st.beginEval(n)
 	p, _ := s.At(id)
 	step := p.Step
 	units := st.unitsFor(n)
@@ -88,7 +88,7 @@ func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 		if !table.CanPlace(st.g, id, p, n.Cycles) {
 			return
 		}
-		if st.opt.Style == Style2 && neighborsOnALU(n, u.alu(idx)) {
+		if a, _ := st.column(u, idx); st.opt.Style == Style2 && neighborsOnALU(n, a) {
 			return
 		}
 		v := st.value(n, u, p)

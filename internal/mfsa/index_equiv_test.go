@@ -74,9 +74,11 @@ func indexCases(t *testing.T) []indexCase {
 // runs Synthesize's placement loop one placeOne at a time and, before
 // each, checks every candidate unit's move-frame walk (movePositions)
 // against the per-cell CanPlace loop at the unit's current_j and at its
-// max_inst columns, and regDelta against the pack-and-diff regDeltaSlow
-// at every step of the window. It then binds the schedule with
-// Allocate's loop, checking regDelta at each bound step. At the end of
+// max_inst columns, regDelta against the pack-and-diff regDeltaSlow
+// at every step of the window, and every ALU's membership bits from the
+// index against a scan of its port lists. It then binds the schedule
+// with Allocate's loop, checking regDelta at each bound step and the
+// membership bits again. At the end of
 // each replay the live lifetimes must pack into the same registers as
 // the rebuild from the placements, and the replay must reproduce its
 // public entry point exactly — placements, trace, datapath and cost —
@@ -121,7 +123,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 				}
 			}
 		}
-		s.memoGen++ // answer from the counts, not from a memo entry
+		assertPresence(t, s, n) // also answers regDelta from the counts, not from a memo entry
 		for step := lo; step <= hi; step++ {
 			assertRegDelta(t, s, n, step)
 		}
@@ -147,7 +149,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 	aopt.CS, aopt.ClockNs, aopt.Latency = want.Schedule.CS, want.Schedule.ClockNs, want.Schedule.Latency
 	st := newState(g, aopt, nil)
 	for _, id := range allocationOrder(want.Schedule) {
-		st.memoGen++
+		assertPresence(t, st, g.Node(id))
 		p, _ := want.Schedule.At(id)
 		assertRegDelta(t, st, g.Node(id), p.Step)
 		if err := st.bindOne(want.Schedule, id); err != nil {
@@ -160,6 +162,18 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 		t.Fatalf("allocation replay: %v", err)
 	}
 	compareResults(t, "allocation", gotA, wantA)
+}
+
+// assertPresence opens n's evaluation and checks that the membership
+// index stamps, on every ALU, the bits a scan of its port lists finds.
+func assertPresence(t *testing.T, s *state, n *dfg.Node) {
+	t.Helper()
+	s.beginEval(n)
+	for k, a := range s.dp.ALUs {
+		if got, want := s.presence(k), a.PresenceOf(n); got != want {
+			t.Fatalf("%q on %s: the index stamps %04b, the port lists hold %04b", n.Name, a.Name, got, want)
+		}
+	}
 }
 
 // TestIndexedSynthesisMatchesDisabledIndex runs checkReplay on every

@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/dfg"
@@ -98,14 +99,15 @@ type Options struct {
 	// NoTrace skips recording the placement trajectory (Schedule.Trace)
 	// and the per-step candidate lists: the candidates each placement
 	// scored, which under time dominance are only those up to the
-	// earliest step that has one (see sched.TraceStep.Candidates) and
-	// otherwise the whole move frame. The schedule and datapath are
-	// bit-identical either way; the run just drops the audit metadata, so
-	// lint's trace-replay analyzers have nothing to check. The trace
-	// costs 96 bytes per step plus 24 pointer-free bytes per scored
-	// candidate: about 0.35 MB of the 1.9 MB that a 2k-node random DAG's
-	// synthesis and netlist allocate, and 3.6 MB of the 1024-tap FIR's
-	// 6.1 MB, which scores 66 candidates per node.
+	// earliest step that has one, one per column shape (see
+	// sched.TraceStep.Candidates), and otherwise the whole move frame.
+	// The schedule and datapath are bit-identical either way; the run
+	// just drops the audit metadata, so lint's trace-replay analyzers
+	// have nothing to check. The trace costs 96 bytes per step plus 24
+	// pointer-free bytes per scored candidate: about 0.35 MB of the
+	// 1.9 MB that a 2k-node random DAG's synthesis and netlist allocate,
+	// and 0.3 MB of the 1024-tap FIR's 2.7 MB, which scores 1.7
+	// candidates per node.
 	NoTrace bool
 }
 
@@ -267,10 +269,28 @@ type state struct {
 	cntMax  int
 	regBase int
 
+	// ports is the membership index behind f^MUX: the (ALU, port) pairs
+	// that carry each signal, as singly linked lists whose heads ride
+	// life (lifetime.ports). commit appends an entry for every signal it
+	// adds to a port list, at most two per node, so the index is sized
+	// once. beginEval stamps the lists of the node being decided into
+	// pres, by datapath ALU position, so a column's membership bits are
+	// one lookup.
+	ports []portEntry
+	pres  []presStamp
+
+	// shapes is the per-step table of the column shapes bestCandidate
+	// has scored under time dominance (see claimShape): open addressing
+	// over a power-of-two length at least twice current_j, whose slots
+	// are live when their gen is shapeGen, bumped per (unit, step).
+	shapes     []shapeSlot
+	shapeShift uint
+	shapeGen   int
+
 	// regDelta memo for the current candidate evaluation (one node, many
 	// unit×position candidates): f^REG depends only on the step, so each
-	// distinct step is computed once per generation. Bumped by
-	// bestCandidate and bindOne.
+	// distinct step is computed once per generation. Bumped by beginEval,
+	// which also stamps pres with it.
 	regMemo    []int
 	regMemoGen []int
 	memoGen    int
@@ -304,24 +324,58 @@ type unit struct {
 	table   *grid.Table // created by tableOf on first use
 	maxInst int         // max_j: instances the unit can ever need
 	current int         // current_j: columns the position walk probes
-	alus    []*rtl.ALU  // alus[i] is the ALU at column i+1, nil while fresh
+	alus    []int32     // alus[i] is the datapath position of the ALU at column i+1, -1 while fresh
 }
 
-// alu returns the ALU bound at column idx, or nil for a fresh column.
-func (u *unit) alu(idx int) *rtl.ALU {
-	if idx > len(u.alus) {
-		return nil
+// column returns the ALU bound at column idx of unit u and its position
+// in the datapath, or nil and -1 for a fresh column.
+//
+//hls:noalloc
+func (s *state) column(u *unit, idx int) (*rtl.ALU, int) {
+	if idx > len(u.alus) || u.alus[idx-1] < 0 {
+		return nil, -1
 	}
-	return u.alus[idx-1]
+	k := int(u.alus[idx-1])
+	return s.dp.ALUs[k], k
 }
 
-// lifetime is one committed signal's storage life: born at the end of
-// control step birth, last consumed during step death (0 = no consumer
-// yet, in which case the value is held one boundary). live is false
-// until the signal is committed.
+// lifetime is one signal's storage life: born at the end of control
+// step birth, last consumed during step death (0 = no consumer yet, in
+// which case the value is held one boundary). live is false until the
+// signal is committed. ports is one past the signal's latest entry in
+// the membership index (state.ports), 0 while no port carries it.
 type lifetime struct {
 	birth, death int
 	live         bool
+	ports        int32
+}
+
+// portEntry is one (ALU, port) pair of the membership index: at is
+// twice the ALU's datapath position plus the port (0: L1, 1: L2), and
+// next is one past the signal's previous entry, 0 at the list's end.
+type portEntry struct {
+	at, next int32
+}
+
+// presStamp is one ALU's membership bits for the node being decided,
+// valid while gen is the decision's memoGen.
+type presStamp struct {
+	gen  int
+	bits rtl.Presence
+}
+
+// shape is what an existing column's energy depends on besides the
+// step: its port lists' lengths and which of them already carry the
+// node's operands.
+type shape struct {
+	l1, l2 int32
+	bits   rtl.Presence
+}
+
+// shapeSlot is one slot of the per-step shape table.
+type shapeSlot struct {
+	gen int
+	shape
 }
 
 // span returns the half-open boundary range [lo, hi) during which the
@@ -353,6 +407,7 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames) *state {
 		steps:  make([]int, g.Len()),
 		dp:     rtl.NewDatapath(opt.Lib),
 		life:   make([]lifetime, g.NumSignals()),
+		ports:  make([]portEntry, 0, 2*g.Len()),
 		excl:   g.HasExclusions(),
 	}
 	for i, u := range opt.Lib.Units() {
@@ -538,11 +593,12 @@ const pollEvery = 64
 // bound) are scored as grid.Table.ScanPlaceable walks them row-major,
 // in (step, index) order. When time dominates, a candidate past the
 // best step found so far can only lose, so each unit's walk stops at
-// the first such position and later units' windows end at that step;
-// otherwise every free position is scored. It returns ctx.Err() once
-// ctx is done.
+// the first such position and later units' windows end at that step,
+// and of a unit's existing columns at one step only the first of each
+// shape is scored; otherwise every free position is scored. It returns
+// ctx.Err() once ctx is done.
 func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (candidate, []sched.TraceCandidate, bool, error) {
-	s.memoGen++ // new candidate evaluation: invalidate the regDelta memo
+	s.beginEval(n)
 	lo, hi := s.window(n)
 	var best candidate
 	evaluated := s.candBuf[:0] // commit copies what it keeps
@@ -565,6 +621,15 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (
 		// always pick the lowest-indexed one, so only the first fresh
 		// column per step is evaluated; the rest are skipped losslessly.
 		freshStep := -1
+		// Shape dedup, the same argument for existing columns: one with
+		// f^ALU = 0 has an f^MUX that depends only on its shape, so two
+		// columns of one shape at one step score bitwise-equal energies
+		// and less keeps the lower index. Under time dominance only the
+		// first column per shape and step is scored.
+		shapeStep := -1
+		if s.dominant {
+			s.sizeShapes(cur)
+		}
 		last := hi
 		if s.dominant && found {
 			last = min(last, best.pos.Step)
@@ -578,7 +643,7 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (
 			if s.dominant && found && p.Step > best.pos.Step {
 				return false
 			}
-			a := u.alu(p.Index)
+			a, k := s.column(u, p.Index)
 			if a == nil {
 				if p.Step == freshStep {
 					return true
@@ -592,6 +657,15 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (
 			}
 			if s.opt.Style == Style2 && neighborsOnALU(n, a) {
 				return true
+			}
+			if a != nil && s.dominant {
+				if p.Step != shapeStep {
+					shapeStep = p.Step
+					s.shapeGen++
+				}
+				if !s.claimShape(shape{int32(len(a.L1)), int32(len(a.L2)), s.presence(k)}) {
+					return true
+				}
 			}
 			v := s.value(n, u, p)
 			cand := candidate{unit: u, pos: p, value: v}
@@ -609,6 +683,68 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (
 	}
 	s.candBuf = evaluated
 	return best, evaluated, found, nil
+}
+
+// sizeShapes makes the shape table hold the shapes of cur columns at
+// most half full. A fresh table's zero gens are stale: shapeGen is
+// positive once a scope opens.
+func (s *state) sizeShapes(cur int) {
+	if len(s.shapes) >= 2*cur {
+		return
+	}
+	b := bits.Len(uint(2*cur - 1))
+	s.shapes, s.shapeShift = make([]shapeSlot, 1<<b), uint(64-b)
+}
+
+// claimShape reports whether no column of the current (unit, step)
+// scope has claimed shape c yet, and claims it if so. The table is at
+// most half full, so the probe ends at an empty slot.
+//
+//hls:noalloc
+func (s *state) claimShape(c shape) bool {
+	h := uint64(uint32(c.l1))<<36 ^ uint64(uint32(c.l2))<<4 ^ uint64(c.bits)
+	mask := uint64(len(s.shapes) - 1)
+	for i := (h * 0x9e3779b97f4a7c15) >> s.shapeShift; ; i = (i + 1) & mask {
+		sl := &s.shapes[i]
+		if sl.gen != s.shapeGen {
+			sl.gen, sl.shape = s.shapeGen, c
+			return true
+		}
+		if sl.shape == c {
+			return false
+		}
+	}
+}
+
+// beginEval opens the candidate evaluation of node n: it invalidates the
+// regDelta memo and stamps the membership bits of n's operands on every
+// ALU whose ports carry them, so presence answers in one lookup.
+//
+//hls:noalloc
+func (s *state) beginEval(n *dfg.Node) {
+	s.memoGen++
+	//hls:allocok dfg.Node.ArgIDs returns a stored slice; it allocates nothing
+	for i, id := range n.ArgIDs() {
+		for e := s.life[id].ports; e != 0; e = s.ports[e-1].next {
+			at := s.ports[e-1].at
+			st := &s.pres[at>>1]
+			if st.gen != s.memoGen {
+				st.gen, st.bits = s.memoGen, 0
+			}
+			st.bits |= 1 << (2*i + int(at&1))
+		}
+	}
+}
+
+// presence returns which ports of the ALU at datapath position k carry
+// the operands of the node under evaluation.
+//
+//hls:noalloc
+func (s *state) presence(k int) rtl.Presence {
+	if st := s.pres[k]; st.gen == s.memoGen {
+		return st.bits
+	}
+	return 0
 }
 
 // traceCandidate records a scored candidate for the trace. prepare caps
@@ -674,8 +810,8 @@ func (s *state) colTerms(n *dfg.Node, u *unit, idx int) (fALU, fMux float64) {
 	if s.colMemoGen[idx] == s.colGen {
 		return s.colALU[idx], s.colMux[idx]
 	}
-	if a := u.alu(idx); a != nil {
-		fMux = s.muxAfter(a, n) - (s.muxArea(len(a.L1)) + s.muxArea(len(a.L2)))
+	if a, k := s.column(u, idx); a != nil {
+		fMux = s.muxAfter(a, n, s.presence(k)) - (s.muxArea(len(a.L1)) + s.muxArea(len(a.L2)))
 	} else {
 		// A fresh ALU: full unit area, and no mux yet (one source per port).
 		fALU = u.Area
@@ -735,28 +871,19 @@ func (s *state) muxArea(n int) float64 {
 	return s.muxMemo[n]
 }
 
-// muxAfter returns the two-port mux area after adding n to ALU a with the
-// cheaper operand orientation. Membership probes binary-search the ALU's
-// sorted signal IDs — this runs once per (reused-ALU, position)
-// candidate, so a list scan here is quadratic over a large design's
-// bindings.
-func (s *state) muxAfter(a *rtl.ALU, n *dfg.Node) float64 {
+// muxAfter returns the two-port mux area after adding n to ALU a, whose
+// ports carry n's operands as m says, with the cheaper operand
+// orientation.
+func (s *state) muxAfter(a *rtl.ALU, n *dfg.Node, m rtl.Presence) float64 {
 	l1, l2 := len(a.L1), len(a.L2)
-	args := n.ArgIDs()
-	count := func(present bool) int {
-		if present {
-			return 0
-		}
-		return 1
+	if len(n.ArgIDs()) == 1 {
+		return s.muxArea(l1+m.Missing(0, 0)) + s.muxArea(l2)
 	}
-	if len(args) == 1 {
-		return s.muxArea(l1+count(a.InL1(args[0]))) + s.muxArea(l2)
-	}
-	direct := s.muxArea(l1+count(a.InL1(args[0]))) + s.muxArea(l2+count(a.InL2(args[1])))
+	direct := s.muxArea(l1+m.Missing(0, 0)) + s.muxArea(l2+m.Missing(1, 1))
 	if !n.Op.Commutative() {
 		return direct
 	}
-	return min(direct, s.muxArea(l1+count(a.InL1(args[1])))+s.muxArea(l2+count(a.InL2(args[0]))))
+	return min(direct, s.muxArea(l1+m.Missing(1, 0))+s.muxArea(l2+m.Missing(0, 1)))
 }
 
 // regDelta returns how many additional registers the left-edge packer
@@ -911,15 +1038,25 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 	if err := s.tableOf(u).Place(s.g, n.ID, c.pos, n.Cycles); err != nil {
 		return fmt.Errorf("mfsa: %w", err)
 	}
-	a := u.alu(c.pos.Index)
+	a, k := s.column(u, c.pos.Index)
 	if a == nil {
 		a = s.dp.AddALU(u.Unit)
+		k = len(s.dp.ALUs) - 1
 		for len(u.alus) < c.pos.Index {
-			u.alus = append(u.alus, nil)
+			u.alus = append(u.alus, -1)
 		}
-		u.alus[c.pos.Index-1] = a
+		u.alus[c.pos.Index-1] = int32(k)
+		s.pres = append(s.pres, presStamp{})
 	}
-	a.Bind(n, c.pos.Step)
+	// Bind with the membership the scoring read, and index what it adds.
+	l1, l2 := len(a.L1), len(a.L2)
+	a.BindAs(n, c.pos.Step, s.presence(k))
+	if len(a.L1) > l1 {
+		s.index(a.L1[l1], 2*k)
+	}
+	if len(a.L2) > l2 {
+		s.index(a.L2[l2], 2*k+1)
+	}
 	s.placed[n.ID] = sched.Placement{Step: c.pos.Step, Type: u.Name, Index: c.pos.Index}
 	s.steps[n.ID] = c.pos.Step
 	if s.opt.ClockNs > 0 {
@@ -935,8 +1072,8 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 			s.consume(lt, c.pos.Step)
 		}
 	}
-	born := &s.life[n.OutID()]
-	*born = lifetime{birth: c.pos.Step + n.Cycles - 1, live: true}
+	born := &s.life[n.OutID()] // its membership list stays
+	born.birth, born.death, born.live = c.pos.Step+n.Cycles-1, 0, true
 	if lo, hi := born.span(); hi > lo {
 		s.addSpan(lo, hi, 1)
 	}
@@ -955,6 +1092,14 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 		Candidates: cands,
 	})
 	return nil
+}
+
+// index records that the port at (twice an ALU's datapath position plus
+// the port) now carries signal id.
+func (s *state) index(id dfg.SignalID, at int) {
+	lt := &s.life[id]
+	s.ports = append(s.ports, portEntry{at: int32(at), next: lt.ports})
+	lt.ports = int32(len(s.ports))
 }
 
 func (s *state) finish() (*Result, error) {

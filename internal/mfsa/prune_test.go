@@ -2,6 +2,7 @@ package mfsa
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -30,7 +31,7 @@ func movePositions(s *state, table *grid.Table, n *dfg.Node, lo, hi, cur int) []
 // lists every free position of every unit's move frame first and then
 // scores each one, whatever the weights.
 func (s *state) fullScan(n *dfg.Node, units []*unit) (candidate, []sched.TraceCandidate, bool) {
-	s.memoGen++
+	s.beginEval(n)
 	lo, hi := s.window(n)
 	var best candidate
 	var evaluated []sched.TraceCandidate
@@ -45,7 +46,8 @@ func (s *state) fullScan(n *dfg.Node, units []*unit) (candidate, []sched.TraceCa
 		s.beginUnitEval(cur)
 		freshStep := -1
 		for _, p := range movePositions(s, table, n, lo, hi, cur) {
-			if u.alu(p.Index) == nil {
+			a, _ := s.column(u, p.Index)
+			if a == nil {
 				if p.Step == freshStep {
 					continue
 				}
@@ -54,7 +56,7 @@ func (s *state) fullScan(n *dfg.Node, units []*unit) (candidate, []sched.TraceCa
 			if s.opt.ClockNs > 0 && !sched.ChainFits(s.g, s.opt.ClockNs, s.steps, n.ID, p.Step) {
 				continue
 			}
-			if s.opt.Style == Style2 && neighborsOnALU(n, u.alu(p.Index)) {
+			if s.opt.Style == Style2 && neighborsOnALU(n, a) {
 				continue
 			}
 			v := s.value(n, u, p)
@@ -75,9 +77,10 @@ func (s *state) fullScan(n *dfg.Node, units []*unit) (candidate, []sched.TraceCa
 // a unit — it runs the full scan beside bestCandidate. Both must find
 // the same candidate: unit, position, energy and operand swap. The
 // pruned candidate list must be a subsequence of the full scan's, and
-// equal to it when time does not dominate. The replay commits the
-// pruned choice and must reproduce Synthesize exactly, so the oracle saw
-// the states a real run visits.
+// equal to it when time does not dominate; a candidate it leaves out
+// must lie past the winning step or have a kept twin (checkDropped).
+// The replay commits the pruned choice and must reproduce Synthesize
+// exactly, so the oracle saw the states a real run visits.
 func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
 	t.Helper()
 	want, err := Synthesize(g, opt)
@@ -117,6 +120,9 @@ func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
 			}
 			scored += len(evaluated)
 			if ok {
+				if err := checkDropped(evaluated, fullEval, best.pos.Step); err != nil {
+					t.Fatalf("%q: %v", n.Name, err)
+				}
 				if err := s.commit(n, best, evaluated); err != nil {
 					t.Fatal(err)
 				}
@@ -135,6 +141,39 @@ func checkPrune(t *testing.T, g *dfg.Graph, opt Options, dominant bool) {
 	if scored != want.Schedule.Trace.Scored() {
 		t.Errorf("the replay scored %d candidates, the trace holds %d", scored, want.Schedule.Trace.Scored())
 	}
+}
+
+// checkDropped checks each candidate of the full scan that the pruned
+// search left out. At a step and unit where the search kept a
+// candidate, the shape dedup dropped it, so a kept candidate there must
+// have a lower index and a bitwise-equal energy. Elsewhere the time
+// prune dropped it, so it must lie past the winning step.
+func checkDropped(kept, full []sched.TraceCandidate, bestStep int) error {
+	type cell struct{ unit, step int32 }
+	scored := map[sched.TraceCandidate]bool{}
+	at := map[cell][]sched.TraceCandidate{}
+	for _, c := range kept {
+		scored[c] = true
+		at[cell{c.Unit, c.Step}] = append(at[cell{c.Unit, c.Step}], c)
+	}
+	for _, c := range full {
+		if scored[c] {
+			continue
+		}
+		twins, ok := at[cell{c.Unit, c.Step}]
+		if !ok {
+			if int(c.Step) <= bestStep {
+				return fmt.Errorf("dropped %+v at or before the winning step %d, with nothing kept at its step and unit", c, bestStep)
+			}
+			continue
+		}
+		if !slices.ContainsFunc(twins, func(k sched.TraceCandidate) bool {
+			return k.Index < c.Index && math.Float64bits(k.Energy) == math.Float64bits(c.Energy)
+		}) {
+			return fmt.Errorf("dropped %+v without a kept twin of lower index and equal energy among %+v", c, twins)
+		}
+	}
+	return nil
 }
 
 // isSubsequence reports whether sub lists some of full's candidates in

@@ -168,6 +168,7 @@ func TestRegBaseTracksPackedCount(t *testing.T) {
 					}
 					u := &s.units[i]
 					s.tableOf(u).Grow(st.Pos.Index) // the replay commits positions it never probed
+					s.beginEval(n)                  // commit binds with the decision's membership bits
 					if err := s.commit(n, candidate{unit: u, pos: st.Pos, value: st.Energy}, nil); err != nil {
 						t.Fatalf("replaying %q: %v", n.Name, err)
 					}

@@ -115,7 +115,7 @@ func (s *muxScratch) load(g *dfg.Graph, a *ALU, slot []int32) {
 			}
 		}
 	}
-	slices.Sort(s.sigs) // so each port's IDs come out of portIDs sorted
+	slices.Sort(s.sigs) // numbers follow SignalID order, not binding order
 	for i, id := range s.sigs {
 		slot[id] = int32(i + 1)
 		s.names = append(s.names, g.SignalName(id))
@@ -342,17 +342,6 @@ func (s *muxScratch) portList(c []int32) []string {
 	return out
 }
 
-// portIDs appends the signal IDs with a nonzero count in c to dst, in
-// ID order.
-func (s *muxScratch) portIDs(dst []dfg.SignalID, c []int32) []dfg.SignalID {
-	for id, k := range c {
-		if k > 0 {
-			dst = append(dst, s.sigs[id])
-		}
-	}
-	return dst
-}
-
 // portNamed appends the signal IDs with a nonzero count in c to dst, in
 // signal-name order: the order of s.byName.
 func (s *muxScratch) portNamed(dst []dfg.SignalID, c []int32) []dfg.SignalID {
@@ -387,7 +376,6 @@ func (d *Datapath) ReoptimizeMuxes(g *dfg.Graph) int {
 		}
 		s.sortByName()
 		a.L1, a.L2 = s.portNamed(a.L1[:0], s.c1), s.portNamed(a.L2[:0], s.c2)
-		a.in1, a.in2 = s.portIDs(a.in1[:0], s.c1), s.portIDs(a.in2[:0], s.c2)
 		for i := range a.Ops {
 			a.Ops[i].Swapped = swapped[i]
 		}

@@ -41,27 +41,61 @@ type ALU struct {
 	// (§5.7: shared lines between the same source and ALU cost one
 	// input). ReoptimizeMuxes leaves them in signal-name order.
 	L1, L2 []dfg.SignalID
-
-	// in1 and in2 hold L1 and L2 sorted, so the growth probes the
-	// schedulers issue per candidate are a binary search.
-	in1, in2 []dfg.SignalID
 }
 
 // InL1 reports whether signal id already feeds the ALU's first input port.
-func (a *ALU) InL1(id dfg.SignalID) bool {
-	_, ok := slices.BinarySearch(a.in1, id)
-	return ok
-}
+func (a *ALU) InL1(id dfg.SignalID) bool { return slices.Contains(a.L1, id) }
 
 // InL2 reports whether signal id already feeds the ALU's second input port.
-func (a *ALU) InL2(id dfg.SignalID) bool {
-	_, ok := slices.BinarySearch(a.in2, id)
-	return ok
+func (a *ALU) InL2(id dfg.SignalID) bool { return slices.Contains(a.L2, id) }
+
+// Presence records which input ports of an ALU already carry a node's
+// operands: bit 2·i+p is set when operand i (an index into the node's
+// ArgIDs) is on port p (0: L1, 1: L2). It is all the orientation rule
+// and a port list's growth depend on, so a caller that indexes port
+// membership itself binds without probing the lists.
+type Presence uint8
+
+// Has reports whether operand i is already on port p.
+func (m Presence) Has(i, p int) bool { return m>>(2*i+p)&1 != 0 }
+
+// PresenceOf scans the ALU's port lists for n's operands.
+func (a *ALU) PresenceOf(n *dfg.Node) Presence {
+	var m Presence
+	for i, id := range operands(n) {
+		if a.InL1(id) {
+			m |= 1 << (2 * i)
+		}
+		if a.InL2(id) {
+			m |= 1 << (2*i + 1)
+		}
+	}
+	return m
 }
 
-// growthOf counts the new entries adding a signal to a port would create.
-func growthOf(present bool) int {
-	if present {
+// Orient returns how many new multiplexer inputs binding node n to an
+// ALU whose ports carry n's operands as m says would create, and
+// whether n's operands go crossed: a commutative operation takes the
+// orientation with fewer new inputs, and a tie keeps the direct one.
+func (m Presence) Orient(n *dfg.Node) (growth int, swapped bool) {
+	if len(n.ArgIDs()) == 1 {
+		return m.Missing(0, 0), false
+	}
+	direct := m.Missing(0, 0) + m.Missing(1, 1)
+	if !n.Op.Commutative() {
+		return direct, false
+	}
+	crossed := m.Missing(1, 0) + m.Missing(0, 1)
+	if crossed < direct {
+		return crossed, true
+	}
+	return direct, false
+}
+
+// Missing is the input port p's list gains from operand i: 1 unless the
+// port already carries it.
+func (m Presence) Missing(i, p int) int {
+	if m.Has(i, p) {
 		return 0
 	}
 	return 1
@@ -71,43 +105,28 @@ func growthOf(present bool) int {
 // ALU would create, choosing the cheaper operand orientation for
 // commutative operations. It does not modify the ALU.
 func (a *ALU) MuxGrowth(n *dfg.Node) (growth int, swapped bool) {
-	args := n.ArgIDs()
-	if len(args) == 1 {
-		return growthOf(a.InL1(args[0])), false
-	}
-	direct := growthOf(a.InL1(args[0])) + growthOf(a.InL2(args[1]))
-	if !n.Op.Commutative() {
-		return direct, false
-	}
-	crossed := growthOf(a.InL1(args[1])) + growthOf(a.InL2(args[0]))
-	if crossed < direct {
-		return crossed, true
-	}
-	return direct, false
+	return a.PresenceOf(n).Orient(n)
 }
 
 // Bind commits node n to the ALU at the given step, using the
 // orientation MuxGrowth would pick.
 func (a *ALU) Bind(n *dfg.Node, step int) {
-	_, swapped := a.MuxGrowth(n)
-	a.Ops = append(a.Ops, Binding{Node: n.ID, Step: step, Swapped: swapped})
-	ports := OperandPorts(n, swapped)
-	a.L1, a.in1 = addSignal(a.L1, a.in1, n, ports[0])
-	a.L2, a.in2 = addSignal(a.L2, a.in2, n, ports[1])
+	a.BindAs(n, step, a.PresenceOf(n))
 }
 
-// addSignal adds n's argument i (none when i < 0) to a port's list and
-// sorted IDs unless the port already carries it.
-func addSignal(l, sorted []dfg.SignalID, n *dfg.Node, i int) ([]dfg.SignalID, []dfg.SignalID) {
-	if i < 0 {
-		return l, sorted
+// BindAs commits node n to the ALU at the given step when m is where the
+// ALU's ports already carry n's operands: the orientation is Orient's,
+// and each port's list gains the operand it is fed unless m has it.
+func (a *ALU) BindAs(n *dfg.Node, step int, m Presence) {
+	_, swapped := m.Orient(n)
+	a.Ops = append(a.Ops, Binding{Node: n.ID, Step: step, Swapped: swapped})
+	ports, args := OperandPorts(n, swapped), n.ArgIDs()
+	if i := ports[0]; i >= 0 && !m.Has(i, 0) {
+		a.L1 = append(a.L1, args[i])
 	}
-	id := n.ArgIDs()[i]
-	k, ok := slices.BinarySearch(sorted, id)
-	if ok {
-		return l, sorted
+	if i := ports[1]; i >= 0 && !m.Has(i, 1) {
+		a.L2 = append(a.L2, args[i])
 	}
-	return append(l, id), slices.Insert(sorted, k, id)
 }
 
 // OperandPorts returns which of n's arguments feed port 0 (MUX1) and

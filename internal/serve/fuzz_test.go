@@ -66,7 +66,8 @@ func FuzzPostBody(f *testing.F) {
 	// negative limits keyed by unit and by op, one instance of every
 	// unit, the values no run can honor (a limit on an op symbol, style
 	// 7, a negative clock or latency, a latency above cs, an unknown
-	// pipelined op), and a folded loop for MFSA.
+	// pipelined op), a sweep whose latency exceeds every point's cs, and
+	// a folded loop for MFSA.
 	dj, err := dfgio.EncodeGraph(benchmarks.Diffeq().Graph)
 	if err != nil {
 		f.Fatal(err)
@@ -90,6 +91,7 @@ func FuzzPostBody(f *testing.F) {
 			f.Add(byte(ep), postBody(f, ep, dj, cfg))
 		}
 	}
+	f.Add(byte(1), mustMarshal(f, SweepRequest{Graph: dj, CsLo: 4, CsHi: 6, Config: ConfigJSON{Latency: 9}}))
 	f.Add(byte(0), mustMarshal(f, SynthesizeRequest{Source: "design smoother\ninput start, coeff\n" +
 		"loop smooth cycles 2 binds acc = start, d = coeff yields nxt {\n    half = acc >> 1\n    nxt = half + d\n}\n" +
 		"final = smooth * 3\n", Config: ConfigJSON{CS: 4}}))

@@ -719,4 +719,9 @@ func TestBadConfigIsBadRequest(t *testing.T) {
 			t.Errorf("%s: status %d: %s", tc.name, resp.StatusCode, body)
 		}
 	}
+	// A sweep checks the latency against each point's time constraint.
+	resp, body := post(t, ts.URL+"/sweep", SweepRequest{Graph: graphJSON(t, ex), CsLo: 4, CsHi: 6, Config: ConfigJSON{Latency: 9}})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "config Latency") {
+		t.Errorf("sweep latency above every cs: status %d: %s", resp.StatusCode, body)
+	}
 }

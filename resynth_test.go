@@ -313,9 +313,10 @@ func TestResynthesizeSpeedup10k(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The count pins the time-dominance prune: the full scan scores
-	// 1,864,256 candidates on this run.
-	if got, want := d.Schedule.Trace.Scored(), 79_570; got != want {
+	// The count pins the time-dominance prune and its shape dedup: the
+	// full scan scores 1,864,256 candidates on this run, the prune alone
+	// 79,570.
+	if got, want := d.Schedule.Trace.Scored(), 71_255; got != want {
 		t.Errorf("the fresh run scored %d candidates, want %d", got, want)
 	}
 	// The added node is an op kind whose count is off a ⌈n/CS⌉ boundary.
