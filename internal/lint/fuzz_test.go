@@ -39,6 +39,9 @@ func FuzzParseNetlist(f *testing.F) {
 	f.Add("assign x = 32'd7;\nassign y = -x;;;\nassign z = x << 2;")
 	f.Add("module q (\n    output wire [15:0] o\n);\nreg [2:0] state;\no <= state;\nendmodule")
 	f.Add("module u (\r\n input wire [3:0]　a,\r\n);\nassign b = a + 1;\nassign c = 4'hF;\n")
+	// A write whose target begins with a keyword: rendered as "rego <= o;",
+	// it must parse as a write again, not as a declaration of "o".
+	f.Add("module m (\ninput wire clk\n);\nreg o;\nreg rego;\nalways @(posedge clk) begin\nif (o) rego <= o;\nend\nendmodule\n")
 
 	f.Fuzz(func(t *testing.T, src string) {
 		compareParse(t, "input", src)
@@ -52,4 +55,19 @@ func FuzzParseNetlist(f *testing.F) {
 			t.Errorf("render∘parse not idempotent:\n--- first ---\n%s\n--- second ---\n%s", norm, again)
 		}
 	})
+}
+
+// TestKeywordPrefixedTargetIsAWrite checks that a nonblocking write
+// whose target begins with a declaration keyword, "regx <= o;", reads
+// as a write to regx, not as a second declaration of o.
+func TestKeywordPrefixedTargetIsAWrite(t *testing.T) {
+	src := "module m (\ninput wire clk\n);\nreg o;\nreg regx;\nalways @(posedge clk) begin\nregx <= o;\nend\nendmodule\n"
+	m, ds := parseNetlist(src)
+	if len(ds) != 0 {
+		t.Fatalf("findings %v, want none", ds)
+	}
+	if len(m.procs) != 1 || m.nets[m.procs[0].lhs].name != "regx" {
+		t.Fatalf("procedural writes %+v, want one to regx", m.procs)
+	}
+	compareParse(t, "keyword-prefixed target", src)
 }

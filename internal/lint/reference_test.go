@@ -4,8 +4,10 @@ package lint
 // analyses as they were before the interning reader replaced them:
 // the line-splitting parser over name-keyed maps, the per-assign
 // expression parser, runNetlist, netCombLoops and equiv's netlist
-// layer, renamed with a ref prefix and otherwise unedited. The tests
-// compare the production reader and analyses against them.
+// layer, renamed with a ref prefix and otherwise unedited but for one
+// fix both readers share: a declaration keyword matches only as a whole
+// word (refHasKeyword). The tests compare the production reader and
+// analyses against them.
 
 import (
 	"context"
@@ -95,9 +97,9 @@ func refParseNetlist(text string) (*refNetModule, diag.List) {
 			}
 			m.name = rest
 			inHeader = true
-		case inHeader && (strings.HasPrefix(line, "input") || strings.HasPrefix(line, "output")):
+		case inHeader && (refHasKeyword(line, "input") || refHasKeyword(line, "output")):
 			kind := "input"
-			if strings.HasPrefix(line, "output") {
+			if refHasKeyword(line, "output") {
 				kind = "output"
 			}
 			name, width, ok := refParsePortDecl(line)
@@ -111,9 +113,9 @@ func refParseNetlist(text string) (*refNetModule, diag.List) {
 			}
 		case inHeader && strings.HasPrefix(line, ");"):
 			inHeader = false
-		case strings.HasPrefix(line, "wire") || strings.HasPrefix(line, "reg"):
+		case refHasKeyword(line, "wire") || refHasKeyword(line, "reg"):
 			kind := "wire"
-			if strings.HasPrefix(line, "reg") {
+			if refHasKeyword(line, "reg") {
 				kind = "reg"
 			}
 			name, width, ok := refParseNetDecl(line)
@@ -185,6 +187,17 @@ func refNewAssign(lhs, rhs string, line int) *refNetAssign {
 		a.rhsIdent = a.raw
 	}
 	return a
+}
+
+// refHasKeyword reports whether line begins with the keyword kw
+// followed by a byte that cannot continue an identifier, or by nothing.
+func refHasKeyword(line, kw string) bool {
+	rest, ok := strings.CutPrefix(line, kw)
+	if !ok || rest == "" {
+		return ok
+	}
+	c := rest[0]
+	return !(c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9')
 }
 
 // refParsePortDecl parses "input  wire [31:0] x," / "output wire y".

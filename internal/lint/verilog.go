@@ -163,9 +163,9 @@ func parseNetlist(text string) (*netModule, diag.List) {
 			}
 			m.name = rest
 			inHeader = true
-		case inHeader && (strings.HasPrefix(line, "input") || strings.HasPrefix(line, "output")):
+		case inHeader && (hasKeyword(line, "input") || hasKeyword(line, "output")):
 			kind := netInput
-			if strings.HasPrefix(line, "output") {
+			if hasKeyword(line, "output") {
 				kind = netOutput
 			}
 			name, width, ok := parsePortDecl(line)
@@ -179,9 +179,9 @@ func parseNetlist(text string) (*netModule, diag.List) {
 			}
 		case inHeader && strings.HasPrefix(line, ");"):
 			inHeader = false
-		case strings.HasPrefix(line, "wire") || strings.HasPrefix(line, "reg"):
+		case hasKeyword(line, "wire") || hasKeyword(line, "reg"):
 			kind := netWire
-			if strings.HasPrefix(line, "reg") {
+			if hasKeyword(line, "reg") {
 				kind = netReg
 			}
 			name, width, ok := parseNetDecl(line)
@@ -448,6 +448,12 @@ func isStructuralLine(line string) bool {
 		}
 	}
 	return false
+}
+
+// hasKeyword reports whether line begins with the keyword kw as a whole
+// word: "reg" begins "reg [2:0] state;" but not "regx <= o;".
+func hasKeyword(line, kw string) bool {
+	return strings.HasPrefix(line, kw) && (len(line) == len(kw) || !isIdentChar(line[len(kw)]))
 }
 
 func isIdentStart(c byte) bool {

@@ -96,7 +96,7 @@ func refRunOnce(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.F
 				}
 				pred := g.Node(pid)
 				bound := pp.Step + pred.Cycles
-				if s.chainable(pred, n) {
+				if chainable(opt, pred, n) {
 					bound = pp.Step
 				}
 				if bound > lo {
@@ -113,7 +113,7 @@ func refRunOnce(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.F
 				}
 				succ := g.Node(sid)
 				bound := sp.Step - n.Cycles
-				if s.chainable(n, succ) {
+				if chainable(opt, n, succ) {
 					bound = sp.Step
 				}
 				if bound < hi {
@@ -182,6 +182,13 @@ func refRunOnce(g *dfg.Graph, cs int, opt Options, resource bool, frames sched.F
 		out.Place(id, p)
 	}
 	return out, commits, nil
+}
+
+// chainable is the reference's chaining predicate: with chaining on,
+// two data neighbours may share a step unless either is multicycle or a
+// folded loop.
+func chainable(opt Options, pred, succ *dfg.Node) bool {
+	return opt.ClockNs > 0 && pred.Cycles == 1 && succ.Cycles == 1 && !pred.IsLoop() && !succ.IsLoop()
 }
 
 // fixedRun is one fixed-cs scheduling run, the unit searchSchedule
@@ -424,7 +431,7 @@ func sortedBestPosition(s *scheduler, id dfg.NodeID, cycles, lo, hi, cur int) (g
 	sort.SliceStable(ps, func(i, j int) bool { return s.lf.Value(ps[i]) < s.lf.Value(ps[j]) })
 	table := s.tables[TypeKey(s.g.Node(id))]
 	for _, p := range ps {
-		if table.CanPlace(s.g, id, p, cycles) && (s.opt.ClockNs <= 0 || s.chainOK(id, p.Step)) {
+		if table.CanPlace(s.g, id, p, cycles) && s.ChainFits(id, p.Step) {
 			return p, true
 		}
 	}
@@ -442,7 +449,7 @@ func TestOrderedWalkMatchesSortedFallback(t *testing.T) {
 			checkReplay(t, tc, func(s *scheduler, id dfg.NodeID) {
 				n := s.g.Node(id)
 				typ := TypeKey(n)
-				lo, hi, _ := s.windowOf(id)
+				lo, hi, _ := s.Window(id)
 				for cur := s.current[typ]; cur <= s.maxj[typ]; cur++ {
 					got, gotOK := s.bestPosition(s.tables[typ], s.orders[typ], id, n.Cycles, lo, hi, cur)
 					want, wantOK := sortedBestPosition(s, id, n.Cycles, lo, hi, cur)

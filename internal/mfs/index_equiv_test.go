@@ -47,7 +47,7 @@ func TestIndexedWalkMatchesDisabledIndex(t *testing.T) {
 				n := s.g.Node(id)
 				typ := TypeKey(n)
 				table, ord := s.tables[typ], s.orders[typ]
-				lo, hi, _ := s.windowOf(id)
+				lo, hi, _ := s.Window(id)
 				for cur := s.current[typ]; cur <= s.maxj[typ]; cur++ {
 					var got []grid.Pos
 					table.ScanPlaceable(s.g, id, s.excl, ord, lo, hi, cur, n.Cycles, func(p grid.Pos) bool {

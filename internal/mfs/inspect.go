@@ -47,7 +47,7 @@ func FramesFor(g *dfg.Graph, opt Options, target dfg.NodeID) (*Inspection, error
 		if id == target {
 			// Stop here so the snapshot shows exactly the state the
 			// target was placed against.
-			p := s.placed[id]
+			p := s.Placements()[id]
 			snap.Chosen = grid.Pos{Step: p.Step, Index: p.Index}
 			return snap, nil
 		}

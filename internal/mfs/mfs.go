@@ -207,18 +207,10 @@ type scheduler struct {
 	// walk can treat every occupied index bit as illegal without
 	// consulting the occupant lists (grid.Table.ScanPlaceable).
 	excl bool
-	// placed and steps are indexed by dfg.NodeID (dense from 0);
-	// Step == 0 / steps[id] == 0 means unplaced (steps are 1-based).
-	// steps duplicates placed[id].Step so the chain filter gets its
-	// table without a per-candidate rebuild — it is maintained on commit.
-	placed []sched.Placement
-	steps  []int
-	// chainAcc[id] is the accumulated combinational delay at id's output
-	// within its step (chaining only; see sched.ChainAccAt). Maintained
-	// on commit, it turns the per-candidate chain check from a full
-	// graph walk into an O(preds) lookup.
-	chainAcc []float64
-	trace    []sched.TraceStep
+	// Placing holds the committed placements and answers each
+	// operation's move window and chaining budget from them.
+	sched.Placing
+	trace []sched.TraceStep
 }
 
 // newScheduler builds the state of one fixed-cs run. It reads g and
@@ -232,17 +224,13 @@ func newScheduler(g *dfg.Graph, cs int, opt Options, resource bool, frames sched
 		orders:  make(map[string]grid.Order),
 		maxj:    make(map[string]int),
 		current: make(map[string]int),
-		placed:  make([]sched.Placement, g.Len()),
-		steps:   make([]int, g.Len()),
 		excl:    g.HasExclusions(),
+		Placing: sched.NewPlacing(g, frames, opt.ClockNs),
 	}
 	if !opt.NoTrace {
 		// One step per node; sized up front so the per-commit append
 		// never reallocates the whole trajectory on large graphs.
 		s.trace = make([]sched.TraceStep, 0, g.Len())
-	}
-	if opt.ClockNs > 0 {
-		s.chainAcc = make([]float64, g.Len())
 	}
 	s.initBounds(extraMax...)
 	s.initLiapunov()
@@ -426,7 +414,7 @@ func (s *scheduler) initTables() error {
 // re-framing when the frame is exhausted (local rescheduling).
 //
 // The move frame MF = PF − (RF ∪ FF) is the rectangle
-// [lo..hi] × [1..current_j] (grid.Frames.MF; windowOf keeps
+// [lo..hi] × [1..current_j] (grid.Frames.MF; sched.Placing.Window keeps
 // lo ≥ ffTop+1), so the search walks the window bounds and the trace
 // records them. equiv_test.go pins both the schedule and the recorded
 // move frames against the historical map-based reference scheduler.
@@ -434,19 +422,13 @@ func (s *scheduler) placeOne(id dfg.NodeID) error {
 	n := s.g.Node(id)
 	typ := TypeKey(n)
 	table, ord := s.tables[typ], s.orders[typ]
-	lo, hi, ffTop := s.windowOf(id)
+	lo, hi, ffTop := s.Window(id)
 	for {
 		if p, ok := s.bestPosition(table, ord, id, n.Cycles, lo, hi, s.current[typ]); ok {
 			if err := table.Place(s.g, id, p, n.Cycles); err != nil {
 				return fmt.Errorf("mfs: %w", err)
 			}
-			s.placed[id] = sched.Placement{Step: p.Step, Type: typ, Index: p.Index}
-			s.steps[id] = p.Step
-			if s.opt.ClockNs > 0 {
-				// Exact: priority order commits producers first, so no
-				// successor of id is placed yet.
-				s.chainAcc[id] = sched.ChainAccAt(s.g, s.steps, s.chainAcc, id, p.Step)
-			}
+			s.Commit(id, sched.Placement{Step: p.Step, Type: typ, Index: p.Index})
 			if !s.opt.NoTrace {
 				// Record the decision for the Liapunov audit: the window
 				// the operation saw, the scheduler's FU estimate, and the
@@ -481,7 +463,7 @@ func (s *scheduler) bestPosition(table *grid.Table, ord grid.Order, id dfg.NodeI
 	var best grid.Pos
 	found := false
 	table.ScanPlaceable(s.g, id, s.excl, ord, lo, hi, cur, cycles, func(p grid.Pos) bool {
-		if s.opt.ClockNs > 0 && !s.chainOK(id, p.Step) {
+		if !s.ChainFits(id, p.Step) {
 			return true // placeable but the chain overflows; keep walking
 		}
 		best, found = p, true
@@ -490,64 +472,13 @@ func (s *scheduler) bestPosition(table *grid.Table, ord grid.Order, id dfg.NodeI
 	return best, found
 }
 
-// windowOf computes an operation's move window against the current
-// placement state: the start-step range [lo..hi] and the last
-// predecessor-forbidden row ffTop (the paper's FF extent). Placed
-// predecessors raise the earliest start; chaining admits sharing a
-// step, with the chainOK filter verifying the delay budget. Both
-// callers place in priority order, which is topological, so no
-// successor is placed yet and hi stays the ALAP bound. lo ≥ ffTop+1
-// always holds: each predecessor contributing end = step+cycles−1 to
-// ffTop also pushes lo to end+1.
-func (s *scheduler) windowOf(id dfg.NodeID) (lo, hi, ffTop int) {
-	n := s.g.Node(id)
-	base := s.frames[id]
-	lo, hi = base.ASAP, base.ALAP
-	ffTop = 0 // last step forbidden by predecessors
-	for _, pid := range n.Preds() {
-		pp := s.placed[pid]
-		if pp.Step == 0 {
-			continue
-		}
-		pred := s.g.Node(pid)
-		bound := pp.Step + pred.Cycles
-		if s.chainable(pred, n) {
-			bound = pp.Step
-		}
-		if bound > lo {
-			lo = bound
-		}
-		if end := pp.Step + pred.Cycles - 1; end > ffTop && bound > pp.Step {
-			ffTop = end
-		}
-	}
-	return lo, hi, ffTop
-}
-
 // frameSet returns an operation's frames against the current placement
 // state (see FramesFor for the exported inspection entry point used to
 // reproduce Figure 2).
 func (s *scheduler) frameSet(id dfg.NodeID) grid.Frames {
 	typ := TypeKey(s.g.Node(id))
-	lo, hi, ffTop := s.windowOf(id)
+	lo, hi, ffTop := s.Window(id)
 	return grid.Frames{Lo: lo, Hi: hi, FFTop: ffTop, Cur: s.current[typ], Max: s.maxj[typ]}
-}
-
-func (s *scheduler) chainable(pred, succ *dfg.Node) bool {
-	return s.opt.ClockNs > 0 && pred.Cycles == 1 && succ.Cycles == 1 &&
-		!pred.IsLoop() && !succ.IsLoop()
-}
-
-// chainOK tentatively assigns id to step and checks the combinational
-// chain ending at id still fits the clock period. The incremental
-// accumulator (sched.ChainAccAt) is exact here because priority order
-// places producers before consumers: the tentative placement can only
-// extend chains ending at id, and every other chain was checked when
-// its own tail committed — the verdict matches the historical
-// full-graph ChainFits walk (pinned by the sched package's
-// TestChainAccAtMatchesChainFits).
-func (s *scheduler) chainOK(id dfg.NodeID, step int) bool {
-	return sched.ChainAccAt(s.g, s.steps, s.chainAcc, id, step) <= s.opt.ClockNs+1e-9
 }
 
 func (s *scheduler) finish() (*sched.Schedule, error) {
@@ -557,7 +488,7 @@ func (s *scheduler) finish() (*sched.Schedule, error) {
 	for typ, p := range s.opt.PipelinedTypes {
 		out.PipelinedTypes[typ] = p
 	}
-	out.Adopt(s.placed) // an unplaced node keeps Step 0; Verify reports it
+	out.Adopt(s.Placements()) // an unplaced node keeps Step 0; Verify reports it
 	if !s.opt.NoTrace {
 		out.Trace = &sched.Trace{Fn: s.lf, Steps: s.trace}
 	}

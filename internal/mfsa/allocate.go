@@ -70,55 +70,31 @@ func allocationOrder(s *sched.Schedule) []dfg.NodeID {
 	return ids
 }
 
-// bindOne chooses the cheapest ALU instance for a fixed (node, step):
-// reuse an existing compatible instance if its footprint is free, else
-// open the cheapest new one.
+// bindOne binds a node at its fixed step to the cheapest ALU: an
+// existing compatible instance whose footprint is free, or a fresh one,
+// each scored as the window walk scores a position.
 func (st *state) bindOne(s *sched.Schedule, id dfg.NodeID) error {
 	n := st.g.Node(id)
-	st.beginEval(n)
 	p, _ := s.At(id)
-	step := p.Step
-	units := st.unitsFor(n)
-	var best candidate
-	evaluated := st.candBuf[:0] // commit copies what it keeps
-	found := false
-	consider := func(u *unit, idx int) {
+	st.beginEval(n)
+	for _, u := range st.unitsFor(n) {
+		// The bound columns and one fresh one: Allocate opens columns in
+		// order, so every column up to the last of u.alus is bound.
+		cols := min(len(u.alus)+1, u.maxInst)
+		if cols < 1 {
+			continue
+		}
 		table := st.tableOf(u)
-		p := grid.Pos{Step: step, Index: idx}
-		if !table.CanPlace(st.g, id, p, n.Cycles) {
-			return
-		}
-		if a, _ := st.column(u, idx); st.opt.Style == Style2 && neighborsOnALU(n, a) {
-			return
-		}
-		v := st.value(n, u, p)
-		c := candidate{unit: u, pos: p, value: v}
-		if !st.opt.NoTrace {
-			evaluated = append(evaluated, traceCandidate(u, p, v))
-		}
-		if !found || less(c, best) {
-			best, found = c, true
+		table.Grow(cols)
+		st.openShapes(cols)
+		for idx := 1; idx <= cols; idx++ {
+			if q := (grid.Pos{Step: p.Step, Index: idx}); table.CanPlace(st.g, id, q, n.Cycles) {
+				st.score(n, u, q)
+			}
 		}
 	}
-	for _, u := range units {
-		// Existing instances plus one fresh column per unit type: the
-		// highest bound column is the last of u.alus.
-		limit := len(u.alus) + 1
-		if lim, ok := st.opt.Limits[u.Name]; ok && limit > lim {
-			limit = lim
-		}
-		limit = min(limit, u.maxInst)
-		if limit >= 1 {
-			st.tableOf(u).Grow(limit) // consider probes indexes 1..limit
-		}
-		st.beginUnitEval(limit) // value()'s column-term memo scope
-		for idx := 1; idx <= limit; idx++ {
-			consider(u, idx)
-		}
+	if !st.found {
+		return fmt.Errorf("mfsa: no ALU for %q at step %d", n.Name, p.Step)
 	}
-	st.candBuf = evaluated
-	if !found {
-		return fmt.Errorf("mfsa: no ALU for %q at step %d", n.Name, step)
-	}
-	return st.commit(n, best, evaluated)
+	return st.commit(n, st.best, st.scored)
 }

@@ -100,7 +100,7 @@ func checkReplay(t *testing.T, g *dfg.Graph, opt Options) {
 	s := newState(g, popt, frames)
 	for _, id := range sched.PriorityOrder(g, frames) {
 		n := g.Node(id)
-		lo, hi := s.window(n)
+		lo, hi, _ := s.Window(n.ID)
 		for _, u := range s.unitsFor(n) {
 			if u.maxInst == 0 {
 				continue // never walked (bestCandidate skips it)

@@ -98,9 +98,9 @@ type Options struct {
 
 	// NoTrace skips recording the placement trajectory (Schedule.Trace)
 	// and the per-step candidate lists: the candidates each placement
-	// scored, which under time dominance are only those up to the
-	// earliest step that has one, one per column shape (see
-	// sched.TraceStep.Candidates), and otherwise the whole move frame.
+	// scored, one per unit, step and column shape, and under time
+	// dominance only up to the earliest step that has one (see
+	// sched.TraceStep.Candidates).
 	// The schedule and datapath are bit-identical either way; the run
 	// just drops the audit metadata, so lint's trace-replay analyzers
 	// have nothing to check. The trace costs 96 bytes per step plus 24
@@ -217,17 +217,16 @@ func candidateUnits(opt Options, n *dfg.Node) []int {
 }
 
 type state struct {
-	g      *dfg.Graph
-	opt    Options
-	w      Weights
-	c      float64 // time-dominance constant
-	frames sched.Frames
+	g   *dfg.Graph
+	opt Options
+	w   Weights
+	c   float64 // time-dominance constant
 
 	// dominant records liapunov.TimeDominates for the run: every
 	// candidate at step t scores strictly below every candidate at a
-	// later step, so bestCandidate stops scoring past the best step it
+	// later step, so bestCandidate stops walking past the best step it
 	// has found. False (a reweighting that breaks §4.1's sizing of C)
-	// scores the whole move frame.
+	// walks the whole move frame.
 	dominant bool
 
 	// units holds one record per library unit, by position in
@@ -237,16 +236,10 @@ type state struct {
 	units []unit
 	byOp  [][]candidateSet
 
-	// placed and steps are indexed by dfg.NodeID (dense from 0);
-	// Step == 0 / steps[id] == 0 means unplaced (steps are 1-based).
-	// steps feeds the chain filter directly and is maintained on commit.
-	placed []sched.Placement
-	steps  []int
-	// chainAcc[id] is the accumulated combinational delay at id's output
-	// within its step (chaining only; see sched.ChainAccAt), maintained
-	// on commit, so the per-candidate chain check is an O(preds) lookup.
-	chainAcc []float64
-	trace    []sched.TraceStep
+	// Placing holds the committed placements and answers each node's
+	// move window and chaining budget from them.
+	sched.Placing
+	trace []sched.TraceStep
 
 	dp *rtl.Datapath
 
@@ -279,10 +272,10 @@ type state struct {
 	ports []portEntry
 	pres  []presStamp
 
-	// shapes is the per-step table of the column shapes bestCandidate
-	// has scored under time dominance (see claimShape): open addressing
-	// over a power-of-two length at least twice current_j, whose slots
-	// are live when their gen is shapeGen, bumped per (unit, step).
+	// shapes is the table of the column shapes score has met in the
+	// current (unit, step) scope (see claimShape): open addressing over a
+	// power-of-two length at least twice the scope's columns, whose slots
+	// are live when their gen is shapeGen, bumped by openShapes.
 	shapes     []shapeSlot
 	shapeShift uint
 	shapeGen   int
@@ -295,26 +288,19 @@ type state struct {
 	regMemoGen []int
 	memoGen    int
 
-	// Column-term memo for the current (node, unit) evaluation scope
-	// (beginUnitEval): f^ALU and f^MUX depend only on the column — the
-	// ALU instance and its input lists, frozen until commit — never on
-	// the step, so within one unit's position walk each column's terms
-	// are computed once instead of once per (step, column) candidate. The
-	// memoized values are the exact floats the direct evaluation produces
-	// (same muxAfter call, reused), so value()'s combined energy is
-	// bit-identical.
-	colMemoGen []int
-	colALU     []float64
-	colMux     []float64
-	colGen     int
+	// best, found and scored are the decision under way since beginEval:
+	// the least-energy candidate score has met, whether there is one, and
+	// the candidates it scored (scratch; commit copies what it keeps).
+	best   candidate
+	found  bool
+	scored []sched.TraceCandidate
 
 	// excl caches g.HasExclusions() for the run: when false, the window
 	// walk can treat every occupied index bit as illegal without
 	// consulting the occupant lists (grid.Table.ScanPlaceable).
 	excl bool
 
-	candBuf []sched.TraceCandidate // candidate-evaluation scratch; commit copies
-	muxMemo []float64              // muxArea's Lib.MuxArea prefix cache
+	muxMemo []float64 // muxArea's Lib.MuxArea prefix cache
 }
 
 // unit is the run's record of one library unit.
@@ -364,15 +350,16 @@ type presStamp struct {
 	bits rtl.Presence
 }
 
-// shape is what an existing column's energy depends on besides the
-// step: its port lists' lengths and which of them already carry the
-// node's operands.
+// shape is what a column's energy depends on besides the step: for an
+// existing column its port lists' lengths and which of them already
+// carry the node's operands; every fresh column is the one shape whose
+// l1 is -1.
 type shape struct {
 	l1, l2 int32
 	bits   rtl.Presence
 }
 
-// shapeSlot is one slot of the per-step shape table.
+// shapeSlot is one slot of the shape table.
 type shapeSlot struct {
 	gen int
 	shape
@@ -399,16 +386,14 @@ func (lt *lifetime) span() (lo, hi int) {
 func newState(g *dfg.Graph, opt Options, frames sched.Frames) *state {
 	s := &state{
 		g: g, opt: opt,
-		w:      opt.Weights.orDefault(),
-		frames: frames,
-		units:  make([]unit, len(opt.Lib.Units())),
-		byOp:   make([][]candidateSet, op.NumKinds()+1),
-		placed: make([]sched.Placement, g.Len()),
-		steps:  make([]int, g.Len()),
-		dp:     rtl.NewDatapath(opt.Lib),
-		life:   make([]lifetime, g.NumSignals()),
-		ports:  make([]portEntry, 0, 2*g.Len()),
-		excl:   g.HasExclusions(),
+		w:       opt.Weights.orDefault(),
+		units:   make([]unit, len(opt.Lib.Units())),
+		byOp:    make([][]candidateSet, op.NumKinds()+1),
+		Placing: sched.NewPlacing(g, frames, opt.ClockNs),
+		dp:      rtl.NewDatapath(opt.Lib),
+		life:    make([]lifetime, g.NumSignals()),
+		ports:   make([]portEntry, 0, 2*g.Len()),
+		excl:    g.HasExclusions(),
 	}
 	for i, u := range opt.Lib.Units() {
 		s.units[i].Unit, s.units[i].lib = u, int32(i)
@@ -417,9 +402,6 @@ func newState(g *dfg.Graph, opt Options, frames sched.Frames) *state {
 		// One step per node; sized up front so the per-commit append
 		// never reallocates the whole trajectory on large graphs.
 		s.trace = make([]sched.TraceStep, 0, g.Len())
-	}
-	if opt.ClockNs > 0 {
-		s.chainAcc = make([]float64, g.Len())
 	}
 	// f^MUX adds at most one input per port and f^REG at most one
 	// register per live argument: mfsa rejects loops and dfg.Validate
@@ -564,7 +546,7 @@ func (s *state) grow(n *dfg.Node, units []*unit) error {
 	}
 	if pick == nil {
 		e := &sched.NoPositionError{Engine: "mfsa", Graph: s.g.Name, Node: n.Name, CS: s.opt.CS}
-		e.Lo, e.Hi = s.window(n)
+		e.Lo, e.Hi, _ = s.Window(n.ID)
 		for _, u := range units {
 			e.Units, e.Max = append(e.Units, u.Name), append(e.Max, u.maxInst)
 		}
@@ -590,19 +572,16 @@ const pollEvery = 64
 // bestCandidate returns the least-energy candidate of n's move frame,
 // the candidates it scored, and whether any was found. Each unit's
 // free positions MF = PF − RF (FF is folded into the window's lower
-// bound) are scored as grid.Table.ScanPlaceable walks them row-major,
-// in (step, index) order. When time dominates, a candidate past the
-// best step found so far can only lose, so each unit's walk stops at
-// the first such position and later units' windows end at that step,
-// and of a unit's existing columns at one step only the first of each
-// shape is scored; otherwise every free position is scored. It returns
-// ctx.Err() once ctx is done.
+// bound) are walked row-major, in (step, index) order, as
+// grid.Table.ScanPlaceable yields them, and scored at each step where
+// the chain ending at n fits the clock, one column per shape (score).
+// When time dominates, a candidate past the best step found so far can
+// only lose, so each unit's walk stops at the first such position and
+// later units' windows end at that step. It returns ctx.Err() once ctx
+// is done.
 func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (candidate, []sched.TraceCandidate, bool, error) {
 	s.beginEval(n)
-	lo, hi := s.window(n)
-	var best candidate
-	evaluated := s.candBuf[:0] // commit copies what it keeps
-	found := false
+	lo, hi, _ := s.Window(n.ID)
 	walked := 0
 	var err error
 	for _, u := range units {
@@ -612,68 +591,28 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (
 		table := s.tableOf(u)
 		cur := u.current
 		table.Grow(cur) // the walk probes indexes 1..cur
-		s.beginUnitEval(cur)
-		// Fresh-column dedup: a column with no ALU instance yet has never
-		// been placed into, so every fresh column of this unit is an empty,
-		// interchangeable copy — same occupancy, same f^ALU (full unit
-		// area), no mux lists, and an f^REG that depends only on the step.
-		// The tie-break (less: step, then name, then lowest index) would
-		// always pick the lowest-indexed one, so only the first fresh
-		// column per step is evaluated; the rest are skipped losslessly.
-		freshStep := -1
-		// Shape dedup, the same argument for existing columns: one with
-		// f^ALU = 0 has an f^MUX that depends only on its shape, so two
-		// columns of one shape at one step score bitwise-equal energies
-		// and less keeps the lower index. Under time dominance only the
-		// first column per shape and step is scored.
-		shapeStep := -1
-		if s.dominant {
-			s.sizeShapes(cur)
-		}
 		last := hi
-		if s.dominant && found {
-			last = min(last, best.pos.Step)
+		if s.dominant && s.found {
+			last = min(last, s.best.pos.Step)
 		}
+		step, fits := 0, false
 		table.ScanPlaceable(s.g, n.ID, s.excl, grid.RowMajor, lo, last, cur, n.Cycles, func(p grid.Pos) bool {
 			if walked++; walked%pollEvery == 0 {
 				if err = ctx.Err(); err != nil {
 					return false
 				}
 			}
-			if s.dominant && found && p.Step > best.pos.Step {
+			if s.dominant && s.found && p.Step > s.best.pos.Step {
 				return false
 			}
-			a, k := s.column(u, p.Index)
-			if a == nil {
-				if p.Step == freshStep {
-					return true
-				}
-				freshStep = p.Step
+			if p.Step != step {
+				// A step opens a shape scope, and whether the chain fits
+				// depends on the step alone.
+				step, fits = p.Step, s.ChainFits(n.ID, p.Step)
+				s.openShapes(cur)
 			}
-			// The chain ending at n must fit the clock; the accumulator is
-			// exact under priority order (see sched.ChainAccAt).
-			if s.opt.ClockNs > 0 && sched.ChainAccAt(s.g, s.steps, s.chainAcc, n.ID, p.Step) > s.opt.ClockNs+1e-9 {
-				return true
-			}
-			if s.opt.Style == Style2 && neighborsOnALU(n, a) {
-				return true
-			}
-			if a != nil && s.dominant {
-				if p.Step != shapeStep {
-					shapeStep = p.Step
-					s.shapeGen++
-				}
-				if !s.claimShape(shape{int32(len(a.L1)), int32(len(a.L2)), s.presence(k)}) {
-					return true
-				}
-			}
-			v := s.value(n, u, p)
-			cand := candidate{unit: u, pos: p, value: v}
-			if !s.opt.NoTrace {
-				evaluated = append(evaluated, traceCandidate(u, p, v))
-			}
-			if !found || less(cand, best) {
-				best, found = cand, true
+			if fits {
+				s.score(n, u, p)
 			}
 			return true
 		})
@@ -681,18 +620,47 @@ func (s *state) bestCandidate(ctx context.Context, n *dfg.Node, units []*unit) (
 			return candidate{}, nil, false, err
 		}
 	}
-	s.candBuf = evaluated
-	return best, evaluated, found, nil
+	return s.best, s.scored, s.found, nil
 }
 
-// sizeShapes makes the shape table hold the shapes of cur columns at
-// most half full. A fresh table's zero gens are stale: shapeGen is
-// positive once a scope opens.
-func (s *state) sizeShapes(cur int) {
-	if len(s.shapes) >= 2*cur {
+// score evaluates n at the free position p of unit u and keeps it if
+// it beats the decision's best so far. It skips a column that style 2
+// forbids, and a column whose shape the current scope has already
+// scored: two columns of one shape at one step have bitwise-equal
+// energies (f^ALU is 0, or the unit's area for fresh ones, f^MUX
+// depends on the shape, and the other terms on the step), and less
+// keeps the lower index, which the walk meets first.
+func (s *state) score(n *dfg.Node, u *unit, p grid.Pos) {
+	a, k := s.column(u, p.Index)
+	if s.opt.Style == Style2 && neighborsOnALU(n, a) {
 		return
 	}
-	b := bits.Len(uint(2*cur - 1))
+	c := shape{l1: -1}
+	if a != nil {
+		c = shape{int32(len(a.L1)), int32(len(a.L2)), s.presence(k)}
+	}
+	if !s.claimShape(c) {
+		return
+	}
+	v := s.value(n, u, p)
+	if !s.opt.NoTrace {
+		s.scored = append(s.scored, traceCandidate(u, p, v))
+	}
+	if cand := (candidate{unit: u, pos: p, value: v}); !s.found || less(cand, s.best) {
+		s.best, s.found = cand, true
+	}
+}
+
+// openShapes opens a new (unit, step) scope of the shape table for up
+// to cols columns, regrowing the table so it stays at most half full. A
+// fresh table's zero gens are stale: shapeGen is positive once a scope
+// opens.
+func (s *state) openShapes(cols int) {
+	s.shapeGen++
+	if len(s.shapes) >= 2*cols {
+		return
+	}
+	b := bits.Len(uint(2*cols - 1))
 	s.shapes, s.shapeShift = make([]shapeSlot, 1<<b), uint(64-b)
 }
 
@@ -716,12 +684,14 @@ func (s *state) claimShape(c shape) bool {
 	}
 }
 
-// beginEval opens the candidate evaluation of node n: it invalidates the
-// regDelta memo and stamps the membership bits of n's operands on every
-// ALU whose ports carry them, so presence answers in one lookup.
+// beginEval opens the placement decision of node n: it clears the
+// running best and the scored list, invalidates the regDelta memo, and
+// stamps the membership bits of n's operands on every ALU whose ports
+// carry them, so presence answers in one lookup.
 //
 //hls:noalloc
 func (s *state) beginEval(n *dfg.Node) {
+	s.best, s.found, s.scored = candidate{}, false, s.scored[:0]
 	s.memoGen++
 	//hls:allocok dfg.Node.ArgIDs returns a stored slice; it allocates nothing
 	for i, id := range n.ArgIDs() {
@@ -766,61 +736,6 @@ func less(a, b candidate) bool {
 	return a.pos.Index < b.pos.Index
 }
 
-// window returns the node's current time frame, tightened by placed
-// predecessors (successors are never placed first; see sched.PriorityOrder).
-func (s *state) window(n *dfg.Node) (int, int) {
-	f := s.frames[n.ID]
-	lo, hi := f.ASAP, f.ALAP
-	for _, pid := range n.Preds() {
-		pp := s.placed[pid]
-		if pp.Step == 0 {
-			continue
-		}
-		pred := s.g.Node(pid)
-		bound := pp.Step + pred.Cycles
-		if s.opt.ClockNs > 0 && pred.Cycles == 1 && n.Cycles == 1 {
-			bound = pp.Step
-		}
-		if bound > lo {
-			lo = bound
-		}
-	}
-	return lo, hi
-}
-
-// beginUnitEval opens a (node, unit) evaluation scope for the column-term
-// memo, invalidating the previous scope's entries and sizing the memo for
-// columns 1..cur.
-func (s *state) beginUnitEval(cur int) {
-	s.colGen++
-	if len(s.colMemoGen) <= cur {
-		grow := cur + 1 - len(s.colMemoGen)
-		s.colMemoGen = append(s.colMemoGen, make([]int, grow)...)
-		s.colALU = append(s.colALU, make([]float64, grow)...)
-		s.colMux = append(s.colMux, make([]float64, grow)...)
-	}
-}
-
-// colTerms returns the step-independent terms of value() for a column of
-// the current evaluation scope's unit — f^ALU and f^MUX — computing them
-// on first touch and replaying the memo after: the ALU instance set and
-// every input list are frozen between commits, so the terms cannot
-// change within one scope.
-func (s *state) colTerms(n *dfg.Node, u *unit, idx int) (fALU, fMux float64) {
-	if s.colMemoGen[idx] == s.colGen {
-		return s.colALU[idx], s.colMux[idx]
-	}
-	if a, k := s.column(u, idx); a != nil {
-		fMux = s.muxAfter(a, n, s.presence(k)) - (s.muxArea(len(a.L1)) + s.muxArea(len(a.L2)))
-	} else {
-		// A fresh ALU: full unit area, and no mux yet (one source per port).
-		fALU = u.Area
-	}
-	s.colALU[idx], s.colMux[idx] = fALU, fMux
-	s.colMemoGen[idx] = s.colGen
-	return fALU, fMux
-}
-
 // neighborsOnALU reports whether ALU a (nil: a fresh column) already
 // executes a direct predecessor or successor of n (style 2's forbidden
 // self-loop).
@@ -842,13 +757,16 @@ func neighborsOnALU(n *dfg.Node, a *rtl.ALU) bool {
 }
 
 // value evaluates the weighted dynamic Liapunov function for one
-// candidate position. The column terms come from the colTerms memo and
-// the step term from the regDelta memo; the combining expression is the
-// historical one, verbatim, so the energies are bit-identical to the
-// unmemoized evaluation.
+// candidate position: f^ALU and f^MUX from its column, f^REG from the
+// regDelta memo.
 func (s *state) value(n *dfg.Node, u *unit, p grid.Pos) float64 {
 	fTime := s.c * float64(p.Step)
-	fALU, fMux := s.colTerms(n, u, p.Index)
+	var fALU, fMux float64
+	if a, k := s.column(u, p.Index); a != nil {
+		fMux = s.muxAfter(a, n, s.presence(k)) - (s.muxArea(len(a.L1)) + s.muxArea(len(a.L2)))
+	} else {
+		fALU = u.Area // a fresh ALU: full unit area, and no mux yet (one source per port)
+	}
 	fReg := float64(s.regDelta(n, p.Step)) * s.opt.Lib.RegArea
 
 	return s.w.Time*fTime + s.w.ALU*fALU + s.w.Mux*fMux + s.w.Reg*fReg
@@ -1057,13 +975,7 @@ func (s *state) commit(n *dfg.Node, c candidate, evaluated []sched.TraceCandidat
 	if len(a.L2) > l2 {
 		s.index(a.L2[l2], 2*k+1)
 	}
-	s.placed[n.ID] = sched.Placement{Step: c.pos.Step, Type: u.Name, Index: c.pos.Index}
-	s.steps[n.ID] = c.pos.Step
-	if s.opt.ClockNs > 0 {
-		// Exact: priority order commits producers first, so no
-		// successor of n is placed yet.
-		s.chainAcc[n.ID] = sched.ChainAccAt(s.g, s.steps, s.chainAcc, n.ID, c.pos.Step)
-	}
+	s.Commit(n.ID, sched.Placement{Step: c.pos.Step, Type: u.Name, Index: c.pos.Index})
 	// Fold the placement into the lifetime counts: n consumes its args at
 	// its start step and its own output is born at its finish step, held
 	// one boundary until a successor commits.
@@ -1111,7 +1023,7 @@ func (s *state) finish() (*Result, error) {
 			out.PipelinedTypes[u.Name] = true
 		}
 	}
-	out.Adopt(s.placed) // an unplaced node keeps Step 0; Verify reports it
+	out.Adopt(s.Placements()) // an unplaced node keeps Step 0; Verify reports it
 	if !s.opt.NoTrace {
 		names := make([]string, len(s.units))
 		for i := range s.units {

@@ -32,7 +32,7 @@ func (s *state) intervals(extra *dfg.Node, extraStep int) []rtl.Interval {
 	birth := make(map[string]int) // signal -> producer finish step
 	death := make(map[string]int) // signal -> latest consumer step
 	have := make(map[string]bool) // signals with a committed producer
-	for id, p := range s.placed {
+	for id, p := range s.Placements() {
 		if p.Step == 0 {
 			continue
 		}
@@ -56,7 +56,7 @@ func (s *state) intervals(extra *dfg.Node, extraStep int) []rtl.Interval {
 			}
 		}
 	}
-	for id, p := range s.placed {
+	for id, p := range s.Placements() {
 		if p.Step == 0 {
 			continue
 		}

@@ -43,12 +43,6 @@ type ALU struct {
 	L1, L2 []dfg.SignalID
 }
 
-// InL1 reports whether signal id already feeds the ALU's first input port.
-func (a *ALU) InL1(id dfg.SignalID) bool { return slices.Contains(a.L1, id) }
-
-// InL2 reports whether signal id already feeds the ALU's second input port.
-func (a *ALU) InL2(id dfg.SignalID) bool { return slices.Contains(a.L2, id) }
-
 // Presence records which input ports of an ALU already carry a node's
 // operands: bit 2·i+p is set when operand i (an index into the node's
 // ArgIDs) is on port p (0: L1, 1: L2). It is all the orientation rule
@@ -63,10 +57,10 @@ func (m Presence) Has(i, p int) bool { return m>>(2*i+p)&1 != 0 }
 func (a *ALU) PresenceOf(n *dfg.Node) Presence {
 	var m Presence
 	for i, id := range operands(n) {
-		if a.InL1(id) {
+		if slices.Contains(a.L1, id) {
 			m |= 1 << (2 * i)
 		}
-		if a.InL2(id) {
+		if slices.Contains(a.L2, id) {
 			m |= 1 << (2*i + 1)
 		}
 	}
@@ -99,13 +93,6 @@ func (m Presence) Missing(i, p int) int {
 		return 0
 	}
 	return 1
-}
-
-// MuxGrowth returns how many new multiplexer inputs binding node n to the
-// ALU would create, choosing the cheaper operand orientation for
-// commutative operations. It does not modify the ALU.
-func (a *ALU) MuxGrowth(n *dfg.Node) (growth int, swapped bool) {
-	return a.PresenceOf(n).Orient(n)
 }
 
 // Bind commits node n to the ALU at the given step, using the

@@ -64,9 +64,9 @@ func TestMuxGrowthCommutativeSharing(t *testing.T) {
 		t.Fatalf("after first bind: L1=%v L2=%v", alu.L1, alu.L2)
 	}
 	// n2 reversed: the commutative swap makes its inputs free.
-	growth, swapped := alu.MuxGrowth(n2)
+	growth, swapped := alu.PresenceOf(n2).Orient(n2)
 	if growth != 0 || !swapped {
-		t.Errorf("MuxGrowth = %d swapped=%v, want 0,true", growth, swapped)
+		t.Errorf("Orient = %d swapped=%v, want 0,true", growth, swapped)
 	}
 	alu.Bind(n2, 2)
 	if len(alu.L1) != 1 || len(alu.L2) != 1 {
@@ -84,7 +84,7 @@ func TestMuxGrowthNonCommutative(t *testing.T) {
 	lib := library.NCRLike()
 	alu := NewDatapath(lib).AddALU(lib.Single(op.Sub))
 	alu.Bind(n1, 1)
-	growth, swapped := alu.MuxGrowth(n2)
+	growth, swapped := alu.PresenceOf(n2).Orient(n2)
 	if swapped {
 		t.Error("non-commutative op swapped")
 	}
@@ -100,7 +100,7 @@ func TestMuxGrowthUnary(t *testing.T) {
 	lib := library.NCRLike()
 	alu := NewDatapath(lib).AddALU(lib.Single(op.Not))
 	alu.Bind(n1, 1)
-	if growth, _ := alu.MuxGrowth(n2); growth != 0 {
+	if growth, _ := alu.PresenceOf(n2).Orient(n2); growth != 0 {
 		t.Errorf("unary shared-input growth = %d, want 0", growth)
 	}
 }
@@ -110,9 +110,9 @@ func TestMuxGrowthDoesNotMutate(t *testing.T) {
 	n1 := addNode(t, g, "n1", op.Add, "a", "b")
 	lib := library.NCRLike()
 	alu := NewDatapath(lib).AddALU(lib.Single(op.Add))
-	alu.MuxGrowth(n1)
+	alu.PresenceOf(n1).Orient(n1)
 	if len(alu.L1) != 0 || len(alu.L2) != 0 {
-		t.Error("MuxGrowth mutated the ALU")
+		t.Error("PresenceOf or Orient mutated the ALU")
 	}
 }
 

@@ -56,17 +56,14 @@ type TraceStep struct {
 	Energy float64
 
 	// Candidates lists the alternatives the scheduler scored, including
-	// the chosen one (MFSA only; nil for MFS). A unit's fresh columns
-	// are all alike, so only the first free one per step is scored.
-	// When time dominates (liapunov.TimeDominates), MFSA stops each
-	// unit's walk past the best step found so far and scores, at each
-	// step, only the first existing column of each shape (port-list
-	// lengths and which ports already carry the node's operands), whose
-	// energy every later column of that shape repeats bit for bit. The
-	// list then holds one candidate per unit, step and shape, up to the
-	// winning step plus the later-step ones scored before an earlier
-	// step turned up; otherwise it holds every candidate of the move
-	// frame.
+	// the chosen one (MFSA and Allocate; nil for MFS): one per unit, step
+	// and column shape (port-list lengths and which ports already carry
+	// the node's operands; every fresh column is one shape), the first
+	// free column of each, whose energy every later column of that shape
+	// repeats bit for bit. When time dominates (liapunov.TimeDominates),
+	// MFSA also stops each unit's walk past the best step found so far,
+	// so the list ends at the winning step but for the later-step
+	// candidates scored before an earlier step turned up.
 	Candidates []TraceCandidate
 }
 

@@ -207,8 +207,8 @@ var scheduleTracePins = map[string]string{
 	"mfsa/chain":     "b84fa07a4ad3cf914fbcb22116131430c4714e0370cbc3967338a63d0ad4a729",
 	"mfsa/latency":   "3ff5496c278fc926d56a5f48456a3672329c1450bae96c73728d2ed8b0bf4656",
 	"mfsa/pipelined": "f88facd4bcb457c71f5116b6977a5ee2a6aaf299911bcb99913f7ddeda0906ae",
-	"mfsa/weights":   "35d94518f55497103cd272654595e703adcc27bec8b7bebfaebc2f898d4c1445",
-	"mfsa/allocate":  "6e7ea1d8c0745ecafd0ba7796ad3d20acab61ceb3d62585ca0817ea28a07b15e",
+	"mfsa/weights":   "cc63d22c16fd8fa19369b09ede303942e528eeb393a8e9a1fb95981d7faee99a",
+	"mfsa/allocate":  "3d100aa93a3dc6bc29055de69384626f6d16a784edb053d35d1e59e5b45f9a51",
 	"list":           "8c6258a197ab8c3dd30200facb1481ee4dc5d9991aad9202fdc177c305cea41a",
 	"fds":            "facb9866c4d6855ade266bcb52988ac32e5f3822c0ba31e588c6bca72d17f2da",
 	"asap":           "4227a696f97f0d3eb3cf3a4bdd7f817cbfe57de850ba5c6aeba558a00238734e",
