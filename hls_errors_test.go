@@ -42,11 +42,14 @@ func TestNegativeLimitIsConfigError(t *testing.T) {
 }
 
 // TestUnhonorableConfigIsConfigError sends configs that every entry
-// point used to accept without effect: a limit on a key that names no FU
-// type of the engine (an op symbol for MFSA, a unit for MFS), a style
-// outside 0–2, a negative clock, a negative latency or one above the
-// time constraint, and a pipelined op that names no operation. Each must
-// be refused with a ConfigError naming the field and the key.
+// point used to accept without effect or fail on with an untyped or
+// false error: a limit on a key that names no FU type of the engine (an
+// op symbol for MFSA, a unit for MFS), a style outside 0–2, a negative,
+// NaN, infinite or overflowing clock, a negative latency or one above
+// the time constraint, a pipelined op that names no operation, a
+// negative worker count, and a negative or (where the run needs one)
+// zero time constraint. Each must be refused with a ConfigError naming
+// the field and the key.
 func TestUnhonorableConfigIsConfigError(t *testing.T) {
 	g := benchmarks.Diffeq().Graph
 	ops := map[string]int{"*": 2, "+": 1, "-": 1, "<": 1}
@@ -54,38 +57,46 @@ func TestUnhonorableConfigIsConfigError(t *testing.T) {
 		name    string
 		foreign string // a limit key of the other engine
 		timed   bool   // runs under time constraints of 4 steps and up
+		ownCS   bool   // the time constraint is cfg.CS, so it must be set
 		base    hls.Config
 		run     func(hls.Config) error
 	}{
-		{"Synthesize", "*", true, hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.Synthesize(g, c); return err }},
-		{"ScheduleGraph/time", "fu_mul", true, hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
-		{"ScheduleGraph/resource", "fu_mul", false, hls.Config{Limits: ops}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
-		{"Sweep", "*", true, hls.Config{}, func(c hls.Config) error { _, err := hls.Sweep(g, c, 4, 6); return err }},
+		{"Synthesize", "*", true, true, hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.Synthesize(g, c); return err }},
+		{"ScheduleGraph/time", "fu_mul", true, true, hls.Config{CS: 4}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
+		{"ScheduleGraph/resource", "fu_mul", false, false, hls.Config{Limits: ops}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
+		{"Sweep", "*", true, false, hls.Config{}, func(c hls.Config) error { _, err := hls.Sweep(g, c, 4, 6); return err }},
 	}
 	cases := []struct {
 		name, field, key string // key "" on Limits: the entry's foreign key
 		needsCS          bool   // the check compares against the time constraint
+		needsOwnCS       bool   // only an entry whose time constraint is cfg.CS refuses it
 		set              func(c *hls.Config, foreign string)
 	}{
-		{"limit on a foreign key", "Limits", "", false, func(c *hls.Config, foreign string) {
+		{"limit on a foreign key", "Limits", "", false, false, func(c *hls.Config, foreign string) {
 			c.Limits = maps.Clone(c.Limits)
 			if c.Limits == nil {
 				c.Limits = map[string]int{}
 			}
 			c.Limits[foreign] = 1
 		}},
-		{"style 7", "Style", "", false, func(c *hls.Config, _ string) { c.Style = 7 }},
-		{"negative clock", "ClockNs", "", false, func(c *hls.Config, _ string) { c.ClockNs = -5 }},
-		{"negative latency", "Latency", "", false, func(c *hls.Config, _ string) { c.Latency = -1 }},
-		{"latency above cs", "Latency", "", true, func(c *hls.Config, _ string) { c.Latency = 9 }},
-		{"unknown pipelined op", "PipelinedOps", "0", false, func(c *hls.Config, _ string) { c.PipelinedOps = []string{"%%"} }},
-		{"NaN weight", "Weights", "1", false, func(c *hls.Config, _ string) { c.Weights[1] = math.NaN() }},
-		{"infinite weight", "Weights", "0", false, func(c *hls.Config, _ string) { c.Weights[0] = math.Inf(1) }},
-		{"negative infinite weight", "Weights", "3", false, func(c *hls.Config, _ string) { c.Weights[3] = math.Inf(-1) }},
+		{"style 7", "Style", "", false, false, func(c *hls.Config, _ string) { c.Style = 7 }},
+		{"negative clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = -5 }},
+		{"NaN clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = math.NaN() }},
+		{"infinite clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = math.Inf(1) }},
+		{"overflowing clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = 1e308 }},
+		{"negative latency", "Latency", "", false, false, func(c *hls.Config, _ string) { c.Latency = -1 }},
+		{"latency above cs", "Latency", "", true, false, func(c *hls.Config, _ string) { c.Latency = 9 }},
+		{"unknown pipelined op", "PipelinedOps", "0", false, false, func(c *hls.Config, _ string) { c.PipelinedOps = []string{"%%"} }},
+		{"NaN weight", "Weights", "1", false, false, func(c *hls.Config, _ string) { c.Weights[1] = math.NaN() }},
+		{"infinite weight", "Weights", "0", false, false, func(c *hls.Config, _ string) { c.Weights[0] = math.Inf(1) }},
+		{"negative infinite weight", "Weights", "3", false, false, func(c *hls.Config, _ string) { c.Weights[3] = math.Inf(-1) }},
+		{"negative parallelism", "Parallelism", "", false, false, func(c *hls.Config, _ string) { c.Parallelism = -5 }},
+		{"negative cs", "CS", "", false, false, func(c *hls.Config, _ string) { c.CS = -3 }},
+		{"zero cs", "CS", "", false, true, func(c *hls.Config, _ string) { c.CS = 0 }},
 	}
 	for _, e := range entries {
 		for _, tc := range cases {
-			if tc.needsCS && !e.timed {
+			if tc.needsCS && !e.timed || tc.needsOwnCS && !e.ownCS {
 				continue
 			}
 			cfg := e.base
@@ -101,9 +112,13 @@ func TestUnhonorableConfigIsConfigError(t *testing.T) {
 			}
 		}
 	}
-	// A negative weight is a valid emphasis, not an error.
+	// A negative weight is a valid emphasis, not an error, and a clock
+	// of 1e307 ns spans diffeq's 8 steps without overflow.
 	if _, err := hls.Synthesize(g, hls.Config{CS: 4, Weights: [4]float64{1, 1, -1, 1}}); err != nil {
 		t.Errorf("negative mux weight: %v", err)
+	}
+	if _, err := hls.Synthesize(g, hls.Config{CS: 8, ClockNs: 1e307}); err != nil {
+		t.Errorf("clock 1e307 at cs 8: %v", err)
 	}
 }
 

@@ -37,7 +37,9 @@ import (
 // invalid: set either CS (time-constrained) or Limits (resource-
 // constrained scheduling; MFSA always needs CS).
 type Config struct {
-	// CS is the time constraint in control steps.
+	// CS is the time constraint in control steps. A negative CS, or a
+	// zero one where the run needs a time constraint (MFSA always; MFS
+	// without Limits), is a *guard.ConfigError. Sweeps set their own.
 	CS int
 
 	// Limits caps functional units: op symbols for scheduling, library
@@ -45,7 +47,9 @@ type Config struct {
 	// FU type of the entry point's engine, is a *guard.ConfigError.
 	Limits map[string]int
 
-	// ClockNs enables operation chaining (§5.4).
+	// ClockNs enables operation chaining (§5.4). A negative, NaN or
+	// infinite period, or one so long that the schedule's span in ns
+	// overflows a float64, is a *guard.ConfigError.
 	ClockNs float64
 
 	// Latency enables functional pipelining with the given initiation
@@ -82,9 +86,9 @@ type Config struct {
 	// Parallelism bounds the worker pool used by the parallel hot paths
 	// (Sweep, SweepGraphs, the resource-constrained MFS search, and the
 	// lint analyzers): 0 = GOMAXPROCS, 1 = sequential, n > 1 = at most n
-	// workers. Every setting produces identical results — the knob only
-	// trades wall-clock time for CPU share (see DESIGN.md, "Concurrency
-	// model").
+	// workers; a negative value is a *guard.ConfigError. Every setting
+	// produces identical results — the knob only trades wall-clock time
+	// for CPU share (see DESIGN.md, "Concurrency model").
 	Parallelism int
 
 	// Lint runs the internal/lint static verification passes over every
@@ -182,14 +186,23 @@ func checkConfig(g *dfg.Graph, cfg Config, eng engine) error {
 		}
 	}
 	switch {
+	case cfg.CS < 0:
+		return &guard.ConfigError{Field: "CS", Value: cfg.CS, Why: "a time constraint cannot be negative"}
 	case cfg.Style < 0 || cfg.Style > 2:
 		return &guard.ConfigError{Field: "Style", Value: cfg.Style, Why: "the datapath style is 1 or 2, or 0 for style 1"}
+	case math.IsNaN(cfg.ClockNs) || math.IsInf(cfg.ClockNs, 0):
+		return &guard.ConfigError{Field: "ClockNs", Value: cfg.ClockNs, Why: "a clock period must be a finite number"}
 	case cfg.ClockNs < 0:
 		return &guard.ConfigError{Field: "ClockNs", Value: cfg.ClockNs, Why: "a clock period cannot be negative"}
 	case cfg.Latency < 0:
 		return &guard.ConfigError{Field: "Latency", Value: cfg.Latency, Why: "an initiation interval cannot be negative"}
+	case cfg.Parallelism < 0:
+		return &guard.ConfigError{Field: "Parallelism", Value: cfg.Parallelism, Why: "a worker count cannot be negative; 0 means GOMAXPROCS"}
 	}
 	if err := checkLatency(cfg.Latency, cfg.CS); err != nil {
+		return err
+	}
+	if err := checkClockSpan(g, cfg.ClockNs, cfg.CS); err != nil {
 		return err
 	}
 	for i, sym := range cfg.PipelinedOps {
@@ -202,6 +215,37 @@ func checkConfig(g *dfg.Graph, cfg Config, eng engine) error {
 		if math.IsNaN(w) || math.IsInf(w, 0) {
 			return &guard.ConfigError{Field: "Weights", Key: strconv.Itoa(i), Value: w, Why: "a weight must be a finite number"}
 		}
+	}
+	return nil
+}
+
+// checkClockSpan rejects a clock period so long that chaining, which
+// times a schedule of cs steps (at least g's critical path) in ns,
+// overflows a float64.
+func checkClockSpan(g *dfg.Graph, clockNs float64, cs int) error {
+	if clockNs <= 0 || g == nil {
+		return nil
+	}
+	if steps := max(cs, g.CriticalPathCycles()) + 1; math.IsInf(float64(steps)*clockNs, 1) {
+		return &guard.ConfigError{Field: "ClockNs", Value: clockNs,
+			Why: fmt.Sprintf("%d steps of this period overflow the schedule's time in ns", steps)}
+	}
+	return nil
+}
+
+// checkTimeConstraint rejects a run of eng without a time constraint:
+// MFSA always needs one, MFS unless Limits bound it by resources
+// instead. A sweep sets its own, so only the single-run entry points
+// call this.
+func checkTimeConstraint(cfg Config, eng engine) error {
+	switch {
+	case cfg.CS > 0:
+		return nil
+	case eng == engineMFSA:
+		return &guard.ConfigError{Field: "CS", Value: cfg.CS, Why: "MFSA needs a time constraint of at least 1 step"}
+	case len(cfg.Limits) == 0:
+		return &guard.ConfigError{Field: "CS", Value: cfg.CS,
+			Why: "MFS needs a time constraint of at least 1 step, or Limits for resource-constrained scheduling"}
 	}
 	return nil
 }
@@ -303,6 +347,9 @@ func ScheduleOnlyCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, 
 	if err := guardInput(g, cfg, engineMFS); err != nil {
 		return nil, err
 	}
+	if err := checkTimeConstraint(cfg, engineMFS); err != nil {
+		return nil, err
+	}
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
 	return scheduleOnly(ctx, g, cfg)
@@ -332,6 +379,9 @@ func Synthesize(g *dfg.Graph, cfg Config) (*Design, error) {
 func SynthesizeCtx(ctx context.Context, g *dfg.Graph, cfg Config) (d *Design, err error) {
 	defer guard.Recover("core.Synthesize", &err)
 	if err := guardInput(g, cfg, engineMFSA); err != nil {
+		return nil, err
+	}
+	if err := checkTimeConstraint(cfg, engineMFSA); err != nil {
 		return nil, err
 	}
 	ctx, cancel := withTimeout(ctx, cfg)
@@ -494,6 +544,9 @@ func SynthesizeSourceCtx(ctx context.Context, src string, cfg Config) (d *Design
 	if err := guardInput(g, cfg, engineMFSA); err != nil {
 		return nil, err
 	}
+	if err := checkTimeConstraint(cfg, engineMFSA); err != nil {
+		return nil, err
+	}
 	ctx, cancel := withTimeout(ctx, cfg)
 	defer cancel()
 	d, err = synthesize(ctx, g, cfg)
@@ -535,6 +588,9 @@ func ScheduleSourceCtx(ctx context.Context, src string, cfg Config) (d *Design, 
 		return nil, nil, err
 	}
 	if err := guardInput(g, cfg, engineMFS); err != nil {
+		return nil, nil, err
+	}
+	if err := checkTimeConstraint(cfg, engineMFS); err != nil {
 		return nil, nil, err
 	}
 	ctx, cancel := withTimeout(ctx, cfg)

@@ -121,6 +121,9 @@ func SweepGraphsCtx(ctx context.Context, gs []*dfg.Graph, cfg Config, csLo, csHi
 		if err := checkLatency(cfg.Latency, lo); err != nil {
 			return nil, fmt.Errorf("core: sweep %s: %w", g.Name, err)
 		}
+		if err := checkClockSpan(g, cfg.ClockNs, csHi); err != nil {
+			return nil, fmt.Errorf("core: sweep %s: %w", g.Name, err)
+		}
 		for cs := lo; cs <= csHi; cs++ {
 			jobs = append(jobs, job{g, gi, cs})
 			counts[gi]++

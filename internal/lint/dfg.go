@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/dfg"
@@ -35,34 +34,52 @@ func runDFG(ctx context.Context, u *Unit) diag.List {
 		})
 	}
 
-	inputs := make(map[string]bool)
-	for _, in := range g.Inputs() {
-		inputs[in] = true
+	// Independent name index, from the inputs and the node names alone:
+	// each name's first producer (first wins, duplicates reported) and
+	// whether an input carries it. Producers are positions in Nodes(),
+	// which is in ID order.
+	ins := g.Inputs()
+	nodes := g.Nodes()
+	index := make(map[string]nameEntry, len(ins)+len(nodes))
+	for _, in := range ins {
+		index[in] = nameEntry{producer: noProducer, input: true}
 	}
-	// Independent name index: first producer wins, duplicates reported.
-	producer := make(map[string]*dfg.Node, g.Len())
-	for _, n := range g.Nodes() {
+	for i, n := range nodes {
 		if n.Name == "" {
 			report(diag.CodeDFGEmptyName, diag.Error, fmt.Sprintf("node %d", n.ID),
 				fmt.Sprintf("node %d has an empty output-signal name", n.ID),
 				"every node must name the signal it produces")
 			continue
 		}
-		if inputs[n.Name] {
+		e, ok := index[n.Name]
+		if !ok {
+			e.producer = noProducer
+		}
+		if e.input {
 			report(diag.CodeDFGDupName, diag.Error, n.Name,
 				fmt.Sprintf("node %q shadows a primary input of the same name", n.Name),
 				"rename the node or the input")
 		}
-		if prev, dup := producer[n.Name]; dup {
+		if e.producer != noProducer {
 			report(diag.CodeDFGDupName, diag.Error, n.Name,
-				fmt.Sprintf("nodes %d and %d both produce signal %q", prev.ID, n.ID, n.Name),
+				fmt.Sprintf("nodes %d and %d both produce signal %q", nodes[e.producer].ID, n.ID, n.Name),
 				"rename one of the nodes")
 			continue
 		}
-		producer[n.Name] = n
+		e.producer = int32(i)
+		index[n.Name] = e
 	}
 
-	for _, n := range g.Nodes() {
+	// Every Args name resolves once, in node order, into a flat table:
+	// node i reads the producers prods[off[i]:off[i+1]], noProducer
+	// standing for an input or an undefined name.
+	nArgs := 0
+	for _, n := range nodes {
+		nArgs += len(n.Args)
+	}
+	prods := make([]int, 0, nArgs)
+	off := make([]int, len(nodes)+1)
+	for i, n := range nodes {
 		if n.Cycles < 1 {
 			report(diag.CodeDFGBadCycles, diag.Error, n.Name,
 				fmt.Sprintf("node %q: cycle count %d, want >= 1", n.Name, n.Cycles),
@@ -92,19 +109,22 @@ func runDFG(ctx context.Context, u *Unit) diag.List {
 				"match the operand list to the op table arity")
 		}
 		for _, a := range n.Args {
-			if !inputs[a] {
-				if _, ok := producer[a]; !ok {
-					report(diag.CodeDFGUndefined, diag.Error, n.Name,
-						fmt.Sprintf("node %q reads %q, which no input or node produces", n.Name, a),
-						"declare the input or add the producing node")
-				}
+			e, ok := index[a]
+			if !ok {
+				e.producer = noProducer
+				report(diag.CodeDFGUndefined, diag.Error, n.Name,
+					fmt.Sprintf("node %q reads %q, which no input or node produces", n.Name, a),
+					"declare the input or add the producing node")
 			}
+			prods = append(prods, int(e.producer))
 		}
+		off[i+1] = len(prods)
 	}
+	reads := func(i int) []int { return prods[off[i]:off[i+1]] }
 
-	cycleIDs := dfgCycleNodes(g, producer)
-	for _, id := range cycleIDs {
-		n := g.Node(id)
+	onCycle := dfgCycleNodes(len(nodes), reads)
+	for _, i := range onCycle {
+		n := nodes[i]
 		report(diag.CodeDFGCycle, diag.Error, n.Name,
 			fmt.Sprintf("node %q lies on a dataflow cycle", n.Name),
 			"break the cycle: a DFG must be acyclic")
@@ -115,11 +135,11 @@ func runDFG(ctx context.Context, u *Unit) diag.List {
 	// Both sets are small: compare them as sorted, deduplicated slices
 	// in scratch reused across nodes.
 	var derived, cached []dfg.NodeID
-	for _, n := range g.Nodes() {
+	for i, n := range nodes {
 		derived = derived[:0]
-		for _, a := range n.Args {
-			if p, ok := producer[a]; ok {
-				derived = append(derived, p.ID)
+		for _, p := range reads(i) {
+			if p != noProducer {
+				derived = append(derived, nodes[p].ID)
 			}
 		}
 		derived = idSet(derived)
@@ -137,24 +157,25 @@ func runDFG(ctx context.Context, u *Unit) diag.List {
 	if len(outputs) == 0 {
 		outputs = g.Outputs()
 	}
-	if len(cycleIDs) == 0 { // reachability is only meaningful on a DAG
-		live := make(map[dfg.NodeID]bool)
-		var mark func(name string)
-		mark = func(name string) {
-			p, ok := producer[name]
-			if !ok || live[p.ID] {
+	if len(onCycle) == 0 { // reachability is only meaningful on a DAG
+		live := make([]bool, len(nodes))
+		var mark func(i int)
+		mark = func(i int) {
+			if i == noProducer || live[i] {
 				return
 			}
-			live[p.ID] = true
-			for _, a := range p.Args {
-				mark(a)
+			live[i] = true
+			for _, p := range reads(i) {
+				mark(p)
 			}
 		}
 		for _, o := range outputs {
-			mark(o)
+			if e, ok := index[o]; ok {
+				mark(int(e.producer))
+			}
 		}
-		for _, n := range g.Nodes() {
-			if !live[n.ID] {
+		for i, n := range nodes {
+			if !live[i] {
 				report(diag.CodeDFGDeadNode, diag.Warn, n.Name,
 					fmt.Sprintf("node %q does not reach any output (%s)", n.Name,
 						strings.Join(outputs, ", ")),
@@ -165,54 +186,67 @@ func runDFG(ctx context.Context, u *Unit) diag.List {
 	return out
 }
 
+// nameEntry is one name of the dfg audit's index: the position of the
+// first node that produces it (noProducer: none) and whether an input
+// carries it.
+type nameEntry struct {
+	producer int32
+	input    bool
+}
+
+// noProducer is the producer of a name no node produces.
+const noProducer = -1
+
 // dfgCycleNodes detects cycles in the Args-derived relation (NOT the
-// cached links) and returns the IDs of every node on a cycle, sorted.
-func dfgCycleNodes(g *dfg.Graph, producer map[string]*dfg.Node) []dfg.NodeID {
+// cached links) over n nodes, where node i reads the producers
+// reads(i), and returns the positions of every node on a cycle, in
+// order.
+func dfgCycleNodes(n int, reads func(int) []int) []int {
 	const (
 		white = 0
 		gray  = 1
 		black = 2
 	)
-	color := make(map[dfg.NodeID]int, g.Len())
-	onCycle := make(map[dfg.NodeID]bool)
-	// Iterative DFS with a gray-path stack: when an edge reaches a gray
-	// node, every node on the path since it is on a cycle.
-	var path []dfg.NodeID
-	var visit func(n *dfg.Node)
-	visit = func(n *dfg.Node) {
-		color[n.ID] = gray
-		path = append(path, n.ID)
-		for _, a := range n.Args {
-			p, ok := producer[a]
-			if !ok {
+	color := make([]uint8, n)
+	onCycle := make([]bool, n)
+	// Depth-first search with a gray-path stack: when an edge reaches a
+	// gray node, every node on the path since it is on a cycle.
+	var path []int
+	var visit func(i int)
+	visit = func(i int) {
+		color[i] = gray
+		path = append(path, i)
+		for _, p := range reads(i) {
+			if p == noProducer {
 				continue
 			}
-			switch color[p.ID] {
+			switch color[p] {
 			case white:
 				visit(p)
 			case gray:
 				for i := len(path) - 1; i >= 0; i-- {
 					onCycle[path[i]] = true
-					if path[i] == p.ID {
+					if path[i] == p {
 						break
 					}
 				}
 			}
 		}
 		path = path[:len(path)-1]
-		color[n.ID] = black
+		color[i] = black
 	}
-	for _, n := range g.Nodes() {
-		if color[n.ID] == white {
-			visit(n)
+	for i := range n {
+		if color[i] == white {
+			visit(i)
 		}
 	}
-	ids := make([]dfg.NodeID, 0, len(onCycle))
-	for id := range onCycle {
-		ids = append(ids, id)
+	var on []int
+	for i, c := range onCycle {
+		if c {
+			on = append(on, i)
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	return on
 }
 
 // idSet sorts ids and drops repeats, in place.

@@ -51,7 +51,9 @@ var equivAnalyzer = &Analyzer{
 }
 
 func runEquiv(ctx context.Context, u *Unit) diag.List {
-	cert, _ := Certify(ctx, u) // on cancellation the driver reports ctx.Err()
+	// The gate keeps only the findings, so it renders no Reference. On
+	// cancellation the driver reports ctx.Err().
+	cert, _ := certify(ctx, u, false)
 	return cert.Diagnostics
 }
 
@@ -105,15 +107,24 @@ type Certificate struct {
 // far. A unit without a schedule, datapath, or controller is "skipped":
 // there is nothing to validate against the graph yet.
 func Certify(ctx context.Context, u *Unit) (*Certificate, error) {
+	return certify(ctx, u, true)
+}
+
+// certify is Certify; render says whether each proof carries its
+// rendered Reference expression.
+func certify(ctx context.Context, u *Unit, render bool) (*Certificate, error) {
 	cert := &Certificate{Design: u.designName(), Status: "skipped", Diagnostics: diag.List{}}
 	if u.Graph == nil || u.Schedule == nil || u.Datapath == nil || u.Controller == nil {
 		return cert, nil
 	}
 	cert.CS = u.Schedule.CS
+	ins := u.Graph.Inputs()
 	e := &prover{
-		u: u, b: symb.NewBuilder(),
+		// Every layer reduces to the reference's expressions when the
+		// design is sound: one interior node per graph node at most.
+		u: u, b: symb.NewBuilderSize(len(ins), u.Graph.Len()),
 		g: u.Graph, s: u.Schedule, dp: u.Datapath, c: u.Controller,
-		ins: u.Graph.Inputs(), outs: u.Graph.Outputs(),
+		ins: ins, outs: u.Graph.Outputs(),
 	}
 	// Reference first: its topological walk interns the leaves in graph
 	// order, so operand sorting by intern id is stable across layers.
@@ -142,7 +153,10 @@ func Certify(ctx context.Context, u *Unit) (*Certificate, error) {
 		if !ok {
 			continue // output names no node: the dfg analyzer owns that report
 		}
-		proof := OutputProof{Output: o, Reference: refE.String(), Datapath: "equal", Netlist: "equal"}
+		proof := OutputProof{Output: o, Datapath: "equal", Netlist: "equal"}
+		if render {
+			proof.Reference = refE.String()
+		}
 		if netSkipped {
 			proof.Netlist = "skipped"
 		}
@@ -240,19 +254,20 @@ func (e *prover) poisonVar(sig string, step int) *symb.Expr {
 // dfgExprs reduces every graph signal to its canonical expression over
 // the primary inputs by a topological walk.
 func (e *prover) dfgExprs() map[string]*symb.Expr {
-	vals := make(map[string]*symb.Expr, e.g.Len())
+	vals := make(map[string]*symb.Expr, len(e.ins)+e.g.Len())
 	for _, in := range e.ins {
 		vals[in] = e.b.Var(in)
 	}
+	var args []*symb.Expr // Apply copies its operands, so one list serves every node
 	for _, id := range e.g.TopoOrder() {
 		n := e.g.Node(id)
-		args := make([]*symb.Expr, len(n.Args))
-		for i, a := range n.Args {
+		args = args[:0]
+		for _, a := range n.Args {
 			v, ok := vals[a]
 			if !ok {
 				v = e.b.Var("undef:" + a) // dangling edge: the dfg analyzer owns HL0011
 			}
-			args[i] = v
+			args = append(args, v)
 		}
 		if n.IsLoop() {
 			vals[n.Name] = e.loopExpr(n, args)
@@ -457,11 +472,12 @@ func (e *prover) datapathExprs(ctx context.Context) []*symb.Expr {
 				// operands are. That gap is exactly what this layer
 				// validates.
 				alu := e.dp.ALUs[act.ALU]
-				args := []*symb.Expr{muxPort(alu, alu.L1, act.Mux1Sel, 1, t, chainOK, n.Name)}
+				var args [2]*symb.Expr
+				args[0] = muxPort(alu, alu.L1, act.Mux1Sel, 1, t, chainOK, n.Name)
 				if act.Func.Arity() == 2 {
-					args = append(args, muxPort(alu, alu.L2, act.Mux2Sel, 2, t, chainOK, n.Name))
+					args[1] = muxPort(alu, alu.L2, act.Mux2Sel, 2, t, chainOK, n.Name)
 				}
-				val = e.b.Apply(act.Func, args...)
+				val = e.b.Apply(act.Func, args[:act.Func.Arity()]...)
 			}
 			cyc := n.Cycles
 			if cyc < 1 {
@@ -593,11 +609,11 @@ func (e *prover) netlistExprs(ctx context.Context) (map[string]*symb.Expr, bool)
 		case x.kind() == op.Invalid:
 			v = operand(x.args[0])
 		default:
-			args := make([]*symb.Expr, x.n)
-			for i := range args {
+			var args [len(x.args)]*symb.Expr
+			for i := range x.n {
 				args[i] = operand(x.args[i])
 			}
-			v = e.b.Apply(x.kind(), args...)
+			v = e.b.Apply(x.kind(), args[:x.n]...)
 		}
 		onStack[id] = false
 		val[id] = v

@@ -154,20 +154,24 @@ func auditDescent(g *dfg.Graph, s *sched.Schedule, fn liapunov.Func, table *grid
 	best := math.Inf(1)
 	var bestPos grid.Pos
 	tiesAtBest := 0
-	for _, p := range st.Frames().MF().Positions() {
-		if !table.CanPlace(g, n.ID, p, n.Cycles) {
-			continue
-		}
-		if s.ClockNs > 0 && !chainFits(g, s.ClockNs, placedSteps, acc, n.ID, p.Step) {
-			continue
-		}
-		free++
-		v := fn.Value(p)
-		switch {
-		case v < best-energyEps:
-			best, bestPos, tiesAtBest = v, p, 1
-		case math.Abs(v-best) <= energyEps:
-			tiesAtBest++
+	mf := st.Frames().MF()
+	for step := mf.StepLo; step <= mf.StepHi; step++ { // row-major, as Positions lists them
+		for idx := mf.IdxLo; idx <= mf.IdxHi; idx++ {
+			p := grid.Pos{Step: step, Index: idx}
+			if !table.CanPlace(g, n.ID, p, n.Cycles) {
+				continue
+			}
+			if s.ClockNs > 0 && !chainFits(g, s.ClockNs, placedSteps, acc, n.ID, p.Step) {
+				continue
+			}
+			free++
+			v := fn.Value(p)
+			switch {
+			case v < best-energyEps:
+				best, bestPos, tiesAtBest = v, p, 1
+			case math.Abs(v-best) <= energyEps:
+				tiesAtBest++
+			}
 		}
 	}
 	if free == 0 {

@@ -101,13 +101,12 @@ var netlistParses atomic.Int64
 // declarations and HL0508 unparseable constructs as it goes.
 func parseNetlist(text string) (*netModule, diag.List) {
 	netlistParses.Add(1)
-	// Size the tables from the text: every line holds at most one
-	// declaration or assignment, the emitter declares each net on a line
-	// of its own, and a declaration line takes at least 8 bytes.
-	lines := strings.Count(text, "\n") + 1
+	// Size the tables from the text: the emitter declares each port and
+	// wire with "wire " and each register with "reg ", one net to a line,
+	// and a declaration line takes at least 8 bytes.
 	nAssign := strings.Count(text, "assign ")
 	nProc := strings.Count(text, "<=")
-	nNets := max(min(lines-nAssign-nProc, len(text)/8), 16)
+	nNets := max(min(strings.Count(text, "wire ")+strings.Count(text, "reg "), len(text)/8), 16)
 	m := &netModule{
 		slots:   make([]int32, 2<<bits.Len(uint(nNets))),
 		seed:    maphash.MakeSeed(),

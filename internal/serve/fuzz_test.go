@@ -65,9 +65,9 @@ func FuzzPostBody(f *testing.F) {
 	// Configs the engines refuse with a typed error, on diffeq at cs 4:
 	// negative limits keyed by unit and by op, one instance of every
 	// unit, the values no run can honor (a limit on an op symbol, style
-	// 7, a negative clock or latency, a latency above cs, an unknown
-	// pipelined op), a sweep whose latency exceeds every point's cs, and
-	// a folded loop for MFSA.
+	// 7, a negative clock or latency, a clock whose span overflows, a
+	// latency above cs, an unknown pipelined op), a sweep whose latency
+	// exceeds every point's cs, and a folded loop for MFSA.
 	dj, err := dfgio.EncodeGraph(benchmarks.Diffeq().Graph)
 	if err != nil {
 		f.Fatal(err)
@@ -83,6 +83,7 @@ func FuzzPostBody(f *testing.F) {
 		{CS: 6, Limits: map[string]int{"*": 1}},
 		{CS: 4, Style: 7},
 		{CS: 4, ClockNs: -5},
+		{CS: 4, ClockNs: 1e308},
 		{CS: 4, Latency: -1},
 		{CS: 4, Latency: 9},
 		{CS: 4, PipelinedOps: []string{"%%"}},

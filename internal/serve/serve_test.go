@@ -687,8 +687,9 @@ func TestBodyTooLarge(t *testing.T) {
 // engines refuse with a typed error — negative instance limits, unit
 // caps no schedule at the critical path fits, a folded loop for MFSA,
 // and the values no run can honor: a limit on an op symbol, style 7, a
-// negative clock or latency, a latency above cs and an unknown
-// pipelined op — and wants a 400 naming the cause, not a 500.
+// negative clock or latency, a clock whose span overflows, a latency
+// above cs and an unknown pipelined op — and wants a 400 naming the
+// cause, not a 500.
 func TestBadConfigIsBadRequest(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	ex := benchmarks.Diffeq()
@@ -710,6 +711,7 @@ func TestBadConfigIsBadRequest(t *testing.T) {
 		{"op-symbol limit", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 6, Limits: map[string]int{"*": 1}}}, "no such FU type"},
 		{"style 7", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Style: 7}}, "config Style"},
 		{"negative clock", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, ClockNs: -5}}, "config ClockNs"},
+		{"overflowing clock", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, ClockNs: 1e308}}, "config ClockNs"},
 		{"negative latency", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Latency: -1}}, "config Latency"},
 		{"latency above cs", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, Latency: 9}}, "config Latency"},
 		{"unknown pipelined op", SynthesizeRequest{Graph: graphJSON(t, ex), Config: ConfigJSON{CS: 4, PipelinedOps: []string{"%%"}}}, "config PipelinedOps"},

@@ -22,8 +22,10 @@
 package symb
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -46,67 +48,141 @@ type Expr struct {
 	Val     int64
 	IsConst bool
 
+	id int32 // builder-local intern id; ids order operands deterministically
+
 	// Args are the operand expressions of an interior node. For + and *
 	// the list is n-ary (flattened), sorted by intern id, with at most
 	// one constant; for other commutative operators it is a sorted
 	// pair.
 	Args []*Expr
-
-	id int // builder-local intern id; ids order operands deterministically
 }
 
 // Leaf reports whether the expression is a variable or constant.
 func (e *Expr) Leaf() bool { return len(e.Args) == 0 }
 
-// Builder interns expressions. The zero value is not ready; use
-// NewBuilder. A Builder is not safe for concurrent use.
+// Builder interns expressions: leaves by their name or value, interior
+// nodes by their operator and the ids of their operands, so a lookup
+// hashes no text and a hit allocates nothing. Ids are handed out in
+// creation order. The zero value is not ready; use NewBuilder or
+// NewBuilderSize. A Builder is not safe for concurrent use.
 type Builder struct {
-	nodes map[string]*Expr
-	next  int
+	vars   map[string]*Expr
+	consts map[int64]*Expr
+
+	// nodes is an open-addressing table of the interior nodes by
+	// opHash, nil for an empty slot, at most half full.
+	nodes  []*Expr
+	nNodes int
+
+	next int32
+	flat []*Expr // assoc's scratch operand list
 }
 
 // NewBuilder returns an empty intern table.
-func NewBuilder() *Builder {
-	return &Builder{nodes: make(map[string]*Expr)}
+func NewBuilder() *Builder { return NewBuilderSize(0, 0) }
+
+// NewBuilderSize returns an empty intern table with room for about vars
+// variables and nodes interior nodes before it grows.
+func NewBuilderSize(vars, nodes int) *Builder {
+	return &Builder{
+		vars:   make(map[string]*Expr, vars),
+		consts: make(map[int64]*Expr),
+		nodes:  make([]*Expr, max(16, 2<<bits.Len(uint(nodes)))),
+	}
 }
 
 // Len reports how many distinct expressions have been interned.
-func (b *Builder) Len() int { return len(b.nodes) }
+func (b *Builder) Len() int { return len(b.vars) + len(b.consts) + b.nNodes }
 
-func (b *Builder) intern(key string, mk func() *Expr) *Expr {
-	if e, ok := b.nodes[key]; ok {
-		return e
-	}
-	e := mk()
+// fresh gives e the next id.
+func (b *Builder) fresh(e *Expr) *Expr {
 	e.id = b.next
 	b.next++
-	b.nodes[key] = e
 	return e
 }
 
 // Var returns the canonical leaf for the named free variable.
 func (b *Builder) Var(name string) *Expr {
-	return b.intern("v\x00"+name, func() *Expr { return &Expr{Var: name} })
+	if e, ok := b.vars[name]; ok {
+		return e
+	}
+	e := b.fresh(&Expr{Var: name})
+	b.vars[name] = e
+	return e
 }
 
 // Const returns the canonical leaf for the constant v.
 func (b *Builder) Const(v int64) *Expr {
-	return b.intern("c\x00"+strconv.FormatInt(v, 10), func() *Expr {
-		return &Expr{Val: v, IsConst: true}
-	})
+	if e, ok := b.consts[v]; ok {
+		return e
+	}
+	e := b.fresh(&Expr{Val: v, IsConst: true})
+	b.consts[v] = e
+	return e
 }
 
-// opKey builds the intern key of an interior node from its operator and
-// the ids of its (already canonical) operands.
-func opKey(k op.Kind, args []*Expr) string {
-	var sb strings.Builder
-	sb.WriteString("o\x00")
-	sb.WriteString(strconv.Itoa(int(k)))
+// opHash hashes an interior node's operator and operand ids.
+//
+//hls:noalloc
+func opHash(k op.Kind, args []*Expr) uint64 {
+	h := uint64(k) * 0x9e3779b97f4a7c15
 	for _, a := range args {
-		sb.WriteByte('\x00')
-		sb.WriteString(strconv.Itoa(a.id))
+		h = (h ^ uint64(a.id)) * 0x100000001b3
 	}
-	return sb.String()
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	return h ^ h>>33
+}
+
+// find returns the slot of the interior node of operator k over args:
+// the node's own slot when it is interned, else the empty slot where it
+// belongs.
+//
+//hls:noalloc
+func (b *Builder) find(k op.Kind, args []*Expr) int {
+	mask := uint64(len(b.nodes) - 1)
+	for i := opHash(k, args) & mask; ; i = (i + 1) & mask {
+		if e := b.nodes[i]; e == nil || e.Kind == k && sameArgs(e.Args, args) {
+			return int(i)
+		}
+	}
+}
+
+// sameArgs reports whether two operand lists hold the same pointers.
+//
+//hls:noalloc
+func sameArgs(a, b []*Expr) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// node returns the interned interior node of operator k over the
+// canonical operand list args. Only a miss copies args.
+func (b *Builder) node(k op.Kind, args []*Expr) *Expr {
+	i := b.find(k, args)
+	if e := b.nodes[i]; e != nil {
+		return e
+	}
+	e := b.fresh(&Expr{Kind: k, Args: slices.Clone(args)})
+	b.nodes[i] = e
+	b.nNodes++
+	if 2*b.nNodes > len(b.nodes) {
+		old := b.nodes
+		b.nodes = make([]*Expr, 2*len(old))
+		for _, x := range old {
+			if x != nil {
+				b.nodes[b.find(x.Kind, x.Args)] = x
+			}
+		}
+	}
+	return e
 }
 
 // identity returns the neutral element of an associative operator.
@@ -123,15 +199,20 @@ func identity(k op.Kind) int64 {
 // binary operator missing one reads the zero value), so the symbolic
 // and concrete semantics agree on malformed artifacts too.
 func (b *Builder) Apply(k op.Kind, args ...*Expr) *Expr {
+	var pair [2]*Expr // a padded or swapped operand pair
 	switch k.Arity() {
 	case 1:
 		if len(args) == 0 {
-			args = []*Expr{b.Const(0)}
+			pair[0] = b.Const(0)
+			args = pair[:1]
 		}
 		args = args[:1]
 	case 2:
-		for len(args) < 2 {
-			args = append(args, b.Const(0))
+		if len(args) < 2 {
+			for i := copy(pair[:], args); i < 2; i++ {
+				pair[i] = b.Const(0)
+			}
+			args = pair[:]
 		}
 		if len(args) > 2 && k != op.Add && k != op.Mul {
 			args = args[:2] // only the associative operators are n-ary
@@ -157,12 +238,10 @@ func (b *Builder) Apply(k op.Kind, args ...*Expr) *Expr {
 		return b.Const(k.Eval(args[0].Val, args[1].Val))
 	}
 	if k.Commutative() && len(args) == 2 && args[1].id < args[0].id {
-		args = []*Expr{args[1], args[0]}
+		pair = [2]*Expr{args[1], args[0]}
+		args = pair[:]
 	}
-	sorted := append([]*Expr(nil), args...)
-	return b.intern(opKey(k, sorted), func() *Expr {
-		return &Expr{Kind: k, Args: sorted}
-	})
+	return b.node(k, args)
 }
 
 // assoc canonicalizes an n-ary + or *: flatten nested nodes of the same
@@ -170,37 +249,34 @@ func (b *Builder) Apply(k op.Kind, args ...*Expr) *Expr {
 // wraparound), drop the fold when it is the neutral element, and sort
 // the remaining operands by intern id.
 func (b *Builder) assoc(k op.Kind, args []*Expr) *Expr {
-	flat := make([]*Expr, 0, len(args))
+	flat := b.flat[:0]
 	c := identity(k)
-	hasConst := false
-	for _, a := range args {
-		kids := []*Expr{a}
+	for i, a := range args {
+		kids := args[i : i+1]
 		if a.Kind == k {
 			kids = a.Args // already flat and constant-free (or one const)
 		}
 		for _, kid := range kids {
 			if kid.IsConst {
 				c = k.Eval(c, kid.Val)
-				hasConst = true
 			} else {
 				flat = append(flat, kid)
 			}
 		}
 	}
-	if len(flat) == 0 {
-		return b.Const(c)
-	}
-	if hasConst && c != identity(k) {
+	if c != identity(k) || len(flat) == 0 {
 		flat = append(flat, b.Const(c))
 	}
-	if len(flat) == 1 {
-		return flat[0]
+	e := flat[0]
+	if len(flat) > 1 {
+		slices.SortFunc(flat, byID)
+		e = b.node(k, flat)
 	}
-	sort.Slice(flat, func(i, j int) bool { return flat[i].id < flat[j].id })
-	return b.intern(opKey(k, flat), func() *Expr {
-		return &Expr{Kind: k, Args: flat}
-	})
+	b.flat = flat[:0]
+	return e
 }
+
+func byID(a, b *Expr) int { return cmp.Compare(a.id, b.id) }
 
 // Eval computes the expression's concrete value under an assignment of
 // the free variables (missing variables read 0). Evaluation is
