@@ -12,6 +12,7 @@ import (
 	hls "repro"
 	"repro/internal/benchmarks"
 	"repro/internal/experiments"
+	"repro/internal/gen"
 	"repro/internal/mfs"
 	"repro/internal/mfsa"
 	"repro/internal/report"
@@ -228,6 +229,56 @@ func BenchmarkInterconnect(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Interconnect(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFanOutGrain times the two fan-outs inside one design, each
+// pooled (Parallelism 0) and inline (Parallelism 1), on generated graphs
+// either side of pool.GrainNodes: the lint-gated synthesis at cs =
+// critical path + 2, and the resource-constrained MFS search with the
+// same limit k on every type. Run it at -cpu 2 or more; the ratio of a
+// par0 row to its par1 twin is what DESIGN.md §7 sizes the grain by.
+// Below the grain the two rows take the same path.
+func BenchmarkFanOutGrain(b *testing.B) {
+	graph := func(b *testing.B, nodes int) *hls.Graph {
+		g, err := gen.Generate(gen.Config{Nodes: nodes, MulCycles: 2, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return g
+	}
+	run := func(b *testing.B, g *hls.Graph, cfg hls.Config, call func(*hls.Graph, hls.Config) (*hls.Design, error)) {
+		for _, par := range []int{0, 1} {
+			cfg.Parallelism = par
+			b.Run(fmt.Sprintf("par%d", par), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := call(g, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+	for _, nodes := range []int{50, 64, 100, 400, 2000} {
+		g := graph(b, nodes)
+		b.Run(fmt.Sprintf("lint/gen%d", nodes), func(b *testing.B) {
+			run(b, g, hls.Config{CS: g.CriticalPathCycles() + 2, Lint: true}, hls.Synthesize)
+		})
+	}
+	for _, nodes := range []int{50, 64, 120, 250, 500} {
+		g := graph(b, nodes)
+		for _, k := range []int{1, 2, 4} {
+			limits := map[string]int{}
+			for _, n := range g.Nodes() {
+				limits[n.Op.String()] = k
+			}
+			if _, err := hls.ScheduleGraph(g, hls.Config{Limits: limits, Parallelism: 1}); err != nil {
+				continue // gen500 at k = 1: no schedule within the search bound
+			}
+			b.Run(fmt.Sprintf("search/gen%d/k%d", nodes, k), func(b *testing.B) {
+				run(b, g, hls.Config{Limits: limits}, hls.ScheduleGraph)
+			})
 		}
 	}
 }

@@ -58,7 +58,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	optimize := fs.Bool("optimize", false, "run frontend passes before synthesis")
 	equiv := fs.Bool("equiv", false, "run translation validation and emit proof certificates")
 	mutate := fs.String("mutate", "", "with -equiv: apply a named artifact corruption first (soundness harness)")
-	par := fs.Int("par", 0, "max parallel analyzers and synthesis jobs (0 = GOMAXPROCS)")
+	par := fs.Int("par", 0, "max parallel analyzers and synthesis jobs (0 = GOMAXPROCS on a design of 64 nodes or more, sequential below)")
 	timeout := cli.Timeout(fs)
 	prof := cli.Profile(fs)
 	if err := fs.Parse(args); err != nil {

@@ -8,6 +8,8 @@ package hls_test
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -84,6 +86,58 @@ func TestConcurrentSynthesisOnSharedGraph(t *testing.T) {
 	for w := 1; w < workers; w++ {
 		if results[w] != results[0] {
 			t.Fatalf("worker %d diverged from worker 0:\n%+v\nvs\n%+v", w, results[w], results[0])
+		}
+	}
+}
+
+// TestBelowGrainRunsInline: on a paper graph, below pool.GrainNodes, the
+// default Parallelism runs both fan-outs inside one design on the
+// caller's goroutine even at GOMAXPROCS 2. The resource-constrained
+// search probes no cs past its answer and the lint gate starts no worker
+// goroutine, so a call makes exactly the allocations of Parallelism 1.
+// testing.AllocsPerRun would pin GOMAXPROCS to 1 and hide the fan-out,
+// so the test reads runtime.MemStats itself; the least count of several
+// rounds screens out allocations by other goroutines. Under -race the
+// test compares results only: the race build's sync.Pool drops a random
+// share of what is put back, so every fmt call allocates a varying count.
+func TestBelowGrainRunsInline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := benchmarks.Diffeq().Graph
+	limits := map[string]int{"*": 2, "+": 1, "-": 1, "<": 1}
+	for _, tc := range []struct {
+		name string
+		cfg  hls.Config
+		run  func(hls.Config) (*hls.Design, error)
+	}{
+		{"ScheduleGraph/resource", hls.Config{Limits: limits}, func(c hls.Config) (*hls.Design, error) { return hls.ScheduleGraph(g, c) }},
+		{"Synthesize/lint", hls.Config{CS: 4, Lint: true}, func(c hls.Config) (*hls.Design, error) { return hls.Synthesize(g, c) }},
+	} {
+		allocs := func(par int) (uint64, string) {
+			cfg := tc.cfg
+			cfg.Parallelism = par
+			d, err := tc.run(cfg)
+			if err != nil {
+				t.Fatalf("%s, Parallelism %d: %v", tc.name, par, err)
+			}
+			least := uint64(math.MaxUint64)
+			for round := 0; round < 5; round++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < 10; i++ {
+					tc.run(cfg)
+				}
+				runtime.ReadMemStats(&after)
+				least = min(least, after.Mallocs-before.Mallocs)
+			}
+			return least, designKey(d)
+		}
+		inline, want := allocs(1)
+		def, got := allocs(0)
+		if got != want {
+			t.Errorf("%s: Parallelism 0 gives\n%s\nParallelism 1 gives\n%s", tc.name, got, want)
+		}
+		if def != inline && !raceEnabled {
+			t.Errorf("%s: 10 calls at Parallelism 0 make %d allocations, %d at Parallelism 1", tc.name, def, inline)
 		}
 	}
 }

@@ -46,10 +46,11 @@ func TestNegativeLimitIsConfigError(t *testing.T) {
 // false error: a limit on a key that names no FU type of the engine (an
 // op symbol for MFSA, a unit for MFS), a style outside 0–2, a negative,
 // NaN, infinite or overflowing clock, a negative latency or one above
-// the time constraint, a pipelined op that names no operation, a
-// negative worker count, and a negative or (where the run needs one)
-// zero time constraint. Each must be refused with a ConfigError naming
-// the field and the key.
+// the time constraint, a latency on a resource-constrained run, which
+// has no time constraint to fold, a pipelined op that names no
+// operation, a negative worker count, and a negative or (where the run
+// needs one) zero time constraint. Each must be refused with a
+// ConfigError naming the field and the key.
 func TestUnhonorableConfigIsConfigError(t *testing.T) {
 	g := benchmarks.Diffeq().Graph
 	ops := map[string]int{"*": 2, "+": 1, "-": 1, "<": 1}
@@ -66,37 +67,46 @@ func TestUnhonorableConfigIsConfigError(t *testing.T) {
 		{"ScheduleGraph/resource", "fu_mul", false, false, hls.Config{Limits: ops}, func(c hls.Config) error { _, err := hls.ScheduleGraph(g, c); return err }},
 		{"Sweep", "*", true, false, hls.Config{}, func(c hls.Config) error { _, err := hls.Sweep(g, c, 4, 6); return err }},
 	}
+	// A case's scope names the entries that refuse it.
+	type scope int
+	const (
+		everyEntry   scope = iota
+		timedEntry         // the check compares against the time constraint
+		ownCSEntry         // the time constraint is cfg.CS, so it must be set
+		untimedEntry       // the run has no time constraint
+	)
 	cases := []struct {
 		name, field, key string // key "" on Limits: the entry's foreign key
-		needsCS          bool   // the check compares against the time constraint
-		needsOwnCS       bool   // only an entry whose time constraint is cfg.CS refuses it
+		scope            scope
 		set              func(c *hls.Config, foreign string)
 	}{
-		{"limit on a foreign key", "Limits", "", false, false, func(c *hls.Config, foreign string) {
+		{"limit on a foreign key", "Limits", "", everyEntry, func(c *hls.Config, foreign string) {
 			c.Limits = maps.Clone(c.Limits)
 			if c.Limits == nil {
 				c.Limits = map[string]int{}
 			}
 			c.Limits[foreign] = 1
 		}},
-		{"style 7", "Style", "", false, false, func(c *hls.Config, _ string) { c.Style = 7 }},
-		{"negative clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = -5 }},
-		{"NaN clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = math.NaN() }},
-		{"infinite clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = math.Inf(1) }},
-		{"overflowing clock", "ClockNs", "", false, false, func(c *hls.Config, _ string) { c.ClockNs = 1e308 }},
-		{"negative latency", "Latency", "", false, false, func(c *hls.Config, _ string) { c.Latency = -1 }},
-		{"latency above cs", "Latency", "", true, false, func(c *hls.Config, _ string) { c.Latency = 9 }},
-		{"unknown pipelined op", "PipelinedOps", "0", false, false, func(c *hls.Config, _ string) { c.PipelinedOps = []string{"%%"} }},
-		{"NaN weight", "Weights", "1", false, false, func(c *hls.Config, _ string) { c.Weights[1] = math.NaN() }},
-		{"infinite weight", "Weights", "0", false, false, func(c *hls.Config, _ string) { c.Weights[0] = math.Inf(1) }},
-		{"negative infinite weight", "Weights", "3", false, false, func(c *hls.Config, _ string) { c.Weights[3] = math.Inf(-1) }},
-		{"negative parallelism", "Parallelism", "", false, false, func(c *hls.Config, _ string) { c.Parallelism = -5 }},
-		{"negative cs", "CS", "", false, false, func(c *hls.Config, _ string) { c.CS = -3 }},
-		{"zero cs", "CS", "", false, true, func(c *hls.Config, _ string) { c.CS = 0 }},
+		{"style 7", "Style", "", everyEntry, func(c *hls.Config, _ string) { c.Style = 7 }},
+		{"negative clock", "ClockNs", "", everyEntry, func(c *hls.Config, _ string) { c.ClockNs = -5 }},
+		{"NaN clock", "ClockNs", "", everyEntry, func(c *hls.Config, _ string) { c.ClockNs = math.NaN() }},
+		{"infinite clock", "ClockNs", "", everyEntry, func(c *hls.Config, _ string) { c.ClockNs = math.Inf(1) }},
+		{"overflowing clock", "ClockNs", "", everyEntry, func(c *hls.Config, _ string) { c.ClockNs = 1e308 }},
+		{"negative latency", "Latency", "", everyEntry, func(c *hls.Config, _ string) { c.Latency = -1 }},
+		{"latency above cs", "Latency", "", timedEntry, func(c *hls.Config, _ string) { c.Latency = 9 }},
+		{"unknown pipelined op", "PipelinedOps", "0", everyEntry, func(c *hls.Config, _ string) { c.PipelinedOps = []string{"%%"} }},
+		{"NaN weight", "Weights", "1", everyEntry, func(c *hls.Config, _ string) { c.Weights[1] = math.NaN() }},
+		{"infinite weight", "Weights", "0", everyEntry, func(c *hls.Config, _ string) { c.Weights[0] = math.Inf(1) }},
+		{"negative infinite weight", "Weights", "3", everyEntry, func(c *hls.Config, _ string) { c.Weights[3] = math.Inf(-1) }},
+		{"negative parallelism", "Parallelism", "", everyEntry, func(c *hls.Config, _ string) { c.Parallelism = -5 }},
+		{"negative cs", "CS", "", everyEntry, func(c *hls.Config, _ string) { c.CS = -3 }},
+		{"zero cs", "CS", "", ownCSEntry, func(c *hls.Config, _ string) { c.CS = 0 }},
+		{"latency without cs", "Latency", "", untimedEntry, func(c *hls.Config, _ string) { c.Latency = 2 }},
 	}
 	for _, e := range entries {
+		refuses := [...]bool{everyEntry: true, timedEntry: e.timed, ownCSEntry: e.ownCS, untimedEntry: !e.timed}
 		for _, tc := range cases {
-			if tc.needsCS && !e.timed || tc.needsOwnCS && !e.ownCS {
+			if !refuses[tc.scope] {
 				continue
 			}
 			cfg := e.base

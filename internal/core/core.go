@@ -85,10 +85,14 @@ type Config struct {
 
 	// Parallelism bounds the worker pool used by the parallel hot paths
 	// (Sweep, SweepGraphs, the resource-constrained MFS search, and the
-	// lint analyzers): 0 = GOMAXPROCS, 1 = sequential, n > 1 = at most n
-	// workers; a negative value is a *guard.ConfigError. Every setting
-	// produces identical results — the knob only trades wall-clock time
-	// for CPU share (see DESIGN.md, "Concurrency model").
+	// lint analyzers): 1 = sequential, n > 1 = at most n workers on every
+	// path, and 0 = GOMAXPROCS, except that a fan-out inside one design
+	// (the MFS search's cs window, the lint analyzers) runs sequentially
+	// on a graph below pool.GrainNodes (64) nodes, where a second core
+	// costs more than it saves. A negative value is a
+	// *guard.ConfigError. Every setting produces identical results — the
+	// knob only trades wall-clock time for CPU share (see DESIGN.md,
+	// "Concurrency model").
 	Parallelism int
 
 	// Lint runs the internal/lint static verification passes over every
@@ -197,7 +201,7 @@ func checkConfig(g *dfg.Graph, cfg Config, eng engine) error {
 	case cfg.Latency < 0:
 		return &guard.ConfigError{Field: "Latency", Value: cfg.Latency, Why: "an initiation interval cannot be negative"}
 	case cfg.Parallelism < 0:
-		return &guard.ConfigError{Field: "Parallelism", Value: cfg.Parallelism, Why: "a worker count cannot be negative; 0 means GOMAXPROCS"}
+		return &guard.ConfigError{Field: "Parallelism", Value: cfg.Parallelism, Why: "a worker count cannot be negative; 0 selects the default"}
 	}
 	if err := checkLatency(cfg.Latency, cfg.CS); err != nil {
 		return err
@@ -235,8 +239,8 @@ func checkClockSpan(g *dfg.Graph, clockNs float64, cs int) error {
 
 // checkTimeConstraint rejects a run of eng without a time constraint:
 // MFSA always needs one, MFS unless Limits bound it by resources
-// instead. A sweep sets its own, so only the single-run entry points
-// call this.
+// instead, and functional pipelining (Latency) in either engine. A sweep
+// sets its own, so only the single-run entry points call this.
 func checkTimeConstraint(cfg Config, eng engine) error {
 	switch {
 	case cfg.CS > 0:
@@ -246,6 +250,9 @@ func checkTimeConstraint(cfg Config, eng engine) error {
 	case len(cfg.Limits) == 0:
 		return &guard.ConfigError{Field: "CS", Value: cfg.CS,
 			Why: "MFS needs a time constraint of at least 1 step, or Limits for resource-constrained scheduling"}
+	case cfg.Latency > 0:
+		return &guard.ConfigError{Field: "Latency", Value: cfg.Latency,
+			Why: "functional pipelining needs a time constraint; resource-constrained scheduling searches for one"}
 	}
 	return nil
 }

@@ -7,8 +7,10 @@
 // with stable codes (see internal/diag's registry).
 //
 // Analyzers are independent and run concurrently on the shared worker
-// pool; aggregation is deterministic (input order, then diag.Sort), so
-// a lint run is byte-identical at every parallelism setting. The
+// pool (inline on the caller's goroutine for a design below
+// pool.GrainNodes at the default parallelism); aggregation is
+// deterministic (input order, then diag.Sort), so a lint run is
+// byte-identical at every parallelism setting. The
 // cmd/hlslint CLI and core.Config.Lint both drive this package.
 package lint
 
@@ -141,8 +143,10 @@ type Options struct {
 	// Analyzers selects passes by name; empty runs all of them.
 	Analyzers []string
 
-	// Parallelism bounds the worker pool: 0 = GOMAXPROCS, 1 =
-	// sequential. Every setting produces identical output.
+	// Parallelism bounds the worker pool over the analyzers: 1 =
+	// sequential, n > 1 = at most n concurrent analyzers, and 0 =
+	// GOMAXPROCS for a unit whose graph has pool.GrainNodes nodes or
+	// more and sequential below. Every setting produces identical output.
 	Parallelism int
 }
 
@@ -170,7 +174,11 @@ func RunCtx(ctx context.Context, u *Unit, opts Options) (diag.List, error) {
 		shared.parsed = new(parsedNetlist)
 		u = &shared
 	}
-	results, err := pool.MapCtx(ctx, pool.Size(opts.Parallelism), len(selected),
+	nodes := 0
+	if u.Graph != nil {
+		nodes = u.Graph.Len()
+	}
+	results, err := pool.MapCtx(ctx, pool.SizeFor(opts.Parallelism, nodes), len(selected),
 		func(i int) (diag.List, error) {
 			return runOne(ctx, selected[i], u), nil
 		})

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,8 +10,10 @@ import (
 	"repro/internal/core"
 	"repro/internal/dfg"
 	"repro/internal/diag"
+	"repro/internal/gen"
 	"repro/internal/grid"
 	"repro/internal/lint"
+	"repro/internal/pool"
 	"repro/internal/sched"
 )
 
@@ -413,6 +416,33 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 				t.Errorf("parallelism %d: finding %d differs: %v vs %v", par, i, ds[i], base[i])
 			}
 		}
+	}
+
+	// The default on a design of pool.GrainNodes nodes or more keeps the
+	// pooled path: GOMAXPROCS analyzers at a time.
+	g, err := gen.Generate(gen.Config{Nodes: 80, MulCycles: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() < pool.GrainNodes {
+		t.Fatalf("gen graph has %d nodes, below the grain of %d", g.Len(), pool.GrainNodes)
+	}
+	d, err := core.Synthesize(g, core.Config{CS: g.CriticalPathCycles() + 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big := d.LintUnit()
+	big.Netlist += "\nassign w_add1 = phantom;\nwire [31:0] w_add1;\n"
+	want, err := lint.Run(big, lint.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lint.Run(big, lint.Options{Parallelism: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) == 0 || !slices.Equal(got, want) {
+		t.Errorf("gen80, parallelism 0: %d findings\n%s\nwant %d\n%s", len(got), format(got), len(want), format(want))
 	}
 }
 

@@ -73,8 +73,9 @@ type Options struct {
 
 	// Parallelism bounds the worker pool of the resource-constrained
 	// search, which probes a window of candidate cs values speculatively
-	// and commits the smallest feasible one: 0 = GOMAXPROCS, 1 =
-	// sequential, n > 1 = at most n concurrent probes. Every setting
+	// and commits the smallest feasible one: 1 = sequential, n > 1 = at
+	// most n concurrent probes, and 0 = GOMAXPROCS for a graph of
+	// pool.GrainNodes nodes or more and sequential below. Every setting
 	// returns the identical schedule (see pool.SearchMin).
 	Parallelism int
 
@@ -155,10 +156,12 @@ func scheduleTimeConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*s
 
 // scheduleResourceConstrained finds the smallest feasible cs under the
 // resource limits. Candidate cs values are independent fixed-cs runs, so
-// a window of them is probed speculatively in parallel and the smallest
-// feasible one commits — pool.SearchMin guarantees the result is exactly
-// the sequential loop's. Frames are computed once at the critical path
-// and shifted per candidate instead of recomputed (Frames.Shifted).
+// a window of them is probed speculatively in parallel (on a graph below
+// pool.GrainNodes, at the default Parallelism, one at a time) and the
+// smallest feasible one commits — pool.SearchMin guarantees the result
+// is exactly the sequential loop's. Frames are computed once at the
+// critical path and shifted per candidate instead of recomputed
+// (Frames.Shifted).
 func scheduleResourceConstrained(ctx context.Context, g *dfg.Graph, opt Options) (*sched.Schedule, error) {
 	if len(opt.Limits) == 0 {
 		return nil, fmt.Errorf("mfs: resource-constrained scheduling needs Limits")
@@ -175,7 +178,7 @@ func scheduleResourceConstrained(ctx context.Context, g *dfg.Graph, opt Options)
 	if err != nil {
 		return nil, fmt.Errorf("mfs: %w", err)
 	}
-	_, s, err := pool.SearchMinCtx(ctx, pool.Size(opt.Parallelism), hi-lo+1,
+	_, s, err := pool.SearchMinCtx(ctx, pool.SizeFor(opt.Parallelism, g.Len()), hi-lo+1,
 		func(i int) (*sched.Schedule, error) {
 			return runOnce(ctx, g, lo+i, opt, true, frames.Shifted(i))
 		})

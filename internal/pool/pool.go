@@ -47,15 +47,34 @@ func (e *EmptySearchError) Error() string {
 }
 
 // Size resolves a parallelism setting to a worker count: n > 0 is used
-// as given, anything else selects runtime.GOMAXPROCS(0). Callers thread
-// a user-facing knob (core.Config.Parallelism, mfs.Options.Parallelism)
-// straight through, so 0 means "use the machine" and 1 means
-// "sequential".
+// as given, anything else selects runtime.GOMAXPROCS(0). It sizes the
+// fan-outs whose items are whole designs or packages (sweep points,
+// experiment rows, the hlsvet loader); a fan-out inside one design is
+// sized by SizeFor.
 func Size(n int) int {
 	if n > 0 {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
+}
+
+// GrainNodes is the smallest design, in graph nodes, whose own fan-outs
+// (the lint analyzers, the speculative cs window of the
+// resource-constrained MFS search) the default parallelism spreads over
+// GOMAXPROCS. Below it a fan-out's fixed cost of waking a second core
+// exceeds the work it hands over; DESIGN.md §7 records the sizing.
+const GrainNodes = 64
+
+// SizeFor resolves a parallelism setting for a fan-out inside one design
+// of the given node count: n > 0 is used as given at any size; 0 selects
+// runtime.GOMAXPROCS(0) from GrainNodes nodes up and 1, the sequential
+// path on the caller's goroutine, below. Every result is identical at
+// every worker count, so the grain moves only time.
+func SizeFor(n, nodes int) int {
+	if n <= 0 && nodes < GrainNodes {
+		return 1
+	}
+	return Size(n)
 }
 
 // call invokes fn(i) with the pool's panic boundary: a panic inside fn

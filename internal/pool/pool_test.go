@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -17,6 +18,29 @@ func TestSize(t *testing.T) {
 	}
 	if got := Size(-2); got < 1 {
 		t.Errorf("Size(-2) = %d, want >= 1", got)
+	}
+}
+
+// TestSizeFor pins the grain of the default: 0 runs a fan-out inside a
+// design below GrainNodes on one worker and one of GrainNodes or more on
+// GOMAXPROCS, while an explicit worker count holds at any size.
+func TestSizeFor(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct{ n, nodes, want int }{
+		{0, 0, 1},
+		{0, 7, 1},
+		{0, GrainNodes - 1, 1},
+		{0, GrainNodes, procs},
+		{0, 2000, procs},
+		{1, 2000, 1},
+		{2, 7, 2},
+		{4, GrainNodes - 1, 4},
+		{8, GrainNodes, 8},
+		{16, 2000, 16},
+	} {
+		if got := SizeFor(tc.n, tc.nodes); got != tc.want {
+			t.Errorf("SizeFor(%d, %d) = %d, want %d", tc.n, tc.nodes, got, tc.want)
+		}
 	}
 }
 
